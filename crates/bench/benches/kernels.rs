@@ -2,8 +2,8 @@
 //! performance substrate (unrolled kernels, fused column sweeps, blocked
 //! matmul, pooled parallelism), with a JSON trail.
 //!
-//! Unlike the criterion benches, this is a custom harness (`harness =
-//! false` + plain `main`) because it has two extra jobs:
+//! A custom harness (`harness = false` + plain `main`) with two jobs
+//! beyond timing:
 //!
 //! 1. keep *replicas of the pre-optimisation scalar implementations* around
 //!    so every speedup is measured against the real before-state, not a

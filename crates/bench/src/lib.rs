@@ -1,4 +1,4 @@
-//! Shared infrastructure for the experiment binaries and criterion benches.
+//! Shared infrastructure for the experiment binaries and the `kernels` bench.
 //!
 //! Every table and figure of the paper has a regeneration target in
 //! `src/bin/` (see DESIGN.md §3 for the experiment index); this library
@@ -93,8 +93,8 @@ pub struct Workload {
     pub labels: Vec<usize>,
 }
 
-/// Process-wide workload cache so repeated bench iterations do not pay
-/// generation cost (criterion calls setup closures many times).
+/// Process-wide workload cache, so a caller that asks for the same spec
+/// more than once pays its generation cost once.
 static WORKLOAD_CACHE: Mutex<Option<HashMap<WorkloadSpec, Workload>>> = Mutex::new(None);
 
 /// Generates (or fetches from cache) the standard mixture workload.

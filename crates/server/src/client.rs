@@ -417,7 +417,8 @@ impl Client {
     }
 
     /// One attempt: send the tagged frame, read until the response whose
-    /// echoed id matches (tolerating id 0 from version-1 servers).
+    /// echoed id matches (tolerating id 0, which farewells, refusals, and
+    /// framing errors carry).
     fn call_once(&mut self, request: &Request, id: u64) -> ClientResult<Response> {
         let frame = request.to_frame().with_request_id(id);
         let stream = self.stream()?;

@@ -13,17 +13,15 @@
 //!   [`decode_fitted`](rbt_api::decode_fitted)), and per-tenant counters
 //!   (requests, rows, drift rows, evictions, p50/p99 service time) that
 //!   survive eviction;
-//! * [`Server`] — the TCP daemon, on either of two connection cores
-//!   behind one API ([`ServerConfig::core`]): the default [`reactor`] —
-//!   a readiness-polled event loop owning every socket plus a fixed
-//!   compute pool, so thousands of connections ride a handful of OS
-//!   threads — or the legacy thread-per-connection core; both with a
-//!   bounded in-flight window for backpressure, deadline enforcement
+//! * [`Server`] — the TCP daemon (Unix only): the [`reactor`], a
+//!   readiness-polled event loop owning every socket plus a fixed compute
+//!   pool, so thousands of connections ride a handful of OS threads; with
+//!   a bounded in-flight window for backpressure, deadline enforcement
 //!   (idle reaper, stall budgets, per-opcode queue deadlines), a
 //!   connection cap, and graceful drain that answers every in-flight
 //!   request before saying `GoingAway`;
-//! * [`Client`] — the blocking client the CLI, the bench load generator,
-//!   and the integration battery drive the daemon with — now with
+//! * [`Client`] — the blocking client the CLI, the benchmark, and the
+//!   integration battery drive the daemon with — now with
 //!   reconnect + exponential backoff, idempotent retry keyed by echoed
 //!   request ids, and a circuit breaker;
 //! * [`KeyStore`] — crash-safe key persistence: atomic
@@ -54,6 +52,7 @@ pub mod metrics;
 #[cfg(unix)]
 pub mod reactor;
 pub mod registry;
+#[cfg(unix)]
 pub mod server;
 pub mod wire;
 
@@ -64,8 +63,8 @@ pub use metrics::{
     LatencyHistogram, RuntimeCounters, RuntimeSnapshot, ServerStats, TenantMetrics, TenantStats,
 };
 pub use registry::{ServerError, ServerResult, SessionRegistry};
-pub use server::{ConnAccounting, ConnectionCore, DrainReport, Server, ServerConfig};
+#[cfg(unix)]
+pub use server::{ConnAccounting, DrainReport, Server, ServerConfig};
 pub use wire::{
-    Frame, FrameAssembler, FrameEvent, Opcode, Request, Response, WireError, WireResult,
-    CODE_UNAVAILABLE,
+    Frame, FrameAssembler, Opcode, Request, Response, WireError, WireResult, CODE_UNAVAILABLE,
 };

@@ -116,15 +116,14 @@ impl TenantMetrics {
     }
 }
 
-/// Server-wide resilience counters, updated lock-free by the accept loop
-/// and every connection thread. The `Stats` opcode reports a
+/// Server-wide resilience counters, updated lock-free by the event loop
+/// and the worker pool. The `Stats` opcode reports a
 /// [`RuntimeSnapshot`] of these alongside the per-tenant rows.
 #[derive(Debug, Default)]
 pub struct RuntimeCounters {
     /// Connections accepted.
     pub accepted: AtomicU64,
-    /// Connections refused because the server was at `max_conns` or
-    /// draining.
+    /// Connections refused because the server was at `max_conns`.
     pub refused: AtomicU64,
     /// Connections reaped by the idle reaper.
     pub idle_reaped: AtomicU64,
@@ -169,7 +168,7 @@ impl RuntimeCounters {
 pub struct RuntimeSnapshot {
     /// Connections accepted.
     pub accepted: u64,
-    /// Connections refused (at capacity or draining).
+    /// Connections refused (at capacity).
     pub refused: u64,
     /// Connections reaped for idleness.
     pub idle_reaped: u64,

@@ -1,9 +1,7 @@
-//! The event-driven connection core: one readiness-polled event loop
-//! owning every socket, plus a fixed worker pool for transform compute.
-//!
-//! The threaded core in [`crate::server`] pays two OS threads per
-//! connection; this core serves thousands of connections on
-//! `1 + worker_threads` threads. The split of responsibilities:
+//! The connection core: one readiness-polled event loop owning every
+//! socket, plus a fixed worker pool for transform compute, so thousands of
+//! connections ride `1 + worker_threads` threads. The split of
+//! responsibilities:
 //!
 //! * the **event loop** (one thread) owns the non-blocking listener and
 //!   every connection socket, multiplexed through the vendored `poll(2)`
@@ -13,31 +11,27 @@
 //!   never doing transform compute itself;
 //! * the **worker pool** (`ServerConfig::worker_threads` threads, default
 //!   [`rbt_linalg::pool::default_threads`]) decodes request bodies, checks
-//!   the queue-wait deadline, runs the request engine shared with the
-//!   threaded core, and encodes the response. Completions come back to the
-//!   event loop over a self-pipe waker.
+//!   the queue-wait deadline, runs the request engine in
+//!   [`crate::server`], and encodes the response. Completions come back to
+//!   the event loop over a self-pipe waker.
 //!
-//! Semantic parity with the threaded core is the design constraint: the
-//! integration and chaos batteries run unmodified against both. The load-
-//! bearing rules, mirrored from the reader/worker pair:
+//! The load-bearing rules:
 //!
 //! * at most one request per connection is ever in a worker, so responses
 //!   are written in arrival order (pipelining stays FIFO);
 //! * a connection whose inbox reaches [`crate::ServerConfig::window`]
-//!   stops being read — backpressure lands in the kernel's TCP buffers
-//!   exactly as the threaded core's bounded `sync_channel` does;
+//!   stops being read — backpressure lands in the kernel's TCP buffers;
 //! * version-skewed frames are consumed whole (CRC before version) and
 //!   answered with a typed error without closing the connection; every
 //!   other parse failure answers once and closes after the flush;
 //! * idle connections are reaped after `idle_timeout` counted from the
 //!   last byte received; a peer silent *mid-frame* is cut after
 //!   `stall_budget`;
-//! * on drain, each connection quiesces after one read-tick without new
-//!   bytes, everything already buffered is answered, a `GoingAway`
-//!   farewell is written, and stragglers are force-severed at
-//!   `drain_deadline`.
-
-#![cfg(unix)]
+//! * on drain, connections already in the kernel's accept queue are
+//!   admitted before the listener closes; each connection then quiesces
+//!   after one read-tick without new bytes, everything already buffered
+//!   is answered, a `GoingAway` farewell is written, and stragglers are
+//!   force-severed at `drain_deadline`.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -146,8 +140,8 @@ struct Conn {
     /// error, `GoingAway` received, stall cut, or the trailing mid-frame
     /// EOF error already queued). Distinct from `read_closed`: an EOF or
     /// a drain quiescence stops *reading*, but complete frames already
-    /// buffered must still be extracted and served — the threaded core
-    /// serves every frame received before the peer went away.
+    /// buffered must still be extracted and served — every frame
+    /// received before the peer went away is answered.
     parse_dead: bool,
     /// Retire once the inbox is served and the outbuf flushed.
     closing: bool,
@@ -160,8 +154,8 @@ struct Conn {
     write_broken: bool,
     /// The peer's departure has been counted in `disconnects`. A client
     /// that says `Goodbye` and then closes would otherwise be counted on
-    /// both the frame path and the EOF path; the threaded core counts
-    /// exactly one disconnect per connection, and so must we.
+    /// both the frame path and the EOF path; each connection counts
+    /// exactly one disconnect.
     disconnect_counted: bool,
     /// Interest currently registered with the poller.
     interest: Interest,
@@ -237,9 +231,20 @@ impl Reactor {
         let mut events: Vec<Event> = Vec::new();
         let mut last_scan = Instant::now();
         loop {
+            // `stop` before `draining`: shutdown raises `draining` first,
+            // so a loop that sees the stop also sees the drain and never
+            // mistakes a shutdown for an abort.
+            let stop = self.stop.load(Ordering::SeqCst);
             let draining = self.shared.draining.load(Ordering::SeqCst);
-            if self.stop.load(Ordering::SeqCst) {
+            if stop {
                 if self.listener.is_some() {
+                    if draining {
+                        // Connections still in the kernel's accept queue
+                        // may already have sent requests; admit them so
+                        // the drain answers those frames instead of the
+                        // listener's close resetting them.
+                        self.accept_ready();
+                    }
                     let _ = self.poller.deregister(LISTENER_KEY);
                     self.listener = None;
                 }
@@ -318,29 +323,16 @@ impl Reactor {
         }
     }
 
-    /// Admission control, mirroring the threaded accept loop: refuse with
-    /// `GoingAway` while draining, with a typed code-8 error at the
+    /// Admission control: refuse with a typed code-8 error at the
     /// connection cap, otherwise register the socket with the poller.
     fn admit(&mut self, stream: TcpStream) {
         let runtime = self.shared.registry.runtime();
         let config = &self.shared.config;
-        if self.shared.draining.load(Ordering::SeqCst) {
-            runtime.refused.fetch_add(1, Ordering::Relaxed);
-            // On the BSD family accepted sockets inherit the listener's
-            // O_NONBLOCK (Linux never does); make the farewell write
-            // blocking so `refuse` cannot drop it on WouldBlock.
-            let _ = stream.set_nonblocking(false);
-            refuse(
-                stream,
-                Response::GoingAway {
-                    message: "server draining".to_string(),
-                },
-                config.write_timeout,
-            );
-            return;
-        }
         if self.conns.len() >= config.max_conns {
             runtime.refused.fetch_add(1, Ordering::Relaxed);
+            // On the BSD family accepted sockets inherit the listener's
+            // O_NONBLOCK (Linux never does); make the refusal write
+            // blocking so `refuse` cannot drop it on WouldBlock.
             let _ = stream.set_nonblocking(false);
             refuse(
                 stream,
@@ -406,8 +398,7 @@ impl Reactor {
         loop {
             if conn.inbox.len() >= window {
                 // Window full: stop pulling bytes. Whatever the client
-                // keeps pipelining backs up in the kernel's TCP buffers,
-                // exactly like the threaded core's bounded channel.
+                // keeps pipelining backs up in the kernel's TCP buffers.
                 break;
             }
             match conn.stream.read(&mut buf) {
@@ -638,7 +629,7 @@ impl Reactor {
             if conn.asm.partial_frame() {
                 if silent >= config.stall_budget {
                     // A wedged or malicious sender mid-frame: cut it with
-                    // the same typed error the threaded reader produces.
+                    // a typed error.
                     runtime.stalled.fetch_add(1, Ordering::Relaxed);
                     conn.inbox.push_back((
                         now,
@@ -672,8 +663,8 @@ impl Reactor {
     }
 
     /// Removes a connection: on a drain, flush and send the `GoingAway`
-    /// farewell over a temporarily-blocking socket (mirroring the
-    /// threaded worker's final write), then close and account for it.
+    /// farewell over a temporarily-blocking socket, then close and
+    /// account for it.
     fn retire(&mut self, conn_id: u64) {
         let Some(mut conn) = self.conns.remove(&conn_id) else {
             return;

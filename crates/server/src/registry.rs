@@ -18,7 +18,7 @@
 //! decode — an LRU eviction must not zero a tenant's drift history.
 //!
 //! Locking: the registry mutex (a non-poisoning `parking_lot` lock, so a
-//! panicking connection thread cannot wedge every other tenant) is held
+//! panicking worker thread cannot wedge every other tenant) is held
 //! only to look up / decode / account; the per-tenant session lock is held
 //! for the transform itself. Different tenants therefore transform in
 //! parallel, while two requests for the same tenant serialize — which is
@@ -197,8 +197,8 @@ impl SessionRegistry {
         self.capacity
     }
 
-    /// The server-wide resilience counters, shared with the accept loop
-    /// and every connection thread (lock-free increments).
+    /// The server-wide resilience counters, shared with the event loop
+    /// and the worker pool (lock-free increments).
     pub fn runtime(&self) -> &RuntimeCounters {
         &self.runtime
     }

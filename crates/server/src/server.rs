@@ -1,16 +1,7 @@
 //! The TCP server: the [`Server`] front door, its configuration, and the
-//! legacy *threaded* connection core — one accept loop, one reader + one
-//! worker thread per connection, a bounded in-flight window between them —
-//! plus the fault-tolerance layer: deadlines, an idle reaper, a connection
-//! cap, and graceful drain.
-//!
-//! On Unix the default core is the readiness-polled event loop in
-//! [`crate::reactor`] (selected by [`ServerConfig::core`], overridable
-//! with `RBT_SERVER_CORE=reactor|threaded`): one thread owns every
-//! socket, a fixed pool does the compute, and all the semantics below —
-//! response bytes, counters, drain behaviour — are preserved exactly.
-//! The threaded core described here remains the portable fallback and
-//! the reference the reactor is held to.
+//! request engine the event loop in [`crate::reactor`] runs on its worker
+//! pool — plus the fault-tolerance layer: deadlines, an idle reaper, a
+//! connection cap, and graceful drain.
 //!
 //! Fault containment is the design center, mirroring the codec's
 //! reject-don't-crash contract at the connection level:
@@ -22,94 +13,49 @@
 //! * a **well-framed but undecodable body** does not desynchronize
 //!   framing, so the server answers with an `Error` response and keeps the
 //!   connection open;
-//! * a **disconnect** mid-frame or mid-response just ends the connection's
-//!   threads; the registry (a non-poisoning lock) is untouched;
+//! * a **disconnect** mid-frame or mid-response just retires the
+//!   connection; the registry (a non-poisoning lock) is untouched;
 //! * an **idle connection** is reaped after
 //!   [`ServerConfig::idle_timeout`]; a peer that goes silent *mid-frame*
-//!   is cut after [`ServerConfig::stall_budget`] — no reader thread is
-//!   ever parked forever;
+//!   is cut after [`ServerConfig::stall_budget`] — no connection is ever
+//!   held open forever;
 //! * a request that waits in the window past its per-opcode deadline is
 //!   **shed** with a typed `Deadline` frame instead of being served stale;
 //! * past [`ServerConfig::max_conns`] active connections, new arrivals are
 //!   refused with a typed `Error` (code 8, unavailable) frame instead of
-//!   spawning threads without bound.
+//!   being admitted without bound.
 //!
-//! Graceful drain ([`Server::shutdown`]): the listener stops accepting,
-//! each reader finishes sweeping the frames already buffered on its socket
-//! and stops at the first idle tick, each worker answers everything in its
-//! window, sends a final `GoingAway` frame, and exits. Connections that
-//! outlive [`ServerConfig::drain_deadline`] are force-severed. Every
-//! connection thread is then joined, so the returned [`DrainReport`] can
-//! account for every thread ever spawned — the chaos battery asserts
-//! `spawned == joined` to prove no thread leaks.
+//! Graceful drain ([`Server::shutdown`]): the event loop admits every
+//! connection already waiting in the kernel's accept queue, then closes
+//! the listener. Each connection is read until one tick passes with no
+//! new bytes, everything in its window is answered, a final `GoingAway`
+//! frame is sent, and the socket closes. Connections that outlive
+//! [`ServerConfig::drain_deadline`] are force-severed. The returned
+//! [`DrainReport`] accounts for every connection ever admitted — the
+//! chaos battery asserts `spawned == joined` to prove none leaks.
 //!
-//! Backpressure: the reader thread parses frames and hands them to the
-//! worker over a `sync_channel` whose depth is the per-connection
-//! *in-flight window*. A client that pipelines more requests than the
-//! window eventually blocks in the kernel's TCP buffers — memory on the
-//! server stays bounded per connection.
+//! Backpressure: a connection whose in-flight window is full stops being
+//! read, so a client that pipelines more requests than the window
+//! eventually blocks in the kernel's TCP buffers — memory on the server
+//! stays bounded per connection.
 
-use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use rbt_protocol::{FederationConfig, FederationHub, Message as FedMessage, ProtocolError};
 
 use crate::keystore::KeyStore;
+use crate::reactor::{self, ReactorHandle};
 use crate::registry::{ServerError, SessionRegistry};
-use crate::wire::{
-    self, Frame, FrameEvent, Opcode, Request, Response, WireError, CODE_UNAVAILABLE,
-};
-
-/// Which connection core [`Server::spawn_with`] runs.
-///
-/// Both cores speak the same wire protocol through the same request
-/// engine, enforce the same lifecycle semantics (idle reaper, stall
-/// budget, queue-wait deadlines, connection cap, graceful drain), and
-/// produce bitwise-identical responses; they differ only in how sockets
-/// are multiplexed onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnectionCore {
-    /// One reader thread plus one worker thread per connection — two OS
-    /// threads per client. Simple, but caps concurrent connections at the
-    /// thread budget.
-    Threaded,
-    /// One event-loop thread readiness-polling every socket plus a fixed
-    /// worker pool for transform compute (see [`crate::reactor`]). Serves
-    /// thousands of connections on a handful of threads. Falls back to
-    /// [`ConnectionCore::Threaded`] on non-Unix targets, where the
-    /// `poll(2)` shim is unavailable.
-    Reactor,
-}
-
-impl ConnectionCore {
-    /// The default core: [`ConnectionCore::Reactor`] on Unix, overridable
-    /// with the `RBT_SERVER_CORE` environment variable (`threaded` or
-    /// `reactor`, case-insensitive); [`ConnectionCore::Threaded`]
-    /// elsewhere.
-    pub fn from_env() -> ConnectionCore {
-        match std::env::var("RBT_SERVER_CORE") {
-            Ok(v) if v.eq_ignore_ascii_case("threaded") => ConnectionCore::Threaded,
-            Ok(v) if v.eq_ignore_ascii_case("reactor") => ConnectionCore::Reactor,
-            _ => {
-                if cfg!(unix) {
-                    ConnectionCore::Reactor
-                } else {
-                    ConnectionCore::Threaded
-                }
-            }
-        }
-    }
-}
+use crate::wire::{self, Opcode, Request, Response};
 
 /// Mid-run connection accounting, exposed by [`Server::accounting`] so
-/// tests can assert lifecycle invariants (handles reaped, live count
-/// bounded) *while the server runs*, not only at shutdown.
+/// tests can assert lifecycle invariants (live count bounded, every
+/// connection retired) *while the server runs*, not only at shutdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnAccounting {
     /// Connections admitted over the server's lifetime.
@@ -118,22 +64,17 @@ pub struct ConnAccounting {
     pub finished: u64,
     /// Connections currently being served (`spawned - finished`).
     pub live: u64,
-    /// Finished-but-unreaped handler threads still parked in the join
-    /// backlog. The threaded core reaps in its accept loop, so under churn
-    /// this stays bounded by the arrival rate since the last accept; the
-    /// reactor core has no per-connection threads and always reports 0.
-    pub handle_backlog: u64,
 }
 
 /// Tuning for the serving core's fault-tolerance layer. The defaults are
 /// production-shaped; tests shrink them to make timeouts observable.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Per-connection in-flight window (requests buffered between reader
-    /// and worker).
+    /// Per-connection in-flight window (decoded requests buffered ahead
+    /// of the worker pool).
     pub window: usize,
-    /// Socket read timeout, which doubles as the polling tick for the
-    /// idle reaper and the stall detector.
+    /// Event-loop poll timeout: the granularity of the idle reaper, the
+    /// stall detector, and drain quiescence.
     pub read_tick: Duration,
     /// Reap a connection after this long with no new frame.
     pub idle_timeout: Duration,
@@ -160,14 +101,9 @@ pub struct ServerConfig {
     /// [`FederationHub`] admits; `FedOpen` past the cap is refused with a
     /// typed error.
     pub max_fed_sessions: usize,
-    /// Which connection core to run; defaults to
-    /// [`ConnectionCore::from_env`].
-    pub core: ConnectionCore,
-    /// Worker threads the reactor core uses for transform compute; `0`
-    /// (the default) sizes the pool with
-    /// [`rbt_linalg::pool::default_threads`], which honours the
-    /// `RBT_THREADS` environment variable. Ignored by the threaded core,
-    /// which spawns its workers per connection.
+    /// Worker threads for request compute; `0` (the default) sizes the
+    /// pool with [`rbt_linalg::pool::default_threads`], which honours the
+    /// `RBT_THREADS` environment variable.
     pub worker_threads: usize,
 }
 
@@ -185,7 +121,6 @@ impl Default for ServerConfig {
             control_deadline: Duration::from_secs(10),
             keystore: None,
             max_fed_sessions: 16,
-            core: ConnectionCore::from_env(),
             worker_threads: 0,
         }
     }
@@ -209,48 +144,31 @@ impl ServerConfig {
 /// What a completed [`Server::shutdown`] drain did, for leak accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DrainReport {
-    /// Connection handler threads spawned over the server's lifetime.
+    /// Connections admitted over the server's lifetime.
     pub spawned: u64,
-    /// Handler threads joined by the drain — the chaos battery asserts
-    /// this equals `spawned` (no thread leaks).
+    /// Connections retired by the end of the drain — the chaos battery
+    /// asserts this equals `spawned` (no connection leaks).
     pub joined: u64,
     /// Connections force-severed at the drain deadline.
     pub forced: u64,
 }
 
-/// State shared by the accept loop and every connection handler — both
-/// cores route through it, so counters and the request engine behave
-/// identically regardless of [`ConnectionCore`].
+/// State shared by the event loop, the worker pool, and the [`Server`]
+/// handle.
 pub(crate) struct Shared {
     pub(crate) registry: Arc<SessionRegistry>,
     pub(crate) config: ServerConfig,
     pub(crate) draining: AtomicBool,
-    /// Clones of every live connection's stream, for force-severing at
-    /// the drain deadline. Keyed by connection id. The threaded core only:
-    /// the reactor owns its sockets and severs them directly (a clone per
-    /// connection would double the file-descriptor bill).
-    pub(crate) live_conns: Mutex<HashMap<u64, TcpStream>>,
     pub(crate) spawned: AtomicU64,
     pub(crate) finished: AtomicU64,
-    /// Handler threads reaped mid-run by the accept loop (threaded core).
-    pub(crate) joined: AtomicU64,
-    /// Parked-wait signal for [`Server::shutdown`]: every connection
-    /// retirement bumps `finished` and notifies, so the drain wakes
-    /// event-driven instead of busy-polling.
-    pub(crate) done_lock: StdMutex<()>,
-    pub(crate) done_cv: Condvar,
     /// Hosts federated release sessions behind the `Fed*` opcodes.
     pub(crate) hub: Mutex<FederationHub>,
 }
 
 impl Shared {
-    /// Marks one connection fully retired and wakes any parked drain.
+    /// Marks one connection fully retired.
     pub(crate) fn retire_conn(&self) {
         self.finished.fetch_add(1, Ordering::SeqCst);
-        // Taking the lock orders this notify against a drain that has
-        // checked the counters but not yet parked, so no wakeup is lost.
-        let _guard = self.done_lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.done_cv.notify_all();
     }
 }
 
@@ -383,210 +301,11 @@ pub(crate) fn process_request(shared: &Shared, request: Request) -> Response {
         Request::FedClose { session } => Response::FedClosed {
             existed: shared.hub.lock().close(session),
         },
-        // Goodbye is intercepted by the worker loop before this point.
+        // Goodbye is intercepted by the event loop before this point.
         Request::Goodbye => Response::GoingAway {
             message: "goodbye".to_string(),
         },
     }
-}
-
-/// What the reader hands the worker per frame: arrival time (for the
-/// queue-wait deadline) and the parse outcome.
-type ReaderItem = (Instant, Result<Frame, WireError>);
-
-fn run_reader(
-    mut read_half: TcpStream,
-    tx: mpsc::SyncSender<ReaderItem>,
-    shared: &Shared,
-    departed: &AtomicBool,
-) {
-    let runtime = shared.registry.runtime();
-    let tick = shared.config.read_tick;
-    let mut idle = Duration::ZERO;
-    loop {
-        match wire::read_frame_patient(&mut read_half, shared.config.stall_budget) {
-            Ok(FrameEvent::Frame(frame)) => {
-                idle = Duration::ZERO;
-                if tx.send((Instant::now(), Ok(frame))).is_err() {
-                    return; // worker gone
-                }
-            }
-            Ok(FrameEvent::Idle) => {
-                // During a drain this is the signal that the final sweep
-                // is done: every frame the client managed to send before
-                // the drain began has been handed to the worker.
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                idle += tick;
-                if idle >= shared.config.idle_timeout {
-                    runtime.idle_reaped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            Ok(FrameEvent::CleanEof) => {
-                // Count the departure once per connection: a client that
-                // says `Goodbye` and then closes is one disconnect, not
-                // two, no matter whether the worker's interception or
-                // this EOF lands first.
-                if !departed.swap(true, Ordering::SeqCst) {
-                    runtime.disconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-            Ok(FrameEvent::Stalled) => {
-                runtime.stalled.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send((
-                    Instant::now(),
-                    Err(WireError::Io {
-                        kind: std::io::ErrorKind::TimedOut,
-                        message: format!(
-                            "peer stalled mid-frame past the {:?} budget",
-                            shared.config.stall_budget
-                        ),
-                    }),
-                ));
-                return;
-            }
-            Err(e) => {
-                // Version skew is the one parse failure that does NOT
-                // desynchronize the stream: the checksum is verified
-                // before the version, so the whole frame was consumed.
-                // Report it and keep reading — a mixed-version client
-                // loses one request, not the connection.
-                if matches!(&e, WireError::UnsupportedVersion { .. }) {
-                    idle = Duration::ZERO;
-                    if tx.send((Instant::now(), Err(e))).is_err() {
-                        return; // worker gone
-                    }
-                    continue;
-                }
-                if matches!(&e, WireError::Io { kind, .. } if *kind == std::io::ErrorKind::UnexpectedEof)
-                    && !departed.swap(true, Ordering::SeqCst)
-                {
-                    runtime.disconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                let _ = tx.send((Instant::now(), Err(e)));
-                return; // the stream is desynchronized; stop reading
-            }
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: Arc<Shared>, conn_id: u64) {
-    let runtime_ok = stream
-        .set_read_timeout(Some(shared.config.read_tick))
-        .and_then(|_| stream.set_write_timeout(Some(shared.config.write_timeout)))
-        .and_then(|_| stream.set_nodelay(true))
-        .is_ok();
-    let read_half = stream.try_clone();
-    let (Ok(read_half), true) = (read_half, runtime_ok) else {
-        shared.live_conns.lock().remove(&conn_id);
-        shared.retire_conn();
-        return;
-    };
-
-    let (tx, rx) = mpsc::sync_channel::<ReaderItem>(shared.config.window.max(1));
-    // One departure per connection, whichever side (reader EOF or worker
-    // Goodbye interception) observes it first.
-    let departed = Arc::new(AtomicBool::new(false));
-    let reader_shared = Arc::clone(&shared);
-    let reader_departed = Arc::clone(&departed);
-    let reader = thread::spawn(move || run_reader(read_half, tx, &reader_shared, &reader_departed));
-
-    let runtime = shared.registry.runtime();
-    let mut write_half = stream;
-    let mut said_goodbye = false;
-    for (arrival, item) in rx {
-        match item {
-            Ok(frame) => {
-                let request_id = frame.request_id;
-                let request = match Request::from_frame(&frame) {
-                    Ok(request) => request,
-                    // A valid frame with an undecodable body: framing is
-                    // intact, so answer and keep the connection.
-                    Err(e) => {
-                        let response = Response::Error {
-                            code: 4,
-                            message: format!("bad request body: {e}"),
-                        };
-                        let frame = response.to_frame().with_request_id(request_id);
-                        if wire::write_frame(&mut write_half, &frame).is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                };
-                if matches!(request, Request::Goodbye) {
-                    // A clean departure: no response owed, no error frame.
-                    if !departed.swap(true, Ordering::SeqCst) {
-                        runtime.disconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    said_goodbye = true;
-                    break;
-                }
-                let waited = arrival.elapsed();
-                let budget = shared.config.deadline_for(frame.opcode);
-                let response = if waited > budget {
-                    // Shed rather than serve stale: the client has either
-                    // timed out already or would rather retry elsewhere.
-                    runtime.deadlines_shed.fetch_add(1, Ordering::Relaxed);
-                    Response::Deadline {
-                        waited_ms: waited.as_millis().min(u128::from(u64::MAX)) as u64,
-                        budget_ms: budget.as_millis().min(u128::from(u64::MAX)) as u64,
-                    }
-                } else {
-                    process_request(&shared, request)
-                };
-                let frame = response.to_frame().with_request_id(request_id);
-                if wire::write_frame(&mut write_half, &frame).is_err() {
-                    break; // client went away mid-response
-                }
-            }
-            Err(e) => {
-                runtime.malformed.fetch_add(1, Ordering::Relaxed);
-                // A frame from an unsupported protocol version was fully
-                // consumed (checksum before version), so framing is
-                // intact: answer with the typed rejection and keep
-                // serving the connection.
-                if matches!(&e, WireError::UnsupportedVersion { .. }) {
-                    let response = Response::Error {
-                        code: 4,
-                        message: e.to_string(),
-                    };
-                    if wire::write_frame(&mut write_half, &response.to_frame()).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                // Malformed frame or mid-frame stall: answer with the
-                // typed rejection (best-effort) and drop the connection.
-                let response = Response::Error {
-                    code: 4,
-                    message: format!("malformed frame: {e}"),
-                };
-                let _ = wire::write_frame(&mut write_half, &response.to_frame());
-                break;
-            }
-        }
-    }
-    // The reader swept everything the client had sent and the worker
-    // answered it all. On a drain, say GoingAway so the client knows this
-    // connection is done rather than dead.
-    if shared.draining.load(Ordering::SeqCst) && !said_goodbye {
-        let farewell = Response::GoingAway {
-            message: "server draining".to_string(),
-        };
-        if wire::write_frame(&mut write_half, &farewell.to_frame()).is_ok() {
-            runtime.drained.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    // Unblock the reader if it is still parked in a socket read, then
-    // reap it.
-    let _ = write_half.shutdown(Shutdown::Both);
-    let _ = reader.join();
-    shared.live_conns.lock().remove(&conn_id);
-    shared.retire_conn();
 }
 
 /// Writes a best-effort refusal frame on a connection that will not be
@@ -598,25 +317,12 @@ pub(crate) fn refuse(mut stream: TcpStream, response: Response, write_timeout: D
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// A running release server on either connection core.
-/// [`shutdown`](Server::shutdown) drains gracefully; dropping the handle
-/// just stops accepting (the threaded core lets open connections run on
-/// detached threads; the reactor severs them).
+/// A running release server. [`shutdown`](Server::shutdown) drains
+/// gracefully; dropping the handle severs every open connection.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    core: CoreHandle,
-}
-
-/// Core-specific runtime state behind a [`Server`].
-enum CoreHandle {
-    Threaded {
-        stop: Arc<AtomicBool>,
-        accept_thread: Option<thread::JoinHandle<()>>,
-        handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-    },
-    #[cfg(unix)]
-    Reactor(crate::reactor::ReactorHandle),
+    reactor: ReactorHandle,
 }
 
 impl Server {
@@ -643,10 +349,7 @@ impl Server {
     }
 
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts serving under `config`, on the connection core selected by
-    /// [`ServerConfig::core`]. [`ConnectionCore::Reactor`] silently falls
-    /// back to the threaded core on non-Unix targets, where the `poll(2)`
-    /// shim is unavailable.
+    /// starts serving under `config`.
     ///
     /// # Errors
     ///
@@ -661,109 +364,15 @@ impl Server {
             registry,
             config,
             draining: AtomicBool::new(false),
-            live_conns: Mutex::new(HashMap::new()),
             spawned: AtomicU64::new(0),
             finished: AtomicU64::new(0),
-            joined: AtomicU64::new(0),
-            done_lock: StdMutex::new(()),
-            done_cv: Condvar::new(),
             hub,
         });
-        #[cfg(unix)]
-        if shared.config.core == ConnectionCore::Reactor {
-            let (local, handle) = crate::reactor::spawn(addr, Arc::clone(&shared))?;
-            return Ok(Server {
-                addr: local,
-                shared,
-                core: CoreHandle::Reactor(handle),
-            });
-        }
-        Server::spawn_threaded(addr, shared)
-    }
-
-    /// The thread-per-connection core: one accept loop, one reader + one
-    /// worker thread per connection.
-    fn spawn_threaded(addr: &str, shared: Arc<Shared>) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let handles: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let stop_flag = Arc::clone(&stop);
-        let accept_shared = Arc::clone(&shared);
-        let accept_handles = Arc::clone(&handles);
-        let accept_thread = thread::spawn(move || {
-            let mut next_conn_id = 0u64;
-            for conn in listener.incoming() {
-                if stop_flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let runtime = accept_shared.registry.runtime();
-                if accept_shared.draining.load(Ordering::SeqCst) {
-                    runtime.refused.fetch_add(1, Ordering::Relaxed);
-                    refuse(
-                        stream,
-                        Response::GoingAway {
-                            message: "server draining".to_string(),
-                        },
-                        accept_shared.config.write_timeout,
-                    );
-                    continue;
-                }
-                let active = accept_shared.spawned.load(Ordering::SeqCst)
-                    - accept_shared.finished.load(Ordering::SeqCst);
-                if active >= accept_shared.config.max_conns as u64 {
-                    runtime.refused.fetch_add(1, Ordering::Relaxed);
-                    refuse(
-                        stream,
-                        Response::Error {
-                            code: CODE_UNAVAILABLE,
-                            message: format!(
-                                "server at capacity ({} connections)",
-                                accept_shared.config.max_conns
-                            ),
-                        },
-                        accept_shared.config.write_timeout,
-                    );
-                    continue;
-                }
-                runtime.accepted.fetch_add(1, Ordering::Relaxed);
-                let conn_id = next_conn_id;
-                next_conn_id += 1;
-                if let Ok(clone) = stream.try_clone() {
-                    accept_shared.live_conns.lock().insert(conn_id, clone);
-                }
-                accept_shared.spawned.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = Arc::clone(&accept_shared);
-                let handle = thread::spawn(move || handle_connection(stream, conn_shared, conn_id));
-                let mut handles = accept_handles.lock();
-                // Reap handler threads that already finished, so a
-                // long-running daemon under connection churn keeps a
-                // bounded join backlog instead of growing it until
-                // shutdown.
-                let mut i = 0;
-                while i < handles.len() {
-                    if handles[i].is_finished() {
-                        let done = handles.swap_remove(i);
-                        if done.join().is_ok() {
-                            accept_shared.joined.fetch_add(1, Ordering::SeqCst);
-                        }
-                    } else {
-                        i += 1;
-                    }
-                }
-                handles.push(handle);
-            }
-        });
+        let (addr, reactor) = reactor::spawn(addr, Arc::clone(&shared))?;
         Ok(Server {
-            addr: local,
+            addr,
             shared,
-            core: CoreHandle::Threaded {
-                stop,
-                accept_thread: Some(accept_thread),
-                handles,
-            },
+            reactor,
         })
     }
 
@@ -778,147 +387,40 @@ impl Server {
         &self.shared.registry
     }
 
-    /// Mid-run connection accounting: admissions, retirements, live
-    /// count, and the handler-thread join backlog. Valid at any point in
-    /// the server's life, so tests can assert lifecycle invariants under
-    /// churn rather than only after [`Server::shutdown`].
+    /// Mid-run connection accounting: admissions, retirements, and the
+    /// live count. Valid at any point in the server's life, so tests can
+    /// assert lifecycle invariants under churn rather than only after
+    /// [`Server::shutdown`].
     pub fn accounting(&self) -> ConnAccounting {
         let spawned = self.shared.spawned.load(Ordering::SeqCst);
         let finished = self.shared.finished.load(Ordering::SeqCst);
-        let handle_backlog = match &self.core {
-            // Only threads that have already finished count: handles of
-            // still-running connections are live, not backlog.
-            CoreHandle::Threaded { handles, .. } => {
-                handles.lock().iter().filter(|h| h.is_finished()).count() as u64
-            }
-            #[cfg(unix)]
-            CoreHandle::Reactor(_) => 0,
-        };
         ConnAccounting {
             spawned,
             finished,
             live: spawned.saturating_sub(finished),
-            handle_backlog,
         }
     }
 
-    /// Blocks until the accept loop exits. Used by `rbt-cli serve`.
+    /// Blocks until the event loop exits. Used by `rbt-cli serve`.
     pub fn wait(mut self) {
-        match &mut self.core {
-            CoreHandle::Threaded { accept_thread, .. } => {
-                if let Some(handle) = accept_thread.take() {
-                    let _ = handle.join();
-                }
-            }
-            #[cfg(unix)]
-            CoreHandle::Reactor(handle) => handle.wait(),
-        }
+        self.reactor.wait();
     }
 
-    fn stop_accepting(&mut self) {
-        let addr = self.addr;
-        if let CoreHandle::Threaded {
-            stop,
-            accept_thread,
-            ..
-        } = &mut self.core
-        {
-            stop.store(true, Ordering::SeqCst);
-            // The accept loop only re-checks the flag after a connection
-            // lands, so wake it with one.
-            let _ = TcpStream::connect(addr);
-            if let Some(handle) = accept_thread.take() {
-                let _ = handle.join();
-            }
-        }
-    }
-
-    /// Gracefully drains the server: stops accepting, lets every
-    /// in-flight request in the bounded window complete (up to
+    /// Gracefully drains the server: admits the connections already
+    /// queued on the listener and stops accepting, lets every in-flight
+    /// request in the bounded window complete (up to
     /// [`ServerConfig::drain_deadline`]), sends each surviving client a
     /// `GoingAway` frame, force-severs stragglers at the deadline, and
     /// retires every connection. The report accounts for every connection
     /// ever admitted, so callers can assert nothing leaked.
     pub fn shutdown(mut self) -> DrainReport {
         self.shared.draining.store(true, Ordering::SeqCst);
-        #[cfg(unix)]
-        if let CoreHandle::Reactor(handle) = &mut self.core {
-            return handle.shutdown(&self.shared);
-        }
-        self.stop_accepting();
-
-        let deadline = Instant::now() + self.shared.config.drain_deadline;
-        let mut forced = 0u64;
-        {
-            // Parked wait: each connection retirement bumps `finished`
-            // and notifies `done_cv`, so the drain wakes exactly when the
-            // count changes instead of busy-polling it.
-            let mut guard = self
-                .shared
-                .done_lock
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            loop {
-                let active = self.shared.spawned.load(Ordering::SeqCst)
-                    - self.shared.finished.load(Ordering::SeqCst);
-                if active == 0 {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    // Out of patience: cut the remaining sockets. Their
-                    // threads observe the reset and exit; responses past
-                    // this point are lost by design, bounded by the
-                    // deadline.
-                    let conns = self.shared.live_conns.lock();
-                    forced = conns.len() as u64;
-                    for stream in conns.values() {
-                        let _ = stream.shutdown(Shutdown::Both);
-                    }
-                    break;
-                }
-                let (g, _) = self
-                    .shared
-                    .done_cv
-                    .wait_timeout(guard, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                guard = g;
-            }
-        }
-
-        let handles = match &self.core {
-            CoreHandle::Threaded { handles, .. } => Arc::clone(handles),
-            #[cfg(unix)]
-            CoreHandle::Reactor(_) => unreachable!("reactor shutdown returned above"),
-        };
-        let backlog: Vec<_> = std::mem::take(&mut *handles.lock());
-        let mut joined = self.shared.joined.load(Ordering::SeqCst);
-        for handle in backlog {
-            if handle.join().is_ok() {
-                joined += 1;
-            }
-        }
-        DrainReport {
-            spawned: self.shared.spawned.load(Ordering::SeqCst),
-            joined,
-            forced,
-        }
+        self.reactor.shutdown(&self.shared)
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        let accepting = match &self.core {
-            CoreHandle::Threaded { accept_thread, .. } => accept_thread.is_some(),
-            #[cfg(unix)]
-            CoreHandle::Reactor(_) => false,
-        };
-        if accepting {
-            self.stop_accepting();
-        }
-        #[cfg(unix)]
-        if let CoreHandle::Reactor(handle) = &mut self.core {
-            handle.abort();
-        }
+        self.reactor.abort();
     }
 }

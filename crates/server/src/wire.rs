@@ -16,8 +16,8 @@
 //! echo the id of the request they answer, which is what makes the
 //! client's reconnect-and-retry loop safe — a response can be matched to
 //! its request even after the stream it originally travelled on has died.
-//! Version 1 frames (no id prefix) are still decoded, with id 0, so
-//! pre-resilience peers keep working against this build.
+//! Version 2 is the only version this build speaks; a frame tagged with
+//! any other version is a [`WireError::UnsupportedVersion`].
 //!
 //! The framing layer reuses [`rbt_linalg::codec`]'s primitives and inherits
 //! its contract: malformed input is *rejected with a typed error*, never
@@ -29,7 +29,6 @@
 
 use std::fmt;
 use std::io::{Read, Write};
-use std::time::{Duration, Instant};
 
 use rbt_data::Dataset;
 use rbt_linalg::codec::{crc32, ByteReader, ByteWriter, DecodeError};
@@ -39,15 +38,13 @@ use crate::metrics::ServerStats;
 
 /// Frame magic: "RBT wire".
 pub const MAGIC: [u8; 4] = *b"RBTW";
-/// Current protocol version (2: request-id prefix in every body).
+/// The protocol version (2: request-id prefix in every body).
 pub const WIRE_VERSION: u16 = 2;
-/// Oldest protocol version this build still decodes.
-pub const MIN_WIRE_VERSION: u16 = 1;
 /// Fixed header size: magic + version + opcode + body length.
 pub const HEADER_LEN: usize = 11;
 /// CRC-32 trailer size.
 pub const TRAILER_LEN: usize = 4;
-/// Size of the version-2 request-id prefix inside the body.
+/// Size of the request-id prefix inside the body.
 pub const REQUEST_ID_LEN: usize = 8;
 /// Upper bound on a frame body (64 MiB). Checked against the declared
 /// length *before* the body is allocated, so a corrupted or hostile length
@@ -172,7 +169,7 @@ impl fmt::Display for WireError {
             WireError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported wire version {found} (this build speaks {MIN_WIRE_VERSION}..={WIRE_VERSION})"
+                    "unsupported wire version {found} (this build speaks {WIRE_VERSION})"
                 )
             }
             WireError::UnknownOpcode { found } => write!(f, "unknown opcode {found:#04x}"),
@@ -227,7 +224,8 @@ fn malformed(offset: usize, message: impl Into<String>) -> WireError {
 pub struct Frame {
     /// The frame opcode.
     pub opcode: Opcode,
-    /// The request id (0 for version-1 peers and unsolicited frames).
+    /// The request id (0 for unsolicited frames: farewells, refusals, and
+    /// framing errors).
     pub request_id: u64,
     /// The opcode-specific body (request-id prefix already stripped).
     pub body: Vec<u8>,
@@ -311,36 +309,28 @@ fn finish_frame(
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&raw.version) {
+    if raw.version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion { found: raw.version });
     }
     let opcode = Opcode::from_u8(raw.opcode_byte).ok_or(WireError::UnknownOpcode {
         found: raw.opcode_byte,
     })?;
-    if raw.version >= 2 {
-        if body.len() < REQUEST_ID_LEN {
-            return Err(malformed(
-                HEADER_LEN,
-                format!(
-                    "version-2 body of {} bytes cannot hold the request id",
-                    body.len()
-                ),
-            ));
-        }
-        let mut id_bytes = [0u8; REQUEST_ID_LEN];
-        id_bytes.copy_from_slice(&body[..REQUEST_ID_LEN]);
-        Ok(Frame {
-            opcode,
-            request_id: u64::from_le_bytes(id_bytes),
-            body: body[REQUEST_ID_LEN..].to_vec(),
-        })
-    } else {
-        Ok(Frame {
-            opcode,
-            request_id: 0,
-            body,
-        })
+    if body.len() < REQUEST_ID_LEN {
+        return Err(malformed(
+            HEADER_LEN,
+            format!(
+                "version-2 body of {} bytes cannot hold the request id",
+                body.len()
+            ),
+        ));
     }
+    let mut id_bytes = [0u8; REQUEST_ID_LEN];
+    id_bytes.copy_from_slice(&body[..REQUEST_ID_LEN]);
+    Ok(Frame {
+        opcode,
+        request_id: u64::from_le_bytes(id_bytes),
+        body: body[REQUEST_ID_LEN..].to_vec(),
+    })
 }
 
 /// Decodes one frame from a buffer that must contain exactly one frame.
@@ -434,116 +424,9 @@ pub fn read_frame<R: Read>(stream: &mut R) -> WireResult<Option<Frame>> {
     finish_frame(&header, raw, rest, stored).map(Some)
 }
 
-/// What [`read_frame_patient`] observed on a stream whose socket read
-/// timeout acts as the polling tick.
-#[derive(Debug)]
-pub enum FrameEvent {
-    /// A complete, validated frame.
-    Frame(Frame),
-    /// The peer closed cleanly between frames.
-    CleanEof,
-    /// One tick elapsed with no byte of a new frame — the connection is
-    /// idle. No stream state was consumed; the caller decides whether to
-    /// keep waiting or reap the connection.
-    Idle,
-    /// The peer went silent *mid-frame* for longer than the stall budget —
-    /// a wedged or malicious sender. The stream is desynchronized.
-    Stalled,
-}
-
-fn is_tick(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Reads the next frame from a stream that has a socket read timeout set
-/// (the *tick*), distinguishing an idle connection from a peer that
-/// stalled mid-frame.
-///
-/// A timeout before the first byte of a frame returns
-/// [`FrameEvent::Idle`] after one tick; once a frame has started, reads
-/// are retried until the peer has been silent for `stall_budget` in
-/// total, then [`FrameEvent::Stalled`] is returned. This is what lets the
-/// server run an idle-connection reaper and a stalled-peer deadline off
-/// plain blocking sockets, with no reader thread ever parked forever.
-///
-/// # Errors
-///
-/// Typed [`WireError`] for malformed frames and non-timeout stream
-/// failures.
-pub fn read_frame_patient<R: Read>(
-    stream: &mut R,
-    stall_budget: Duration,
-) -> WireResult<FrameEvent> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0usize;
-    let mut silent_since: Option<Instant> = None;
-    while filled < HEADER_LEN {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(FrameEvent::CleanEof);
-                }
-                return Err(WireError::Io {
-                    kind: std::io::ErrorKind::UnexpectedEof,
-                    message: format!("peer closed after {filled} of {HEADER_LEN} header bytes"),
-                });
-            }
-            Ok(n) => {
-                filled += n;
-                silent_since = None;
-            }
-            Err(e) if is_tick(&e) => {
-                if filled == 0 {
-                    return Ok(FrameEvent::Idle);
-                }
-                let since = silent_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= stall_budget {
-                    return Ok(FrameEvent::Stalled);
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let raw = parse_header(&header)?;
-    let mut rest = vec![0u8; raw.body_len + TRAILER_LEN];
-    let mut got = 0usize;
-    while got < rest.len() {
-        match stream.read(&mut rest[got..]) {
-            Ok(0) => {
-                return Err(WireError::Io {
-                    kind: std::io::ErrorKind::UnexpectedEof,
-                    message: "peer closed mid-frame".to_string(),
-                });
-            }
-            Ok(n) => {
-                got += n;
-                silent_since = None;
-            }
-            Err(e) if is_tick(&e) => {
-                let since = silent_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= stall_budget {
-                    return Ok(FrameEvent::Stalled);
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let stored = u32::from_le_bytes([
-        rest[raw.body_len],
-        rest[raw.body_len + 1],
-        rest[raw.body_len + 2],
-        rest[raw.body_len + 3],
-    ]);
-    rest.truncate(raw.body_len);
-    finish_frame(&header, raw, rest, stored).map(FrameEvent::Frame)
-}
-
 /// Incremental frame decoder for non-blocking sockets.
 ///
-/// The blocking readers above own their stream and can loop until a frame
+/// The blocking [`read_frame`] owns its stream and can loop until a frame
 /// completes; a readiness-polled connection instead receives bytes in
 /// arbitrary chunks whenever the socket is readable. [`FrameAssembler`]
 /// buffers those chunks ([`FrameAssembler::push`]) and yields complete,
@@ -1536,32 +1419,6 @@ mod tests {
     }
 
     #[test]
-    fn version_1_frames_still_decode_with_id_zero() {
-        // Hand-roll a v1 frame: no request-id prefix in the body.
-        let body = Response::Error {
-            code: 2,
-            message: "old peer".to_string(),
-        }
-        .to_frame()
-        .body;
-        let mut w = ByteWriter::new();
-        w.put_bytes(&MAGIC);
-        w.put_u16(1);
-        w.put_u8(Opcode::Error as u8);
-        w.put_u32(body.len() as u32);
-        w.put_bytes(&body);
-        let crc = crc32(w.as_bytes());
-        w.put_u32(crc);
-        let bytes = w.into_bytes();
-
-        let frame = decode_frame(&bytes).unwrap();
-        assert_eq!(frame.request_id, 0);
-        assert_eq!(frame.opcode, Opcode::Error);
-        let resp = Response::from_frame(&frame).unwrap();
-        assert!(matches!(resp, Response::Error { code: 2, .. }));
-    }
-
-    #[test]
     fn version_2_body_too_short_for_the_id_is_malformed() {
         // A v2 frame whose declared body cannot hold the 8-byte id.
         let mut w = ByteWriter::new();
@@ -1662,17 +1519,19 @@ mod tests {
 
     #[test]
     fn wrong_version_with_valid_checksum_is_a_version_error() {
-        // Re-seal the CRC so the *only* defect is the version field.
-        let frame = Request::Ping.to_frame();
-        let mut bytes = encode_frame(&frame);
-        bytes[4..6].copy_from_slice(&99u16.to_le_bytes());
-        let crc = crc32(&bytes[..bytes.len() - TRAILER_LEN]);
-        let crc_at = bytes.len() - TRAILER_LEN;
-        bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            decode_frame(&bytes).unwrap_err(),
-            WireError::UnsupportedVersion { found: 99 }
-        );
+        for version in [1u16, 99] {
+            // Re-seal the CRC so the *only* defect is the version field.
+            let frame = Request::Ping.to_frame();
+            let mut bytes = encode_frame(&frame);
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            let crc = crc32(&bytes[..bytes.len() - TRAILER_LEN]);
+            let crc_at = bytes.len() - TRAILER_LEN;
+            bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                decode_frame(&bytes).unwrap_err(),
+                WireError::UnsupportedVersion { found: version }
+            );
+        }
     }
 
     #[test]
@@ -1744,90 +1603,6 @@ mod tests {
                 limit: MAX_BODY_LEN
             }
         );
-    }
-
-    /// A reader that yields timeout errors between scripted chunks, the
-    /// shape of a socket with a read timeout set.
-    struct TickingReader {
-        chunks: Vec<Option<Vec<u8>>>, // None = one timeout tick
-        at: usize,
-    }
-
-    impl Read for TickingReader {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.at >= self.chunks.len() {
-                return Ok(0);
-            }
-            match &self.chunks[self.at] {
-                None => {
-                    self.at += 1;
-                    Err(std::io::Error::new(std::io::ErrorKind::WouldBlock, "tick"))
-                }
-                Some(bytes) => {
-                    let n = bytes.len().min(buf.len());
-                    buf[..n].copy_from_slice(&bytes[..n]);
-                    let rest = bytes[n..].to_vec();
-                    if rest.is_empty() {
-                        self.at += 1;
-                    } else {
-                        self.chunks[self.at] = Some(rest);
-                    }
-                    Ok(n)
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn patient_reader_reports_idle_before_a_frame_and_rides_out_mid_frame_ticks() {
-        let bytes = encode_frame(&Request::Ping.to_frame());
-        // Tick, then the frame split across chunks with ticks inside.
-        let mut stream = TickingReader {
-            chunks: vec![
-                None,
-                Some(bytes[..5].to_vec()),
-                None,
-                Some(bytes[5..HEADER_LEN + 2].to_vec()),
-                None,
-                Some(bytes[HEADER_LEN + 2..].to_vec()),
-            ],
-            at: 0,
-        };
-        let budget = Duration::from_secs(30);
-        assert!(matches!(
-            read_frame_patient(&mut stream, budget).unwrap(),
-            FrameEvent::Idle
-        ));
-        match read_frame_patient(&mut stream, budget).unwrap() {
-            FrameEvent::Frame(f) => assert_eq!(f.opcode, Opcode::Ping),
-            other => panic!("expected a frame, got {other:?}"),
-        }
-        assert!(matches!(
-            read_frame_patient(&mut stream, budget).unwrap(),
-            FrameEvent::CleanEof
-        ));
-    }
-
-    #[test]
-    fn patient_reader_reports_a_stall_once_the_budget_is_burned() {
-        let bytes = encode_frame(&Request::Ping.to_frame());
-        // Three header bytes, then silence forever.
-        let mut stream = TickingReader {
-            chunks: vec![
-                Some(bytes[..3].to_vec()),
-                None,
-                None,
-                None,
-                None,
-                None,
-                None,
-            ],
-            at: 0,
-        };
-        assert!(matches!(
-            read_frame_patient(&mut stream, Duration::ZERO).unwrap(),
-            FrameEvent::Stalled
-        ));
     }
 
     proptest! {

@@ -7,14 +7,17 @@
 //! `libc` dependency). The server workspace forbids `unsafe` code, so the
 //! single `unsafe` FFI call lives here, behind a safe interface.
 //!
-//! On non-Unix targets every constructor returns
-//! [`std::io::ErrorKind::Unsupported`]; callers are expected to fall back
-//! to a thread-per-connection core there.
+//! Unix only: on other targets the crate is empty.
 
+#![cfg(unix)]
 #![deny(missing_docs)]
 
+use std::collections::HashMap;
 use std::fmt;
-use std::time::Duration;
+use std::io;
+use std::time::{Duration, Instant};
+
+pub use std::os::fd::RawFd;
 
 /// Readiness interest for a registered descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,211 +63,43 @@ pub struct Event {
     pub writable: bool,
 }
 
-#[cfg(unix)]
-mod sys {
-    use super::{Event, Interest};
-    use std::collections::HashMap;
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::time::{Duration, Instant};
-
-    // `struct pollfd` from <poll.h>. The short flag values below are
-    // identical across Linux, the BSDs, and macOS.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
-
-    // nfds_t is `unsigned long` on Linux/Android (so 32-bit on 32-bit
-    // targets) and `unsigned int` on the BSD family (including macOS).
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    type NFds = core::ffi::c_ulong;
-    #[cfg(not(any(target_os = "linux", target_os = "android")))]
-    type NFds = core::ffi::c_uint;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
-    }
-
-    fn interest_to_events(interest: Interest) -> i16 {
-        let mut ev = 0;
-        if interest.readable {
-            ev |= POLLIN;
-        }
-        if interest.writable {
-            ev |= POLLOUT;
-        }
-        ev
-    }
-
-    /// Dense `pollfd` array plus a key→slot map; removal is `swap_remove`
-    /// so both stay O(1) per operation and the array stays contiguous for
-    /// the kernel.
-    pub struct Poller {
-        fds: Vec<PollFd>,
-        keys: Vec<usize>,
-        slots: HashMap<usize, usize>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                fds: Vec::new(),
-                keys: Vec::new(),
-                slots: HashMap::new(),
-            })
-        }
-
-        pub fn register(&mut self, fd: RawFd, key: usize, interest: Interest) -> io::Result<()> {
-            if self.slots.contains_key(&key) {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    format!("key {key} already registered"),
-                ));
-            }
-            self.slots.insert(key, self.fds.len());
-            self.fds.push(PollFd {
-                fd,
-                events: interest_to_events(interest),
-                revents: 0,
-            });
-            self.keys.push(key);
-            Ok(())
-        }
-
-        pub fn modify(&mut self, key: usize, interest: Interest) -> io::Result<()> {
-            let slot = *self.slots.get(&key).ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("key {key} not registered"))
-            })?;
-            self.fds[slot].events = interest_to_events(interest);
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, key: usize) -> io::Result<()> {
-            let slot = self.slots.remove(&key).ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("key {key} not registered"))
-            })?;
-            self.fds.swap_remove(slot);
-            self.keys.swap_remove(slot);
-            if slot < self.fds.len() {
-                self.slots.insert(self.keys[slot], slot);
-            }
-            Ok(())
-        }
-
-        pub fn len(&self) -> usize {
-            self.fds.len()
-        }
-
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            events.clear();
-            let deadline = timeout.map(|t| Instant::now() + t);
-            loop {
-                let millis = match deadline {
-                    None => -1,
-                    Some(d) => {
-                        let left = d.saturating_duration_since(Instant::now());
-                        // Round up so sub-millisecond remainders park in the
-                        // kernel instead of spinning.
-                        i32::try_from(left.as_millis())
-                            .unwrap_or(i32::MAX)
-                            .max(if left.is_zero() { 0 } else { 1 })
-                    }
-                };
-                // SAFETY: `fds` is a live, contiguous `#[repr(C)]` array and
-                // `len` matches it; `poll` only writes the `revents` fields.
-                let rc = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as NFds, millis) };
-                if rc < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        continue;
-                    }
-                    return Err(err);
-                }
-                if rc == 0 && millis != 0 && deadline.is_some_and(|d| Instant::now() < d) {
-                    // Spurious early return; keep waiting out the budget.
-                    continue;
-                }
-                for (pfd, &key) in self.fds.iter().zip(&self.keys) {
-                    let re = pfd.revents;
-                    if re == 0 {
-                        continue;
-                    }
-                    // Error/hangup conditions are surfaced as ready in both
-                    // directions so the caller's next read/write observes the
-                    // failure directly.
-                    let broken = re & (POLLERR | POLLHUP | POLLNVAL) != 0;
-                    events.push(Event {
-                        key,
-                        readable: re & POLLIN != 0 || broken,
-                        writable: re & POLLOUT != 0 || broken,
-                    });
-                }
-                return Ok(events.len());
-            }
-        }
-    }
+// `struct pollfd` from <poll.h>. The short flag values below are
+// identical across Linux, the BSDs, and macOS.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
 }
 
-#[cfg(not(unix))]
-mod sys {
-    use super::{Event, Interest};
-    use std::io;
-    use std::time::Duration;
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+const POLLNVAL: i16 = 0x020;
 
-    /// Raw descriptor type on targets without `std::os::fd`.
-    pub type RawFd = i32;
+// nfds_t is `unsigned long` on Linux/Android (so 32-bit on 32-bit
+// targets) and `unsigned int` on the BSD family (including macOS).
+#[cfg(any(target_os = "linux", target_os = "android"))]
+type NFds = core::ffi::c_ulong;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+type NFds = core::ffi::c_uint;
 
-    /// Stub poller: construction fails with `Unsupported`.
-    pub struct Poller {}
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "poll(2) readiness shim is only available on Unix targets",
-            ))
-        }
-
-        pub fn register(&mut self, _fd: RawFd, _key: usize, _i: Interest) -> io::Result<()> {
-            unreachable!("stub Poller cannot be constructed")
-        }
-
-        pub fn modify(&mut self, _key: usize, _i: Interest) -> io::Result<()> {
-            unreachable!("stub Poller cannot be constructed")
-        }
-
-        pub fn deregister(&mut self, _key: usize) -> io::Result<()> {
-            unreachable!("stub Poller cannot be constructed")
-        }
-
-        pub fn len(&self) -> usize {
-            0
-        }
-
-        pub fn wait(&mut self, _ev: &mut Vec<Event>, _t: Option<Duration>) -> io::Result<usize> {
-            unreachable!("stub Poller cannot be constructed")
-        }
-    }
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
 }
 
-#[cfg(unix)]
-pub use std::os::fd::RawFd;
-#[cfg(not(unix))]
-pub use sys::RawFd;
+fn interest_to_events(interest: Interest) -> i16 {
+    let mut ev = 0;
+    if interest.readable {
+        ev |= POLLIN;
+    }
+    if interest.writable {
+        ev |= POLLOUT;
+    }
+    ev
+}
 
 /// A level-triggered readiness poller over raw file descriptors.
 ///
@@ -273,12 +108,20 @@ pub use sys::RawFd;
 /// matches its [`Interest`] (or the timeout lapses). Level-triggered
 /// semantics: a descriptor that stays ready is reported on every wait, so
 /// callers never need to drain-to-`WouldBlock` to re-arm.
-pub struct Poller(sys::Poller);
+///
+/// Internally a dense `pollfd` array plus a key→slot map; removal is
+/// `swap_remove` so both stay O(1) per operation and the array stays
+/// contiguous for the kernel.
+pub struct Poller {
+    fds: Vec<PollFd>,
+    keys: Vec<usize>,
+    slots: HashMap<usize, usize>,
+}
 
 impl fmt::Debug for Poller {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Poller")
-            .field("registered", &self.0.len())
+            .field("registered", &self.len())
             .finish()
     }
 }
@@ -287,9 +130,13 @@ impl Poller {
     /// Creates an empty poller.
     ///
     /// # Errors
-    /// [`std::io::ErrorKind::Unsupported`] on non-Unix targets.
-    pub fn new() -> std::io::Result<Poller> {
-        sys::Poller::new().map(Poller)
+    /// Never fails today; the `Result` matches the published crate.
+    pub fn new() -> io::Result<Poller> {
+        Ok(Poller {
+            fds: Vec::new(),
+            keys: Vec::new(),
+            slots: HashMap::new(),
+        })
     }
 
     /// Registers `fd` under `key` with the given interest.
@@ -299,34 +146,59 @@ impl Poller {
     ///
     /// # Errors
     /// [`std::io::ErrorKind::AlreadyExists`] if `key` is already registered.
-    pub fn register(&mut self, fd: RawFd, key: usize, interest: Interest) -> std::io::Result<()> {
-        self.0.register(fd, key, interest)
+    pub fn register(&mut self, fd: RawFd, key: usize, interest: Interest) -> io::Result<()> {
+        if self.slots.contains_key(&key) {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                format!("key {key} already registered"),
+            ));
+        }
+        self.slots.insert(key, self.fds.len());
+        self.fds.push(PollFd {
+            fd,
+            events: interest_to_events(interest),
+            revents: 0,
+        });
+        self.keys.push(key);
+        Ok(())
     }
 
     /// Replaces the interest set for an already-registered `key`.
     ///
     /// # Errors
     /// [`std::io::ErrorKind::NotFound`] if `key` is not registered.
-    pub fn modify(&mut self, key: usize, interest: Interest) -> std::io::Result<()> {
-        self.0.modify(key, interest)
+    pub fn modify(&mut self, key: usize, interest: Interest) -> io::Result<()> {
+        let slot = *self.slots.get(&key).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::NotFound, format!("key {key} not registered"))
+        })?;
+        self.fds[slot].events = interest_to_events(interest);
+        Ok(())
     }
 
     /// Removes `key` from the poll set. The descriptor itself is untouched.
     ///
     /// # Errors
     /// [`std::io::ErrorKind::NotFound`] if `key` is not registered.
-    pub fn deregister(&mut self, key: usize) -> std::io::Result<()> {
-        self.0.deregister(key)
+    pub fn deregister(&mut self, key: usize) -> io::Result<()> {
+        let slot = self.slots.remove(&key).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::NotFound, format!("key {key} not registered"))
+        })?;
+        self.fds.swap_remove(slot);
+        self.keys.swap_remove(slot);
+        if slot < self.fds.len() {
+            self.slots.insert(self.keys[slot], slot);
+        }
+        Ok(())
     }
 
     /// Number of currently registered descriptors.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.fds.len()
     }
 
     /// True when no descriptors are registered.
     pub fn is_empty(&self) -> bool {
-        self.0.len() == 0
+        self.fds.is_empty()
     }
 
     /// Blocks until a registered descriptor is ready or `timeout` lapses.
@@ -338,12 +210,56 @@ impl Poller {
         &mut self,
         events: &mut Vec<Event>,
         timeout: Option<Duration>,
-    ) -> std::io::Result<usize> {
-        self.0.wait(events, timeout)
+    ) -> io::Result<usize> {
+        events.clear();
+        let deadline = timeout.map(|t| Instant::now() + t);
+        loop {
+            let millis = match deadline {
+                None => -1,
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    // Round up so sub-millisecond remainders park in the
+                    // kernel instead of spinning.
+                    i32::try_from(left.as_millis())
+                        .unwrap_or(i32::MAX)
+                        .max(if left.is_zero() { 0 } else { 1 })
+                }
+            };
+            // SAFETY: `fds` is a live, contiguous `#[repr(C)]` array and
+            // `len` matches it; `poll` only writes the `revents` fields.
+            let rc = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as NFds, millis) };
+            if rc < 0 {
+                let err = io::Error::last_os_error();
+                if err.kind() == io::ErrorKind::Interrupted {
+                    continue;
+                }
+                return Err(err);
+            }
+            if rc == 0 && millis != 0 && deadline.is_some_and(|d| Instant::now() < d) {
+                // Spurious early return; keep waiting out the budget.
+                continue;
+            }
+            for (pfd, &key) in self.fds.iter().zip(&self.keys) {
+                let re = pfd.revents;
+                if re == 0 {
+                    continue;
+                }
+                // Error/hangup conditions are surfaced as ready in both
+                // directions so the caller's next read/write observes the
+                // failure directly.
+                let broken = re & (POLLERR | POLLHUP | POLLNVAL) != 0;
+                events.push(Event {
+                    key,
+                    readable: re & POLLIN != 0 || broken,
+                    writable: re & POLLOUT != 0 || broken,
+                });
+            }
+            return Ok(events.len());
+        }
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

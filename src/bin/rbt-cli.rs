@@ -14,8 +14,6 @@
 //! rbt-cli audit --original data.csv --released released.csv
 //! rbt-cli serve --keys <dir> [--addr host:port] [--capacity N] [--window W]
 //!         [--max-conns N] [--read-timeout ms] [--drain-timeout ms]
-//! rbt-cli bench-serve [--tenants N | N,N,...] [--rows N] [--batches N]
-//!         [--quick-smoke] [--restart-mid-run]
 //! rbt-cli federate coordinate --addr host:port --session N --owners N --cols C
 //! rbt-cli federate join --addr host:port --session N --owner I --input b.csv
 //! rbt-cli federate receive --addr host:port --session N [--output labels.csv]
@@ -34,21 +32,21 @@
 //! capability.
 
 use rand::SeedableRng;
-use rbt::api::{decode_fitted, FittedRbt, FittedTransform, Method, PrivacyTransform, RbtError};
+use rbt::api::{decode_fitted, FittedRbt, FittedTransform, Method, RbtError};
 use rbt::core::{Pipeline, RbtConfig, ReleaseSession, TransformationKey};
 use rbt::data::{csv, FittedNormalizer, Normalization};
 use rbt::prelude::Release;
 use rbt::protocol::{FederationConfig, KeyPolicy, Message, Owner, Party, ProtocolError};
 use rbt::server::{
-    Client, ClientError, KeyStore, RetryPolicy, Server, ServerConfig, ServerError, SessionRegistry,
+    Client, ClientError, KeyStore, Server, ServerConfig, ServerError, SessionRegistry,
 };
-use rbt::{Dataset, Matrix, PairwiseSecurityThreshold, VarianceMode};
+use rbt::{PairwiseSecurityThreshold, VarianceMode};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A CLI failure: what went wrong plus the exit code family it belongs to.
@@ -123,7 +121,6 @@ fn main() -> ExitCode {
         "inspect-key" => cmd_inspect_key(rest),
         "audit" => cmd_audit(rest),
         "serve" => cmd_serve(rest),
-        "bench-serve" => cmd_bench_serve(rest),
         "federate" => cmd_federate(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -174,12 +171,6 @@ Serving (the multi-tenant release daemon; see ARCHITECTURE.md \"Serving layer\")
           [--max-conns <connection cap, default 256>]
           [--read-timeout <ms before an idle/stalled peer is reaped, default 60000>]
           [--drain-timeout <ms shutdown waits for in-flight work, default 5000>]
-  rbt-cli bench-serve [--tenants <N or comma list, default 8>] [--rows <per batch>]
-          [--batches <per tenant>] [--out <json path>] [--quick-smoke]
-          [--restart-mid-run]
-    A comma list (e.g. --tenants 2,4,8) sweeps tenant counts and records
-    the scaling curve in the JSON report; --restart-mid-run applies to the
-    last point of the sweep.
 
 Federated release (N owners, one joint clustering; ARCHITECTURE.md
 \"Federated release layer\"):
@@ -739,597 +730,6 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
     let _ = std::io::stdout().flush();
     server.wait();
     Ok(())
-}
-
-/// Deterministic per-tenant fitting data for the load generator.
-fn bench_tenant_data(tenant: usize, rows: usize, cols: usize, spread: f64) -> Dataset {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB0A7 + tenant as u64);
-    let data: Vec<f64> = (0..rows * cols)
-        .map(|_| rng.random::<f64>() * spread - spread / 2.0)
-        .collect();
-    Dataset::new(
-        Matrix::from_vec(rows, cols, data).unwrap(),
-        (0..cols).map(|j| format!("attr{j}")).collect(),
-    )
-    .unwrap()
-}
-
-/// One measured point of the tenant-scaling sweep.
-struct BenchPoint {
-    tenants: usize,
-    total_rows: usize,
-    wall: f64,
-    rows_per_sec: f64,
-    p50: u64,
-    p90: u64,
-    p99: u64,
-    max: u64,
-    drift_rows: u64,
-    capacity: u64,
-    live_sessions: u64,
-    total_evictions: u64,
-}
-
-fn cmd_bench_serve(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &["quick-smoke", "restart-mid-run"])?;
-    let quick = flags.contains_key("quick-smoke");
-    let restart = flags.contains_key("restart-mid-run");
-    // `--tenants` takes a single count or a comma list; a list sweeps the
-    // counts in order and the JSON report records the scaling curve.
-    let tenant_counts: Vec<usize> = match flags.get("tenants") {
-        Some(v) => v
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .map(|n| n.max(1))
-                    .map_err(|e| CliError::usage(format!("bad --tenants entry {s:?}: {e}")))
-            })
-            .collect::<CliResult<Vec<_>>>()?,
-        None => vec![8],
-    };
-    if tenant_counts.is_empty() {
-        return Err(CliError::usage("--tenants needs at least one count"));
-    }
-    // `--conns` takes a comma list of concurrent-connection counts and
-    // runs the connection-scaling sweep after the tenant sweep. Counts
-    // beyond what the open-file budget can hold are clamped (client and
-    // server share this process, so each connection costs two fds).
-    let conn_counts: Vec<usize> = match flags.get("conns") {
-        Some(v) => v
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .map(|n| n.max(1))
-                    .map_err(|e| CliError::usage(format!("bad --conns entry {s:?}: {e}")))
-            })
-            .collect::<CliResult<Vec<_>>>()?,
-        None => Vec::new(),
-    };
-    let rows = parse_flag_usize(&flags, "rows", if quick { 64 } else { 2000 })?.max(1);
-    let batches = parse_flag_usize(&flags, "batches", if quick { 4 } else { 50 })?.max(1);
-    let out_path = flags.get("out").map(PathBuf::from).unwrap_or_else(|| {
-        PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_server.json"))
-    });
-    let cols = 4;
-    let max_tenants = *tenant_counts.iter().max().expect("non-empty counts");
-
-    // Fit one RBT session per tenant on its own data, once for the
-    // largest count — smaller sweep points reuse a prefix, so tenant `t`
-    // serves the identical key at every point. Random draws can make a
-    // pairwise threshold infeasible; retry with fresh seeds (still
-    // deterministic) until every tenant fits.
-    let method = rbt::api::RbtMethod::new(RbtConfig::uniform(
-        PairwiseSecurityThreshold::uniform(0.05).map_err(|e| CliError::usage(e.to_string()))?,
-    ));
-    let mut keys: Vec<Vec<u8>> = Vec::with_capacity(max_tenants);
-    for t in 0..max_tenants {
-        let fit_data = bench_tenant_data(t, 256, cols, 100.0);
-        let fitted = (0..20)
-            .find_map(|attempt| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(7919 * (t as u64 + 1) + attempt);
-                method.fit(&fit_data, &mut rng).ok()
-            })
-            .ok_or_else(|| CliError::usage(format!("tenant {t}: no feasible key in 20 draws")))?;
-        keys.push(fitted.fitted.to_bytes()?);
-    }
-
-    let mut points = Vec::with_capacity(tenant_counts.len());
-    for (i, &tenants) in tenant_counts.iter().enumerate() {
-        // The restart drill only makes sense once per invocation; run it
-        // on the final (usually largest) point.
-        let point_restart = restart && i + 1 == tenant_counts.len();
-        let point = bench_point(
-            tenants,
-            &keys[..tenants],
-            rows,
-            batches,
-            cols,
-            point_restart,
-        )?;
-        println!(
-            "bench-serve [{}/{}]: {tenants} tenants x {batches} batches x {rows} rows \
-             = {} rows in {:.2}s (sustained {:.0} rows/sec, p50 {} us, p99 {} us)",
-            i + 1,
-            tenant_counts.len(),
-            point.total_rows,
-            point.wall,
-            point.rows_per_sec,
-            point.p50,
-            point.p99
-        );
-        points.push(point);
-    }
-    let head = points.last().expect("at least one sweep point");
-
-    // The connection-scaling sweep: each point parks a herd of idle
-    // connections on the server while a small active set keeps the
-    // transform path hot, proving the event-driven core holds the herd on
-    // a handful of OS threads without giving up throughput.
-    let mut conn_points: Vec<ConnPoint> = Vec::with_capacity(conn_counts.len());
-    for (i, &want) in conn_counts.iter().enumerate() {
-        let conns = clamp_to_fd_budget(want);
-        if conns < want {
-            println!(
-                "bench-serve: clamping --conns {want} to {conns} (open-file budget {})",
-                fd_soft_limit().unwrap_or(0)
-            );
-        }
-        let point = bench_conn_point(conns, &keys, rows, batches, cols)?;
-        println!(
-            "bench-serve conns [{}/{}]: {} connections ({} idle + {} active) -> \
-             {:.0} rows/sec sustained, p50 {} us, p99 {} us, {} process threads",
-            i + 1,
-            conn_counts.len(),
-            point.conns,
-            point.idle,
-            point.active,
-            point.rows_per_sec,
-            point.p50,
-            point.p99,
-            point.process_threads
-        );
-        conn_points.push(point);
-    }
-
-    let mut json = String::from("{\n");
-    let conns_flag = if conn_counts.is_empty() {
-        String::new()
-    } else {
-        format!(
-            " --conns {}",
-            conn_counts
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        )
-    };
-    let _ = writeln!(
-        json,
-        "  \"generated_by\": \"cargo run --release --bin rbt-cli -- bench-serve{}{}\",",
-        if quick { " --quick-smoke" } else { "" },
-        conns_flag
-    );
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if quick { "quick-smoke" } else { "full" }
-    );
-    let _ = writeln!(json, "  \"restarted_mid_run\": {restart},");
-    let _ = writeln!(
-        json,
-        "  \"host_threads\": {},",
-        rbt::linalg::pool::default_threads()
-    );
-    let _ = writeln!(
-        json,
-        "  \"connection_core\": \"{}\",",
-        match ServerConfig::default().core {
-            rbt::server::ConnectionCore::Reactor => "reactor",
-            rbt::server::ConnectionCore::Threaded => "threaded",
-        }
-    );
-    let _ = writeln!(json, "  \"tenants\": {},", head.tenants);
-    let _ = writeln!(json, "  \"rows_per_batch\": {rows},");
-    let _ = writeln!(json, "  \"batches_per_tenant\": {batches},");
-    let _ = writeln!(json, "  \"total_rows\": {},", head.total_rows);
-    let _ = writeln!(json, "  \"wall_seconds\": {:.6},", head.wall);
-    let _ = writeln!(
-        json,
-        "  \"sustained_rows_per_sec\": {:.1},",
-        head.rows_per_sec
-    );
-    let _ = writeln!(
-        json,
-        "  \"latency_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}},",
-        head.p50, head.p90, head.p99, head.max
-    );
-    let _ = writeln!(
-        json,
-        "  \"server\": {{\"capacity\": {}, \"live_sessions\": {}, \"total_evictions\": {}, \
-         \"drift_rows_total\": {}}},",
-        head.capacity, head.live_sessions, head.total_evictions, head.drift_rows
-    );
-    // The tenant-scaling curve: one entry per sweep point, in the order
-    // requested.
-    json.push_str("  \"sweep\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"tenants\": {}, \"total_rows\": {}, \"wall_seconds\": {:.6}, \
-             \"sustained_rows_per_sec\": {:.1}, \"latency_us\": {{\"p50\": {}, \"p90\": {}, \
-             \"p99\": {}, \"max\": {}}}, \"drift_rows_total\": {}}}{}",
-            p.tenants,
-            p.total_rows,
-            p.wall,
-            p.rows_per_sec,
-            p.p50,
-            p.p90,
-            p.p99,
-            p.max,
-            p.drift_rows,
-            if i + 1 == points.len() { "" } else { "," }
-        );
-    }
-    if conn_points.is_empty() {
-        json.push_str("  ]\n}\n");
-    } else {
-        json.push_str("  ],\n");
-        // The connection-scaling curve: idle herd + active drivers per
-        // point, with the thread bill that served them.
-        json.push_str("  \"conn_sweep\": [\n");
-        for (i, p) in conn_points.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    {{\"conns\": {}, \"idle\": {}, \"active\": {}, \"total_rows\": {}, \
-                 \"wall_seconds\": {:.6}, \"sustained_rows_per_sec\": {:.1}, \
-                 \"latency_us\": {{\"p50\": {}, \"p99\": {}}}, \"server_threads\": {}, \
-                 \"process_threads\": {}}}{}",
-                p.conns,
-                p.idle,
-                p.active,
-                p.total_rows,
-                p.wall,
-                p.rows_per_sec,
-                p.p50,
-                p.p99,
-                p.server_threads,
-                p.process_threads,
-                if i + 1 == conn_points.len() { "" } else { "," }
-            );
-        }
-        json.push_str("  ]\n}\n");
-    }
-    std::fs::write(&out_path, &json)
-        .map_err(|e| CliError::io(format!("writing {}: {e}", out_path.display())))?;
-
-    println!(
-        "  sweep of {} point(s) done; perf record -> {}",
-        points.len(),
-        out_path.display()
-    );
-    Ok(())
-}
-
-/// Runs one sweep point: a fresh server + registry sized for `tenants`,
-/// the keyed tenants loaded, then the measured concurrent-transform phase
-/// (optionally with the mid-run restart drill).
-fn bench_point(
-    tenants: usize,
-    keys: &[Vec<u8>],
-    rows: usize,
-    batches: usize,
-    cols: usize,
-    restart: bool,
-) -> CliResult<BenchPoint> {
-    let registry = Arc::new(SessionRegistry::new(tenants));
-    let server = Server::spawn("127.0.0.1:0", Arc::clone(&registry), 8)
-        .map_err(|e| CliError::io(format!("binding bench server: {e}")))?;
-    let addr = server.local_addr();
-    // Where the live server is *right now* — updated by the mid-run
-    // restart so retrying clients find the replacement.
-    let current_addr = Arc::new(Mutex::new(addr));
-
-    let as_client_err = |e: rbt::server::ClientError| CliError {
-        code: 4,
-        message: format!("bench client: {e}"),
-    };
-    {
-        let mut loader = Client::connect(addr).map_err(as_client_err)?;
-        for (t, key) in keys.iter().enumerate() {
-            loader
-                .load_key(&format!("tenant-{t:02}"), key.clone())
-                .map_err(as_client_err)?;
-        }
-    }
-
-    // With --restart-mid-run, a saboteur thread drains the server under
-    // load and brings up a replacement on a fresh port (sharing the
-    // registry); the workers' retry/reconnect machinery must carry every
-    // batch across the restart for the bench to pass.
-    let mut server = Some(server);
-    let completed_batches = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let restart_handle = if restart {
-        let old = server.take().expect("bench server present");
-        let restart_registry = Arc::clone(&registry);
-        let addr_slot = Arc::clone(&current_addr);
-        let progress = Arc::clone(&completed_batches);
-        let quarter = (tenants * batches / 4).max(1);
-        Some(std::thread::spawn(move || -> Result<Server, String> {
-            // Yank the server once the run is demonstrably under way
-            // (a quarter of the batches done), so the restart always
-            // lands mid-run no matter how fast the machine is.
-            while progress.load(std::sync::atomic::Ordering::Relaxed) < quarter {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let replacement = Server::spawn("127.0.0.1:0", restart_registry, 8)
-                .map_err(|e| format!("binding replacement server: {e}"))?;
-            *addr_slot.lock().unwrap() = replacement.local_addr();
-            // Graceful drain: in-flight requests complete, clients get
-            // GoingAway, retry, and land on the replacement.
-            old.shutdown();
-            Ok(replacement)
-        }))
-    } else {
-        None
-    };
-
-    // The measured phase: `tenants` concurrent connections, each pushing
-    // `batches` transform requests of `rows` rows. Batch values are drawn
-    // wider than the fitting data so some rows drift out of range and the
-    // drift counters stay honest.
-    let started = Instant::now();
-    let workers: Vec<_> = (0..tenants)
-        .map(|t| {
-            let addr_slot = Arc::clone(&current_addr);
-            let progress = Arc::clone(&completed_batches);
-            std::thread::spawn(move || -> Result<Vec<u64>, String> {
-                let tenant = format!("tenant-{t:02}");
-                let batch = bench_tenant_data(t + 10_000, rows, cols, 130.0);
-                let mut client =
-                    Client::connect_via(move || *addr_slot.lock().unwrap(), RetryPolicy::default())
-                        .map_err(|e| e.to_string())?;
-                let mut latencies_us = Vec::with_capacity(batches);
-                for _ in 0..batches {
-                    let t0 = Instant::now();
-                    let (released, _) = client
-                        .transform(&tenant, &batch)
-                        .map_err(|e| e.to_string())?;
-                    latencies_us.push(t0.elapsed().as_micros() as u64);
-                    progress.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if released.n_rows() != batch.n_rows() {
-                        return Err(format!("tenant {t}: row count mismatch"));
-                    }
-                }
-                Ok(latencies_us)
-            })
-        })
-        .collect();
-    let mut latencies_us: Vec<u64> = Vec::with_capacity(tenants * batches);
-    for worker in workers {
-        let worker_latencies = worker
-            .join()
-            .map_err(|_| CliError::io("bench worker panicked"))?
-            .map_err(CliError::io)?;
-        latencies_us.extend(worker_latencies);
-    }
-    let wall = started.elapsed().as_secs_f64();
-
-    if let Some(handle) = restart_handle {
-        let replacement = handle
-            .join()
-            .map_err(|_| CliError::io("restart thread panicked"))?
-            .map_err(CliError::io)?;
-        server = Some(replacement);
-    }
-    let stats = registry.stats();
-    if let Some(server) = server.take() {
-        server.shutdown();
-    }
-
-    latencies_us.sort_unstable();
-    let pct = |q: f64| -> CliResult<u64> {
-        percentile(&latencies_us, q).ok_or_else(|| {
-            CliError::usage(format!(
-                "bench-serve produced no latency samples for {tenants} tenant(s) x {batches} \
-                 batch(es); nothing to summarize"
-            ))
-        })
-    };
-    let total_rows = tenants * batches * rows;
-    Ok(BenchPoint {
-        tenants,
-        total_rows,
-        wall,
-        rows_per_sec: total_rows as f64 / wall,
-        p50: pct(0.50)?,
-        p90: pct(0.90)?,
-        p99: pct(0.99)?,
-        max: pct(1.0)?,
-        drift_rows: stats.tenants.iter().map(|t| t.drift_rows).sum(),
-        capacity: stats.capacity,
-        live_sessions: stats.live_sessions,
-        total_evictions: stats.total_evictions,
-    })
-}
-
-/// The `q`-quantile of an already-sorted sample set by nearest-rank;
-/// `None` when the set is empty (a zero-sample run must surface a typed
-/// error, not an index underflow).
-fn percentile(sorted: &[u64], q: f64) -> Option<u64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    Some(sorted[idx.min(sorted.len() - 1)])
-}
-
-/// The soft open-file limit, from `/proc/self/limits` (Linux); `None`
-/// where that interface is missing.
-fn fd_soft_limit() -> Option<u64> {
-    let limits = std::fs::read_to_string("/proc/self/limits").ok()?;
-    let line = limits.lines().find(|l| l.starts_with("Max open files"))?;
-    line.split_whitespace().nth(3)?.parse().ok()
-}
-
-/// Live thread count of this process, from `/proc/self/status` (Linux).
-fn process_threads() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("Threads:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// The largest concurrent-connection count the open-file budget allows:
-/// client and server live in this one process, so each connection costs
-/// two descriptors, plus headroom for everything else the process holds.
-fn clamp_to_fd_budget(want: usize) -> usize {
-    match fd_soft_limit() {
-        Some(limit) => want.min((limit.saturating_sub(128) / 2) as usize).max(1),
-        None => want,
-    }
-}
-
-/// One measured point of the connection-scaling sweep.
-struct ConnPoint {
-    conns: usize,
-    active: usize,
-    idle: usize,
-    total_rows: usize,
-    wall: f64,
-    rows_per_sec: f64,
-    p50: u64,
-    p99: u64,
-    server_threads: u64,
-    process_threads: u64,
-}
-
-/// Runs one connection-scaling point: a fresh server holding a herd of
-/// `conns` idle connections (each proven live with one `Ping`) while a
-/// small active set drives transform batches at full throughput over
-/// additional connections — measuring sustained rows/sec and the thread
-/// bill with the whole herd still parked on the event loop.
-fn bench_conn_point(
-    conns: usize,
-    keys: &[Vec<u8>],
-    rows: usize,
-    batches: usize,
-    cols: usize,
-) -> CliResult<ConnPoint> {
-    let idle = conns;
-    let active = keys.len().clamp(1, 8);
-    let registry = Arc::new(SessionRegistry::new(keys.len().max(1)));
-    let config = ServerConfig {
-        window: 8,
-        max_conns: idle + active + 16,
-        ..ServerConfig::default()
-    };
-    // The thread bill this point claims: the event loop plus the worker
-    // pool for the reactor core, two threads per connection (plus the
-    // accept loop) for the threaded core.
-    let server_threads = match config.core {
-        rbt::server::ConnectionCore::Reactor if cfg!(unix) => {
-            1 + rbt::linalg::pool::default_threads() as u64
-        }
-        _ => 1 + 2 * (idle + active) as u64,
-    };
-    let server = Server::spawn_with("127.0.0.1:0", Arc::clone(&registry), config)
-        .map_err(|e| CliError::io(format!("binding bench server: {e}")))?;
-    let addr = server.local_addr();
-    let as_client_err = |e: rbt::server::ClientError| CliError {
-        code: 4,
-        message: format!("bench conn client: {e}"),
-    };
-
-    {
-        let mut loader = Client::connect(addr).map_err(as_client_err)?;
-        for (t, key) in keys.iter().take(active).enumerate() {
-            loader
-                .load_key(&format!("tenant-{t:02}"), key.clone())
-                .map_err(as_client_err)?;
-        }
-    }
-
-    // The idle herd: every connection held open for the whole measured
-    // phase, each answered one Ping so "concurrent" means "served", not
-    // merely "accepted".
-    let mut herd = Vec::with_capacity(idle);
-    for _ in 0..idle {
-        let mut member = Client::connect(addr).map_err(as_client_err)?;
-        member.ping().map_err(as_client_err)?;
-        herd.push(member);
-    }
-
-    // The measured phase, identical in shape to the tenant sweep: the
-    // active set pushes transform batches while the herd stays parked on
-    // the same event loop.
-    let started = Instant::now();
-    let workers: Vec<_> = (0..active)
-        .map(|t| {
-            std::thread::spawn(move || -> Result<Vec<u64>, String> {
-                let tenant = format!("tenant-{t:02}");
-                let batch = bench_tenant_data(t + 10_000, rows, cols, 130.0);
-                let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-                let mut latencies_us = Vec::with_capacity(batches);
-                for _ in 0..batches {
-                    let t0 = Instant::now();
-                    let (released, _) = client
-                        .transform(&tenant, &batch)
-                        .map_err(|e| e.to_string())?;
-                    latencies_us.push(t0.elapsed().as_micros() as u64);
-                    if released.n_rows() != batch.n_rows() {
-                        return Err(format!("tenant {t}: row count mismatch"));
-                    }
-                }
-                Ok(latencies_us)
-            })
-        })
-        .collect();
-    let mut latencies_us: Vec<u64> = Vec::with_capacity(active * batches);
-    for worker in workers {
-        let worker_latencies = worker
-            .join()
-            .map_err(|_| CliError::io("bench conn worker panicked"))?
-            .map_err(CliError::io)?;
-        latencies_us.extend(worker_latencies);
-    }
-    let wall = started.elapsed().as_secs_f64();
-    // Count threads while the whole herd is still connected — this is the
-    // number that proves the scaling claim.
-    let measured_threads = process_threads().unwrap_or(0);
-
-    let accounting = server.accounting();
-    if accounting.live < idle as u64 {
-        return Err(CliError::io(format!(
-            "connection sweep integrity: expected at least {} live connections, server accounts {}",
-            idle, accounting.live
-        )));
-    }
-    drop(herd);
-    server.shutdown();
-
-    latencies_us.sort_unstable();
-    let pct = |q: f64| -> CliResult<u64> {
-        percentile(&latencies_us, q).ok_or_else(|| {
-            CliError::usage(format!(
-                "connection sweep produced no latency samples for {conns} connection(s)"
-            ))
-        })
-    };
-    let total_rows = active * batches * rows;
-    Ok(ConnPoint {
-        conns: idle + active,
-        active,
-        idle,
-        total_rows,
-        wall,
-        rows_per_sec: total_rows as f64 / wall,
-        p50: pct(0.50)?,
-        p99: pct(0.99)?,
-        server_threads,
-        process_threads: measured_threads,
-    })
 }
 
 // ---------------------------------------------------------------------------

@@ -770,27 +770,3 @@ fn serve_quarantines_a_corrupt_key_and_keeps_serving_the_rest() {
         .unwrap();
     assert_eq!(out.status.code(), Some(3));
 }
-
-#[test]
-fn bench_serve_quick_smoke_runs_green_and_writes_the_perf_record() {
-    let dir = temp_dir("bench-serve");
-    let out_json = dir.join("BENCH_server.json");
-    let out = cli()
-        .args(["bench-serve", "--quick-smoke", "--tenants", "8", "--out"])
-        .arg(&out_json)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("sustained"), "{stdout}");
-
-    let json = std::fs::read_to_string(&out_json).unwrap();
-    assert!(json.contains("\"mode\": \"quick-smoke\""));
-    assert!(json.contains("\"tenants\": 8"));
-    assert!(json.contains("\"sustained_rows_per_sec\""));
-    assert!(json.contains("\"p99\""));
-}

@@ -253,9 +253,9 @@ fn stomp_version(frame: &wire::Frame, version: u16) -> Vec<u8> {
     bytes
 }
 
-/// Server side of the version-skew contract: a v3-tagged frame with a
-/// valid checksum earns a typed code-4 error naming the version — and
-/// because the checksum is verified before the version, the frame is
+/// Server side of the version-skew contract: a v3- or v1-tagged frame
+/// with a valid checksum earns a typed code-4 error naming the version —
+/// and because the checksum is verified before the version, the frame is
 /// fully consumed and the *same connection* keeps serving.
 #[test]
 fn version_skewed_frame_is_rejected_without_dropping_the_connection() {
@@ -264,13 +264,13 @@ fn version_skewed_frame_is_rejected_without_dropping_the_connection() {
     client.ping().unwrap();
 
     // Two skewed frames back to back: the reader must survive both.
-    for _ in 0..2 {
-        let skewed = stomp_version(&wire::Request::Ping.to_frame().with_request_id(9), 3);
+    for version in [3, 1] {
+        let skewed = stomp_version(&wire::Request::Ping.to_frame().with_request_id(9), version);
         client.stream_mut().write_all(&skewed).unwrap();
         match client.receive() {
             Err(ClientError::Server { code: 4, message }) => {
                 assert!(
-                    message.contains("version"),
+                    message.contains(&format!("version {version}")),
                     "error should name the version skew, got: {message}"
                 );
             }
@@ -331,8 +331,8 @@ fn client_reports_version_skew_as_typed_error_and_keeps_the_connection() {
     mock.join().unwrap();
 }
 
-/// A mock TcpStream-level check is not enough for the reader thread's
-/// `read_frame_patient` path: interleave a skewed frame *between* two
+/// A mock TcpStream-level check is not enough for the server's
+/// frame-reassembly path: interleave a skewed frame *between* two
 /// pipelined valid requests and both must still be answered.
 #[test]
 fn version_skew_between_pipelined_requests_loses_nothing() {

@@ -259,6 +259,64 @@ fn graceful_drain_loses_no_in_flight_responses_and_no_threads() {
     );
 }
 
+/// Drain regression: a connection whose request is already written, but
+/// which still sits in the kernel's accept queue when `shutdown` begins,
+/// is admitted and answered — not refused with `GoingAway`, and not reset
+/// when the listener closes.
+#[test]
+fn drain_answers_requests_still_waiting_in_the_accept_queue() {
+    const ROUNDS: usize = 25;
+    const CONNS: usize = 8;
+    let (out, fit_data, key_bytes) = fit_tenant(113);
+    let request_bytes = wire::encode_frame(
+        &wire::Request::Transform {
+            tenant: "t".to_string(),
+            batch: fit_data,
+        }
+        .to_frame(),
+    );
+
+    let mut lost = 0;
+    for round in 0..ROUNDS {
+        let registry = Arc::new(SessionRegistry::new(4));
+        registry.load_key("t", key_bytes.clone()).unwrap();
+        let server = Server::spawn("127.0.0.1:0", registry, 8).unwrap();
+        let addr = server.local_addr();
+        let mut streams: Vec<TcpStream> = (0..CONNS)
+            .map(|_| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                stream.write_all(&request_bytes).unwrap();
+                stream
+            })
+            .collect();
+        let report = server.shutdown();
+
+        for stream in &mut streams {
+            let reply = wire::read_frame(stream)
+                .ok()
+                .flatten()
+                .and_then(|frame| wire::Response::from_frame(&frame).ok());
+            match reply {
+                Some(wire::Response::Transformed { released, .. }) => {
+                    assert_bitwise(&released, &out.released, "drained queued request")
+                }
+                _ => lost += 1,
+            }
+        }
+        assert_eq!(report.spawned, report.joined, "round {round}: {report:?}");
+        assert_eq!(report.forced, 0, "round {round}: {report:?}");
+    }
+    assert_eq!(
+        lost,
+        0,
+        "{lost} of {} requests written before the drain went unanswered",
+        ROUNDS * CONNS
+    );
+}
+
 /// (tentpole) Server restart mid-stream: a resilient client following an
 /// address provider rides a full stop-the-world restart (new port, same
 /// registry) without surfacing a single error, and every response before
