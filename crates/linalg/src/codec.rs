@@ -1,5 +1,5 @@
-//! Dependency-free binary codec primitives: a little-endian byte writer /
-//! reader pair and an IEEE CRC-32.
+//! Binary codec primitives: a little-endian byte writer / reader pair,
+//! bulk `f64` rows, and the IEEE CRC-32 (from the `crc32fast` shim).
 //!
 //! The release-session subsystem persists the data owner's secrets
 //! (transformation keys, fitted normalizers, session metadata) to files.
@@ -72,6 +72,14 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// An empty writer with room for `capacity` bytes, so a writer whose
+    /// final size is known never grows by reallocation.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -122,6 +130,16 @@ impl ByteWriter {
     /// lossless for every value, including signed zeros and NaN payloads.
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
+    }
+
+    /// Appends every value of `values` exactly as [`ByteWriter::put_f64`]
+    /// would, one after another, in a single pass.
+    pub fn put_f64s(&mut self, values: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * values.len(), 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(8).zip(values) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
     }
 
     /// Appends a bool as a single `0`/`1` byte.
@@ -269,6 +287,28 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
+    /// Takes `n` `f64`s written by [`ByteWriter::put_f64s`] (or `n`
+    /// [`ByteWriter::put_f64`] calls). The `8·n` bytes are taken before
+    /// anything is allocated, so a corrupted count cannot drive an
+    /// allocation larger than the input.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Truncated`] when fewer than `8·n` bytes remain,
+    /// [`DecodeError::Malformed`] when `8·n` overflows `usize`.
+    pub fn take_f64s(&mut self, n: usize) -> DecodeResult<Vec<f64>> {
+        let offset = self.pos;
+        let len = n.checked_mul(8).ok_or_else(|| DecodeError::Malformed {
+            offset,
+            message: format!("{n} f64 values overflow the byte count"),
+        })?;
+        let bytes = self.take_bytes(len)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("chunks_exact(8) yields 8 bytes")))
+            .collect())
+    }
+
     /// Takes a bool encoded as a `0`/`1` byte.
     ///
     /// # Errors
@@ -304,38 +344,13 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// The IEEE CRC-32 lookup table (polynomial `0xEDB88320`, reflected).
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut n = 0;
-    while n < 256 {
-        let mut c = n as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[n] = c;
-        n += 1;
-    }
-    table
-};
-
 /// IEEE CRC-32 (the zlib/PNG variant) of `bytes`.
 ///
 /// Detects every single-byte corruption and every burst shorter than 32
 /// bits, which is what the key-file envelope relies on to reject flipped or
 /// truncated secrets instead of silently releasing garbage.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    crc32fast::hash(bytes)
 }
 
 #[cfg(test)]
@@ -401,6 +416,43 @@ mod tests {
         let bytes = w.into_bytes();
         let got = ByteReader::new(&bytes).take_f64().unwrap();
         assert_eq!(got.to_bits(), odd_nan.to_bits());
+    }
+
+    #[test]
+    fn bulk_f64s_match_the_per_value_encoding() {
+        let values = [-0.0, 1.5, f64::from_bits(0x7FF8_0000_0000_1234), f64::MAX];
+        let mut bulk = ByteWriter::new();
+        bulk.put_u8(7);
+        bulk.put_f64s(&values);
+        let mut each = ByteWriter::new();
+        each.put_u8(7);
+        for &v in &values {
+            each.put_f64(v);
+        }
+        assert_eq!(bulk.as_bytes(), each.as_bytes());
+
+        let bytes = bulk.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        r.take_u8().unwrap();
+        let back = r.take_f64s(values.len()).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&values));
+        r.expect_end().unwrap();
+
+        // A count the input cannot hold fails before any allocation.
+        let mut r = ByteReader::new(&bytes);
+        assert!(matches!(
+            r.take_f64s(usize::MAX),
+            Err(DecodeError::Malformed { offset: 0, .. })
+        ));
+        assert_eq!(
+            r.take_f64s(5).unwrap_err(),
+            DecodeError::Truncated {
+                offset: 0,
+                needed: 40,
+                available: 33
+            }
+        );
     }
 
     #[test]

@@ -219,9 +219,7 @@ const MAX_DECODE_ELEMS: usize = 1 << 28;
 pub fn encode_matrix(m: &Matrix, w: &mut ByteWriter) {
     w.put_u64(m.rows() as u64);
     w.put_u16(m.cols() as u16);
-    for &v in m.as_slice() {
-        w.put_f64(v);
-    }
+    w.put_f64s(m.as_slice());
 }
 
 /// Reads a matrix written by [`encode_matrix`].
@@ -238,10 +236,7 @@ pub fn decode_matrix(r: &mut ByteReader<'_>) -> DecodeResult<Matrix> {
         offset,
         message: format!("implausible matrix shape {rows}×{cols}"),
     })?;
-    let mut data = Vec::with_capacity(elems);
-    for _ in 0..elems {
-        data.push(r.take_f64()?);
-    }
+    let data = r.take_f64s(elems)?;
     Matrix::from_vec(rows, cols, data).map_err(|e| DecodeError::Malformed {
         offset,
         message: e.to_string(),
@@ -531,6 +526,17 @@ impl Message {
                     return Err(DecodeError::Malformed {
                         offset,
                         message: format!("implausible label count {n}"),
+                    });
+                }
+                // Each label is a u32: a count the remaining bytes cannot
+                // hold is rejected before it sizes an allocation.
+                if n > r.remaining() / 4 {
+                    return Err(DecodeError::Malformed {
+                        offset,
+                        message: format!(
+                            "label count {n} exceeds the remaining {} bytes",
+                            r.remaining()
+                        ),
                     });
                 }
                 let mut labels = Vec::with_capacity(n);

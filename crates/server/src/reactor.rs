@@ -192,7 +192,17 @@ impl Conn {
     }
 
     fn queue_response_frame(&mut self, frame: &Frame) {
-        self.outbuf.extend_from_slice(&wire::encode_frame(frame));
+        self.queue_bytes(wire::encode_frame(frame));
+    }
+
+    /// Appends encoded frames to the outbuf; an empty outbuf (`out_at` is
+    /// then 0) takes the buffer over instead of copying it.
+    fn queue_bytes(&mut self, bytes: Vec<u8>) {
+        if self.outbuf.is_empty() {
+            self.outbuf = bytes;
+        } else {
+            self.outbuf.extend_from_slice(&bytes);
+        }
     }
 
     fn flushed(&self) -> bool {
@@ -292,7 +302,7 @@ impl Reactor {
             for c in self.take_completions() {
                 if let Some(conn) = self.conns.get_mut(&c.conn_id) {
                     conn.in_worker = false;
-                    conn.outbuf.extend_from_slice(&c.bytes);
+                    conn.queue_bytes(c.bytes);
                     touched.insert(c.conn_id);
                 }
             }

@@ -251,7 +251,8 @@ impl Frame {
 /// Encodes a frame into a self-contained byte buffer (header + request-id
 /// prefix + body + CRC-32 trailer), always at [`WIRE_VERSION`].
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let mut w =
+        ByteWriter::with_capacity(HEADER_LEN + REQUEST_ID_LEN + frame.body.len() + TRAILER_LEN);
     w.put_bytes(&MAGIC);
     w.put_u16(WIRE_VERSION);
     w.put_u8(frame.opcode as u8);
@@ -294,18 +295,19 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> WireResult<RawHeader> {
     })
 }
 
-/// Validates CRC/version/opcode and splits the request-id prefix. `body`
-/// excludes the trailer; `stored` is the trailer CRC.
-fn finish_frame(
-    header: &[u8; HEADER_LEN],
-    raw: RawHeader,
-    body: Vec<u8>,
-    stored: u32,
-) -> WireResult<Frame> {
-    let mut crc_input = Vec::with_capacity(HEADER_LEN + body.len());
-    crc_input.extend_from_slice(header);
-    crc_input.extend_from_slice(&body);
-    let computed = crc32(&crc_input);
+/// Validates CRC/version/opcode of one whole frame and splits the
+/// request-id prefix. `bytes` is the contiguous frame — header, body and
+/// trailer, exactly `HEADER_LEN + raw.body_len + TRAILER_LEN` bytes. The
+/// CRC is computed in place and the body is copied once, after the id.
+fn finish_frame(bytes: &[u8], raw: RawHeader) -> WireResult<Frame> {
+    let crc_end = HEADER_LEN + raw.body_len;
+    let stored = u32::from_le_bytes([
+        bytes[crc_end],
+        bytes[crc_end + 1],
+        bytes[crc_end + 2],
+        bytes[crc_end + 3],
+    ]);
+    let computed = crc32(&bytes[..crc_end]);
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
@@ -315,21 +317,22 @@ fn finish_frame(
     let opcode = Opcode::from_u8(raw.opcode_byte).ok_or(WireError::UnknownOpcode {
         found: raw.opcode_byte,
     })?;
-    if body.len() < REQUEST_ID_LEN {
+    if raw.body_len < REQUEST_ID_LEN {
         return Err(malformed(
             HEADER_LEN,
             format!(
                 "version-2 body of {} bytes cannot hold the request id",
-                body.len()
+                raw.body_len
             ),
         ));
     }
+    let body_start = HEADER_LEN + REQUEST_ID_LEN;
     let mut id_bytes = [0u8; REQUEST_ID_LEN];
-    id_bytes.copy_from_slice(&body[..REQUEST_ID_LEN]);
+    id_bytes.copy_from_slice(&bytes[HEADER_LEN..body_start]);
     Ok(Frame {
         opcode,
         request_id: u64::from_le_bytes(id_bytes),
-        body: body[REQUEST_ID_LEN..].to_vec(),
+        body: bytes[body_start..crc_end].to_vec(),
     })
 }
 
@@ -365,14 +368,7 @@ pub fn decode_frame(bytes: &[u8]) -> WireResult<Frame> {
             format!("{} trailing bytes after the frame", bytes.len() - total),
         ));
     }
-    let body = bytes[HEADER_LEN..HEADER_LEN + raw.body_len].to_vec();
-    let stored = u32::from_le_bytes([
-        bytes[total - 4],
-        bytes[total - 3],
-        bytes[total - 2],
-        bytes[total - 1],
-    ]);
-    finish_frame(&header, raw, body, stored)
+    finish_frame(bytes, raw)
 }
 
 /// Reads the next frame from a stream.
@@ -403,8 +399,9 @@ pub fn read_frame<R: Read>(stream: &mut R) -> WireResult<Option<Frame>> {
         filled += n;
     }
     let raw = parse_header(&header)?;
-    let mut rest = vec![0u8; raw.body_len + TRAILER_LEN];
-    stream.read_exact(&mut rest).map_err(|e| {
+    let mut frame = vec![0u8; HEADER_LEN + raw.body_len + TRAILER_LEN];
+    frame[..HEADER_LEN].copy_from_slice(&header);
+    stream.read_exact(&mut frame[HEADER_LEN..]).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             WireError::Io {
                 kind: std::io::ErrorKind::UnexpectedEof,
@@ -414,14 +411,7 @@ pub fn read_frame<R: Read>(stream: &mut R) -> WireResult<Option<Frame>> {
             WireError::from(e)
         }
     })?;
-    let stored = u32::from_le_bytes([
-        rest[raw.body_len],
-        rest[raw.body_len + 1],
-        rest[raw.body_len + 2],
-        rest[raw.body_len + 3],
-    ]);
-    rest.truncate(raw.body_len);
-    finish_frame(&header, raw, rest, stored).map(Some)
+    finish_frame(&frame, raw).map(Some)
 }
 
 /// Incremental frame decoder for non-blocking sockets.
@@ -521,14 +511,7 @@ impl FrameAssembler {
         if pending.len() < total {
             return None;
         }
-        let body = pending[HEADER_LEN..HEADER_LEN + raw.body_len].to_vec();
-        let stored = u32::from_le_bytes([
-            pending[total - 4],
-            pending[total - 3],
-            pending[total - 2],
-            pending[total - 1],
-        ]);
-        let result = finish_frame(&header, raw, body, stored);
+        let result = finish_frame(&pending[..total], raw);
         match &result {
             // The CRC covered `total` bytes, so consuming them is safe even
             // when the version or opcode is unknown — resynchronization is
@@ -594,9 +577,14 @@ pub fn encode_dataset(w: &mut ByteWriter, ds: &Dataset) {
         }
         None => w.put_bool(false),
     }
-    for &v in ds.matrix().as_slice() {
-        w.put_f64(v);
-    }
+    w.put_f64s(ds.matrix().as_slice());
+}
+
+/// Bytes [`encode_dataset`] writes for `ds`, for presizing a writer.
+fn encoded_dataset_len(ds: &Dataset) -> usize {
+    let names: usize = ds.columns().iter().map(|name| 4 + name.len()).sum();
+    let ids = ds.ids().map_or(0, |ids| 8 * ids.len());
+    8 + 8 + names + 1 + ids + 8 * ds.n_rows() * ds.n_cols()
 }
 
 /// Reads a dataset written by [`encode_dataset`].
@@ -632,10 +620,7 @@ pub fn decode_dataset(r: &mut ByteReader<'_>) -> WireResult<Dataset> {
         )
     })?;
     guard_count(r, cells, 8, "cell")?;
-    let mut data = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        data.push(r.take_f64()?);
-    }
+    let data = r.take_f64s(cells)?;
     let matrix =
         Matrix::from_vec(rows, cols, data).map_err(|e| malformed(shape_offset, e.to_string()))?;
     let ds = Dataset::new(matrix, columns).map_err(|e| malformed(shape_offset, e.to_string()))?;
@@ -768,6 +753,7 @@ impl Request {
                 w.put_bytes(key_bytes);
             }
             Request::Transform { tenant, batch } | Request::Invert { tenant, batch } => {
+                w = ByteWriter::with_capacity(4 + tenant.len() + encoded_dataset_len(batch));
                 w.put_str(tenant);
                 encode_dataset(&mut w, batch);
             }
@@ -999,10 +985,14 @@ impl Response {
                 released,
                 out_of_range_rows,
             } => {
+                w = ByteWriter::with_capacity(encoded_dataset_len(released) + 8);
                 encode_dataset(&mut w, released);
                 w.put_u64(*out_of_range_rows);
             }
-            Response::Inverted { recovered } => encode_dataset(&mut w, recovered),
+            Response::Inverted { recovered } => {
+                w = ByteWriter::with_capacity(encoded_dataset_len(recovered));
+                encode_dataset(&mut w, recovered);
+            }
             Response::Stats(stats) => stats.encode_into(&mut w),
             Response::Evicted { existed } => w.put_bool(*existed),
             Response::Pong => {}
@@ -1295,16 +1285,71 @@ mod tests {
         assert!(!asm.mid_frame());
     }
 
+    /// A large request and response frame with their encoded size and CRC
+    /// trailer, both read with the bytewise table CRC-32. The frames are
+    /// long enough to take the shim's folded path where the CPU has it.
+    fn golden_frames() -> [(Frame, usize, u32); 2] {
+        [
+            (
+                Request::Transform {
+                    tenant: "t".to_string(),
+                    batch: sample_dataset(1000, true),
+                }
+                .to_frame()
+                .with_request_id(77),
+                32_072,
+                0xDA81_CAB6,
+            ),
+            (
+                Response::Transformed {
+                    released: sample_dataset(1000, false),
+                    out_of_range_rows: 3,
+                }
+                .to_frame()
+                .with_request_id(77),
+                24_075,
+                0xF875_B894,
+            ),
+        ]
+    }
+
+    #[test]
+    fn large_frames_keep_their_golden_bytes() {
+        for (frame, len, crc) in golden_frames() {
+            let bytes = encode_frame(&frame);
+            assert_eq!(bytes.len(), len, "{:?} frame size", frame.opcode);
+            let trailer = u32::from_le_bytes(bytes[len - TRAILER_LEN..].try_into().unwrap());
+            assert_eq!(trailer, crc, "{:?} frame CRC", frame.opcode);
+        }
+    }
+
     #[test]
     fn assembler_matches_decode_frame_on_every_request() {
-        let requests = [Request::Ping, Request::Stats, Request::ReloadKeys];
-        for req in requests {
-            let bytes = encode_frame(&req.to_frame().with_request_id(42));
+        let small = [Request::Ping, Request::Stats, Request::ReloadKeys]
+            .map(|req| req.to_frame().with_request_id(42));
+        let large = golden_frames().map(|(frame, _, _)| frame);
+        for frame in small.into_iter().chain(large) {
+            let bytes = encode_frame(&frame);
+            // Fed in 16 KiB chunks, as the reactor reads a socket.
             let mut asm = FrameAssembler::new();
-            asm.push(&bytes);
-            let from_asm = asm.next_frame().unwrap().unwrap();
+            let mut from_asm = None;
+            for chunk in bytes.chunks(16 * 1024) {
+                assert!(
+                    from_asm.is_none(),
+                    "a frame completed before its last chunk"
+                );
+                asm.push(chunk);
+                from_asm = asm.next_frame().map(Result::unwrap);
+            }
+            let from_asm = from_asm.expect("the last chunk completes the frame");
+            assert!(!asm.mid_frame());
             let from_decode = decode_frame(&bytes).unwrap();
+            let from_read = read_frame(&mut std::io::Cursor::new(&bytes))
+                .unwrap()
+                .unwrap();
             assert_eq!(from_asm, from_decode);
+            assert_eq!(from_read, from_decode);
+            assert_eq!(from_decode, frame);
         }
     }
 
