@@ -204,7 +204,7 @@ fn scalar_composite(key: &TransformationKey) -> Matrix {
     acc
 }
 
-/// The k-means assignment loop as it was before the blocked kernel: one
+/// The k-means assignment loop as it was before the kernel substrate: one
 /// scalar `Metric::distance` call per (point, centroid) pair.
 fn scalar_assign(data: &Matrix, centroids: &Matrix, labels: &mut [usize]) {
     for (i, point) in data.row_iter().enumerate() {
@@ -408,10 +408,22 @@ fn main() {
         });
         let centroids = w.matrix.select_rows(&(0..k).collect::<Vec<_>>()).unwrap();
         let mut labels = vec![0usize; m];
-        let mut fast_labels = vec![0usize; m];
-        let mut par_labels = vec![0usize; m];
+        // The production path, `KMeans::fit`'s: the row-blocked kernel over
+        // a column-major copy of the data. `fit` makes that copy once and
+        // reuses it for every pass, so it is made outside the timed loop.
+        const BLOCK: usize = kernels::NEAREST_BLOCK_ROWS;
+        assert!(
+            m.is_multiple_of(BLOCK),
+            "whole blocks only: no per-row tail to time"
+        );
+        let columns = w.matrix.transpose();
+        let mut fast_out = vec![(0usize, 0.0f64); m];
+        let mut par_out = vec![(0usize, 0.0f64); m];
         let pool = Pool::new(threads);
-        let bounds = even_chunks(m, threads);
+        let bounds: Vec<usize> = even_chunks(m / BLOCK, threads)
+            .into_iter()
+            .map(|b| b * BLOCK)
+            .collect();
         let best = time_competitors(
             budget,
             rounds,
@@ -421,37 +433,30 @@ fn main() {
                     black_box(&labels);
                 },
                 &mut || {
-                    for (i, slot) in fast_labels.iter_mut().enumerate() {
-                        *slot = kernels::nearest_row_squared(
-                            w.matrix.row(i),
-                            centroids.as_slice(),
-                            cols,
-                            k,
-                        )
-                        .0;
-                    }
-                    black_box(&fast_labels);
+                    kernels::nearest_rows_squared_blocked(&columns, 0, &centroids, &mut fast_out);
+                    black_box(&fast_out);
                 },
                 &mut || {
-                    pool.for_each_chunk_mut(&mut par_labels, &bounds, |_, start, chunk| {
-                        for (t, slot) in chunk.iter_mut().enumerate() {
-                            *slot = kernels::nearest_row_squared(
-                                w.matrix.row(start + t),
-                                centroids.as_slice(),
-                                cols,
-                                k,
-                            )
-                            .0;
-                        }
+                    pool.for_each_chunk_mut(&mut par_out, &bounds, |_, start, chunk| {
+                        kernels::nearest_rows_squared_blocked(&columns, start, &centroids, chunk);
                     });
-                    black_box(&par_labels);
+                    black_box(&par_out);
                 },
             ],
         );
         let (scalar_s, fast_s, parallel_s) = (best[0], best[1], best[2]);
         scalar_assign(&w.matrix, &centroids, &mut labels);
-        assert_eq!(labels, fast_labels, "blocked assignment changed labels");
-        assert_eq!(labels, par_labels, "parallel assignment changed labels");
+        let labels_of = |out: &[(usize, f64)]| out.iter().map(|a| a.0).collect::<Vec<_>>();
+        assert_eq!(
+            labels,
+            labels_of(&fast_out),
+            "blocked assignment changed labels"
+        );
+        assert_eq!(
+            labels,
+            labels_of(&par_out),
+            "parallel assignment changed labels"
+        );
         entries.push(Entry {
             name: "kmeans_assign",
             params: format!("{{\"m\": {m}, \"cols\": {cols}, \"k\": {k}}}"),

@@ -30,6 +30,15 @@ pub enum KMeansInit {
 
 /// Configuration for Lloyd's algorithm.
 ///
+/// The assignment step (every row's nearest centroid, on every iteration)
+/// is where the time goes. [`fit`](Self::fit) runs it through
+/// [`kernels::nearest_rows_squared_blocked`] over one column-major copy of
+/// the data (`m × n × 8` bytes, made once per fit), sixteen rows per SIMD
+/// sweep; rows after the last whole 16-row block take the per-row
+/// [`kernels::nearest_row_squared`]. Each row's distances keep the per-row
+/// kernel's exact arithmetic, so the results are bit-for-bit those of a
+/// plain per-row Lloyd loop. The update step stays serial in row order.
+///
 /// # Example
 ///
 /// ```
@@ -111,10 +120,13 @@ impl KMeans {
     }
 
     /// Sets the number of threads the assignment step may use (clamped to
-    /// ≥ 1). Labels, centroids, inertia and iteration counts are
-    /// **bit-for-bit identical** for every thread count: each row's nearest
-    /// centroid is computed by the same kernel regardless of which thread
-    /// owns the row, and all cross-row reductions stay in serial row order.
+    /// ≥ 1); each thread takes a contiguous run of whole 16-row blocks, and
+    /// below 512 rows the step runs on the caller's thread. Labels,
+    /// centroids, inertia and iteration counts are **bit-for-bit
+    /// identical** for every thread count: whether a row goes through the
+    /// blocked or the per-row kernel depends only on its index (the two
+    /// agree bit for bit anyway), and all cross-row reductions stay in
+    /// serial row order.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -146,16 +158,19 @@ impl KMeans {
         let mut iterations = 0;
         let mut converged = false;
         let pool = Pool::new(self.threads);
+        // The assignment kernel reads the data column-major, sixteen rows
+        // per SIMD sweep: one copy per fit, reused by every pass.
+        let columns = data.transpose();
         // (label, squared distance) per row — the parallel assignment
         // output buffer.
         let mut assignment = vec![(0usize, 0.0f64); m];
 
         for iter in 0..self.max_iters {
             iterations = iter + 1;
-            // Assignment step: blocked kernel sweep, rows split across the
-            // pool. Each row's result is independent, so the labels are
-            // identical to the serial loop.
-            assign_rows(data, &centroids, &pool, &mut assignment);
+            // Assignment step: row-blocked kernel sweep, rows split across
+            // the pool. Each row's result is independent, so the labels are
+            // identical to the serial per-row loop.
+            assign_rows(data, &columns, &centroids, &pool, &mut assignment);
             for (label, a) in labels.iter_mut().zip(&assignment) {
                 *label = a.0;
             }
@@ -198,7 +213,7 @@ impl KMeans {
         // Final assignment against the final centroids. The inertia
         // reduction stays in serial row order so it does not depend on the
         // thread count.
-        assign_rows(data, &centroids, &pool, &mut assignment);
+        assign_rows(data, &columns, &centroids, &pool, &mut assignment);
         let mut inertia = 0.0;
         for (label, &(nearest, d2)) in labels.iter_mut().zip(&assignment) {
             *label = nearest;
@@ -282,23 +297,42 @@ const PARALLEL_ASSIGN_MIN_ROWS: usize = 512;
 
 /// Fills `out[i]` with `(nearest centroid, squared distance)` for every row
 /// of `data`, splitting rows across the pool (inline below
-/// [`PARALLEL_ASSIGN_MIN_ROWS`]). Runs the blocked
-/// [`kernels::nearest_row_squared`] argmin per row — first-minimum tie
-/// handling and scan order match the scalar loop, so output is identical
-/// for any thread count.
-fn assign_rows(data: &Matrix, centroids: &Matrix, pool: &Pool, out: &mut [(usize, f64)]) {
+/// [`PARALLEL_ASSIGN_MIN_ROWS`]) in whole
+/// [`NEAREST_BLOCK_ROWS`](kernels::NEAREST_BLOCK_ROWS)-row blocks.
+///
+/// Whole blocks go through [`kernels::nearest_rows_squared_blocked`] over
+/// `columns` (the transposed data); the rows after the last whole block go
+/// through [`kernels::nearest_row_squared`]. The two are bit-identical per
+/// row, and which one a row takes depends only on its index, so output is
+/// identical for any thread count.
+fn assign_rows(
+    data: &Matrix,
+    columns: &Matrix,
+    centroids: &Matrix,
+    pool: &Pool,
+    out: &mut [(usize, f64)],
+) {
+    const BLOCK: usize = kernels::NEAREST_BLOCK_ROWS;
     let rows = data.rows();
     let threads = if rows < PARALLEL_ASSIGN_MIN_ROWS {
         1
     } else {
         pool.threads()
     };
-    let bounds = even_chunks(rows, threads);
-    let flat = centroids.as_slice();
+    // Chunk boundaries on whole blocks; the last chunk also takes the tail.
+    let mut bounds: Vec<usize> = even_chunks(rows / BLOCK, threads)
+        .into_iter()
+        .map(|b| b * BLOCK)
+        .collect();
+    *bounds.last_mut().expect("even_chunks is never empty") = rows;
     let (k, cols) = centroids.shape();
     pool.for_each_chunk_mut(out, &bounds, |_, start, chunk| {
-        for (t, slot) in chunk.iter_mut().enumerate() {
-            *slot = kernels::nearest_row_squared(data.row(start + t), flat, cols, k);
+        let (blocks, tail) = chunk.split_at_mut(chunk.len() / BLOCK * BLOCK);
+        kernels::nearest_rows_squared_blocked(columns, start, centroids, blocks);
+        let first = start + blocks.len();
+        for (t, slot) in tail.iter_mut().enumerate() {
+            *slot =
+                kernels::nearest_row_squared(data.row(first + t), centroids.as_slice(), cols, k);
         }
     });
 }
@@ -477,6 +511,186 @@ mod tests {
                 assert_eq!(serial.iterations, par.iterations);
                 assert_eq!(serial.converged, par.converged);
             }
+        }
+    }
+
+    /// Lloyd's algorithm with a plain per-row [`kernels::nearest_row_squared`]
+    /// assignment loop: the reference [`KMeans::fit`] must match bit for
+    /// bit, whatever kernel and thread count its assignment uses.
+    fn reference_fit(km: &KMeans, data: &Matrix, rng: &mut rand::rngs::StdRng) -> KMeansResult {
+        let (m, n) = data.shape();
+        let k = km.k;
+        let assign = |centroids: &Matrix| -> Vec<(usize, f64)> {
+            (0..m)
+                .map(|i| kernels::nearest_row_squared(data.row(i), centroids.as_slice(), n, k))
+                .collect()
+        };
+        let mut centroids = km.initial_centroids(data, rng);
+        let mut labels = vec![0usize; m];
+        let mut iterations = 0;
+        let mut converged = false;
+        for iter in 0..km.max_iters {
+            iterations = iter + 1;
+            for (label, (nearest, _)) in labels.iter_mut().zip(assign(&centroids)) {
+                *label = nearest;
+            }
+            let mut next = Matrix::zeros(k, n);
+            let mut counts = vec![0usize; k];
+            for (i, &label) in labels.iter().enumerate() {
+                counts[label] += 1;
+                for (c, &p) in next.row_mut(label).iter_mut().zip(data.row(i)) {
+                    *c += p;
+                }
+            }
+            for (j, &count) in counts.iter().enumerate() {
+                if count == 0 {
+                    let far = farthest_point(data, &centroids, &labels);
+                    next.row_mut(j).copy_from_slice(data.row(far));
+                } else {
+                    let inv = 1.0 / count as f64;
+                    for v in next.row_mut(j) {
+                        *v *= inv;
+                    }
+                }
+            }
+            let shift = centroids.max_abs_diff(&next).unwrap();
+            centroids = next;
+            if shift <= km.tol {
+                converged = true;
+                break;
+            }
+        }
+        let mut inertia = 0.0;
+        for (label, (nearest, d2)) in labels.iter_mut().zip(assign(&centroids)) {
+            *label = nearest;
+            inertia += d2;
+        }
+        KMeansResult {
+            labels,
+            centroids,
+            inertia,
+            iterations,
+            converged,
+        }
+    }
+
+    fn assert_bitwise_eq(got: &KMeansResult, want: &KMeansResult, context: &str) {
+        assert_eq!(got.labels, want.labels, "{context}: labels");
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.centroids.shape(), want.centroids.shape(), "{context}");
+        assert_eq!(
+            bits(&got.centroids),
+            bits(&want.centroids),
+            "{context}: centroids"
+        );
+        assert_eq!(
+            got.inertia.to_bits(),
+            want.inertia.to_bits(),
+            "{context}: inertia"
+        );
+        assert_eq!(got.iterations, want.iterations, "{context}: iterations");
+        assert_eq!(got.converged, want.converged, "{context}: converged");
+    }
+
+    fn mixture(k: usize, dim: usize, rows: usize, seed: u64) -> Matrix {
+        rbt_data::synth::GaussianMixture::well_separated(k, dim, 6.0, 1.5)
+            .unwrap()
+            .sample(rows, &mut rng(seed))
+            .matrix
+    }
+
+    #[test]
+    fn fit_keeps_its_golden_inertia_bits() {
+        // Read before the blocked assignment kernel existed; they hold with
+        // and without hardware FMA, at every thread count.
+        let cases = [
+            (
+                5usize,
+                17usize,
+                3001usize,
+                11u64,
+                300usize,
+                0x40fb_f7c8_ec39_270a_u64,
+                14usize,
+            ),
+            (8, 16, 16_000, 7, 64, 0x4121_2e87_0ddc_f7ce, 34),
+        ];
+        for (k, dim, rows, seed, max_iters, inertia_bits, iterations) in cases {
+            let data = mixture(k, dim, rows, seed);
+            for threads in 1..=3 {
+                let fit = KMeans::new(k)
+                    .unwrap()
+                    .with_init(KMeansInit::FirstK)
+                    .with_max_iters(max_iters)
+                    .with_threads(threads)
+                    .fit(&data, &mut rng(0))
+                    .unwrap();
+                let context = format!("{rows}x{dim} k={k} threads={threads}");
+                assert_eq!(fit.inertia.to_bits(), inertia_bits, "{context}");
+                assert_eq!(fit.iterations, iterations, "{context}");
+                assert!(fit.converged, "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn fit_bitwise_matches_reference_lloyd() {
+        // Row counts above PARALLEL_ASSIGN_MIN_ROWS and off the block width,
+        // so the pooled path, the blocked kernel and the per-row tail all run.
+        for (rows, dim, k, seed) in [
+            (515usize, 5usize, 4usize, 1u64),
+            (1203, 16, 8, 2),
+            (777, 33, 7, 3),
+        ] {
+            let data = mixture(k, dim, rows, seed);
+            for init in [KMeansInit::FirstK, KMeansInit::PlusPlus] {
+                let km = KMeans::new(k).unwrap().with_init(init).with_max_iters(40);
+                let want = reference_fit(&km, &data, &mut rng(seed));
+                for threads in 1..=4 {
+                    let got = km
+                        .clone()
+                        .with_threads(threads)
+                        .fit(&data, &mut rng(seed))
+                        .unwrap();
+                    assert_bitwise_eq(
+                        &got,
+                        &want,
+                        &format!("{rows}x{dim} k={k} {init:?} threads={threads}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_bitwise_matches_reference_lloyd_through_an_empty_cluster() {
+        // The first two rows coincide, so first-k initialisation starts two
+        // centroids on the same point: every row ties and keeps the lower
+        // index, cluster 1 comes up empty and is re-seeded to the farthest
+        // point.
+        let mut data = mixture(3, 6, 601, 4);
+        let first = data.row(0).to_vec();
+        data.row_mut(1).copy_from_slice(&first);
+        let km = KMeans::new(3).unwrap().with_init(KMeansInit::FirstK);
+        let start = km.initial_centroids(&data, &mut rng(0));
+        assert!(
+            (0..data.rows()).all(|i| kernels::nearest_row_squared(
+                data.row(i),
+                start.as_slice(),
+                6,
+                3
+            )
+            .0 != 1),
+            "cluster 1 must come up empty on the first pass"
+        );
+        let want = reference_fit(&km, &data, &mut rng(0));
+        for threads in 1..=4 {
+            let got = km
+                .clone()
+                .with_threads(threads)
+                .fit(&data, &mut rng(0))
+                .unwrap();
+            assert_bitwise_eq(&got, &want, &format!("threads={threads}"));
         }
     }
 

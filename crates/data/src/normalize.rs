@@ -723,7 +723,9 @@ impl FittedNormalizer {
         if fields.next().is_some() {
             return Err(bad_header());
         }
-        let mut params = Vec::with_capacity(cols);
+        // `cols` is untrusted until the lines are counted: cap the
+        // up-front reservation, as `decode_from` does.
+        let mut params = Vec::with_capacity(cols.min(1024));
         let mut method = Normalization::zscore_paper();
         for (idx, line) in lines {
             let line_no = idx + 1;
@@ -1521,6 +1523,22 @@ mod tests {
         assert!(FittedNormalizer::from_text("rbt-normalizer v1 cols=1\nzscore 1").is_err());
         assert!(FittedNormalizer::from_text("rbt-normalizer v1 cols=2\nzscore 1 2").is_err());
         assert!(FittedNormalizer::from_text("rbt-normalizer v1 cols=1\nzscore x 2").is_err());
+    }
+
+    #[test]
+    fn from_text_does_not_trust_the_header_column_count() {
+        // A huge declared count must not size an allocation before the
+        // parameter lines are counted: both headers get the typed count
+        // mismatch, not an allocation abort or a capacity-overflow panic.
+        for cols in [4_000_000_000usize, usize::MAX] {
+            let text = format!("rbt-normalizer v1 cols={cols}\nzscore 0 1\n");
+            match FittedNormalizer::from_text(&text) {
+                Err(Error::Parse { line: 1, message }) => {
+                    assert_eq!(message, format!("header declares {cols} columns, found 1"))
+                }
+                other => panic!("cols={cols}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   PCA-based attack in `rbt-attack`),
 //! * [`solve`] — Gaussian elimination and least squares (used by the
 //!   known-sample attack),
-//! * [`kernels`] — unrolled, auto-vectorizable distance kernels (the engine
-//!   under dissimilarity construction and k-means assignment),
+//! * [`kernels`] — unrolled distance kernels (the engine under
+//!   dissimilarity construction) and the row-blocked, vectorized k-means
+//!   assignment kernel,
 //! * [`pool`] — the shared scoped thread pool and work-partition helpers
 //!   every parallel hot path in the workspace runs on,
 //! * [`codec`] — little-endian byte writer/reader and CRC-32, the

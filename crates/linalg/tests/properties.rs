@@ -31,6 +31,22 @@ fn small_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Matri
     })
 }
 
+/// Mostly moderate values, with ±0, NaN, ±∞, magnitudes near 1e±300 and
+/// small integers (exact distance ties) mixed in.
+fn edge_value() -> impl Strategy<Value = f64> {
+    (0u32..64, -100.0..100.0f64).prop_map(|(pick, v)| match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::NAN,
+        3 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        5 => v * 1e298,
+        6 => v * 1e-302,
+        7..=12 => v.round(),
+        _ => v,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -174,6 +190,35 @@ proptest! {
             for (r, &d) in out.iter().enumerate() {
                 prop_assert_eq!(d, kernels::distance(metric, &query, m.row(r)));
             }
+        }
+    }
+
+    #[test]
+    fn blocked_nearest_matches_per_row_kernel(
+        ((rows, cols, k, start), data, centroids, dup) in (1usize..=4, 0usize..=20, 1usize..=10, 0usize..16)
+            .prop_flat_map(|(blocks, cols, k, start)| {
+                let rows = start + blocks * kernels::NEAREST_BLOCK_ROWS + start % 5;
+                (
+                    Just((rows, cols, k, start)),
+                    prop::collection::vec(edge_value(), rows * cols),
+                    prop::collection::vec(edge_value(), k * cols),
+                    0usize..k,
+                )
+            })
+    ) {
+        // Whole blocks from an arbitrary start row, in a matrix with a
+        // tail. Centroid `dup` repeats centroid 0, so exact ties are common.
+        let data = Matrix::from_vec(rows, cols, data).unwrap();
+        let mut centroids = Matrix::from_vec(k, cols, centroids).unwrap();
+        let first = centroids.row(0).to_vec();
+        centroids.row_mut(dup).copy_from_slice(&first);
+        let blocks = (rows - start) / kernels::NEAREST_BLOCK_ROWS;
+        let mut out = vec![(usize::MAX, f64::NAN); blocks * kernels::NEAREST_BLOCK_ROWS];
+        kernels::nearest_rows_squared_blocked(&data.transpose(), start, &centroids, &mut out);
+        for (t, &(index, d2)) in out.iter().enumerate() {
+            let (want_index, want_d2) =
+                kernels::nearest_row_squared(data.row(start + t), centroids.as_slice(), cols, k);
+            prop_assert_eq!((index, d2.to_bits()), (want_index, want_d2.to_bits()));
         }
     }
 
