@@ -16,7 +16,7 @@
 use crate::key::{RotationStep, TransformationKey};
 use crate::pairing::PairingStrategy;
 use crate::security::{
-    max_achievable, security_range, PairVarianceProfile, PairwiseSecurityThreshold, DEFAULT_GRID,
+    draw_rotation, PairVarianceProfile, PairwiseSecurityThreshold, DEFAULT_GRID,
 };
 use crate::{Error, Result};
 use rand::Rng;
@@ -203,32 +203,16 @@ impl RbtTransformer {
             out.column_into(i, &mut xs);
             out.column_into(j, &mut ys);
             let profile = PairVarianceProfile::from_columns(&xs, &ys, self.config.variance_mode)?;
-            let range = security_range(&profile, pst, self.config.solver_grid)?;
-            if range.is_empty() {
-                let (max_var1, max_var2) = max_achievable(&profile, self.config.solver_grid);
-                return Err(Error::EmptySecurityRange {
-                    i,
-                    j,
-                    rho1: pst.rho1,
-                    rho2: pst.rho2,
-                    max_var1,
-                    max_var2,
-                });
-            }
-            let theta = range.sample(rng)?;
+            let step = draw_rotation((i, j), &profile, pst, self.config.solver_grid, rng)?;
             // Fused in-place column sweep: bit-identical to rotating the
             // extracted columns and writing them back, without the
             // write-back passes.
-            let (s, c) = Rotation2::from_degrees(theta).radians().sin_cos();
+            let (s, c) = Rotation2::from_degrees(step.theta_degrees)
+                .radians()
+                .sin_cos();
             out.rotate_column_pair(i, j, c, s)
                 .map_err(|e| Error::InvalidParameter(e.to_string()))?;
-            steps.push(RotationStep {
-                i,
-                j,
-                theta_degrees: theta,
-                achieved_var1: profile.var_diff_first(theta),
-                achieved_var2: profile.var_diff_second(theta),
-            });
+            steps.push(step);
         }
 
         let key = TransformationKey::new(steps, n)?;

@@ -58,10 +58,10 @@ impl Pipeline {
 
     /// Runs normalize → distort → (anonymize) on a dataset.
     ///
-    /// Normalization fits stream each column ([`rbt_linalg::Matrix::column_iter`])
-    /// and each RBT step is a fused in-place column-pair sweep, so the whole
-    /// release costs `O(m·n)` for the fits plus `O(p·m)` for the `p`
-    /// rotations, with no per-step buffers.
+    /// Normalization fits fold the rows once per pass and each RBT step is
+    /// a fused in-place column-pair sweep, so the whole release costs
+    /// `O(m·n)` for the fits plus `O(p·m)` for the `p` rotations, with no
+    /// per-step buffers.
     ///
     /// # Errors
     ///

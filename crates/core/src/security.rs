@@ -15,8 +15,10 @@
 //! `Cov(X, Y)` — the [`PairVarianceProfile`]. The paper finds the feasible
 //! angles graphically (its Figures 2 and 3); [`security_range`] computes the
 //! same set exactly as a union of closed arcs via a dense scan plus
-//! bisection refinement of every boundary.
+//! bisection refinement of every boundary, and [`draw_rotation`] draws each
+//! pair's angle from it for both the pooled and the federated release.
 
+use crate::key::RotationStep;
 use crate::{Error, Result};
 use rand::Rng;
 use rbt_linalg::stats::{self, VarianceMode};
@@ -186,14 +188,6 @@ impl PairMoments {
                 sum_x: 0.0,
                 sum_y: 0.0,
             },
-        }
-    }
-
-    /// Rows folded so far in the current pass.
-    pub fn rows_folded(&self) -> usize {
-        match self.phase {
-            PairPhase::Sums { .. } => self.count,
-            PairPhase::Centered { count2, .. } => count2,
         }
     }
 
@@ -552,6 +546,49 @@ pub fn security_range(
     // representation is already what we want, so nothing more to do.
     // Degenerate full-circle case: single interval [0, 360].
     Ok(SecurityRange { intervals })
+}
+
+/// Steps 2c–2d for the pair `(i, j)`: solves the security range, draws θ
+/// uniformly from it, and returns the step with the variances θ achieves.
+///
+/// This is the one angle draw of the release: the pooled
+/// [`crate::RbtTransformer`] and the federated coordinator both call it
+/// once per pair, in pairing order, so the same profile and RNG state give
+/// the same key bits on either path.
+///
+/// # Errors
+///
+/// * [`Error::EmptySecurityRange`] when no angle meets `pst` (it reports
+///   the maximum achievable variances so the administrator can pick a
+///   feasible threshold),
+/// * [`Error::InvalidParameter`] for `grid < 8`.
+pub fn draw_rotation<R: Rng + ?Sized>(
+    (i, j): (usize, usize),
+    profile: &PairVarianceProfile,
+    pst: &PairwiseSecurityThreshold,
+    grid: usize,
+    rng: &mut R,
+) -> Result<RotationStep> {
+    let range = security_range(profile, pst, grid)?;
+    if range.is_empty() {
+        let (max_var1, max_var2) = max_achievable(profile, grid);
+        return Err(Error::EmptySecurityRange {
+            i,
+            j,
+            rho1: pst.rho1,
+            rho2: pst.rho2,
+            max_var1,
+            max_var2,
+        });
+    }
+    let theta = range.sample(rng)?;
+    Ok(RotationStep {
+        i,
+        j,
+        theta_degrees: theta,
+        achieved_var1: profile.var_diff_first(theta),
+        achieved_var2: profile.var_diff_second(theta),
+    })
 }
 
 /// Maximum achievable `(Var(X−X'), Var(Y−Y'))` over all angles — used for

@@ -14,8 +14,7 @@
 //!   [`transform_batch_into`](ReleaseSession::transform_batch_into) /
 //!   [`invert_batch_into`](ReleaseSession::invert_batch_into) variants
 //!   that fill a caller-reusable output matrix so a steady-state stream
-//!   allocates nothing per batch (plus an opt-in f32 release,
-//!   [`transform_batch_f32_into`](ReleaseSession::transform_batch_f32_into)),
+//!   allocates nothing per batch,
 //! * batches are processed in bounded row chunks fanned out over the
 //!   shared [`rbt_linalg::pool`]; all rotation steps are applied to each
 //!   chunk in one fused sweep ([`apply_steps_in_rows`]) — normalization
@@ -390,39 +389,6 @@ impl ReleaseSession {
         out.copy_from(released.matrix());
         self.inverse_in_place(out);
         Ok(())
-    }
-
-    /// Single-precision release: runs the exact f64 forward transform of
-    /// [`transform_batch_into`](Self::transform_batch_into) in `scratch`,
-    /// then quantizes into `out` (cleared and refilled; row-major, same
-    /// shape as the batch). Returns the out-of-range row count and
-    /// updates the session counters.
-    ///
-    /// # Tolerance contract
-    ///
-    /// Every element of `out` is **bitwise** equal to the corresponding
-    /// f64 release value converted with `as f32` (IEEE 754
-    /// round-to-nearest-even). The relative quantization error versus the
-    /// f64 release is therefore at most 2⁻²⁴ (≈ 6.0 × 10⁻⁸) per value,
-    /// plus flush-to-minimum effects below `f32::MIN_POSITIVE` — far
-    /// inside the distance-preservation slack of the transform itself.
-    /// Owner-side inversion should use the f64 path; the f32 release
-    /// exists to halve the wire/storage footprint for receivers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::KeyMismatch`] when the batch's column count
-    /// disagrees with the session.
-    pub fn transform_batch_f32_into(
-        &mut self,
-        batch: &Dataset,
-        scratch: &mut Matrix,
-        out: &mut Vec<f32>,
-    ) -> Result<usize> {
-        let out_of_range_rows = self.transform_batch_into(batch, scratch)?;
-        out.clear();
-        out.extend(scratch.as_slice().iter().map(|&x| x as f32));
-        Ok(out_of_range_rows)
     }
 
     /// Forward transform of `out` in place (normalize → drift count →
@@ -1099,26 +1065,6 @@ mod tests {
                 "same-shape batches must reuse the output allocation"
             );
         }
-    }
-
-    #[test]
-    fn f32_release_is_the_f64_release_rounded_once() {
-        let (session, _) = fitted_session();
-        let raw = datasets::arrhythmia_sample();
-        let mut a = session.clone();
-        let f64_batch = a.transform_batch(&raw).unwrap();
-        let mut b = session;
-        let mut scratch = Matrix::zeros(0, 0);
-        let mut out32 = Vec::new();
-        let oor = b
-            .transform_batch_f32_into(&raw, &mut scratch, &mut out32)
-            .unwrap();
-        assert_eq!(oor, f64_batch.out_of_range_rows);
-        assert_eq!(out32.len(), raw.n_rows() * raw.n_cols());
-        for (&q, &x) in out32.iter().zip(f64_batch.released.matrix().as_slice()) {
-            assert_eq!(q.to_bits(), (x as f32).to_bits());
-        }
-        assert_eq!(b.records_seen(), a.records_seen());
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! applied to held-out data and inverted by the legitimate data owner —
 //! and so the attack suite can model an adversary who re-normalizes the
 //! released data (§5.2, Table 5).
+//!
+//! There is one fit path. Min–max, z-score and decimal scaling fit by
+//! folding rows into a [`PartialFit`] ([`Normalization::begin_partial_fit`]):
+//! [`Normalization::fit`] folds the whole matrix as one block, and the
+//! federated protocol chains the same accumulator through the data owners'
+//! partitions, so a pooled fit and a chained one agree bit for bit by
+//! construction. Robust z-score has no chainable statistic and sorts each
+//! column.
 
 use crate::{Error, Result};
 use rbt_linalg::codec::{ByteReader, ByteWriter, DecodeError, DecodeResult};
@@ -92,40 +100,37 @@ impl Normalization {
 
     /// Fits the normalization to the columns of `m`.
     ///
+    /// Min–max, z-score and decimal scaling fold the whole matrix through
+    /// the [`begin_partial_fit`](Self::begin_partial_fit) accumulator;
+    /// robust z-score sorts each column.
+    ///
     /// # Errors
     ///
     /// * [`Error::Shape`] for an empty matrix,
-    /// * [`Error::InvalidArgument`] for a min–max target with
-    ///   `new_min >= new_max`, or for input containing NaN or infinite
-    ///   values (no finite column statistics exist for such data).
+    /// * [`Error::InvalidArgument`] for a min–max target that is not a
+    ///   finite range with `new_min < new_max`, or for input containing
+    ///   NaN or infinite values (no finite column statistics exist for
+    ///   such data).
     pub fn fit(&self, m: &Matrix) -> Result<FittedNormalizer> {
         if m.rows() == 0 || m.cols() == 0 {
             return Err(Error::Shape(
                 "cannot fit a normalizer to an empty matrix".into(),
             ));
         }
-        if m.has_non_finite() {
-            return Err(Error::InvalidArgument(
-                "cannot fit a normalizer to NaN or infinite values".into(),
-            ));
+        if let Normalization::RobustZScore = self {
+            check_finite(m)?;
+            return Ok(FittedNormalizer {
+                method: *self,
+                params: fit_robust(m),
+            });
         }
-        if let Normalization::MinMax { new_min, new_max } = self {
-            if new_min >= new_max {
-                return Err(Error::InvalidArgument(format!(
-                    "min-max target range [{new_min}, {new_max}] is empty"
-                )));
-            }
+        let mut acc = self.begin_partial_fit(m.cols())?;
+        acc.fold(m)?;
+        if acc.needs_second_pass() {
+            acc.begin_second_pass()?;
+            acc.fold(m)?;
         }
-        let params = match *self {
-            Normalization::MinMax { new_min, new_max } => fit_min_max(m, new_min, new_max),
-            Normalization::ZScore { mode } => fit_zscore(m, mode),
-            Normalization::DecimalScaling => fit_decimal(m),
-            Normalization::RobustZScore => fit_robust(m),
-        };
-        Ok(FittedNormalizer {
-            method: *self,
-            params,
-        })
+        acc.finish()
     }
 
     /// Fits and immediately transforms `m` (the common pipeline step).
@@ -144,13 +149,13 @@ impl Normalization {
     /// after another, producing a normalizer **bit-identical** to
     /// [`fit`](Self::fit) on the row-wise concatenation of all blocks.
     ///
-    /// Every per-column statistic the fitters compute is a plain sequential
-    /// left fold over rows (`min`/`max`, `sum`, centred sum of squares), so
-    /// carrying the fold state across partition boundaries — in
-    /// concatenation order — splits the pooled fold without changing a
-    /// single intermediate. This is what lets multiple data owners agree on
-    /// a shared normalization without pooling raw rows: only the aggregate
-    /// state travels.
+    /// [`fit`](Self::fit) itself is this chain over one block. Every
+    /// per-column statistic is a plain sequential left fold over rows
+    /// (`min`/`max`, `sum`, centred sum of squares), so carrying the fold
+    /// state across partition boundaries — in concatenation order — splits
+    /// the pooled fold without changing a single intermediate. This is what
+    /// lets multiple data owners agree on a shared normalization without
+    /// pooling raw rows: only the aggregate state travels.
     ///
     /// Z-score fits are two-pass (exact means first, then centred sums);
     /// drive the accumulator with
@@ -162,8 +167,8 @@ impl Normalization {
     ///
     /// * [`Error::InvalidArgument`] for [`Normalization::RobustZScore`]
     ///   (median/MAD need the full sorted column — there is no chainable
-    ///   sufficient statistic), for a min–max target with
-    ///   `new_min >= new_max`, or `n_cols == 0`.
+    ///   sufficient statistic), for a min–max target that is not a finite
+    ///   range with `new_min < new_max`, or `n_cols == 0`.
     pub fn begin_partial_fit(&self, n_cols: usize) -> Result<PartialFit> {
         if n_cols == 0 {
             return Err(Error::InvalidArgument(
@@ -172,9 +177,10 @@ impl Normalization {
         }
         let state = match *self {
             Normalization::MinMax { new_min, new_max } => {
-                if new_min >= new_max {
+                // Written so that a NaN bound fails too.
+                if !(new_min.is_finite() && new_max.is_finite() && new_min < new_max) {
                     return Err(Error::InvalidArgument(format!(
-                        "min-max target range [{new_min}, {new_max}] is empty"
+                        "min-max target range [{new_min}, {new_max}] is empty or not finite"
                     )));
                 }
                 PartialState::MinMax {
@@ -205,115 +211,31 @@ impl Normalization {
     }
 }
 
-/// Column-chunk width for the streaming fitters below: each pass keeps at
-/// most this many per-column accumulators live (a few cache lines) while
-/// the matrix itself is read contiguously, row-major — instead of one
-/// strided [`Matrix::column_iter`] walk per column, which re-streams the
-/// whole matrix `cols` times.
-///
-/// Each column's elements are still folded in ascending-row order with the
-/// same expressions as [`rbt_linalg::stats`] (`mean_of` / `variance_of` /
-/// `min_max_of`), so the fitted parameters are **bit-identical** to the
-/// per-column scan this replaces.
-const FIT_CHUNK_COLS: usize = 64;
-
-fn fit_min_max(m: &Matrix, new_min: f64, new_max: f64) -> Vec<ColumnParams> {
-    let mut params = Vec::with_capacity(m.cols());
-    for chunk in m.column_chunks(FIT_CHUNK_COLS) {
-        let mut lo = vec![f64::INFINITY; chunk.width()];
-        let mut hi = vec![f64::NEG_INFINITY; chunk.width()];
-        for seg in chunk.row_segments() {
-            for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(seg) {
-                *l = l.min(x);
-                *h = h.max(x);
-            }
-        }
-        params.extend(lo.iter().zip(&hi).map(|(&min, &max)| ColumnParams::MinMax {
-            min,
-            max,
-            new_min,
-            new_max,
-        }));
+/// Rejects a matrix holding NaN or infinite values.
+fn check_finite(m: &Matrix) -> Result<()> {
+    if m.has_non_finite() {
+        return Err(Error::InvalidArgument(
+            "cannot fit a normalizer to NaN or infinite values".into(),
+        ));
     }
-    params
-}
-
-fn fit_zscore(m: &Matrix, mode: VarianceMode) -> Vec<ColumnParams> {
-    let n = m.rows();
-    let mut params = Vec::with_capacity(m.cols());
-    for chunk in m.column_chunks(FIT_CHUNK_COLS) {
-        // Two passes, like `stats::variance_of`: sums → means, then the
-        // squared deviations against the exact means.
-        let mut sums = vec![0.0f64; chunk.width()];
-        for seg in chunk.row_segments() {
-            for (s, &x) in sums.iter_mut().zip(seg) {
-                *s += x;
-            }
-        }
-        let means: Vec<f64> = sums.iter().map(|s| s / n as f64).collect();
-        let mut ss = vec![0.0f64; chunk.width()];
-        for seg in chunk.row_segments() {
-            for ((q, &mean), &x) in ss.iter_mut().zip(&means).zip(seg) {
-                *q += (x - mean) * (x - mean);
-            }
-        }
-        params.extend(
-            means
-                .iter()
-                .zip(&ss)
-                .map(|(&mean, &q)| ColumnParams::ZScore {
-                    mean,
-                    std: (q / mode.divisor(n)).sqrt(),
-                }),
-        );
-    }
-    params
-}
-
-fn fit_decimal(m: &Matrix) -> Vec<ColumnParams> {
-    let mut params = Vec::with_capacity(m.cols());
-    for chunk in m.column_chunks(FIT_CHUNK_COLS) {
-        let mut max_abs = vec![0.0f64; chunk.width()];
-        for seg in chunk.row_segments() {
-            for (a, &x) in max_abs.iter_mut().zip(seg) {
-                *a = a.max(x.abs());
-            }
-        }
-        params.extend(max_abs.iter().map(|&ma| {
-            let mut factor = 1.0;
-            while ma / factor >= 1.0 {
-                factor *= 10.0;
-            }
-            ColumnParams::DecimalScaling { factor }
-        }));
-    }
-    params
+    Ok(())
 }
 
 fn fit_robust(m: &Matrix) -> Vec<ColumnParams> {
-    let mut params = Vec::with_capacity(m.cols());
-    for chunk in m.column_chunks(FIT_CHUNK_COLS) {
-        // The robust fit must sort per column; gather the chunk's columns
-        // in one contiguous pass instead of one strided walk per column.
-        let mut cols: Vec<Vec<f64>> = vec![Vec::with_capacity(m.rows()); chunk.width()];
-        for seg in chunk.row_segments() {
-            for (col, &x) in cols.iter_mut().zip(seg) {
-                col.push(x);
-            }
-        }
-        for col in &cols {
-            let med = median(col);
+    let mut col = Vec::with_capacity(m.rows());
+    (0..m.cols())
+        .map(|j| {
+            m.column_into(j, &mut col);
+            let med = median(&col);
             let deviations: Vec<f64> = col.iter().map(|x| (x - med).abs()).collect();
             // 1.4826 makes the MAD a consistent sigma estimator under
             // normality.
-            let scale = 1.4826 * median(&deviations);
-            params.push(ColumnParams::ZScore {
+            ColumnParams::ZScore {
                 mean: med,
-                std: scale,
-            });
-        }
-    }
-    params
+                std: 1.4826 * median(&deviations),
+            }
+        })
+        .collect()
 }
 
 /// Median of a non-empty slice (average of the two middle order statistics
@@ -856,18 +778,9 @@ impl PartialFit {
         }
     }
 
-    /// Rows folded so far (current pass).
-    pub fn rows_folded(&self) -> usize {
-        if matches!(self.state, PartialState::ZScoreCentered { .. }) {
-            self.rows_pass2
-        } else {
-            self.rows
-        }
-    }
-
-    /// Folds one partition's rows into the accumulator. The per-column
-    /// update expressions and row order match the pooled fitters exactly,
-    /// so splitting the fold at any row boundary changes nothing.
+    /// Folds one partition's rows into the accumulator. Each column is a
+    /// left fold in row order, so splitting the fold at any row boundary
+    /// changes nothing.
     ///
     /// # Errors
     ///
@@ -881,11 +794,7 @@ impl PartialFit {
                 m.cols()
             )));
         }
-        if m.has_non_finite() {
-            return Err(Error::InvalidArgument(
-                "cannot fit a normalizer to NaN or infinite values".into(),
-            ));
-        }
+        check_finite(m)?;
         match &mut self.state {
             PartialState::MinMax { lo, hi } => {
                 for row in m.row_iter() {
@@ -932,8 +841,8 @@ impl PartialFit {
     }
 
     /// Transitions a two-pass fit from the sum pass to the centred pass.
-    /// The exact means are fixed here (`sum / n`, the pooled fitters'
-    /// expression); fold every partition again, in the same order.
+    /// The exact means are fixed here (`sum / n`); fold every partition
+    /// again, in the same order.
     ///
     /// # Errors
     ///
@@ -1255,14 +1164,20 @@ mod tests {
     #[test]
     fn min_max_rejects_empty_range() {
         let m = Matrix::zeros(2, 1);
-        assert!(matches!(
-            (Normalization::MinMax {
-                new_min: 1.0,
-                new_max: 1.0
-            })
-            .fit(&m),
-            Err(Error::InvalidArgument(_))
-        ));
+        for (new_min, new_max) in [
+            (1.0, 1.0),
+            (f64::NAN, 1.0),
+            (0.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.0),
+        ] {
+            assert!(
+                matches!(
+                    (Normalization::MinMax { new_min, new_max }).fit(&m),
+                    Err(Error::InvalidArgument(_))
+                ),
+                "[{new_min}, {new_max}]"
+            );
+        }
     }
 
     #[test]
@@ -1430,11 +1345,10 @@ mod tests {
 
     #[test]
     fn columnar_fit_is_bitwise_identical_to_per_column_scan() {
-        // The chunked, row-streaming fitters must reproduce the strided
-        // per-column stats walk bit for bit — including across a chunk
-        // boundary (cols > FIT_CHUNK_COLS).
+        // The row-streaming fitters must reproduce the strided per-column
+        // stats walk bit for bit, on a matrix wider than a few cache lines.
         let rows = 7;
-        let cols = FIT_CHUNK_COLS * 2 + 3;
+        let cols = 131;
         let mut data = Vec::with_capacity(rows * cols);
         let mut x = 0.5f64;
         for _ in 0..rows * cols {

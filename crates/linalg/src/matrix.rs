@@ -243,9 +243,8 @@ impl Matrix {
     /// Allocation-free strided iterator over column `j`.
     ///
     /// The iterator is `Clone`, so two-pass statistics (mean, then centred
-    /// moments) can re-walk the column without materialising it — the
-    /// normalizer fitting path in `rbt-data` relies on this instead of the
-    /// `Vec`-allocating [`column`](Self::column).
+    /// moments) can re-walk the column without materialising it, unlike
+    /// the `Vec`-allocating [`column`](Self::column).
     ///
     /// # Panics
     ///
@@ -750,71 +749,6 @@ impl Matrix {
         self.data.clear();
         self.data.extend_from_slice(&src.data);
     }
-
-    /// Splits the columns into bands of at most `max_width` columns and
-    /// yields a streaming [`ColumnChunk`] view of each (a `max_width` of 0
-    /// is treated as 1).
-    ///
-    /// Row-major storage scatters one column across the whole buffer, so
-    /// per-column passes ([`column_iter`](Self::column_iter)) re-stream the
-    /// entire matrix once per column. Walking a column *band* row by row
-    /// instead touches every cache line exactly once per pass, while each
-    /// column still sees its elements in row order — bit-identical
-    /// accumulation, contiguous memory. Normalizer fits and drift-bound
-    /// scans in the higher layers stream through this view.
-    pub fn column_chunks(&self, max_width: usize) -> impl Iterator<Item = ColumnChunk<'_>> {
-        let max_width = max_width.max(1);
-        let (data, n_cols) = (self.data.as_slice(), self.cols);
-        (0..n_cols)
-            .step_by(max_width)
-            .map(move |start| ColumnChunk {
-                data,
-                n_cols,
-                start,
-                end: (start + max_width).min(n_cols),
-            })
-    }
-}
-
-/// A contiguous band of columns `[start, end)` of a row-major matrix,
-/// yielded by [`Matrix::column_chunks`].
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnChunk<'a> {
-    data: &'a [f64],
-    n_cols: usize,
-    start: usize,
-    end: usize,
-}
-
-impl<'a> ColumnChunk<'a> {
-    /// First column (inclusive) of the band.
-    #[inline]
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// One past the last column of the band.
-    #[inline]
-    pub fn end(&self) -> usize {
-        self.end
-    }
-
-    /// Number of columns in the band.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Iterator over each row's contiguous `[start, end)` segment, in row
-    /// order. Per column this visits exactly the elements of
-    /// [`Matrix::column_iter`] in the same order, so chunked per-column
-    /// statistics match strided ones bit-for-bit.
-    pub fn row_segments(&self) -> impl ExactSizeIterator<Item = &'a [f64]> + Clone {
-        let (start, end) = (self.start, self.end);
-        self.data
-            .chunks_exact(self.n_cols)
-            .map(move |row| &row[start..end])
-    }
 }
 
 /// Applies the plane rotation `[c s; -s c]` to columns `i` and `j` of a
@@ -1207,33 +1141,6 @@ mod tests {
         dst.copy_from(&Matrix::zeros(0, 3));
         assert_eq!(dst.shape(), (0, 3));
         assert!(dst.is_empty());
-    }
-
-    #[test]
-    fn column_chunks_cover_all_columns_in_column_iter_order() {
-        let m = Matrix::from_vec(5, 7, (0..35).map(|t| t as f64 * 1.3 - 8.0).collect()).unwrap();
-        for width in [1usize, 2, 3, 7, 100] {
-            let mut seen = Vec::new();
-            for chunk in m.column_chunks(width) {
-                assert!(chunk.width() >= 1 && chunk.width() <= width);
-                assert_eq!(chunk.end() - chunk.start(), chunk.width());
-                for (local, j) in (chunk.start()..chunk.end()).enumerate() {
-                    let streamed: Vec<f64> = chunk.row_segments().map(|seg| seg[local]).collect();
-                    let strided: Vec<f64> = m.column_iter(j).collect();
-                    assert_eq!(streamed, strided, "width {width} column {j}");
-                }
-                seen.extend(chunk.start()..chunk.end());
-            }
-            assert_eq!(seen, (0..m.cols()).collect::<Vec<_>>(), "width {width}");
-        }
-        // Degenerate shapes: no columns → no chunks; no rows → empty segments.
-        assert_eq!(Matrix::zeros(3, 0).column_chunks(4).count(), 0);
-        let empty_rows = Matrix::zeros(0, 3);
-        let chunks: Vec<_> = empty_rows.column_chunks(2).collect();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].row_segments().len(), 0);
-        // A max_width of 0 is clamped to 1 instead of looping forever.
-        assert_eq!(m.column_chunks(0).count(), m.cols());
     }
 
     #[test]

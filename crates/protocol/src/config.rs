@@ -439,6 +439,17 @@ mod tests {
             cfg.validate(),
             Err(ProtocolError::InvalidConfig(_))
         ));
+
+        // A min-max target must be a finite range.
+        let mut cfg = sample_config();
+        cfg.normalization = Normalization::MinMax {
+            new_min: 0.0,
+            new_max: f64::INFINITY,
+        };
+        assert!(matches!(
+            cfg.validate(),
+            Err(ProtocolError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -9,16 +9,18 @@
 //!
 //! The RNG consumption order replicates the pooled
 //! [`rbt_core::Pipeline`] exactly: the pairing draw first, then one angle
-//! draw per pair, all from `StdRng::seed_from_u64(config.seed)`. Combined
-//! with the bit-exact stat chains, a shared-key session therefore produces
-//! the **same key bits** as the pooled single-owner run.
+//! draw per pair, all from `StdRng::seed_from_u64(config.seed)`, each angle
+//! through [`rbt_core::security::draw_rotation`] — the function the pooled
+//! transformer calls. Combined with the bit-exact stat chains, a
+//! shared-key session therefore produces the **same key bits** as the
+//! pooled single-owner run.
 
 use crate::config::{FederationConfig, KeyPolicy};
 use crate::messages::{JointSummary, Message, Outbound, Party};
 use crate::{ProtocolError, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rbt_core::security::{max_achievable, security_range};
+use rbt_core::security::draw_rotation;
 use rbt_core::{PairMoments, PairwiseSecurityThreshold, RotationStep, TransformationKey};
 use rbt_data::PartialFit;
 use rbt_linalg::codec::{ByteReader, ByteWriter};
@@ -399,33 +401,19 @@ impl Coordinator {
                     )]);
                 }
                 // Both passes folded through every owner: the merged profile
-                // is bit-identical to the pooled one. Solve and draw exactly
-                // as the pooled transformer does.
+                // is bit-identical to the pooled one, and the pooled
+                // transformer draws its angle through the same function.
                 let profile = moments
                     .finish(self.cfg.rbt.variance_mode)
                     .map_err(ProtocolError::Method)?;
-                let pst = thresholds[*pair];
-                let range = security_range(&profile, &pst, self.cfg.rbt.solver_grid)
-                    .map_err(ProtocolError::Method)?;
-                if range.is_empty() {
-                    let (max_var1, max_var2) = max_achievable(&profile, self.cfg.rbt.solver_grid);
-                    return Err(ProtocolError::Method(rbt_core::Error::EmptySecurityRange {
-                        i,
-                        j,
-                        rho1: pst.rho1,
-                        rho2: pst.rho2,
-                        max_var1,
-                        max_var2,
-                    }));
-                }
-                let theta = range.sample(&mut self.rng).map_err(ProtocolError::Method)?;
-                let step = RotationStep {
-                    i,
-                    j,
-                    theta_degrees: theta,
-                    achieved_var1: profile.var_diff_first(theta),
-                    achieved_var2: profile.var_diff_second(theta),
-                };
+                let step = draw_rotation(
+                    (i, j),
+                    &profile,
+                    &thresholds[*pair],
+                    self.cfg.rbt.solver_grid,
+                    &mut self.rng,
+                )
+                .map_err(ProtocolError::Method)?;
                 let mut out: Vec<Outbound> = (0..owners)
                     .map(|o| {
                         Outbound::new(

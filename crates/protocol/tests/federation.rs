@@ -8,7 +8,7 @@ use rbt_cluster::{KMeans, KMeansInit};
 use rbt_core::{PairingStrategy, PairwiseSecurityThreshold, Pipeline, RbtConfig};
 use rbt_data::synth::GaussianMixture;
 use rbt_data::{Dataset, Normalization};
-use rbt_linalg::Matrix;
+use rbt_linalg::{Matrix, VarianceMode};
 use rbt_protocol::{
     FaultPlan, FederationConfig, FederationHub, InProcessFederation, KeyPolicy, Message,
     ProtocolError,
@@ -114,7 +114,8 @@ fn federated_release_bitwise_matches_pooled_baseline() {
 }
 
 /// The pin holds across pairing strategies, normalizations (including an
-/// odd attribute count with a re-distorted column), and owner counts.
+/// odd attribute count with a re-distorted column), variance divisors, and
+/// owner counts.
 #[test]
 fn pin_holds_across_configs_and_owner_counts() {
     let cases = [
@@ -126,6 +127,7 @@ fn pin_holds_across_configs_and_owner_counts() {
             PairingStrategy::Sequential,
             4u16,
             0.005,
+            VarianceMode::Sample,
         ),
         (
             4,
@@ -133,6 +135,7 @@ fn pin_holds_across_configs_and_owner_counts() {
             PairingStrategy::RandomShuffle,
             3,
             0.2,
+            VarianceMode::Sample,
         ),
         (
             6,
@@ -140,6 +143,7 @@ fn pin_holds_across_configs_and_owner_counts() {
             PairingStrategy::Sequential,
             5,
             0.002,
+            VarianceMode::Sample,
         ),
         (
             4,
@@ -147,14 +151,28 @@ fn pin_holds_across_configs_and_owner_counts() {
             PairingStrategy::Explicit(vec![(2, 0), (1, 3)]),
             2,
             0.2,
+            VarianceMode::Sample,
+        ),
+        // The population divisor, in both the normalization fit and the
+        // pair moments.
+        (
+            5,
+            Normalization::ZScore {
+                mode: VarianceMode::Population,
+            },
+            PairingStrategy::Sequential,
+            3,
+            0.2,
+            VarianceMode::Population,
         ),
     ];
-    for (idx, (cols, norm, pairing, owners, rho)) in cases.into_iter().enumerate() {
+    for (idx, (cols, norm, pairing, owners, rho, mode)) in cases.into_iter().enumerate() {
         let pooled = fixture(140 + idx * 17, cols, 100 + idx as u64);
         let mut cfg = shared_config(0xcafe + idx as u64, cols, owners, 9000 + idx as u64);
         cfg.normalization = norm;
         cfg.rbt = RbtConfig::uniform(PairwiseSecurityThreshold::new(rho, rho).unwrap())
-            .with_pairing(pairing);
+            .with_pairing(pairing)
+            .with_variance_mode(mode);
         let (baseline_matrix, baseline_labels, _) = pooled_baseline(&pooled, &cfg);
         let parts = partition(&pooled, owners as usize);
         let run = InProcessFederation::new(cfg, parts).unwrap().run().unwrap();

@@ -1,7 +1,6 @@
 //! The connection core: one readiness-polled event loop owning every
 //! socket, plus a fixed worker pool for transform compute, so thousands of
-//! connections ride `1 + worker_threads` threads. The split of
-//! responsibilities:
+//! connections ride a handful of threads. The split of responsibilities:
 //!
 //! * the **event loop** (one thread) owns the non-blocking listener and
 //!   every connection socket, multiplexed through the vendored `poll(2)`
@@ -9,11 +8,11 @@
 //!   incremental [`FrameAssembler`], pops decoded frames through a
 //!   per-connection state machine, and flushes queued response bytes —
 //!   never doing transform compute itself;
-//! * the **worker pool** (`ServerConfig::worker_threads` threads, default
-//!   [`rbt_linalg::pool::default_threads`]) decodes request bodies, checks
-//!   the queue-wait deadline, runs the request engine in
-//!   [`crate::server`], and encodes the response. Completions come back to
-//!   the event loop over a self-pipe waker.
+//! * the **worker pool** ([`rbt_linalg::pool::default_threads`] threads,
+//!   which honours `RBT_THREADS`) decodes request bodies, checks the
+//!   queue-wait deadline, runs the request engine in [`crate::server`],
+//!   and encodes the response. Completions come back to the event loop
+//!   over a self-pipe waker.
 //!
 //! The load-bearing rules:
 //!
@@ -45,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use polling::{Event, Interest, Poller};
 
-use crate::server::{process_request, refuse, DrainReport, Shared};
+use crate::server::{process_request, refuse, DrainReport, Shared, WRITE_TIMEOUT};
 use crate::wire::{self, Frame, FrameAssembler, Opcode, Request, Response, WireError};
 use crate::CODE_UNAVAILABLE;
 
@@ -350,7 +349,6 @@ impl Reactor {
                     code: CODE_UNAVAILABLE,
                     message: format!("server at capacity ({} connections)", config.max_conns),
                 },
-                config.write_timeout,
             );
             return;
         }
@@ -612,7 +610,7 @@ impl Reactor {
                 // A closing connection whose peer will not take the final
                 // bytes gets the same patience a blocking write would.
                 if let Some(since) = conn.closing_since {
-                    if !conn.flushed() && now.duration_since(since) >= config.write_timeout {
+                    if !conn.flushed() && now.duration_since(since) >= WRITE_TIMEOUT {
                         conn.write_broken = true;
                         touched.push(conn_id);
                     }
@@ -684,9 +682,7 @@ impl Reactor {
         if draining && !conn.said_goodbye && !conn.write_broken {
             let runtime = self.shared.registry.runtime();
             let _ = conn.stream.set_nonblocking(false);
-            let _ = conn
-                .stream
-                .set_write_timeout(Some(self.shared.config.write_timeout));
+            let _ = conn.stream.set_write_timeout(Some(WRITE_TIMEOUT));
             let pending_ok = if conn.flushed() {
                 true
             } else {
@@ -796,11 +792,7 @@ pub(crate) fn spawn(
     let completions: Arc<StdMutex<Vec<Completion>>> = Arc::new(StdMutex::new(Vec::new()));
     let waker_tx = Arc::new(waker_tx);
 
-    let pool_size = match shared.config.worker_threads {
-        0 => rbt_linalg::pool::default_threads(),
-        n => n,
-    }
-    .max(1);
+    let pool_size = rbt_linalg::pool::default_threads();
     let mut workers = Vec::with_capacity(pool_size);
     for _ in 0..pool_size {
         let shared = Arc::clone(&shared);

@@ -26,7 +26,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,8 +47,6 @@ pub enum ServerError {
     },
     /// The underlying release machinery failed (codec, shape, data, …).
     Rbt(RbtError),
-    /// A filesystem failure while loading a key directory.
-    Io(std::io::Error),
 }
 
 impl ServerError {
@@ -59,7 +56,6 @@ impl ServerError {
         match self {
             ServerError::UnknownTenant { .. } => 2,
             ServerError::Rbt(e) => e.exit_code(),
-            ServerError::Io(_) => 3,
         }
     }
 }
@@ -71,7 +67,6 @@ impl fmt::Display for ServerError {
                 write!(f, "no key loaded for tenant {tenant:?}")
             }
             ServerError::Rbt(e) => write!(f, "{e}"),
-            ServerError::Io(e) => write!(f, "key directory: {e}"),
         }
     }
 }
@@ -233,40 +228,6 @@ impl SessionRegistry {
         );
         inner.enforce_capacity(self.capacity, tenant);
         Ok((method.to_string(), n_attributes))
-    }
-
-    /// Loads every file in `dir` as a tenant key, with the file stem as
-    /// the tenant id. Files are loaded in name order so capacity eviction
-    /// is deterministic. Returns the number of tenants registered.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Io`] when the directory cannot be read;
-    /// [`ServerError::Rbt`] (codec family) when any file fails to decode —
-    /// a corrupt key directory refuses to serve rather than serving a
-    /// subset.
-    pub fn load_dir(&self, dir: &Path) -> ServerResult<usize> {
-        let mut paths: Vec<_> = std::fs::read_dir(dir)
-            .map_err(ServerError::Io)?
-            .collect::<std::io::Result<Vec<_>>>()
-            .map_err(ServerError::Io)?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.is_file())
-            .collect();
-        paths.sort();
-        let mut loaded = 0;
-        for path in paths {
-            let tenant = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("tenant")
-                .to_string();
-            let bytes = std::fs::read(&path).map_err(ServerError::Io)?;
-            self.load_key(&tenant, bytes)?;
-            loaded += 1;
-        }
-        Ok(loaded)
     }
 
     /// Checks out the tenant's live session, re-decoding from the retained

@@ -53,6 +53,13 @@ use crate::reactor::{self, ReactorHandle};
 use crate::registry::{ServerError, SessionRegistry};
 use crate::wire::{self, Opcode, Request, Response};
 
+/// Socket write timeout for responses and refusal frames.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Concurrent federated release sessions the embedded [`FederationHub`]
+/// admits; `FedOpen` past the cap is refused with a typed error.
+const MAX_FED_SESSIONS: usize = 16;
+
 /// Mid-run connection accounting, exposed by [`Server::accounting`] so
 /// tests can assert lifecycle invariants (live count bounded, every
 /// connection retired) *while the server runs*, not only at shutdown.
@@ -80,8 +87,6 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// Cut a peer that has been silent *mid-frame* for this long.
     pub stall_budget: Duration,
-    /// Socket write timeout for responses.
-    pub write_timeout: Duration,
     /// How long [`Server::shutdown`] waits for in-flight connections
     /// before force-severing them.
     pub drain_deadline: Duration,
@@ -97,14 +102,6 @@ pub struct ServerConfig {
     /// Key store backing the `ReloadKeys` opcode; without one the opcode
     /// answers with a capability error.
     pub keystore: Option<Arc<KeyStore>>,
-    /// Concurrent federated release sessions the embedded
-    /// [`FederationHub`] admits; `FedOpen` past the cap is refused with a
-    /// typed error.
-    pub max_fed_sessions: usize,
-    /// Worker threads for request compute; `0` (the default) sizes the
-    /// pool with [`rbt_linalg::pool::default_threads`], which honours the
-    /// `RBT_THREADS` environment variable.
-    pub worker_threads: usize,
 }
 
 impl Default for ServerConfig {
@@ -114,14 +111,11 @@ impl Default for ServerConfig {
             read_tick: Duration::from_millis(50),
             idle_timeout: Duration::from_secs(60),
             stall_budget: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(5),
             max_conns: 256,
             data_deadline: Duration::from_secs(30),
             control_deadline: Duration::from_secs(10),
             keystore: None,
-            max_fed_sessions: 16,
-            worker_threads: 0,
         }
     }
 }
@@ -310,8 +304,8 @@ pub(crate) fn process_request(shared: &Shared, request: Request) -> Response {
 
 /// Writes a best-effort refusal frame on a connection that will not be
 /// served, then closes it.
-pub(crate) fn refuse(mut stream: TcpStream, response: Response, write_timeout: Duration) {
-    let _ = stream.set_write_timeout(Some(write_timeout));
+pub(crate) fn refuse(mut stream: TcpStream, response: Response) {
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let _ = wire::write_frame(&mut stream, &response.to_frame());
     let _ = stream.shutdown(Shutdown::Both);
@@ -359,7 +353,7 @@ impl Server {
         registry: Arc<SessionRegistry>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let hub = Mutex::new(FederationHub::new(config.max_fed_sessions));
+        let hub = Mutex::new(FederationHub::new(MAX_FED_SESSIONS));
         let shared = Arc::new(Shared {
             registry,
             config,
