@@ -220,3 +220,80 @@ proptest! {
         prop_assert_eq!(from_text.to_text().unwrap(), session.to_text().unwrap());
     }
 }
+
+/// Pins `(length, CRC-32)` of 21 shared binary encodings: the normalizer
+/// record for all five methods, the partial fit of the four chainable ones
+/// after one fold, and the config record for every pairing × threshold
+/// policy × variance mode. The values were read before the encoders moved
+/// onto their types, so a move that changes any byte fails here.
+#[test]
+fn shared_encodings_keep_their_bytes() {
+    use rbt_linalg::codec::{crc32, ByteWriter};
+    let pin = |bytes: &[u8]| (bytes.len(), crc32(bytes));
+    let record = |encode: &dyn Fn(&mut ByteWriter)| {
+        let mut w = ByteWriter::new();
+        encode(&mut w);
+        pin(w.as_bytes())
+    };
+    let rows = [
+        75., 80., 63., 56., 64., 53., 40., 52., 70., 28., 58., 76., 44., 90., 68.,
+    ];
+    let m = Matrix::from_vec(5, 3, rows.to_vec()).unwrap();
+    let population = VarianceMode::Population;
+    let methods = [
+        Normalization::MinMax {
+            new_min: -1.0,
+            new_max: 2.0,
+        },
+        Normalization::zscore_paper(),
+        Normalization::ZScore { mode: population },
+        Normalization::DecimalScaling,
+        Normalization::RobustZScore,
+    ];
+    let mut actual: Vec<_> = methods
+        .iter()
+        .map(|n| record(&|w| n.fit(&m).unwrap().encode_into(w)))
+        .collect();
+    for method in &methods[..4] {
+        let mut partial = method.begin_partial_fit(3).unwrap();
+        partial.fold(&m).unwrap();
+        actual.push(record(&|w| partial.encode_into(w)));
+    }
+    let pst = |a, b| PairwiseSecurityThreshold::new(a, b).unwrap();
+    for pairing in [
+        PairingStrategy::Sequential,
+        PairingStrategy::RandomShuffle,
+        PairingStrategy::Explicit(vec![(0, 2), (1, 0)]),
+    ] {
+        for policy in [
+            ThresholdPolicy::Uniform(pst(0.3, 0.55)),
+            ThresholdPolicy::PerPair(vec![pst(0.3, 0.55), pst(2.3, 2.3)]),
+        ] {
+            for mode in [VarianceMode::Sample, population] {
+                let config = RbtConfig::uniform(pst(0.1, 0.1))
+                    .with_pairing(pairing.clone())
+                    .with_thresholds(policy.clone())
+                    .with_variance_mode(mode)
+                    .with_solver_grid(3600);
+                // The record inside the envelope: a sealed envelope's CRC
+                // over its own trailer is the same constant for any input.
+                let sealed = codec::encode_config(&config);
+                let record = codec::open_envelope(&sealed, codec::RecordKind::Config);
+                actual.push(pin(record.unwrap()));
+            }
+        }
+    }
+    // In the order above: normalizers (min-max, sample and population
+    // z-score, decimal, robust), partial fits (the first four), then configs
+    // (sequential, shuffle, explicit; uniform, per-pair; sample, population).
+    let lengths = [
+        124, 60, 60, 36, 60, 98, 50, 50, 50, 27, 27, 51, 51, 27, 27, 51, 51, 67, 67, 91, 91,
+    ];
+    let crcs = [
+        0x2BB030C1, 0x4339714D, 0x71C0C90F, 0x93D9CBD6, 0xF2BC51C5, 0x8EC474E6, 0x2E389968,
+        0x791AB53A, 0xE490E99D, 0x8A3B67DC, 0x9D40739F, 0xC28BC2EE, 0xD5F0D6AD, 0xE4B77C9D,
+        0xF3CC68DE, 0x08B5317D, 0x1FCE253E, 0xB2349751, 0xA54F8312, 0x9D9177C4, 0x8AEA6387,
+    ];
+    let golden: Vec<(usize, u32)> = lengths.into_iter().zip(crcs).collect();
+    assert_eq!(actual, golden);
+}
