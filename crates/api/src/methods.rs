@@ -455,7 +455,9 @@ fn decode_hybrid_isometry(r: &mut ByteReader<'_>) -> Result<FittedHybridIsometry
     let normalizer = FittedNormalizer::decode_from(r).map_err(CodecError::from)?;
     let n_attributes = r.take_usize().map_err(CodecError::from)?;
     let n_steps = r.take_usize().map_err(CodecError::from)?;
-    let mut steps = Vec::with_capacity(n_steps.min(1024));
+    // Each step is a tag, two indices and an angle.
+    r.check_count(n_steps, 25).map_err(CodecError::from)?;
+    let mut steps = Vec::with_capacity(n_steps);
     for _ in 0..n_steps {
         let tag_offset = r.position();
         let tag = r.take_u8().map_err(CodecError::from)?;

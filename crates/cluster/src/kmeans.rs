@@ -28,6 +28,10 @@ pub enum KMeansInit {
     FirstK,
 }
 
+/// Convergence tolerance: a fit stops once no centroid moves by more than
+/// this in any coordinate.
+const TOL: f64 = 1e-9;
+
 /// Configuration for Lloyd's algorithm.
 ///
 /// The assignment step (every row's nearest centroid, on every iteration)
@@ -60,7 +64,6 @@ pub enum KMeansInit {
 pub struct KMeans {
     k: usize,
     max_iters: usize,
-    tol: f64,
     init: KMeansInit,
     threads: usize,
 }
@@ -95,7 +98,6 @@ impl KMeans {
         Ok(KMeans {
             k,
             max_iters: 300,
-            tol: 1e-9,
             init: KMeansInit::default(),
             threads: pool::default_threads(),
         })
@@ -104,12 +106,6 @@ impl KMeans {
     /// Sets the iteration budget.
     pub fn with_max_iters(mut self, max_iters: usize) -> Self {
         self.max_iters = max_iters;
-        self
-    }
-
-    /// Sets the centroid-movement convergence tolerance.
-    pub fn with_tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
         self
     }
 
@@ -204,7 +200,7 @@ impl KMeans {
                 .max_abs_diff(&new_centroids)
                 .expect("same shape by construction");
             std::mem::swap(&mut centroids, &mut new_centroids);
-            if shift <= self.tol {
+            if shift <= TOL {
                 converged = true;
                 break;
             }
@@ -555,7 +551,7 @@ mod tests {
             }
             let shift = centroids.max_abs_diff(&next).unwrap();
             centroids = next;
-            if shift <= km.tol {
+            if shift <= TOL {
                 converged = true;
                 break;
             }

@@ -26,13 +26,10 @@
 //! [`crate::session::ReleaseSession::to_text`].
 
 use crate::key::{RotationStep, TransformationKey};
-use crate::method::{RbtConfig, ThresholdPolicy};
-use crate::pairing::PairingStrategy;
-use crate::security::PairwiseSecurityThreshold;
+use crate::method::RbtConfig;
 use crate::{Error, Result};
 use rbt_data::FittedNormalizer;
 use rbt_linalg::codec::{crc32, ByteReader, ByteWriter, DecodeError};
-use rbt_linalg::stats::VarianceMode;
 use std::fmt;
 
 /// The four magic bytes opening every binary key file.
@@ -193,8 +190,7 @@ pub(crate) fn seal(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
     w.put_bytes(&MAGIC);
     w.put_u16(FORMAT_VERSION);
     w.put_u8(kind.to_u8());
-    w.put_usize(payload.len());
-    w.put_bytes(payload);
+    w.put_blob(payload);
     let checksum = crc32(w.as_bytes());
     w.put_u32(checksum);
     w.into_bytes()
@@ -222,22 +218,17 @@ pub(crate) fn open(bytes: &[u8], expected: RecordKind) -> Result<&[u8]> {
         .into());
     }
     let body_end = bytes.len() - 4;
-    let stored = u32::from_le_bytes([
-        bytes[body_end],
-        bytes[body_end + 1],
-        bytes[body_end + 2],
-        bytes[body_end + 3],
-    ]);
+    let stored = ByteReader::new(&bytes[body_end..]).take_u32()?;
     let computed = crc32(&bytes[..body_end]);
     if stored != computed {
         return Err(CodecError::ChecksumMismatch { stored, computed }.into());
     }
     let mut r = ByteReader::new(&bytes[4..body_end]);
-    let version = r.take_u16().map_err(CodecError::from)?;
+    let version = r.take_u16()?;
     if version != FORMAT_VERSION {
         return Err(CodecError::UnsupportedVersion { found: version }.into());
     }
-    let kind = r.take_u8().map_err(CodecError::from)?;
+    let kind = r.take_u8()?;
     if kind != expected.to_u8() {
         return Err(CodecError::WrongKind {
             expected,
@@ -245,33 +236,9 @@ pub(crate) fn open(bytes: &[u8], expected: RecordKind) -> Result<&[u8]> {
         }
         .into());
     }
-    let len = r.take_usize().map_err(CodecError::from)?;
-    if len != r.remaining() {
-        return Err(CodecError::Invalid {
-            message: format!(
-                "length field says {len} payload bytes, envelope holds {}",
-                r.remaining()
-            ),
-        }
-        .into());
-    }
-    r.take_bytes(len).map_err(|e| CodecError::from(e).into())
-}
-
-/// Sanity-caps a decoded element count against the bytes actually present,
-/// so a corrupted count cannot trigger a huge allocation.
-pub(crate) fn check_count(r: &ByteReader<'_>, count: usize, min_bytes_each: usize) -> Result<()> {
-    if count.saturating_mul(min_bytes_each) > r.remaining() {
-        return Err(CodecError::Invalid {
-            message: format!(
-                "count {count} needs at least {} bytes, {} remain",
-                count.saturating_mul(min_bytes_each),
-                r.remaining()
-            ),
-        }
-        .into());
-    }
-    Ok(())
+    let payload = r.take_blob()?;
+    r.expect_end()?;
+    Ok(payload)
 }
 
 pub(crate) fn write_key_record(w: &mut ByteWriter, key: &TransformationKey) {
@@ -287,122 +254,22 @@ pub(crate) fn write_key_record(w: &mut ByteWriter, key: &TransformationKey) {
 }
 
 pub(crate) fn read_key_record(r: &mut ByteReader<'_>) -> Result<TransformationKey> {
-    let n_attributes = r.take_usize().map_err(CodecError::from)?;
-    let n_steps = r.take_usize().map_err(CodecError::from)?;
-    check_count(r, n_steps, 40)?;
+    let n_attributes = r.take_usize()?;
+    let n_steps = r.take_usize()?;
+    r.check_count(n_steps, 40)?;
     let mut steps = Vec::with_capacity(n_steps);
     for _ in 0..n_steps {
         steps.push(RotationStep {
-            i: r.take_usize().map_err(CodecError::from)?,
-            j: r.take_usize().map_err(CodecError::from)?,
-            theta_degrees: r.take_f64().map_err(CodecError::from)?,
-            achieved_var1: r.take_f64().map_err(CodecError::from)?,
-            achieved_var2: r.take_f64().map_err(CodecError::from)?,
+            i: r.take_usize()?,
+            j: r.take_usize()?,
+            theta_degrees: r.take_f64()?,
+            achieved_var1: r.take_f64()?,
+            achieved_var2: r.take_f64()?,
         });
     }
     // `new` re-validates index ranges, so a tampered-but-checksummed
     // payload still cannot produce an inconsistent key.
     TransformationKey::new(steps, n_attributes)
-}
-
-pub(crate) fn write_config_record(w: &mut ByteWriter, config: &RbtConfig) {
-    match &config.pairing {
-        PairingStrategy::Sequential => w.put_u8(0),
-        PairingStrategy::RandomShuffle => w.put_u8(1),
-        PairingStrategy::Explicit(pairs) => {
-            w.put_u8(2);
-            w.put_usize(pairs.len());
-            for &(i, j) in pairs {
-                w.put_usize(i);
-                w.put_usize(j);
-            }
-        }
-    }
-    match &config.thresholds {
-        ThresholdPolicy::Uniform(pst) => {
-            w.put_u8(0);
-            w.put_f64(pst.rho1);
-            w.put_f64(pst.rho2);
-        }
-        ThresholdPolicy::PerPair(list) => {
-            w.put_u8(1);
-            w.put_usize(list.len());
-            for pst in list {
-                w.put_f64(pst.rho1);
-                w.put_f64(pst.rho2);
-            }
-        }
-    }
-    w.put_u8(match config.variance_mode {
-        VarianceMode::Population => 0,
-        VarianceMode::Sample => 1,
-    });
-    w.put_usize(config.solver_grid);
-}
-
-pub(crate) fn read_config_record(r: &mut ByteReader<'_>) -> Result<RbtConfig> {
-    let pairing = match r.take_u8().map_err(CodecError::from)? {
-        0 => PairingStrategy::Sequential,
-        1 => PairingStrategy::RandomShuffle,
-        2 => {
-            let n = r.take_usize().map_err(CodecError::from)?;
-            check_count(r, n, 16)?;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let i = r.take_usize().map_err(CodecError::from)?;
-                let j = r.take_usize().map_err(CodecError::from)?;
-                pairs.push((i, j));
-            }
-            PairingStrategy::Explicit(pairs)
-        }
-        other => {
-            return Err(CodecError::Invalid {
-                message: format!("unknown pairing tag {other}"),
-            }
-            .into())
-        }
-    };
-    let thresholds = match r.take_u8().map_err(CodecError::from)? {
-        0 => ThresholdPolicy::Uniform(PairwiseSecurityThreshold::new(
-            r.take_f64().map_err(CodecError::from)?,
-            r.take_f64().map_err(CodecError::from)?,
-        )?),
-        1 => {
-            let n = r.take_usize().map_err(CodecError::from)?;
-            check_count(r, n, 16)?;
-            let mut list = Vec::with_capacity(n);
-            for _ in 0..n {
-                list.push(PairwiseSecurityThreshold::new(
-                    r.take_f64().map_err(CodecError::from)?,
-                    r.take_f64().map_err(CodecError::from)?,
-                )?);
-            }
-            ThresholdPolicy::PerPair(list)
-        }
-        other => {
-            return Err(CodecError::Invalid {
-                message: format!("unknown threshold tag {other}"),
-            }
-            .into())
-        }
-    };
-    let variance_mode = match r.take_u8().map_err(CodecError::from)? {
-        0 => VarianceMode::Population,
-        1 => VarianceMode::Sample,
-        other => {
-            return Err(CodecError::Invalid {
-                message: format!("unknown variance mode tag {other}"),
-            }
-            .into())
-        }
-    };
-    let solver_grid = r.take_usize().map_err(CodecError::from)?;
-    Ok(RbtConfig {
-        pairing,
-        thresholds,
-        variance_mode,
-        solver_grid,
-    })
 }
 
 /// Wraps an arbitrary record payload in the sealed `RBTS` envelope
@@ -430,9 +297,8 @@ pub fn open_envelope(bytes: &[u8], expected: RecordKind) -> Result<&[u8]> {
 
 /// Encodes a [`TransformationKey`] into a sealed binary envelope.
 pub fn encode_key(key: &TransformationKey) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    write_key_record(&mut w, key);
-    seal(RecordKind::Key, w.as_bytes())
+    let record = ByteWriter::encode_with(|w| write_key_record(w, key));
+    seal(RecordKind::Key, &record)
 }
 
 /// Decodes the envelope written by [`encode_key`].
@@ -442,18 +308,13 @@ pub fn encode_key(key: &TransformationKey) -> Vec<u8> {
 /// [`Error::Codec`] for framing/corruption problems,
 /// [`Error::KeyMismatch`] for a structurally valid but inconsistent key.
 pub fn decode_key(bytes: &[u8]) -> Result<TransformationKey> {
-    let payload = open(bytes, RecordKind::Key)?;
-    let mut r = ByteReader::new(payload);
-    let key = read_key_record(&mut r)?;
-    r.expect_end().map_err(CodecError::from)?;
-    Ok(key)
+    ByteReader::decode_all(open(bytes, RecordKind::Key)?, read_key_record)
 }
 
 /// Encodes a [`FittedNormalizer`] into a sealed binary envelope.
 pub fn encode_normalizer(normalizer: &FittedNormalizer) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    normalizer.encode_into(&mut w);
-    seal(RecordKind::Normalizer, w.as_bytes())
+    let record = ByteWriter::encode_with(|w| normalizer.encode_into(w));
+    seal(RecordKind::Normalizer, &record)
 }
 
 /// Decodes the envelope written by [`encode_normalizer`].
@@ -464,37 +325,34 @@ pub fn encode_normalizer(normalizer: &FittedNormalizer) -> Vec<u8> {
 /// parameter tags.
 pub fn decode_normalizer(bytes: &[u8]) -> Result<FittedNormalizer> {
     let payload = open(bytes, RecordKind::Normalizer)?;
-    let mut r = ByteReader::new(payload);
-    let normalizer = FittedNormalizer::decode_from(&mut r).map_err(CodecError::from)?;
-    r.expect_end().map_err(CodecError::from)?;
-    Ok(normalizer)
+    Ok(ByteReader::decode_all(
+        payload,
+        FittedNormalizer::decode_from,
+    )?)
 }
 
 /// Encodes an [`RbtConfig`] into a sealed binary envelope.
 pub fn encode_config(config: &RbtConfig) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    write_config_record(&mut w, config);
-    seal(RecordKind::Config, w.as_bytes())
+    let record = ByteWriter::encode_with(|w| config.encode_into(w));
+    seal(RecordKind::Config, &record)
 }
 
 /// Decodes the envelope written by [`encode_config`].
 ///
 /// # Errors
 ///
-/// [`Error::Codec`] for framing/corruption problems,
-/// [`Error::InvalidParameter`] for an out-of-range threshold.
+/// [`Error::Codec`] for framing/corruption problems and for an
+/// out-of-range threshold.
 pub fn decode_config(bytes: &[u8]) -> Result<RbtConfig> {
     let payload = open(bytes, RecordKind::Config)?;
-    let mut r = ByteReader::new(payload);
-    let config = read_config_record(&mut r)?;
-    r.expect_end().map_err(CodecError::from)?;
-    Ok(config)
+    Ok(ByteReader::decode_all(payload, RbtConfig::decode_from)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paper;
+    use crate::{PairingStrategy, PairwiseSecurityThreshold, ThresholdPolicy};
 
     fn paper_key() -> TransformationKey {
         paper::run_example().unwrap().key

@@ -20,6 +20,7 @@ use crate::security::{
 };
 use crate::{Error, Result};
 use rand::Rng;
+use rbt_linalg::codec::{ByteReader, ByteWriter, DecodeError, DecodeResult};
 use rbt_linalg::stats::VarianceMode;
 use rbt_linalg::{Matrix, Rotation2};
 
@@ -117,6 +118,114 @@ impl RbtConfig {
     /// with `n_pairs`.
     pub fn thresholds_for(&self, n_pairs: usize) -> Result<Vec<PairwiseSecurityThreshold>> {
         self.thresholds.resolve(n_pairs)
+    }
+
+    /// Appends the binary config record: pairing tag (`0` sequential, `1`
+    /// random shuffle, `2` explicit followed by a `u64` count and the
+    /// `(i, j)` index pairs), threshold tag (`0` uniform followed by one
+    /// `(ρ1, ρ2)`, `1` per-pair followed by a `u64` count and the pairs),
+    /// variance mode (`0` population, `1` sample), then the solver grid.
+    ///
+    /// This is the one encoding of an RBT configuration: the key file's
+    /// config and session records and the federation's announced
+    /// configuration all carry it.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
+        match &self.pairing {
+            PairingStrategy::Sequential => w.put_u8(0),
+            PairingStrategy::RandomShuffle => w.put_u8(1),
+            PairingStrategy::Explicit(pairs) => {
+                w.put_u8(2);
+                w.put_usize(pairs.len());
+                for &(i, j) in pairs {
+                    w.put_usize(i);
+                    w.put_usize(j);
+                }
+            }
+        }
+        match &self.thresholds {
+            ThresholdPolicy::Uniform(pst) => {
+                w.put_u8(0);
+                w.put_f64s(&[pst.rho1, pst.rho2]);
+            }
+            ThresholdPolicy::PerPair(list) => {
+                w.put_u8(1);
+                w.put_usize(list.len());
+                for pst in list {
+                    w.put_f64s(&[pst.rho1, pst.rho2]);
+                }
+            }
+        }
+        w.put_u8(match self.variance_mode {
+            VarianceMode::Population => 0,
+            VarianceMode::Sample => 1,
+        });
+        w.put_usize(self.solver_grid);
+    }
+
+    /// Decodes a record written by [`encode_into`](Self::encode_into),
+    /// advancing `r` past it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`DecodeError`] for truncated input, an unknown tag,
+    /// a pair or threshold count the remaining bytes cannot hold, or an
+    /// out-of-range threshold.
+    pub fn decode_from(r: &mut ByteReader<'_>) -> DecodeResult<Self> {
+        fn unknown(offset: usize, what: &str, tag: u8) -> DecodeError {
+            DecodeError::Malformed {
+                offset,
+                message: format!("unknown {what} tag {tag}"),
+            }
+        }
+        fn pst(r: &mut ByteReader<'_>) -> DecodeResult<PairwiseSecurityThreshold> {
+            let offset = r.position();
+            let (rho1, rho2) = (r.take_f64()?, r.take_f64()?);
+            PairwiseSecurityThreshold::new(rho1, rho2).map_err(|e| DecodeError::Malformed {
+                offset,
+                message: e.to_string(),
+            })
+        }
+        let offset = r.position();
+        let pairing = match r.take_u8()? {
+            0 => PairingStrategy::Sequential,
+            1 => PairingStrategy::RandomShuffle,
+            2 => {
+                let n = r.take_usize()?;
+                r.check_count(n, 16)?;
+                let mut pairs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    pairs.push((r.take_usize()?, r.take_usize()?));
+                }
+                PairingStrategy::Explicit(pairs)
+            }
+            tag => return Err(unknown(offset, "pairing", tag)),
+        };
+        let offset = r.position();
+        let thresholds = match r.take_u8()? {
+            0 => ThresholdPolicy::Uniform(pst(r)?),
+            1 => {
+                let n = r.take_usize()?;
+                r.check_count(n, 16)?;
+                let mut list = Vec::with_capacity(n);
+                for _ in 0..n {
+                    list.push(pst(r)?);
+                }
+                ThresholdPolicy::PerPair(list)
+            }
+            tag => return Err(unknown(offset, "threshold", tag)),
+        };
+        let offset = r.position();
+        let variance_mode = match r.take_u8()? {
+            0 => VarianceMode::Population,
+            1 => VarianceMode::Sample,
+            tag => return Err(unknown(offset, "variance mode", tag)),
+        };
+        Ok(RbtConfig {
+            pairing,
+            thresholds,
+            variance_mode,
+            solver_grid: r.take_usize()?,
+        })
     }
 }
 

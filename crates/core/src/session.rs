@@ -478,7 +478,7 @@ impl ReleaseSession {
         self.normalizer.encode_into(&mut w);
         w.put_bool(self.config.is_some());
         if let Some(config) = &self.config {
-            codec::write_config_record(&mut w, config);
+            config.encode_into(&mut w);
         }
         w.put_bool(self.drift.is_some());
         if let Some(drift) = &self.drift {
@@ -502,27 +502,23 @@ impl ReleaseSession {
         let payload = codec::open(bytes, RecordKind::Session)?;
         let mut r = ByteReader::new(payload);
         let key = codec::read_key_record(&mut r)?;
-        let normalizer = FittedNormalizer::decode_from(&mut r).map_err(CodecError::from)?;
-        let config = if r.take_bool().map_err(CodecError::from)? {
-            Some(codec::read_config_record(&mut r)?)
+        let normalizer = FittedNormalizer::decode_from(&mut r)?;
+        let config = if r.take_bool()? {
+            Some(RbtConfig::decode_from(&mut r)?)
         } else {
             None
         };
-        let drift = if r.take_bool().map_err(CodecError::from)? {
-            let cols = r.take_usize().map_err(CodecError::from)?;
-            codec::check_count(&r, cols, 16)?;
-            let mut mins = Vec::with_capacity(cols);
-            let mut maxs = Vec::with_capacity(cols);
-            for _ in 0..cols {
-                mins.push(r.take_f64().map_err(CodecError::from)?);
-                maxs.push(r.take_f64().map_err(CodecError::from)?);
-            }
+        let drift = if r.take_bool()? {
+            let cols = r.take_usize()?;
+            // `(min, max)` per column, interleaved.
+            let bounds = r.take_f64s(cols.saturating_mul(2))?;
+            let (mins, maxs) = bounds.chunks_exact(2).map(|b| (b[0], b[1])).unzip();
             Some(DriftBounds::new(mins, maxs)?)
         } else {
             None
         };
-        let suppress_ids = r.take_bool().map_err(CodecError::from)?;
-        r.expect_end().map_err(CodecError::from)?;
+        let suppress_ids = r.take_bool()?;
+        r.expect_end()?;
 
         let mut session = ReleaseSession::new(key, normalizer)?;
         if let Some(config) = config {

@@ -98,6 +98,55 @@ impl Normalization {
         })
     }
 
+    /// Appends the method's binary tag: `0` min–max (followed by the
+    /// target range as two `f64`s), `1` sample z-score, `2` population
+    /// z-score, `3` decimal scaling, `4` robust z-score.
+    ///
+    /// This is the one encoding of a normalization method: fitted
+    /// normalizer records, partial-fit accumulators and the federation's
+    /// announced configuration all carry it.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
+        use VarianceMode::{Population, Sample};
+        match *self {
+            Normalization::MinMax { new_min, new_max } => {
+                w.put_u8(0);
+                w.put_f64s(&[new_min, new_max]);
+            }
+            Normalization::ZScore { mode: Sample } => w.put_u8(1),
+            Normalization::ZScore { mode: Population } => w.put_u8(2),
+            Normalization::DecimalScaling => w.put_u8(3),
+            Normalization::RobustZScore => w.put_u8(4),
+        }
+    }
+
+    /// Decodes a tag written by [`encode_into`](Self::encode_into),
+    /// advancing `r` past it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`DecodeError`] for truncated input or an unknown
+    /// tag.
+    pub fn decode_from(r: &mut ByteReader<'_>) -> DecodeResult<Self> {
+        use VarianceMode::{Population, Sample};
+        let tag_offset = r.position();
+        Ok(match r.take_u8()? {
+            0 => Normalization::MinMax {
+                new_min: r.take_f64()?,
+                new_max: r.take_f64()?,
+            },
+            1 => Normalization::ZScore { mode: Sample },
+            2 => Normalization::ZScore { mode: Population },
+            3 => Normalization::DecimalScaling,
+            4 => Normalization::RobustZScore,
+            other => {
+                return Err(DecodeError::Malformed {
+                    offset: tag_offset,
+                    message: format!("unknown normalization method tag {other}"),
+                })
+            }
+        })
+    }
+
     /// Fits the normalization to the columns of `m`.
     ///
     /// Min–max, z-score and decimal scaling fold the whole matrix through
@@ -437,21 +486,7 @@ impl FittedNormalizer {
     /// The record carries no framing; the session key-file envelope adds
     /// magic, version, and checksum around it.
     pub fn encode_into(&self, w: &mut ByteWriter) {
-        match self.method {
-            Normalization::MinMax { new_min, new_max } => {
-                w.put_u8(0);
-                w.put_f64(new_min);
-                w.put_f64(new_max);
-            }
-            Normalization::ZScore {
-                mode: VarianceMode::Sample,
-            } => w.put_u8(1),
-            Normalization::ZScore {
-                mode: VarianceMode::Population,
-            } => w.put_u8(2),
-            Normalization::DecimalScaling => w.put_u8(3),
-            Normalization::RobustZScore => w.put_u8(4),
-        }
+        self.method.encode_into(w);
         w.put_usize(self.params.len());
         for p in &self.params {
             match *p {
@@ -462,15 +497,11 @@ impl FittedNormalizer {
                     new_max,
                 } => {
                     w.put_u8(0);
-                    w.put_f64(min);
-                    w.put_f64(max);
-                    w.put_f64(new_min);
-                    w.put_f64(new_max);
+                    w.put_f64s(&[min, max, new_min, new_max]);
                 }
                 ColumnParams::ZScore { mean, std } => {
                     w.put_u8(1);
-                    w.put_f64(mean);
-                    w.put_f64(std);
+                    w.put_f64s(&[mean, std]);
                 }
                 ColumnParams::DecimalScaling { factor } => {
                     w.put_u8(2);
@@ -488,27 +519,7 @@ impl FittedNormalizer {
     /// Returns a typed [`DecodeError`] (never panics) for truncated input,
     /// unknown method/parameter tags, or a zero column count.
     pub fn decode_from(r: &mut ByteReader<'_>) -> DecodeResult<Self> {
-        let tag_offset = r.position();
-        let method = match r.take_u8()? {
-            0 => Normalization::MinMax {
-                new_min: r.take_f64()?,
-                new_max: r.take_f64()?,
-            },
-            1 => Normalization::ZScore {
-                mode: VarianceMode::Sample,
-            },
-            2 => Normalization::ZScore {
-                mode: VarianceMode::Population,
-            },
-            3 => Normalization::DecimalScaling,
-            4 => Normalization::RobustZScore,
-            other => {
-                return Err(DecodeError::Malformed {
-                    offset: tag_offset,
-                    message: format!("unknown normalization method tag {other}"),
-                })
-            }
-        };
+        let method = Normalization::decode_from(r)?;
         let cols_offset = r.position();
         let cols = r.take_usize()?;
         if cols == 0 {
@@ -517,7 +528,9 @@ impl FittedNormalizer {
                 message: "normalizer with zero columns".into(),
             });
         }
-        let mut params = Vec::with_capacity(cols.min(1024));
+        // The smallest entry is a tag plus one `f64` (decimal scaling).
+        r.check_count(cols, 9)?;
+        let mut params = Vec::with_capacity(cols);
         for _ in 0..cols {
             let tag_offset = r.position();
             let p = match r.take_u8()? {
@@ -944,28 +957,12 @@ impl PartialFit {
     /// carried between partition holders. Every float travels as its exact
     /// bit pattern.
     pub fn encode_into(&self, w: &mut ByteWriter) {
-        match self.method {
-            Normalization::MinMax { new_min, new_max } => {
-                w.put_u8(0);
-                w.put_f64(new_min);
-                w.put_f64(new_max);
-            }
-            Normalization::ZScore {
-                mode: VarianceMode::Sample,
-            } => w.put_u8(1),
-            Normalization::ZScore {
-                mode: VarianceMode::Population,
-            } => w.put_u8(2),
-            Normalization::DecimalScaling => w.put_u8(3),
-            Normalization::RobustZScore => w.put_u8(4),
-        }
+        self.method.encode_into(w);
         w.put_usize(self.rows);
         w.put_usize(self.rows_pass2);
         let put_vec = |w: &mut ByteWriter, v: &[f64]| {
             w.put_usize(v.len());
-            for &x in v {
-                w.put_f64(x);
-            }
+            w.put_f64s(v);
         };
         match &self.state {
             PartialState::MinMax { lo, hi } => {
@@ -996,26 +993,7 @@ impl PartialFit {
     /// Returns a typed [`DecodeError`] for truncated input, unknown tags,
     /// zero columns, or state/method disagreement.
     pub fn decode_from(r: &mut ByteReader<'_>) -> DecodeResult<Self> {
-        let tag_offset = r.position();
-        let method = match r.take_u8()? {
-            0 => Normalization::MinMax {
-                new_min: r.take_f64()?,
-                new_max: r.take_f64()?,
-            },
-            1 => Normalization::ZScore {
-                mode: VarianceMode::Sample,
-            },
-            2 => Normalization::ZScore {
-                mode: VarianceMode::Population,
-            },
-            3 => Normalization::DecimalScaling,
-            other => {
-                return Err(DecodeError::Malformed {
-                    offset: tag_offset,
-                    message: format!("unknown partial-fit method tag {other}"),
-                })
-            }
-        };
+        let method = Normalization::decode_from(r)?;
         let rows = r.take_usize()?;
         let rows_pass2 = r.take_usize()?;
         fn take_vec(r: &mut ByteReader<'_>) -> DecodeResult<Vec<f64>> {
@@ -1027,11 +1005,7 @@ impl PartialFit {
                     message: "partial fit with zero columns".into(),
                 });
             }
-            let mut v = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                v.push(r.take_f64()?);
-            }
-            Ok(v)
+            r.take_f64s(len)
         }
         let state_offset = r.position();
         let state = match r.take_u8()? {

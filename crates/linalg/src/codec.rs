@@ -6,11 +6,16 @@
 //! The workspace has no serde, so the higher layers build their formats out
 //! of these primitives instead: fixed-width little-endian integers, `f64`
 //! bit patterns (lossless for every value including `-0.0` and NaN
-//! payloads), and length-prefixed UTF-8 strings. [`ByteReader`] never
-//! panics on malformed input — every accessor returns a typed
-//! [`DecodeError`] carrying the byte offset of the failure, which is what
-//! lets the conformance battery assert that corrupted key files are
-//! *rejected*, not crashed on.
+//! payloads), `u32`-length-prefixed UTF-8 strings and `u64`-length-prefixed
+//! byte strings (blobs). [`ByteReader`] never panics on malformed input —
+//! every accessor returns a typed [`DecodeError`] carrying the byte offset
+//! of the failure, which is what lets the conformance battery assert that
+//! corrupted key files are *rejected*, not crashed on.
+//!
+//! **Counts before bytes:** every decoder checks a declared count against
+//! the bytes present before it reserves room for it, through
+//! [`ByteReader::check_count`] (or [`ByteReader::take_f64s`] /
+//! [`ByteReader::take_blob`], which check before they copy).
 
 use std::fmt;
 
@@ -70,6 +75,14 @@ impl ByteWriter {
     /// An empty writer.
     pub fn new() -> Self {
         ByteWriter::default()
+    }
+
+    /// The bytes `encode` writes into a fresh writer: one record as a
+    /// standalone buffer.
+    pub fn encode_with(encode: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode(&mut w);
+        w.into_bytes()
     }
 
     /// An empty writer with room for `capacity` bytes, so a writer whose
@@ -157,6 +170,13 @@ impl ByteWriter {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
+
+    /// Appends a `u64`-length-prefixed byte string, read back by
+    /// [`ByteReader::take_blob`].
+    pub fn put_blob(&mut self, bytes: &[u8]) {
+        self.put_usize(bytes.len());
+        self.put_bytes(bytes);
+    }
 }
 
 /// A cursor over a byte slice with typed, non-panicking accessors.
@@ -170,6 +190,23 @@ impl<'a> ByteReader<'a> {
     /// A reader positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
+    }
+
+    /// Decodes `bytes` as exactly one record: runs `decode` over them and
+    /// rejects any bytes it leaves behind.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `decode` returns, or [`DecodeError::Malformed`] for
+    /// trailing bytes.
+    pub fn decode_all<T, E: From<DecodeError>>(
+        bytes: &'a [u8],
+        decode: impl FnOnce(&mut ByteReader<'a>) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut r = ByteReader::new(bytes);
+        let record = decode(&mut r)?;
+        r.expect_end()?;
+        Ok(record)
     }
 
     /// Current byte offset.
@@ -201,6 +238,27 @@ impl<'a> ByteReader<'a> {
                 offset: self.pos,
                 message: format!("{} trailing bytes after the record", self.remaining()),
             })
+        }
+    }
+
+    /// The counts-before-bytes guard: fails unless `count` elements of at
+    /// least `min_elem_bytes` bytes each fit in the remaining input. Call it
+    /// after reading a declared count and before reserving room for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::Malformed`] when `count · min_elem_bytes`
+    /// exceeds the remaining bytes or overflows `usize`.
+    pub fn check_count(&self, count: usize, min_elem_bytes: usize) -> DecodeResult<()> {
+        match count.checked_mul(min_elem_bytes) {
+            Some(need) if need <= self.remaining() => Ok(()),
+            _ => Err(DecodeError::Malformed {
+                offset: self.pos,
+                message: format!(
+                    "count {count} of {min_elem_bytes}-byte elements exceeds the remaining {} bytes",
+                    self.remaining()
+                ),
+            }),
         }
     }
 
@@ -327,6 +385,19 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// Takes a `u64`-length-prefixed byte string written by
+    /// [`ByteWriter::put_blob`], borrowed from the input. The length is
+    /// checked against the bytes present before anything is copied.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Truncated`] when the prefix or body is cut short,
+    /// [`DecodeError::Malformed`] when the length exceeds `usize::MAX`.
+    pub fn take_blob(&mut self) -> DecodeResult<&'a [u8]> {
+        let len = self.take_usize()?;
+        self.take_bytes(len)
+    }
+
     /// Takes a length-prefixed UTF-8 string.
     ///
     /// # Errors
@@ -391,6 +462,7 @@ mod tests {
         w.put_bool(true);
         w.put_bool(false);
         w.put_str("naïve");
+        w.put_blob(b"sealed");
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
@@ -405,17 +477,21 @@ mod tests {
         assert!(r.take_bool().unwrap());
         assert!(!r.take_bool().unwrap());
         assert_eq!(r.take_str().unwrap(), "naïve");
+        assert_eq!(r.take_blob().unwrap(), b"sealed");
         r.expect_end().unwrap();
     }
 
     #[test]
     fn nan_payload_round_trips() {
         let odd_nan = f64::from_bits(0x7FF8_0000_0000_1234);
-        let mut w = ByteWriter::new();
-        w.put_f64(odd_nan);
-        let bytes = w.into_bytes();
-        let got = ByteReader::new(&bytes).take_f64().unwrap();
+        let bytes = ByteWriter::encode_with(|w| w.put_f64(odd_nan));
+        let got = ByteReader::decode_all(&bytes, ByteReader::take_f64).unwrap();
         assert_eq!(got.to_bits(), odd_nan.to_bits());
+        let trailing = ByteReader::decode_all(&bytes, ByteReader::take_u32);
+        assert!(matches!(
+            trailing,
+            Err(DecodeError::Malformed { offset: 4, .. })
+        ));
     }
 
     #[test]
@@ -441,6 +517,12 @@ mod tests {
 
         // A count the input cannot hold fails before any allocation.
         let mut r = ByteReader::new(&bytes);
+        r.check_count(4, 8).unwrap();
+        assert!(matches!(
+            r.check_count(5, 8),
+            Err(DecodeError::Malformed { offset: 0, .. })
+        ));
+        assert!(r.check_count(usize::MAX, 2).is_err());
         assert!(matches!(
             r.take_f64s(usize::MAX),
             Err(DecodeError::Malformed { offset: 0, .. })
@@ -495,6 +577,8 @@ mod tests {
         bytes.truncate(bytes.len() - 2);
         let mut r = ByteReader::new(&bytes);
         assert!(matches!(r.take_str(), Err(DecodeError::Truncated { .. })));
+        let mut r = ByteReader::new(&[0xFF; 8]);
+        assert!(matches!(r.take_blob(), Err(DecodeError::Truncated { .. })));
     }
 
     #[test]

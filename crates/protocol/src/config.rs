@@ -2,14 +2,20 @@
 //!
 //! Every parameter that influences a single bit of the joint release is
 //! fixed here, carried verbatim inside the [`Announce`](crate::Message)
-//! round, and validated by every party — the protocol's determinism
-//! contract starts with all parties agreeing on this record.
+//! round (and the server's `FedOpen` request), and validated by every
+//! party — the protocol's determinism contract starts with all parties
+//! agreeing on this record.
+//!
+//! The record carries the key file's encodings, not copies of them: the
+//! normalization is [`Normalization::encode_into`]'s method tag and the
+//! RBT parameters are [`RbtConfig::encode_into`]'s config record, between
+//! the session/shape fields and the key-policy/k-means fields. The record
+//! has no version field; every party runs one build.
 
 use crate::{ProtocolError, Result};
-use rbt_core::{PairingStrategy, PairwiseSecurityThreshold, RbtConfig, ThresholdPolicy};
+use rbt_core::{PairingStrategy, RbtConfig, ThresholdPolicy};
 use rbt_data::Normalization;
 use rbt_linalg::codec::{ByteReader, ByteWriter, DecodeError, DecodeResult};
-use rbt_linalg::stats::VarianceMode;
 
 /// Hard upper bound on the owner count a session may announce.
 ///
@@ -87,10 +93,10 @@ impl FederationConfig {
     /// # Errors
     ///
     /// [`ProtocolError::InvalidConfig`] for an owner count outside
-    /// `2..=MAX_OWNERS`, an attribute count outside `2..=MAX_COLS`,
-    /// `kmeans_k` outside `1..=MAX_KMEANS_K`, an out-of-bounds solver grid
-    /// or iteration budget, or a normalization with no chainable partial
-    /// fit. All bounds are checked before anything is allocated, so an
+    /// `2..=MAX_OWNERS`, an attribute count below 2, a `kmeans_k` of 0, a
+    /// size field above its cap (the bounds [`decode_from`](Self::decode_from)
+    /// applies), or a normalization with no chainable partial fit. All
+    /// bounds are checked before anything is allocated, so an
     /// unauthenticated config cannot trigger an OOM here.
     pub fn validate(&self) -> Result<()> {
         if self.owners < 2 || self.owners > MAX_OWNERS {
@@ -99,29 +105,17 @@ impl FederationConfig {
                 self.owners
             )));
         }
-        if self.n_cols < 2 || self.n_cols > MAX_COLS {
+        if self.n_cols < 2 {
             return Err(ProtocolError::InvalidConfig(format!(
-                "attribute count {} outside 2..={MAX_COLS}",
+                "attribute count {} below 2",
                 self.n_cols
             )));
         }
-        if self.rbt.solver_grid > MAX_SOLVER_GRID {
-            return Err(ProtocolError::InvalidConfig(format!(
-                "solver grid {} exceeds {MAX_SOLVER_GRID}",
-                self.rbt.solver_grid
-            )));
+        if self.kmeans_k == 0 {
+            return Err(ProtocolError::InvalidConfig("kmeans_k is 0".into()));
         }
-        if self.kmeans_k == 0 || self.kmeans_k > MAX_KMEANS_K {
-            return Err(ProtocolError::InvalidConfig(format!(
-                "kmeans_k {} outside 1..={MAX_KMEANS_K}",
-                self.kmeans_k
-            )));
-        }
-        if self.kmeans_max_iters > MAX_KMEANS_MAX_ITERS {
-            return Err(ProtocolError::InvalidConfig(format!(
-                "kmeans_max_iters {} exceeds {MAX_KMEANS_MAX_ITERS}",
-                self.kmeans_max_iters
-            )));
+        if let Some(message) = self.implausible_size() {
+            return Err(ProtocolError::InvalidConfig(message));
         }
         // Surface an unchainable normalization at announce time, not
         // mid-chain: the partial fit is what the protocol is built on.
@@ -129,6 +123,37 @@ impl FederationConfig {
             .begin_partial_fit(self.n_cols)
             .map_err(|e| ProtocolError::InvalidConfig(e.to_string()))?;
         Ok(())
+    }
+
+    /// The first size field above its cap, as a message: `n_cols`,
+    /// `solver_grid`, `kmeans_k`, `kmeans_max_iters`, and the lengths of an
+    /// explicit pairing or a per-pair threshold list (at most `u16::MAX`
+    /// each, the width pair indices travel in).
+    fn implausible_size(&self) -> Option<String> {
+        let explicit_pairs = match &self.rbt.pairing {
+            PairingStrategy::Explicit(pairs) => pairs.len(),
+            _ => 0,
+        };
+        let per_pair_thresholds = match &self.rbt.thresholds {
+            ThresholdPolicy::PerPair(list) => list.len(),
+            _ => 0,
+        };
+        let max_pairs = usize::from(u16::MAX);
+        [
+            (self.n_cols, MAX_COLS, "attribute count"),
+            (self.rbt.solver_grid, MAX_SOLVER_GRID, "solver grid"),
+            (explicit_pairs, max_pairs, "explicit pairing length"),
+            (per_pair_thresholds, max_pairs, "threshold list length"),
+            (self.kmeans_k, MAX_KMEANS_K, "kmeans_k"),
+            (
+                self.kmeans_max_iters,
+                MAX_KMEANS_MAX_ITERS,
+                "kmeans_max_iters",
+            ),
+        ]
+        .into_iter()
+        .find(|&(v, max, _)| v > max)
+        .map(|(v, max, what)| format!("implausible {what} {v} (max {max})"))
     }
 
     /// The key-fit seed of `owner` under [`KeyPolicy::PerOwner`]:
@@ -143,11 +168,8 @@ impl FederationConfig {
         w.put_u64(self.session);
         w.put_usize(self.n_cols);
         w.put_u16(self.owners);
-        encode_normalization(&self.normalization, w);
-        encode_pairing(&self.rbt.pairing, w);
-        encode_thresholds(&self.rbt.thresholds, w);
-        w.put_u8(variance_mode_tag(self.rbt.variance_mode));
-        w.put_usize(self.rbt.solver_grid);
+        self.normalization.encode_into(w);
+        self.rbt.encode_into(w);
         w.put_u8(match self.key_policy {
             KeyPolicy::Shared => 0,
             KeyPolicy::PerOwner => 1,
@@ -159,224 +181,52 @@ impl FederationConfig {
 
     /// Decodes a configuration written by [`encode_into`](Self::encode_into).
     ///
-    /// The size-like fields (`n_cols`, `solver_grid`, `kmeans_k`,
-    /// `kmeans_max_iters`) are bounded here, at decode time, so an
-    /// unauthenticated frame can never carry an allocation-driving count
-    /// into [`validate`](Self::validate) or any party state machine.
+    /// The size-like fields are bounded here, at decode time (the caps
+    /// [`validate`](Self::validate) also applies), so an unauthenticated
+    /// frame can never carry an allocation-driving count into `validate` or
+    /// any party state machine. The record's only lists, the explicit pairs
+    /// and per-pair thresholds, are checked against the bytes present
+    /// before they are read.
     ///
     /// # Errors
     ///
     /// [`DecodeError`] on truncation, an unknown tag, or an implausible
     /// size field.
     pub fn decode_from(r: &mut ByteReader<'_>) -> DecodeResult<Self> {
-        let session = r.take_u64()?;
-        let n_cols = take_bounded_usize(r, MAX_COLS, "attribute count")?;
-        let owners = r.take_u16()?;
-        let normalization = decode_normalization(r)?;
-        let pairing = decode_pairing(r)?;
-        let thresholds = decode_thresholds(r)?;
-        let variance_mode = decode_variance_mode(r)?;
-        let solver_grid = take_bounded_usize(r, MAX_SOLVER_GRID, "solver grid")?;
-        let key_policy = match r.take_u8()? {
-            0 => KeyPolicy::Shared,
-            1 => KeyPolicy::PerOwner,
-            tag => {
-                return Err(DecodeError::Malformed {
-                    offset: r.position().saturating_sub(1),
-                    message: format!("unknown key policy tag {tag}"),
-                })
-            }
-        };
-        let seed = r.take_u64()?;
-        let kmeans_k = take_bounded_usize(r, MAX_KMEANS_K, "kmeans_k")?;
-        let kmeans_max_iters = take_bounded_usize(r, MAX_KMEANS_MAX_ITERS, "kmeans_max_iters")?;
-        Ok(FederationConfig {
-            session,
-            n_cols,
-            owners,
-            normalization,
-            rbt: RbtConfig {
-                pairing,
-                thresholds,
-                variance_mode,
-                solver_grid,
-            },
-            key_policy,
-            seed,
-            kmeans_k,
-            kmeans_max_iters,
-        })
-    }
-}
-
-/// Reads a usize field and rejects values above `max` with a typed decode
-/// error naming the field.
-fn take_bounded_usize(r: &mut ByteReader<'_>, max: usize, what: &str) -> DecodeResult<usize> {
-    let offset = r.position();
-    let v = r.take_usize()?;
-    if v > max {
-        return Err(DecodeError::Malformed {
-            offset,
-            message: format!("implausible {what} {v} (max {max})"),
-        });
-    }
-    Ok(v)
-}
-
-fn variance_mode_tag(mode: VarianceMode) -> u8 {
-    match mode {
-        VarianceMode::Sample => 0,
-        VarianceMode::Population => 1,
-    }
-}
-
-fn decode_variance_mode(r: &mut ByteReader<'_>) -> DecodeResult<VarianceMode> {
-    match r.take_u8()? {
-        0 => Ok(VarianceMode::Sample),
-        1 => Ok(VarianceMode::Population),
-        tag => Err(DecodeError::Malformed {
-            offset: r.position().saturating_sub(1),
-            message: format!("unknown variance mode tag {tag}"),
-        }),
-    }
-}
-
-fn encode_normalization(n: &Normalization, w: &mut ByteWriter) {
-    match n {
-        Normalization::MinMax { new_min, new_max } => {
-            w.put_u8(0);
-            w.put_f64(*new_min);
-            w.put_f64(*new_max);
-        }
-        Normalization::ZScore { mode } => {
-            w.put_u8(1);
-            w.put_u8(variance_mode_tag(*mode));
-        }
-        Normalization::DecimalScaling => w.put_u8(2),
-        Normalization::RobustZScore => w.put_u8(3),
-        #[allow(unreachable_patterns)] // future #[non_exhaustive] variants
-        _ => w.put_u8(u8::MAX),
-    }
-}
-
-fn decode_normalization(r: &mut ByteReader<'_>) -> DecodeResult<Normalization> {
-    match r.take_u8()? {
-        0 => Ok(Normalization::MinMax {
-            new_min: r.take_f64()?,
-            new_max: r.take_f64()?,
-        }),
-        1 => Ok(Normalization::ZScore {
-            mode: decode_variance_mode(r)?,
-        }),
-        2 => Ok(Normalization::DecimalScaling),
-        3 => Ok(Normalization::RobustZScore),
-        tag => Err(DecodeError::Malformed {
-            offset: r.position().saturating_sub(1),
-            message: format!("unknown normalization tag {tag}"),
-        }),
-    }
-}
-
-fn encode_pairing(p: &PairingStrategy, w: &mut ByteWriter) {
-    match p {
-        PairingStrategy::Sequential => w.put_u8(0),
-        PairingStrategy::RandomShuffle => w.put_u8(1),
-        PairingStrategy::Explicit(pairs) => {
-            w.put_u8(2);
-            w.put_usize(pairs.len());
-            for &(i, j) in pairs {
-                w.put_usize(i);
-                w.put_usize(j);
-            }
-        }
-        #[allow(unreachable_patterns)] // future #[non_exhaustive] variants
-        _ => w.put_u8(u8::MAX),
-    }
-}
-
-fn decode_pairing(r: &mut ByteReader<'_>) -> DecodeResult<PairingStrategy> {
-    match r.take_u8()? {
-        0 => Ok(PairingStrategy::Sequential),
-        1 => Ok(PairingStrategy::RandomShuffle),
-        2 => {
-            let n = r.take_usize()?;
-            if n > u16::MAX as usize {
-                return Err(DecodeError::Malformed {
-                    offset: r.position(),
-                    message: format!("implausible explicit pairing length {n}"),
-                });
-            }
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let i = r.take_usize()?;
-                let j = r.take_usize()?;
-                pairs.push((i, j));
-            }
-            Ok(PairingStrategy::Explicit(pairs))
-        }
-        tag => Err(DecodeError::Malformed {
-            offset: r.position().saturating_sub(1),
-            message: format!("unknown pairing tag {tag}"),
-        }),
-    }
-}
-
-fn encode_thresholds(t: &ThresholdPolicy, w: &mut ByteWriter) {
-    match t {
-        ThresholdPolicy::Uniform(pst) => {
-            w.put_u8(0);
-            w.put_f64(pst.rho1);
-            w.put_f64(pst.rho2);
-        }
-        ThresholdPolicy::PerPair(list) => {
-            w.put_u8(1);
-            w.put_usize(list.len());
-            for pst in list {
-                w.put_f64(pst.rho1);
-                w.put_f64(pst.rho2);
-            }
-        }
-        #[allow(unreachable_patterns)] // future #[non_exhaustive] variants
-        _ => w.put_u8(u8::MAX),
-    }
-}
-
-fn decode_thresholds(r: &mut ByteReader<'_>) -> DecodeResult<ThresholdPolicy> {
-    fn pst(r: &mut ByteReader<'_>) -> DecodeResult<PairwiseSecurityThreshold> {
         let offset = r.position();
-        let rho1 = r.take_f64()?;
-        let rho2 = r.take_f64()?;
-        PairwiseSecurityThreshold::new(rho1, rho2).map_err(|e| DecodeError::Malformed {
-            offset,
-            message: e.to_string(),
-        })
-    }
-    match r.take_u8()? {
-        0 => Ok(ThresholdPolicy::Uniform(pst(r)?)),
-        1 => {
-            let n = r.take_usize()?;
-            if n > u16::MAX as usize {
-                return Err(DecodeError::Malformed {
-                    offset: r.position(),
-                    message: format!("implausible threshold list length {n}"),
-                });
-            }
-            let mut list = Vec::with_capacity(n);
-            for _ in 0..n {
-                list.push(pst(r)?);
-            }
-            Ok(ThresholdPolicy::PerPair(list))
+        let config = FederationConfig {
+            session: r.take_u64()?,
+            n_cols: r.take_usize()?,
+            owners: r.take_u16()?,
+            normalization: Normalization::decode_from(r)?,
+            rbt: RbtConfig::decode_from(r)?,
+            key_policy: match r.take_u8()? {
+                0 => KeyPolicy::Shared,
+                1 => KeyPolicy::PerOwner,
+                tag => {
+                    return Err(DecodeError::Malformed {
+                        offset: r.position() - 1,
+                        message: format!("unknown key policy tag {tag}"),
+                    })
+                }
+            },
+            seed: r.take_u64()?,
+            kmeans_k: r.take_usize()?,
+            kmeans_max_iters: r.take_usize()?,
+        };
+        match config.implausible_size() {
+            Some(message) => Err(DecodeError::Malformed { offset, message }),
+            None => Ok(config),
         }
-        tag => Err(DecodeError::Malformed {
-            offset: r.position().saturating_sub(1),
-            message: format!("unknown threshold policy tag {tag}"),
-        }),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbt_core::PairwiseSecurityThreshold;
+    use rbt_linalg::codec::crc32;
+    use rbt_linalg::stats::VarianceMode;
 
     fn sample_config() -> FederationConfig {
         FederationConfig {
@@ -400,15 +250,55 @@ mod tests {
 
     #[test]
     fn config_round_trips() {
-        let cfg = sample_config();
-        cfg.validate().unwrap();
-        let mut w = ByteWriter::new();
-        cfg.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = FederationConfig::decode_from(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(back, cfg);
+        let sample = sample_config();
+        let population = VarianceMode::Population;
+        let min_max = Normalization::MinMax {
+            new_min: -1.0,
+            new_max: 2.0,
+        };
+        let zscore = Normalization::ZScore { mode: population };
+        let uniform = ThresholdPolicy::Uniform(PairwiseSecurityThreshold::new(0.3, 0.55).unwrap());
+        let pairings = [
+            PairingStrategy::Sequential,
+            PairingStrategy::RandomShuffle,
+            sample.rbt.pairing.clone(),
+        ];
+        for normalization in [
+            min_max,
+            Normalization::zscore_paper(),
+            zscore,
+            Normalization::DecimalScaling,
+        ] {
+            for variance_mode in [VarianceMode::Sample, population] {
+                for pairing in &pairings {
+                    for thresholds in [&uniform, &sample.rbt.thresholds] {
+                        let mut cfg = sample_config();
+                        cfg.normalization = normalization;
+                        cfg.rbt = RbtConfig {
+                            pairing: pairing.clone(),
+                            thresholds: thresholds.clone(),
+                            variance_mode,
+                            ..cfg.rbt
+                        };
+                        cfg.validate().unwrap();
+                        let bytes = ByteWriter::encode_with(|w| cfg.encode_into(w));
+                        let mut r = ByteReader::new(&bytes);
+                        assert_eq!(FederationConfig::decode_from(&mut r).unwrap(), cfg);
+                        r.expect_end().unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `FedOpen`/`Announce` bytes of [`sample_config`], pinned so a
+    /// codec change cannot move them silently. Its normalization and
+    /// variance-mode bytes are the key file's (`Normalization` and
+    /// `RbtConfig` encodings).
+    #[test]
+    fn sample_config_keeps_its_bytes() {
+        let bytes = ByteWriter::encode_with(|w| sample_config().encode_into(w));
+        assert_eq!((bytes.len(), crc32(&bytes)), (167, 0xF826_FAF5));
     }
 
     #[test]
@@ -486,8 +376,12 @@ mod tests {
         // ~100-byte unauthenticated frame cannot smuggle in an
         // allocation-driving count.
         type Poison = fn(&mut FederationConfig);
-        let cases: [(Poison, &str); 4] = [
+        let cases: [(Poison, &str); 5] = [
             (|c| c.n_cols = 1 << 40, "n_cols"),
+            (
+                |c| c.rbt.pairing = PairingStrategy::Explicit(vec![(0, 1); 65_536]),
+                "explicit pairing",
+            ),
             (|c| c.rbt.solver_grid = MAX_SOLVER_GRID + 1, "solver_grid"),
             (|c| c.kmeans_k = MAX_KMEANS_K + 1, "kmeans_k"),
             (

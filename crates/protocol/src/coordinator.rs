@@ -204,8 +204,6 @@ impl Coordinator {
                         .normalization
                         .begin_partial_fit(self.cfg.n_cols)
                         .map_err(ProtocolError::Data)?;
-                    let mut w = ByteWriter::new();
-                    acc.encode_into(&mut w);
                     self.state = State::NormChain { pass: 1, turn: 0 };
                     return Ok(vec![Outbound::new(
                         Party::Owner(0),
@@ -213,7 +211,7 @@ impl Coordinator {
                             session: self.cfg.session,
                             pass: 1,
                             turn: 0,
-                            acc: w.into_bytes(),
+                            acc: ByteWriter::encode_with(|w| acc.encode_into(w)),
                         },
                     )]);
                 }
@@ -251,13 +249,9 @@ impl Coordinator {
                     )]);
                 }
                 // Chain pass complete: inspect the accumulator.
-                let mut r = ByteReader::new(acc);
-                let mut fit = PartialFit::decode_from(&mut r)?;
-                r.expect_end()?;
+                let mut fit = ByteReader::decode_all(acc, PartialFit::decode_from)?;
                 if pass == 1 && fit.needs_second_pass() {
                     fit.begin_second_pass().map_err(ProtocolError::Data)?;
-                    let mut w = ByteWriter::new();
-                    fit.encode_into(&mut w);
                     self.state = State::NormChain { pass: 2, turn: 0 };
                     return Ok(vec![Outbound::new(
                         Party::Owner(0),
@@ -265,14 +259,12 @@ impl Coordinator {
                             session: self.cfg.session,
                             pass: 2,
                             turn: 0,
-                            acc: w.into_bytes(),
+                            acc: ByteWriter::encode_with(|w| fit.encode_into(w)),
                         },
                     )]);
                 }
                 let fitted = fit.finish().map_err(ProtocolError::Data)?;
-                let mut w = ByteWriter::new();
-                fitted.encode_into(&mut w);
-                let normalizer = w.into_bytes();
+                let normalizer = ByteWriter::encode_with(|w| fitted.encode_into(w));
                 let mut out: Vec<Outbound> = (0..self.cfg.owners)
                     .map(|o| {
                         Outbound::new(
@@ -309,7 +301,7 @@ impl Coordinator {
                                 j: j as u16,
                                 pass: 1,
                                 turn: 0,
-                                acc: encode_moments(&PairMoments::new()),
+                                acc: ByteWriter::encode_with(|w| PairMoments::new().encode_into(w)),
                             },
                         ));
                         self.state = State::KeyFit {
@@ -380,9 +372,7 @@ impl Coordinator {
                         },
                     )]);
                 }
-                let mut r = ByteReader::new(acc);
-                let mut moments = PairMoments::decode_from(&mut r)?;
-                r.expect_end()?;
+                let mut moments = ByteReader::decode_all(acc, PairMoments::decode_from)?;
                 if *pass == 1 {
                     moments.begin_second_pass().map_err(ProtocolError::Method)?;
                     *pass = 2;
@@ -396,7 +386,7 @@ impl Coordinator {
                             j: j as u16,
                             pass: 2,
                             turn: 0,
-                            acc: encode_moments(&moments),
+                            acc: ByteWriter::encode_with(|w| moments.encode_into(w)),
                         },
                     )]);
                 }
@@ -445,7 +435,7 @@ impl Coordinator {
                             j: nj as u16,
                             pass: 1,
                             turn: 0,
-                            acc: encode_moments(&PairMoments::new()),
+                            acc: ByteWriter::encode_with(|w| PairMoments::new().encode_into(w)),
                         },
                     ));
                     return Ok(out);
@@ -477,10 +467,4 @@ impl Coordinator {
             other => Err(self.unexpected(other.kind())),
         }
     }
-}
-
-fn encode_moments(m: &PairMoments) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    m.encode_into(&mut w);
-    w.into_bytes()
 }

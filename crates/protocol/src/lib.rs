@@ -148,6 +148,25 @@ pub enum ProtocolError {
     SessionExists(u64),
 }
 
+impl ProtocolError {
+    /// The failure's family in the CLI exit-code and wire `Error` taxonomy:
+    /// 4 for decode failures, 5 for shape disagreements, 2 for session and
+    /// config usage errors, 3 for everything else (state-machine
+    /// rejections, data, method and clustering failures).
+    pub fn code(&self) -> u8 {
+        match self {
+            ProtocolError::Decode(_) => 4,
+            ProtocolError::ShapeMismatch(_) => 5,
+            ProtocolError::InvalidConfig(_)
+            | ProtocolError::UnknownSession(_)
+            | ProtocolError::SessionExists(_)
+            | ProtocolError::OwnerOutOfRange { .. }
+            | ProtocolError::SessionMismatch { .. } => 2,
+            _ => 3,
+        }
+    }
+}
+
 impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -211,8 +211,9 @@ const TAG_FIT_COMPLETE: u8 = 9;
 const TAG_OWNER_RELEASE: u8 = 10;
 const TAG_JOINT_DATASET: u8 = 11;
 
-/// Upper bound accepted for matrix/label/accumulator lengths while
-/// decoding, so a corrupted length field cannot trigger a huge allocation.
+/// Upper bound accepted for matrix and label counts while decoding. Counts
+/// are also checked against the bytes present before anything is
+/// allocated (`take_f64s`, `check_count`).
 const MAX_DECODE_ELEMS: usize = 1 << 28;
 
 /// Writes `m` as `rows (u64) · cols (u16) · row-major f64s`.
@@ -241,23 +242,6 @@ pub fn decode_matrix(r: &mut ByteReader<'_>) -> DecodeResult<Matrix> {
         offset,
         message: e.to_string(),
     })
-}
-
-fn put_blob(w: &mut ByteWriter, bytes: &[u8]) {
-    w.put_usize(bytes.len());
-    w.put_bytes(bytes);
-}
-
-fn take_blob(r: &mut ByteReader<'_>) -> DecodeResult<Vec<u8>> {
-    let offset = r.position();
-    let len = r.take_usize()?;
-    if len > MAX_DECODE_ELEMS {
-        return Err(DecodeError::Malformed {
-            offset,
-            message: format!("implausible payload length {len}"),
-        });
-    }
-    Ok(r.take_bytes(len)?.to_vec())
 }
 
 impl Message {
@@ -323,7 +307,7 @@ impl Message {
                 w.put_u64(*session);
                 w.put_u8(*pass);
                 w.put_u16(*turn);
-                put_blob(&mut w, acc);
+                w.put_blob(acc);
             }
             Message::NormChainAck {
                 session,
@@ -335,7 +319,7 @@ impl Message {
                 w.put_u64(*session);
                 w.put_u8(*pass);
                 w.put_u16(*turn);
-                put_blob(&mut w, acc);
+                w.put_blob(acc);
             }
             Message::SharedNormalization {
                 session,
@@ -343,7 +327,7 @@ impl Message {
             } => {
                 w.put_u8(TAG_SHARED_NORMALIZATION);
                 w.put_u64(*session);
-                put_blob(&mut w, normalizer);
+                w.put_blob(normalizer);
             }
             Message::PairChain {
                 session,
@@ -361,7 +345,7 @@ impl Message {
                 w.put_u16(*j);
                 w.put_u8(*pass);
                 w.put_u16(*turn);
-                put_blob(&mut w, acc);
+                w.put_blob(acc);
             }
             Message::PairChainAck {
                 session,
@@ -375,7 +359,7 @@ impl Message {
                 w.put_u16(*pair);
                 w.put_u8(*pass);
                 w.put_u16(*turn);
-                put_blob(&mut w, acc);
+                w.put_blob(acc);
             }
             Message::ApplyRotation {
                 session,
@@ -470,17 +454,17 @@ impl Message {
                 session: r.take_u64()?,
                 pass: r.take_u8()?,
                 turn: r.take_u16()?,
-                acc: take_blob(&mut r)?,
+                acc: r.take_blob()?.to_vec(),
             },
             TAG_NORM_CHAIN_ACK => Message::NormChainAck {
                 session: r.take_u64()?,
                 pass: r.take_u8()?,
                 turn: r.take_u16()?,
-                acc: take_blob(&mut r)?,
+                acc: r.take_blob()?.to_vec(),
             },
             TAG_SHARED_NORMALIZATION => Message::SharedNormalization {
                 session: r.take_u64()?,
-                normalizer: take_blob(&mut r)?,
+                normalizer: r.take_blob()?.to_vec(),
             },
             TAG_PAIR_CHAIN => Message::PairChain {
                 session: r.take_u64()?,
@@ -489,14 +473,14 @@ impl Message {
                 j: r.take_u16()?,
                 pass: r.take_u8()?,
                 turn: r.take_u16()?,
-                acc: take_blob(&mut r)?,
+                acc: r.take_blob()?.to_vec(),
             },
             TAG_PAIR_CHAIN_ACK => Message::PairChainAck {
                 session: r.take_u64()?,
                 pair: r.take_u16()?,
                 pass: r.take_u8()?,
                 turn: r.take_u16()?,
-                acc: take_blob(&mut r)?,
+                acc: r.take_blob()?.to_vec(),
             },
             TAG_APPLY_ROTATION => Message::ApplyRotation {
                 session: r.take_u64()?,
@@ -530,15 +514,7 @@ impl Message {
                 }
                 // Each label is a u32: a count the remaining bytes cannot
                 // hold is rejected before it sizes an allocation.
-                if n > r.remaining() / 4 {
-                    return Err(DecodeError::Malformed {
-                        offset,
-                        message: format!(
-                            "label count {n} exceeds the remaining {} bytes",
-                            r.remaining()
-                        ),
-                    });
-                }
+                r.check_count(n, 4)?;
                 let mut labels = Vec::with_capacity(n);
                 for _ in 0..n {
                     labels.push(r.take_u32()?);

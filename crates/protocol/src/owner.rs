@@ -195,12 +195,8 @@ impl Owner {
                         "NormChain pass {pass} after folding pass {folded}"
                     )));
                 }
-                let mut r = ByteReader::new(acc);
-                let mut fit = PartialFit::decode_from(&mut r)?;
-                r.expect_end()?;
+                let mut fit = ByteReader::decode_all(acc, PartialFit::decode_from)?;
                 fit.fold(&self.raw).map_err(ProtocolError::Data)?;
-                let mut w = ByteWriter::new();
-                fit.encode_into(&mut w);
                 let pass = *pass;
                 if let State::Joined { folded_pass, .. } = &mut self.state {
                     *folded_pass = pass;
@@ -211,7 +207,7 @@ impl Owner {
                         session: self.session,
                         pass,
                         turn: self.id,
-                        acc: w.into_bytes(),
+                        acc: ByteWriter::encode_with(|w| fit.encode_into(w)),
                     },
                 )])
             }
@@ -220,9 +216,7 @@ impl Owner {
                     return Err(self.unexpected(msg.kind()));
                 };
                 let cfg = cfg.clone();
-                let mut r = ByteReader::new(normalizer);
-                let fitted = FittedNormalizer::decode_from(&mut r)?;
-                r.expect_end()?;
+                let fitted = ByteReader::decode_all(normalizer, FittedNormalizer::decode_from)?;
                 if fitted.n_cols() != cfg.n_cols {
                     return Err(ProtocolError::ShapeMismatch(format!(
                         "shared normalizer covers {} attributes, session announced {}",
@@ -299,17 +293,13 @@ impl Owner {
                         cfg.n_cols
                     )));
                 }
-                let mut r = ByteReader::new(acc);
-                let mut moments = PairMoments::decode_from(&mut r)?;
-                r.expect_end()?;
+                let mut moments = ByteReader::decode_all(acc, PairMoments::decode_from)?;
                 let mut xs = Vec::with_capacity(local.rows());
                 let mut ys = Vec::with_capacity(local.rows());
                 local.column_into(ci, &mut xs);
                 local.column_into(cj, &mut ys);
                 moments.fold(&xs, &ys).map_err(ProtocolError::Method)?;
                 *folded_pass = *pass;
-                let mut w = ByteWriter::new();
-                moments.encode_into(&mut w);
                 Ok(vec![Outbound::new(
                     Party::Coordinator,
                     Message::PairChainAck {
@@ -317,7 +307,7 @@ impl Owner {
                         pair: *pair,
                         pass: *pass,
                         turn: self.id,
-                        acc: w.into_bytes(),
+                        acc: ByteWriter::encode_with(|w| moments.encode_into(w)),
                     },
                 )])
             }

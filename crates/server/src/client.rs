@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use rbt_data::Dataset;
 
 use crate::metrics::ServerStats;
-use crate::wire::{self, Request, Response, WireError, CODE_UNAVAILABLE};
+use crate::wire::{self, Frame, Request, Response, WireError, CODE_UNAVAILABLE};
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -112,6 +112,15 @@ impl From<WireError> for ClientError {
 /// Client result alias.
 pub type ClientResult<T> = std::result::Result<T, ClientError>;
 
+/// Seed for the deterministic jitter applied to each backoff sleep.
+const JITTER_SEED: u64 = 0x5EED_CAFE;
+
+/// Socket read timeout: bounds how long a call waits on a wedged server.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Socket write timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Retry, backoff, and circuit-breaker tuning.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
@@ -121,17 +130,10 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
-    /// Seed for the deterministic jitter applied to each backoff sleep.
-    pub jitter_seed: u64,
     /// Consecutive transport failures that open the circuit breaker.
     pub breaker_threshold: u32,
     /// How long the breaker stays open before a half-open probe.
     pub breaker_cooldown: Duration,
-    /// Socket read timeout (bounds how long a call waits on a wedged
-    /// server).
-    pub read_timeout: Duration,
-    /// Socket write timeout.
-    pub write_timeout: Duration,
 }
 
 impl Default for RetryPolicy {
@@ -140,11 +142,8 @@ impl Default for RetryPolicy {
             max_retries: 4,
             base_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_secs(2),
-            jitter_seed: 0x5EED_CAFE,
             breaker_threshold: 8,
             breaker_cooldown: Duration::from_secs(1),
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -157,6 +156,23 @@ impl RetryPolicy {
             max_retries: 0,
             ..RetryPolicy::default()
         }
+    }
+}
+
+/// Decodes a response frame, turning the server's failure frames
+/// (`Error`, `GoingAway`, `Deadline`) into their [`ClientError`]s.
+fn answer(frame: &Frame) -> ClientResult<Response> {
+    match Response::from_frame(frame)? {
+        Response::Error { code, message } => Err(ClientError::Server { code, message }),
+        Response::GoingAway { message } => Err(ClientError::GoingAway { message }),
+        Response::Deadline {
+            waited_ms,
+            budget_ms,
+        } => Err(ClientError::Deadline {
+            waited_ms,
+            budget_ms,
+        }),
+        response => Ok(response),
     }
 }
 
@@ -231,7 +247,7 @@ impl Client {
         let mut client = Client {
             addr: AddrSource::Fixed(resolved),
             stream: None,
-            jitter: policy.jitter_seed | 1,
+            jitter: JITTER_SEED | 1,
             policy,
             next_request_id: 1,
             consecutive_failures: 0,
@@ -256,7 +272,7 @@ impl Client {
         let mut client = Client {
             addr: AddrSource::Provider(Box::new(provider)),
             stream: None,
-            jitter: policy.jitter_seed | 1,
+            jitter: JITTER_SEED | 1,
             policy,
             next_request_id: 1,
             consecutive_failures: 0,
@@ -303,10 +319,10 @@ impl Client {
         let stream = TcpStream::connect(addr).map_err(WireError::from)?;
         stream.set_nodelay(true).map_err(WireError::from)?;
         stream
-            .set_read_timeout(Some(self.policy.read_timeout))
+            .set_read_timeout(Some(READ_TIMEOUT))
             .map_err(WireError::from)?;
         stream
-            .set_write_timeout(Some(self.policy.write_timeout))
+            .set_write_timeout(Some(WRITE_TIMEOUT))
             .map_err(WireError::from)?;
         self.stream = Some(stream);
         Ok(())
@@ -400,18 +416,7 @@ impl Client {
     pub fn receive(&mut self) -> ClientResult<Response> {
         let stream = self.stream()?;
         match wire::read_frame(stream)? {
-            Some(frame) => match Response::from_frame(&frame)? {
-                Response::Error { code, message } => Err(ClientError::Server { code, message }),
-                Response::GoingAway { message } => Err(ClientError::GoingAway { message }),
-                Response::Deadline {
-                    waited_ms,
-                    budget_ms,
-                } => Err(ClientError::Deadline {
-                    waited_ms,
-                    budget_ms,
-                }),
-                response => Ok(response),
-            },
+            Some(frame) => answer(&frame),
             None => Err(ClientError::Disconnected),
         }
     }
@@ -432,20 +437,7 @@ impl Client {
                         // attempt on this connection; skip it.
                         continue;
                     }
-                    return match Response::from_frame(&frame)? {
-                        Response::Error { code, message } => {
-                            Err(ClientError::Server { code, message })
-                        }
-                        Response::GoingAway { message } => Err(ClientError::GoingAway { message }),
-                        Response::Deadline {
-                            waited_ms,
-                            budget_ms,
-                        } => Err(ClientError::Deadline {
-                            waited_ms,
-                            budget_ms,
-                        }),
-                        response => Ok(response),
-                    };
+                    return answer(&frame);
                 }
                 None => return Err(ClientError::Disconnected),
             }

@@ -37,7 +37,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use rbt_linalg::codec::crc32;
+use rbt_linalg::codec::{crc32, ByteReader, ByteWriter};
 
 use crate::registry::SessionRegistry;
 
@@ -96,29 +96,26 @@ fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// An intent record: magic, tenant-name length + bytes, payload length,
 /// payload CRC-32. Fixed little-endian layout, no framing dependency.
 fn encode_intent(tenant: &str, len: u64, crc: u32) -> Vec<u8> {
-    let name = tenant.as_bytes();
-    let mut out = Vec::with_capacity(4 + 4 + name.len() + 8 + 4);
-    out.extend_from_slice(INTENT_MAGIC);
-    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    out.extend_from_slice(name);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    let mut w = ByteWriter::new();
+    w.put_bytes(INTENT_MAGIC);
+    w.put_str(tenant);
+    w.put_u64(len);
+    w.put_u32(crc);
+    w.into_bytes()
 }
 
 fn decode_intent(bytes: &[u8]) -> Option<(String, u64, u32)> {
-    if bytes.len() < 8 || &bytes[..4] != INTENT_MAGIC {
+    let mut r = ByteReader::new(bytes);
+    if r.take_bytes(4).ok()? != INTENT_MAGIC {
         return None;
     }
-    let name_len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
-    let rest = &bytes[8..];
-    if rest.len() != name_len + 12 {
-        return None;
-    }
-    let tenant = std::str::from_utf8(&rest[..name_len]).ok()?.to_string();
-    let len = u64::from_le_bytes(rest[name_len..name_len + 8].try_into().ok()?);
-    let crc = u32::from_le_bytes(rest[name_len + 8..].try_into().ok()?);
-    Some((tenant, len, crc))
+    let intent = (
+        r.take_str().ok()?.to_string(),
+        r.take_u64().ok()?,
+        r.take_u32().ok()?,
+    );
+    r.expect_end().ok()?;
+    Some(intent)
 }
 
 fn file_crc(path: &Path, expect_len: u64) -> io::Result<Option<u32>> {

@@ -278,15 +278,7 @@ impl ServerStats {
         };
         let n = r.take_usize()?;
         // Each row is at least 53 bytes (4-byte name prefix + flag + 6 u64s).
-        if n.checked_mul(53)
-            .map(|need| need > r.remaining())
-            .unwrap_or(true)
-        {
-            return Err(DecodeError::Malformed {
-                offset: r.position(),
-                message: format!("tenant count {n} exceeds the remaining input"),
-            });
-        }
+        r.check_count(n, 53)?;
         let mut tenants = Vec::with_capacity(n);
         for _ in 0..n {
             tenants.push(TenantStats {

@@ -46,6 +46,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use rbt_linalg::codec::ByteReader;
 use rbt_protocol::{FederationConfig, FederationHub, Message as FedMessage, ProtocolError};
 
 use crate::keystore::KeyStore;
@@ -174,23 +175,11 @@ fn error_response(e: &ServerError) -> Response {
     }
 }
 
-/// Maps a federation protocol failure onto the wire error-code taxonomy:
-/// codec failures are code 4, shape violations code 5, session/config
-/// usage errors code 2, everything else (state-machine rejections, data
-/// and method failures) code 3.
+/// Maps a federation protocol failure onto the wire error-code taxonomy
+/// ([`ProtocolError::code`]).
 pub(crate) fn fed_error(e: &ProtocolError) -> Response {
-    let code = match e {
-        ProtocolError::Decode(_) => 4,
-        ProtocolError::ShapeMismatch(_) => 5,
-        ProtocolError::InvalidConfig(_)
-        | ProtocolError::UnknownSession(_)
-        | ProtocolError::SessionExists(_)
-        | ProtocolError::OwnerOutOfRange { .. }
-        | ProtocolError::SessionMismatch { .. } => 2,
-        _ => 3,
-    };
     Response::Error {
-        code,
+        code: e.code(),
         message: format!("federation: {e}"),
     }
 }
@@ -242,11 +231,7 @@ pub(crate) fn process_request(shared: &Shared, request: Request) -> Response {
             },
         },
         Request::FedOpen { config } => {
-            let mut r = rbt_linalg::codec::ByteReader::new(&config);
-            match FederationConfig::decode_from(&mut r).and_then(|cfg| {
-                r.expect_end()?;
-                Ok(cfg)
-            }) {
+            match ByteReader::decode_all(&config, FederationConfig::decode_from) {
                 Ok(cfg) => {
                     let session = cfg.session;
                     match shared.hub.lock().open(cfg) {

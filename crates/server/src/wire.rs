@@ -538,26 +538,6 @@ pub fn write_frame<W: Write>(stream: &mut W, frame: &Frame) -> WireResult<()> {
     Ok(())
 }
 
-/// Guards a decoded element count against the bytes actually remaining, so
-/// a corrupted count is rejected before it can drive an allocation.
-fn guard_count(
-    r: &ByteReader<'_>,
-    count: usize,
-    min_elem_bytes: usize,
-    what: &str,
-) -> WireResult<()> {
-    match count.checked_mul(min_elem_bytes) {
-        Some(need) if need <= r.remaining() => Ok(()),
-        _ => Err(malformed(
-            r.position(),
-            format!(
-                "{what} count {count} exceeds the remaining {} bytes",
-                r.remaining()
-            ),
-        )),
-    }
-}
-
 /// Appends a dataset to the writer: row/column counts, column names,
 /// optional record IDs, then the matrix as raw `f64` bit patterns —
 /// lossless, which is what makes the server's responses bit-comparable to
@@ -597,14 +577,14 @@ pub fn decode_dataset(r: &mut ByteReader<'_>) -> WireResult<Dataset> {
     let shape_offset = r.position();
     let rows = r.take_usize()?;
     let cols = r.take_usize()?;
-    guard_count(r, cols, 4, "column")?;
+    r.check_count(cols, 4)?;
     let mut columns = Vec::with_capacity(cols);
     for _ in 0..cols {
         columns.push(r.take_str()?.to_string());
     }
     let has_ids = r.take_bool()?;
     let ids = if has_ids {
-        guard_count(r, rows, 8, "record id")?;
+        r.check_count(rows, 8)?;
         let mut ids = Vec::with_capacity(rows);
         for _ in 0..rows {
             ids.push(r.take_u64()?);
@@ -619,7 +599,7 @@ pub fn decode_dataset(r: &mut ByteReader<'_>) -> WireResult<Dataset> {
             format!("dataset shape {rows}x{cols} overflows"),
         )
     })?;
-    guard_count(r, cells, 8, "cell")?;
+    r.check_count(cells, 8)?;
     let data = r.take_f64s(cells)?;
     let matrix =
         Matrix::from_vec(rows, cols, data).map_err(|e| malformed(shape_offset, e.to_string()))?;
@@ -705,8 +685,7 @@ pub enum Request {
 fn encode_blobs(w: &mut ByteWriter, blobs: &[Vec<u8>]) {
     w.put_u32(blobs.len() as u32);
     for blob in blobs {
-        w.put_usize(blob.len());
-        w.put_bytes(blob);
+        w.put_blob(blob);
     }
 }
 
@@ -714,11 +693,10 @@ fn encode_blobs(w: &mut ByteWriter, blobs: &[Vec<u8>]) {
 fn decode_blobs(r: &mut ByteReader<'_>) -> WireResult<Vec<Vec<u8>>> {
     let count = r.take_u32()? as usize;
     // Each blob costs at least its 8-byte length prefix.
-    guard_count(r, count, 8, "federation messages")?;
+    r.check_count(count, 8)?;
     let mut blobs = Vec::with_capacity(count);
     for _ in 0..count {
-        let len = r.take_usize()?;
-        blobs.push(r.take_bytes(len)?.to_vec());
+        blobs.push(r.take_blob()?.to_vec());
     }
     Ok(blobs)
 }
@@ -749,8 +727,7 @@ impl Request {
         match self {
             Request::LoadKey { tenant, key_bytes } => {
                 w.put_str(tenant);
-                w.put_usize(key_bytes.len());
-                w.put_bytes(key_bytes);
+                w.put_blob(key_bytes);
             }
             Request::Transform { tenant, batch } | Request::Invert { tenant, batch } => {
                 w = ByteWriter::with_capacity(4 + tenant.len() + encoded_dataset_len(batch));
@@ -758,10 +735,7 @@ impl Request {
                 encode_dataset(&mut w, batch);
             }
             Request::EvictTenant { tenant } => w.put_str(tenant),
-            Request::FedOpen { config } => {
-                w.put_usize(config.len());
-                w.put_bytes(config);
-            }
+            Request::FedOpen { config } => w.put_blob(config),
             Request::FedMsg {
                 session,
                 owner,
@@ -787,12 +761,10 @@ impl Request {
     pub fn from_frame(frame: &Frame) -> WireResult<Request> {
         let mut r = ByteReader::new(&frame.body);
         let req = match frame.opcode {
-            Opcode::LoadKey => {
-                let tenant = r.take_str()?.to_string();
-                let len = r.take_usize()?;
-                let key_bytes = r.take_bytes(len)?.to_vec();
-                Request::LoadKey { tenant, key_bytes }
-            }
+            Opcode::LoadKey => Request::LoadKey {
+                tenant: r.take_str()?.to_string(),
+                key_bytes: r.take_blob()?.to_vec(),
+            },
             Opcode::Transform => Request::Transform {
                 tenant: r.take_str()?.to_string(),
                 batch: decode_dataset(&mut r)?,
@@ -808,12 +780,9 @@ impl Request {
             Opcode::Ping => Request::Ping,
             Opcode::ReloadKeys => Request::ReloadKeys,
             Opcode::GoingAway => Request::Goodbye,
-            Opcode::FedOpen => {
-                let len = r.take_usize()?;
-                Request::FedOpen {
-                    config: r.take_bytes(len)?.to_vec(),
-                }
-            }
+            Opcode::FedOpen => Request::FedOpen {
+                config: r.take_blob()?.to_vec(),
+            },
             Opcode::FedMsg => Request::FedMsg {
                 session: r.take_u64()?,
                 owner: r.take_u16()?,
@@ -1016,8 +985,7 @@ impl Response {
             Response::FedSummary { summary } => {
                 w.put_bool(summary.is_some());
                 if let Some(bytes) = summary {
-                    w.put_usize(bytes.len());
-                    w.put_bytes(bytes);
+                    w.put_blob(bytes);
                 }
             }
             Response::FedClosed { existed } => w.put_bool(*existed),
@@ -1073,8 +1041,7 @@ impl Response {
             },
             Opcode::FedResult => Response::FedSummary {
                 summary: if r.take_bool()? {
-                    let len = r.take_usize()?;
-                    Some(r.take_bytes(len)?.to_vec())
+                    Some(r.take_blob()?.to_vec())
                 } else {
                     None
                 },

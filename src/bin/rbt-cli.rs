@@ -35,6 +35,7 @@ use rand::SeedableRng;
 use rbt::api::{decode_fitted, FittedRbt, FittedTransform, Method, RbtError};
 use rbt::core::{Pipeline, RbtConfig, ReleaseSession, TransformationKey};
 use rbt::data::{csv, FittedNormalizer, Normalization};
+use rbt::linalg::codec::ByteWriter;
 use rbt::prelude::Release;
 use rbt::protocol::{FederationConfig, KeyPolicy, Message, Owner, Party, ProtocolError};
 use rbt::server::{
@@ -737,18 +738,8 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
 
 impl From<ProtocolError> for CliError {
     fn from(e: ProtocolError) -> Self {
-        let code = match &e {
-            ProtocolError::Decode(_) => 4,
-            ProtocolError::ShapeMismatch(_) => 5,
-            ProtocolError::InvalidConfig(_)
-            | ProtocolError::UnknownSession(_)
-            | ProtocolError::SessionExists(_)
-            | ProtocolError::OwnerOutOfRange { .. }
-            | ProtocolError::SessionMismatch { .. } => 2,
-            _ => 3,
-        };
         CliError {
-            code,
+            code: e.code(),
             message: format!("federation: {e}"),
         }
     }
@@ -771,13 +762,6 @@ fn required_u64(flags: &HashMap<String, String>, name: &str) -> CliResult<u64> {
     required(flags, name)?
         .parse()
         .map_err(|e| CliError::usage(format!("bad --{name}: {e}")))
-}
-
-/// Encodes a federation config for the `FedOpen` wire body.
-fn encode_fed_config(cfg: &FederationConfig) -> Vec<u8> {
-    let mut w = rbt::linalg::codec::ByteWriter::new();
-    cfg.encode_into(&mut w);
-    w.into_bytes()
 }
 
 fn cmd_federate(args: &[String]) -> CliResult<()> {
@@ -830,7 +814,7 @@ fn cmd_federate_coordinate(args: &[String]) -> CliResult<()> {
     cfg.validate()?;
     let mut client = Client::connect(&addr).map_err(from_client_err)?;
     client
-        .fed_open(encode_fed_config(&cfg))
+        .fed_open(ByteWriter::encode_with(|w| cfg.encode_into(w)))
         .map_err(from_client_err)?;
     println!(
         "federated session {session} open on {addr}: {owners} owners x {n_cols} attributes, \
