@@ -275,7 +275,7 @@ impl FittedTransform for FittedRbt {
         self.session.key().n_attributes()
     }
 
-    fn transform_batch(&mut self, batch: &Dataset) -> Result<Dataset> {
+    fn transform_batch(&self, batch: &Dataset) -> Result<Dataset> {
         Ok(self.session.transform_batch(batch)?.released)
     }
 
@@ -402,7 +402,7 @@ impl FittedTransform for FittedHybridIsometry {
         self.key.n_attributes()
     }
 
-    fn transform_batch(&mut self, batch: &Dataset) -> Result<Dataset> {
+    fn transform_batch(&self, batch: &Dataset) -> Result<Dataset> {
         let normalized = self.normalizer.transform(batch.matrix())?;
         let transformed = self.key.apply(&normalized)?;
         released_dataset(transformed, batch, self.suppress_ids)
@@ -620,7 +620,7 @@ impl FittedTransform for FittedBaseline {
         self.n_attributes
     }
 
-    fn transform_batch(&mut self, batch: &Dataset) -> Result<Dataset> {
+    fn transform_batch(&self, batch: &Dataset) -> Result<Dataset> {
         if batch.n_cols() != self.n_attributes {
             return Err(RbtError::DimensionMismatch(format!(
                 "baseline fitted for {} attributes, batch has {}",

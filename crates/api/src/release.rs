@@ -9,7 +9,7 @@
 //!
 //! let patients = datasets::arrhythmia_sample();
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
-//! let mut fitted = Release::of(&patients)
+//! let fitted = Release::of(&patients)
 //!     .with_method(Method::Rbt)
 //!     .with_thresholds(PairwiseSecurityThreshold::uniform(0.3).unwrap())
 //!     .fit(&mut rng)
@@ -366,7 +366,7 @@ impl FittedRelease {
     /// # Errors
     ///
     /// As [`FittedTransform::transform_batch`].
-    pub fn transform_batch(&mut self, batch: &Dataset) -> Result<Dataset> {
+    pub fn transform_batch(&self, batch: &Dataset) -> Result<Dataset> {
         self.fitted.transform_batch(batch)
     }
 
@@ -395,15 +395,9 @@ impl FittedRelease {
         self.fitted.as_ref()
     }
 
-    /// Consumes the release, returning the released dataset and the fitted
-    /// transform.
-    pub fn into_parts(self) -> (Dataset, Box<dyn FittedTransform>) {
-        (self.released, self.fitted)
-    }
-
     /// The underlying [`ReleaseSession`] when the fitted method is RBT
     /// (`None` for every other method) — the bridge to the session-level
-    /// API (chunked/pooled batch processing, drift accounting, text
+    /// API (per-batch drift counts, zero-copy `_into` batches, text
     /// key-file form).
     pub fn session(&self) -> Option<&ReleaseSession> {
         self.fitted

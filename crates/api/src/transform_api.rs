@@ -9,9 +9,10 @@
 //!   [`MethodProperties`] descriptor, and [`fit`](PrivacyTransform::fit),
 //!   which consumes a dataset plus randomness and produces the initial
 //!   release alongside a fitted, reusable transform;
-//! * [`FittedTransform`] — the **fitted state**: batch-wise
-//!   [`transform_batch`](FittedTransform::transform_batch) /
-//!   [`invert_batch`](FittedTransform::invert_batch) (inversion is
+//! * [`FittedTransform`] — the **fitted state**, an immutable value:
+//!   batch-wise [`transform_batch`](FittedTransform::transform_batch) /
+//!   [`invert_batch`](FittedTransform::invert_batch) take `&self`
+//!   (inversion is
 //!   `Err(`[`RbtError::NotInvertible`](crate::RbtError::NotInvertible)`)`
 //!   for the baselines), and a
 //!   [`to_bytes`](FittedTransform::to_bytes) codec hook that rides the
@@ -102,7 +103,11 @@ pub struct FitOutput {
 
 /// A fitted privacy transform: owner-side secrets bound to a fixed
 /// attribute layout, applicable to batch after batch of arriving records.
-pub trait FittedTransform: Send {
+///
+/// A batch's release depends only on the fitted secrets and the batch, so
+/// transforming takes `&self` and one fitted state can be shared across
+/// threads (`Send + Sync`) and serve concurrent requests.
+pub trait FittedTransform: Send + Sync {
     /// The registry name of the method that produced this state.
     fn method_name(&self) -> &'static str;
 
@@ -121,7 +126,7 @@ pub trait FittedTransform: Send {
     ///
     /// [`RbtError::DimensionMismatch`](crate::RbtError::DimensionMismatch)
     /// when the batch's column count disagrees with the fitted layout.
-    fn transform_batch(&mut self, batch: &Dataset) -> Result<Dataset>;
+    fn transform_batch(&self, batch: &Dataset) -> Result<Dataset>;
 
     /// Owner-side inverse: recovers the pre-release values of a released
     /// batch.

@@ -106,13 +106,12 @@ impl Entry {
 }
 
 /// One point of the end-to-end streaming scaling record: sustained
-/// rows/sec through fit → transform (→ invert) at row count `m`, with the
-/// session pinned to `threads` pool threads.
+/// rows/sec through fit → transform (→ invert) at row count `m`, on the
+/// session's own pool threads (`host_threads`).
 struct StreamEntry {
     m: usize,
     cols: usize,
     batch_rows: usize,
-    threads: usize,
     fit_seconds: f64,
     baseline_rows_per_sec: f64,
     transform_rows_per_sec: f64,
@@ -481,14 +480,11 @@ fn main() {
         });
         let dataset = rbt_data::Dataset::from_matrix(w.matrix.clone());
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let mut via_trait = Release::of(&dataset)
+        let via_trait = Release::of(&dataset)
             .with_method(Method::Rbt)
             .fit(&mut rng)
             .expect("default thresholds are feasible on this workload");
-        let mut direct = via_trait
-            .session()
-            .expect("rbt exposes its session")
-            .clone();
+        let direct = via_trait.session().expect("rbt exposes its session");
         let best = time_competitors(
             budget,
             rounds,
@@ -533,7 +529,6 @@ fn main() {
         } else {
             &[100_000, 1_000_000]
         };
-        let thread_sweep: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
         for &m in sizes {
             let w = workload(WorkloadSpec {
                 rows: m,
@@ -555,7 +550,7 @@ fn main() {
                 Normalization::zscore_paper().fit_transform(&sub).unwrap();
             let bounds = DriftBounds::from_normalized(&normalized).unwrap();
             let key = synthetic_key(STREAM_COLS, STREAM_COLS);
-            let session0 = ReleaseSession::new(key.clone(), normalizer.clone())
+            let session = ReleaseSession::new(key.clone(), normalizer.clone())
                 .unwrap()
                 .with_drift_bounds(bounds.clone())
                 .unwrap();
@@ -611,88 +606,81 @@ fn main() {
             };
             let baseline_rows_per_sec = sustained_rows_per_sec(budget, m, &mut baseline_pass);
 
-            for &threads in thread_sweep {
-                let mut session = session0.clone().with_threads(threads);
-
-                // Sanity: the zero-copy path is bitwise the baseline.
-                {
-                    let mut out = Matrix::zeros(0, 0);
-                    session.transform_batch_into(&batches[0], &mut out).unwrap();
-                    let mut reference = batches[0].matrix().clone();
-                    normalizer
-                        .transform_rows_in_place(reference.as_mut_slice())
-                        .unwrap();
-                    for &(i, j, c, s) in &fwd {
-                        rotate_pair_in_rows(reference.as_mut_slice(), STREAM_COLS, i, j, c, s);
-                    }
-                    assert!(
-                        out.approx_eq(&reference, 0.0),
-                        "zero-copy transform drifted from the cloning path"
-                    );
-                }
-
+            // Sanity: the zero-copy path is bitwise the baseline.
+            {
                 let mut out = Matrix::zeros(0, 0);
-                let mut session_t = session.clone();
-                let mut transform_pass = || {
-                    for b in &batches {
-                        session_t.transform_batch_into(b, &mut out).unwrap();
-                        black_box(out.as_slice().as_ptr());
-                    }
-                };
-                let transform_rows_per_sec = sustained_rows_per_sec(budget, m, &mut transform_pass);
-
-                // Steady-state allocation pin (meaningful once buffers are
-                // warm): per batch, the library may allocate only the
-                // step/boundary scratch vectors — a fixed few hundred
-                // bytes against the ~1 MiB batch payload.
-                let (allocs_per_batch, alloc_bytes_per_batch) = {
-                    transform_pass();
-                    let calls0 = ALLOC_CALLS.load(Ordering::Relaxed);
-                    let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);
-                    transform_pass();
-                    let calls = (ALLOC_CALLS.load(Ordering::Relaxed) - calls0) as f64
-                        / batches.len() as f64;
-                    let bytes = (ALLOC_BYTES.load(Ordering::Relaxed) - bytes0) as f64
-                        / batches.len() as f64;
-                    assert!(
-                        bytes < 16_384.0,
-                        "steady-state allocation regressed: {bytes:.0} B/batch"
-                    );
-                    assert!(
-                        calls < 32.0,
-                        "steady-state allocation regressed: {calls:.1} allocs/batch"
-                    );
-                    (calls, bytes)
-                };
-
-                let mut inv = Matrix::zeros(0, 0);
-                let mut session_rt = session.clone();
-                let mut roundtrip_pass = || {
-                    for b in &batches {
-                        session_rt.transform_batch_into(b, &mut out).unwrap();
-                        let released =
-                            Dataset::from_matrix(std::mem::replace(&mut out, Matrix::zeros(0, 0)));
-                        session_rt.invert_batch_into(&released, &mut inv).unwrap();
-                        out = released.into_matrix();
-                        black_box(inv.as_slice().as_ptr());
-                    }
-                };
-                let roundtrip_rows_per_sec = sustained_rows_per_sec(budget, m, &mut roundtrip_pass);
-
-                streaming.push(StreamEntry {
-                    m,
-                    cols: STREAM_COLS,
-                    batch_rows: BATCH_ROWS,
-                    threads,
-                    fit_seconds,
-                    baseline_rows_per_sec,
-                    transform_rows_per_sec,
-                    roundtrip_rows_per_sec,
-                    allocs_per_batch,
-                    alloc_bytes_per_batch,
-                    memcpy_gbps,
-                });
+                session.transform_batch_into(&batches[0], &mut out).unwrap();
+                let mut reference = batches[0].matrix().clone();
+                normalizer
+                    .transform_rows_in_place(reference.as_mut_slice())
+                    .unwrap();
+                for &(i, j, c, s) in &fwd {
+                    rotate_pair_in_rows(reference.as_mut_slice(), STREAM_COLS, i, j, c, s);
+                }
+                assert!(
+                    out.approx_eq(&reference, 0.0),
+                    "zero-copy transform drifted from the cloning path"
+                );
             }
+
+            let mut out = Matrix::zeros(0, 0);
+            let mut transform_pass = || {
+                for b in &batches {
+                    session.transform_batch_into(b, &mut out).unwrap();
+                    black_box(out.as_slice().as_ptr());
+                }
+            };
+            let transform_rows_per_sec = sustained_rows_per_sec(budget, m, &mut transform_pass);
+
+            // Steady-state allocation pin (meaningful once buffers are
+            // warm): per batch, the library may allocate only the
+            // step/boundary scratch vectors — a fixed few hundred
+            // bytes against the ~1 MiB batch payload.
+            let (allocs_per_batch, alloc_bytes_per_batch) = {
+                transform_pass();
+                let calls0 = ALLOC_CALLS.load(Ordering::Relaxed);
+                let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);
+                transform_pass();
+                let calls =
+                    (ALLOC_CALLS.load(Ordering::Relaxed) - calls0) as f64 / batches.len() as f64;
+                let bytes =
+                    (ALLOC_BYTES.load(Ordering::Relaxed) - bytes0) as f64 / batches.len() as f64;
+                assert!(
+                    bytes < 16_384.0,
+                    "steady-state allocation regressed: {bytes:.0} B/batch"
+                );
+                assert!(
+                    calls < 32.0,
+                    "steady-state allocation regressed: {calls:.1} allocs/batch"
+                );
+                (calls, bytes)
+            };
+
+            let mut inv = Matrix::zeros(0, 0);
+            let mut roundtrip_pass = || {
+                for b in &batches {
+                    session.transform_batch_into(b, &mut out).unwrap();
+                    let released =
+                        Dataset::from_matrix(std::mem::replace(&mut out, Matrix::zeros(0, 0)));
+                    session.invert_batch_into(&released, &mut inv).unwrap();
+                    out = released.into_matrix();
+                    black_box(inv.as_slice().as_ptr());
+                }
+            };
+            let roundtrip_rows_per_sec = sustained_rows_per_sec(budget, m, &mut roundtrip_pass);
+
+            streaming.push(StreamEntry {
+                m,
+                cols: STREAM_COLS,
+                batch_rows: BATCH_ROWS,
+                fit_seconds,
+                baseline_rows_per_sec,
+                transform_rows_per_sec,
+                roundtrip_rows_per_sec,
+                allocs_per_batch,
+                alloc_bytes_per_batch,
+                memcpy_gbps,
+            });
         }
     }
 
@@ -725,21 +713,13 @@ fn main() {
          baseline = pre-zero-copy clone + per-step sweeps)"
     );
     println!(
-        "{:>9} {:>8} {:>14} {:>14} {:>14} {:>8} {:>11} {:>10}",
-        "m",
-        "threads",
-        "baseline r/s",
-        "transform r/s",
-        "roundtrip r/s",
-        "speedup",
-        "B/batch",
-        "~GB/s"
+        "{:>9} {:>14} {:>14} {:>14} {:>8} {:>11} {:>10}",
+        "m", "baseline r/s", "transform r/s", "roundtrip r/s", "speedup", "B/batch", "~GB/s"
     );
     for e in &streaming {
         println!(
-            "{:>9} {:>8} {:>14.0} {:>14.0} {:>14.0} {:>7.2}x {:>11.0} {:>10.2}",
+            "{:>9} {:>14.0} {:>14.0} {:>14.0} {:>7.2}x {:>11.0} {:>10.2}",
             e.m,
-            e.threads,
             e.baseline_rows_per_sec,
             e.transform_rows_per_sec,
             e.roundtrip_rows_per_sec,
@@ -796,7 +776,7 @@ fn main() {
         let _ = writeln!(
             json,
             "      \"params\": {{\"m\": {}, \"cols\": {}, \"batch_rows\": {}, \"threads\": {}}},",
-            e.m, e.cols, e.batch_rows, e.threads
+            e.m, e.cols, e.batch_rows, threads
         );
         let _ = writeln!(json, "      \"fit_seconds\": {:.6},", e.fit_seconds);
         let _ = writeln!(

@@ -44,11 +44,6 @@ pub struct Dendrogram {
 }
 
 impl Dendrogram {
-    /// Number of leaves (objects).
-    pub fn n_leaves(&self) -> usize {
-        self.n
-    }
-
     /// The merges, in execution order.
     pub fn merges(&self) -> &[Merge] {
         &self.merges

@@ -15,16 +15,18 @@
 //!   [`invert_batch_into`](ReleaseSession::invert_batch_into) variants
 //!   that fill a caller-reusable output matrix so a steady-state stream
 //!   allocates nothing per batch,
-//! * batches are processed in bounded row chunks fanned out over the
+//! * batches are processed in fixed-size row chunks fanned out over the
 //!   shared [`rbt_linalg::pool`]; all rotation steps are applied to each
 //!   chunk in one fused sweep ([`apply_steps_in_rows`]) — normalization
 //!   and every rotation step are row-local and keep their per-row order,
-//!   so any chunk size and thread count produces output **bit-identical**
+//!   so any batch split and thread count produces output **bit-identical**
 //!   to running the one-shot [`crate::Pipeline`] on the concatenated data
 //!   (pinned by the conformance battery),
-//! * it counts **drift**: records whose normalized values fall outside the
-//!   per-column min–max range observed on the fitting data, the first
-//!   sign that the fitted normalization no longer represents the stream,
+//! * it reports **drift** per batch: records whose normalized values fall
+//!   outside the per-column min–max range observed on the fitting data,
+//!   the first sign that the fitted normalization no longer represents
+//!   the stream; it keeps no history, so it transforms through `&self`
+//!   and one session serves many threads at once,
 //! * it persists: [`to_bytes`](ReleaseSession::to_bytes) /
 //!   [`to_text`](ReleaseSession::to_text) produce the checksummed key-file
 //!   formats of [`crate::codec`], so the secrets can leave the process and
@@ -44,8 +46,8 @@ use rbt_linalg::Matrix;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default maximum number of rows per processing chunk.
-pub const DEFAULT_CHUNK_ROWS: usize = 4096;
+/// Maximum number of rows per processing chunk.
+const CHUNK_ROWS: usize = 4096;
 
 /// Per-column `[min, max]` of the *normalized* fitting data — the
 /// reference against which arriving batches are drift-checked.
@@ -164,10 +166,10 @@ pub struct ReleaseSession {
     config: Option<RbtConfig>,
     drift: Option<DriftBounds>,
     suppress_ids: bool,
-    chunk_rows: usize,
+    /// Pool threads per batch, resolved once in [`ReleaseSession::new`]
+    /// rather than per batch: [`pool::default_threads`] reads the
+    /// environment and the host's CPU quota on every call.
     threads: usize,
-    records_seen: u64,
-    records_out_of_range: u64,
 }
 
 impl ReleaseSession {
@@ -191,10 +193,7 @@ impl ReleaseSession {
             config: None,
             drift: None,
             suppress_ids: true,
-            chunk_rows: DEFAULT_CHUNK_ROWS,
             threads: pool::default_threads(),
-            records_seen: 0,
-            records_out_of_range: 0,
         })
     }
 
@@ -242,20 +241,6 @@ impl ReleaseSession {
         self
     }
 
-    /// Sets the maximum rows per processing chunk (clamped to ≥ 1).
-    /// Chunking bounds per-thread working sets; it never changes output.
-    pub fn with_chunk_rows(mut self, chunk_rows: usize) -> Self {
-        self.chunk_rows = chunk_rows.max(1);
-        self
-    }
-
-    /// Sets the thread budget for batch processing (clamped to ≥ 1;
-    /// defaults to [`pool::default_threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// The session's transformation key.
     pub fn key(&self) -> &TransformationKey {
         &self.key
@@ -281,40 +266,17 @@ impl ReleaseSession {
         self.suppress_ids
     }
 
-    /// Maximum rows per processing chunk.
-    pub fn chunk_rows(&self) -> usize {
-        self.chunk_rows
-    }
-
-    /// Thread budget for batch processing.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Total records transformed over the session's lifetime (counters are
-    /// runtime state — they reset when a session is decoded from a file).
-    pub fn records_seen(&self) -> u64 {
-        self.records_seen
-    }
-
-    /// Total records whose normalized values fell outside the fitted
-    /// min–max range.
-    pub fn records_out_of_range(&self) -> u64 {
-        self.records_out_of_range
-    }
-
     /// Transforms a batch of out-of-sample records: normalize with the
     /// *fitted* parameters, apply the key's rotations, optionally strip
-    /// IDs. Rows are processed in chunks of at most
-    /// [`chunk_rows`](Self::chunk_rows) rows across
-    /// [`threads`](Self::threads) pool threads; output is bit-identical to
-    /// the one-shot pipeline for every chunk/thread configuration.
+    /// IDs. Rows are processed in chunks of at most 4096 rows across the
+    /// pool; output is bit-identical to the one-shot pipeline for every
+    /// batch split and thread count.
     ///
     /// # Errors
     ///
     /// Returns [`Error::KeyMismatch`] when the batch's column count
     /// disagrees with the session.
-    pub fn transform_batch(&mut self, batch: &Dataset) -> Result<SessionBatch> {
+    pub fn transform_batch(&self, batch: &Dataset) -> Result<SessionBatch> {
         let mut matrix = Matrix::zeros(0, 0);
         let out_of_range_rows = self.transform_batch_into(batch, &mut matrix)?;
         // Build the released dataset around the transformed matrix directly
@@ -356,8 +318,7 @@ impl ReleaseSession {
     /// when it is already large enough, and returns the batch's
     /// out-of-range row count. A steady-state stream that feeds the same
     /// `out` back in allocates **nothing** per batch. Values are
-    /// bit-identical to `transform_batch(batch).released.matrix()`; the
-    /// session counters are updated the same way.
+    /// bit-identical to `transform_batch(batch).released.matrix()`.
     ///
     /// Column metadata and IDs are the caller's concern here — this is
     /// the raw matrix path for high-throughput streaming.
@@ -366,13 +327,10 @@ impl ReleaseSession {
     ///
     /// Returns [`Error::KeyMismatch`] when the batch's column count
     /// disagrees with the session.
-    pub fn transform_batch_into(&mut self, batch: &Dataset, out: &mut Matrix) -> Result<usize> {
+    pub fn transform_batch_into(&self, batch: &Dataset, out: &mut Matrix) -> Result<usize> {
         self.check_cols(batch.matrix())?;
         out.copy_from(batch.matrix());
-        let out_of_range_rows = self.forward_in_place(out);
-        self.records_seen += batch.n_rows() as u64;
-        self.records_out_of_range += out_of_range_rows as u64;
-        Ok(out_of_range_rows)
+        Ok(self.forward_in_place(out))
     }
 
     /// Zero-copy variant of [`invert_batch`](Self::invert_batch): writes
@@ -402,7 +360,7 @@ impl ReleaseSession {
         // The key's own (cos, sin) per step — the same values the one-shot
         // paths use, applied as one fused per-row sweep.
         let steps = self.key.forward_sweep();
-        let bounds = self.element_bounds(out.rows(), n_cols);
+        let bounds = Self::element_bounds(out.rows(), n_cols);
         let out_of_range = AtomicUsize::new(0);
         let normalizer = &self.normalizer;
         let drift = self.drift.as_ref();
@@ -434,7 +392,7 @@ impl ReleaseSession {
         // Inverse rotations in reverse order — the same (cos, sin) the
         // whole-matrix `TransformationKey::invert` uses.
         let steps = self.key.inverse_sweep();
-        let bounds = self.element_bounds(out.rows(), n_cols);
+        let bounds = Self::element_bounds(out.rows(), n_cols);
         let normalizer = &self.normalizer;
         Pool::new(self.threads).for_each_chunk_mut(out.as_mut_slice(), &bounds, |_, _, chunk| {
             apply_steps_in_rows(chunk, n_cols, &steps);
@@ -444,10 +402,10 @@ impl ReleaseSession {
         });
     }
 
-    /// Row-aligned element boundaries with at most
-    /// [`chunk_rows`](Self::chunk_rows) rows per chunk.
-    fn element_bounds(&self, n_rows: usize, n_cols: usize) -> Vec<usize> {
-        let n_chunks = n_rows.div_ceil(self.chunk_rows);
+    /// Row-aligned element boundaries with at most [`CHUNK_ROWS`] rows per
+    /// chunk.
+    fn element_bounds(n_rows: usize, n_cols: usize) -> Vec<usize> {
+        let n_chunks = n_rows.div_ceil(CHUNK_ROWS);
         pool::even_chunks(n_rows, n_chunks)
             .into_iter()
             .map(|r| r * n_cols)
@@ -469,9 +427,8 @@ impl ReleaseSession {
     // Persistence
     // ------------------------------------------------------------------
 
-    /// Serializes the session (secrets + metadata, not runtime counters or
-    /// chunk/thread knobs) into the sealed binary envelope of
-    /// [`crate::codec`].
+    /// Serializes the session (secrets + metadata, not the thread count)
+    /// into the sealed binary envelope of [`crate::codec`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         codec::write_key_record(&mut w, &self.key);
@@ -981,35 +938,21 @@ mod tests {
 
     #[test]
     fn transform_batch_matches_one_shot_release_bitwise() {
-        let (mut session, out) = fitted_session();
+        let (session, out) = fitted_session();
         let raw = datasets::arrhythmia_sample();
-        for chunk_rows in [1, 2, 5, 100] {
-            for threads in [1, 3] {
-                let mut s = session
-                    .clone()
-                    .with_chunk_rows(chunk_rows)
-                    .with_threads(threads);
-                let batch = s.transform_batch(&raw).unwrap();
-                assert!(
-                    batch
-                        .released
-                        .matrix()
-                        .approx_eq(out.released.matrix(), 0.0),
-                    "chunk_rows={chunk_rows} threads={threads}"
-                );
-                assert!(batch.released.ids().is_none());
-            }
-        }
-        // And drift is zero on the fitting data itself.
         let batch = session.transform_batch(&raw).unwrap();
+        assert!(batch
+            .released
+            .matrix()
+            .approx_eq(out.released.matrix(), 0.0));
+        assert!(batch.released.ids().is_none());
+        // And drift is zero on the fitting data itself.
         assert_eq!(batch.out_of_range_rows, 0);
-        assert_eq!(session.records_seen(), 5);
-        assert_eq!(session.records_out_of_range(), 0);
     }
 
     #[test]
     fn invert_batch_recovers_raw_values() {
-        let (mut session, _) = fitted_session();
+        let (session, _) = fitted_session();
         let raw = datasets::arrhythmia_sample();
         let batch = session.transform_batch(&raw).unwrap();
         let recovered = session.invert_batch(&batch.released).unwrap();
@@ -1020,35 +963,66 @@ mod tests {
     fn into_variants_match_allocating_paths_bitwise() {
         let (session, _) = fitted_session();
         let raw = datasets::arrhythmia_sample();
-        for chunk_rows in [1, 2, 5, 100] {
-            for threads in [1, 3] {
-                let mut a = session
-                    .clone()
-                    .with_chunk_rows(chunk_rows)
-                    .with_threads(threads);
-                let mut b = a.clone();
-                let batch = a.transform_batch(&raw).unwrap();
-                let mut out = Matrix::zeros(0, 0);
-                let oor = b.transform_batch_into(&raw, &mut out).unwrap();
-                assert!(
-                    out.approx_eq(batch.released.matrix(), 0.0),
-                    "chunk_rows={chunk_rows} threads={threads}"
-                );
-                assert_eq!(oor, batch.out_of_range_rows);
-                assert_eq!(a.records_seen(), b.records_seen());
-                assert_eq!(a.records_out_of_range(), b.records_out_of_range());
+        let batch = session.transform_batch(&raw).unwrap();
+        let mut out = Matrix::zeros(0, 0);
+        let oor = session.transform_batch_into(&raw, &mut out).unwrap();
+        assert!(out.approx_eq(batch.released.matrix(), 0.0));
+        assert_eq!(oor, batch.out_of_range_rows);
 
-                let recovered = a.invert_batch(&batch.released).unwrap();
-                let mut inv = Matrix::zeros(0, 0);
-                b.invert_batch_into(&batch.released, &mut inv).unwrap();
-                assert!(inv.approx_eq(recovered.matrix(), 0.0));
+        let recovered = session.invert_batch(&batch.released).unwrap();
+        let mut inv = Matrix::zeros(0, 0);
+        session
+            .invert_batch_into(&batch.released, &mut inv)
+            .unwrap();
+        assert!(inv.approx_eq(recovered.matrix(), 0.0));
+    }
+
+    #[test]
+    fn batches_crossing_chunk_boundaries_match_small_batches_bitwise() {
+        // Three chunks (4096 + 4096 + 3 rows): the pool's grouped path
+        // under default threads, the inline path under `RBT_THREADS=1`.
+        let (session, _) = fitted_session();
+        let raw = datasets::arrhythmia_sample();
+        let rows = 2 * CHUNK_ROWS + 3;
+        let outlier = |r: usize| r % 1000 == 999 || r == rows - 1;
+        // All 125 combinations of the fitted column values stay in range;
+        // the outliers, in every chunk, lie far outside it.
+        let big = Matrix::from_row_iter((0..rows).map(|r| {
+            let shift = if outlier(r) { 1e4 } else { 0.0 };
+            (0..3)
+                .map(|j| raw.matrix().row(r / 5usize.pow(j as u32) % 5)[j] + shift)
+                .collect::<Vec<_>>()
+        }))
+        .unwrap();
+        // (drift rows, output bits) of `m` sent in batches of `step` rows.
+        let run = |m: &Matrix, step: usize, forward: bool| {
+            let (mut drifted, mut bits, mut out) = (0, Vec::new(), Matrix::zeros(0, 0));
+            for lo in (0..m.rows()).step_by(step) {
+                let idx: Vec<usize> = (lo..(lo + step).min(m.rows())).collect();
+                let part = Dataset::from_matrix(m.select_rows(&idx).unwrap());
+                if forward {
+                    drifted += session.transform_batch_into(&part, &mut out).unwrap();
+                } else {
+                    session.invert_batch_into(&part, &mut out).unwrap();
+                }
+                bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
             }
-        }
+            (drifted, bits)
+        };
+        let whole = run(&big, rows, true);
+        assert_eq!(whole.0, (0..rows).filter(|&r| outlier(r)).count());
+        assert!(run(&big, 97, true) == whole, "chunked release differs");
+        let released = whole.1.into_iter().map(f64::from_bits).collect();
+        let released = Matrix::from_vec(rows, 3, released).unwrap();
+        assert!(
+            run(&released, rows, false) == run(&released, 97, false),
+            "chunked inverse differs"
+        );
     }
 
     #[test]
     fn into_buffers_are_reused_across_batches() {
-        let (mut session, _) = fitted_session();
+        let (session, _) = fitted_session();
         let raw = datasets::arrhythmia_sample();
         let mut out = Matrix::zeros(0, 0);
         session.transform_batch_into(&raw, &mut out).unwrap();
@@ -1081,7 +1055,7 @@ mod tests {
 
     #[test]
     fn out_of_sample_rows_are_flagged_as_drift() {
-        let (mut session, _) = fitted_session();
+        let (session, _) = fitted_session();
         // A record far outside the fitted value ranges.
         let outlier = Dataset::new(
             Matrix::from_rows(&[&[1e4, 1e4, 1e4], &[75.0, 80.0, 63.0]]).unwrap(),
@@ -1092,24 +1066,22 @@ mod tests {
         )
         .unwrap();
         let batch = session.transform_batch(&outlier).unwrap();
+        assert_eq!(batch.released.n_rows(), 2);
         assert_eq!(batch.out_of_range_rows, 1);
-        assert_eq!(session.records_out_of_range(), 1);
-        assert_eq!(session.records_seen(), 2);
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let (mut session, _) = fitted_session();
+        let (session, _) = fitted_session();
         let empty = Dataset::from_matrix(Matrix::zeros(0, 3));
         let batch = session.transform_batch(&empty).unwrap();
         assert_eq!(batch.released.n_rows(), 0);
         assert_eq!(batch.out_of_range_rows, 0);
-        assert_eq!(session.records_seen(), 0);
     }
 
     #[test]
     fn shape_mismatch_is_typed() {
-        let (mut session, _) = fitted_session();
+        let (session, _) = fitted_session();
         let wrong = Dataset::from_matrix(Matrix::zeros(2, 5));
         assert!(matches!(
             session.transform_batch(&wrong),
@@ -1174,14 +1146,12 @@ mod tests {
         assert_sessions_equal(&ReleaseSession::decode(text.as_bytes()).unwrap(), &session);
         // The decoded session transforms bit-identically.
         let raw = datasets::arrhythmia_sample();
-        let mut a = session.clone();
-        let mut b = back;
-        assert!(a
+        assert!(session
             .transform_batch(&raw)
             .unwrap()
             .released
             .matrix()
-            .approx_eq(b.transform_batch(&raw).unwrap().released.matrix(), 0.0));
+            .approx_eq(back.transform_batch(&raw).unwrap().released.matrix(), 0.0));
     }
 
     #[test]

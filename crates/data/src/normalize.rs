@@ -658,6 +658,12 @@ impl FittedNormalizer {
         if fields.next().is_some() {
             return Err(bad_header());
         }
+        if cols == 0 {
+            return Err(Error::Parse {
+                line: 1,
+                message: "a normalizer needs at least one column".into(),
+            });
+        }
         // `cols` is untrusted until the lines are counted: cap the
         // up-front reservation, as `decode_from` does.
         let mut params = Vec::with_capacity(cols.min(1024));
@@ -1426,6 +1432,18 @@ mod tests {
                 }
                 other => panic!("cols={cols}: expected a parse error, got {other:?}"),
             }
+        }
+        // Zero columns is refused as the binary decoder refuses it, with
+        // or without parameter lines.
+        for text in [
+            "rbt-normalizer v1 cols=0 method=zscore-sample\n",
+            "rbt-normalizer v1 cols=0\nzscore 0 1\n",
+        ] {
+            assert!(matches!(
+                FittedNormalizer::from_text(text),
+                Err(Error::Parse { line: 1, message })
+                    if message == "a normalizer needs at least one column"
+            ));
         }
     }
 

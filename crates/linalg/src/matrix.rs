@@ -197,11 +197,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its flat row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow of row `i` as a slice.
     ///
     /// # Panics

@@ -62,16 +62,6 @@ impl FederationHub {
         self
     }
 
-    /// Number of currently hosted sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether the hub hosts no sessions.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
     /// Opens a session: constructs coordinator + receiver and queues the
     /// `Announce` round into the owner mailboxes.
     ///

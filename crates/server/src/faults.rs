@@ -183,16 +183,6 @@ impl<S> FaultyStream<S> {
         self.severed
     }
 
-    /// Total bytes read through this wrapper so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.read_pos
-    }
-
-    /// Total bytes written through this wrapper so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.write_pos
-    }
-
     /// Unwraps the inner stream, discarding unfired faults.
     pub fn into_inner(self) -> S {
         self.inner

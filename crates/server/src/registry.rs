@@ -13,16 +13,16 @@
 //! depends only on its persisted secrets, never on how often it has been
 //! decoded.
 //!
-//! Counters ([`TenantMetrics`]) live *next to* the key bytes rather than
-//! inside the session, because `ReleaseSession`'s own counters reset on
-//! decode — an LRU eviction must not zero a tenant's drift history.
+//! Counters ([`TenantMetrics`]) live *next to* the key bytes, the one
+//! home of a tenant's totals: a session keeps no history, so an LRU
+//! eviction cannot zero a tenant's counts.
 //!
 //! Locking: the registry mutex (a non-poisoning `parking_lot` lock, so a
 //! panicking worker thread cannot wedge every other tenant) is held
-//! only to look up / decode / account; the per-tenant session lock is held
-//! for the transform itself. Different tenants therefore transform in
-//! parallel, while two requests for the same tenant serialize — which is
-//! what keeps per-tenant drift accounting exact.
+//! only to look up / decode / account. A checked-out `Arc<LiveTransform>`
+//! transforms through `&self` outside every lock, so requests run in
+//! parallel, for one tenant as for many; each adds its own rows and
+//! drift to the counters under the registry lock.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -95,7 +95,7 @@ enum LiveTransform {
 }
 
 impl LiveTransform {
-    fn transform(&mut self, batch: &Dataset) -> ServerResult<(Dataset, u64)> {
+    fn transform(&self, batch: &Dataset) -> ServerResult<(Dataset, u64)> {
         match self {
             LiveTransform::Rbt(session) => {
                 let out = session.transform_batch(batch).map_err(RbtError::from)?;
@@ -128,7 +128,7 @@ fn decode_live(key_bytes: &[u8]) -> ServerResult<(LiveTransform, &'static str, u
 
 struct TenantEntry {
     key_bytes: Vec<u8>,
-    live: Option<Arc<Mutex<LiveTransform>>>,
+    live: Option<Arc<LiveTransform>>,
     last_used: u64,
     metrics: TenantMetrics,
 }
@@ -187,11 +187,6 @@ impl SessionRegistry {
         }
     }
 
-    /// The configured live-session capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The server-wide resilience counters, shared with the event loop
     /// and the worker pool (lock-free increments).
     pub fn runtime(&self) -> &RuntimeCounters {
@@ -221,7 +216,7 @@ impl SessionRegistry {
             tenant.to_string(),
             TenantEntry {
                 key_bytes,
-                live: Some(Arc::new(Mutex::new(live))),
+                live: Some(Arc::new(live)),
                 last_used: clock,
                 metrics,
             },
@@ -232,7 +227,7 @@ impl SessionRegistry {
 
     /// Checks out the tenant's live session, re-decoding from the retained
     /// key bytes after an eviction.
-    fn checkout(&self, tenant: &str) -> ServerResult<Arc<Mutex<LiveTransform>>> {
+    fn checkout(&self, tenant: &str) -> ServerResult<Arc<LiveTransform>> {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -247,7 +242,7 @@ impl SessionRegistry {
             return Ok(Arc::clone(live));
         }
         let (live, _, _) = decode_live(&entry.key_bytes)?;
-        let handle = Arc::new(Mutex::new(live));
+        let handle = Arc::new(live);
         // Re-borrow: decode_live ran without the entry borrowed so the
         // borrow checker is satisfied, but the registry lock was held
         // throughout, so the entry cannot have changed.
@@ -258,7 +253,9 @@ impl SessionRegistry {
         Ok(handle)
     }
 
-    fn note(&self, tenant: &str, rows: u64, drift_rows: u64, elapsed_us: u64) {
+    /// Adds one answered request, timed from `start`, to its tenant.
+    fn note(&self, tenant: &str, rows: u64, drift_rows: u64, start: Instant) {
+        let elapsed_us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         let mut inner = self.inner.lock();
         if let Some(entry) = inner.tenants.get_mut(tenant) {
             entry.metrics.requests += 1;
@@ -276,17 +273,11 @@ impl SessionRegistry {
     /// [`ServerError::UnknownTenant`] for unregistered tenants, otherwise
     /// whatever the release machinery reports (shape mismatch, …).
     pub fn transform(&self, tenant: &str, batch: &Dataset) -> ServerResult<(Dataset, u64)> {
-        let handle = self.checkout(tenant)?;
+        let live = self.checkout(tenant)?;
         let start = Instant::now();
-        let result = handle.lock().transform(batch);
-        let elapsed_us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        match result {
-            Ok((released, drift_rows)) => {
-                self.note(tenant, batch.n_rows() as u64, drift_rows, elapsed_us);
-                Ok((released, drift_rows))
-            }
-            Err(e) => Err(e),
-        }
+        let (released, drift_rows) = live.transform(batch)?;
+        self.note(tenant, batch.n_rows() as u64, drift_rows, start);
+        Ok((released, drift_rows))
     }
 
     /// Inverts a previously released batch under `tenant`'s session
@@ -298,17 +289,11 @@ impl SessionRegistry {
     /// [`RbtError::NotInvertible`] (as [`ServerError::Rbt`]) for methods
     /// that destroy information by design.
     pub fn invert(&self, tenant: &str, batch: &Dataset) -> ServerResult<Dataset> {
-        let handle = self.checkout(tenant)?;
+        let live = self.checkout(tenant)?;
         let start = Instant::now();
-        let result = handle.lock().invert(batch);
-        let elapsed_us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        match result {
-            Ok(recovered) => {
-                self.note(tenant, 0, 0, elapsed_us);
-                Ok(recovered)
-            }
-            Err(e) => Err(e),
-        }
+        let recovered = live.invert(batch)?;
+        self.note(tenant, 0, 0, start);
+        Ok(recovered)
     }
 
     /// Drops a tenant entirely: key bytes, live session, and counters.

@@ -577,6 +577,14 @@ pub fn decode_dataset(r: &mut ByteReader<'_>) -> WireResult<Dataset> {
     let shape_offset = r.position();
     let rows = r.take_usize()?;
     let cols = r.take_usize()?;
+    // Rows without columns carry no bytes, so no count check would bound
+    // them; a 0×0 dataset stays valid.
+    if cols == 0 && rows > 0 {
+        return Err(malformed(
+            shape_offset,
+            format!("dataset declares {rows} rows but no columns"),
+        ));
+    }
     r.check_count(cols, 4)?;
     let mut columns = Vec::with_capacity(cols);
     for _ in 0..cols {
@@ -1468,6 +1476,32 @@ mod tests {
         let back = decode_dataset(&mut r).unwrap();
         r.expect_end().unwrap();
         assert_datasets_bitwise(&ds, &back);
+    }
+
+    #[test]
+    fn rows_without_columns_are_malformed() {
+        // A 2^60×0 batch carries no cell bytes, so no count check bounds
+        // its rows; the shape rule refuses it at the shape offset.
+        let rows = 1usize << 60;
+        let mut w = ByteWriter::new();
+        w.put_str("t");
+        w.put_usize(rows);
+        w.put_usize(0);
+        w.put_bool(false);
+        let frame = Frame::new(Opcode::Transform, w.into_bytes());
+        assert_eq!(encode_frame(&frame).len(), 45);
+        // The shape follows the 5-byte tenant.
+        assert!(matches!(
+            Request::from_frame(&frame),
+            Err(WireError::Byte(DecodeError::Malformed { offset: 5, message }))
+                if message == format!("dataset declares {rows} rows but no columns")
+        ));
+        // A 0×0 dataset stays valid.
+        let empty = Request::Transform {
+            tenant: "t".to_string(),
+            batch: Dataset::from_matrix(Matrix::zeros(0, 0)),
+        };
+        assert_eq!(Request::from_frame(&empty.to_frame()).unwrap(), empty);
     }
 
     /// The PR-3-style battery: every single-bit corruption of a valid frame

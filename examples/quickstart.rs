@@ -26,7 +26,7 @@ fn main() {
     // Var(A - A') >= 0.3 — the owner's privacy knob. The RNG seed is part
     // of the owner's secret state.
     let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
-    let mut fitted = Release::of(&patients)
+    let fitted = Release::of(&patients)
         .with_method(Method::Rbt)
         .with_thresholds(PairwiseSecurityThreshold::uniform(0.3).unwrap())
         .fit(&mut rng)

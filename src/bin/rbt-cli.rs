@@ -474,7 +474,7 @@ fn cmd_transform(args: &[String]) -> CliResult<()> {
     let input = PathBuf::from(required(&flags, "input")?);
     let output = PathBuf::from(required(&flags, "output")?);
 
-    let mut fitted = load_fitted(&key_path)?;
+    let fitted = load_fitted(&key_path)?;
     let data = read_csv(&input)?;
 
     // RBT sessions report drift; other methods transform generically.
@@ -483,7 +483,6 @@ fn cmd_transform(args: &[String]) -> CliResult<()> {
         .downcast_ref::<FittedRbt>()
         .map(FittedRbt::session)
     {
-        let mut session = session.clone();
         let batch = session.transform_batch(&data)?;
         write_csv(&batch.released, &output)?;
         println!(

@@ -94,7 +94,7 @@ fn fixtures_agree_with_each_other() {
 #[test]
 fn decoded_fixture_replays_tables_2_through_6() {
     let example = paper::run_example().unwrap();
-    let mut session =
+    let session =
         ReleaseSession::decode(&std::fs::read(fixture_path(TEXT_FIXTURE)).unwrap()).unwrap();
 
     // The decoded key is the paper's key, bit for bit.

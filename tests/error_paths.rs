@@ -64,7 +64,7 @@ proptest! {
         let data = sample();
         let batch = Dataset::from_matrix(Matrix::zeros(rows, cols));
         for method in Method::ALL {
-            let mut fitted = Release::of(&data)
+            let fitted = Release::of(&data)
                 .with_method(method)
                 .fit(&mut rng(seed))
                 .unwrap();
@@ -91,7 +91,7 @@ proptest! {
     fn baseline_inversion_is_always_refused(seed in 0u64..1000) {
         let data = sample();
         for method in [Method::Noise, Method::Swap, Method::Geometric] {
-            let mut fitted = Release::of(&data)
+            let fitted = Release::of(&data)
                 .with_method(method)
                 .fit(&mut rng(seed))
                 .unwrap();
@@ -194,7 +194,7 @@ fn degenerate_shapes_are_typed_not_panics() {
     );
     for method in [Method::Rbt, Method::HybridIsometry] {
         match Release::of(&constant).with_method(method).fit(&mut rng(2)) {
-            Ok(mut fitted) => {
+            Ok(fitted) => {
                 let batch = fitted.transform_batch(&constant).unwrap();
                 assert_eq!(batch.n_rows(), 3);
             }

@@ -18,7 +18,7 @@ fn sample() -> Dataset {
 fn every_registered_method_fits_and_transforms() {
     let data = sample();
     for method in Method::ALL {
-        let mut fitted = Release::of(&data)
+        let fitted = Release::of(&data)
             .with_method(method)
             .fit(&mut rng(7))
             .unwrap_or_else(|e| panic!("{}: {e:?}", method.name()));
@@ -107,10 +107,10 @@ fn rbt_through_the_builder_is_bit_identical_to_the_pipeline() {
     let out = Pipeline::new(RbtConfig::uniform(pst))
         .run(&data, &mut rng(2024))
         .unwrap();
-    let mut legacy_session = ReleaseSession::from_pipeline_output(&out).unwrap();
+    let legacy_session = ReleaseSession::from_pipeline_output(&out).unwrap();
 
     // Blessed path, same RNG stream.
-    let mut fitted = Release::of(&data)
+    let fitted = Release::of(&data)
         .with_method(Method::Rbt)
         .with_thresholds(pst)
         .fit(&mut rng(2024))
@@ -144,7 +144,7 @@ fn rbt_through_the_builder_is_bit_identical_to_the_pipeline() {
 fn invertible_methods_round_trip_and_baselines_refuse() {
     let data = sample();
     for method in Method::ALL {
-        let mut fitted = Release::of(&data)
+        let fitted = Release::of(&data)
             .with_method(method)
             .fit(&mut rng(11))
             .unwrap();
@@ -171,13 +171,13 @@ fn invertible_methods_round_trip_and_baselines_refuse() {
 fn fitted_states_persist_through_the_sealed_envelope() {
     let data = sample();
     for method in Method::ALL {
-        let mut fitted = Release::of(&data)
+        let fitted = Release::of(&data)
             .with_method(method)
             .fit(&mut rng(23))
             .unwrap();
         let bytes = fitted.to_bytes().unwrap();
         assert_eq!(&bytes[..4], b"RBTS", "{}", method.name());
-        let mut back = decode_fitted(&bytes).unwrap_or_else(|e| panic!("{}: {e:?}", method.name()));
+        let back = decode_fitted(&bytes).unwrap_or_else(|e| panic!("{}: {e:?}", method.name()));
         assert_eq!(back.method_name(), method.name());
         assert_eq!(back.n_attributes(), data.n_cols());
         assert_eq!(back.properties(), fitted.properties());
@@ -239,7 +239,7 @@ fn baseline_batches_never_reuse_perturbation_draws() {
         d
     };
     for method in [Method::Noise, Method::Geometric] {
-        let mut fitted = Release::of(&data)
+        let fitted = Release::of(&data)
             .with_method(method)
             .fit(&mut rng(31))
             .unwrap();
@@ -262,8 +262,8 @@ fn baseline_batches_never_reuse_perturbation_draws() {
             .all(|((ra, rb), (xa, xb))| ((ra - xa) - (rb - xb)).abs() < 1e-12);
         assert!(!reused, "{} reused draws across batches", method.name());
         // Two independent decodes perturb identically to the live state.
-        let mut d1 = decode_fitted(&bytes).unwrap();
-        let mut d2 = decode_fitted(&bytes).unwrap();
+        let d1 = decode_fitted(&bytes).unwrap();
+        let d2 = decode_fitted(&bytes).unwrap();
         for batch in [&data, &other] {
             let live = fitted.transform_batch(batch).unwrap();
             assert!(live
@@ -289,7 +289,7 @@ fn decode_fitted_reads_legacy_session_files() {
     let session = ReleaseSession::from_pipeline_output(&out).unwrap();
 
     for bytes in [session.to_bytes(), session.to_text().unwrap().into_bytes()] {
-        let mut fitted = decode_fitted(&bytes).unwrap();
+        let fitted = decode_fitted(&bytes).unwrap();
         assert_eq!(fitted.method_name(), "rbt");
         let batch = fitted.transform_batch(&data).unwrap();
         assert!(batch.matrix().approx_eq(

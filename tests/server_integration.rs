@@ -81,11 +81,12 @@ fn spawn_server(capacity: usize) -> Server {
 /// (a) Concurrent multi-tenant transforms are bit-identical to the
 /// one-shot `Pipeline` release per tenant, and the inverse path matches
 /// the in-process session inverse, all while six tenants hammer the same
-/// server from six connections.
+/// server from twelve connections, two per tenant at once.
 #[test]
 fn concurrent_tenants_match_one_shot_pipeline_bitwise() {
     const TENANTS: u64 = 6;
     const ROUNDS: usize = 5;
+    const CLIENTS_PER_TENANT: usize = 2;
 
     let fitted: Vec<_> = (0..TENANTS).map(fit_tenant).collect();
     let server = spawn_server(TENANTS as usize);
@@ -103,30 +104,37 @@ fn concurrent_tenants_match_one_shot_pipeline_bitwise() {
     let handles: Vec<_> = fitted
         .into_iter()
         .enumerate()
-        .map(|(t, (out, fit_data, _))| {
-            std::thread::spawn(move || {
-                let tenant = format!("tenant-{t}");
-                let mut client = Client::connect(addr).unwrap();
-                // The in-process references: one-shot release of the
-                // fitting data, and the session path for an out-of-sample
-                // batch.
-                let mut reference = ReleaseSession::from_pipeline_output(&out).unwrap();
-                let oos = dataset(900 + t as u64, 17, 3, 120.0);
-                let expected_oos = reference.transform_batch(&oos).unwrap();
+        .flat_map(|(t, (out, fit_data, _))| {
+            // Both clients of a tenant start together, so same-tenant
+            // requests overlap in the server.
+            let start = Arc::new(std::sync::Barrier::new(CLIENTS_PER_TENANT));
+            (0..CLIENTS_PER_TENANT).map(move |_| {
+                let (out, fit_data, start) = (out.clone(), fit_data.clone(), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let tenant = format!("tenant-{t}");
+                    let mut client = Client::connect(addr).unwrap();
+                    // The in-process references: one-shot release of the
+                    // fitting data, and the session path for an out-of-sample
+                    // batch.
+                    let reference = ReleaseSession::from_pipeline_output(&out).unwrap();
+                    let oos = dataset(900 + t as u64, 17, 3, 120.0);
+                    let expected_oos = reference.transform_batch(&oos).unwrap();
 
-                for _ in 0..ROUNDS {
-                    let (released, drift) = client.transform(&tenant, &fit_data).unwrap();
-                    assert_bitwise(&released, &out.released, "fit-data release");
-                    assert_eq!(drift, 0, "fitting data never drifts out of range");
+                    for _ in 0..ROUNDS {
+                        let (released, drift) = client.transform(&tenant, &fit_data).unwrap();
+                        assert_bitwise(&released, &out.released, "fit-data release");
+                        assert_eq!(drift, 0, "fitting data never drifts out of range");
 
-                    let (released_oos, drift_oos) = client.transform(&tenant, &oos).unwrap();
-                    assert_bitwise(&released_oos, &expected_oos.released, "oos release");
-                    assert_eq!(drift_oos, expected_oos.out_of_range_rows as u64);
+                        let (released_oos, drift_oos) = client.transform(&tenant, &oos).unwrap();
+                        assert_bitwise(&released_oos, &expected_oos.released, "oos release");
+                        assert_eq!(drift_oos, expected_oos.out_of_range_rows as u64);
 
-                    let recovered = client.invert(&tenant, &released_oos).unwrap();
-                    let expected_rec = reference.invert_batch(&released_oos).unwrap();
-                    assert_bitwise(&recovered, &expected_rec, "inverse");
-                }
+                        let recovered = client.invert(&tenant, &released_oos).unwrap();
+                        let expected_rec = reference.invert_batch(&released_oos).unwrap();
+                        assert_bitwise(&recovered, &expected_rec, "inverse");
+                    }
+                })
             })
         })
         .collect();
@@ -137,10 +145,11 @@ fn concurrent_tenants_match_one_shot_pipeline_bitwise() {
     let stats = Client::connect(addr).unwrap().stats().unwrap();
     assert_eq!(stats.known_tenants, TENANTS);
     assert_eq!(stats.live_sessions, TENANTS);
-    // 3 requests per round per tenant (2 transforms + 1 invert).
+    // 3 requests per round per client (2 transforms + 1 invert).
+    let clients = CLIENTS_PER_TENANT as u64;
     for row in &stats.tenants {
-        assert_eq!(row.requests, 3 * ROUNDS as u64);
-        assert_eq!(row.rows, ROUNDS as u64 * (24 + 17));
+        assert_eq!(row.requests, clients * 3 * ROUNDS as u64);
+        assert_eq!(row.rows, clients * ROUNDS as u64 * (24 + 17));
     }
     server.shutdown();
 }
@@ -328,17 +337,15 @@ fn drift_counters_are_per_tenant_with_no_bleed() {
     let batch_b = dataset(622, 23, 3, 200.0);
     const ROUNDS: usize = 6;
 
-    // The single-session reference, same accounting as
-    // tests/session_equivalence.rs: records_out_of_range accumulates over
-    // batches.
-    let mut ref_a = ReleaseSession::from_pipeline_output(&out_a).unwrap();
-    let mut ref_b = ReleaseSession::from_pipeline_output(&out_b).unwrap();
+    // The single-session reference: each batch's out-of-range rows,
+    // summed over the rounds.
+    let ref_a = ReleaseSession::from_pipeline_output(&out_a).unwrap();
+    let ref_b = ReleaseSession::from_pipeline_output(&out_b).unwrap();
+    let (mut expected_a, mut expected_b) = (0u64, 0u64);
     for _ in 0..ROUNDS {
-        ref_a.transform_batch(&batch_a).unwrap();
-        ref_b.transform_batch(&batch_b).unwrap();
+        expected_a += ref_a.transform_batch(&batch_a).unwrap().out_of_range_rows as u64;
+        expected_b += ref_b.transform_batch(&batch_b).unwrap().out_of_range_rows as u64;
     }
-    let expected_a = ref_a.records_out_of_range();
-    let expected_b = ref_b.records_out_of_range();
     assert_ne!(
         expected_a, expected_b,
         "test needs distinguishable drift counts to detect bleed"
@@ -386,6 +393,51 @@ fn drift_counters_are_per_tenant_with_no_bleed() {
     assert_eq!(row("b").drift_rows, expected_b);
     assert_eq!(row("a").rows, ROUNDS as u64 * 19);
     assert_eq!(row("b").rows, ROUNDS as u64 * 23);
+    server.shutdown();
+}
+
+/// A session key with zero attributes and a batch that declares rows but
+/// no columns are both refused as malformed (code 4), and the connection
+/// keeps serving. Accepted together, they would have a session split 2^60
+/// rows into 2^48 chunks, an allocation that aborts the process.
+#[test]
+fn zero_attribute_keys_and_batches_are_refused_and_the_connection_survives() {
+    let server = spawn_server(2);
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).unwrap();
+
+    // The 99-byte text key: no rotation steps, no normalizer columns.
+    let body =
+        "rbt-session v1\nkey n=0 steps=0\nnormalizer method=zscore-sample\nsuppress-ids true";
+    let key = format!(
+        "{body}\nchecksum {:08x}\n",
+        rbt::linalg::codec::crc32(body.as_bytes())
+    );
+    assert_eq!(key.len(), 99);
+    match client.load_key("zero", key.into_bytes()) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, 4),
+        other => panic!("expected the zero-attribute key to be refused, got {other:?}"),
+    }
+
+    // The 45-byte Transform frame: 2^60 rows of 0 columns.
+    let mut w = rbt::linalg::codec::ByteWriter::new();
+    w.put_str("zero");
+    w.put_usize(1 << 60);
+    w.put_usize(0);
+    w.put_bool(false);
+    let frame = wire::Frame::new(wire::Opcode::Transform, w.into_bytes());
+    wire::write_frame(client.stream_mut(), &frame).unwrap();
+    let answer = wire::read_frame(client.stream_mut()).unwrap().unwrap();
+    match wire::Response::from_frame(&answer).unwrap() {
+        wire::Response::Error { code, message } => {
+            assert_eq!(code, 4);
+            assert!(message.contains("rows but no columns"), "{message}");
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+    client
+        .ping()
+        .expect("connection must stay open after both refusals");
     server.shutdown();
 }
 

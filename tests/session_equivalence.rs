@@ -1,6 +1,6 @@
 //! The streaming contract: feeding a dataset through
-//! `ReleaseSession::transform_batch` in arbitrary row splits (any chunk
-//! size, any thread count) produces exactly — bitwise — the release that
+//! `ReleaseSession::transform_batch` in arbitrary row splits (under any
+//! `RBT_THREADS`) produces exactly — bitwise — the release that
 //! the one-shot `Pipeline::run` produces on the concatenated data,
 //! including the odd-`n` chained-pair case of §5.1.
 
@@ -69,8 +69,6 @@ proptest! {
         cols in 2usize..6, // includes odd widths → the chained-pair rule
         values in prop::collection::vec(-1e3..1e3f64, 32 * 6),
         cuts in prop::collection::vec(0.0..1.0f64, 0..4),
-        chunk_rows in 1usize..8,
-        threads in 1usize..5,
         seed in any::<u64>(),
         with_ids in any::<bool>(),
     ) {
@@ -86,10 +84,7 @@ proptest! {
         // draws exercise nothing about the session, skip them.
         let Some(out) = run_one_shot(&ds, seed) else { return Ok(()) };
 
-        let mut session = ReleaseSession::from_pipeline_output(&out)
-            .unwrap()
-            .with_chunk_rows(chunk_rows)
-            .with_threads(threads);
+        let session = ReleaseSession::from_pipeline_output(&out).unwrap();
 
         let mut row_cuts: Vec<usize> = cuts.iter().map(|f| ((rows as f64) * f) as usize).collect();
         row_cuts.sort_unstable();
@@ -107,10 +102,9 @@ proptest! {
         // Bitwise: tolerance 0.0.
         prop_assert!(
             streamed.approx_eq(out.released.matrix(), 0.0),
-            "streamed release differs from one-shot (cuts {:?}, chunk_rows {}, threads {})",
-            row_cuts, chunk_rows, threads
+            "streamed release differs from one-shot (cuts {:?})",
+            row_cuts
         );
-        prop_assert_eq!(session.records_seen(), rows as u64);
 
         // The inverse path is bitwise-consistent with the owner-side
         // recovery of the one-shot pipeline.
@@ -134,19 +128,17 @@ fn paper_odd_n_chained_pair_streams_bitwise() {
     let out = run_one_shot(&raw, 17).expect("arrhythmia sample always satisfies rho=0.05");
     assert_eq!(out.key.n_attributes(), 3);
 
-    let mut session = ReleaseSession::from_pipeline_output(&out)
-        .unwrap()
-        .with_chunk_rows(1);
-    let released: Vec<Dataset> = (0..raw.n_rows())
+    let session = ReleaseSession::from_pipeline_output(&out).unwrap();
+    let outputs: Vec<_> = (0..raw.n_rows())
         .map(|i| {
             session
                 .transform_batch(&slice_rows(&raw, i, i + 1))
                 .unwrap()
-                .released
         })
         .collect();
+    // Nothing on the fitting data drifts out of its own range.
+    assert!(outputs.iter().all(|b| b.out_of_range_rows == 0));
+    let released: Vec<Dataset> = outputs.into_iter().map(|b| b.released).collect();
     let streamed = concat_matrices(&released);
     assert!(streamed.approx_eq(out.released.matrix(), 0.0));
-    // Nothing on the fitting data drifts out of its own range.
-    assert_eq!(session.records_out_of_range(), 0);
 }
