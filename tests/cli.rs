@@ -224,6 +224,85 @@ fn keygen_transform_invert_round_trip() {
 }
 
 #[test]
+fn keygen_writes_the_library_key_bytes() {
+    // Every key file keygen writes is byte for byte the one the library
+    // fits from the same seed: RBT's session record (text and binary, as
+    // the Pipeline + ReleaseSession path writes it) and the Release
+    // builder's sealed state for the other methods.
+    use rand::SeedableRng;
+    use rbt::prelude::*;
+
+    let dir = temp_dir("keygen-bytes");
+    let input = dir.join("data.csv");
+    std::fs::write(&input, SAMPLE).unwrap();
+    let data = rbt::data::csv::from_csv(SAMPLE).unwrap();
+    let rng = || rand::rngs::StdRng::seed_from_u64(4242);
+    let pst = PairwiseSecurityThreshold::uniform(0.05).unwrap();
+
+    let config = RbtConfig::uniform(pst);
+    let out = Pipeline::new(config.clone())
+        .with_normalization(Normalization::min_max_unit())
+        .with_id_suppression(false)
+        .run(&data, &mut rng())
+        .unwrap();
+    let session = ReleaseSession::from_pipeline_output(&out)
+        .unwrap()
+        .with_config(config)
+        .with_id_suppression(false);
+    let hybrid = Release::of(&data)
+        .with_method(Method::HybridIsometry)
+        .with_thresholds(pst)
+        .fit(&mut rng())
+        .unwrap();
+    let swap = Release::of(&data)
+        .with_method(Method::Swap)
+        .fit(&mut rng())
+        .unwrap();
+
+    let rbt_flags = ["--rho", "0.05", "--normalization", "minmax", "--keep-ids"];
+    let cases: [(&str, Vec<&str>, Vec<u8>); 4] = [
+        (
+            "rbt",
+            [&rbt_flags[..], &["--format", "text"]].concat(),
+            session.to_text().unwrap().into_bytes(),
+        ),
+        (
+            "rbt",
+            [&rbt_flags[..], &["--format", "binary"]].concat(),
+            session.to_bytes(),
+        ),
+        (
+            "hybrid-isometry",
+            vec!["--rho", "0.05"],
+            hybrid.to_bytes().unwrap(),
+        ),
+        ("swap", vec![], swap.to_bytes().unwrap()),
+    ];
+    for (i, (method, flags, expected)) in cases.iter().enumerate() {
+        let key = dir.join(format!("key{i}"));
+        let out = cli()
+            .args(["keygen", "--method", method, "--input"])
+            .arg(&input)
+            .arg("--key")
+            .arg(&key)
+            .args(["--seed", "4242"])
+            .args(flags)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{method} {flags:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            std::fs::read(&key).unwrap() == *expected,
+            "{method} {flags:?}: key file differs from the library's bytes"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn binary_and_text_key_files_are_equivalent() {
     let dir = temp_dir("session-binary");
     let input = dir.join("data.csv");
