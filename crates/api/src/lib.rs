@@ -8,10 +8,13 @@
 //! a stable owner-side transformation) program against:
 //!
 //! * [`PrivacyTransform`] / [`FittedTransform`] — the object-safe method
-//!   interface: fit once, transform batch after batch, invert when the
-//!   method supports it, persist through the sealed `RBTS` envelope;
+//!   interface: fit once into a [`FittedRelease`], transform batch after
+//!   batch (each batch reports its drift: the rows outside the fitted
+//!   range), invert when the method supports it, persist through the
+//!   sealed `RBTS` envelope;
 //! * [`Method`] — the name registry (`rbt`, `hybrid-isometry`, `noise`,
-//!   `swap`, `geometric`) behind the CLI and the bench harness;
+//!   `swap`, `geometric`) behind the CLI, the daemon and the bench
+//!   harness;
 //! * [`Release`] — the typed-state builder and blessed entry point:
 //!   `Release::of(&data).with_method(Method::Rbt).with_thresholds(pst)
 //!   .fit(&mut rng)`; forgetting the method is a compile error;
@@ -38,4 +41,4 @@ pub use methods::{
     HybridIsometryMethod, Method, NoiseMethod, RbtMethod, SwapMethod,
 };
 pub use release::{FittedRelease, Release, ReleaseBuilder};
-pub use transform_api::{FitOutput, FittedTransform, MethodProperties, PrivacyTransform};
+pub use transform_api::{FittedTransform, MethodProperties, PrivacyTransform};

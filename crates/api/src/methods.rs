@@ -17,13 +17,14 @@
 //! [`RecordKind::Method`] record of the same sealed envelope.
 
 use crate::error::{RbtError, Result};
-use crate::transform_api::{FitOutput, FittedTransform, MethodProperties, PrivacyTransform};
+use crate::release::FittedRelease;
+use crate::transform_api::{FittedTransform, MethodProperties, PrivacyTransform};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use rbt_core::codec::{open_envelope, seal_envelope, CodecError, RecordKind, MAGIC};
 use rbt_core::reflection::{HybridIsometry, IsometryKey, IsometryStep};
 use rbt_core::security::DEFAULT_GRID;
-use rbt_core::{Pipeline, RbtConfig, ReleaseSession};
+use rbt_core::{Pipeline, RbtConfig, ReleaseSession, SessionBatch};
 use rbt_data::{Dataset, FittedNormalizer, Normalization};
 use rbt_linalg::codec::{ByteReader, ByteWriter};
 use rbt_transform::{AdditiveNoise, HybridPerturbation, NoiseKind, Perturbation, RankSwap};
@@ -219,7 +220,7 @@ impl PrivacyTransform for RbtMethod {
         }
     }
 
-    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FitOutput> {
+    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FittedRelease> {
         let out = Pipeline::new(self.config.clone())
             .with_normalization(self.normalization)
             .with_id_suppression(self.suppress_ids)
@@ -227,7 +228,7 @@ impl PrivacyTransform for RbtMethod {
         let session = ReleaseSession::from_pipeline_output(&out)?
             .with_config(self.config.clone())
             .with_id_suppression(self.suppress_ids);
-        Ok(FitOutput {
+        Ok(FittedRelease {
             released: out.released,
             fitted: Box::new(FittedRbt { session }),
         })
@@ -275,8 +276,8 @@ impl FittedTransform for FittedRbt {
         self.session.key().n_attributes()
     }
 
-    fn transform_batch(&self, batch: &Dataset) -> Result<Dataset> {
-        Ok(self.session.transform_batch(batch)?.released)
+    fn transform_batch(&self, batch: &Dataset) -> Result<SessionBatch> {
+        Ok(self.session.transform_batch(batch)?)
     }
 
     fn invert_batch(&self, released: &Dataset) -> Result<Dataset> {
@@ -344,11 +345,11 @@ impl PrivacyTransform for HybridIsometryMethod {
         }
     }
 
-    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FitOutput> {
+    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FittedRelease> {
         let (normalizer, normalized) = self.normalization.fit_transform(data.matrix())?;
         let out = HybridIsometry::new(self.config.clone()).transform(&normalized, rng)?;
         let released = released_dataset(out.transformed, data, self.suppress_ids)?;
-        Ok(FitOutput {
+        Ok(FittedRelease {
             released,
             fitted: Box::new(FittedHybridIsometry {
                 key: out.key,
@@ -402,10 +403,13 @@ impl FittedTransform for FittedHybridIsometry {
         self.key.n_attributes()
     }
 
-    fn transform_batch(&self, batch: &Dataset) -> Result<Dataset> {
+    fn transform_batch(&self, batch: &Dataset) -> Result<SessionBatch> {
         let normalized = self.normalizer.transform(batch.matrix())?;
         let transformed = self.key.apply(&normalized)?;
-        released_dataset(transformed, batch, self.suppress_ids)
+        Ok(SessionBatch {
+            released: released_dataset(transformed, batch, self.suppress_ids)?,
+            out_of_range_rows: 0,
+        })
     }
 
     fn invert_batch(&self, released: &Dataset) -> Result<Dataset> {
@@ -567,18 +571,25 @@ fn baseline_batch_stream(seed: u64, m: &rbt_linalg::Matrix) -> StdRng {
 /// stream derived from it via [`baseline_batch_stream`]; subsequent
 /// batches derive their own streams the same way (noise and swapping are
 /// per-record by definition; the geometric method re-draws its per-pair
-/// parameters each batch).
+/// parameters each batch). Like every other method, a baseline refuses a
+/// dataset without attributes: no fitted state has zero of them.
 fn fit_baseline(
     kind: BaselineKind,
     suppress_ids: bool,
     data: &Dataset,
     rng: &mut dyn RngCore,
-) -> Result<FitOutput> {
+) -> Result<FittedRelease> {
+    if data.n_cols() == 0 {
+        return Err(RbtError::InvalidConfig(format!(
+            "method {:?} needs at least one attribute to perturb",
+            kind.method_name()
+        )));
+    }
     let seed = rng.next_u64();
     let mut stream = baseline_batch_stream(seed, data.matrix());
     let released_matrix = kind.perturb(data.matrix(), &mut stream)?;
     let released = released_dataset(released_matrix, data, suppress_ids)?;
-    Ok(FitOutput {
+    Ok(FittedRelease {
         released,
         fitted: Box::new(FittedBaseline {
             kind,
@@ -620,7 +631,7 @@ impl FittedTransform for FittedBaseline {
         self.n_attributes
     }
 
-    fn transform_batch(&self, batch: &Dataset) -> Result<Dataset> {
+    fn transform_batch(&self, batch: &Dataset) -> Result<SessionBatch> {
         if batch.n_cols() != self.n_attributes {
             return Err(RbtError::DimensionMismatch(format!(
                 "baseline fitted for {} attributes, batch has {}",
@@ -630,7 +641,10 @@ impl FittedTransform for FittedBaseline {
         }
         let mut stream = baseline_batch_stream(self.seed, batch.matrix());
         let perturbed = self.kind.perturb(batch.matrix(), &mut stream)?;
-        released_dataset(perturbed, batch, self.suppress_ids)
+        Ok(SessionBatch {
+            released: released_dataset(perturbed, batch, self.suppress_ids)?,
+            out_of_range_rows: 0,
+        })
     }
 
     fn invert_batch(&self, _released: &Dataset) -> Result<Dataset> {
@@ -703,7 +717,15 @@ fn decode_baseline(name: &str, r: &mut ByteReader<'_>) -> Result<FittedBaseline>
         }
     };
     let seed = r.take_u64().map_err(CodecError::from)?;
+    let n_attributes_offset = r.position();
     let n_attributes = r.take_usize().map_err(CodecError::from)?;
+    if n_attributes == 0 {
+        return Err(CodecError::Byte(rbt_linalg::codec::DecodeError::Malformed {
+            offset: n_attributes_offset,
+            message: format!("a fitted {name} state needs at least one attribute"),
+        })
+        .into());
+    }
     let suppress_ids = r.take_bool().map_err(CodecError::from)?;
     r.expect_end().map_err(CodecError::from)?;
     Ok(FittedBaseline {
@@ -751,7 +773,7 @@ impl PrivacyTransform for NoiseMethod {
         }
     }
 
-    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FitOutput> {
+    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FittedRelease> {
         fit_baseline(
             BaselineKind::Noise(self.noise),
             self.suppress_ids,
@@ -798,7 +820,7 @@ impl PrivacyTransform for SwapMethod {
         }
     }
 
-    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FitOutput> {
+    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FittedRelease> {
         fit_baseline(BaselineKind::Swap(self.swap), self.suppress_ids, data, rng)
     }
 }
@@ -840,7 +862,7 @@ impl PrivacyTransform for GeometricMethod {
         }
     }
 
-    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FitOutput> {
+    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FittedRelease> {
         fit_baseline(
             BaselineKind::Geometric(self.hybrid),
             self.suppress_ids,

@@ -7,25 +7,35 @@
 //!
 //! * [`PrivacyTransform`] — an **unfitted method**: a name, a
 //!   [`MethodProperties`] descriptor, and [`fit`](PrivacyTransform::fit),
-//!   which consumes a dataset plus randomness and produces the initial
-//!   release alongside a fitted, reusable transform;
+//!   which consumes a dataset plus randomness and produces a
+//!   [`FittedRelease`]: the initial release alongside a fitted, reusable
+//!   transform (the [`Release`](crate::Release) builder returns the same
+//!   type);
 //! * [`FittedTransform`] — the **fitted state**, an immutable value:
 //!   batch-wise [`transform_batch`](FittedTransform::transform_batch) /
 //!   [`invert_batch`](FittedTransform::invert_batch) take `&self`
 //!   (inversion is
 //!   `Err(`[`RbtError::NotInvertible`](crate::RbtError::NotInvertible)`)`
-//!   for the baselines), and a
-//!   [`to_bytes`](FittedTransform::to_bytes) codec hook that rides the
-//!   sealed `RBTS` envelope of [`rbt_core::codec`].
+//!   for the baselines), a transformed batch reports its drift (the rows
+//!   outside the fitted normalization range; 0 for methods that keep no
+//!   range), and a [`to_bytes`](FittedTransform::to_bytes) codec hook
+//!   rides the sealed `RBTS` envelope of [`rbt_core::codec`].
 //!
-//! Both traits are dyn-compatible: the CLI, the bench harness, and the
-//! [`Release`](crate::Release) builder all hold `Box<dyn …>` and select
-//! methods by name through the [`Method`](crate::Method) registry. The
-//! randomness parameter is `&mut dyn RngCore` for the same reason — seeded
-//! reproducibility without a generic signature.
+//! Both traits are dyn-compatible: the CLI, the daemon's registry, the
+//! bench harness, and the [`Release`](crate::Release) builder all hold
+//! `Box<dyn …>` (or `Arc<dyn …>`) and select methods by name through the
+//! [`Method`](crate::Method) registry. The randomness parameter is
+//! `&mut dyn RngCore` for the same reason — seeded reproducibility without
+//! a generic signature. One downcast remains:
+//! `<dyn FittedTransform>::session` reaches the RBT [`ReleaseSession`]
+//! behind a fitted state, for the session-only extras (zero-copy `_into`
+//! batches, the text key-file form).
 
 use crate::error::Result;
+use crate::methods::FittedRbt;
+use crate::release::FittedRelease;
 use rand::RngCore;
+use rbt_core::{ReleaseSession, SessionBatch};
 use rbt_data::Dataset;
 use std::any::Any;
 use std::fmt;
@@ -89,16 +99,7 @@ pub trait PrivacyTransform {
     ///   parameters incompatible with the data (too few columns, NaNs, …),
     /// * [`RbtError::DimensionMismatch`](crate::RbtError::DimensionMismatch)
     ///   for internal shape disagreements.
-    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FitOutput>;
-}
-
-/// Everything [`PrivacyTransform::fit`] produces.
-pub struct FitOutput {
-    /// The initial release: the fitting data transformed under the freshly
-    /// drawn secrets (ID-suppressed per the method's configuration).
-    pub released: Dataset,
-    /// The fitted, reusable transform for out-of-sample batches.
-    pub fitted: Box<dyn FittedTransform>,
+    fn fit(&self, data: &Dataset, rng: &mut dyn RngCore) -> Result<FittedRelease>;
 }
 
 /// A fitted privacy transform: owner-side secrets bound to a fixed
@@ -120,13 +121,15 @@ pub trait FittedTransform: Send + Sync {
     fn n_attributes(&self) -> usize;
 
     /// Transforms a batch of out-of-sample records under the fitted
-    /// secrets.
+    /// secrets. The batch's `out_of_range_rows` counts the records with a
+    /// normalized value outside the fitted range (RBT sessions keep that
+    /// range; every other method reports 0).
     ///
     /// # Errors
     ///
     /// [`RbtError::DimensionMismatch`](crate::RbtError::DimensionMismatch)
     /// when the batch's column count disagrees with the fitted layout.
-    fn transform_batch(&self, batch: &Dataset) -> Result<Dataset>;
+    fn transform_batch(&self, batch: &Dataset) -> Result<SessionBatch>;
 
     /// Owner-side inverse: recovers the pre-release values of a released
     /// batch.
@@ -152,9 +155,19 @@ pub trait FittedTransform: Send + Sync {
     fn to_bytes(&self) -> Result<Vec<u8>>;
 
     /// Upcast hook for callers that need the concrete fitted type (e.g.
-    /// the RBT [`ReleaseSession`](rbt_core::ReleaseSession) behind
-    /// [`FittedRelease::session`](crate::FittedRelease::session)).
+    /// the RBT [`ReleaseSession`] behind `<dyn FittedTransform>::session`).
     fn as_any(&self) -> &dyn Any;
+}
+
+impl dyn FittedTransform {
+    /// The underlying [`ReleaseSession`] when the fitted method is RBT
+    /// (`None` for every other method) — the bridge to the session-level
+    /// API (zero-copy `_into` batches, the text key-file form).
+    pub fn session(&self) -> Option<&ReleaseSession> {
+        self.as_any()
+            .downcast_ref::<FittedRbt>()
+            .map(FittedRbt::session)
+    }
 }
 
 #[cfg(test)]

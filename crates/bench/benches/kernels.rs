@@ -502,7 +502,7 @@ fn main() {
         let a = direct.transform_batch(&dataset).unwrap();
         let b = via_trait.transform_batch(&dataset).unwrap();
         assert!(
-            a.released.matrix().approx_eq(b.matrix(), 0.0),
+            a.released.matrix().approx_eq(b.released.matrix(), 0.0),
             "trait dispatch changed the release"
         );
         entries.push(Entry {

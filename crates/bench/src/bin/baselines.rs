@@ -152,7 +152,7 @@ fn main() {
             .with_method(method)
             .fit(&mut rng)
             .expect("defaults are feasible on this workload");
-        record(format!("api:{name}"), fitted.released().matrix().clone());
+        record(format!("api:{name}"), fitted.released.matrix().clone());
     }
 
     println!("== E-X1: privacy vs clustering accuracy across methods ==\n");

@@ -56,16 +56,6 @@ impl LatencyHistogram {
         self.total
     }
 
-    /// Folds another histogram into this one, bucket by bucket. Used when
-    /// a tenant is re-registered (keystore reload, key replacement) so the
-    /// service-time history is carried over rather than reset.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-    }
-
     /// The upper bound (in microseconds) of the bucket containing the
     /// `q`-quantile, or 0 when nothing has been recorded. `q` is clamped
     /// to `[0, 1]`.
@@ -101,19 +91,6 @@ pub struct TenantMetrics {
     pub evictions: u64,
     /// Service-time distribution.
     pub latency: LatencyHistogram,
-}
-
-impl TenantMetrics {
-    /// Folds `other`'s counters into this one. The registry calls this when
-    /// a tenant that already has history is re-registered, so eviction and
-    /// reload never zero a tenant's counters.
-    pub fn merge(&mut self, other: &TenantMetrics) {
-        self.requests += other.requests;
-        self.rows += other.rows;
-        self.drift_rows += other.drift_rows;
-        self.evictions += other.evictions;
-        self.latency.merge(&other.latency);
-    }
 }
 
 /// Server-wide resilience counters, updated lock-free by the event loop
@@ -390,34 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn tenant_metrics_merge_sums_every_counter() {
-        let mut a = TenantMetrics {
-            requests: 3,
-            rows: 30,
-            drift_rows: 1,
-            evictions: 2,
-            latency: LatencyHistogram::new(),
-        };
-        a.latency.record(100);
-        let mut b = TenantMetrics {
-            requests: 5,
-            rows: 50,
-            drift_rows: 4,
-            evictions: 0,
-            latency: LatencyHistogram::new(),
-        };
-        b.latency.record(100);
-        b.latency.record(9000);
-        a.merge(&b);
-        assert_eq!(a.requests, 8);
-        assert_eq!(a.rows, 80);
-        assert_eq!(a.drift_rows, 5);
-        assert_eq!(a.evictions, 2);
-        assert_eq!(a.latency.total(), 3);
-        assert!(a.latency.quantile_upper_us(1.0) >= 9000);
-    }
-
-    #[test]
     fn runtime_counters_snapshot_reflects_increments() {
         let c = RuntimeCounters::new();
         c.accepted.fetch_add(3, Ordering::Relaxed);
@@ -464,53 +413,6 @@ mod tests {
         fn bucket_assignment_is_monotone(a in 0u64..1 << 40, b in 0u64..1 << 40) {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             prop_assert!(LatencyHistogram::bucket(lo) <= LatencyHistogram::bucket(hi));
-        }
-
-        // Merging two histograms is exactly equivalent to recording every
-        // sample into one histogram — the merge-on-eviction path cannot
-        // lose or invent samples.
-        #[test]
-        fn merge_equals_recording_into_one(
-            xs in prop::collection::vec(0u64..1 << 30, 0..64),
-            ys in prop::collection::vec(0u64..1 << 30, 0..64),
-        ) {
-            let mut separate_a = LatencyHistogram::new();
-            let mut separate_b = LatencyHistogram::new();
-            let mut combined = LatencyHistogram::new();
-            for &x in &xs {
-                separate_a.record(x);
-                combined.record(x);
-            }
-            for &y in &ys {
-                separate_b.record(y);
-                combined.record(y);
-            }
-            separate_a.merge(&separate_b);
-            prop_assert_eq!(separate_a, combined);
-        }
-
-        // TenantMetrics::merge is associative-with-identity over the
-        // counters: merging a default (zero) block changes nothing, and
-        // merge order does not change the result.
-        #[test]
-        fn tenant_merge_identity_and_commutativity(
-            reqs in 0u64..1000, rows in 0u64..100_000, drift in 0u64..1000,
-            evs in 0u64..50, lat in prop::collection::vec(0u64..1 << 20, 0..16),
-        ) {
-            let mut m = TenantMetrics {
-                requests: reqs, rows, drift_rows: drift, evictions: evs,
-                latency: LatencyHistogram::new(),
-            };
-            for &l in &lat {
-                m.latency.record(l);
-            }
-            let mut with_zero = m.clone();
-            with_zero.merge(&TenantMetrics::default());
-            prop_assert_eq!(&with_zero, &m);
-
-            let mut zero_first = TenantMetrics::default();
-            zero_first.merge(&m);
-            prop_assert_eq!(&zero_first, &m);
         }
 
         // The stats codec round-trips arbitrary runtime snapshots.

@@ -17,12 +17,16 @@
 //! home of a tenant's totals: a session keeps no history, so an LRU
 //! eviction cannot zero a tenant's counts.
 //!
+//! A resident session is the decoded `Arc<dyn FittedTransform>` itself,
+//! whatever the method: its batches report their own drift (RBT's
+//! out-of-range rows, 0 for the methods that keep no fitted range).
+//!
 //! Locking: the registry mutex (a non-poisoning `parking_lot` lock, so a
 //! panicking worker thread cannot wedge every other tenant) is held
-//! only to look up / decode / account. A checked-out `Arc<LiveTransform>`
-//! transforms through `&self` outside every lock, so requests run in
-//! parallel, for one tenant as for many; each adds its own rows and
-//! drift to the counters under the registry lock.
+//! only to look up / decode / account. A checked-out
+//! `Arc<dyn FittedTransform>` transforms through `&self` outside every
+//! lock, so requests run in parallel, for one tenant as for many; each
+//! adds its own rows and drift to the counters under the registry lock.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -30,8 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use rbt_api::{decode_fitted, FittedRbt, FittedTransform, RbtError};
-use rbt_core::ReleaseSession;
+use rbt_api::{decode_fitted, FittedTransform, RbtError};
 use rbt_data::Dataset;
 
 use crate::metrics::{RuntimeCounters, ServerStats, TenantMetrics, TenantStats};
@@ -82,53 +85,9 @@ impl From<RbtError> for ServerError {
 /// Registry result alias.
 pub type ServerResult<T> = std::result::Result<T, ServerError>;
 
-/// A decoded, resident session. RBT keys are unwrapped to the raw
-/// [`ReleaseSession`] so the transform path can report per-batch
-/// out-of-range (drift) rows; other methods run through the trait object
-/// and report zero drift.
-enum LiveTransform {
-    /// An RBT (or hybrid-isometry front) session with drift accounting.
-    /// Boxed so the variants are close in size.
-    Rbt(Box<ReleaseSession>),
-    /// Any other registered method.
-    Other(Box<dyn FittedTransform>),
-}
-
-impl LiveTransform {
-    fn transform(&self, batch: &Dataset) -> ServerResult<(Dataset, u64)> {
-        match self {
-            LiveTransform::Rbt(session) => {
-                let out = session.transform_batch(batch).map_err(RbtError::from)?;
-                Ok((out.released, out.out_of_range_rows as u64))
-            }
-            LiveTransform::Other(fitted) => Ok((fitted.transform_batch(batch)?, 0)),
-        }
-    }
-
-    fn invert(&self, batch: &Dataset) -> ServerResult<Dataset> {
-        match self {
-            LiveTransform::Rbt(session) => {
-                Ok(session.invert_batch(batch).map_err(RbtError::from)?)
-            }
-            LiveTransform::Other(fitted) => Ok(fitted.invert_batch(batch)?),
-        }
-    }
-}
-
-fn decode_live(key_bytes: &[u8]) -> ServerResult<(LiveTransform, &'static str, usize)> {
-    let fitted = decode_fitted(key_bytes)?;
-    let method = fitted.method_name();
-    let n_attributes = fitted.n_attributes();
-    let live = match fitted.as_any().downcast_ref::<FittedRbt>() {
-        Some(rbt) => LiveTransform::Rbt(Box::new(rbt.session().clone())),
-        None => LiveTransform::Other(fitted),
-    };
-    Ok((live, method, n_attributes))
-}
-
 struct TenantEntry {
     key_bytes: Vec<u8>,
-    live: Option<Arc<LiveTransform>>,
+    live: Option<Arc<dyn FittedTransform>>,
     last_used: u64,
     metrics: TenantMetrics,
 }
@@ -202,32 +161,34 @@ impl SessionRegistry {
     /// [`ServerError::Rbt`] when the bytes do not decode as a sealed key
     /// file of any registered method.
     pub fn load_key(&self, tenant: &str, key_bytes: Vec<u8>) -> ServerResult<(String, usize)> {
-        let (live, method, n_attributes) = decode_live(&key_bytes)?;
+        let live: Arc<dyn FittedTransform> = decode_fitted(&key_bytes)?.into();
+        let loaded = (live.method_name().to_string(), live.n_attributes());
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
         // Re-registering a known tenant (key replacement, keystore reload)
-        // folds its history forward instead of resetting it.
-        let mut metrics = TenantMetrics::default();
-        if let Some(old) = inner.tenants.remove(tenant) {
-            metrics.merge(&old.metrics);
-        }
+        // carries its history forward instead of resetting it.
+        let metrics = inner
+            .tenants
+            .remove(tenant)
+            .map(|old| old.metrics)
+            .unwrap_or_default();
         inner.tenants.insert(
             tenant.to_string(),
             TenantEntry {
                 key_bytes,
-                live: Some(Arc::new(live)),
+                live: Some(live),
                 last_used: clock,
                 metrics,
             },
         );
         inner.enforce_capacity(self.capacity, tenant);
-        Ok((method.to_string(), n_attributes))
+        Ok(loaded)
     }
 
     /// Checks out the tenant's live session, re-decoding from the retained
     /// key bytes after an eviction.
-    fn checkout(&self, tenant: &str) -> ServerResult<Arc<LiveTransform>> {
+    fn checkout(&self, tenant: &str) -> ServerResult<Arc<dyn FittedTransform>> {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -241,14 +202,8 @@ impl SessionRegistry {
         if let Some(live) = &entry.live {
             return Ok(Arc::clone(live));
         }
-        let (live, _, _) = decode_live(&entry.key_bytes)?;
-        let handle = Arc::new(live);
-        // Re-borrow: decode_live ran without the entry borrowed so the
-        // borrow checker is satisfied, but the registry lock was held
-        // throughout, so the entry cannot have changed.
-        if let Some(entry) = inner.tenants.get_mut(tenant) {
-            entry.live = Some(Arc::clone(&handle));
-        }
+        let handle: Arc<dyn FittedTransform> = decode_fitted(&entry.key_bytes)?.into();
+        entry.live = Some(Arc::clone(&handle));
         inner.enforce_capacity(self.capacity, tenant);
         Ok(handle)
     }
@@ -275,9 +230,10 @@ impl SessionRegistry {
     pub fn transform(&self, tenant: &str, batch: &Dataset) -> ServerResult<(Dataset, u64)> {
         let live = self.checkout(tenant)?;
         let start = Instant::now();
-        let (released, drift_rows) = live.transform(batch)?;
+        let out = live.transform_batch(batch)?;
+        let drift_rows = out.out_of_range_rows as u64;
         self.note(tenant, batch.n_rows() as u64, drift_rows, start);
-        Ok((released, drift_rows))
+        Ok((out.released, drift_rows))
     }
 
     /// Inverts a previously released batch under `tenant`'s session
@@ -291,7 +247,7 @@ impl SessionRegistry {
     pub fn invert(&self, tenant: &str, batch: &Dataset) -> ServerResult<Dataset> {
         let live = self.checkout(tenant)?;
         let start = Instant::now();
-        let recovered = live.invert(batch)?;
+        let recovered = live.invert_batch(batch)?;
         self.note(tenant, 0, 0, start);
         Ok(recovered)
     }
@@ -408,6 +364,27 @@ mod tests {
             .unwrap();
         assert_eq!(row_a.requests, 2);
         assert_eq!(row_a.evictions, 1);
+    }
+
+    #[test]
+    fn reloading_a_key_keeps_the_tenant_history() {
+        let registry = SessionRegistry::new(2);
+        let (key, ds) = fit_key(6);
+        let mut shifted = ds.clone();
+        for v in shifted.matrix_mut().as_mut_slice() {
+            *v += 1000.0;
+        }
+        registry.load_key("t", key.clone()).unwrap();
+        registry.transform("t", &ds).unwrap();
+        registry.transform("t", &shifted).unwrap();
+        let counts = |r: &SessionRegistry| {
+            let t = r.stats().tenants.into_iter().find(|t| t.tenant == "t");
+            t.map(|t| (t.requests, t.rows, t.drift_rows)).unwrap()
+        };
+        let before = counts(&registry);
+        assert_eq!(before, (2, 24, 12), "every shifted row drifts");
+        registry.load_key("t", key).unwrap();
+        assert_eq!(counts(&registry), before);
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn main() {
         .expect("0.3 is feasible for this data");
     println!(
         "Released data (IDs suppressed, values rotated):\n{}",
-        fitted.released()
+        fitted.released
     );
     println!("Method {:?}: {}", fitted.method_name(), fitted.properties());
 
@@ -41,7 +41,8 @@ fn main() {
     // under the same secrets and can invert any release.
     let tomorrow = fitted
         .transform_batch(&patients)
-        .expect("same column layout");
+        .expect("same column layout")
+        .released;
     let recovered = fitted.invert_batch(&tomorrow).expect("rbt is invertible");
     assert!(recovered.matrix().approx_eq(patients.matrix(), 1e-8));
 
@@ -54,7 +55,7 @@ fn main() {
     let k = 2;
     let km = KMeans::new(k).unwrap().with_init(KMeansInit::FirstK);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    let on_release = km.fit(fitted.released().matrix(), &mut rng).unwrap();
+    let on_release = km.fit(fitted.released.matrix(), &mut rng).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let on_original = km.fit(&normalized, &mut rng).unwrap();
 
@@ -63,7 +64,7 @@ fn main() {
     assert_eq!(on_release.labels, on_original.labels, "Corollary 1");
 
     // Why it works: the transformation is an isometry (Theorem 2).
-    let drift = dissimilarity_drift(&normalized, fitted.released().matrix());
+    let drift = dissimilarity_drift(&normalized, fitted.released.matrix());
     println!("max distance drift: {drift:.2e} (zero up to float rounding)");
 
     // The same boundary serves every registered method — swap the name,

@@ -32,8 +32,8 @@
 //! capability.
 
 use rand::SeedableRng;
-use rbt::api::{decode_fitted, FittedRbt, FittedTransform, Method, RbtError};
-use rbt::core::{Pipeline, RbtConfig, ReleaseSession, TransformationKey};
+use rbt::api::{decode_fitted, FittedTransform, Method, RbtError};
+use rbt::core::{Pipeline, RbtConfig, TransformationKey};
 use rbt::data::{csv, FittedNormalizer, Normalization};
 use rbt::linalg::codec::ByteWriter;
 use rbt::prelude::Release;
@@ -360,100 +360,57 @@ fn cmd_keygen(args: &[String]) -> CliResult<()> {
     let input = PathBuf::from(required(&flags, "input")?);
     let key_path = PathBuf::from(required(&flags, "key")?);
     let method = Method::from_name(flags.get("method").map_or("rbt", String::as_str))?;
-    let rho = parse_rho(&flags)?;
     let seed = parse_seed(&flags)?;
-    let normalization = parse_normalization(&flags)?;
-    let suppress_ids = !flags.contains_key("keep-ids");
-    let binary = match flags.get("format").map(String::as_str) {
-        None | Some("text") => false,
-        Some("binary") => true,
-        Some(other) => return Err(CliError::usage(format!("unknown key format {other:?}"))),
-    };
+    let format = flags.get("format").map(String::as_str);
+    if let Some(other) = format.filter(|f| !matches!(*f, "text" | "binary")) {
+        return Err(CliError::usage(format!("unknown key format {other:?}")));
+    }
 
     let data = read_csv(&input)?;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-
-    if method == Method::Rbt {
-        // The RBT path keeps emitting the session record (text or binary),
-        // byte-compatible with every existing key file.
-        let pst = PairwiseSecurityThreshold::uniform(rho)
+    // Only the knobs given on the command line reach the builder, so a
+    // method that cannot take one (a baseline's --rho) is refused by name.
+    let mut builder = Release::of(&data)
+        .with_method(method)
+        .with_id_suppression(!flags.contains_key("keep-ids"));
+    if flags.contains_key("rho") {
+        let pst = PairwiseSecurityThreshold::uniform(parse_rho(&flags)?)
             .map_err(|e| CliError::usage(format!("bad --rho: {e}")))?;
-        let config = RbtConfig::uniform(pst);
-        let pipeline = Pipeline::new(config.clone())
-            .with_normalization(normalization)
-            .with_id_suppression(suppress_ids);
-        let out = pipeline.run(&data, &mut rng)?;
+        builder = builder.with_thresholds(pst);
+    }
+    if flags.contains_key("normalization") {
+        builder = builder.with_normalization(parse_normalization(&flags)?);
+    }
+    let fitted = builder.fit(&mut rand::rngs::StdRng::seed_from_u64(seed))?;
 
-        let session = ReleaseSession::from_pipeline_output(&out)?
-            .with_config(config)
-            .with_id_suppression(suppress_ids);
-        if binary {
-            std::fs::write(&key_path, session.to_bytes())
-                .map_err(|e| CliError::io(format!("writing {}: {e}", key_path.display())))?;
-        } else {
-            write_file(&key_path, &session.to_text()?)?;
-        }
-
-        if let Some(released_path) = flags.get("released").map(PathBuf::from) {
-            write_csv(&out.released, &released_path)?;
-            println!(
-                "initial release: {} rows -> {}",
-                out.released.n_rows(),
-                released_path.display()
-            );
-        }
-        println!(
-            "session key for {} attributes ({} rotation steps, {} key file) -> {}",
-            out.key.n_attributes(),
-            out.key.steps().len(),
-            if binary { "binary" } else { "text" },
-            key_path.display()
-        );
-    } else {
-        if flags.contains_key("format") && !binary {
+    // RBT sessions default to the checksummed text form; every other
+    // state has only the binary container.
+    let (key_bytes, format) = match (format, fitted.session()) {
+        (None | Some("text"), Some(session)) => (session.to_text()?.into_bytes(), "text"),
+        (Some("text"), None) => {
             return Err(CliError::usage(format!(
                 "method {:?} has no text key-file form; use --format binary or omit --format",
                 method.name()
-            )));
+            )))
         }
-        let mut builder = Release::of(&data)
-            .with_method(method)
-            .with_id_suppression(suppress_ids);
-        // Baselines take no thresholds/normalization; forward the flags
-        // only where they mean something so the error message names the
-        // actual mistake.
-        if method == Method::HybridIsometry {
-            let pst = PairwiseSecurityThreshold::uniform(rho)
-                .map_err(|e| CliError::usage(format!("bad --rho: {e}")))?;
-            builder = builder
-                .with_thresholds(pst)
-                .with_normalization(normalization);
-        } else if flags.contains_key("rho") || flags.contains_key("normalization") {
-            return Err(CliError::usage(format!(
-                "method {:?} takes no --rho/--normalization (it perturbs raw values); \
-                 see `rbt-cli methods`",
-                method.name()
-            )));
-        }
-        let fitted = builder.fit(&mut rng)?;
-        std::fs::write(&key_path, fitted.to_bytes()?)
-            .map_err(|e| CliError::io(format!("writing {}: {e}", key_path.display())))?;
-        if let Some(released_path) = flags.get("released").map(PathBuf::from) {
-            write_csv(fitted.released(), &released_path)?;
-            println!(
-                "initial release: {} rows -> {}",
-                fitted.released().n_rows(),
-                released_path.display()
-            );
-        }
+        _ => (fitted.to_bytes()?, "binary"),
+    };
+    std::fs::write(&key_path, key_bytes)
+        .map_err(|e| CliError::io(format!("writing {}: {e}", key_path.display())))?;
+    if let Some(released_path) = flags.get("released").map(PathBuf::from) {
+        write_csv(&fitted.released, &released_path)?;
         println!(
-            "fitted {} state for {} attributes ({}) -> {}",
-            fitted.method_name(),
-            fitted.n_attributes(),
-            fitted.properties(),
-            key_path.display()
+            "initial release: {} rows -> {}",
+            fitted.released.n_rows(),
+            released_path.display()
         );
     }
+    println!(
+        "session key for {} attributes ({}: {}; {format} key file) -> {}",
+        fitted.n_attributes(),
+        fitted.method_name(),
+        fitted.properties(),
+        key_path.display()
+    );
     println!(
         "fitted on {} records; keep the key file private",
         data.n_rows()
@@ -476,41 +433,24 @@ fn cmd_transform(args: &[String]) -> CliResult<()> {
 
     let fitted = load_fitted(&key_path)?;
     let data = read_csv(&input)?;
-
-    // RBT sessions report drift; other methods transform generically.
-    if let Some(session) = fitted
-        .as_any()
-        .downcast_ref::<FittedRbt>()
-        .map(FittedRbt::session)
-    {
-        let batch = session.transform_batch(&data)?;
-        write_csv(&batch.released, &output)?;
+    let batch = fitted.transform_batch(&data)?;
+    write_csv(&batch.released, &output)?;
+    println!(
+        "transformed {} rows x {} attributes ({}) -> {}",
+        batch.released.n_rows(),
+        batch.released.n_cols(),
+        fitted.method_name(),
+        output.display()
+    );
+    if batch.out_of_range_rows > 0 {
         println!(
-            "transformed {} rows x {} attributes -> {}",
-            batch.released.n_rows(),
-            batch.released.n_cols(),
-            output.display()
+            "warning: {} of {} records fall outside the fitted normalization \
+             range — consider re-fitting the session",
+            batch.out_of_range_rows,
+            data.n_rows()
         );
-        if batch.out_of_range_rows > 0 {
-            println!(
-                "warning: {} of {} records fall outside the fitted normalization \
-                 range — consider re-fitting the session",
-                batch.out_of_range_rows,
-                data.n_rows()
-            );
-        } else {
-            println!("drift: 0 records outside the fitted range");
-        }
     } else {
-        let released = fitted.transform_batch(&data)?;
-        write_csv(&released, &output)?;
-        println!(
-            "transformed {} rows x {} attributes ({}) -> {}",
-            released.n_rows(),
-            released.n_cols(),
-            fitted.method_name(),
-            output.display()
-        );
+        println!("drift: 0 records outside the fitted range");
     }
     Ok(())
 }
@@ -548,11 +488,7 @@ fn cmd_inspect_key(args: &[String]) -> CliResult<()> {
         || std::str::from_utf8(&bytes).is_ok_and(|t| t.trim_start().starts_with("rbt-session"));
     let key: TransformationKey = if looks_like_session {
         let fitted = decode_fitted(&bytes)?;
-        let Some(session) = fitted
-            .as_any()
-            .downcast_ref::<FittedRbt>()
-            .map(FittedRbt::session)
-        else {
+        let Some(session) = fitted.session() else {
             // A fitted non-RBT method: report its descriptor and stop.
             println!(
                 "fitted {} state for {} attributes: {}",

@@ -71,8 +71,8 @@ pub use rbt_linalg::{Matrix, Rotation2, VarianceMode};
 /// ([`Pipeline`](rbt_core::Pipeline), [`ReleaseSession`]) they wrap.
 pub mod prelude {
     pub use rbt_api::{
-        decode_fitted, FitOutput, FittedRelease, FittedTransform, Method, MethodProperties,
-        PrivacyTransform, RbtError, Release, ReleaseBuilder,
+        decode_fitted, FittedRelease, FittedTransform, Method, MethodProperties, PrivacyTransform,
+        RbtError, Release, ReleaseBuilder,
     };
     pub use rbt_core::{
         DriftBounds, PairingStrategy, PairwiseSecurityThreshold, Pipeline, RbtConfig,

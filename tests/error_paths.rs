@@ -95,7 +95,7 @@ proptest! {
                 .with_method(method)
                 .fit(&mut rng(seed))
                 .unwrap();
-            let released = fitted.transform_batch(&data).unwrap();
+            let released = fitted.transform_batch(&data).unwrap().released;
             let err = fitted.invert_batch(&released).unwrap_err();
             match err {
                 RbtError::NotInvertible { method: ref name } => {
@@ -187,6 +187,36 @@ fn degenerate_shapes_are_typed_not_panics() {
         assert!(result.is_err(), "{}: {result:?}", method.name());
     }
 
+    // A dataset with rows but no attributes has nothing to release: every
+    // method refuses to fit it, so no fitted state has zero attributes.
+    let no_columns = Dataset::from_matrix(Matrix::zeros(5, 0));
+    for method in Method::ALL {
+        let result = Release::of(&no_columns)
+            .with_method(method)
+            .fit(&mut rng(3));
+        let Err(err) = result else {
+            panic!("{}: fitted a dataset without attributes", method.name());
+        };
+        assert!(
+            matches!(err.exit_code(), 2 | 5),
+            "{}: {err:?}",
+            method.name()
+        );
+    }
+    // Nor does one decode: a sealed 52-byte swap record that declares 0
+    // attributes is a malformed key file (exit code 4).
+    let mut w = rbt::linalg::codec::ByteWriter::new();
+    w.put_str("swap");
+    w.put_f64(0.2);
+    w.put_u64(42);
+    w.put_usize(0);
+    w.put_bool(true);
+    let key = rbt::core::codec::seal_envelope(rbt::core::codec::RecordKind::Method, w.as_bytes());
+    assert_eq!(key.len(), 52);
+    let err = decode_fitted(&key).map(|_| ()).unwrap_err();
+    assert!(matches!(err, RbtError::Codec(_)), "{err:?}");
+    assert_eq!(err.exit_code(), 4);
+
     // Constant columns normalize to a degenerate (zero-variance) axis;
     // whether the threshold search succeeds or refuses, it must be typed.
     let constant = Dataset::from_matrix(
@@ -195,7 +225,7 @@ fn degenerate_shapes_are_typed_not_panics() {
     for method in [Method::Rbt, Method::HybridIsometry] {
         match Release::of(&constant).with_method(method).fit(&mut rng(2)) {
             Ok(fitted) => {
-                let batch = fitted.transform_batch(&constant).unwrap();
+                let batch = fitted.transform_batch(&constant).unwrap().released;
                 assert_eq!(batch.n_rows(), 3);
             }
             Err(err) => {

@@ -25,14 +25,14 @@ fn every_registered_method_fits_and_transforms() {
         assert_eq!(fitted.method_name(), method.name());
         assert_eq!(fitted.n_attributes(), data.n_cols());
         // The initial release keeps the column layout and strips IDs.
-        assert_eq!(fitted.released().n_cols(), data.n_cols());
-        assert_eq!(fitted.released().n_rows(), data.n_rows());
-        assert_eq!(fitted.released().columns(), data.columns());
-        assert!(fitted.released().ids().is_none(), "{}", method.name());
+        assert_eq!(fitted.released.n_cols(), data.n_cols());
+        assert_eq!(fitted.released.n_rows(), data.n_rows());
+        assert_eq!(fitted.released.columns(), data.columns());
+        assert!(fitted.released.ids().is_none(), "{}", method.name());
         // Values actually move.
         assert!(
             fitted
-                .released()
+                .released
                 .matrix()
                 .max_abs_diff(data.matrix())
                 .unwrap()
@@ -43,7 +43,8 @@ fn every_registered_method_fits_and_transforms() {
         // Out-of-sample batches transform without error and keep shape.
         let batch = fitted
             .transform_batch(&data)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", method.name()));
+            .unwrap_or_else(|e| panic!("{}: {e:?}", method.name()))
+            .released;
         assert_eq!(batch.n_rows(), data.n_rows());
         assert_eq!(batch.n_cols(), data.n_cols());
     }
@@ -72,7 +73,7 @@ fn properties_match_the_paper_taxonomy() {
                     .fit_transform(data.matrix())
                     .unwrap()
                     .1,
-                fitted.released().matrix(),
+                fitted.released.matrix(),
             );
             assert!(drift < 1e-9, "{}: drift {drift}", method.name());
         } else {
@@ -118,13 +119,13 @@ fn rbt_through_the_builder_is_bit_identical_to_the_pipeline() {
 
     assert!(
         fitted
-            .released()
+            .released
             .matrix()
             .approx_eq(out.released.matrix(), 0.0),
         "builder release differs from Pipeline::run"
     );
     // Batch transforms agree bitwise too.
-    let via_builder = fitted.transform_batch(&data).unwrap();
+    let via_builder = fitted.transform_batch(&data).unwrap().released;
     let via_session = legacy_session.transform_batch(&data).unwrap().released;
     assert!(via_builder.matrix().approx_eq(via_session.matrix(), 0.0));
     // And the builder exposes the session (same key) for session-level
@@ -148,7 +149,7 @@ fn invertible_methods_round_trip_and_baselines_refuse() {
             .with_method(method)
             .fit(&mut rng(11))
             .unwrap();
-        let released = fitted.transform_batch(&data).unwrap();
+        let released = fitted.transform_batch(&data).unwrap().released;
         match fitted.invert_batch(&released) {
             Ok(recovered) => {
                 assert!(fitted.properties().invertible);
@@ -186,16 +187,16 @@ fn fitted_states_persist_through_the_sealed_envelope() {
             // Deterministic states: the decoded transform reproduces the
             // original bitwise on any batch.
             Method::Rbt | Method::HybridIsometry => {
-                let a = fitted.transform_batch(&data).unwrap();
-                let b = back.transform_batch(&data).unwrap();
+                let a = fitted.transform_batch(&data).unwrap().released;
+                let b = back.transform_batch(&data).unwrap().released;
                 assert!(a.matrix().approx_eq(b.matrix(), 0.0), "{}", method.name());
             }
             // Baselines replay from the fit-time seed: the decoded state's
             // first batch equals the fit-time release of the same data.
             _ => {
-                let replay = back.transform_batch(&data).unwrap();
+                let replay = back.transform_batch(&data).unwrap().released;
                 assert!(
-                    replay.matrix().approx_eq(fitted.released().matrix(), 0.0),
+                    replay.matrix().approx_eq(fitted.released.matrix(), 0.0),
                     "{} seed replay diverged",
                     method.name()
                 );
@@ -244,8 +245,8 @@ fn baseline_batches_never_reuse_perturbation_draws() {
             .fit(&mut rng(31))
             .unwrap();
         let bytes = fitted.to_bytes().unwrap();
-        let a = fitted.transform_batch(&data).unwrap();
-        let b = fitted.transform_batch(&other).unwrap();
+        let a = fitted.transform_batch(&data).unwrap().released;
+        let b = fitted.transform_batch(&other).unwrap().released;
         // The perturbation applied to `other` differs from the one applied
         // to `data` (not just shifted by the +1.0 offset).
         let reused = a
@@ -265,13 +266,13 @@ fn baseline_batches_never_reuse_perturbation_draws() {
         let d1 = decode_fitted(&bytes).unwrap();
         let d2 = decode_fitted(&bytes).unwrap();
         for batch in [&data, &other] {
-            let live = fitted.transform_batch(batch).unwrap();
+            let live = fitted.transform_batch(batch).unwrap().released;
             assert!(live
                 .matrix()
-                .approx_eq(d1.transform_batch(batch).unwrap().matrix(), 0.0));
+                .approx_eq(d1.transform_batch(batch).unwrap().released.matrix(), 0.0));
             assert!(live
                 .matrix()
-                .approx_eq(d2.transform_batch(batch).unwrap().matrix(), 0.0));
+                .approx_eq(d2.transform_batch(batch).unwrap().released.matrix(), 0.0));
         }
     }
 }
@@ -291,7 +292,7 @@ fn decode_fitted_reads_legacy_session_files() {
     for bytes in [session.to_bytes(), session.to_text().unwrap().into_bytes()] {
         let fitted = decode_fitted(&bytes).unwrap();
         assert_eq!(fitted.method_name(), "rbt");
-        let batch = fitted.transform_batch(&data).unwrap();
+        let batch = fitted.transform_batch(&data).unwrap().released;
         assert!(batch.matrix().approx_eq(
             session
                 .clone()
@@ -322,34 +323,53 @@ fn builder_rejects_knobs_the_method_cannot_take() {
         .fit(&mut rng(0))
         .unwrap_err();
     assert!(matches!(err, RbtError::InvalidConfig(_)));
-    // …and any method knob on a custom transform.
-    let custom = Method::Geometric.default_transform();
-    let err = Release::of(&data)
-        .with_transform(custom)
-        .with_thresholds(PairwiseSecurityThreshold::uniform(0.3).unwrap())
-        .fit(&mut rng(0))
-        .unwrap_err();
-    assert!(matches!(err, RbtError::InvalidConfig(_)));
     // ID suppression, by contrast, applies to every registry method.
     let fitted = Release::of(&data)
         .with_method(Method::Noise)
         .with_id_suppression(false)
         .fit(&mut rng(4))
         .unwrap();
-    assert_eq!(fitted.released().ids(), data.ids());
+    assert_eq!(fitted.released.ids(), data.ids());
 }
 
 #[test]
 fn custom_transforms_ride_the_same_builder() {
     let data = sample();
-    // A pre-configured transform (higher noise than the registry default).
-    let custom = Box::new(rbt::api::NoiseMethod::new(
-        rbt::transform::AdditiveNoise::gaussian(2.0).unwrap(),
-    ));
-    let fitted = Release::of(&data)
-        .with_transform(custom)
-        .fit(&mut rng(8))
-        .unwrap();
+    // A pre-configured transform (higher noise than the registry default)
+    // fits on its own into the same `FittedRelease` the builder returns.
+    let custom = rbt::api::NoiseMethod::new(rbt::transform::AdditiveNoise::gaussian(2.0).unwrap());
+    let fitted = custom.fit(&data, &mut rng(8)).unwrap();
     assert_eq!(fitted.method_name(), "noise");
     assert!(!fitted.properties().isometric);
+}
+
+#[test]
+fn every_method_reports_drift_through_the_one_interface() {
+    // A batch shifted far outside the fitting range: RBT's session counts
+    // its drifted rows, through the fitted state and through the decoded
+    // key alike; every other method keeps no fitted range and reports 0.
+    let data = sample();
+    let mut shifted = sample();
+    for v in shifted.matrix_mut().as_mut_slice() {
+        *v += 1000.0;
+    }
+    for method in Method::ALL {
+        let fitted = Release::of(&data)
+            .with_method(method)
+            .fit(&mut rng(13))
+            .unwrap();
+        let decoded = decode_fitted(&fitted.to_bytes().unwrap()).unwrap();
+        for state in [fitted.fitted.as_ref(), decoded.as_ref()] {
+            let drift = state.transform_batch(&shifted).unwrap().out_of_range_rows;
+            if method == Method::Rbt {
+                let session = state.session().expect("rbt exposes its session");
+                let expected = session.transform_batch(&shifted).unwrap();
+                assert_eq!(drift, expected.out_of_range_rows);
+                assert!(drift > 0, "every shifted row drifts");
+            } else {
+                assert!(state.session().is_none(), "{}", method.name());
+                assert_eq!(drift, 0, "{}", method.name());
+            }
+        }
+    }
 }

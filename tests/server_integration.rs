@@ -419,6 +419,20 @@ fn zero_attribute_keys_and_batches_are_refused_and_the_connection_survives() {
         other => panic!("expected the zero-attribute key to be refused, got {other:?}"),
     }
 
+    // The 52-byte sealed swap record: a baseline state of 0 attributes.
+    let mut w = rbt::linalg::codec::ByteWriter::new();
+    w.put_str("swap");
+    w.put_f64(0.2);
+    w.put_u64(42);
+    w.put_usize(0);
+    w.put_bool(true);
+    let key = rbt::core::codec::seal_envelope(rbt::core::codec::RecordKind::Method, w.as_bytes());
+    assert_eq!(key.len(), 52);
+    match client.load_key("zero-swap", key) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, 4),
+        other => panic!("expected the zero-attribute swap key to be refused, got {other:?}"),
+    }
+
     // The 45-byte Transform frame: 2^60 rows of 0 columns.
     let mut w = rbt::linalg::codec::ByteWriter::new();
     w.put_str("zero");
