@@ -14,9 +14,10 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 
 use rand::SeedableRng;
+use rbt::api::decode_fitted;
 use rbt::core::{Pipeline, PipelineOutput, RbtConfig, ReleaseSession};
 use rbt::server::{wire, Client, ClientError, Server, SessionRegistry};
-use rbt::{Dataset, Matrix, PairwiseSecurityThreshold};
+use rbt::{Dataset, Matrix, Method, PairwiseSecurityThreshold, Release};
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
@@ -520,6 +521,86 @@ fn pipelined_requests_drain_in_order_through_the_window() {
                 assert_bitwise(&released, &out.released, "pipelined response")
             }
             other => panic!("response {i}: expected Transformed, got {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+/// Served ≡ library for every registry method, IDs and drift included.
+/// Each method is fitted through the `Release` builder with ID suppression
+/// on and off, and its key is loaded into the daemon. A batch that carries
+/// IDs, half of it shifted far outside the fitted range, must come back
+/// with the column names, IDs, cell bits and drift count of the key's own
+/// `transform_batch`. Its inverse must match `invert_batch` where the
+/// method has one, and be a typed capability refusal (code 7) where not.
+#[test]
+fn every_method_serves_what_the_library_releases() {
+    let sample = rbt::data::datasets::arrhythmia_sample();
+    let shifted = sample
+        .matrix()
+        .row_iter()
+        .map(|row| row.iter().map(|v| v + 500.0).collect::<Vec<f64>>());
+    let rows: Vec<Vec<f64>> = sample
+        .matrix()
+        .row_iter()
+        .map(<[f64]>::to_vec)
+        .chain(shifted)
+        .collect();
+    let n_rows = rows.len() as u64;
+    let batch = Dataset::new(
+        Matrix::from_row_iter(rows).unwrap(),
+        sample.columns().to_vec(),
+    )
+    .unwrap()
+    .with_ids((0..n_rows).map(|i| 7000 + i).collect())
+    .unwrap();
+
+    let assert_same = |served: &Dataset, library: &Dataset, what: &str| {
+        assert_eq!(served.columns(), library.columns(), "{what}: column names");
+        assert_eq!(served.ids(), library.ids(), "{what}: ids");
+        assert_bitwise(served, library, what);
+    };
+
+    let server = spawn_server(2 * Method::ALL.len());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for method in Method::ALL {
+        for suppress in [true, false] {
+            let what = format!("{} (suppress ids: {suppress})", method.name());
+            let fitted = Release::of(&sample)
+                .with_method(method)
+                .with_id_suppression(suppress)
+                .fit(&mut rng(2024))
+                .unwrap();
+            let key = fitted.to_bytes().unwrap();
+            let tenant = format!("{}-{suppress}", method.name());
+            let (name, n_attributes) = client.load_key(&tenant, key.clone()).unwrap();
+            assert_eq!(name, method.name(), "{what}: method");
+            assert_eq!(n_attributes, 3, "{what}: attributes");
+
+            let library = decode_fitted(&key).unwrap();
+            let expected = library.transform_batch(&batch).unwrap();
+            let (released, drift) = client.transform(&tenant, &batch).unwrap();
+            assert_same(&released, &expected.released, &what);
+            assert_eq!(
+                released.ids().is_some(),
+                !suppress,
+                "{what}: id suppression"
+            );
+            assert_eq!(drift, expected.out_of_range_rows as u64, "{what}: drift");
+            if method == Method::Rbt {
+                assert!(drift > 0, "{what}: the shifted rows drift");
+            }
+
+            let recovered = client.invert(&tenant, &released);
+            if matches!(method, Method::Rbt | Method::HybridIsometry) {
+                let expected = library.invert_batch(&released).unwrap();
+                assert_same(&recovered.unwrap(), &expected, &format!("{what} inverse"));
+            } else {
+                match recovered {
+                    Err(ClientError::Server { code: 7, .. }) => {}
+                    other => panic!("{what}: expected a code-7 refusal, got {other:?}"),
+                }
+            }
         }
     }
     server.shutdown();
