@@ -284,6 +284,14 @@ impl FittedTransform for FittedRbt {
         Ok(self.session.invert_batch(released)?)
     }
 
+    fn transform_batch_in_place(&self, batch: &mut Dataset) -> Result<usize> {
+        Ok(self.session.transform_batch_in_place(batch)?)
+    }
+
+    fn invert_batch_in_place(&self, released: &mut Dataset) -> Result<()> {
+        Ok(self.session.invert_batch_in_place(released)?)
+    }
+
     fn to_bytes(&self) -> Result<Vec<u8>> {
         Ok(self.session.to_bytes())
     }

@@ -19,7 +19,12 @@
 //!   for the baselines), a transformed batch reports its drift (the rows
 //!   outside the fitted normalization range; 0 for methods that keep no
 //!   range), and a [`to_bytes`](FittedTransform::to_bytes) codec hook
-//!   rides the sealed `RBTS` envelope of [`rbt_core::codec`].
+//!   rides the sealed `RBTS` envelope of [`rbt_core::codec`]. The in-place
+//!   [`transform_batch_in_place`](FittedTransform::transform_batch_in_place)
+//!   / [`invert_batch_in_place`](FittedTransform::invert_batch_in_place)
+//!   turn the caller's batch into its release: RBT rotates the batch's own
+//!   matrix on the calling thread (how the daemon serves), the other
+//!   methods move their `transform_batch` result into it.
 //!
 //! Both traits are dyn-compatible: the CLI, the daemon's registry, the
 //! bench harness, and the [`Release`](crate::Release) builder all hold
@@ -141,6 +146,38 @@ pub trait FittedTransform: Send + Sync {
     /// * [`RbtError::DimensionMismatch`](crate::RbtError::DimensionMismatch)
     ///   on a column-count disagreement.
     fn invert_batch(&self, released: &Dataset) -> Result<Dataset>;
+
+    /// Transforms `batch` in place: it becomes exactly what
+    /// [`transform_batch`](Self::transform_batch) would release for it —
+    /// cells, column names, and IDs kept or suppressed — and the returned
+    /// count is that batch's drift. The default moves the
+    /// `transform_batch` result into `batch`; RBT overrides it to rotate
+    /// the batch's own matrix on the calling thread, without a copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`transform_batch`](Self::transform_batch); `batch` is then left
+    /// untouched.
+    fn transform_batch_in_place(&self, batch: &mut Dataset) -> Result<usize> {
+        let out = self.transform_batch(batch)?;
+        *batch = out.released;
+        Ok(out.out_of_range_rows)
+    }
+
+    /// Owner-side inverse in place: `released` becomes exactly what
+    /// [`invert_batch`](Self::invert_batch) would recover from it. The
+    /// default moves the `invert_batch` result into it; RBT overrides it
+    /// as it does
+    /// [`transform_batch_in_place`](Self::transform_batch_in_place).
+    ///
+    /// # Errors
+    ///
+    /// As [`invert_batch`](Self::invert_batch); `released` is then left
+    /// untouched.
+    fn invert_batch_in_place(&self, released: &mut Dataset) -> Result<()> {
+        *released = self.invert_batch(released)?;
+        Ok(())
+    }
 
     /// Serializes the fitted state into the sealed, checksummed `RBTS`
     /// envelope of [`rbt_core::codec`] — RBT states use the existing

@@ -14,14 +14,20 @@
 //!   [`transform_batch_into`](ReleaseSession::transform_batch_into) /
 //!   [`invert_batch_into`](ReleaseSession::invert_batch_into) variants
 //!   that fill a caller-reusable output matrix so a steady-state stream
-//!   allocates nothing per batch,
-//! * batches are processed in fixed-size row chunks fanned out over the
-//!   shared [`rbt_linalg::pool`]; all rotation steps are applied to each
-//!   chunk in one fused sweep ([`apply_steps_in_rows`]) — normalization
-//!   and every rotation step are row-local and keep their per-row order,
-//!   so any batch split and thread count produces output **bit-identical**
-//!   to running the one-shot [`crate::Pipeline`] on the concatenated data
-//!   (pinned by the conformance battery),
+//!   allocates nothing per batch, and the in-place
+//!   [`transform_batch_in_place`](ReleaseSession::transform_batch_in_place) /
+//!   [`invert_batch_in_place`](ReleaseSession::invert_batch_in_place),
+//!   which turn the caller's own batch into its release without a copy,
+//! * batches are processed in fixed-size row chunks; all rotation steps
+//!   are applied to each chunk in one fused sweep ([`apply_steps_in_rows`])
+//!   — normalization and every rotation step are row-local and keep their
+//!   per-row order, so any batch split and thread count produces output
+//!   **bit-identical** to running the one-shot [`crate::Pipeline`] on the
+//!   concatenated data (pinned by the conformance battery). The copying
+//!   entry points fan the chunks out over the shared [`rbt_linalg::pool`]
+//!   for library callers; the in-place ones run them on the calling
+//!   thread, for callers that already spread batches over threads (the
+//!   daemon's worker pool),
 //! * it reports **drift** per batch: records whose normalized values fall
 //!   outside the per-column min–max range observed on the fitting data,
 //!   the first sign that the fitted normalization no longer represents
@@ -166,9 +172,10 @@ pub struct ReleaseSession {
     config: Option<RbtConfig>,
     drift: Option<DriftBounds>,
     suppress_ids: bool,
-    /// Pool threads per batch, resolved once in [`ReleaseSession::new`]
-    /// rather than per batch: [`pool::default_threads`] reads the
-    /// environment and the host's CPU quota on every call.
+    /// Pool threads per copying batch, resolved once in
+    /// [`ReleaseSession::new`] rather than per batch:
+    /// [`pool::default_threads`] reads the environment and the host's CPU
+    /// quota on every call.
     threads: usize,
 }
 
@@ -330,7 +337,7 @@ impl ReleaseSession {
     pub fn transform_batch_into(&self, batch: &Dataset, out: &mut Matrix) -> Result<usize> {
         self.check_cols(batch.matrix())?;
         out.copy_from(batch.matrix());
-        Ok(self.forward_in_place(out))
+        Ok(self.forward_in_place(out, self.threads))
     }
 
     /// Zero-copy variant of [`invert_batch`](Self::invert_batch): writes
@@ -345,14 +352,55 @@ impl ReleaseSession {
     pub fn invert_batch_into(&self, released: &Dataset, out: &mut Matrix) -> Result<()> {
         self.check_cols(released.matrix())?;
         out.copy_from(released.matrix());
-        self.inverse_in_place(out);
+        self.inverse_in_place(out, self.threads);
+        Ok(())
+    }
+
+    /// In-place variant of [`transform_batch`](Self::transform_batch):
+    /// `batch`'s own matrix becomes the release and its IDs are dropped
+    /// when the session suppresses them; column names stay. Returns the
+    /// out-of-range row count. Values are bit-identical to
+    /// `transform_batch(batch).released`.
+    ///
+    /// Runs on the calling thread, chunk after chunk: it serves callers
+    /// that already spread batches over their own threads (the daemon's
+    /// worker pool), where a fork per batch would only oversubscribe the
+    /// cores. [`transform_batch`](Self::transform_batch) and
+    /// [`transform_batch_into`](Self::transform_batch_into) keep the
+    /// fork–join.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::KeyMismatch`] when the batch's column count
+    /// disagrees with the session; `batch` is then left untouched.
+    pub fn transform_batch_in_place(&self, batch: &mut Dataset) -> Result<usize> {
+        self.check_cols(batch.matrix())?;
+        if self.suppress_ids {
+            batch.take_ids();
+        }
+        Ok(self.forward_in_place(batch.matrix_mut(), 1))
+    }
+
+    /// In-place variant of [`invert_batch`](Self::invert_batch): undoes
+    /// the release of `released`'s own matrix, keeping its names and IDs.
+    /// Values are bit-identical to `invert_batch(released)`. Runs on the
+    /// calling thread, as
+    /// [`transform_batch_in_place`](Self::transform_batch_in_place) does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::KeyMismatch`] when the batch's column count
+    /// disagrees with the session; `released` is then left untouched.
+    pub fn invert_batch_in_place(&self, released: &mut Dataset) -> Result<()> {
+        self.check_cols(released.matrix())?;
+        self.inverse_in_place(released.matrix_mut(), 1);
         Ok(())
     }
 
     /// Forward transform of `out` in place (normalize → drift count →
-    /// fused rotation sweep); assumes the column count was checked.
-    /// Returns the out-of-range row count.
-    fn forward_in_place(&self, out: &mut Matrix) -> usize {
+    /// fused rotation sweep) over at most `threads` pool threads; assumes
+    /// the column count was checked. Returns the out-of-range row count.
+    fn forward_in_place(&self, out: &mut Matrix, threads: usize) -> usize {
         let n_cols = out.cols();
         if out.rows() == 0 {
             return 0;
@@ -364,7 +412,7 @@ impl ReleaseSession {
         let out_of_range = AtomicUsize::new(0);
         let normalizer = &self.normalizer;
         let drift = self.drift.as_ref();
-        Pool::new(self.threads).for_each_chunk_mut(out.as_mut_slice(), &bounds, |_, _, chunk| {
+        Pool::new(threads).for_each_chunk_mut(out.as_mut_slice(), &bounds, |_, _, chunk| {
             normalizer
                 .transform_rows_in_place(chunk)
                 .expect("chunk boundaries are whole rows of the checked width");
@@ -383,8 +431,9 @@ impl ReleaseSession {
     }
 
     /// Inverse transform of `out` in place (fused inverse sweep →
-    /// denormalize); assumes the column count was checked.
-    fn inverse_in_place(&self, out: &mut Matrix) {
+    /// denormalize) over at most `threads` pool threads; assumes the
+    /// column count was checked.
+    fn inverse_in_place(&self, out: &mut Matrix, threads: usize) {
         let n_cols = out.cols();
         if out.rows() == 0 {
             return;
@@ -394,7 +443,7 @@ impl ReleaseSession {
         let steps = self.key.inverse_sweep();
         let bounds = Self::element_bounds(out.rows(), n_cols);
         let normalizer = &self.normalizer;
-        Pool::new(self.threads).for_each_chunk_mut(out.as_mut_slice(), &bounds, |_, _, chunk| {
+        Pool::new(threads).for_each_chunk_mut(out.as_mut_slice(), &bounds, |_, _, chunk| {
             apply_steps_in_rows(chunk, n_cols, &steps);
             normalizer
                 .invert_rows_in_place(chunk)
@@ -978,6 +1027,36 @@ mod tests {
     }
 
     #[test]
+    fn in_place_variants_match_allocating_paths_bitwise() {
+        let (session, _) = fitted_session();
+        let raw = datasets::arrhythmia_sample();
+        for suppress in [true, false] {
+            let session = session.clone().with_id_suppression(suppress);
+            let batch = session.transform_batch(&raw).unwrap();
+            let mut in_place = raw.clone();
+            let oor = session.transform_batch_in_place(&mut in_place).unwrap();
+            assert_eq!(oor, batch.out_of_range_rows);
+            assert_eq!(in_place.columns(), batch.released.columns());
+            assert_eq!(in_place.ids(), batch.released.ids());
+            assert!(in_place.matrix().approx_eq(batch.released.matrix(), 0.0));
+
+            let recovered = session.invert_batch(&batch.released).unwrap();
+            let mut back = batch.released.clone();
+            session.invert_batch_in_place(&mut back).unwrap();
+            assert_eq!(back.ids(), recovered.ids());
+            assert!(back.matrix().approx_eq(recovered.matrix(), 0.0));
+        }
+        // A shape mismatch leaves the batch untouched.
+        let mut wrong = Dataset::from_matrix(Matrix::zeros(2, 5))
+            .with_ids(vec![1, 2])
+            .unwrap();
+        let before = wrong.clone();
+        assert!(session.transform_batch_in_place(&mut wrong).is_err());
+        assert!(session.invert_batch_in_place(&mut wrong).is_err());
+        assert_eq!(wrong, before);
+    }
+
+    #[test]
     fn batches_crossing_chunk_boundaries_match_small_batches_bitwise() {
         // Three chunks (4096 + 4096 + 3 rows): the pool's grouped path
         // under default threads, the inline path under `RBT_THREADS=1`.
@@ -1011,6 +1090,16 @@ mod tests {
         };
         let whole = run(&big, rows, true);
         assert_eq!(whole.0, (0..rows).filter(|&r| outlier(r)).count());
+        // The in-place path runs the same chunks on the calling thread.
+        let mut in_place = Dataset::from_matrix(big.clone());
+        let drifted = session.transform_batch_in_place(&mut in_place).unwrap();
+        assert_eq!(drifted, whole.0);
+        assert!(in_place
+            .matrix()
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(whole.1.iter().copied()));
         assert!(run(&big, 97, true) == whole, "chunked release differs");
         let released = whole.1.into_iter().map(f64::from_bits).collect();
         let released = Matrix::from_vec(rows, 3, released).unwrap();

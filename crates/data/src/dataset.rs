@@ -162,6 +162,12 @@ impl Dataset {
         Ok(self.matrix.column(self.column_index(name)?))
     }
 
+    /// Removes and returns the object IDs — §5.3 Step 2 in place, without
+    /// the copy [`anonymized`](Dataset::anonymized) makes.
+    pub fn take_ids(&mut self) -> Option<Vec<u64>> {
+        self.ids.take()
+    }
+
     /// Returns a copy with the object IDs removed — §5.3 Step 2
     /// (*data anonymization*).
     pub fn anonymized(&self) -> Dataset {

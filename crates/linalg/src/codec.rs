@@ -85,6 +85,12 @@ impl ByteWriter {
         w.into_bytes()
     }
 
+    /// A writer appending to `buf`, keeping its bytes and its capacity:
+    /// how a caller encodes into one buffer record after record.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        ByteWriter { buf }
+    }
+
     /// An empty writer with room for `capacity` bytes, so a writer whose
     /// final size is known never grows by reallocation.
     pub fn with_capacity(capacity: usize) -> Self {
@@ -146,13 +152,10 @@ impl ByteWriter {
     }
 
     /// Appends every value of `values` exactly as [`ByteWriter::put_f64`]
-    /// would, one after another, in a single pass.
+    /// would, one after another, in a single pass: the bytes are written
+    /// once, with no zero-fill of the buffer first.
     pub fn put_f64s(&mut self, values: &[f64]) {
-        let start = self.buf.len();
-        self.buf.resize(start + 8 * values.len(), 0);
-        for (dst, v) in self.buf[start..].chunks_exact_mut(8).zip(values) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
+        self.buf.extend(values.iter().flat_map(|v| v.to_le_bytes()));
     }
 
     /// Appends a bool as a single `0`/`1` byte.

@@ -1,4 +1,7 @@
-//! A small scoped fork–join pool shared by every parallel hot path.
+//! A small scoped fork–join pool shared by the library's parallel hot
+//! paths. The daemon's served batches are the exception: its worker pool
+//! already spreads requests over the cores, so a served release session
+//! runs its chunks on the worker's own thread instead of forking here.
 //!
 //! The workspace's parallelism needs are uniform: split a contiguous output
 //! buffer (condensed distances, label arrays, neighbour lists) into disjoint

@@ -20,8 +20,14 @@
 //! * **clean goodbye** — sockets get `TCP_NODELAY` and explicit
 //!   read/write timeouts, and `Drop` sends a `Goodbye` frame so the
 //!   server sees a clean departure instead of an RST.
+//!
+//! Every request is encoded into one buffer the client keeps across
+//! calls, and every response is read straight into the frame
+//! [`wire::read_frame`] returns: a batch's rows are copied once on the
+//! way out and once, when decoded, on the way back.
 
 use std::fmt;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -215,6 +221,9 @@ pub struct Client {
     consecutive_failures: u32,
     breaker_opened_at: Option<Instant>,
     metrics: ClientMetrics,
+    /// The encode buffer every request is written from, kept across
+    /// calls and reconnects.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -253,6 +262,7 @@ impl Client {
             consecutive_failures: 0,
             breaker_opened_at: None,
             metrics: ClientMetrics::default(),
+            frame: Vec::new(),
         };
         client.reconnect()?;
         Ok(client)
@@ -278,6 +288,7 @@ impl Client {
             consecutive_failures: 0,
             breaker_opened_at: None,
             metrics: ClientMetrics::default(),
+            frame: Vec::new(),
         };
         client.reconnect()?;
         Ok(client)
@@ -400,8 +411,16 @@ impl Client {
     pub fn send(&mut self, request: &Request) -> ClientResult<()> {
         let id = self.next_request_id;
         self.next_request_id += 1;
-        let frame = request.to_frame().with_request_id(id);
-        wire::write_frame(self.stream()?, &frame)?;
+        self.write_request(request, id)
+    }
+
+    /// Encodes `request` tagged `id` into the client's frame buffer and
+    /// writes it, connecting first if need be.
+    fn write_request(&mut self, request: &Request, id: u64) -> ClientResult<()> {
+        request.encode_into(id, &mut self.frame);
+        self.stream()?;
+        let stream = self.stream.as_mut().expect("stream() connected it");
+        stream.write_all(&self.frame).map_err(WireError::from)?;
         Ok(())
     }
 
@@ -425,9 +444,7 @@ impl Client {
     /// echoed id matches (tolerating id 0, which farewells, refusals, and
     /// framing errors carry).
     fn call_once(&mut self, request: &Request, id: u64) -> ClientResult<Response> {
-        let frame = request.to_frame().with_request_id(id);
-        let stream = self.stream()?;
-        wire::write_frame(stream, &frame)?;
+        self.write_request(request, id)?;
         loop {
             let stream = self.stream()?;
             match wire::read_frame(stream)? {
@@ -714,7 +731,8 @@ impl Drop for Client {
         // A clean goodbye instead of an RST: best-effort, never blocking
         // shutdown on a dead server.
         if let Some(stream) = self.stream.as_mut() {
-            let _ = wire::write_frame(stream, &Request::Goodbye.to_frame());
+            Request::Goodbye.encode_into(0, &mut self.frame);
+            let _ = stream.write_all(&self.frame);
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
     }

@@ -4,15 +4,17 @@
 //!
 //! * the **event loop** (one thread) owns the non-blocking listener and
 //!   every connection socket, multiplexed through the vendored `poll(2)`
-//!   shim (`shims/polling`). It reads bytes into each connection's
-//!   incremental [`FrameAssembler`], pops decoded frames through a
-//!   per-connection state machine, and flushes queued response bytes —
+//!   shim (`shims/polling`). It reads each socket straight into the
+//!   connection's [`FrameAssembler`], decodes each complete frame from its
+//!   borrowed view into a request (a batch's one copy in), runs a
+//!   per-connection state machine, and writes queued response frames —
 //!   never doing transform compute itself;
 //! * the **worker pool** ([`rbt_linalg::pool::default_threads`] threads,
-//!   which honours `RBT_THREADS`) decodes request bodies, checks the
-//!   queue-wait deadline, runs the request engine in [`crate::server`],
-//!   and encodes the response. Completions come back to the event loop
-//!   over a self-pipe waker.
+//!   which honours `RBT_THREADS`) checks the queue-wait deadline, runs the
+//!   request engine in [`crate::server`] — a batch is released in place,
+//!   on the worker's own thread — and encodes the response into a
+//!   recycled frame buffer (the one copy out). Completions come back to
+//!   the event loop over a self-pipe waker.
 //!
 //! The load-bearing rules:
 //!
@@ -30,7 +32,11 @@
 //!   admitted before the listener closes; each connection then quiesces
 //!   after one read-tick without new bytes, everything already buffered
 //!   is answered, a `GoingAway` farewell is written, and stragglers are
-//!   force-severed at `drain_deadline`.
+//!   force-severed at `drain_deadline`;
+//! * each connection queues whole response frames; a flushed one goes
+//!   back to the workers through a free list that keeps at most 8
+//!   buffers of 64 KiB to 4 MiB each, so a steady stream of batch answers
+//!   allocates no frame.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -45,7 +51,7 @@ use std::time::{Duration, Instant};
 use polling::{Event, Interest, Poller};
 
 use crate::server::{process_request, refuse, DrainReport, Shared, WRITE_TIMEOUT};
-use crate::wire::{self, Frame, FrameAssembler, Opcode, Request, Response, WireError};
+use crate::wire::{FrameAssembler, FrameView, Opcode, Request, Response, WireError, WireResult};
 use crate::CODE_UNAVAILABLE;
 
 const LISTENER_KEY: usize = 0;
@@ -53,25 +59,97 @@ const WAKER_KEY: usize = 1;
 /// Connection ids map to poller keys with this offset.
 const CONN_KEY_BASE: u64 = 2;
 
+/// Flushed frame buffers the free list keeps, at most.
+const FREE_FRAMES: usize = 8;
+/// The smallest buffer worth keeping: smaller frames cost little to
+/// allocate.
+const FREE_FRAME_MIN: usize = 64 * 1024;
+/// The largest buffer kept: rarer, larger frames go back to the
+/// allocator instead of pinning their memory.
+const FREE_FRAME_MAX: usize = 4 * 1024 * 1024;
+
+/// A request decoded on the event loop, waiting for a worker.
+struct Inbound {
+    /// When the frame was extracted, for the queue-wait deadline.
+    arrival: Instant,
+    request_id: u64,
+    /// The request, or why its well-framed body did not decode (answered
+    /// with a typed error; the connection stays open).
+    request: WireResult<Request>,
+}
+
+impl Inbound {
+    /// Decodes a frame's request: a batch's rows are copied once, out of
+    /// the read buffer into the batch matrix. Any `GoingAway` frame is a
+    /// goodbye, whatever its body holds.
+    fn decode(view: FrameView<'_>) -> Inbound {
+        let request = match view.opcode {
+            Opcode::GoingAway => Ok(Request::Goodbye),
+            _ => Request::from_view(view),
+        };
+        Inbound {
+            arrival: Instant::now(),
+            request_id: view.request_id,
+            request,
+        }
+    }
+}
+
 /// A decoded request on its way to the worker pool.
 struct Job {
     conn_id: u64,
-    arrival: Instant,
-    frame: Frame,
+    inbound: Inbound,
 }
 
-/// An encoded response on its way back to the event loop.
+/// An encoded response frame on its way back to the event loop.
 struct Completion {
     conn_id: u64,
-    bytes: Vec<u8>,
+    frame: Vec<u8>,
 }
 
-/// One worker: decode body → deadline check → request engine → encode.
-/// Exits when the job channel closes (the event loop exited).
+/// Response frame buffers flushed by the event loop, on their way back to
+/// the workers: at most [`FREE_FRAMES`] of them, each of
+/// [`FREE_FRAME_MIN`] to [`FREE_FRAME_MAX`] bytes.
+#[derive(Default)]
+struct FrameBuffers {
+    free: StdMutex<Vec<Vec<u8>>>,
+}
+
+impl FrameBuffers {
+    /// Encodes `response` echoing `request_id`; the responses that carry a
+    /// batch reuse a free buffer when there is one.
+    fn encode(&self, response: &Response, request_id: u64) -> Vec<u8> {
+        let mut frame = match response {
+            Response::Transformed { .. } | Response::Inverted { .. } => self
+                .free
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .pop()
+                .unwrap_or_default(),
+            _ => Vec::new(),
+        };
+        response.encode_into(request_id, &mut frame);
+        frame
+    }
+
+    /// Takes a flushed frame back, keeping it within the bounds.
+    fn recycle(&self, frame: Vec<u8>) {
+        if (FREE_FRAME_MIN..=FREE_FRAME_MAX).contains(&frame.capacity()) {
+            let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
+            if free.len() < FREE_FRAMES {
+                free.push(frame);
+            }
+        }
+    }
+}
+
+/// One worker: deadline check → request engine → encode. Exits when the
+/// job channel closes (the event loop exited).
 fn run_worker(
     shared: Arc<Shared>,
     jobs: Arc<StdMutex<mpsc::Receiver<Job>>>,
     completions: Arc<StdMutex<Vec<Completion>>>,
+    buffers: Arc<FrameBuffers>,
     waker: Arc<UnixStream>,
 ) {
     loop {
@@ -79,10 +157,11 @@ fn run_worker(
             let rx = jobs.lock().unwrap_or_else(|e| e.into_inner());
             rx.recv()
         };
-        let Ok(job) = job else { return };
+        let Ok(Job { conn_id, inbound }) = job else {
+            return;
+        };
         let runtime = shared.registry.runtime();
-        let request_id = job.frame.request_id;
-        let response = match Request::from_frame(&job.frame) {
+        let response = match inbound.request {
             // A valid frame with an undecodable body: framing is intact,
             // so answer and keep the connection.
             Err(e) => Response::Error {
@@ -90,8 +169,8 @@ fn run_worker(
                 message: format!("bad request body: {e}"),
             },
             Ok(request) => {
-                let waited = job.arrival.elapsed();
-                let budget = shared.config.deadline_for(job.frame.opcode);
+                let waited = inbound.arrival.elapsed();
+                let budget = shared.config.deadline_for(request.opcode());
                 if waited > budget {
                     // Shed rather than serve stale: the client has either
                     // timed out already or would rather retry elsewhere.
@@ -105,14 +184,11 @@ fn run_worker(
                 }
             }
         };
-        let bytes = wire::encode_frame(&response.to_frame().with_request_id(request_id));
+        let frame = buffers.encode(&response, inbound.request_id);
         completions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(Completion {
-                conn_id: job.conn_id,
-                bytes,
-            });
+            .push(Completion { conn_id, frame });
         // One byte per completion; the event loop drains the pipe in bulk.
         let _ = (&*waker).write(&[1u8]);
     }
@@ -122,14 +198,15 @@ fn run_worker(
 struct Conn {
     stream: TcpStream,
     asm: FrameAssembler,
-    /// Decoded frames (or recoverable/fatal parse errors) waiting for the
-    /// worker, each stamped with its arrival time for the queue-wait
-    /// deadline. Bounded by the in-flight window.
-    inbox: VecDeque<(Instant, Result<Frame, WireError>)>,
+    /// Decoded requests (or recoverable/fatal parse errors) waiting for
+    /// the worker. Bounded by the in-flight window.
+    inbox: VecDeque<Result<Inbound, WireError>>,
     /// One request is in the worker pool; nothing else may be popped
     /// until its completion returns, preserving response order.
     in_worker: bool,
-    outbuf: Vec<u8>,
+    /// Whole response frames in answer order; the front one is written
+    /// from `out_at` on.
+    outq: VecDeque<Vec<u8>>,
     out_at: usize,
     last_byte_at: Instant,
     /// No more bytes will be read (EOF, fatal parse error, idle reap,
@@ -142,10 +219,10 @@ struct Conn {
     /// buffered must still be extracted and served — every frame
     /// received before the peer went away is answered.
     parse_dead: bool,
-    /// Retire once the inbox is served and the outbuf flushed.
+    /// Retire once the inbox is served and the out queue flushed.
     closing: bool,
-    /// When `closing` began, bounding how long an unflushable outbuf may
-    /// pin the connection.
+    /// When `closing` began, bounding how long an unflushable out queue
+    /// may pin the connection.
     closing_since: Option<Instant>,
     /// The peer said `Goodbye`; no drain farewell is owed.
     said_goodbye: bool,
@@ -167,7 +244,7 @@ impl Conn {
             asm: FrameAssembler::new(),
             inbox: VecDeque::new(),
             in_worker: false,
-            outbuf: Vec::new(),
+            outq: VecDeque::new(),
             out_at: 0,
             last_byte_at: Instant::now(),
             read_closed: false,
@@ -190,22 +267,16 @@ impl Conn {
         }
     }
 
-    fn queue_response_frame(&mut self, frame: &Frame) {
-        self.queue_bytes(wire::encode_frame(frame));
-    }
-
-    /// Appends encoded frames to the outbuf; an empty outbuf (`out_at` is
-    /// then 0) takes the buffer over instead of copying it.
-    fn queue_bytes(&mut self, bytes: Vec<u8>) {
-        if self.outbuf.is_empty() {
-            self.outbuf = bytes;
-        } else {
-            self.outbuf.extend_from_slice(&bytes);
-        }
+    /// Queues an answer the event loop makes itself (framing errors):
+    /// small frames, encoded into a fresh buffer.
+    fn queue_response(&mut self, response: &Response) {
+        let mut frame = Vec::new();
+        response.encode_into(0, &mut frame);
+        self.outq.push_back(frame);
     }
 
     fn flushed(&self) -> bool {
-        self.out_at == self.outbuf.len()
+        self.outq.is_empty()
     }
 
     fn begin_close(&mut self) {
@@ -227,6 +298,7 @@ struct Reactor {
     next_conn_id: u64,
     jobs_tx: mpsc::Sender<Job>,
     completions: Arc<StdMutex<Vec<Completion>>>,
+    buffers: Arc<FrameBuffers>,
     stop: Arc<AtomicBool>,
     drain_started: Option<Instant>,
     forced: u64,
@@ -301,7 +373,7 @@ impl Reactor {
             for c in self.take_completions() {
                 if let Some(conn) = self.conns.get_mut(&c.conn_id) {
                     conn.in_worker = false;
-                    conn.queue_bytes(c.bytes);
+                    conn.outq.push_back(c.frame);
                     touched.insert(c.conn_id);
                 }
             }
@@ -391,7 +463,7 @@ impl Reactor {
         std::mem::take(&mut *self.completions.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Pulls bytes off a readable socket into the assembler and extracts
+    /// Reads a readable socket straight into the assembler and extracts
     /// complete frames into the inbox, stopping at the in-flight window.
     fn read_conn(&mut self, conn_id: u64) {
         let window = self.shared.config.window.max(1);
@@ -402,14 +474,13 @@ impl Reactor {
         if conn.read_closed {
             return;
         }
-        let mut buf = [0u8; 16 * 1024];
         loop {
             if conn.inbox.len() >= window {
                 // Window full: stop pulling bytes. Whatever the client
                 // keeps pipelining backs up in the kernel's TCP buffers.
                 break;
             }
-            match conn.stream.read(&mut buf) {
+            match conn.asm.read_from(&mut conn.stream) {
                 Ok(0) => {
                     // EOF. Complete frames already buffered are still
                     // served (the peer may only have half-closed); if the
@@ -419,9 +490,8 @@ impl Reactor {
                     conn.begin_close();
                     break;
                 }
-                Ok(n) => {
+                Ok(_) => {
                     conn.last_byte_at = Instant::now();
-                    conn.asm.push(&buf[..n]);
                     Reactor::extract_frames(conn, window);
                     if conn.read_closed {
                         break;
@@ -439,16 +509,19 @@ impl Reactor {
         }
     }
 
-    /// Moves complete frames from the assembler into the inbox, honouring
-    /// the window bound and the error-recoverability contract.
+    /// Decodes complete frames from the assembler into the inbox,
+    /// honouring the window bound and the error-recoverability contract.
     fn extract_frames(conn: &mut Conn, window: usize) {
         while conn.inbox.len() < window && !conn.parse_dead {
-            match conn.asm.next_frame() {
+            let item = match conn.asm.next_view() {
                 None => break,
-                Some(Ok(frame)) => conn.inbox.push_back((Instant::now(), Ok(frame))),
-                Some(Err(e)) => {
+                Some(view) => view.map(Inbound::decode),
+            };
+            match item {
+                Ok(inbound) => conn.inbox.push_back(Ok(inbound)),
+                Err(e) => {
                     let recoverable = matches!(e, WireError::UnsupportedVersion { .. });
-                    conn.inbox.push_back((Instant::now(), Err(e)));
+                    conn.inbox.push_back(Err(e));
                     if !recoverable {
                         // The stream is desynchronized: stop reading; the
                         // queued error answers once, then the connection
@@ -468,28 +541,34 @@ impl Reactor {
             // frame: a malformed-stream event, answered with a typed
             // error (best-effort) after everything complete before it.
             conn.parse_dead = true;
-            conn.inbox.push_back((
-                Instant::now(),
-                Err(WireError::Io {
-                    kind: ErrorKind::UnexpectedEof,
-                    message: "peer closed mid-frame".to_string(),
-                }),
-            ));
+            conn.inbox.push_back(Err(WireError::Io {
+                kind: ErrorKind::UnexpectedEof,
+                message: "peer closed mid-frame".to_string(),
+            }));
         }
     }
 
-    /// Writes as much of the outbuf as the socket accepts.
+    /// Writes queued frames as far as the socket accepts, handing each
+    /// fully written one back to the workers' free list.
     fn flush_conn(&mut self, conn_id: u64) {
         let Some(conn) = self.conns.get_mut(&conn_id) else {
             return;
         };
-        while conn.out_at < conn.outbuf.len() {
-            match conn.stream.write(&conn.outbuf[conn.out_at..]) {
+        while let Some(frame) = conn.outq.front() {
+            match conn.stream.write(&frame[conn.out_at..]) {
                 Ok(0) => {
                     conn.write_broken = true;
                     break;
                 }
-                Ok(n) => conn.out_at += n,
+                Ok(n) => {
+                    conn.out_at += n;
+                    if conn.out_at == frame.len() {
+                        conn.out_at = 0;
+                        if let Some(done) = conn.outq.pop_front() {
+                            self.buffers.recycle(done);
+                        }
+                    }
+                }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -498,10 +577,6 @@ impl Reactor {
                     break;
                 }
             }
-        }
-        if conn.flushed() {
-            conn.outbuf.clear();
-            conn.out_at = 0;
         }
     }
 
@@ -517,12 +592,12 @@ impl Reactor {
 
         Reactor::extract_frames(conn, window);
         while !conn.in_worker {
-            let Some((arrival, item)) = conn.inbox.pop_front() else {
+            let Some(item) = conn.inbox.pop_front() else {
                 break;
             };
             match item {
-                Ok(frame) => {
-                    if frame.opcode == Opcode::GoingAway {
+                Ok(inbound) => {
+                    if matches!(inbound.request, Ok(Request::Goodbye)) {
                         // A clean departure: no response owed, no error
                         // frame, nothing after it served.
                         conn.count_disconnect(runtime);
@@ -533,15 +608,7 @@ impl Reactor {
                         break;
                     }
                     conn.in_worker = true;
-                    if self
-                        .jobs_tx
-                        .send(Job {
-                            conn_id,
-                            arrival,
-                            frame,
-                        })
-                        .is_err()
-                    {
+                    if self.jobs_tx.send(Job { conn_id, inbound }).is_err() {
                         // Workers are gone; the loop is exiting anyway.
                         conn.in_worker = false;
                         conn.begin_close();
@@ -553,20 +620,18 @@ impl Reactor {
                     if matches!(e, WireError::UnsupportedVersion { .. }) {
                         // Consumed whole (CRC before version): answer the
                         // typed rejection and keep serving.
-                        let resp = Response::Error {
+                        conn.queue_response(&Response::Error {
                             code: 4,
                             message: e.to_string(),
-                        };
-                        conn.queue_response_frame(&resp.to_frame());
+                        });
                         continue;
                     }
                     // Malformed frame, mid-frame EOF, or stall: answer
                     // once (best-effort) and close after the flush.
-                    let resp = Response::Error {
+                    conn.queue_response(&Response::Error {
                         code: 4,
                         message: format!("malformed frame: {e}"),
-                    };
-                    conn.queue_response_frame(&resp.to_frame());
+                    });
                     conn.inbox.clear();
                     conn.parse_dead = true;
                     conn.begin_close();
@@ -639,16 +704,13 @@ impl Reactor {
                     // A wedged or malicious sender mid-frame: cut it with
                     // a typed error.
                     runtime.stalled.fetch_add(1, Ordering::Relaxed);
-                    conn.inbox.push_back((
-                        now,
-                        Err(WireError::Io {
-                            kind: ErrorKind::TimedOut,
-                            message: format!(
-                                "peer stalled mid-frame past the {:?} budget",
-                                config.stall_budget
-                            ),
-                        }),
-                    ));
+                    conn.inbox.push_back(Err(WireError::Io {
+                        kind: ErrorKind::TimedOut,
+                        message: format!(
+                            "peer stalled mid-frame past the {:?} budget",
+                            config.stall_budget
+                        ),
+                    }));
                     conn.parse_dead = true;
                     conn.begin_close();
                     touched.push(conn_id);
@@ -683,15 +745,16 @@ impl Reactor {
             let runtime = self.shared.registry.runtime();
             let _ = conn.stream.set_nonblocking(false);
             let _ = conn.stream.set_write_timeout(Some(WRITE_TIMEOUT));
-            let pending_ok = if conn.flushed() {
-                true
-            } else {
-                conn.stream.write_all(&conn.outbuf[conn.out_at..]).is_ok()
-            };
-            let farewell = Response::GoingAway {
+            let pending_ok = conn.outq.iter().enumerate().all(|(i, frame)| {
+                let from = if i == 0 { conn.out_at } else { 0 };
+                conn.stream.write_all(&frame[from..]).is_ok()
+            });
+            let mut farewell = Vec::new();
+            Response::GoingAway {
                 message: "server draining".to_string(),
-            };
-            if pending_ok && wire::write_frame(&mut conn.stream, &farewell.to_frame()).is_ok() {
+            }
+            .encode_into(0, &mut farewell);
+            if pending_ok && conn.stream.write_all(&farewell).is_ok() {
                 runtime.drained.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -790,6 +853,7 @@ pub(crate) fn spawn(
     let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
     let jobs_rx = Arc::new(StdMutex::new(jobs_rx));
     let completions: Arc<StdMutex<Vec<Completion>>> = Arc::new(StdMutex::new(Vec::new()));
+    let buffers = Arc::new(FrameBuffers::default());
     let waker_tx = Arc::new(waker_tx);
 
     let pool_size = rbt_linalg::pool::default_threads();
@@ -798,9 +862,10 @@ pub(crate) fn spawn(
         let shared = Arc::clone(&shared);
         let jobs_rx = Arc::clone(&jobs_rx);
         let completions = Arc::clone(&completions);
+        let buffers = Arc::clone(&buffers);
         let waker = Arc::clone(&waker_tx);
         workers.push(thread::spawn(move || {
-            run_worker(shared, jobs_rx, completions, waker)
+            run_worker(shared, jobs_rx, completions, buffers, waker)
         }));
     }
 
@@ -813,6 +878,7 @@ pub(crate) fn spawn(
         next_conn_id: 0,
         jobs_tx,
         completions,
+        buffers,
         stop: Arc::clone(&stop),
         drain_started: None,
         forced: 0,

@@ -21,6 +21,12 @@
 //! whatever the method: its batches report their own drift (RBT's
 //! out-of-range rows, 0 for the methods that keep no fitted range).
 //!
+//! The daemon serves in place: the request's own decoded batch becomes
+//! the release ([`FittedTransform::transform_batch_in_place`]), on the
+//! worker's thread. [`SessionRegistry::transform`] and
+//! [`SessionRegistry::invert`] are the same calls on a copy of a borrowed
+//! batch.
+//!
 //! Locking: the registry mutex (a non-poisoning `parking_lot` lock, so a
 //! panicking worker thread cannot wedge every other tenant) is held
 //! only to look up / decode / account. A checked-out
@@ -228,12 +234,24 @@ impl SessionRegistry {
     /// [`ServerError::UnknownTenant`] for unregistered tenants, otherwise
     /// whatever the release machinery reports (shape mismatch, …).
     pub fn transform(&self, tenant: &str, batch: &Dataset) -> ServerResult<(Dataset, u64)> {
+        let mut released = batch.clone();
+        let drift_rows = self.transform_in_place(tenant, &mut released)?;
+        Ok((released, drift_rows))
+    }
+
+    /// [`SessionRegistry::transform`] in place: `batch` becomes the
+    /// release, and is left untouched on error.
+    pub(crate) fn transform_in_place(
+        &self,
+        tenant: &str,
+        batch: &mut Dataset,
+    ) -> ServerResult<u64> {
         let live = self.checkout(tenant)?;
         let start = Instant::now();
-        let out = live.transform_batch(batch)?;
-        let drift_rows = out.out_of_range_rows as u64;
-        self.note(tenant, batch.n_rows() as u64, drift_rows, start);
-        Ok((out.released, drift_rows))
+        let rows = batch.n_rows() as u64;
+        let drift_rows = live.transform_batch_in_place(batch)? as u64;
+        self.note(tenant, rows, drift_rows, start);
+        Ok(drift_rows)
     }
 
     /// Inverts a previously released batch under `tenant`'s session
@@ -245,11 +263,19 @@ impl SessionRegistry {
     /// [`RbtError::NotInvertible`] (as [`ServerError::Rbt`]) for methods
     /// that destroy information by design.
     pub fn invert(&self, tenant: &str, batch: &Dataset) -> ServerResult<Dataset> {
+        let mut recovered = batch.clone();
+        self.invert_in_place(tenant, &mut recovered)?;
+        Ok(recovered)
+    }
+
+    /// [`SessionRegistry::invert`] in place: `batch` becomes the recovered
+    /// batch, and is left untouched on error.
+    pub(crate) fn invert_in_place(&self, tenant: &str, batch: &mut Dataset) -> ServerResult<()> {
         let live = self.checkout(tenant)?;
         let start = Instant::now();
-        let recovered = live.invert_batch(batch)?;
+        live.invert_batch_in_place(batch)?;
         self.note(tenant, 0, 0, start);
-        Ok(recovered)
+        Ok(())
     }
 
     /// Drops a tenant entirely: key bytes, live session, and counters.

@@ -39,6 +39,7 @@
 //! eventually blocks in the kernel's TCP buffers — memory on the server
 //! stays bounded per connection.
 
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,7 +53,7 @@ use rbt_protocol::{FederationConfig, FederationHub, Message as FedMessage, Proto
 use crate::keystore::KeyStore;
 use crate::reactor::{self, ReactorHandle};
 use crate::registry::{ServerError, SessionRegistry};
-use crate::wire::{self, Opcode, Request, Response};
+use crate::wire::{Opcode, Request, Response};
 
 /// Socket write timeout for responses and refusal frames.
 pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -195,17 +196,22 @@ pub(crate) fn process_request(shared: &Shared, request: Request) -> Response {
             },
             Err(e) => error_response(&e),
         },
-        Request::Transform { tenant, batch } => match registry.transform(&tenant, &batch) {
-            Ok((released, out_of_range_rows)) => Response::Transformed {
-                released,
-                out_of_range_rows,
-            },
-            Err(e) => error_response(&e),
-        },
-        Request::Invert { tenant, batch } => match registry.invert(&tenant, &batch) {
-            Ok(recovered) => Response::Inverted { recovered },
-            Err(e) => error_response(&e),
-        },
+        // The request's own batch becomes the answer: released in place.
+        Request::Transform { tenant, mut batch } => {
+            match registry.transform_in_place(&tenant, &mut batch) {
+                Ok(out_of_range_rows) => Response::Transformed {
+                    released: batch,
+                    out_of_range_rows,
+                },
+                Err(e) => error_response(&e),
+            }
+        }
+        Request::Invert { tenant, mut batch } => {
+            match registry.invert_in_place(&tenant, &mut batch) {
+                Ok(()) => Response::Inverted { recovered: batch },
+                Err(e) => error_response(&e),
+            }
+        }
         Request::Stats => Response::Stats(registry.stats()),
         Request::EvictTenant { tenant } => Response::Evicted {
             existed: registry.evict(&tenant),
@@ -292,7 +298,9 @@ pub(crate) fn process_request(shared: &Shared, request: Request) -> Response {
 pub(crate) fn refuse(mut stream: TcpStream, response: Response) {
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let _ = wire::write_frame(&mut stream, &response.to_frame());
+    let mut frame = Vec::new();
+    response.encode_into(0, &mut frame);
+    let _ = stream.write_all(&frame);
     let _ = stream.shutdown(Shutdown::Both);
 }
 

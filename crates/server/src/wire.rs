@@ -26,9 +26,27 @@
 //! version → opcode, so a frame with a valid checksum but an unknown
 //! version is reported as [`WireError::UnsupportedVersion`] rather than as
 //! corruption, while any flipped byte anywhere in the frame trips the CRC.
+//!
+//! **One encoder, one validator.** Every frame is written by one encoder:
+//! `Request::encode_into` and `Response::encode_into` write header,
+//! request id, body and CRC-32 trailer in one pass into a caller's buffer
+//! (the daemon recycles its response buffers, the client keeps one per
+//! connection). Every frame is checked by one in-place validator — CRC,
+//! then version, then opcode — that [`FrameAssembler`], [`read_frame`] and
+//! [`decode_frame`] share. The daemon reads a socket straight into its
+//! [`FrameAssembler`] and decodes each request from a borrowed view of
+//! the assembler's buffer, so a served batch's rows are copied once in
+//! (read buffer → batch matrix) and once out (matrix → response frame).
+//! [`read_frame`] keeps the bytes it read as the frame, so the client
+//! copies a response's rows only when it decodes them. The owned
+//! [`Frame`] and its helpers — [`Frame::new`], `to_frame`, `from_frame`,
+//! [`encode_frame`], [`decode_frame`], [`write_frame`] and
+//! [`FrameAssembler::push`]/[`next_frame`](FrameAssembler::next_frame) —
+//! are thin wrappers over the two for tests and tools.
 
 use std::fmt;
 use std::io::{Read, Write};
+use std::ops::Range;
 
 use rbt_data::Dataset;
 use rbt_linalg::codec::{crc32, ByteReader, ByteWriter, DecodeError};
@@ -50,6 +68,10 @@ pub const REQUEST_ID_LEN: usize = 8;
 /// length *before* the body is allocated, so a corrupted or hostile length
 /// field cannot drive the server out of memory.
 pub const MAX_BODY_LEN: u32 = 64 * 1024 * 1024;
+
+/// What `FrameAssembler::read_from` reads when no frame is in progress:
+/// several small frames, or the head of a large one.
+const MIN_READ: usize = 64 * 1024;
 
 /// Frame opcodes. Responses reuse the opcode of the request they answer;
 /// failures use [`Opcode::Error`].
@@ -216,19 +238,36 @@ fn malformed(offset: usize, message: impl Into<String>) -> WireError {
     })
 }
 
-/// A decoded frame: opcode, request id, and raw body bytes. The body is
+/// A validated frame borrowed from the buffer it was read into: opcode,
+/// request id, and body. [`Request::from_view`] decodes it without
+/// copying the body first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FrameView<'a> {
+    /// The frame opcode.
+    pub(crate) opcode: Opcode,
+    /// The request id (0 for unsolicited frames).
+    pub(crate) request_id: u64,
+    /// The opcode-specific body (request-id prefix already stripped).
+    pub(crate) body: &'a [u8],
+}
+
+/// An owned frame: opcode, request id, and body bytes. The body is
 /// interpreted by [`Request::from_frame`] / [`Response::from_frame`]; the
 /// request id is echoed by the server so clients can match a response to
-/// its request across reconnects.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// its request across reconnects. Two frames are equal when their opcode,
+/// request id and body are.
+#[derive(Clone)]
 pub struct Frame {
     /// The frame opcode.
     pub opcode: Opcode,
     /// The request id (0 for unsolicited frames: farewells, refusals, and
     /// framing errors).
     pub request_id: u64,
-    /// The opcode-specific body (request-id prefix already stripped).
-    pub body: Vec<u8>,
+    /// Where the body lives: a bare body ([`Frame::new`]) or a whole
+    /// encoded frame kept as it was read or written ([`read_frame`],
+    /// `to_frame`), so the body is never copied out of it.
+    bytes: Vec<u8>,
+    body: Range<usize>,
 }
 
 impl Frame {
@@ -237,8 +276,25 @@ impl Frame {
         Frame {
             opcode,
             request_id: 0,
+            body: 0..body.len(),
+            bytes: body,
+        }
+    }
+
+    /// Takes ownership of one whole, validated encoded frame.
+    fn from_encoded(bytes: Vec<u8>, opcode: Opcode, request_id: u64) -> Frame {
+        let body = HEADER_LEN + REQUEST_ID_LEN..bytes.len() - TRAILER_LEN;
+        Frame {
+            opcode,
+            request_id,
+            bytes,
             body,
         }
+    }
+
+    /// An owned copy of a borrowed frame.
+    fn from_view(view: FrameView<'_>) -> Frame {
+        Frame::new(view.opcode, view.body.to_vec()).with_request_id(view.request_id)
     }
 
     /// The same frame carrying `id` as its request id.
@@ -246,22 +302,82 @@ impl Frame {
         self.request_id = id;
         self
     }
+
+    /// The opcode-specific body (request-id prefix already stripped).
+    pub fn body(&self) -> &[u8] {
+        &self.bytes[self.body.clone()]
+    }
+
+    /// The frame as a borrowed view.
+    fn view(&self) -> FrameView<'_> {
+        FrameView {
+            opcode: self.opcode,
+            request_id: self.request_id,
+            body: self.body(),
+        }
+    }
+}
+
+impl PartialEq for Frame {
+    fn eq(&self, other: &Frame) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for Frame {}
+
+impl fmt::Debug for Frame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Frame")
+            .field("opcode", &self.opcode)
+            .field("request_id", &self.request_id)
+            .field("body", &self.body())
+            .finish()
+    }
+}
+
+/// The one frame encoder: writes header, request id, the body `put_body`
+/// appends, and the CRC-32 trailer into `buf` in one pass, replacing what
+/// it held. `body_len` presizes the buffer (an estimate is fine); a
+/// buffer that already has room keeps its allocation. The body length is
+/// patched into the header once the body is written.
+fn encode_with(
+    buf: &mut Vec<u8>,
+    opcode: Opcode,
+    request_id: u64,
+    body_len: usize,
+    put_body: impl FnOnce(&mut ByteWriter),
+) {
+    let frame_len = HEADER_LEN + REQUEST_ID_LEN + body_len + TRAILER_LEN;
+    buf.clear();
+    if buf.capacity() < frame_len {
+        // Growing the old buffer would copy its stale bytes; start fresh.
+        *buf = Vec::with_capacity(frame_len);
+    }
+    let mut w = ByteWriter::from_vec(std::mem::take(buf));
+    w.put_bytes(&MAGIC);
+    w.put_u16(WIRE_VERSION);
+    w.put_u8(opcode as u8);
+    w.put_u32(0); // the body length, patched below
+    w.put_u64(request_id);
+    put_body(&mut w);
+    let mut bytes = w.into_bytes();
+    let declared = (bytes.len() - HEADER_LEN) as u32;
+    bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&declared.to_le_bytes());
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    *buf = bytes;
 }
 
 /// Encodes a frame into a self-contained byte buffer (header + request-id
 /// prefix + body + CRC-32 trailer), always at [`WIRE_VERSION`].
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut w =
-        ByteWriter::with_capacity(HEADER_LEN + REQUEST_ID_LEN + frame.body.len() + TRAILER_LEN);
-    w.put_bytes(&MAGIC);
-    w.put_u16(WIRE_VERSION);
-    w.put_u8(frame.opcode as u8);
-    w.put_u32((REQUEST_ID_LEN + frame.body.len()) as u32);
-    w.put_u64(frame.request_id);
-    w.put_bytes(&frame.body);
-    let crc = crc32(w.as_bytes());
-    w.put_u32(crc);
-    w.into_bytes()
+    let mut buf = Vec::new();
+    let body = frame.body();
+    encode_with(&mut buf, frame.opcode, frame.request_id, body.len(), |w| {
+        w.put_bytes(body)
+    });
+    buf
 }
 
 /// Header fields once magic and the length bound have been validated.
@@ -271,8 +387,17 @@ struct RawHeader {
     body_len: usize,
 }
 
-fn parse_header(header: &[u8; HEADER_LEN]) -> WireResult<RawHeader> {
-    let mut r = ByteReader::new(header);
+impl RawHeader {
+    /// Bytes of the whole frame: header, body and trailer.
+    fn frame_len(&self) -> usize {
+        HEADER_LEN + self.body_len + TRAILER_LEN
+    }
+}
+
+/// Parses the header at the start of `bytes` (at least [`HEADER_LEN`]
+/// long): magic, then the length bound.
+fn parse_header(bytes: &[u8]) -> WireResult<RawHeader> {
+    let mut r = ByteReader::new(&bytes[..HEADER_LEN]);
     let magic = r.take_bytes(4)?;
     if magic != MAGIC {
         return Err(WireError::BadMagic {
@@ -295,44 +420,46 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> WireResult<RawHeader> {
     })
 }
 
-/// Validates CRC/version/opcode of one whole frame and splits the
-/// request-id prefix. `bytes` is the contiguous frame — header, body and
-/// trailer, exactly `HEADER_LEN + raw.body_len + TRAILER_LEN` bytes. The
-/// CRC is computed in place and the body is copied once, after the id.
-fn finish_frame(bytes: &[u8], raw: RawHeader) -> WireResult<Frame> {
-    let crc_end = HEADER_LEN + raw.body_len;
+/// The one frame validator: checks one whole frame in place — CRC over
+/// header and body, then version, then opcode, then that the body holds
+/// the request id — and returns a view of it. `frame` is exactly
+/// `header.frame_len()` bytes whose header parsed as `header`.
+fn check_frame<'a>(frame: &'a [u8], header: &RawHeader) -> WireResult<FrameView<'a>> {
+    let crc_end = HEADER_LEN + header.body_len;
     let stored = u32::from_le_bytes([
-        bytes[crc_end],
-        bytes[crc_end + 1],
-        bytes[crc_end + 2],
-        bytes[crc_end + 3],
+        frame[crc_end],
+        frame[crc_end + 1],
+        frame[crc_end + 2],
+        frame[crc_end + 3],
     ]);
-    let computed = crc32(&bytes[..crc_end]);
+    let computed = crc32(&frame[..crc_end]);
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
-    if raw.version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion { found: raw.version });
+    if header.version != WIRE_VERSION {
+        return Err(WireError::UnsupportedVersion {
+            found: header.version,
+        });
     }
-    let opcode = Opcode::from_u8(raw.opcode_byte).ok_or(WireError::UnknownOpcode {
-        found: raw.opcode_byte,
+    let opcode = Opcode::from_u8(header.opcode_byte).ok_or(WireError::UnknownOpcode {
+        found: header.opcode_byte,
     })?;
-    if raw.body_len < REQUEST_ID_LEN {
+    if header.body_len < REQUEST_ID_LEN {
         return Err(malformed(
             HEADER_LEN,
             format!(
                 "version-2 body of {} bytes cannot hold the request id",
-                raw.body_len
+                header.body_len
             ),
         ));
     }
     let body_start = HEADER_LEN + REQUEST_ID_LEN;
     let mut id_bytes = [0u8; REQUEST_ID_LEN];
-    id_bytes.copy_from_slice(&bytes[HEADER_LEN..body_start]);
-    Ok(Frame {
+    id_bytes.copy_from_slice(&frame[HEADER_LEN..body_start]);
+    Ok(FrameView {
         opcode,
         request_id: u64::from_le_bytes(id_bytes),
-        body: bytes[body_start..crc_end].to_vec(),
+        body: &frame[body_start..crc_end],
     })
 }
 
@@ -351,10 +478,8 @@ pub fn decode_frame(bytes: &[u8]) -> WireResult<Frame> {
             available: bytes.len(),
         }));
     }
-    let mut header = [0u8; HEADER_LEN];
-    header.copy_from_slice(&bytes[..HEADER_LEN]);
-    let raw = parse_header(&header)?;
-    let total = HEADER_LEN + raw.body_len + TRAILER_LEN;
+    let header = parse_header(bytes)?;
+    let total = header.frame_len();
     if bytes.len() < total {
         return Err(WireError::Byte(DecodeError::Truncated {
             offset: bytes.len(),
@@ -368,7 +493,7 @@ pub fn decode_frame(bytes: &[u8]) -> WireResult<Frame> {
             format!("{} trailing bytes after the frame", bytes.len() - total),
         ));
     }
-    finish_frame(bytes, raw)
+    check_frame(bytes, &header).map(Frame::from_view)
 }
 
 /// Reads the next frame from a stream.
@@ -377,7 +502,9 @@ pub fn decode_frame(bytes: &[u8]) -> WireResult<Frame> {
 /// frames); EOF in the *middle* of a frame is a disconnect and reported as
 /// [`WireError::Io`] with [`std::io::ErrorKind::UnexpectedEof`]. The
 /// declared body length is validated against [`MAX_BODY_LEN`] before the
-/// body buffer is allocated.
+/// frame buffer is allocated. The bytes are read straight into that
+/// buffer, which the returned frame keeps: the body is neither zeroed
+/// first nor copied out.
 ///
 /// # Errors
 ///
@@ -398,31 +525,38 @@ pub fn read_frame<R: Read>(stream: &mut R) -> WireResult<Option<Frame>> {
         }
         filled += n;
     }
-    let raw = parse_header(&header)?;
-    let mut frame = vec![0u8; HEADER_LEN + raw.body_len + TRAILER_LEN];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    stream.read_exact(&mut frame[HEADER_LEN..]).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            WireError::Io {
-                kind: std::io::ErrorKind::UnexpectedEof,
-                message: "peer closed mid-frame".to_string(),
-            }
-        } else {
-            WireError::from(e)
-        }
-    })?;
-    finish_frame(&frame, raw).map(Some)
+    let parsed = parse_header(&header)?;
+    let total = parsed.frame_len();
+    let mut bytes = Vec::with_capacity(total);
+    bytes.extend_from_slice(&header);
+    stream
+        .take((total - HEADER_LEN) as u64)
+        .read_to_end(&mut bytes)?;
+    if bytes.len() < total {
+        return Err(WireError::Io {
+            kind: std::io::ErrorKind::UnexpectedEof,
+            message: "peer closed mid-frame".to_string(),
+        });
+    }
+    let view = check_frame(&bytes, &parsed)?;
+    let (opcode, request_id) = (view.opcode, view.request_id);
+    Ok(Some(Frame::from_encoded(bytes, opcode, request_id)))
 }
 
 /// Incremental frame decoder for non-blocking sockets.
 ///
 /// The blocking [`read_frame`] owns its stream and can loop until a frame
 /// completes; a readiness-polled connection instead receives bytes in
-/// arbitrary chunks whenever the socket is readable. [`FrameAssembler`]
-/// buffers those chunks ([`FrameAssembler::push`]) and yields complete,
-/// validated frames ([`FrameAssembler::next_frame`]) with exactly the same
-/// validation order as [`read_frame`]: magic and length bound from the
-/// header, then CRC over the whole frame, then version, then opcode.
+/// arbitrary chunks whenever the socket is readable. The daemon reads them
+/// straight into the assembler's own buffer, with room for the rest of
+/// the frame in progress, and takes complete, validated frames as views
+/// into that buffer; [`FrameAssembler::push`] and
+/// [`FrameAssembler::next_frame`] are the copying equivalents. Either way
+/// the validation is exactly [`read_frame`]'s: magic and length bound from
+/// the header, then CRC over the whole frame, then version, then opcode.
+/// A buffer that has held one frame holds the next of the same size
+/// without growing: consumed bytes are dropped before a read needs their
+/// room.
 ///
 /// Error recoverability mirrors the blocking path. A header-level error
 /// (bad magic, oversized length) or a checksum mismatch leaves the byte
@@ -432,6 +566,7 @@ pub fn read_frame<R: Read>(stream: &mut R) -> WireResult<Option<Frame>> {
 /// assembler keeps working on whatever follows it.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
+    /// Bytes received; those before `start` are consumed.
     buf: Vec<u8>,
     start: usize,
 }
@@ -442,18 +577,66 @@ impl FrameAssembler {
         FrameAssembler::default()
     }
 
-    /// Appends bytes read from the socket to the reassembly buffer.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact before growing: everything before `start` is consumed.
-        if self.start > 0 && (self.start == self.buf.len() || self.start >= 4096) {
-            self.buf.drain(..self.start);
+    /// The received bytes not yet consumed.
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    /// Makes room for `additional` more bytes. Consumed bytes are dropped
+    /// first — for free when nothing is pending — so the buffer grows only
+    /// when the pending bytes and the new ones do not fit in it.
+    fn reserve(&mut self, additional: usize) {
+        if self.start == self.buf.len() {
+            self.buf.clear();
             self.start = 0;
         }
+        if self.buf.capacity() - self.buf.len() < additional {
+            self.buf.drain(..self.start);
+            self.start = 0;
+            self.buf.reserve_exact(additional);
+        }
+    }
+
+    /// Appends bytes to the reassembly buffer (the copying feeder, for
+    /// callers that already hold the bytes).
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.reserve(bytes.len());
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Reads once from `src` straight into the reassembly buffer: exactly
+    /// the rest of the frame in progress, or up to 64 KiB (several small
+    /// frames, or the head of a large one) when no frame is in progress.
+    /// A read so stops at a large frame's end, and a buffer that has held
+    /// one frame holds the next of its size without growing or moving.
+    /// Returns how many bytes arrived; 0 means end of stream. The buffer
+    /// is sized from a header only after the header passed its magic and
+    /// length checks.
+    ///
+    /// # Errors
+    ///
+    /// The read's own error (`WouldBlock` on a drained non-blocking
+    /// socket) when no bytes arrived. Bytes that arrived before an error
+    /// are kept and counted; the error then recurs on the next read.
+    pub(crate) fn read_from<R: Read>(&mut self, src: &mut R) -> std::io::Result<usize> {
+        let pending = self.pending();
+        let rest = if pending.len() < HEADER_LEN {
+            0
+        } else {
+            parse_header(pending).map_or(0, |h| h.frame_len().saturating_sub(pending.len()))
+        };
+        let room = if rest > 0 { rest } else { MIN_READ };
+        self.reserve(room);
+        let before = self.buf.len();
+        let read = src.take(room as u64).read_to_end(&mut self.buf);
+        match (read, self.buf.len() - before) {
+            (Err(e), 0) => Err(e),
+            (_, n) => Ok(n),
+        }
+    }
+
     /// True while the buffer holds any unconsumed bytes — complete frames
-    /// not yet extracted by [`FrameAssembler::next_frame`] count too. To
+    /// not yet extracted count too. To
     /// decide whether a silent peer is *stalled* (owes bytes) or merely
     /// unread (back-pressured by the caller), use
     /// [`FrameAssembler::partial_frame`] instead.
@@ -463,18 +646,16 @@ impl FrameAssembler {
 
     /// True when [`FrameAssembler::next_frame`] would yield something —
     /// a complete frame, or a typed error for bytes that can never become
-    /// one — without any further `push`.
+    /// one — without any further bytes.
     pub fn frame_ready(&self) -> bool {
-        let pending = &self.buf[self.start..];
+        let pending = self.pending();
         if pending.len() < HEADER_LEN {
             return false;
         }
-        let mut header = [0u8; HEADER_LEN];
-        header.copy_from_slice(&pending[..HEADER_LEN]);
-        match parse_header(&header) {
+        match parse_header(pending) {
             // An undecodable header is extractable as a (fatal) error.
             Err(_) => true,
-            Ok(raw) => pending.len() >= HEADER_LEN + raw.body_len + TRAILER_LEN,
+            Ok(header) => pending.len() >= header.frame_len(),
         }
     }
 
@@ -487,7 +668,8 @@ impl FrameAssembler {
         self.mid_frame() && !self.frame_ready()
     }
 
-    /// Yields the next complete frame, `None` if more bytes are needed.
+    /// Yields the next complete frame as a view into the buffer, `None`
+    /// if more bytes are needed.
     ///
     /// # Errors
     ///
@@ -496,22 +678,20 @@ impl FrameAssembler {
     /// [`WireError::UnknownOpcode`] the frame was fully consumed and the
     /// assembler remains usable; after any other error the stream is
     /// desynchronized and the connection should be closed.
-    pub fn next_frame(&mut self) -> Option<WireResult<Frame>> {
+    pub(crate) fn next_view(&mut self) -> Option<WireResult<FrameView<'_>>> {
         let pending = &self.buf[self.start..];
         if pending.len() < HEADER_LEN {
             return None;
         }
-        let mut header = [0u8; HEADER_LEN];
-        header.copy_from_slice(&pending[..HEADER_LEN]);
-        let raw = match parse_header(&header) {
-            Ok(raw) => raw,
+        let header = match parse_header(pending) {
+            Ok(header) => header,
             Err(e) => return Some(Err(e)),
         };
-        let total = HEADER_LEN + raw.body_len + TRAILER_LEN;
+        let total = header.frame_len();
         if pending.len() < total {
             return None;
         }
-        let result = finish_frame(&pending[..total], raw);
+        let result = check_frame(&pending[..total], &header);
         match &result {
             // The CRC covered `total` bytes, so consuming them is safe even
             // when the version or opcode is unknown — resynchronization is
@@ -525,9 +705,25 @@ impl FrameAssembler {
         }
         Some(result)
     }
+
+    /// Yields the next complete frame as an owned copy, `None` if more
+    /// bytes are needed.
+    ///
+    /// # Errors
+    ///
+    /// Typed [`WireError`] exactly as [`read_frame`] would produce for the
+    /// same bytes. After [`WireError::UnsupportedVersion`] or
+    /// [`WireError::UnknownOpcode`] the frame was fully consumed and the
+    /// assembler remains usable; after any other error the stream is
+    /// desynchronized and the connection should be closed.
+    pub fn next_frame(&mut self) -> Option<WireResult<Frame>> {
+        self.next_view().map(|view| view.map(Frame::from_view))
+    }
 }
 
-/// Writes one encoded frame to a stream and flushes it.
+/// Writes one encoded frame to a stream and flushes it — the owned-frame
+/// path the tests use to put hand-built frames on a socket. The daemon and
+/// the client write `encode_into` bytes instead.
 ///
 /// # Errors
 ///
@@ -728,19 +924,26 @@ impl Request {
         }
     }
 
-    /// Encodes the request into a frame (request id 0; use
-    /// [`Frame::with_request_id`] to tag it).
-    pub fn to_frame(&self) -> Frame {
-        let mut w = ByteWriter::new();
-        match self {
+    /// Encodes the request as one whole frame tagged `request_id` into
+    /// `buf` (header, id, body and CRC-32 trailer, in one pass), replacing
+    /// what it held. A buffer reused across requests of the same size
+    /// allocates nothing.
+    pub(crate) fn encode_into(&self, request_id: u64, buf: &mut Vec<u8>) {
+        let body_len = match self {
+            Request::LoadKey { tenant, key_bytes } => 4 + tenant.len() + 8 + key_bytes.len(),
+            Request::Transform { tenant, batch } | Request::Invert { tenant, batch } => {
+                4 + tenant.len() + encoded_dataset_len(batch)
+            }
+            _ => 0,
+        };
+        encode_with(buf, self.opcode(), request_id, body_len, |w| match self {
             Request::LoadKey { tenant, key_bytes } => {
                 w.put_str(tenant);
                 w.put_blob(key_bytes);
             }
             Request::Transform { tenant, batch } | Request::Invert { tenant, batch } => {
-                w = ByteWriter::with_capacity(4 + tenant.len() + encoded_dataset_len(batch));
                 w.put_str(tenant);
-                encode_dataset(&mut w, batch);
+                encode_dataset(w, batch);
             }
             Request::EvictTenant { tenant } => w.put_str(tenant),
             Request::FedOpen { config } => w.put_blob(config),
@@ -751,12 +954,19 @@ impl Request {
             } => {
                 w.put_u64(*session);
                 w.put_u16(*owner);
-                encode_blobs(&mut w, messages);
+                encode_blobs(w, messages);
             }
             Request::FedResult { session } | Request::FedClose { session } => w.put_u64(*session),
             Request::Stats | Request::Ping | Request::ReloadKeys | Request::Goodbye => {}
-        }
-        Frame::new(self.opcode(), w.into_bytes())
+        });
+    }
+
+    /// Encodes the request into a frame (request id 0; use
+    /// [`Frame::with_request_id`] to tag it).
+    pub fn to_frame(&self) -> Frame {
+        let mut buf = Vec::new();
+        self.encode_into(0, &mut buf);
+        Frame::from_encoded(buf, self.opcode(), 0)
     }
 
     /// Decodes a request from a frame.
@@ -767,7 +977,13 @@ impl Request {
     /// opcode, or the opcode is response-only ([`Opcode::Error`],
     /// [`Opcode::Deadline`]).
     pub fn from_frame(frame: &Frame) -> WireResult<Request> {
-        let mut r = ByteReader::new(&frame.body);
+        Request::from_view(frame.view())
+    }
+
+    /// [`Request::from_frame`] on a borrowed frame: a batch's rows are
+    /// copied once, from the frame body into the batch matrix.
+    pub(crate) fn from_view(frame: FrameView<'_>) -> WireResult<Request> {
+        let mut r = ByteReader::new(frame.body);
         let req = match frame.opcode {
             Opcode::LoadKey => Request::LoadKey {
                 tenant: r.take_str()?.to_string(),
@@ -946,11 +1162,18 @@ impl Response {
         }
     }
 
-    /// Encodes the response into a frame (request id 0; use
-    /// [`Frame::with_request_id`] to echo the request's id).
-    pub fn to_frame(&self) -> Frame {
-        let mut w = ByteWriter::new();
-        match self {
+    /// Encodes the response as one whole frame echoing `request_id` into
+    /// `buf` (header, id, body and CRC-32 trailer, in one pass), replacing
+    /// what it held: a released batch's rows are copied once, from its
+    /// matrix into the frame. A buffer reused across responses of the
+    /// same size allocates nothing.
+    pub(crate) fn encode_into(&self, request_id: u64, buf: &mut Vec<u8>) {
+        let body_len = match self {
+            Response::Transformed { released, .. } => encoded_dataset_len(released) + 8,
+            Response::Inverted { recovered } => encoded_dataset_len(recovered),
+            _ => 0,
+        };
+        encode_with(buf, self.opcode(), request_id, body_len, |w| match self {
             Response::Loaded {
                 method,
                 n_attributes,
@@ -962,15 +1185,11 @@ impl Response {
                 released,
                 out_of_range_rows,
             } => {
-                w = ByteWriter::with_capacity(encoded_dataset_len(released) + 8);
-                encode_dataset(&mut w, released);
+                encode_dataset(w, released);
                 w.put_u64(*out_of_range_rows);
             }
-            Response::Inverted { recovered } => {
-                w = ByteWriter::with_capacity(encoded_dataset_len(recovered));
-                encode_dataset(&mut w, recovered);
-            }
-            Response::Stats(stats) => stats.encode_into(&mut w),
+            Response::Inverted { recovered } => encode_dataset(w, recovered),
+            Response::Stats(stats) => stats.encode_into(w),
             Response::Evicted { existed } => w.put_bool(*existed),
             Response::Pong => {}
             Response::Reloaded {
@@ -989,7 +1208,7 @@ impl Response {
                 w.put_u64(*budget_ms);
             }
             Response::FedOpened { session } => w.put_u64(*session),
-            Response::FedMsgs { messages } => encode_blobs(&mut w, messages),
+            Response::FedMsgs { messages } => encode_blobs(w, messages),
             Response::FedSummary { summary } => {
                 w.put_bool(summary.is_some());
                 if let Some(bytes) = summary {
@@ -1001,8 +1220,15 @@ impl Response {
                 w.put_u8(*code);
                 w.put_str(message);
             }
-        }
-        Frame::new(self.opcode(), w.into_bytes())
+        });
+    }
+
+    /// Encodes the response into a frame (request id 0; use
+    /// [`Frame::with_request_id`] to echo the request's id).
+    pub fn to_frame(&self) -> Frame {
+        let mut buf = Vec::new();
+        self.encode_into(0, &mut buf);
+        Frame::from_encoded(buf, self.opcode(), 0)
     }
 
     /// Decodes a response from a frame.
@@ -1012,7 +1238,7 @@ impl Response {
     /// Typed [`WireError`] when the body does not parse for the frame's
     /// opcode.
     pub fn from_frame(frame: &Frame) -> WireResult<Response> {
-        let mut r = ByteReader::new(&frame.body);
+        let mut r = ByteReader::new(frame.body());
         let resp = match frame.opcode {
             Opcode::LoadKey => Response::Loaded {
                 method: r.take_str()?.to_string(),
@@ -1298,6 +1524,68 @@ mod tests {
         }
     }
 
+    /// A non-blocking socket that delivers at most `chunk` bytes per
+    /// readiness: one short read, then `WouldBlock`, then the next chunk;
+    /// end of stream once its bytes run out.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+        ready: bool,
+    }
+
+    impl<'a> Trickle<'a> {
+        fn new(bytes: &'a [u8], chunk: usize) -> Self {
+            Trickle {
+                bytes,
+                chunk,
+                ready: true,
+            }
+        }
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !self.ready && !self.bytes.is_empty() {
+                self.ready = true;
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.chunk).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.ready = false;
+            Ok(n)
+        }
+    }
+
+    /// Everything the assembler yields for `bytes` fed through its socket
+    /// path at `chunk` bytes per read, up to end of stream or the first
+    /// error after which the stream is desynchronized.
+    fn assemble_by_reads(bytes: &[u8], chunk: usize) -> Vec<WireResult<Frame>> {
+        let mut src = Trickle::new(bytes, chunk);
+        let mut asm = FrameAssembler::new();
+        let mut out = Vec::new();
+        loop {
+            match asm.read_from(&mut src) {
+                Ok(0) => return out,
+                Ok(n) => assert!(n <= chunk, "{n} bytes from a {chunk}-byte read"),
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
+            }
+            while let Some(result) = asm.next_frame() {
+                let fatal = matches!(
+                    result,
+                    Err(ref e) if !matches!(e, WireError::UnsupportedVersion { .. })
+                );
+                out.push(result);
+                if fatal {
+                    return out;
+                }
+            }
+        }
+    }
+
+    /// The read sizes the socket-path feeders use.
+    const READ_SIZES: [usize; 4] = [1, 7, 4096, 65_537];
+
     #[test]
     fn assembler_matches_decode_frame_on_every_request() {
         let small = [Request::Ping, Request::Stats, Request::ReloadKeys]
@@ -1325,6 +1613,159 @@ mod tests {
             assert_eq!(from_asm, from_decode);
             assert_eq!(from_read, from_decode);
             assert_eq!(from_decode, frame);
+            // And read off a socket, whatever the read size.
+            for chunk in READ_SIZES {
+                assert_eq!(
+                    assemble_by_reads(&bytes, chunk),
+                    [Ok(from_decode.clone())],
+                    "{chunk}-byte reads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn socket_reads_yield_what_decode_frame_does_at_every_read_size() {
+        let [(request, _, _), (response, _, _)] = golden_frames();
+        let mut skewed = encode_frame(&Request::Stats.to_frame().with_request_id(22));
+        skewed[4..6].copy_from_slice(&9u16.to_le_bytes());
+        let crc_at = skewed.len() - TRAILER_LEN;
+        let crc = crc32(&skewed[..crc_at]);
+        skewed[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        let mut corrupt = encode_frame(&Request::Ping.to_frame().with_request_id(24));
+        corrupt[HEADER_LEN + 2] ^= 0x40;
+        let frames = [
+            encode_frame(&request),
+            skewed,
+            encode_frame(&response),
+            corrupt,
+        ];
+        let expected: Vec<WireResult<Frame>> = frames.iter().map(|f| decode_frame(f)).collect();
+        assert!(matches!(
+            expected[1],
+            Err(WireError::UnsupportedVersion { found: 9 })
+        ));
+        assert!(matches!(
+            expected[3],
+            Err(WireError::ChecksumMismatch { .. })
+        ));
+        let stream = frames.concat();
+        for chunk in READ_SIZES {
+            assert_eq!(
+                assemble_by_reads(&stream, chunk),
+                expected,
+                "{chunk}-byte reads"
+            );
+        }
+    }
+
+    #[test]
+    fn encode_into_writes_the_owned_frame_bytes() {
+        let requests = [
+            Request::LoadKey {
+                tenant: "hospital-a".to_string(),
+                key_bytes: vec![0, 1, 2, 254, 255],
+            },
+            Request::Transform {
+                tenant: "t".to_string(),
+                batch: sample_dataset(0, false),
+            },
+            Request::Transform {
+                tenant: "t".to_string(),
+                batch: sample_dataset(1, true),
+            },
+            Request::Invert {
+                tenant: "naïve-tenant".to_string(),
+                batch: sample_dataset(1, false),
+            },
+            Request::Invert {
+                tenant: "u".to_string(),
+                batch: sample_dataset(0, true),
+            },
+            Request::Stats,
+            Request::EvictTenant {
+                tenant: "x".to_string(),
+            },
+            Request::Ping,
+            Request::ReloadKeys,
+            Request::Goodbye,
+            Request::FedOpen {
+                config: vec![9, 8, 7],
+            },
+            Request::FedMsg {
+                session: 7,
+                owner: 3,
+                messages: vec![vec![1, 2, 3], Vec::new()],
+            },
+            Request::FedResult { session: 1 },
+            Request::FedClose { session: 2 },
+        ];
+        let responses = [
+            Response::Loaded {
+                method: "rbt".to_string(),
+                n_attributes: 7,
+            },
+            Response::Transformed {
+                released: sample_dataset(0, true),
+                out_of_range_rows: 0,
+            },
+            Response::Transformed {
+                released: sample_dataset(1, false),
+                out_of_range_rows: 1,
+            },
+            Response::Inverted {
+                recovered: sample_dataset(1, true),
+            },
+            Response::Inverted {
+                recovered: sample_dataset(0, false),
+            },
+            Response::Stats(ServerStats::sample_for_tests()),
+            Response::Evicted { existed: true },
+            Response::Pong,
+            Response::Reloaded {
+                loaded: 5,
+                quarantined: 2,
+            },
+            Response::GoingAway {
+                message: "shutting down".to_string(),
+            },
+            Response::Deadline {
+                waited_ms: 5200,
+                budget_ms: 5000,
+            },
+            Response::FedOpened { session: 77 },
+            Response::FedMsgs {
+                messages: vec![Vec::new(), vec![42; 9]],
+            },
+            Response::FedSummary { summary: None },
+            Response::FedSummary {
+                summary: Some(vec![0, 1, 2, 3]),
+            },
+            Response::FedClosed { existed: false },
+            Response::Error {
+                code: 4,
+                message: "checksum mismatch".to_string(),
+            },
+        ];
+        // A buffer that last held a longer frame: the golden request.
+        let longer = encode_frame(&golden_frames()[0].0);
+        for id in [0u64, 9, u64::MAX] {
+            for req in &requests {
+                let owned = encode_frame(&req.to_frame().with_request_id(id));
+                let (mut fresh, mut reused) = (Vec::new(), longer.clone());
+                req.encode_into(id, &mut fresh);
+                req.encode_into(id, &mut reused);
+                assert_eq!(fresh, owned, "{req:?}");
+                assert_eq!(reused, owned, "{req:?} into a used buffer");
+            }
+            for resp in &responses {
+                let owned = encode_frame(&resp.to_frame().with_request_id(id));
+                let (mut fresh, mut reused) = (Vec::new(), longer.clone());
+                resp.encode_into(id, &mut fresh);
+                resp.encode_into(id, &mut reused);
+                assert_eq!(fresh, owned, "{resp:?}");
+                assert_eq!(reused, owned, "{resp:?} into a used buffer");
+            }
         }
     }
 
