@@ -297,3 +297,142 @@ fn shared_encodings_keep_their_bytes() {
     let golden: Vec<(usize, u32)> = lengths.into_iter().zip(crcs).collect();
     assert_eq!(actual, golden);
 }
+
+/// `(length, CRC-32)` of a matrix's bits, every NaN hashed as one
+/// canonical pattern: Rust leaves a NaN result's sign and payload
+/// unspecified, so only its NaN-ness is pinned.
+fn bits_pin(m: &Matrix) -> (usize, u32) {
+    let bytes: Vec<u8> = m
+        .as_slice()
+        .iter()
+        .flat_map(|v| {
+            let bits = if v.is_nan() { f64::NAN } else { *v }.to_bits();
+            bits.to_le_bytes()
+        })
+        .collect();
+    (bytes.len(), rbt_linalg::codec::crc32(&bytes))
+}
+
+/// Pins what a release session releases, bit for bit. For each of the five
+/// normalizations and cols ∈ {2, 3, 16, 17, 33} (column 1 constant), a
+/// `Pipeline` fit becomes a `ReleaseSession` with drift bounds. Its batch
+/// holds every fitting row (several lie exactly on a fitted bound), then,
+/// per special value (±0, ±∞, 1e±300, subnormals, NaN), one fitting row
+/// carrying it in one column and one row of nothing else. Each case pins
+/// the released bits, the drift count and the inverse's bits. The values
+/// were read before the normalizer ran in SIMD lanes, so a kernel that
+/// changes any bit, or any drift verdict, fails here.
+#[test]
+fn releases_keep_their_bits() {
+    use rand::SeedableRng;
+    use rbt_core::Pipeline;
+    use rbt_data::Dataset;
+
+    let specials = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e300,
+        -1e300,
+        1e-300,
+        -1e-300,
+        f64::MIN_POSITIVE / 4.0,
+        -5e-324,
+        f64::NAN,
+    ];
+    let methods = [
+        Normalization::MinMax {
+            new_min: -1.0,
+            new_max: 2.0,
+        },
+        Normalization::zscore_paper(),
+        Normalization::ZScore {
+            mode: VarianceMode::Population,
+        },
+        Normalization::DecimalScaling,
+        Normalization::RobustZScore,
+    ];
+    const FIT_ROWS: usize = 24;
+    let mut actual = Vec::new();
+    for method in methods {
+        for cols in [2usize, 3, 16, 17, 33] {
+            let fit = Matrix::from_vec(
+                FIT_ROWS,
+                cols,
+                (0..FIT_ROWS * cols)
+                    .map(|t| {
+                        let (r, j) = (t / cols, t % cols);
+                        if j == 1 {
+                            7.5
+                        } else {
+                            (((r * 37 + j * 11) % 23) as f64 - 11.0) * (1.0 + 0.25 * j as f64)
+                                + (0.7 * t as f64).sin()
+                        }
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            let out = Pipeline::new(RbtConfig::uniform(
+                PairwiseSecurityThreshold::uniform(1e-4).unwrap(),
+            ))
+            .with_normalization(method)
+            .run(
+                &Dataset::from_matrix(fit.clone()),
+                &mut rand::rngs::StdRng::seed_from_u64(cols as u64),
+            )
+            .unwrap();
+            let session = ReleaseSession::from_pipeline_output(&out).unwrap();
+            let mut rows = fit.as_slice().to_vec();
+            for (k, &v) in specials.iter().enumerate() {
+                let mut row = fit.row(k % FIT_ROWS).to_vec();
+                row[k % cols] = v;
+                rows.extend(&row);
+                rows.extend(std::iter::repeat_n(v, cols));
+            }
+            let n_rows = rows.len() / cols;
+            let batch = Dataset::from_matrix(Matrix::from_vec(n_rows, cols, rows).unwrap());
+            let released = session.transform_batch(&batch).unwrap();
+            let inverse = session.invert_batch(&released.released).unwrap();
+            actual.push((
+                bits_pin(released.released.matrix()),
+                released.out_of_range_rows,
+                bits_pin(inverse.matrix()),
+            ));
+        }
+    }
+    // Per method, over cols 2, 3, 16, 17, 33.
+    let lengths = [736, 1104, 5888, 6256, 12144];
+    let released_crcs = [
+        0x5D22352A, 0xF03E3214, 0xE5F131C7, 0x0F2A632E, 0xF2194323, // min-max
+        0x61D271C8, 0xFF44DB09, 0xAA996074, 0x12FDA19E, 0xFAF0A478, // sample z-score
+        0xD6DAD076, 0xC19D060F, 0xEB257E33, 0x0C893A6E, 0x23DB36C5, // population z-score
+        0x71506119, 0x4DD08321, 0x637D2FE3, 0xDA56F627, 0x87CC8453, // decimal
+        0x4ABF7C5F, 0xD95960BC, 0xFC685FCF, 0xC401CF51, 0xD1793F0C, // robust
+    ];
+    let drift_rows = [
+        8, 8, 10, 10, 10, // min-max
+        8, 8, 10, 10, 10, // sample z-score
+        8, 8, 10, 10, 10, // population z-score
+        19, 18, 17, 17, 17, // decimal
+        8, 8, 10, 10, 10, // robust
+    ];
+    let inverse_crcs = [
+        0x8DC6ED9A, 0x70FAF448, 0x0F8834BA, 0x31D168E3, 0xF8BF9A38, // min-max
+        0xB7C40F4F, 0xF8C8A6BA, 0x1981EB04, 0xB52B127C, 0x130E598C, // sample z-score
+        0x76B97CC7, 0xBC080F9D, 0x64E1D8A9, 0x1154FDFF, 0x773EFCAD, // population z-score
+        0x640E3795, 0x27C3C3E7, 0x9C4A9D0F, 0xAEC647D4, 0xE9449675, // decimal
+        0x848969AA, 0x61276593, 0x1085CD38, 0xF4FA001D, 0x2D06E912, // robust
+    ];
+    let golden: Vec<_> = (0..25)
+        .map(|k| {
+            let len = lengths[k % 5];
+            (
+                (len, released_crcs[k]),
+                drift_rows[k],
+                (len, inverse_crcs[k]),
+            )
+        })
+        .collect();
+    assert_eq!(actual, golden);
+}

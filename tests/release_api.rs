@@ -373,3 +373,97 @@ fn every_method_reports_drift_through_the_one_interface() {
         }
     }
 }
+
+/// `(length, CRC-32)` of a matrix's bits, every NaN hashed as one
+/// canonical pattern (Rust leaves a NaN result's sign and payload
+/// unspecified).
+fn bits_pin(m: &Matrix) -> (usize, u32) {
+    let bytes: Vec<u8> = m
+        .as_slice()
+        .iter()
+        .flat_map(|v| {
+            if v.is_nan() { f64::NAN } else { *v }
+                .to_bits()
+                .to_le_bytes()
+        })
+        .collect();
+    (bytes.len(), rbt::linalg::codec::crc32(&bytes))
+}
+
+#[test]
+fn hybrid_isometry_releases_keep_their_bits() {
+    // A 17-column fit (column 1 constant) at a fixed seed, then a batch of
+    // every fitting row plus rows carrying ±0, ±∞, 1e±300, subnormals and
+    // NaN. Pinned: the fit-time release, the batch's release through the
+    // copying and the in-place entry points (equal), and its inverse.
+    const ROWS: usize = 48;
+    const COLS: usize = 17;
+    let fit = Matrix::from_vec(
+        ROWS,
+        COLS,
+        (0..ROWS * COLS)
+            .map(|t| {
+                let (r, j) = (t / COLS, t % COLS);
+                if j == 1 {
+                    -3.25
+                } else {
+                    (((r * 29 + j * 13) % 31) as f64 - 15.0) * (1.0 + 0.5 * j as f64)
+                        + (1.3 * t as f64).cos()
+                }
+            })
+            .collect(),
+    )
+    .unwrap();
+    let data = Dataset::from_matrix(fit.clone());
+    let fitted = Release::of(&data)
+        .with_method(Method::HybridIsometry)
+        .fit(&mut rng(4242))
+        .unwrap();
+    let mut rows = fit.as_slice().to_vec();
+    let specials = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e300,
+        -1e300,
+        1e-300,
+        -1e-300,
+        f64::MIN_POSITIVE / 4.0,
+        -5e-324,
+        f64::NAN,
+    ];
+    for (k, &v) in specials.iter().enumerate() {
+        let mut row = fit.row(k).to_vec();
+        row[(3 * k) % COLS] = v;
+        rows.extend(&row);
+        rows.extend(std::iter::repeat_n(v, COLS));
+    }
+    let n_rows = rows.len() / COLS;
+    let batch = Dataset::from_matrix(Matrix::from_vec(n_rows, COLS, rows).unwrap());
+    let released = fitted.transform_batch(&batch).unwrap().released;
+    let mut in_place = batch.clone();
+    fitted
+        .fitted
+        .transform_batch_in_place(&mut in_place)
+        .unwrap();
+    assert_eq!(bits_pin(in_place.matrix()), bits_pin(released.matrix()));
+    let inverse = fitted.invert_batch(&released).unwrap();
+    let mut inverse_in_place = released.clone();
+    fitted
+        .fitted
+        .invert_batch_in_place(&mut inverse_in_place)
+        .unwrap();
+    assert_eq!(
+        bits_pin(inverse_in_place.matrix()),
+        bits_pin(inverse.matrix())
+    );
+    assert_eq!(
+        [
+            bits_pin(fitted.released.matrix()),
+            bits_pin(released.matrix()),
+            bits_pin(inverse.matrix()),
+        ],
+        [(6528, 0x115728EA), (9520, 0x91DE1098), (9520, 0x8DC4D949)]
+    );
+}
