@@ -27,6 +27,7 @@ use rbt_core::security::DEFAULT_GRID;
 use rbt_core::{Pipeline, RbtConfig, ReleaseSession, SessionBatch};
 use rbt_data::{Dataset, FittedNormalizer, Normalization};
 use rbt_linalg::codec::{ByteReader, ByteWriter};
+use rbt_linalg::matrix::apply_steps_in_rows;
 use rbt_transform::{AdditiveNoise, HybridPerturbation, NoiseKind, Perturbation, RankSwap};
 use std::any::Any;
 
@@ -389,6 +390,17 @@ impl FittedHybridIsometry {
     pub fn normalizer(&self) -> &FittedNormalizer {
         &self.normalizer
     }
+
+    fn check_width(&self, batch: &Dataset) -> Result<()> {
+        if batch.n_cols() != self.key.n_attributes() {
+            return Err(RbtError::DimensionMismatch(format!(
+                "normalizer fitted for {} columns, input has {}",
+                self.key.n_attributes(),
+                batch.n_cols()
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl FittedTransform for FittedHybridIsometry {
@@ -412,19 +424,43 @@ impl FittedTransform for FittedHybridIsometry {
     }
 
     fn transform_batch(&self, batch: &Dataset) -> Result<SessionBatch> {
-        let normalized = self.normalizer.transform(batch.matrix())?;
-        let transformed = self.key.apply(&normalized)?;
+        let mut released = batch.clone();
+        self.transform_batch_in_place(&mut released)?;
         Ok(SessionBatch {
-            released: released_dataset(transformed, batch, self.suppress_ids)?,
+            released,
             out_of_range_rows: 0,
         })
     }
 
     fn invert_batch(&self, released: &Dataset) -> Result<Dataset> {
-        let normalized = self.key.invert(released.matrix())?;
-        let raw = self.normalizer.inverse_transform(&normalized)?;
-        // Owner-side recovery keeps whatever IDs the released batch had.
-        released_dataset(raw, released, false)
+        let mut recovered = released.clone();
+        self.invert_batch_in_place(&mut recovered)?;
+        Ok(recovered)
+    }
+
+    /// The normalizer's forward row kernel, then the key's steps as one
+    /// fused row sweep, on the calling thread and the batch's own rows.
+    fn transform_batch_in_place(&self, batch: &mut Dataset) -> Result<usize> {
+        self.check_width(batch)?;
+        if self.suppress_ids {
+            batch.take_ids();
+        }
+        let n_cols = batch.n_cols();
+        let rows = batch.matrix_mut().as_mut_slice();
+        self.normalizer.transform_rows_in_place(rows)?;
+        apply_steps_in_rows(rows, n_cols, &self.key.forward_sweep());
+        Ok(0)
+    }
+
+    /// The inverse sweep, then the normalizer's inverse row kernel; the
+    /// owner-side recovery keeps whatever IDs the released batch had.
+    fn invert_batch_in_place(&self, released: &mut Dataset) -> Result<()> {
+        self.check_width(released)?;
+        let n_cols = released.n_cols();
+        let rows = released.matrix_mut().as_mut_slice();
+        apply_steps_in_rows(rows, n_cols, &self.key.inverse_sweep());
+        self.normalizer.invert_rows_in_place(rows)?;
+        Ok(())
     }
 
     fn to_bytes(&self) -> Result<Vec<u8>> {

@@ -150,9 +150,10 @@ pub trait FittedTransform: Send + Sync {
     /// Transforms `batch` in place: it becomes exactly what
     /// [`transform_batch`](Self::transform_batch) would release for it —
     /// cells, column names, and IDs kept or suppressed — and the returned
-    /// count is that batch's drift. The default moves the
-    /// `transform_batch` result into `batch`; RBT overrides it to rotate
-    /// the batch's own matrix on the calling thread, without a copy.
+    /// count is that batch's drift. The default, which the three baselines
+    /// use, moves the `transform_batch` result into `batch`; RBT and hybrid
+    /// isometry override it to normalize and sweep the batch's own rows on
+    /// the calling thread, without a copy.
     ///
     /// # Errors
     ///
@@ -166,8 +167,8 @@ pub trait FittedTransform: Send + Sync {
 
     /// Owner-side inverse in place: `released` becomes exactly what
     /// [`invert_batch`](Self::invert_batch) would recover from it. The
-    /// default moves the `invert_batch` result into it; RBT overrides it
-    /// as it does
+    /// default moves the `invert_batch` result into it; RBT and hybrid
+    /// isometry override it as they do
     /// [`transform_batch_in_place`](Self::transform_batch_in_place).
     ///
     /// # Errors

@@ -15,16 +15,18 @@
 //! CI smoke (seconds):   `cargo bench -p rbt-bench --bench kernels -- --quick-smoke`
 
 use rand::SeedableRng;
+use rbt_api::methods::FittedHybridIsometry;
 use rbt_api::{Method, Release};
 use rbt_bench::{workload, WorkloadSpec};
 use rbt_core::key::{RotationStep, TransformationKey};
+use rbt_core::reflection::{IsometryKey, IsometryStep};
 use rbt_core::{DriftBounds, ReleaseSession};
-use rbt_data::{Dataset, Normalization};
+use rbt_data::{Dataset, FittedNormalizer, Normalization};
 use rbt_linalg::dissimilarity::DissimilarityMatrix;
 use rbt_linalg::distance::Metric;
-use rbt_linalg::matrix::rotate_pair_in_rows;
+use rbt_linalg::matrix::{apply_steps_in_rows, rotate_pair_in_rows, PairStep};
 use rbt_linalg::pool::{self, even_chunks, Pool};
-use rbt_linalg::rotation::givens;
+use rbt_linalg::rotation::{givens, Reflection2};
 use rbt_linalg::{kernels, Matrix, Rotation2};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -151,6 +153,41 @@ fn sustained_rows_per_sec(budget_s: f64, total_rows: usize, pass: &mut dyn FnMut
     rows as f64 / t.elapsed().as_secs_f64()
 }
 
+/// [`time_competitors`] for in-place passes: before each timed call, the
+/// side's batch is restored from `input` outside the clock, so every call
+/// starts from the same rows.
+fn time_in_place(
+    budget_s: f64,
+    rounds: usize,
+    input: &Matrix,
+    sides: &mut [&mut dyn FnMut(&mut Dataset)],
+) -> Vec<f64> {
+    let mut batch = Dataset::from_matrix(input.clone());
+    let mut run = |side: &mut dyn FnMut(&mut Dataset)| {
+        batch
+            .matrix_mut()
+            .as_mut_slice()
+            .copy_from_slice(input.as_slice());
+        let t = Instant::now();
+        side(&mut batch);
+        t.elapsed().as_secs_f64()
+    };
+    for side in sides.iter_mut() {
+        run(*side); // warm-up
+    }
+    let mut best = vec![f64::INFINITY; sides.len()];
+    let round_budget = budget_s / rounds as f64;
+    for _ in 0..rounds {
+        for (slot, side) in best.iter_mut().zip(sides.iter_mut()) {
+            let round = Instant::now();
+            while round.elapsed().as_secs_f64() < round_budget {
+                *slot = slot.min(run(*side));
+            }
+        }
+    }
+    best
+}
+
 // ---- pre-PR scalar replicas ------------------------------------------------
 
 /// `DissimilarityMatrix::from_matrix` as it was before the kernel rewrite:
@@ -216,6 +253,206 @@ fn scalar_assign(data: &Matrix, centroids: &Matrix, labels: &mut [usize]) {
         }
         labels[i] = best.0;
     }
+}
+
+/// One column's parameters as the normalizer held them before its row
+/// kernels: one `match` on the kind per element.
+#[derive(Clone, Copy)]
+enum ScalarColumn {
+    MinMax {
+        min: f64,
+        max: f64,
+        new_min: f64,
+        new_max: f64,
+    },
+    ZScore {
+        mean: f64,
+        std: f64,
+    },
+    Decimal {
+        factor: f64,
+    },
+}
+
+impl ScalarColumn {
+    fn apply(&self, v: f64) -> f64 {
+        match *self {
+            ScalarColumn::MinMax {
+                min,
+                max,
+                new_min,
+                new_max,
+            } => {
+                if max == min {
+                    (new_min + new_max) / 2.0
+                } else {
+                    (v - min) / (max - min) * (new_max - new_min) + new_min
+                }
+            }
+            ScalarColumn::ZScore { mean, std } => {
+                if std == 0.0 {
+                    0.0
+                } else {
+                    (v - mean) / std
+                }
+            }
+            ScalarColumn::Decimal { factor } => v / factor,
+        }
+    }
+
+    fn invert(&self, v: f64) -> f64 {
+        match *self {
+            ScalarColumn::MinMax {
+                min,
+                max,
+                new_min,
+                new_max,
+            } => {
+                if max == min {
+                    min
+                } else {
+                    (v - new_min) / (new_max - new_min) * (max - min) + min
+                }
+            }
+            ScalarColumn::ZScore { mean, std } => v * std + mean,
+            ScalarColumn::Decimal { factor } => v * factor,
+        }
+    }
+}
+
+/// A fitted normalizer's per-column parameters, read back from its text
+/// form (17 significant digits, so every bit survives).
+fn scalar_columns(normalizer: &FittedNormalizer) -> Vec<ScalarColumn> {
+    normalizer
+        .to_text()
+        .lines()
+        .skip(1)
+        .map(|line| {
+            let f: Vec<&str> = line.split_whitespace().collect();
+            let x = |k: usize| f[k].parse::<f64>().expect("to_text writes floats");
+            match f[0] {
+                "minmax" => ScalarColumn::MinMax {
+                    min: x(1),
+                    max: x(2),
+                    new_min: x(3),
+                    new_max: x(4),
+                },
+                "zscore" => ScalarColumn::ZScore {
+                    mean: x(1),
+                    std: x(2),
+                },
+                _ => ScalarColumn::Decimal { factor: x(1) },
+            }
+        })
+        .collect()
+}
+
+/// `FittedNormalizer::transform_rows_in_place` as it was before the row
+/// kernels: per element, a `match` on its column's parameters.
+fn scalar_normalize(rows: &mut [f64], columns: &[ScalarColumn]) {
+    for row in rows.chunks_exact_mut(columns.len()) {
+        for (v, p) in row.iter_mut().zip(columns) {
+            *v = p.apply(*v);
+        }
+    }
+}
+
+/// `FittedNormalizer::invert_rows_in_place` as it was before the row
+/// kernels.
+fn scalar_denormalize(rows: &mut [f64], columns: &[ScalarColumn]) {
+    for row in rows.chunks_exact_mut(columns.len()) {
+        for (v, p) in row.iter_mut().zip(columns) {
+            *v = p.invert(*v);
+        }
+    }
+}
+
+/// Rows per chunk of the release session's in-place passes.
+const SESSION_CHUNK_ROWS: usize = 4096;
+
+/// `ReleaseSession`'s in-place forward as it was before the row kernels,
+/// per 4096-row chunk: per-element normalize, a short-circuit drift scan,
+/// then the same fused sweep. Returns the drift count.
+fn scalar_release(
+    rows: &mut [f64],
+    columns: &[ScalarColumn],
+    bounds: &DriftBounds,
+    steps: &[PairStep],
+) -> usize {
+    let n_cols = columns.len();
+    let mut drifted = 0;
+    for chunk in rows.chunks_mut(SESSION_CHUNK_ROWS * n_cols) {
+        scalar_normalize(chunk, columns);
+        drifted += chunk
+            .chunks_exact(n_cols)
+            .filter(|row| !bounds.row_in_range(row))
+            .count();
+        apply_steps_in_rows(chunk, n_cols, steps);
+    }
+    drifted
+}
+
+/// `ReleaseSession`'s in-place inverse as it was before the row kernels,
+/// per chunk: the same fused inverse sweep, then per-element denormalize.
+fn scalar_recover(rows: &mut [f64], columns: &[ScalarColumn], steps: &[PairStep]) {
+    let n_cols = columns.len();
+    for chunk in rows.chunks_mut(SESSION_CHUNK_ROWS * n_cols) {
+        apply_steps_in_rows(chunk, n_cols, steps);
+        scalar_denormalize(chunk, columns);
+    }
+}
+
+/// Hybrid isometry's release as it was before the row sweep: normalize a
+/// copy per element, then copy each step's two columns out, rotate or
+/// reflect them, and write them back.
+fn scalar_isometry_release(batch: &Matrix, columns: &[ScalarColumn], key: &IsometryKey) -> Matrix {
+    let mut out = batch.clone();
+    scalar_normalize(out.as_mut_slice(), columns);
+    let mut xs = Vec::with_capacity(out.rows());
+    let mut ys = Vec::with_capacity(out.rows());
+    for step in key.steps() {
+        let (i, j) = step.pair();
+        out.column_into(i, &mut xs);
+        out.column_into(j, &mut ys);
+        match *step {
+            IsometryStep::Rotate { theta_degrees, .. } => {
+                Rotation2::from_degrees(theta_degrees).apply_columns(&mut xs, &mut ys)
+            }
+            IsometryStep::Reflect { phi_degrees, .. } => {
+                Reflection2::from_degrees(phi_degrees).apply_columns(&mut xs, &mut ys)
+            }
+        }
+        .unwrap();
+        out.set_column(i, &xs).unwrap();
+        out.set_column(j, &ys).unwrap();
+    }
+    out
+}
+
+/// `rows`×`cols` values drawn uniformly from `[−spread/2, spread/2)`.
+fn uniform_matrix(seed: u64, rows: usize, cols: usize, spread: f64) -> Matrix {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let data = (0..rows * cols)
+        .map(|_| rng.random::<f64>() * spread - spread / 2.0)
+        .collect();
+    Matrix::from_vec(rows, cols, data).unwrap()
+}
+
+/// Bit patterns of a matrix, for exact comparisons.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The host's CPU model, as `/proc/cpuinfo` names it.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|rest| rest.trim_start_matches([' ', '\t', ':']).trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 // ---- harness ---------------------------------------------------------------
@@ -514,7 +751,130 @@ fn main() {
         });
     }
 
-    // 7. End-to-end streaming at scale: fit on a bounded subsample, then
+    // 7. The release kernel at the serving benchmark's tenant shape: a
+    //    z-score session fitted on 256×16 with drift bounds, releasing and
+    //    recovering an 8192×16 batch drawn wider than the fitting data, in
+    //    place on the calling thread (what the daemon's worker runs per
+    //    request). The scalar sides replicate the pre-kernel passes;
+    //    hybrid isometry's in-place release is timed at the same shape.
+    {
+        const ROWS: usize = 8192;
+        const COLS: usize = 16;
+        let fit = Dataset::from_matrix(uniform_matrix(982, 256, COLS, 100.0));
+        let batch = uniform_matrix(983, ROWS, COLS, 130.0);
+        let rbt = Release::of(&fit)
+            .with_method(Method::Rbt)
+            .fit(&mut rand::rngs::StdRng::seed_from_u64(7))
+            .expect("default thresholds are feasible on this workload");
+        let session = rbt.session().expect("rbt exposes its session");
+        let bounds = session
+            .drift_bounds()
+            .expect("fitted sessions carry bounds");
+        let columns = scalar_columns(session.normalizer());
+        let (fwd, inv) = (session.key().forward_sweep(), session.key().inverse_sweep());
+
+        let mut fast = Dataset::from_matrix(batch.clone());
+        let drifted = session.transform_batch_in_place(&mut fast).unwrap();
+        let mut scalar = batch.clone();
+        let scalar_drifted = scalar_release(scalar.as_mut_slice(), &columns, bounds, &fwd);
+        assert_eq!(drifted, scalar_drifted, "kernel changed the drift count");
+        assert_eq!(
+            bits(fast.matrix()),
+            bits(&scalar),
+            "kernel release must be bit-identical to the scalar path"
+        );
+        let released = scalar;
+        let mut recovered = Dataset::from_matrix(released.clone());
+        session.invert_batch_in_place(&mut recovered).unwrap();
+        let mut scalar = released.clone();
+        scalar_recover(scalar.as_mut_slice(), &columns, &inv);
+        assert_eq!(
+            bits(recovered.matrix()),
+            bits(&scalar),
+            "kernel inverse must be bit-identical to the scalar path"
+        );
+
+        let forward = time_in_place(
+            budget,
+            rounds,
+            &batch,
+            &mut [
+                &mut |b: &mut Dataset| {
+                    let rows = b.matrix_mut().as_mut_slice();
+                    black_box(scalar_release(rows, &columns, bounds, &fwd));
+                },
+                &mut |b: &mut Dataset| {
+                    black_box(session.transform_batch_in_place(b).unwrap());
+                },
+            ],
+        );
+        let inverse = time_in_place(
+            budget,
+            rounds,
+            &released,
+            &mut [
+                &mut |b: &mut Dataset| {
+                    scalar_recover(b.matrix_mut().as_mut_slice(), &columns, &inv)
+                },
+                &mut |b: &mut Dataset| session.invert_batch_in_place(b).unwrap(),
+            ],
+        );
+
+        let hybrid = Release::of(&fit)
+            .with_method(Method::HybridIsometry)
+            .fit(&mut rand::rngs::StdRng::seed_from_u64(7))
+            .expect("default thresholds are feasible on this workload");
+        let state = hybrid
+            .fitted
+            .as_any()
+            .downcast_ref::<FittedHybridIsometry>()
+            .expect("a hybrid isometry fit");
+        let hybrid_columns = scalar_columns(state.normalizer());
+        let mut fast = Dataset::from_matrix(batch.clone());
+        hybrid.fitted.transform_batch_in_place(&mut fast).unwrap();
+        assert_eq!(
+            bits(fast.matrix()),
+            bits(&scalar_isometry_release(
+                &batch,
+                &hybrid_columns,
+                state.key()
+            )),
+            "hybrid sweep must be bit-identical to the column path"
+        );
+        let hybrid_forward = time_in_place(
+            budget,
+            rounds,
+            &batch,
+            &mut [
+                &mut |b: &mut Dataset| {
+                    let released =
+                        scalar_isometry_release(b.matrix(), &hybrid_columns, state.key());
+                    *b.matrix_mut() = released;
+                },
+                &mut |b: &mut Dataset| {
+                    black_box(hybrid.fitted.transform_batch_in_place(b).unwrap());
+                },
+            ],
+        );
+        for (name, direction, best) in [
+            ("release_kernel", "forward", &forward),
+            ("release_kernel_inverse", "inverse", &inverse),
+            ("release_kernel_hybrid", "forward", &hybrid_forward),
+        ] {
+            entries.push(Entry {
+                name,
+                params: format!(
+                    "{{\"rows\": {ROWS}, \"cols\": {COLS}, \"fit_rows\": 256, \
+                     \"direction\": \"{direction}\", \"drift_rows\": {drifted}}}"
+                ),
+                scalar_s: best[0],
+                fast_s: best[1],
+                parallel_s: None,
+            });
+        }
+    }
+
+    // 8. End-to-end streaming at scale: fit on a bounded subsample, then
     //    stream the full row count through transform (and invert) in
     //    8192-row batches with reused output buffers — the shape a
     //    long-running release deployment actually has. The baseline is a
@@ -584,22 +944,23 @@ fn main() {
             };
 
             // Pre-zero-copy baseline replica (serial, like PR-6's
-            // single-allocation path with per-step whole-chunk sweeps).
+            // single-allocation path with per-element normalize and
+            // per-step whole-chunk sweeps).
             let fwd = key.forward_sweep();
+            let columns = scalar_columns(&normalizer);
             let mut baseline_pass = || {
                 for b in &batches {
                     let mut out = b.matrix().clone();
-                    normalizer
-                        .transform_rows_in_place(out.as_mut_slice())
-                        .unwrap();
+                    scalar_normalize(out.as_mut_slice(), &columns);
                     let oor = out
                         .as_slice()
                         .chunks_exact(STREAM_COLS)
                         .filter(|row| !bounds.row_in_range(row))
                         .count();
                     black_box(oor);
-                    for &(i, j, c, s) in &fwd {
-                        rotate_pair_in_rows(out.as_mut_slice(), STREAM_COLS, i, j, c, s);
+                    for st in &fwd {
+                        let [c, s, ..] = st.m;
+                        rotate_pair_in_rows(out.as_mut_slice(), STREAM_COLS, st.i, st.j, c, s);
                     }
                     black_box(out.as_slice().as_ptr());
                 }
@@ -611,11 +972,10 @@ fn main() {
                 let mut out = Matrix::zeros(0, 0);
                 session.transform_batch_into(&batches[0], &mut out).unwrap();
                 let mut reference = batches[0].matrix().clone();
-                normalizer
-                    .transform_rows_in_place(reference.as_mut_slice())
-                    .unwrap();
-                for &(i, j, c, s) in &fwd {
-                    rotate_pair_in_rows(reference.as_mut_slice(), STREAM_COLS, i, j, c, s);
+                scalar_normalize(reference.as_mut_slice(), &columns);
+                for st in &fwd {
+                    let [c, s, ..] = st.m;
+                    rotate_pair_in_rows(reference.as_mut_slice(), STREAM_COLS, st.i, st.j, c, s);
                 }
                 assert!(
                     out.approx_eq(&reference, 0.0),
@@ -745,6 +1105,12 @@ fn main() {
         json,
         "  \"mode\": \"{}\",",
         if quick { "quick-smoke" } else { "full" }
+    );
+    let _ = writeln!(json, "  \"cpu_model\": \"{}\",", cpu_model());
+    let _ = writeln!(
+        json,
+        "  \"nproc\": {},",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     let _ = writeln!(json, "  \"host_threads\": {threads},");
     let _ = writeln!(json, "  \"benches\": [");

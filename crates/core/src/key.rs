@@ -9,7 +9,7 @@
 //! (`Display`/`FromStr`) to stay within the approved dependency set.
 
 use crate::{Error, Result};
-use rbt_linalg::matrix::apply_steps_in_rows;
+use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::{Matrix, Rotation2};
 use std::fmt;
 use std::str::FromStr;
@@ -74,34 +74,27 @@ impl TransformationKey {
         self.n_attributes
     }
 
-    /// Precomputed `(i, j, cos θ, sin θ)` tuples for every step, in
+    /// Every step's rotation `[cos θ, sin θ, −sin θ, cos θ]`, in
     /// application order — the form the fused row sweep
     /// ([`apply_steps_in_rows`]) consumes. The release session precomputes
     /// this once per batch instead of re-deriving angles per step.
-    pub fn forward_sweep(&self) -> Vec<(usize, usize, f64, f64)> {
+    pub fn forward_sweep(&self) -> Vec<PairStep> {
         self.steps
             .iter()
-            .map(|st| {
-                let (s, c) = Rotation2::from_degrees(st.theta_degrees)
-                    .radians()
-                    .sin_cos();
-                (st.i, st.j, c, s)
-            })
+            .map(|st| Rotation2::from_degrees(st.theta_degrees).step(st.i, st.j))
             .collect()
     }
 
-    /// Precomputed `(i, j, cos θ, sin θ)` tuples of the *inverse* rotations
-    /// in reverse order — the sweep that undoes [`apply`](Self::apply).
-    pub fn inverse_sweep(&self) -> Vec<(usize, usize, f64, f64)> {
+    /// The *inverse* rotations in reverse order — the sweep that undoes
+    /// [`apply`](Self::apply).
+    pub fn inverse_sweep(&self) -> Vec<PairStep> {
         self.steps
             .iter()
             .rev()
             .map(|st| {
-                let (s, c) = Rotation2::from_degrees(st.theta_degrees)
+                Rotation2::from_degrees(st.theta_degrees)
                     .inverse()
-                    .radians()
-                    .sin_cos();
-                (st.i, st.j, c, s)
+                    .step(st.i, st.j)
             })
             .collect()
     }

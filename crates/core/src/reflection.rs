@@ -23,6 +23,7 @@
 use crate::security::{PairVarianceProfile, PairwiseSecurityThreshold, SecurityRange};
 use crate::{Error, Result};
 use rand::Rng;
+use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::rotation::Reflection2;
 use rbt_linalg::{Matrix, Rotation2};
 use std::fmt;
@@ -138,29 +139,31 @@ impl IsometryStep {
         }
     }
 
-    fn apply(&self, xs: &mut [f64], ys: &mut [f64]) -> Result<()> {
+    /// The step as a 2×2 sweep step.
+    fn forward(&self) -> PairStep {
         match *self {
-            IsometryStep::Rotate { theta_degrees, .. } => {
-                Rotation2::from_degrees(theta_degrees).apply_columns(xs, ys)?
-            }
-            IsometryStep::Reflect { phi_degrees, .. } => {
-                Reflection2::from_degrees(phi_degrees).apply_columns(xs, ys)?
+            IsometryStep::Rotate {
+                i,
+                j,
+                theta_degrees,
+            } => Rotation2::from_degrees(theta_degrees).step(i, j),
+            IsometryStep::Reflect { i, j, phi_degrees } => {
+                Reflection2::from_degrees(phi_degrees).step(i, j)
             }
         }
-        Ok(())
     }
 
-    fn unapply(&self, xs: &mut [f64], ys: &mut [f64]) -> Result<()> {
+    /// The 2×2 sweep step that undoes [`forward`](Self::forward).
+    fn inverse(&self) -> PairStep {
         match *self {
-            IsometryStep::Rotate { theta_degrees, .. } => Rotation2::from_degrees(theta_degrees)
-                .inverse()
-                .apply_columns(xs, ys)?,
+            IsometryStep::Rotate {
+                i,
+                j,
+                theta_degrees,
+            } => Rotation2::from_degrees(theta_degrees).inverse().step(i, j),
             // Reflections are involutions: applying again inverts.
-            IsometryStep::Reflect { phi_degrees, .. } => {
-                Reflection2::from_degrees(phi_degrees).apply_columns(xs, ys)?
-            }
+            IsometryStep::Reflect { .. } => self.forward(),
         }
-        Ok(())
     }
 }
 
@@ -208,7 +211,22 @@ impl IsometryKey {
         self.n_attributes
     }
 
-    /// Applies the key to a normalized matrix.
+    /// Every step as a 2×2 sweep step (a rotation `[c, s, −s, c]`, a
+    /// reflection `[c₂, s₂, s₂, −c₂]`), in application order — the form the
+    /// fused row sweep ([`apply_steps_in_rows`]) consumes.
+    pub fn forward_sweep(&self) -> Vec<PairStep> {
+        self.steps.iter().map(IsometryStep::forward).collect()
+    }
+
+    /// The inverse steps in reverse order — the sweep that undoes
+    /// [`apply`](Self::apply).
+    pub fn inverse_sweep(&self) -> Vec<PairStep> {
+        self.steps.iter().rev().map(IsometryStep::inverse).collect()
+    }
+
+    /// Applies the key to a normalized matrix: a clone, then one fused row
+    /// sweep of every step ([`apply_steps_in_rows`]), bit-identical to
+    /// rotating or reflecting extracted columns one step at a time.
     ///
     /// # Errors
     ///
@@ -216,20 +234,12 @@ impl IsometryKey {
     pub fn apply(&self, normalized: &Matrix) -> Result<Matrix> {
         self.check(normalized)?;
         let mut out = normalized.clone();
-        let mut xs = Vec::with_capacity(out.rows());
-        let mut ys = Vec::with_capacity(out.rows());
-        for step in &self.steps {
-            let (i, j) = step.pair();
-            out.column_into(i, &mut xs);
-            out.column_into(j, &mut ys);
-            step.apply(&mut xs, &mut ys)?;
-            out.set_column(i, &xs)?;
-            out.set_column(j, &ys)?;
-        }
+        sweep(&mut out, &self.forward_sweep());
         Ok(out)
     }
 
-    /// Inverts the key (reverse order, inverse steps).
+    /// Inverts the key (reverse order, inverse steps), as one fused sweep
+    /// like [`apply`](Self::apply).
     ///
     /// # Errors
     ///
@@ -237,16 +247,7 @@ impl IsometryKey {
     pub fn invert(&self, transformed: &Matrix) -> Result<Matrix> {
         self.check(transformed)?;
         let mut out = transformed.clone();
-        let mut xs = Vec::with_capacity(out.rows());
-        let mut ys = Vec::with_capacity(out.rows());
-        for step in self.steps.iter().rev() {
-            let (i, j) = step.pair();
-            out.column_into(i, &mut xs);
-            out.column_into(j, &mut ys);
-            step.unapply(&mut xs, &mut ys)?;
-            out.set_column(i, &xs)?;
-            out.set_column(j, &ys)?;
-        }
+        sweep(&mut out, &self.inverse_sweep());
         Ok(out)
     }
 
@@ -259,6 +260,15 @@ impl IsometryKey {
             )));
         }
         Ok(())
+    }
+}
+
+/// Runs `steps` over every row of `m` (nothing to do without steps, which
+/// also covers a matrix without columns).
+fn sweep(m: &mut Matrix, steps: &[PairStep]) {
+    if !steps.is_empty() {
+        let n_cols = m.cols();
+        apply_steps_in_rows(m.as_mut_slice(), n_cols, steps);
     }
 }
 
@@ -430,9 +440,7 @@ impl HybridIsometry {
                     });
                 }
             };
-            step.apply(&mut xs, &mut ys)?;
-            out.set_column(i, &xs)?;
-            out.set_column(j, &ys)?;
+            apply_steps_in_rows(out.as_mut_slice(), n, &[step.forward()]);
             steps.push(step);
         }
 

@@ -18,12 +18,17 @@
 //!   [`transform_batch_in_place`](ReleaseSession::transform_batch_in_place) /
 //!   [`invert_batch_in_place`](ReleaseSession::invert_batch_in_place),
 //!   which turn the caller's own batch into its release without a copy,
-//! * batches are processed in fixed-size row chunks; all rotation steps
-//!   are applied to each chunk in one fused sweep ([`apply_steps_in_rows`])
-//!   — normalization and every rotation step are row-local and keep their
-//!   per-row order, so any batch split and thread count produces output
-//!   **bit-identical** to running the one-shot [`crate::Pipeline`] on the
-//!   concatenated data (pinned by the conformance battery). The copying
+//! * batches are processed in fixed-size row chunks: the normalizer's
+//!   fused row kernel
+//!   ([`FittedNormalizer::transform_rows_in_place_with_drift`]) normalizes
+//!   and drift-checks each row in SIMD lanes across its columns, then all
+//!   rotation steps are applied to the chunk in one fused sweep
+//!   ([`apply_steps_in_rows`]); the inverse runs the inverse sweep, then
+//!   the normalizer's inverse kernel. Normalization and every rotation
+//!   step are row-local and keep their per-row order, so any batch split
+//!   and thread count produces output **bit-identical** to running the
+//!   one-shot [`crate::Pipeline`] on the concatenated data (pinned by the
+//!   conformance battery). The copying
 //!   entry points fan the chunks out over the shared [`rbt_linalg::pool`]
 //!   for library callers; the in-place ones run them on the calling
 //!   thread, for callers that already spread batches over threads (the
@@ -397,9 +402,11 @@ impl ReleaseSession {
         Ok(())
     }
 
-    /// Forward transform of `out` in place (normalize → drift count →
-    /// fused rotation sweep) over at most `threads` pool threads; assumes
-    /// the column count was checked. Returns the out-of-range row count.
+    /// Forward transform of `out` in place over at most `threads` pool
+    /// threads: per chunk, the normalizer's fused kernel (normalize and
+    /// drift-check each row in lanes across its columns), then the fused
+    /// rotation sweep. Assumes the column count was checked. Returns the
+    /// out-of-range row count.
     fn forward_in_place(&self, out: &mut Matrix, threads: usize) -> usize {
         let n_cols = out.cols();
         if out.rows() == 0 {
@@ -413,26 +420,22 @@ impl ReleaseSession {
         let normalizer = &self.normalizer;
         let drift = self.drift.as_ref();
         Pool::new(threads).for_each_chunk_mut(out.as_mut_slice(), &bounds, |_, _, chunk| {
-            normalizer
-                .transform_rows_in_place(chunk)
-                .expect("chunk boundaries are whole rows of the checked width");
-            if let Some(b) = drift {
-                let n = chunk
-                    .chunks_exact(n_cols)
-                    .filter(|row| !b.row_in_range(row))
-                    .count();
-                if n > 0 {
-                    out_of_range.fetch_add(n, Ordering::Relaxed);
-                }
+            let drifted = match drift {
+                Some(b) => normalizer.transform_rows_in_place_with_drift(chunk, b.mins(), b.maxs()),
+                None => normalizer.transform_rows_in_place(chunk).map(|()| 0),
+            }
+            .expect("chunk boundaries are whole rows of the checked width");
+            if drifted > 0 {
+                out_of_range.fetch_add(drifted, Ordering::Relaxed);
             }
             apply_steps_in_rows(chunk, n_cols, &steps);
         });
         out_of_range.load(Ordering::Relaxed)
     }
 
-    /// Inverse transform of `out` in place (fused inverse sweep →
-    /// denormalize) over at most `threads` pool threads; assumes the
-    /// column count was checked.
+    /// Inverse transform of `out` in place over at most `threads` pool
+    /// threads: per chunk, the fused inverse sweep, then the normalizer's
+    /// inverse kernel. Assumes the column count was checked.
     fn inverse_in_place(&self, out: &mut Matrix, threads: usize) {
         let n_cols = out.cols();
         if out.rows() == 0 {

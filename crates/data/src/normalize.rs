@@ -20,6 +20,16 @@
 //! partitions, so a pooled fit and a chained one agree bit for bit by
 //! construction. Robust z-score has no chainable statistic and sorts each
 //! column.
+//!
+//! A fitted normalizer holds **one parameter kind** in all its columns
+//! (min–max, z-score or decimal scaling; the five methods map onto these
+//! three), kept as one slice per constant. Every fit produces one kind,
+//! and both decoders refuse a record that mixes kinds. That is what lets
+//! the row kernels ([`FittedNormalizer::transform_rows_in_place`] and its
+//! drift-checking and inverse siblings) run in SIMD lanes across a row's
+//! columns: each lane zips the row with its column's constants, with no
+//! per-element branch on the kind. Each kind keeps its per-element
+//! expression exactly, so the kernels are bit-identical to it.
 
 use crate::{Error, Result};
 use rbt_linalg::codec::{ByteReader, ByteWriter, DecodeError, DecodeResult};
@@ -170,7 +180,7 @@ impl Normalization {
             check_finite(m)?;
             return Ok(FittedNormalizer {
                 method: *self,
-                params: fit_robust(m),
+                columns: fit_robust(m),
             });
         }
         let mut acc = self.begin_partial_fit(m.cols())?;
@@ -270,21 +280,19 @@ fn check_finite(m: &Matrix) -> Result<()> {
     Ok(())
 }
 
-fn fit_robust(m: &Matrix) -> Vec<ColumnParams> {
+fn fit_robust(m: &Matrix) -> Columns {
     let mut col = Vec::with_capacity(m.rows());
-    (0..m.cols())
+    let (mean, std) = (0..m.cols())
         .map(|j| {
             m.column_into(j, &mut col);
             let med = median(&col);
             let deviations: Vec<f64> = col.iter().map(|x| (x - med).abs()).collect();
             // 1.4826 makes the MAD a consistent sigma estimator under
             // normality.
-            ColumnParams::ZScore {
-                mean: med,
-                std: 1.4826 * median(&deviations),
-            }
+            (med, 1.4826 * median(&deviations))
         })
-        .collect()
+        .unzip();
+    Columns::ZScore { mean, std }
 }
 
 /// Median of a non-empty slice (average of the two middle order statistics
@@ -301,7 +309,8 @@ fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Per-column fitted parameters.
+/// One column's fitted parameters: the unit of both codecs, and the
+/// per-element reference the row kernels are tested against.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum ColumnParams {
     MinMax {
@@ -320,7 +329,17 @@ enum ColumnParams {
 }
 
 impl ColumnParams {
-    #[inline]
+    /// The kind's tag in the binary record (`0` min–max, `1` z-score,
+    /// `2` decimal scaling).
+    fn tag(&self) -> u8 {
+        match self {
+            ColumnParams::MinMax { .. } => 0,
+            ColumnParams::ZScore { .. } => 1,
+            ColumnParams::DecimalScaling { .. } => 2,
+        }
+    }
+
+    #[cfg(test)]
     fn apply(&self, v: f64) -> f64 {
         match *self {
             ColumnParams::MinMax {
@@ -347,7 +366,7 @@ impl ColumnParams {
         }
     }
 
-    #[inline]
+    #[cfg(test)]
     fn invert(&self, v: f64) -> f64 {
         match *self {
             ColumnParams::MinMax {
@@ -368,11 +387,209 @@ impl ColumnParams {
     }
 }
 
+/// Every column's fitted parameters, all of one kind, as one slice per
+/// constant. The row kernels zip a row with these slices, so lane `j`
+/// reads column `j`'s constants and no lane branches on the kind.
+#[derive(Debug, Clone, PartialEq)]
+enum Columns {
+    MinMax(MinMaxColumns),
+    ZScore { mean: Vec<f64>, std: Vec<f64> },
+    DecimalScaling { factor: Vec<f64> },
+}
+
+/// Min–max columns: the fitted and target ranges, plus the per-column
+/// terms of the per-element expressions, computed once here with the same
+/// operations those expressions perform.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct MinMaxColumns {
+    min: Vec<f64>,
+    max: Vec<f64>,
+    new_min: Vec<f64>,
+    new_max: Vec<f64>,
+    /// `max − min`.
+    span: Vec<f64>,
+    /// `new_max − new_min`.
+    new_span: Vec<f64>,
+    /// `(new_min + new_max) / 2`, where a constant column maps.
+    mid: Vec<f64>,
+}
+
+impl MinMaxColumns {
+    fn push(&mut self, min: f64, max: f64, new_min: f64, new_max: f64) {
+        self.min.push(min);
+        self.max.push(max);
+        self.new_min.push(new_min);
+        self.new_max.push(new_max);
+        self.span.push(max - min);
+        self.new_span.push(new_max - new_min);
+        self.mid.push((new_min + new_max) / 2.0);
+    }
+}
+
+impl Columns {
+    /// No columns yet, of `first`'s kind.
+    fn of_kind(first: &ColumnParams, capacity: usize) -> Self {
+        let v = || Vec::with_capacity(capacity);
+        match first {
+            ColumnParams::MinMax { .. } => Columns::MinMax(MinMaxColumns::default()),
+            ColumnParams::ZScore { .. } => Columns::ZScore {
+                mean: v(),
+                std: v(),
+            },
+            ColumnParams::DecimalScaling { .. } => Columns::DecimalScaling { factor: v() },
+        }
+    }
+
+    /// Appends one column; `false`, appending nothing, when `p` is of
+    /// another kind than the columns held.
+    fn push(&mut self, p: ColumnParams) -> bool {
+        match (self, p) {
+            (
+                Columns::MinMax(c),
+                ColumnParams::MinMax {
+                    min,
+                    max,
+                    new_min,
+                    new_max,
+                },
+            ) => c.push(min, max, new_min, new_max),
+            (Columns::ZScore { mean, std }, ColumnParams::ZScore { mean: m, std: s }) => {
+                mean.push(m);
+                std.push(s);
+            }
+            (Columns::DecimalScaling { factor }, ColumnParams::DecimalScaling { factor: f }) => {
+                factor.push(f)
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Columns::MinMax(c) => c.min.len(),
+            Columns::ZScore { mean, .. } => mean.len(),
+            Columns::DecimalScaling { factor } => factor.len(),
+        }
+    }
+
+    /// Column `j`'s parameters.
+    fn get(&self, j: usize) -> ColumnParams {
+        match self {
+            Columns::MinMax(c) => ColumnParams::MinMax {
+                min: c.min[j],
+                max: c.max[j],
+                new_min: c.new_min[j],
+                new_max: c.new_max[j],
+            },
+            Columns::ZScore { mean, std } => ColumnParams::ZScore {
+                mean: mean[j],
+                std: std[j],
+            },
+            Columns::DecimalScaling { factor } => {
+                ColumnParams::DecimalScaling { factor: factor[j] }
+            }
+        }
+    }
+
+    /// The forward kernel: normalizes each whole row of `rows` in lanes
+    /// across its columns, then hands the normalized row to `after_row`
+    /// while it is still in registers or L1.
+    #[inline(always)]
+    fn forward_rows(&self, rows: &mut [f64], mut after_row: impl FnMut(&[f64])) {
+        let rows = rows.chunks_exact_mut(self.len());
+        match self {
+            Columns::MinMax(c) => {
+                for row in rows {
+                    let lanes = row
+                        .iter_mut()
+                        .zip(c.min.iter().zip(&c.max))
+                        .zip(c.span.iter().zip(&c.new_span))
+                        .zip(c.new_min.iter().zip(&c.mid));
+                    for (((v, (&min, &max)), (&span, &new_span)), (&new_min, &mid)) in lanes {
+                        *v = if max == min {
+                            mid
+                        } else {
+                            (*v - min) / span * new_span + new_min
+                        };
+                    }
+                    after_row(row);
+                }
+            }
+            Columns::ZScore { mean, std } => {
+                for row in rows {
+                    for (v, (&mean, &std)) in row.iter_mut().zip(mean.iter().zip(std)) {
+                        *v = if std == 0.0 { 0.0 } else { (*v - mean) / std };
+                    }
+                    after_row(row);
+                }
+            }
+            Columns::DecimalScaling { factor } => {
+                for row in rows {
+                    for (v, &factor) in row.iter_mut().zip(factor) {
+                        *v /= factor;
+                    }
+                    after_row(row);
+                }
+            }
+        }
+    }
+
+    /// The inverse kernel: denormalizes each whole row of `rows` in lanes
+    /// across its columns.
+    fn invert_rows(&self, rows: &mut [f64]) {
+        let rows = rows.chunks_exact_mut(self.len());
+        match self {
+            Columns::MinMax(c) => {
+                for row in rows {
+                    let lanes = row
+                        .iter_mut()
+                        .zip(c.min.iter().zip(&c.max))
+                        .zip(c.span.iter().zip(&c.new_span))
+                        .zip(&c.new_min);
+                    for (((v, (&min, &max)), (&span, &new_span)), &new_min) in lanes {
+                        *v = if max == min {
+                            min
+                        } else {
+                            (*v - new_min) / new_span * span + min
+                        };
+                    }
+                }
+            }
+            Columns::ZScore { mean, std } => {
+                for row in rows {
+                    for (v, (&mean, &std)) in row.iter_mut().zip(mean.iter().zip(std)) {
+                        *v = *v * std + mean;
+                    }
+                }
+            }
+            Columns::DecimalScaling { factor } => {
+                for row in rows {
+                    for (v, &factor) in row.iter_mut().zip(factor) {
+                        *v *= factor;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Whether any value of a normalized row lies outside its column's
+/// `[lo, hi]`, NaN counting as outside: the negation of
+/// `DriftBounds::row_in_range`, folded over every lane instead of stopping
+/// at the first miss, so it runs in lanes too.
+#[inline(always)]
+fn outside(row: &[f64], mins: &[f64], maxs: &[f64]) -> bool {
+    row.iter()
+        .zip(mins.iter().zip(maxs))
+        .fold(false, |out, (&x, (&lo, &hi))| out | !(x >= lo && x <= hi))
+}
+
 /// A normalization fitted to a specific matrix's column statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FittedNormalizer {
     method: Normalization,
-    params: Vec<ColumnParams>,
+    columns: Columns,
 }
 
 impl FittedNormalizer {
@@ -383,7 +600,7 @@ impl FittedNormalizer {
 
     /// Number of columns the normalizer was fitted to.
     pub fn n_cols(&self) -> usize {
-        self.params.len()
+        self.columns.len()
     }
 
     /// Overrides the advisory [`method`](Self::method) tag without touching
@@ -427,10 +644,18 @@ impl FittedNormalizer {
     /// complete rows (`rows.len()` must be a multiple of
     /// [`n_cols`](Self::n_cols)).
     ///
-    /// This is the primitive under [`transform`](Self::transform), exposed
-    /// so batch processors can normalize disjoint row chunks independently
-    /// (the release session fans chunks out over the shared thread pool);
-    /// the arithmetic is elementwise per row, so any chunking produces
+    /// This is the forward row kernel under [`transform`](Self::transform):
+    /// it normalizes each row in SIMD lanes across its columns, each lane
+    /// reading its column's constants, with the per-element expression of
+    /// the normalizer's one parameter kind:
+    ///
+    /// * z-score: `std == 0 ? 0 : (v − mean) / std`,
+    /// * min–max: `max == min ? (new_min + new_max) / 2 :
+    ///   (v − min) / (max − min) · (new_max − new_min) + new_min`,
+    /// * decimal scaling: `v / factor`.
+    ///
+    /// Each row depends only on itself, so any chunking of a batch (the
+    /// release session's chunks, a federation owner's partition) produces
     /// bit-identical output to the whole-matrix call.
     ///
     /// # Errors
@@ -439,17 +664,50 @@ impl FittedNormalizer {
     /// the fitted column count.
     pub fn transform_rows_in_place(&self, rows: &mut [f64]) -> Result<()> {
         self.check_row_slice(rows)?;
-        for row in rows.chunks_exact_mut(self.params.len()) {
-            for (v, p) in row.iter_mut().zip(&self.params) {
-                *v = p.apply(*v);
-            }
-        }
+        self.columns.forward_rows(rows, |_| {});
         Ok(())
     }
 
+    /// [`transform_rows_in_place`](Self::transform_rows_in_place) fused with
+    /// a drift check: while each normalized row is still hot, every lane
+    /// ORs `!(x >= lo && x <= hi)` against its column's `mins`/`maxs` into
+    /// the row's drift flag. Returns how many rows had a value outside its
+    /// column's range, NaN counting as outside, exactly as
+    /// `DriftBounds::row_in_range` decides.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NotFitted`] if `rows.len()` is not a multiple of
+    /// the fitted column count or the bounds cover another column count.
+    pub fn transform_rows_in_place_with_drift(
+        &self,
+        rows: &mut [f64],
+        mins: &[f64],
+        maxs: &[f64],
+    ) -> Result<usize> {
+        self.check_row_slice(rows)?;
+        if mins.len() != self.n_cols() || maxs.len() != self.n_cols() {
+            return Err(Error::NotFitted(format!(
+                "drift bounds cover {} and {} columns, normalizer {}",
+                mins.len(),
+                maxs.len(),
+                self.n_cols()
+            )));
+        }
+        let mut drifted = 0;
+        self.columns.forward_rows(rows, |row| {
+            drifted += usize::from(outside(row, mins, maxs));
+        });
+        Ok(drifted)
+    }
+
     /// Inverts the fitted normalization in place on a row-major slice of
-    /// complete rows — the chunked counterpart of
-    /// [`inverse_transform`](Self::inverse_transform).
+    /// complete rows — the inverse row kernel under
+    /// [`inverse_transform`](Self::inverse_transform), in lanes like
+    /// [`transform_rows_in_place`](Self::transform_rows_in_place):
+    /// z-score `v · std + mean`, min–max `max == min ? min :
+    /// (v − new_min) / (new_max − new_min) · (max − min) + min`, decimal
+    /// scaling `v · factor`.
     ///
     /// # Errors
     ///
@@ -457,23 +715,24 @@ impl FittedNormalizer {
     /// the fitted column count.
     pub fn invert_rows_in_place(&self, rows: &mut [f64]) -> Result<()> {
         self.check_row_slice(rows)?;
-        for row in rows.chunks_exact_mut(self.params.len()) {
-            for (v, p) in row.iter_mut().zip(&self.params) {
-                *v = p.invert(*v);
-            }
-        }
+        self.columns.invert_rows(rows);
         Ok(())
     }
 
     fn check_row_slice(&self, rows: &[f64]) -> Result<()> {
-        if self.params.is_empty() || !rows.len().is_multiple_of(self.params.len()) {
+        let n = self.n_cols();
+        if n == 0 || !rows.len().is_multiple_of(n) {
             return Err(Error::NotFitted(format!(
-                "slice of {} values is not whole rows of {} columns",
+                "slice of {} values is not whole rows of {n} columns",
                 rows.len(),
-                self.params.len()
             )));
         }
         Ok(())
+    }
+
+    /// Column `j`'s parameters, in column order.
+    fn params(&self) -> impl Iterator<Item = ColumnParams> + '_ {
+        (0..self.n_cols()).map(|j| self.columns.get(j))
     }
 
     /// Serializes the fitted normalizer into `w` as a compact binary
@@ -487,26 +746,18 @@ impl FittedNormalizer {
     /// magic, version, and checksum around it.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         self.method.encode_into(w);
-        w.put_usize(self.params.len());
-        for p in &self.params {
-            match *p {
+        w.put_usize(self.n_cols());
+        for p in self.params() {
+            w.put_u8(p.tag());
+            match p {
                 ColumnParams::MinMax {
                     min,
                     max,
                     new_min,
                     new_max,
-                } => {
-                    w.put_u8(0);
-                    w.put_f64s(&[min, max, new_min, new_max]);
-                }
-                ColumnParams::ZScore { mean, std } => {
-                    w.put_u8(1);
-                    w.put_f64s(&[mean, std]);
-                }
-                ColumnParams::DecimalScaling { factor } => {
-                    w.put_u8(2);
-                    w.put_f64(factor);
-                }
+                } => w.put_f64s(&[min, max, new_min, new_max]),
+                ColumnParams::ZScore { mean, std } => w.put_f64s(&[mean, std]),
+                ColumnParams::DecimalScaling { factor } => w.put_f64(factor),
             }
         }
     }
@@ -517,7 +768,9 @@ impl FittedNormalizer {
     /// # Errors
     ///
     /// Returns a typed [`DecodeError`] (never panics) for truncated input,
-    /// unknown method/parameter tags, or a zero column count.
+    /// unknown method/parameter tags, a zero column count, or a column
+    /// whose parameter kind differs from the first column's
+    /// ([`DecodeError::Malformed`] at that column's tag).
     pub fn decode_from(r: &mut ByteReader<'_>) -> DecodeResult<Self> {
         let method = Normalization::decode_from(r)?;
         let cols_offset = r.position();
@@ -530,8 +783,8 @@ impl FittedNormalizer {
         }
         // The smallest entry is a tag plus one `f64` (decimal scaling).
         r.check_count(cols, 9)?;
-        let mut params = Vec::with_capacity(cols);
-        for _ in 0..cols {
+        let mut columns: Option<Columns> = None;
+        for j in 0..cols {
             let tag_offset = r.position();
             let p = match r.take_u8()? {
                 0 => ColumnParams::MinMax {
@@ -554,16 +807,28 @@ impl FittedNormalizer {
                     })
                 }
             };
-            params.push(p);
+            let columns = columns.get_or_insert_with(|| Columns::of_kind(&p, cols));
+            if !columns.push(p) {
+                return Err(DecodeError::Malformed {
+                    offset: tag_offset,
+                    message: format!(
+                        "column {j} has parameter tag {}, column 0 has {}: \
+                         a normalizer holds one parameter kind",
+                        p.tag(),
+                        columns.get(0).tag()
+                    ),
+                });
+            }
         }
-        Ok(FittedNormalizer { method, params })
+        let columns = columns.expect("a normalizer has at least one column");
+        Ok(FittedNormalizer { method, columns })
     }
 
     fn check_cols(&self, m: &Matrix) -> Result<()> {
-        if m.cols() != self.params.len() {
+        if m.cols() != self.n_cols() {
             return Err(Error::NotFitted(format!(
                 "normalizer fitted for {} columns, input has {}",
-                self.params.len(),
+                self.n_cols(),
                 m.cols()
             )));
         }
@@ -586,13 +851,13 @@ impl FittedNormalizer {
     /// parse fine — see [`from_text`](Self::from_text).
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = format!("rbt-normalizer v1 cols={}", self.params.len());
+        let mut out = format!("rbt-normalizer v1 cols={}", self.n_cols());
         if let Some(tag) = self.method.text_tag() {
             let _ = write!(out, " method={tag}");
         }
         out.push('\n');
-        for p in &self.params {
-            match *p {
+        for p in self.params() {
+            match p {
                 ColumnParams::MinMax {
                     min,
                     max,
@@ -628,7 +893,8 @@ impl FittedNormalizer {
     /// # Errors
     ///
     /// Returns [`Error::Parse`] for malformed input, including an unknown
-    /// `method=` tag.
+    /// `method=` tag and a parameter line whose kind differs from the
+    /// first one's (at that line).
     pub fn from_text(text: &str) -> Result<Self> {
         let mut lines = text
             .lines()
@@ -666,7 +932,7 @@ impl FittedNormalizer {
         }
         // `cols` is untrusted until the lines are counted: cap the
         // up-front reservation, as `decode_from` does.
-        let mut params = Vec::with_capacity(cols.min(1024));
+        let mut columns: Option<Columns> = None;
         let mut method = Normalization::zscore_paper();
         for (idx, line) in lines {
             let line_no = idx + 1;
@@ -688,13 +954,13 @@ impl FittedNormalizer {
                     })
                     .collect()
             };
-            match parts.first().copied() {
+            let p = match parts.first().copied() {
                 Some("zscore") => {
                     let f = floats(2)?;
-                    params.push(ColumnParams::ZScore {
+                    ColumnParams::ZScore {
                         mean: f[0],
                         std: f[1],
-                    });
+                    }
                 }
                 Some("minmax") => {
                     let f = floats(4)?;
@@ -702,17 +968,17 @@ impl FittedNormalizer {
                         new_min: f[2],
                         new_max: f[3],
                     };
-                    params.push(ColumnParams::MinMax {
+                    ColumnParams::MinMax {
                         min: f[0],
                         max: f[1],
                         new_min: f[2],
                         new_max: f[3],
-                    });
+                    }
                 }
                 Some("decimal") => {
                     let f = floats(1)?;
                     method = Normalization::DecimalScaling;
-                    params.push(ColumnParams::DecimalScaling { factor: f[0] });
+                    ColumnParams::DecimalScaling { factor: f[0] }
                 }
                 other => {
                     return Err(Error::Parse {
@@ -720,14 +986,29 @@ impl FittedNormalizer {
                         message: format!("unknown parameter kind {other:?}"),
                     })
                 }
+            };
+            let columns = columns.get_or_insert_with(|| Columns::of_kind(&p, cols.min(1024)));
+            if !columns.push(p) {
+                return Err(Error::Parse {
+                    line: line_no,
+                    message: format!(
+                        "parameter kind {:?} differs from the first column's: \
+                         a normalizer holds one parameter kind",
+                        parts[0]
+                    ),
+                });
             }
         }
-        if params.len() != cols {
-            return Err(Error::Parse {
-                line: 1,
-                message: format!("header declares {cols} columns, found {}", params.len()),
-            });
-        }
+        let found = columns.as_ref().map_or(0, Columns::len);
+        let columns = match columns {
+            Some(columns) if found == cols => columns,
+            _ => {
+                return Err(Error::Parse {
+                    line: 1,
+                    message: format!("header declares {cols} columns, found {found}"),
+                })
+            }
+        };
         // An explicit header tag overrides the params-derived guess — this
         // is what distinguishes sample/population/robust z-score fits,
         // whose per-column parameters all look alike.
@@ -746,7 +1027,7 @@ impl FittedNormalizer {
                 })
             }
         };
-        Ok(FittedNormalizer { method, params })
+        Ok(FittedNormalizer { method, columns })
     }
 }
 
@@ -897,22 +1178,18 @@ impl PartialFit {
                 "cannot finish a partial fit over zero rows".into(),
             ));
         }
-        let params = match self.state {
+        let columns = match self.state {
             PartialState::MinMax { lo, hi } => {
                 let Normalization::MinMax { new_min, new_max } = self.method else {
                     return Err(Error::InvalidArgument(
                         "min-max state under a non-min-max method".into(),
                     ));
                 };
-                lo.iter()
-                    .zip(&hi)
-                    .map(|(&min, &max)| ColumnParams::MinMax {
-                        min,
-                        max,
-                        new_min,
-                        new_max,
-                    })
-                    .collect()
+                let mut columns = MinMaxColumns::default();
+                for (&min, &max) in lo.iter().zip(&hi) {
+                    columns.push(min, max, new_min, new_max);
+                }
+                Columns::MinMax(columns)
             }
             PartialState::ZScoreSums { .. } => {
                 return Err(Error::InvalidArgument(
@@ -933,29 +1210,28 @@ impl PartialFit {
                         "z-score state under a non-z-score method".into(),
                     ));
                 };
-                means
+                let std = ss
                     .iter()
-                    .zip(&ss)
-                    .map(|(&mean, &q)| ColumnParams::ZScore {
-                        mean,
-                        std: (q / mode.divisor(self.rows)).sqrt(),
-                    })
-                    .collect()
+                    .map(|&q| (q / mode.divisor(self.rows)).sqrt())
+                    .collect();
+                Columns::ZScore { mean: means, std }
             }
-            PartialState::Decimal { max_abs } => max_abs
-                .iter()
-                .map(|&ma| {
-                    let mut factor = 1.0;
-                    while ma / factor >= 1.0 {
-                        factor *= 10.0;
-                    }
-                    ColumnParams::DecimalScaling { factor }
-                })
-                .collect(),
+            PartialState::Decimal { max_abs } => Columns::DecimalScaling {
+                factor: max_abs
+                    .iter()
+                    .map(|&ma| {
+                        let mut factor = 1.0;
+                        while ma / factor >= 1.0 {
+                            factor *= 10.0;
+                        }
+                        factor
+                    })
+                    .collect(),
+            },
         };
         Ok(FittedNormalizer {
             method: self.method,
-            params,
+            columns,
         })
     }
 
@@ -1384,7 +1660,7 @@ mod tests {
                         }
                     }
                 };
-                assert_eq!(fitted.params[j], expected, "{method:?} column {j}");
+                assert_eq!(fitted.columns.get(j), expected, "{method:?} column {j}");
             }
         }
     }
@@ -1534,6 +1810,184 @@ mod tests {
             .with_method(Normalization::RobustZScore);
         assert_eq!(restored.method(), Normalization::RobustZScore);
         assert!(restored.transform(&m).unwrap().approx_eq(&t, 0.0));
+    }
+
+    /// ±0, ±∞, 1e±300, subnormals and NaN.
+    const SPECIALS: [f64; 11] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e300,
+        -1e300,
+        1e-300,
+        -1e-300,
+        f64::MIN_POSITIVE / 4.0,
+        -5e-324,
+        f64::NAN,
+    ];
+
+    /// `actual` equals `expected` bit for bit, except that where `expected`
+    /// is NaN, `actual` need only be NaN: Rust leaves a NaN result's sign
+    /// and payload unspecified.
+    fn assert_same_bits(actual: &[f64], expected: &[f64], what: &str) {
+        assert_eq!(actual.len(), expected.len(), "{what}");
+        for (k, (a, e)) in actual.iter().zip(expected).enumerate() {
+            if e.is_nan() {
+                assert!(a.is_nan(), "{what}: element {k} is {a}, not NaN");
+            } else {
+                assert_eq!(a.to_bits(), e.to_bits(), "{what}: element {k}: {a} vs {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_kernels_match_the_per_element_reference_bit_for_bit() {
+        // Every method × cols 1–33 (each lane tail) × rows 0–70, rows mixing
+        // fitting rows (some lie exactly on a drift bound) with special
+        // values, forward with and without drift bounds, and inverse.
+        let methods = [
+            Normalization::MinMax {
+                new_min: -1.0,
+                new_max: 2.0,
+            },
+            Normalization::zscore_paper(),
+            Normalization::ZScore {
+                mode: VarianceMode::Population,
+            },
+            Normalization::DecimalScaling,
+            Normalization::RobustZScore,
+        ];
+        const FIT_ROWS: usize = 9;
+        for cols in 1..=33usize {
+            // Column 1 is constant, so every kind's constant-column case runs.
+            let fit = Matrix::from_vec(
+                FIT_ROWS,
+                cols,
+                (0..FIT_ROWS * cols)
+                    .map(|t| {
+                        let (r, j) = (t / cols, t % cols);
+                        if j == 1 {
+                            -2.5
+                        } else {
+                            ((r * 5 + j * 3) % 7) as f64 * (0.5 + j as f64)
+                                - 40.0 * (t as f64).sin()
+                        }
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            for method in methods {
+                let fitted = method.fit(&fit).unwrap();
+                let reference: Vec<ColumnParams> = fitted.params().collect();
+                let forward = |rows: &[f64]| -> Vec<f64> {
+                    rows.chunks_exact(cols)
+                        .flat_map(|row| row.iter().zip(&reference).map(|(&v, p)| p.apply(v)))
+                        .collect()
+                };
+                // Drift bounds as `DriftBounds::from_normalized` folds them.
+                let mut mins = vec![f64::INFINITY; cols];
+                let mut maxs = vec![f64::NEG_INFINITY; cols];
+                for row in forward(fit.as_slice()).chunks_exact(cols) {
+                    for ((lo, hi), &x) in mins.iter_mut().zip(maxs.iter_mut()).zip(row) {
+                        *lo = lo.min(x);
+                        *hi = hi.max(x);
+                    }
+                }
+                for rows in 0..=70usize {
+                    let input: Vec<f64> = (0..rows * cols)
+                        .map(|t| {
+                            let (r, j) = (t / cols, t % cols);
+                            if (r * 7 + j * 3) % 11 == 0 {
+                                SPECIALS[(r + j) % SPECIALS.len()]
+                            } else {
+                                fit[(r % FIT_ROWS, j)]
+                            }
+                        })
+                        .collect();
+                    let what = format!("{method:?}, {rows}x{cols}");
+                    let expected = forward(&input);
+                    let expected_drift = expected
+                        .chunks_exact(cols)
+                        .filter(|row| {
+                            !row.iter()
+                                .zip(mins.iter().zip(&maxs))
+                                .all(|(v, (lo, hi))| *v >= *lo && *v <= *hi)
+                        })
+                        .count();
+
+                    let mut plain = input.clone();
+                    fitted.transform_rows_in_place(&mut plain).unwrap();
+                    assert_same_bits(&plain, &expected, &format!("forward {what}"));
+                    let mut fused = input.clone();
+                    let drifted = fitted
+                        .transform_rows_in_place_with_drift(&mut fused, &mins, &maxs)
+                        .unwrap();
+                    assert_same_bits(&fused, &expected, &format!("fused forward {what}"));
+                    assert_eq!(drifted, expected_drift, "drift {what}");
+
+                    // The inverse, of the forward's output and of the raw
+                    // special-laden input alike.
+                    for source in [&expected, &input] {
+                        let want: Vec<f64> = source
+                            .chunks_exact(cols)
+                            .flat_map(|row| row.iter().zip(&reference).map(|(&v, p)| p.invert(v)))
+                            .collect();
+                        let mut back = source.clone();
+                        fitted.invert_rows_in_place(&mut back).unwrap();
+                        assert_same_bits(&back, &want, &format!("inverse {what}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_kernel_checks_its_bounds_width() {
+        let fitted = Normalization::zscore_paper()
+            .fit(&Matrix::from_columns(&[&[1.0, 2.0], &[3.0, 5.0]]).unwrap())
+            .unwrap();
+        let mut rows = vec![1.0, 3.0];
+        for (mins, maxs) in [(&[0.0][..], &[1.0, 1.0][..]), (&[0.0, 0.0], &[1.0])] {
+            assert!(matches!(
+                fitted.transform_rows_in_place_with_drift(&mut rows, mins, maxs),
+                Err(Error::NotFitted(_))
+            ));
+        }
+        assert_eq!(rows, [1.0, 3.0], "a refused call leaves the rows alone");
+    }
+
+    #[test]
+    fn binary_decoder_refuses_mixed_parameter_kinds() {
+        // Column 0 z-score, column 1 decimal scaling: refused at column 1's
+        // tag (method u8 + cols u64 + tag u8 + two f64s = offset 26).
+        let mut w = ByteWriter::new();
+        Normalization::zscore_paper().encode_into(&mut w);
+        w.put_usize(2);
+        w.put_u8(1);
+        w.put_f64s(&[0.5, 2.0]);
+        w.put_u8(2);
+        w.put_f64(10.0);
+        match FittedNormalizer::decode_from(&mut ByteReader::new(w.as_bytes())) {
+            Err(DecodeError::Malformed {
+                offset: 26,
+                message,
+            }) => {
+                assert!(message.contains("one parameter kind"), "{message}")
+            }
+            other => panic!("expected a refusal at offset 26, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn text_decoder_refuses_mixed_parameter_kinds() {
+        let text = "rbt-normalizer v1 cols=3\nminmax 0 1 0 1\nminmax 2 4 0 1\nzscore 0.5 2\n";
+        match FittedNormalizer::from_text(text) {
+            Err(Error::Parse { line: 4, message }) => {
+                assert!(message.contains("one parameter kind"), "{message}")
+            }
+            other => panic!("expected a parse error at line 4, got {other:?}"),
+        }
     }
 
     #[test]

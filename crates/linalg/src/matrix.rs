@@ -771,19 +771,41 @@ pub fn rotate_pair_in_rows(rows: &mut [f64], n_cols: usize, i: usize, j: usize, 
     }
 }
 
-/// Applies a whole sequence of plane-rotation steps `(i, j, c, s)` — the
-/// precomputed `(column i, column j, cos θ, sin θ)` of a transformation
-/// key — to every row of a row-major slice of complete rows.
+/// One step of a row sweep: the 2×2 map
+/// `(xᵢ, xⱼ) ← (xᵢ·a + xⱼ·b, xᵢ·c + xⱼ·d)` on columns `i` and `j` of a row,
+/// with `m = [a, b, c, d]`.
+///
+/// Both isometries the workspace releases with are such a step (build them
+/// with [`Rotation2::step`](crate::Rotation2::step) and
+/// [`Reflection2::step`](crate::rotation::Reflection2::step)): a rotation
+/// is `[c, s, −s, c]` and a reflection `[c₂, s₂, s₂, −c₂]`. On every
+/// non-NaN input the step reproduces [`rotate_pair_in_rows`] and
+/// `Reflection2::apply_columns` bit for bit, because IEEE negation is exact
+/// and `p − q` equals `p + (−q)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairStep {
+    /// First column of the pair.
+    pub i: usize,
+    /// Second column of the pair.
+    pub j: usize,
+    /// `[a, b, c, d]`, row-major.
+    pub m: [f64; 4],
+}
+
+/// Applies a whole sequence of 2×2 [`PairStep`]s — a transformation key's
+/// rotations, or a hybrid isometry key's rotations and reflections — to
+/// every row of a row-major slice of complete rows.
 ///
 /// Instead of one whole-slice pass per step (`steps.len()` trips through
 /// memory), rows are processed in blocks of four and each block receives
 /// *all* steps while it is hot in registers/L1: one trip through memory no
-/// matter how many rotation steps the key holds. Every `(row, step)` update
-/// touches only that row's elements `i` and `j` via `rotate_in_row`'s
-/// shared expression, and the per-row step order is unchanged, so the
-/// result is bit-identical to looping [`rotate_pair_in_rows`] over `steps`
-/// — the property suite pins that. This is the transform hot path of the
-/// release session and of `TransformationKey::{apply, invert}`.
+/// matter how many steps the key holds. Every `(row, step)` update touches
+/// only that row's elements `i` and `j`, and the per-row step order is
+/// unchanged, so any row split gives the same bits — the property suite
+/// pins the sweep against looping [`rotate_pair_in_rows`] over the steps.
+/// This is the transform hot path of the release session, of
+/// `TransformationKey::{apply, invert}` and of
+/// `IsometryKey::{apply, invert}`.
 ///
 /// Rows whose tail does not fill a complete `n_cols` stride are ignored;
 /// callers are expected to pass `rows.len() % n_cols == 0` (debug-asserted).
@@ -793,34 +815,42 @@ pub fn rotate_pair_in_rows(rows: &mut [f64], n_cols: usize, i: usize, j: usize, 
 /// Debug-asserts every step's columns in range and distinct; release
 /// builds index out of bounds (and panic) for invalid indices, so validate
 /// upstream.
-pub fn apply_steps_in_rows(rows: &mut [f64], n_cols: usize, steps: &[(usize, usize, f64, f64)]) {
+pub fn apply_steps_in_rows(rows: &mut [f64], n_cols: usize, steps: &[PairStep]) {
     debug_assert!(n_cols > 0 && rows.len().is_multiple_of(n_cols));
     debug_assert!(steps
         .iter()
-        .all(|&(i, j, _, _)| i < n_cols && j < n_cols && i != j));
+        .all(|st| st.i < n_cols && st.j < n_cols && st.i != st.j));
     let mut quads = rows.chunks_exact_mut(4 * n_cols);
     for quad in &mut quads {
         let (r0, rest) = quad.split_at_mut(n_cols);
         let (r1, rest) = rest.split_at_mut(n_cols);
         let (r2, r3) = rest.split_at_mut(n_cols);
-        for &(i, j, c, s) in steps {
-            rotate_in_row(r0, i, j, c, s);
-            rotate_in_row(r1, i, j, c, s);
-            rotate_in_row(r2, i, j, c, s);
-            rotate_in_row(r3, i, j, c, s);
+        for st in steps {
+            step_in_row(r0, st);
+            step_in_row(r1, st);
+            step_in_row(r2, st);
+            step_in_row(r3, st);
         }
     }
     for row in quads.into_remainder().chunks_exact_mut(n_cols) {
-        for &(i, j, c, s) in steps {
-            rotate_in_row(row, i, j, c, s);
+        for st in steps {
+            step_in_row(row, st);
         }
     }
 }
 
-/// The single-row plane-rotation update shared by [`rotate_pair_in_rows`]
-/// and [`apply_steps_in_rows`]: `(rowᵢ, rowⱼ) ← (c·rowᵢ + s·rowⱼ,
-/// −s·rowᵢ + c·rowⱼ)`. One arithmetic expression for every rotation path
-/// in the workspace is what makes them bit-identical by construction.
+/// One row's [`PairStep`] update.
+#[inline(always)]
+fn step_in_row(row: &mut [f64], st: &PairStep) {
+    let [a, b, c, d] = st.m;
+    let x = row[st.i];
+    let y = row[st.j];
+    row[st.i] = x * a + y * b;
+    row[st.j] = x * c + y * d;
+}
+
+/// The single-row plane-rotation update of [`rotate_pair_in_rows`]:
+/// `(rowᵢ, rowⱼ) ← (c·rowᵢ + s·rowⱼ, −s·rowᵢ + c·rowⱼ)`.
 #[inline(always)]
 fn rotate_in_row(row: &mut [f64], i: usize, j: usize, c: f64, s: f64) {
     let x = row[i];
@@ -1150,7 +1180,15 @@ mod tests {
         for rows in [0usize, 1, 3, 4, 5, 8, 11] {
             let data: Vec<f64> = (0..rows * 4).map(|t| ((t as f64) * 0.83).sin()).collect();
             let mut fused = data.clone();
-            apply_steps_in_rows(&mut fused, 4, &steps);
+            let sweep: Vec<PairStep> = steps
+                .iter()
+                .map(|&(i, j, c, s)| PairStep {
+                    i,
+                    j,
+                    m: [c, s, -s, c],
+                })
+                .collect();
+            apply_steps_in_rows(&mut fused, 4, &sweep);
             let mut reference = data;
             for &(i, j, c, s) in &steps {
                 rotate_pair_in_rows(&mut reference, 4, i, j, c, s);

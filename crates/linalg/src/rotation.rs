@@ -14,6 +14,7 @@
 //! matrix acting on an arbitrary coordinate pair, which is how a sequence of
 //! pairwise RBT steps composes into a single n-D isometry.
 
+use crate::matrix::PairStep;
 use crate::{Error, Matrix, Result};
 
 /// A 2-D clockwise rotation (paper Eq. 1).
@@ -99,6 +100,17 @@ impl Rotation2 {
             *y = ny;
         }
         Ok(())
+    }
+
+    /// This rotation as the sweep step `[c, s, −s, c]` on columns `i` and
+    /// `j`: the same `sin_cos` as [`apply_columns`](Self::apply_columns).
+    pub fn step(&self, i: usize, j: usize) -> PairStep {
+        let (s, c) = self.theta.sin_cos();
+        PairStep {
+            i,
+            j,
+            m: [c, s, -s, c],
+        }
     }
 
     /// The inverse rotation (counter-clockwise by the same angle).
@@ -206,6 +218,17 @@ impl Reflection2 {
             *y = ny;
         }
         Ok(())
+    }
+
+    /// This reflection as the sweep step `[c₂, s₂, s₂, −c₂]` on columns `i`
+    /// and `j`: the same `sin_cos` as [`apply_columns`](Self::apply_columns).
+    pub fn step(&self, i: usize, j: usize) -> PairStep {
+        let (s, c) = (2.0 * self.phi).sin_cos();
+        PairStep {
+            i,
+            j,
+            m: [c, s, s, -c],
+        }
     }
 
     /// The 2×2 reflection matrix.

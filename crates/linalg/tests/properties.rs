@@ -9,8 +9,8 @@ use rbt_linalg::dissimilarity::DissimilarityMatrix;
 use rbt_linalg::distance::Metric;
 use rbt_linalg::eigen::symmetric_eigen;
 use rbt_linalg::kernels;
-use rbt_linalg::matrix::{apply_steps_in_rows, rotate_pair_in_rows};
-use rbt_linalg::rotation::{givens, is_orthogonal};
+use rbt_linalg::matrix::{apply_steps_in_rows, rotate_pair_in_rows, PairStep};
+use rbt_linalg::rotation::{givens, is_orthogonal, Reflection2};
 use rbt_linalg::solve::{invert, solve};
 use rbt_linalg::stats::{covariance, mean, variance, variance_of_difference};
 use rbt_linalg::{Matrix, Rotation2, VarianceMode};
@@ -278,30 +278,47 @@ proptest! {
     #[test]
     fn fused_sweep_is_bitwise_sequential(
         m in small_matrix(16, 8),
-        raw_steps in prop::collection::vec((0usize..64, 0usize..64, -360.0..360.0f64), 0..12),
+        raw_steps in prop::collection::vec(
+            (0usize..64, 0usize..64, -360.0..360.0f64, any::<bool>()),
+            0..12,
+        ),
     ) {
-        // One fused pass applying every step per row must match applying
-        // the steps one whole-matrix sweep at a time, bit for bit — the
-        // rotations are row-local and the per-row step order is preserved.
+        // One fused pass applying every 2×2 step per row must match
+        // applying the steps one whole-matrix sweep at a time, bit for bit:
+        // rotations through `rotate_pair_in_rows`, reflections through
+        // `Reflection2::apply_columns` on extracted columns. The steps are
+        // row-local and the per-row step order is preserved.
         let n_cols = m.cols();
-        let steps: Vec<(usize, usize, f64, f64)> = raw_steps
+        let steps: Vec<(usize, usize, f64, bool)> = raw_steps
             .iter()
-            .filter_map(|&(a, b, theta)| {
-                let (i, j) = (a % n_cols, b % n_cols);
-                if i == j {
-                    return None;
+            .map(|&(a, b, angle, reflect)| (a % n_cols, b % n_cols, angle, reflect))
+            .filter(|&(i, j, _, _)| i != j)
+            .collect();
+        let sweep: Vec<PairStep> = steps
+            .iter()
+            .map(|&(i, j, angle, reflect)| {
+                if reflect {
+                    Reflection2::from_degrees(angle).step(i, j)
+                } else {
+                    Rotation2::from_degrees(angle).step(i, j)
                 }
-                let (s, c) = theta.to_radians().sin_cos();
-                Some((i, j, c, s))
             })
             .collect();
         let mut fused = m.as_slice().to_vec();
-        apply_steps_in_rows(&mut fused, n_cols, &steps);
-        let mut seq = m.as_slice().to_vec();
-        for &(i, j, c, s) in &steps {
-            rotate_pair_in_rows(&mut seq, n_cols, i, j, c, s);
+        apply_steps_in_rows(&mut fused, n_cols, &sweep);
+        let mut seq = m.clone();
+        for &(i, j, angle, reflect) in &steps {
+            if reflect {
+                let (mut xs, mut ys) = (seq.column(i), seq.column(j));
+                Reflection2::from_degrees(angle).apply_columns(&mut xs, &mut ys).unwrap();
+                seq.set_column(i, &xs).unwrap();
+                seq.set_column(j, &ys).unwrap();
+            } else {
+                let (s, c) = angle.to_radians().sin_cos();
+                rotate_pair_in_rows(seq.as_mut_slice(), n_cols, i, j, c, s);
+            }
         }
-        for (a, b) in fused.iter().zip(&seq) {
+        for (a, b) in fused.iter().zip(seq.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }

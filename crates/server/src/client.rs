@@ -35,7 +35,11 @@ use std::time::{Duration, Instant};
 use rbt_data::Dataset;
 
 use crate::metrics::ServerStats;
-use crate::wire::{self, Frame, Request, Response, WireError, CODE_UNAVAILABLE};
+use crate::wire::{self, Frame, Opcode, Request, Response, WireError, CODE_UNAVAILABLE};
+
+/// Writes one request frame tagged with the given id into a buffer,
+/// replacing what it held.
+type Encoder<'a> = &'a dyn Fn(u64, &mut Vec<u8>);
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -411,13 +415,13 @@ impl Client {
     pub fn send(&mut self, request: &Request) -> ClientResult<()> {
         let id = self.next_request_id;
         self.next_request_id += 1;
-        self.write_request(request, id)
+        self.write_request(id, &|id, buf| request.encode_into(id, buf))
     }
 
-    /// Encodes `request` tagged `id` into the client's frame buffer and
-    /// writes it, connecting first if need be.
-    fn write_request(&mut self, request: &Request, id: u64) -> ClientResult<()> {
-        request.encode_into(id, &mut self.frame);
+    /// Encodes a request tagged `id` into the client's frame buffer with
+    /// `encode` and writes it, connecting first if need be.
+    fn write_request(&mut self, id: u64, encode: Encoder<'_>) -> ClientResult<()> {
+        encode(id, &mut self.frame);
         self.stream()?;
         let stream = self.stream.as_mut().expect("stream() connected it");
         stream.write_all(&self.frame).map_err(WireError::from)?;
@@ -443,8 +447,8 @@ impl Client {
     /// One attempt: send the tagged frame, read until the response whose
     /// echoed id matches (tolerating id 0, which farewells, refusals, and
     /// framing errors carry).
-    fn call_once(&mut self, request: &Request, id: u64) -> ClientResult<Response> {
-        self.write_request(request, id)?;
+    fn call_once(&mut self, id: u64, encode: Encoder<'_>) -> ClientResult<Response> {
+        self.write_request(id, encode)?;
         loop {
             let stream = self.stream()?;
             match wire::read_frame(stream)? {
@@ -470,17 +474,25 @@ impl Client {
     /// The last attempt's error once retries are exhausted;
     /// [`ClientError::CircuitOpen`] when failing fast.
     pub fn call(&mut self, request: &Request) -> ClientResult<Response> {
+        self.call_encoded(request.is_idempotent(), &|id, buf| {
+            request.encode_into(id, buf)
+        })
+    }
+
+    /// [`call`](Client::call) for the request `encode` writes, retried only
+    /// when it is `idempotent`.
+    fn call_encoded(&mut self, idempotent: bool, encode: Encoder<'_>) -> ClientResult<Response> {
         self.breaker_check()?;
         let id = self.next_request_id;
         self.next_request_id += 1;
-        let retries = if request.is_idempotent() {
+        let retries = if idempotent {
             self.policy.max_retries
         } else {
             0
         };
         let mut attempt = 0u32;
         loop {
-            let result = self.call_once(request, id);
+            let result = self.call_once(id, encode);
             match result {
                 Ok(response) => {
                     self.note_success();
@@ -551,11 +563,12 @@ impl Client {
     /// [`ClientError::Server`] with code 2 for unknown tenants, 5 for
     /// shape mismatches.
     pub fn transform(&mut self, tenant: &str, batch: &Dataset) -> ClientResult<(Dataset, u64)> {
-        let request = Request::Transform {
-            tenant: tenant.to_string(),
-            batch: batch.clone(),
-        };
-        match self.call(&request)? {
+        // Encoded from the borrowed batch, like `Request::Transform`, which
+        // is idempotent.
+        let response = self.call_encoded(true, &|id, buf| {
+            wire::encode_batch_request(buf, Opcode::Transform, id, tenant, batch)
+        })?;
+        match response {
             Response::Transformed {
                 released,
                 out_of_range_rows,
@@ -572,11 +585,12 @@ impl Client {
     ///
     /// [`ClientError::Server`] with code 7 for non-invertible methods.
     pub fn invert(&mut self, tenant: &str, batch: &Dataset) -> ClientResult<Dataset> {
-        let request = Request::Invert {
-            tenant: tenant.to_string(),
-            batch: batch.clone(),
-        };
-        match self.call(&request)? {
+        // Encoded from the borrowed batch, like `Request::Invert`, which is
+        // idempotent.
+        let response = self.call_encoded(true, &|id, buf| {
+            wire::encode_batch_request(buf, Opcode::Invert, id, tenant, batch)
+        })?;
+        match response {
             Response::Inverted { recovered } => Ok(recovered),
             _ => Err(ClientError::Unexpected {
                 expected: "Inverted",

@@ -885,6 +885,25 @@ pub enum Request {
     },
 }
 
+/// Encodes a `Transform` or `Invert` request (`opcode`) of `tenant`'s
+/// `batch` as one whole frame tagged `request_id` into `buf`, replacing
+/// what it held. This is the one encoder of a batch request:
+/// [`Request::encode_into`] calls it, and the client calls it on the
+/// caller's borrowed batch, so the rows are copied once, into the frame.
+pub(crate) fn encode_batch_request(
+    buf: &mut Vec<u8>,
+    opcode: Opcode,
+    request_id: u64,
+    tenant: &str,
+    batch: &Dataset,
+) {
+    let body_len = 4 + tenant.len() + encoded_dataset_len(batch);
+    encode_with(buf, opcode, request_id, body_len, |w| {
+        w.put_str(tenant);
+        encode_dataset(w, batch);
+    });
+}
+
 /// Encodes a list of opaque protocol-message blobs.
 fn encode_blobs(w: &mut ByteWriter, blobs: &[Vec<u8>]) {
     w.put_u32(blobs.len() as u32);
@@ -929,11 +948,11 @@ impl Request {
     /// what it held. A buffer reused across requests of the same size
     /// allocates nothing.
     pub(crate) fn encode_into(&self, request_id: u64, buf: &mut Vec<u8>) {
+        if let Request::Transform { tenant, batch } | Request::Invert { tenant, batch } = self {
+            return encode_batch_request(buf, self.opcode(), request_id, tenant, batch);
+        }
         let body_len = match self {
             Request::LoadKey { tenant, key_bytes } => 4 + tenant.len() + 8 + key_bytes.len(),
-            Request::Transform { tenant, batch } | Request::Invert { tenant, batch } => {
-                4 + tenant.len() + encoded_dataset_len(batch)
-            }
             _ => 0,
         };
         encode_with(buf, self.opcode(), request_id, body_len, |w| match self {
@@ -941,10 +960,8 @@ impl Request {
                 w.put_str(tenant);
                 w.put_blob(key_bytes);
             }
-            Request::Transform { tenant, batch } | Request::Invert { tenant, batch } => {
-                w.put_str(tenant);
-                encode_dataset(w, batch);
-            }
+            // Encoded by `encode_batch_request` above.
+            Request::Transform { .. } | Request::Invert { .. } => {}
             Request::EvictTenant { tenant } => w.put_str(tenant),
             Request::FedOpen { config } => w.put_blob(config),
             Request::FedMsg {

@@ -467,3 +467,75 @@ fn hybrid_isometry_releases_keep_their_bits() {
         [(6528, 0x115728EA), (9520, 0x91DE1098), (9520, 0x8DC4D949)]
     );
 }
+
+#[test]
+fn session_keys_embedding_a_mixed_normalizer_are_refused() {
+    use rbt::core::codec::{self, CodecError, RecordKind};
+    use rbt::linalg::codec::DecodeError;
+
+    // A fitted RBT key file whose normalizer's second column is rewritten
+    // from z-score to a well-formed decimal-scaling entry, then resealed: a
+    // checksummed file no producer writes. The session decoder, the
+    // fitted-state decoder and the daemon's key loader all refuse it as a
+    // corrupt key (code 4).
+    let data = sample();
+    let fitted = Release::of(&data)
+        .with_method(Method::Rbt)
+        .fit(&mut rng(3))
+        .unwrap();
+    let session = fitted.session().expect("rbt exposes its session");
+    let bytes = fitted.to_bytes().unwrap();
+    let mut payload = codec::open_envelope(&bytes, RecordKind::Session)
+        .unwrap()
+        .to_vec();
+    let normalizer = codec::encode_normalizer(session.normalizer());
+    let record = codec::open_envelope(&normalizer, RecordKind::Normalizer).unwrap();
+    let start = payload
+        .windows(record.len())
+        .position(|w| w == record)
+        .expect("the session embeds its normalizer record");
+    // Method tag, column count, column 0's tag and two f64s, then column
+    // 1's tag.
+    let tag = start + 1 + 8 + 1 + 16;
+    assert_eq!(payload[tag], 1, "column 1 is z-score");
+    let decimal = std::iter::once(2).chain(100.0f64.to_le_bytes());
+    payload.splice(tag..tag + 1 + 16, decimal);
+    let mixed = codec::seal_envelope(RecordKind::Session, &payload);
+
+    match ReleaseSession::from_bytes(&mixed) {
+        Err(rbt::core::Error::Codec(CodecError::Byte(DecodeError::Malformed {
+            offset, ..
+        }))) => {
+            assert_eq!(offset, tag)
+        }
+        other => panic!("expected a refusal at offset {tag}, got {other:?}"),
+    }
+    let refused = decode_fitted(&mixed).map(|_| ()).unwrap_err();
+    assert!(matches!(refused, RbtError::Codec(_)), "{refused:?}");
+    assert_eq!(refused.exit_code(), 4);
+    let registry = rbt::server::SessionRegistry::new(1);
+    let refused = registry.load_key("t", mixed).map(|_| ()).unwrap_err();
+    assert_eq!(refused.code(), 4);
+
+    // The text key file: one `param` line of another kind, checksum
+    // recomputed, refused at the normalizer section.
+    let text = session.to_text().unwrap();
+    let body: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.starts_with("checksum"))
+        .collect();
+    let param = body
+        .iter()
+        .position(|l| l.starts_with("param "))
+        .expect("a param line");
+    let mut edited: Vec<String> = body.iter().map(|l| l.to_string()).collect();
+    edited[param + 1] = "param decimal 1.00000000000000000e2".into();
+    let sum = rbt::linalg::codec::crc32(edited.join("\n").as_bytes());
+    let mixed_text = format!("{}\nchecksum {sum:08x}\n", edited.join("\n"));
+    match ReleaseSession::from_text(&mixed_text) {
+        Err(rbt::core::Error::Codec(CodecError::Text { message, .. })) => {
+            assert!(message.contains("one parameter kind"), "{message}")
+        }
+        other => panic!("expected a text refusal, got {other:?}"),
+    }
+}

@@ -6,10 +6,12 @@
 //! buffer it keeps and decodes straight out of the frame it read. So an
 //! 8192×16 round trip (1 MiB of rows each way), client and daemon
 //! together, allocates three row-sized blocks: the client's frame buffer,
-//! the client's decoded release, and the daemon's decoded batch. This
-//! file is its own test binary holding one test, so the counting
-//! allocator below sees only the round trips under test (and whatever the
-//! in-process daemon's threads allocate meanwhile, which counts too).
+//! the client's decoded release, and the daemon's decoded batch. That
+//! holds for pipelined `send`/`receive` and for `Client::transform`, which
+//! encodes straight from the caller's borrowed batch. This file is its own
+//! test binary holding one test, so the counting allocator below sees only
+//! the round trips under test (and whatever the in-process daemon's
+//! threads allocate meanwhile, which counts too).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,33 +96,15 @@ fn dataset(seed: u64, rows: usize, cols: usize) -> Dataset {
     .unwrap()
 }
 
-#[test]
-fn a_served_round_trip_copies_its_rows_once_each_way() {
+/// Runs `round_trip` `WARM_UP` times, then `MEASURED` times under the
+/// counters, and checks the per-round-trip budget of `phase`.
+fn measure(phase: &str, round_trip: &mut dyn FnMut()) {
     const WARM_UP: u64 = 16;
     const MEASURED: u64 = 32;
     // Three row-sized blocks of 1 MiB each, plus a little bookkeeping.
     const BYTES_PER_ROUND_TRIP: u64 = 3_355_443; // 3.2 MiB
     const LARGE_PER_ROUND_TRIP: u64 = 3;
 
-    let fitted = Release::of(&dataset(1, 256, 16))
-        .with_method(Method::Rbt)
-        .fit(&mut rand::rngs::StdRng::seed_from_u64(2024))
-        .unwrap();
-    let server = Server::spawn("127.0.0.1:0", Arc::new(SessionRegistry::new(4)), 8).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    client.load_key("t", fitted.to_bytes().unwrap()).unwrap();
-
-    let request = Request::Transform {
-        tenant: "t".to_string(),
-        batch: dataset(2, 8192, 16),
-    };
-    let mut round_trip = || {
-        client.send(&request).unwrap();
-        match client.receive().unwrap() {
-            Response::Transformed { released, .. } => assert_eq!(released.n_rows(), 8192),
-            other => panic!("expected Transformed, got {other:?}"),
-        }
-    };
     for _ in 0..WARM_UP {
         round_trip();
     }
@@ -131,18 +115,46 @@ fn a_served_round_trip_copies_its_rows_once_each_way() {
     let after = counters();
     let [allocs, bytes, large] = [0, 1, 2].map(|i| after[i] - before[i]);
     eprintln!(
-        "per round trip: {:.2} allocations, {:.3} MiB, {:.2} of at least 64 KiB",
+        "{phase}, per round trip: {:.2} allocations, {:.3} MiB, {:.2} of at least 64 KiB",
         allocs as f64 / MEASURED as f64,
         bytes as f64 / MEASURED as f64 / (1024.0 * 1024.0),
         large as f64 / MEASURED as f64,
     );
     assert!(
         bytes <= BYTES_PER_ROUND_TRIP * MEASURED,
-        "{bytes} bytes over {MEASURED} round trips"
+        "{phase}: {bytes} bytes over {MEASURED} round trips"
     );
     assert!(
         large <= LARGE_PER_ROUND_TRIP * MEASURED,
-        "{large} row-sized allocations over {MEASURED} round trips"
+        "{phase}: {large} row-sized allocations over {MEASURED} round trips"
     );
+}
+
+#[test]
+fn a_served_round_trip_copies_its_rows_once_each_way() {
+    let fitted = Release::of(&dataset(1, 256, 16))
+        .with_method(Method::Rbt)
+        .fit(&mut rand::rngs::StdRng::seed_from_u64(2024))
+        .unwrap();
+    let server = Server::spawn("127.0.0.1:0", Arc::new(SessionRegistry::new(4)), 8).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.load_key("t", fitted.to_bytes().unwrap()).unwrap();
+
+    let batch = dataset(2, 8192, 16);
+    let request = Request::Transform {
+        tenant: "t".to_string(),
+        batch: batch.clone(),
+    };
+    measure("send + receive", &mut || {
+        client.send(&request).unwrap();
+        match client.receive().unwrap() {
+            Response::Transformed { released, .. } => assert_eq!(released.n_rows(), 8192),
+            other => panic!("expected Transformed, got {other:?}"),
+        }
+    });
+    measure("Client::transform", &mut || {
+        let (released, _) = client.transform("t", &batch).unwrap();
+        assert_eq!(released.n_rows(), 8192);
+    });
     server.shutdown();
 }
