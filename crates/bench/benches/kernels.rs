@@ -856,17 +856,21 @@ fn main() {
                 },
             ],
         );
-        for (name, direction, best) in [
-            ("release_kernel", "forward", &forward),
-            ("release_kernel_inverse", "inverse", &inverse),
-            ("release_kernel_hybrid", "forward", &hybrid_forward),
+        let shape = format!("\"rows\": {ROWS}, \"cols\": {COLS}, \"fit_rows\": 256");
+        let rbt = format!("\"method\": \"rbt\", \"drift_rows\": {drifted}");
+        for (name, method, direction, best) in [
+            ("release_kernel", &rbt[..], "forward", &forward),
+            ("release_kernel_inverse", &rbt[..], "inverse", &inverse),
+            (
+                "release_kernel_hybrid",
+                "\"method\": \"hybrid-isometry\"",
+                "forward",
+                &hybrid_forward,
+            ),
         ] {
             entries.push(Entry {
                 name,
-                params: format!(
-                    "{{\"rows\": {ROWS}, \"cols\": {COLS}, \"fit_rows\": 256, \
-                     \"direction\": \"{direction}\", \"drift_rows\": {drifted}}}"
-                ),
+                params: format!("{{{shape}, {method}, \"direction\": \"{direction}\"}}"),
                 scalar_s: best[0],
                 fast_s: best[1],
                 parallel_s: None,

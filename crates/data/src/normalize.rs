@@ -493,44 +493,40 @@ impl Columns {
     }
 
     /// The forward kernel: normalizes each whole row of `rows` in lanes
-    /// across its columns, then hands the normalized row to `after_row`
-    /// while it is still in registers or L1.
+    /// across its columns. With `bounds`, also returns how many rows have a
+    /// value outside its column's `[min, max]`.
     #[inline(always)]
-    fn forward_rows(&self, rows: &mut [f64], mut after_row: impl FnMut(&[f64])) {
-        let rows = rows.chunks_exact_mut(self.len());
+    fn forward_rows(&self, rows: &mut [f64], bounds: Option<(&[f64], &[f64])>) -> usize {
+        let n = self.len();
         match self {
-            Columns::MinMax(c) => {
-                for row in rows {
-                    let lanes = row
-                        .iter_mut()
-                        .zip(c.min.iter().zip(&c.max))
+            Columns::MinMax(c) => in_lanes(
+                rows,
+                n,
+                bounds,
+                || {
+                    c.min
+                        .iter()
+                        .zip(&c.max)
                         .zip(c.span.iter().zip(&c.new_span))
-                        .zip(c.new_min.iter().zip(&c.mid));
-                    for (((v, (&min, &max)), (&span, &new_span)), (&new_min, &mid)) in lanes {
-                        *v = if max == min {
-                            mid
-                        } else {
-                            (*v - min) / span * new_span + new_min
-                        };
+                        .zip(c.new_min.iter().zip(&c.mid))
+                },
+                |v, (((&min, &max), (&span, &new_span)), (&new_min, &mid))| {
+                    if max == min {
+                        mid
+                    } else {
+                        (v - min) / span * new_span + new_min
                     }
-                    after_row(row);
-                }
-            }
-            Columns::ZScore { mean, std } => {
-                for row in rows {
-                    for (v, (&mean, &std)) in row.iter_mut().zip(mean.iter().zip(std)) {
-                        *v = if std == 0.0 { 0.0 } else { (*v - mean) / std };
-                    }
-                    after_row(row);
-                }
-            }
+                },
+            ),
+            Columns::ZScore { mean, std } => in_lanes(
+                rows,
+                n,
+                bounds,
+                || mean.iter().zip(std),
+                |v, (&mean, &std)| if std == 0.0 { 0.0 } else { (v - mean) / std },
+            ),
             Columns::DecimalScaling { factor } => {
-                for row in rows {
-                    for (v, &factor) in row.iter_mut().zip(factor) {
-                        *v /= factor;
-                    }
-                    after_row(row);
-                }
+                in_lanes(rows, n, bounds, || factor.iter(), |v, &factor| v / factor)
             }
         }
     }
@@ -538,51 +534,77 @@ impl Columns {
     /// The inverse kernel: denormalizes each whole row of `rows` in lanes
     /// across its columns.
     fn invert_rows(&self, rows: &mut [f64]) {
-        let rows = rows.chunks_exact_mut(self.len());
+        let n = self.len();
         match self {
-            Columns::MinMax(c) => {
-                for row in rows {
-                    let lanes = row
-                        .iter_mut()
-                        .zip(c.min.iter().zip(&c.max))
+            Columns::MinMax(c) => in_lanes(
+                rows,
+                n,
+                None,
+                || {
+                    c.min
+                        .iter()
+                        .zip(&c.max)
                         .zip(c.span.iter().zip(&c.new_span))
-                        .zip(&c.new_min);
-                    for (((v, (&min, &max)), (&span, &new_span)), &new_min) in lanes {
-                        *v = if max == min {
-                            min
-                        } else {
-                            (*v - new_min) / new_span * span + min
-                        };
+                        .zip(&c.new_min)
+                },
+                |v, (((&min, &max), (&span, &new_span)), &new_min)| {
+                    if max == min {
+                        min
+                    } else {
+                        (v - new_min) / new_span * span + min
                     }
-                }
-            }
-            Columns::ZScore { mean, std } => {
-                for row in rows {
-                    for (v, (&mean, &std)) in row.iter_mut().zip(mean.iter().zip(std)) {
-                        *v = *v * std + mean;
-                    }
-                }
-            }
+                },
+            ),
+            Columns::ZScore { mean, std } => in_lanes(
+                rows,
+                n,
+                None,
+                || mean.iter().zip(std),
+                |v, (&mean, &std)| v * std + mean,
+            ),
             Columns::DecimalScaling { factor } => {
-                for row in rows {
-                    for (v, &factor) in row.iter_mut().zip(factor) {
-                        *v *= factor;
-                    }
-                }
+                in_lanes(rows, n, None, || factor.iter(), |v, &factor| v * factor)
             }
-        }
+        };
     }
 }
 
-/// Whether any value of a normalized row lies outside its column's
-/// `[lo, hi]`, NaN counting as outside: the negation of
-/// `DriftBounds::row_in_range`, folded over every lane instead of stopping
-/// at the first miss, so it runs in lanes too.
+/// The lane loop under every row kernel: each whole `n`-value row of `rows`
+/// is zipped with its columns' constants (`columns()` yields column `j`'s
+/// for lane `j`) and every value becomes `lane(value, constants)`, with no
+/// branch on anything but what `lane` selects per lane. With
+/// `bounds = (mins, maxs)`, each lane also ORs `!(x >= lo && x <= hi)` for
+/// its new value into the row's drift flag in the same pass (NaN counts as
+/// outside, as `DriftBounds::row_in_range` decides), and the count of
+/// flagged rows is returned; without, 0.
 #[inline(always)]
-fn outside(row: &[f64], mins: &[f64], maxs: &[f64]) -> bool {
-    row.iter()
-        .zip(mins.iter().zip(maxs))
-        .fold(false, |out, (&x, (&lo, &hi))| out | !(x >= lo && x <= hi))
+fn in_lanes<K, I: Iterator<Item = K>>(
+    rows: &mut [f64],
+    n: usize,
+    bounds: Option<(&[f64], &[f64])>,
+    columns: impl Fn() -> I,
+    lane: impl Fn(f64, K) -> f64,
+) -> usize {
+    let rows = rows.chunks_exact_mut(n);
+    let Some((mins, maxs)) = bounds else {
+        for row in rows {
+            for (v, k) in row.iter_mut().zip(columns()) {
+                *v = lane(*v, k);
+            }
+        }
+        return 0;
+    };
+    let mut drifted = 0;
+    for row in rows {
+        let mut outside = false;
+        for ((v, k), (&lo, &hi)) in row.iter_mut().zip(columns()).zip(mins.iter().zip(maxs)) {
+            let x = lane(*v, k);
+            *v = x;
+            outside |= !(x >= lo && x <= hi);
+        }
+        drifted += usize::from(outside);
+    }
+    drifted
 }
 
 /// A normalization fitted to a specific matrix's column statistics.
@@ -664,16 +686,16 @@ impl FittedNormalizer {
     /// the fitted column count.
     pub fn transform_rows_in_place(&self, rows: &mut [f64]) -> Result<()> {
         self.check_row_slice(rows)?;
-        self.columns.forward_rows(rows, |_| {});
+        self.columns.forward_rows(rows, None);
         Ok(())
     }
 
     /// [`transform_rows_in_place`](Self::transform_rows_in_place) fused with
-    /// a drift check: while each normalized row is still hot, every lane
-    /// ORs `!(x >= lo && x <= hi)` against its column's `mins`/`maxs` into
-    /// the row's drift flag. Returns how many rows had a value outside its
-    /// column's range, NaN counting as outside, exactly as
-    /// `DriftBounds::row_in_range` decides.
+    /// a drift check in the same pass: every lane ORs
+    /// `!(x >= lo && x <= hi)` for its normalized value against its
+    /// column's `mins`/`maxs` into the row's drift flag. Returns how many
+    /// rows had a value outside its column's range, NaN counting as
+    /// outside, exactly as `DriftBounds::row_in_range` decides.
     ///
     /// # Errors
     ///
@@ -694,11 +716,7 @@ impl FittedNormalizer {
                 self.n_cols()
             )));
         }
-        let mut drifted = 0;
-        self.columns.forward_rows(rows, |row| {
-            drifted += usize::from(outside(row, mins, maxs));
-        });
-        Ok(drifted)
+        Ok(self.columns.forward_rows(rows, Some((mins, maxs))))
     }
 
     /// Inverts the fitted normalization in place on a row-major slice of
