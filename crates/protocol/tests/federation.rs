@@ -492,3 +492,59 @@ fn cross_session_messages_are_rejected() {
         }
     ));
 }
+
+/// An owner refuses a rotation whose pair is out of range or pairs a
+/// column with itself, with a typed shape error and no panic.
+#[test]
+fn owner_refuses_rotations_of_malformed_pairs() {
+    use rbt_core::PairMoments;
+    use rbt_linalg::codec::ByteWriter;
+
+    let cfg = shared_config(12, 4, 2, 3);
+    let block = fixture(30, 4, 5);
+    let normalizer = cfg.normalization.fit(&block).unwrap();
+    for (i, j) in [(0u16, 4u16), (2, 2)] {
+        // Joined, normalized, then both folds of pair 0 over (0, 1): the
+        // owner now expects pair 0's rotation.
+        let mut owner = rbt_protocol::Owner::new(0, cfg.session, block.clone()).unwrap();
+        owner
+            .handle(&Message::Announce {
+                config: cfg.clone(),
+            })
+            .unwrap();
+        owner
+            .handle(&Message::SharedNormalization {
+                session: cfg.session,
+                normalizer: ByteWriter::encode_with(|w| normalizer.encode_into(w)),
+            })
+            .unwrap();
+        for pass in [1u8, 2] {
+            owner
+                .handle(&Message::PairChain {
+                    session: cfg.session,
+                    pair: 0,
+                    i: 0,
+                    j: 1,
+                    pass,
+                    turn: 0,
+                    acc: ByteWriter::encode_with(|w| PairMoments::new().encode_into(w)),
+                })
+                .unwrap();
+        }
+        let refused = owner
+            .handle(&Message::ApplyRotation {
+                session: cfg.session,
+                pair: 0,
+                i,
+                j,
+                theta_degrees: 147.29,
+                achieved_var1: 1.0,
+                achieved_var2: 1.0,
+            })
+            .unwrap_err();
+        assert!(
+            matches!(refused, ProtocolError::ShapeMismatch(_)),
+            "({i}, {j}): {refused:?}"
+        );
+    }
+}

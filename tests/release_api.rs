@@ -468,6 +468,72 @@ fn hybrid_isometry_releases_keep_their_bits() {
     );
 }
 
+/// `(length, CRC-32)` of the bits of every step's angle, in key order.
+fn angles_pin(key: &rbt::core::TransformationKey) -> (usize, u32) {
+    let bytes: Vec<u8> = key
+        .steps()
+        .iter()
+        .flat_map(|st| st.theta_degrees.to_bits().to_le_bytes())
+        .collect();
+    (bytes.len(), rbt::linalg::codec::crc32(&bytes))
+}
+
+#[test]
+fn rbt_fits_keep_their_bits() {
+    // `Pipeline::run` at a fixed seed per width, on 2, 3, 16, 17 and 33
+    // columns (odd widths re-rotate a column), under sequential and
+    // random-shuffle pairing. Pinned: the fit-time release and every key
+    // angle.
+    const ROWS: usize = 40;
+    let mut pins = Vec::new();
+    for cols in [2usize, 3, 16, 17, 33] {
+        let data = Dataset::from_matrix(
+            Matrix::from_vec(
+                ROWS,
+                cols,
+                (0..ROWS * cols)
+                    .map(|t| {
+                        let (r, j) = (t / cols, t % cols);
+                        (((r * 29 + j * 13) % 31) as f64 - 15.0) * (1.0 + 0.5 * j as f64)
+                            + (1.3 * t as f64).cos()
+                    })
+                    .collect(),
+            )
+            .unwrap(),
+        );
+        for pairing in [PairingStrategy::Sequential, PairingStrategy::RandomShuffle] {
+            let config = RbtConfig::uniform(PairwiseSecurityThreshold::uniform(0.3).unwrap())
+                .with_pairing(pairing);
+            let out = Pipeline::new(config)
+                .run(&data, &mut rng(700 + cols as u64))
+                .unwrap();
+            pins.push((cols, bits_pin(out.released.matrix()), angles_pin(&out.key)));
+        }
+    }
+    assert_eq!(
+        pins,
+        [
+            (2, (640, 0xD7CFF1F6), (8, 0x2F279052)),
+            (2, (640, 0x9353012C), (8, 0xF5EE2834)),
+            (3, (960, 0x0EA4498F), (16, 0x895B3E1D)),
+            (3, (960, 0x00AA24BC), (16, 0x5B900317)),
+            (16, (5120, 0x0D667217), (64, 0xB140911E)),
+            (16, (5120, 0x9D10C388), (64, 0x4824FDDF)),
+            (17, (5440, 0x0C950495), (72, 0x73E460A7)),
+            (17, (5440, 0xB8263FE0), (72, 0x21418982)),
+            (33, (10560, 0x0F9D4264), (136, 0x275E19CD)),
+            (33, (10560, 0xCB858D6F), (136, 0x34FBF637)),
+        ]
+    );
+
+    // The §5.1 replay through `transform_with_angles`.
+    let example = rbt::core::paper::run_example().unwrap();
+    assert_eq!(
+        (bits_pin(&example.transformed), angles_pin(&example.key)),
+        ((120, 0xCB2D27CB), (16, 0x19E8CE30))
+    );
+}
+
 #[test]
 fn session_keys_embedding_a_mixed_normalizer_are_refused() {
     use rbt::core::codec::{self, CodecError, RecordKind};
