@@ -24,7 +24,7 @@ use rbt_core::{DriftBounds, ReleaseSession};
 use rbt_data::{Dataset, FittedNormalizer, Normalization};
 use rbt_linalg::dissimilarity::DissimilarityMatrix;
 use rbt_linalg::distance::Metric;
-use rbt_linalg::matrix::{apply_steps_in_rows, rotate_pair_in_rows, PairStep};
+use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::pool::{self, even_chunks, Pool};
 use rbt_linalg::rotation::{givens, Reflection2};
 use rbt_linalg::{kernels, Matrix, Rotation2};
@@ -399,6 +399,17 @@ fn scalar_recover(rows: &mut [f64], columns: &[ScalarColumn], steps: &[PairStep]
     for chunk in rows.chunks_mut(SESSION_CHUNK_ROWS * n_cols) {
         apply_steps_in_rows(chunk, n_cols, steps);
         scalar_denormalize(chunk, columns);
+    }
+}
+
+/// One whole-slice pass per rotation, as the release applied a key before
+/// the fused row sweep: for every row,
+/// `(xᵢ, xⱼ) ← (xᵢ·c + xⱼ·s, −xᵢ·s + xⱼ·c)`.
+fn rotate_pair_in_rows(rows: &mut [f64], n_cols: usize, i: usize, j: usize, c: f64, s: f64) {
+    for row in rows.chunks_exact_mut(n_cols) {
+        let (x, y) = (row[i], row[j]);
+        row[i] = x * c + y * s;
+        row[j] = -x * s + y * c;
     }
 }
 

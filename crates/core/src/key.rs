@@ -8,6 +8,7 @@
 //! the release. Keys serialize to a small line-oriented text format
 //! (`Display`/`FromStr`) to stay within the approved dependency set.
 
+use crate::method::KeyStep;
 use crate::{Error, Result};
 use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::{Matrix, Rotation2};
@@ -28,6 +29,13 @@ pub struct RotationStep {
     pub achieved_var1: f64,
     /// `Var(Aj − Aj')` achieved at this angle.
     pub achieved_var2: f64,
+}
+
+impl KeyStep for RotationStep {
+    /// The rotation `[cos θ, sin θ, −sin θ, cos θ]` on the step's pair.
+    fn forward(&self) -> PairStep {
+        Rotation2::from_degrees(self.theta_degrees).step(self.i, self.j)
+    }
 }
 
 /// The ordered list of rotations applied by one RBT run.
@@ -79,10 +87,7 @@ impl TransformationKey {
     /// ([`apply_steps_in_rows`]) consumes. The release session precomputes
     /// this once per batch instead of re-deriving angles per step.
     pub fn forward_sweep(&self) -> Vec<PairStep> {
-        self.steps
-            .iter()
-            .map(|st| Rotation2::from_degrees(st.theta_degrees).step(st.i, st.j))
-            .collect()
+        self.steps.iter().map(KeyStep::forward).collect()
     }
 
     /// The *inverse* rotations in reverse order — the sweep that undoes
@@ -107,9 +112,9 @@ impl TransformationKey {
     /// All steps are applied per block of rows in one fused sweep
     /// ([`apply_steps_in_rows`]): a `p`-step key costs one trip through the
     /// matrix, not `p`. Each `(row, step)` update is row-local and keeps
-    /// its per-row order, so the result is bit-identical to `p` successive
-    /// whole-matrix [`Matrix::rotate_column_pair`] sweeps — which in turn
-    /// match the extract–rotate–write-back path bit-for-bit.
+    /// its per-row order, so the result is bit-identical to the key fit,
+    /// which applies the same steps one sweep at a time — and to rotating
+    /// extracted columns with [`Rotation2::apply_columns`].
     ///
     /// # Errors
     ///

@@ -9,9 +9,18 @@
 //! 4. rotates the two columns in place (step 2d), and
 //! 5. records the step in a [`TransformationKey`].
 //!
+//! Every key fit runs this one pair loop: [`RbtTransformer::transform`],
+//! the fixed-angle replay [`RbtTransformer::transform_with_angles`] and the
+//! reflection extension's [`HybridIsometry::transform`] differ only in how
+//! they draw each pair's step. Each step is applied with the release
+//! sweep ([`apply_steps_in_rows`]), so a fit rotates with exactly the
+//! arithmetic that later releases batches with.
+//!
 //! The loop visits each pair once and each step costs `O(m)` plus the
 //! solver's `O(grid)`, giving the `O(m·n)` total of Theorem 1 (the bench
 //! suite's `rbt_scaling` target measures exactly this).
+//!
+//! [`HybridIsometry::transform`]: crate::reflection::HybridIsometry::transform
 
 use crate::key::{RotationStep, TransformationKey};
 use crate::pairing::PairingStrategy;
@@ -21,8 +30,9 @@ use crate::security::{
 use crate::{Error, Result};
 use rand::Rng;
 use rbt_linalg::codec::{ByteReader, ByteWriter, DecodeError, DecodeResult};
+use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::stats::VarianceMode;
-use rbt_linalg::{Matrix, Rotation2};
+use rbt_linalg::Matrix;
 
 /// How thresholds are assigned to pairs.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,8 +119,9 @@ impl RbtConfig {
         self
     }
 
-    /// Resolves the threshold policy against a pair count (shared with the
-    /// reflection extension).
+    /// Resolves the threshold policy against a pair count, as every key
+    /// fit does once it has drawn its pairs (the federated coordinator
+    /// calls it for the pooled fit's thresholds).
     ///
     /// # Errors
     ///
@@ -283,8 +294,8 @@ impl RbtTransformer {
     ///
     /// # Errors
     ///
-    /// * [`Error::InvalidParameter`] for fewer than 2 columns or a
-    ///   threshold/pair count mismatch,
+    /// * [`Error::InvalidParameter`] for NaN or ∞ input, fewer than 2
+    ///   columns or a threshold/pair count mismatch,
     /// * [`Error::InvalidPairing`] for a malformed explicit pairing,
     /// * [`Error::EmptySecurityRange`] when a pair cannot meet its
     ///   threshold at any angle (the error reports the maximum achievable
@@ -294,40 +305,13 @@ impl RbtTransformer {
         normalized: &Matrix,
         rng: &mut R,
     ) -> Result<RbtOutput> {
-        if normalized.has_non_finite() {
-            return Err(Error::InvalidParameter(
-                "input matrix contains NaN or infinite values".into(),
-            ));
-        }
-        let n = normalized.cols();
-        let pairs = self.config.pairing.pairs(n, rng)?;
-        let thresholds = self.config.thresholds.resolve(pairs.len())?;
-
-        let mut out = normalized.clone();
-        let mut steps = Vec::with_capacity(pairs.len());
-        let mut xs: Vec<f64> = Vec::with_capacity(out.rows());
-        let mut ys: Vec<f64> = Vec::with_capacity(out.rows());
-
-        for (&(i, j), pst) in pairs.iter().zip(&thresholds) {
-            out.column_into(i, &mut xs);
-            out.column_into(j, &mut ys);
-            let profile = PairVarianceProfile::from_columns(&xs, &ys, self.config.variance_mode)?;
-            let step = draw_rotation((i, j), &profile, pst, self.config.solver_grid, rng)?;
-            // Fused in-place column sweep: bit-identical to rotating the
-            // extracted columns and writing them back, without the
-            // write-back passes.
-            let (s, c) = Rotation2::from_degrees(step.theta_degrees)
-                .radians()
-                .sin_cos();
-            out.rotate_column_pair(i, j, c, s)
-                .map_err(|e| Error::InvalidParameter(e.to_string()))?;
-            steps.push(step);
-        }
-
-        let key = TransformationKey::new(steps, n)?;
+        let grid = self.config.solver_grid;
+        let (transformed, steps) = fit_pairs(&self.config, normalized, rng, |p, rng| {
+            draw_rotation((p.i, p.j), &p.profile, p.pst, grid, rng)
+        })?;
         Ok(RbtOutput {
-            transformed: out,
-            key,
+            transformed,
+            key: TransformationKey::new(steps, normalized.cols())?,
         })
     }
 
@@ -347,54 +331,118 @@ impl RbtTransformer {
         angles: &[f64],
         rng: &mut R,
     ) -> Result<RbtOutput> {
-        let n = normalized.cols();
-        let pairs = self.config.pairing.pairs(n, rng)?;
-        if angles.len() != pairs.len() {
-            return Err(Error::InvalidParameter(format!(
-                "{} angles for {} pairs",
-                angles.len(),
-                pairs.len()
-            )));
-        }
-        let thresholds = self.config.thresholds.resolve(pairs.len())?;
-
-        let mut out = normalized.clone();
-        let mut steps = Vec::with_capacity(pairs.len());
-        let mut xs: Vec<f64> = Vec::with_capacity(out.rows());
-        let mut ys: Vec<f64> = Vec::with_capacity(out.rows());
-
-        for ((&(i, j), pst), &theta) in pairs.iter().zip(&thresholds).zip(angles) {
-            out.column_into(i, &mut xs);
-            out.column_into(j, &mut ys);
-            let profile = PairVarianceProfile::from_columns(&xs, &ys, self.config.variance_mode)?;
-            if !profile.satisfies(theta, pst) {
+        let (transformed, steps) = fit_pairs(&self.config, normalized, rng, |p, _| {
+            if angles.len() != p.n_pairs {
                 return Err(Error::InvalidParameter(format!(
-                    "angle {theta}° violates PST ({}, {}) for pair ({i}, {j}): \
-                     achieved ({:.4}, {:.4})",
-                    pst.rho1,
-                    pst.rho2,
-                    profile.var_diff_first(theta),
-                    profile.var_diff_second(theta),
+                    "{} angles for {} pairs",
+                    angles.len(),
+                    p.n_pairs
                 )));
             }
-            let (s, c) = Rotation2::from_degrees(theta).radians().sin_cos();
-            out.rotate_column_pair(i, j, c, s)
-                .map_err(|e| Error::InvalidParameter(e.to_string()))?;
-            steps.push(RotationStep {
-                i,
-                j,
+            let theta = angles[p.k];
+            let (var1, var2) = (
+                p.profile.var_diff_first(theta),
+                p.profile.var_diff_second(theta),
+            );
+            if !p.profile.satisfies(theta, p.pst) {
+                return Err(Error::InvalidParameter(format!(
+                    "angle {theta}° violates PST ({}, {}) for pair ({}, {}): \
+                     achieved ({var1:.4}, {var2:.4})",
+                    p.pst.rho1, p.pst.rho2, p.i, p.j,
+                )));
+            }
+            Ok(RotationStep {
+                i: p.i,
+                j: p.j,
                 theta_degrees: theta,
-                achieved_var1: profile.var_diff_first(theta),
-                achieved_var2: profile.var_diff_second(theta),
-            });
-        }
-
-        let key = TransformationKey::new(steps, n)?;
+                achieved_var1: var1,
+                achieved_var2: var2,
+            })
+        })?;
         Ok(RbtOutput {
-            transformed: out,
-            key,
+            transformed,
+            key: TransformationKey::new(steps, normalized.cols())?,
         })
     }
+}
+
+/// A key step as the pair loop records it.
+pub(crate) trait KeyStep {
+    /// The step as a 2×2 sweep step.
+    fn forward(&self) -> PairStep;
+}
+
+/// One attribute pair, as the pair loop hands it to a draw.
+pub(crate) struct Pair<'a> {
+    /// Position in pairing order.
+    pub k: usize,
+    /// How many pairs the pairing drew.
+    pub n_pairs: usize,
+    /// First attribute.
+    pub i: usize,
+    /// Second attribute.
+    pub j: usize,
+    /// The second moments of the two columns as the earlier steps left them.
+    pub profile: PairVarianceProfile,
+    /// The pair's threshold.
+    pub pst: &'a PairwiseSecurityThreshold,
+}
+
+/// The one pair loop of every key fit (§4.3, Step 2).
+///
+/// Refuses NaN or ∞ input, draws the pairing (the fit's first use of
+/// `rng`) and resolves the thresholds. Then, for each pair in pairing
+/// order, it profiles the two current columns, asks `draw` for the step,
+/// applies the step to every row with the release sweep
+/// ([`apply_steps_in_rows`]) and records it. Returns the transformed copy
+/// of `normalized` and the steps.
+///
+/// # Errors
+///
+/// * [`Error::InvalidParameter`] for non-finite input, fewer than 2
+///   columns or a threshold/pair count mismatch,
+/// * [`Error::InvalidPairing`] for a malformed explicit pairing,
+/// * whatever `draw` returns.
+pub(crate) fn fit_pairs<R, S>(
+    config: &RbtConfig,
+    normalized: &Matrix,
+    rng: &mut R,
+    mut draw: impl FnMut(Pair<'_>, &mut R) -> Result<S>,
+) -> Result<(Matrix, Vec<S>)>
+where
+    R: Rng + ?Sized,
+    S: KeyStep,
+{
+    if normalized.has_non_finite() {
+        return Err(Error::InvalidParameter(
+            "input matrix contains NaN or infinite values".into(),
+        ));
+    }
+    let n = normalized.cols();
+    let pairs = config.pairing.pairs(n, rng)?;
+    let thresholds = config.thresholds.resolve(pairs.len())?;
+
+    let mut out = normalized.clone();
+    let mut steps = Vec::with_capacity(pairs.len());
+    let mut xs: Vec<f64> = Vec::with_capacity(out.rows());
+    let mut ys: Vec<f64> = Vec::with_capacity(out.rows());
+    for (k, (&(i, j), pst)) in pairs.iter().zip(&thresholds).enumerate() {
+        out.column_into(i, &mut xs);
+        out.column_into(j, &mut ys);
+        let profile = PairVarianceProfile::from_columns(&xs, &ys, config.variance_mode)?;
+        let pair = Pair {
+            k,
+            n_pairs: pairs.len(),
+            i,
+            j,
+            profile,
+            pst,
+        };
+        let step = draw(pair, rng)?;
+        apply_steps_in_rows(out.as_mut_slice(), n, &[step.forward()]);
+        steps.push(step);
+    }
+    Ok((out, steps))
 }
 
 #[cfg(test)]
@@ -515,17 +563,29 @@ mod tests {
 
     #[test]
     fn non_finite_input_rejected() {
+        // The pair loop refuses NaN or ∞ up front for every fit — RBT's,
+        // the fixed-angle replay and hybrid isometry — before any pair is
+        // profiled.
+        let t = RbtTransformer::new(default_config());
+        let hybrid = crate::reflection::HybridIsometry::new(default_config());
         let mut normalized = normalized_sample();
-        normalized[(1, 2)] = f64::NAN;
-        assert!(matches!(
-            RbtTransformer::new(default_config()).transform(&normalized, &mut rng(0)),
-            Err(Error::InvalidParameter(_))
-        ));
-        normalized[(1, 2)] = f64::NEG_INFINITY;
-        assert!(matches!(
-            RbtTransformer::new(default_config()).transform(&normalized, &mut rng(0)),
-            Err(Error::InvalidParameter(_))
-        ));
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            normalized[(1, 2)] = bad;
+            for result in [
+                t.transform(&normalized, &mut rng(0))
+                    .map(|out| out.transformed),
+                t.transform_with_angles(&normalized, &[312.47, 147.29], &mut rng(0))
+                    .map(|out| out.transformed),
+                hybrid
+                    .transform(&normalized, &mut rng(0))
+                    .map(|out| out.transformed),
+            ] {
+                assert!(
+                    matches!(&result, Err(Error::InvalidParameter(m)) if m.contains("NaN or infinite")),
+                    "{bad}: {result:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,20 +14,26 @@
 //! Var(D2) = sin²2φ·Var(X) + (1+cos2φ)²·Var(Y) − 2·sin2φ·(1+cos2φ)·Cov
 //! ```
 //!
-//! The same security-range machinery applies, so [`HybridIsometry`] can
-//! flip a fair coin per pair between a rotation and a reflection: each
-//! step stays an exact isometry, Corollary 1 still holds verbatim, and an
-//! attacker enumerating the key must now also guess one bit per pair (and
-//! cannot assume the composite map has determinant +1).
+//! The same security-range machinery applies: [`reflection_security_range`]
+//! is the rotation solver's arc scanner over a 180° period. So
+//! [`HybridIsometry`] can flip a fair coin per pair between a rotation and a
+//! reflection: each step stays an exact isometry, Corollary 1 still holds
+//! verbatim, and an attacker enumerating the key must now also guess one
+//! bit per pair (and cannot assume the composite map has determinant +1).
+//! Only that draw is its own: the fit is RBT's pair loop, which applies
+//! each step with the release sweep. The [`IsometryKey`] it produces is
+//! persisted only inside a fitted release's sealed `Method` record.
 
-use crate::security::{PairVarianceProfile, PairwiseSecurityThreshold, SecurityRange};
+use crate::method::{fit_pairs, KeyStep, RbtConfig};
+use crate::security::{
+    max_achievable, scan_arcs, security_range, PairVarianceProfile, PairwiseSecurityThreshold,
+    SecurityRange,
+};
 use crate::{Error, Result};
 use rand::Rng;
 use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::rotation::Reflection2;
 use rbt_linalg::{Matrix, Rotation2};
-use std::fmt;
-use std::str::FromStr;
 
 /// `Var(X − X')` under reflection across the axis at `phi_degrees`.
 pub fn reflection_var_diff_first(p: &PairVarianceProfile, phi_degrees: f64) -> f64 {
@@ -55,7 +61,9 @@ pub fn reflection_satisfies(
 }
 
 /// Security range for the reflection axis: the set of φ in `[0°, 180°)`
-/// (reflections repeat with period 180°) meeting the threshold.
+/// (reflections repeat with period 180°) meeting the threshold, found by
+/// the same scan and bisection as the rotation angle's
+/// ([`security_range`]).
 ///
 /// # Errors
 ///
@@ -65,47 +73,12 @@ pub fn reflection_security_range(
     pst: &PairwiseSecurityThreshold,
     grid: usize,
 ) -> Result<SecurityRange> {
-    if grid < 8 {
-        return Err(Error::InvalidParameter(format!(
-            "grid must be at least 8, got {grid}"
-        )));
-    }
-    let feasible = |phi: f64| reflection_satisfies(p, phi, pst);
-    let step = 180.0 / grid as f64;
-    let refine = |mut lo: f64, mut hi: f64| -> f64 {
-        let lo_feasible = feasible(lo);
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if feasible(mid) == lo_feasible {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    };
-    let mut intervals = Vec::new();
-    let mut current = feasible(0.0).then_some(0.0f64);
-    let mut prev_t = 0.0;
-    let mut prev_f = feasible(0.0);
-    for k in 1..=grid {
-        let t = if k == grid { 180.0 } else { k as f64 * step };
-        let f = feasible(t.min(179.999_999_999));
-        if f != prev_f {
-            let boundary = refine(prev_t, t);
-            if f {
-                current = Some(boundary);
-            } else if let Some(start) = current.take() {
-                intervals.push((start, boundary));
-            }
-        }
-        prev_t = t;
-        prev_f = f;
-    }
-    if let Some(start) = current.take() {
-        intervals.push((start, 180.0));
-    }
-    SecurityRange::from_intervals(intervals)
+    scan_arcs(
+        |phi| reflection_satisfies(p, phi, pst),
+        180.0,
+        179.999_999_999,
+        grid,
+    )
 }
 
 /// One step of the hybrid isometry key: a rotation or a reflection.
@@ -139,21 +112,7 @@ impl IsometryStep {
         }
     }
 
-    /// The step as a 2×2 sweep step.
-    fn forward(&self) -> PairStep {
-        match *self {
-            IsometryStep::Rotate {
-                i,
-                j,
-                theta_degrees,
-            } => Rotation2::from_degrees(theta_degrees).step(i, j),
-            IsometryStep::Reflect { i, j, phi_degrees } => {
-                Reflection2::from_degrees(phi_degrees).step(i, j)
-            }
-        }
-    }
-
-    /// The 2×2 sweep step that undoes [`forward`](Self::forward).
+    /// The 2×2 sweep step that undoes the step.
     fn inverse(&self) -> PairStep {
         match *self {
             IsometryStep::Rotate {
@@ -167,7 +126,26 @@ impl IsometryStep {
     }
 }
 
-/// Ordered list of hybrid isometry steps — the `v2` key format.
+impl KeyStep for IsometryStep {
+    /// A rotation `[c, s, −s, c]` or a reflection `[c₂, s₂, s₂, −c₂]` on
+    /// the step's pair.
+    fn forward(&self) -> PairStep {
+        match *self {
+            IsometryStep::Rotate {
+                i,
+                j,
+                theta_degrees,
+            } => Rotation2::from_degrees(theta_degrees).step(i, j),
+            IsometryStep::Reflect { i, j, phi_degrees } => {
+                Reflection2::from_degrees(phi_degrees).step(i, j)
+            }
+        }
+    }
+}
+
+/// Ordered list of hybrid isometry steps: the key of a hybrid release. It
+/// is persisted only inside the sealed `Method` record of a fitted
+/// release.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IsometryKey {
     steps: Vec<IsometryStep>,
@@ -272,93 +250,12 @@ fn sweep(m: &mut Matrix, steps: &[PairStep]) {
     }
 }
 
-impl fmt::Display for IsometryKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "rbt-key v2 n={}", self.n_attributes)?;
-        for s in &self.steps {
-            match *s {
-                IsometryStep::Rotate {
-                    i,
-                    j,
-                    theta_degrees,
-                } => writeln!(f, "rotate {i} {j} {theta_degrees:.17e}")?,
-                IsometryStep::Reflect { i, j, phi_degrees } => {
-                    writeln!(f, "reflect {i} {j} {phi_degrees:.17e}")?
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl FromStr for IsometryKey {
-    type Err = Error;
-
-    fn from_str(s: &str) -> Result<Self> {
-        let mut lines = s.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or(Error::KeyParse {
-            line: 1,
-            message: "empty key".into(),
-        })?;
-        let n_attributes = header
-            .trim()
-            .strip_prefix("rbt-key v2 n=")
-            .and_then(|rest| rest.parse::<usize>().ok())
-            .ok_or(Error::KeyParse {
-                line: 1,
-                message: format!("bad header {header:?}"),
-            })?;
-        let mut steps = Vec::new();
-        for (idx, line) in lines {
-            let line_no = idx + 1;
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            if parts.len() != 4 {
-                return Err(Error::KeyParse {
-                    line: line_no,
-                    message: format!("expected 4 fields, found {}", parts.len()),
-                });
-            }
-            let parse_idx = |raw: &str, name: &str| -> Result<usize> {
-                raw.parse().map_err(|e| Error::KeyParse {
-                    line: line_no,
-                    message: format!("bad {name}: {e}"),
-                })
-            };
-            let i = parse_idx(parts[1], "i")?;
-            let j = parse_idx(parts[2], "j")?;
-            let angle: f64 = parts[3].parse().map_err(|e| Error::KeyParse {
-                line: line_no,
-                message: format!("bad angle: {e}"),
-            })?;
-            steps.push(match parts[0] {
-                "rotate" => IsometryStep::Rotate {
-                    i,
-                    j,
-                    theta_degrees: angle,
-                },
-                "reflect" => IsometryStep::Reflect {
-                    i,
-                    j,
-                    phi_degrees: angle,
-                },
-                other => {
-                    return Err(Error::KeyParse {
-                        line: line_no,
-                        message: format!("unknown step kind {other:?}"),
-                    })
-                }
-            });
-        }
-        IsometryKey::new(steps, n_attributes)
-    }
-}
-
 /// The hybrid transformer: per pair, flips a fair coin between a rotation
 /// and a reflection, then draws the angle from the corresponding security
 /// range.
 #[derive(Debug, Clone)]
 pub struct HybridIsometry {
-    config: crate::method::RbtConfig,
+    config: RbtConfig,
 }
 
 /// Output of a hybrid run.
@@ -366,18 +263,21 @@ pub struct HybridIsometry {
 pub struct HybridOutput {
     /// The released matrix.
     pub transformed: Matrix,
-    /// The v2 key.
+    /// The key.
     pub key: IsometryKey,
 }
 
 impl HybridIsometry {
     /// Creates a hybrid transformer reusing the RBT configuration
     /// (pairing, thresholds, variance mode, solver grid).
-    pub fn new(config: crate::method::RbtConfig) -> Self {
+    pub fn new(config: RbtConfig) -> Self {
         HybridIsometry { config }
     }
 
-    /// Runs the hybrid algorithm on a normalized matrix.
+    /// Runs the hybrid algorithm on a normalized matrix: the pair loop of
+    /// [`RbtTransformer::transform`](crate::method::RbtTransformer::transform),
+    /// drawing per pair a fair coin, then the angle from the chosen
+    /// family's security range.
     ///
     /// # Errors
     ///
@@ -390,63 +290,38 @@ impl HybridIsometry {
         normalized: &Matrix,
         rng: &mut R,
     ) -> Result<HybridOutput> {
-        let n = normalized.cols();
-        let pairs = self.config.pairing.pairs(n, rng)?;
-        let thresholds = self.config.thresholds_for(pairs.len())?;
-
-        let mut out = normalized.clone();
-        let mut steps = Vec::with_capacity(pairs.len());
-        let mut xs: Vec<f64> = Vec::with_capacity(out.rows());
-        let mut ys: Vec<f64> = Vec::with_capacity(out.rows());
-
-        for (&(i, j), pst) in pairs.iter().zip(&thresholds) {
-            out.column_into(i, &mut xs);
-            out.column_into(j, &mut ys);
-            let profile = PairVarianceProfile::from_columns(&xs, &ys, self.config.variance_mode)?;
-
+        let grid = self.config.solver_grid;
+        let (transformed, steps) = fit_pairs(&self.config, normalized, rng, |p, rng| {
+            let (i, j) = (p.i, p.j);
             let prefer_reflection: bool = rng.random();
-            let rotation_range =
-                crate::security::security_range(&profile, pst, self.config.solver_grid)?;
-            let reflection_range =
-                reflection_security_range(&profile, pst, self.config.solver_grid)?;
-
-            let step = match (
-                prefer_reflection,
-                reflection_range.is_empty(),
-                rotation_range.is_empty(),
-            ) {
-                (true, false, _) | (false, _, true) if !reflection_range.is_empty() => {
-                    IsometryStep::Reflect {
-                        i,
-                        j,
-                        phi_degrees: reflection_range.sample(rng)?,
-                    }
-                }
-                (_, _, false) => IsometryStep::Rotate {
+            let rotation_range = security_range(&p.profile, p.pst, grid)?;
+            let reflection_range = reflection_security_range(&p.profile, p.pst, grid)?;
+            // The coin's family, or the other one when its range is empty.
+            if !reflection_range.is_empty() && (prefer_reflection || rotation_range.is_empty()) {
+                let phi_degrees = reflection_range.sample(rng)?;
+                Ok(IsometryStep::Reflect { i, j, phi_degrees })
+            } else if !rotation_range.is_empty() {
+                let theta_degrees = rotation_range.sample(rng)?;
+                Ok(IsometryStep::Rotate {
                     i,
                     j,
-                    theta_degrees: rotation_range.sample(rng)?,
-                },
-                _ => {
-                    let (max_var1, max_var2) =
-                        crate::security::max_achievable(&profile, self.config.solver_grid);
-                    return Err(Error::EmptySecurityRange {
-                        i,
-                        j,
-                        rho1: pst.rho1,
-                        rho2: pst.rho2,
-                        max_var1,
-                        max_var2,
-                    });
-                }
-            };
-            apply_steps_in_rows(out.as_mut_slice(), n, &[step.forward()]);
-            steps.push(step);
-        }
-
+                    theta_degrees,
+                })
+            } else {
+                let (max_var1, max_var2) = max_achievable(&p.profile, grid);
+                Err(Error::EmptySecurityRange {
+                    i,
+                    j,
+                    rho1: p.pst.rho1,
+                    rho2: p.pst.rho2,
+                    max_var1,
+                    max_var2,
+                })
+            }
+        })?;
         Ok(HybridOutput {
-            transformed: out,
-            key: IsometryKey::new(steps, n)?,
+            transformed,
+            key: IsometryKey::new(steps, normalized.cols())?,
         })
     }
 }
@@ -455,7 +330,6 @@ impl HybridIsometry {
 mod tests {
     use super::*;
     use crate::isometry::dissimilarity_drift;
-    use crate::method::RbtConfig;
     use rand::SeedableRng;
     use rbt_data::{datasets, Normalization};
     use rbt_linalg::stats;
@@ -560,60 +434,6 @@ mod tests {
             }
         }
         assert!(saw_rotate && saw_reflect);
-    }
-
-    #[test]
-    fn v2_key_text_round_trip() {
-        let key = IsometryKey::new(
-            vec![
-                IsometryStep::Rotate {
-                    i: 0,
-                    j: 2,
-                    theta_degrees: 312.47,
-                },
-                IsometryStep::Reflect {
-                    i: 1,
-                    j: 0,
-                    phi_degrees: 73.21,
-                },
-            ],
-            3,
-        )
-        .unwrap();
-        let text = key.to_string();
-        assert!(text.starts_with("rbt-key v2 n=3\n"));
-        let parsed: IsometryKey = text.parse().unwrap();
-        assert_eq!(parsed.steps().len(), 2);
-        assert_eq!(parsed.steps()[1].pair(), (1, 0));
-        let data = normalized_sample();
-        assert!(key
-            .apply(&data)
-            .unwrap()
-            .approx_eq(&parsed.apply(&data).unwrap(), 1e-12));
-    }
-
-    #[test]
-    fn v2_key_parse_errors() {
-        assert!(matches!(
-            "".parse::<IsometryKey>(),
-            Err(Error::KeyParse { .. })
-        ));
-        assert!(matches!(
-            "rbt-key v1 n=3".parse::<IsometryKey>(),
-            Err(Error::KeyParse { line: 1, .. })
-        ));
-        assert!(matches!(
-            "rbt-key v2 n=3\nwiggle 0 1 1.0".parse::<IsometryKey>(),
-            Err(Error::KeyParse { line: 2, .. })
-        ));
-        assert!(matches!(
-            "rbt-key v2 n=3\nrotate 0 1".parse::<IsometryKey>(),
-            Err(Error::KeyParse { line: 2, .. })
-        ));
-        assert!(matches!(
-            "rbt-key v2 n=2\nreflect 0 5 1.0".parse::<IsometryKey>(),
-            Err(Error::KeyMismatch(_))
-        ));
     }
 
     #[test]

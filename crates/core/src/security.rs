@@ -16,7 +16,10 @@
 //! angles graphically (its Figures 2 and 3); [`security_range`] computes the
 //! same set exactly as a union of closed arcs via a dense scan plus
 //! bisection refinement of every boundary, and [`draw_rotation`] draws each
-//! pair's angle from it for both the pooled and the federated release.
+//! pair's angle from it for both the pooled and the federated release. The
+//! reflection extension's solver
+//! ([`reflection_security_range`](crate::reflection::reflection_security_range))
+//! runs the same scanner over its 180° period.
 
 use crate::key::RotationStep;
 use crate::{Error, Result};
@@ -380,35 +383,17 @@ impl PairMoments {
 
 /// The *security range* (§4.3, step 2c): the set of rotation angles that
 /// satisfy a pairwise-security threshold, as a union of disjoint closed
-/// arcs within `[0°, 360°)`.
+/// arcs within `[0°, 360°)` — or, for the reflection extension's axis
+/// angle, within `[0°, 180°)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SecurityRange {
     /// Disjoint feasible arcs `(start, end)` in degrees, `start <= end`,
-    /// sorted ascending. An arc wrapping 360° is split into two entries.
+    /// sorted ascending. An arc across the seam (360°, or 180° for a
+    /// reflection axis) is split into two entries.
     intervals: Vec<(f64, f64)>,
 }
 
 impl SecurityRange {
-    /// Builds a range from explicit disjoint arcs (used by the reflection
-    /// extension, whose solver works on `[0°, 180°)`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] for malformed arcs (NaN, reversed
-    /// endpoints, or out-of-order intervals).
-    pub fn from_intervals(intervals: Vec<(f64, f64)>) -> Result<Self> {
-        let mut prev_end = f64::NEG_INFINITY;
-        for &(a, b) in &intervals {
-            if a.is_nan() || b.is_nan() || a > b || a < prev_end {
-                return Err(Error::InvalidParameter(format!(
-                    "malformed interval list at ({a}, {b})"
-                )));
-            }
-            prev_end = b;
-        }
-        Ok(SecurityRange { intervals })
-    }
-
     /// The feasible arcs, in degrees.
     pub fn intervals(&self) -> &[(f64, f64)] {
         &self.intervals
@@ -494,13 +479,33 @@ pub fn security_range(
     pst: &PairwiseSecurityThreshold,
     grid: usize,
 ) -> Result<SecurityRange> {
+    scan_arcs(|t| profile.satisfies(t, pst), 360.0, 359.999_999_999, grid)
+}
+
+/// The arc scanner of both security-range solvers: the set of angles in
+/// `[0, period)` where `feasible` holds, as disjoint closed arcs.
+///
+/// `feasible` is probed on the `grid`-point uniform grid over the period,
+/// the last point at `seam` (just below `period`, where a curve of that
+/// period repeats its value at 0), and every flip between neighbouring
+/// points is refined by 60 bisection steps. An arc still open at the end
+/// closes at `period`.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidParameter`] for `grid < 8`.
+pub(crate) fn scan_arcs(
+    feasible: impl Fn(f64) -> bool,
+    period: f64,
+    seam: f64,
+    grid: usize,
+) -> Result<SecurityRange> {
     if grid < 8 {
         return Err(Error::InvalidParameter(format!(
             "grid must be at least 8, got {grid}"
         )));
     }
-    let feasible = |t: f64| profile.satisfies(t, pst);
-    let step = 360.0 / grid as f64;
+    let step = period / grid as f64;
 
     // Refine a boundary inside (lo, hi) where feasibility flips.
     let refine = |mut lo: f64, mut hi: f64| -> f64 {
@@ -517,15 +522,12 @@ pub fn security_range(
     };
 
     let mut intervals: Vec<(f64, f64)> = Vec::new();
-    let mut current_start: Option<f64> = None;
     let mut prev_t = 0.0;
     let mut prev_feasible = feasible(0.0);
-    if prev_feasible {
-        current_start = Some(0.0);
-    }
+    let mut current_start = prev_feasible.then_some(0.0);
     for k in 1..=grid {
-        let t = if k == grid { 360.0 } else { k as f64 * step };
-        let f = feasible(t.min(359.999_999_999));
+        let t = if k == grid { period } else { k as f64 * step };
+        let f = feasible(t.min(seam));
         if f != prev_feasible {
             let boundary = refine(prev_t, t);
             if f {
@@ -538,13 +540,9 @@ pub fn security_range(
         prev_feasible = f;
     }
     if let Some(start) = current_start.take() {
-        intervals.push((start, 360.0));
+        intervals.push((start, period));
     }
-
-    // Merge a wrap-around pair [0, x] + [y, 360] into canonical split form
-    // only if both exist and everything is feasible at the seam; the split
-    // representation is already what we want, so nothing more to do.
-    // Degenerate full-circle case: single interval [0, 360].
+    // An arc across the seam stays split in two: [0, x] and [y, period].
     Ok(SecurityRange { intervals })
 }
 

@@ -309,6 +309,23 @@ fn median(xs: &[f64]) -> f64 {
     }
 }
 
+/// The method a persisted text tag ([`Normalization::text_tag`]) names;
+/// `minmax` reads as min–max onto `[0, 1]`, since the tag leaves the
+/// target range to the parameter lines.
+fn from_text_tag(tag: &str) -> Option<Normalization> {
+    [
+        Normalization::min_max_unit(),
+        Normalization::zscore_paper(),
+        Normalization::ZScore {
+            mode: VarianceMode::Population,
+        },
+        Normalization::DecimalScaling,
+        Normalization::RobustZScore,
+    ]
+    .into_iter()
+    .find(|m| m.text_tag() == Some(tag))
+}
+
 /// One column's fitted parameters: the unit of both codecs, and the
 /// per-element reference the row kernels are tested against.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -440,10 +457,12 @@ impl Columns {
         }
     }
 
-    /// Appends one column; `false`, appending nothing, when `p` is of
-    /// another kind than the columns held.
-    fn push(&mut self, p: ColumnParams) -> bool {
-        match (self, p) {
+    /// Appends one column of `method`'s normalizer; `false`, appending
+    /// nothing, when `p` is not a column `method` fits — another kind than
+    /// the columns held or than `method`'s, or a min–max target range other
+    /// than `method`'s (compared bit for bit).
+    fn push(&mut self, p: ColumnParams, method: &Normalization) -> bool {
+        match (self, p, *method) {
             (
                 Columns::MinMax(c),
                 ColumnParams::MinMax {
@@ -452,14 +471,26 @@ impl Columns {
                     new_min,
                     new_max,
                 },
-            ) => c.push(min, max, new_min, new_max),
-            (Columns::ZScore { mean, std }, ColumnParams::ZScore { mean: m, std: s }) => {
+                Normalization::MinMax {
+                    new_min: lo,
+                    new_max: hi,
+                },
+            ) if (new_min.to_bits(), new_max.to_bits()) == (lo.to_bits(), hi.to_bits()) => {
+                c.push(min, max, new_min, new_max)
+            }
+            (
+                Columns::ZScore { mean, std },
+                ColumnParams::ZScore { mean: m, std: s },
+                Normalization::ZScore { .. } | Normalization::RobustZScore,
+            ) => {
                 mean.push(m);
                 std.push(s);
             }
-            (Columns::DecimalScaling { factor }, ColumnParams::DecimalScaling { factor: f }) => {
-                factor.push(f)
-            }
+            (
+                Columns::DecimalScaling { factor },
+                ColumnParams::DecimalScaling { factor: f },
+                Normalization::DecimalScaling,
+            ) => factor.push(f),
             _ => return false,
         }
         true
@@ -625,16 +656,6 @@ impl FittedNormalizer {
         self.columns.len()
     }
 
-    /// Overrides the advisory [`method`](Self::method) tag without touching
-    /// the fitted per-column parameters. Codecs that persist the method
-    /// separately (the session key-file formats) use this to restore what
-    /// [`from_text`](Self::from_text) cannot infer from z-score-shaped
-    /// parameters alone (sample vs population vs robust fits).
-    pub fn with_method(mut self, method: Normalization) -> Self {
-        self.method = method;
-        self
-    }
-
     /// Applies the fitted normalization to a matrix with the same column
     /// layout.
     ///
@@ -786,9 +807,10 @@ impl FittedNormalizer {
     /// # Errors
     ///
     /// Returns a typed [`DecodeError`] (never panics) for truncated input,
-    /// unknown method/parameter tags, a zero column count, or a column
-    /// whose parameter kind differs from the first column's
-    /// ([`DecodeError::Malformed`] at that column's tag).
+    /// unknown method/parameter tags, a zero column count, or a column the
+    /// method tag does not fit: one of another parameter kind than the
+    /// method's, or a min–max column onto another target range than the
+    /// method's ([`DecodeError::Malformed`] at that column's tag).
     pub fn decode_from(r: &mut ByteReader<'_>) -> DecodeResult<Self> {
         let method = Normalization::decode_from(r)?;
         let cols_offset = r.position();
@@ -826,14 +848,13 @@ impl FittedNormalizer {
                 }
             };
             let columns = columns.get_or_insert_with(|| Columns::of_kind(&p, cols));
-            if !columns.push(p) {
+            if !columns.push(p, &method) {
                 return Err(DecodeError::Malformed {
                     offset: tag_offset,
                     message: format!(
-                        "column {j} has parameter tag {}, column 0 has {}: \
-                         a normalizer holds one parameter kind",
-                        p.tag(),
-                        columns.get(0).tag()
+                        "column {j} (parameter tag {}) is not a column of {method:?}: \
+                         a normalizer holds one parameter kind, its method's",
+                        p.tag()
                     ),
                 });
             }
@@ -901,18 +922,20 @@ impl FittedNormalizer {
     /// Parses the format produced by [`to_text`](Self::to_text).
     ///
     /// Headers carrying a `method=` field restore the advisory
-    /// [`method`](Self::method) tag exactly. Headers written before that
-    /// field existed (plain `rbt-normalizer v1 cols=N`) still parse; the
-    /// reconstructed normalizer then reports
-    /// [`Normalization::zscore_paper`] when the parameters are
-    /// z-score-shaped (transform/inverse behaviour is fully determined by
-    /// the per-column parameters either way).
+    /// [`method`](Self::method) tag exactly; a min–max method takes its
+    /// target range from the first parameter line. Headers written before
+    /// that field existed (plain `rbt-normalizer v1 cols=N`) still parse;
+    /// the first line then names the method, z-score-shaped parameters
+    /// reading as [`Normalization::zscore_paper`] (transform/inverse
+    /// behaviour is fully determined by the per-column parameters either
+    /// way).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Parse`] for malformed input, including an unknown
-    /// `method=` tag and a parameter line whose kind differs from the
-    /// first one's (at that line).
+    /// `method=` tag (at line 1), and, at that line, a parameter line of
+    /// another kind than the method's or a min–max line onto another
+    /// target range than the first line's.
     pub fn from_text(text: &str) -> Result<Self> {
         let mut lines = text
             .lines()
@@ -935,9 +958,15 @@ impl FittedNormalizer {
             .next()
             .and_then(|f| f.parse::<usize>().ok())
             .ok_or_else(bad_header)?;
-        let method_tag = match fields.next() {
+        let named = match fields.next() {
             None => None,
-            Some(f) => Some(f.strip_prefix("method=").ok_or_else(bad_header)?),
+            Some(f) => {
+                let tag = f.strip_prefix("method=").ok_or_else(bad_header)?;
+                Some(from_text_tag(tag).ok_or_else(|| Error::Parse {
+                    line: 1,
+                    message: format!("unknown method tag {tag:?}"),
+                })?)
+            }
         };
         if fields.next().is_some() {
             return Err(bad_header());
@@ -951,7 +980,7 @@ impl FittedNormalizer {
         // `cols` is untrusted until the lines are counted: cap the
         // up-front reservation, as `decode_from` does.
         let mut columns: Option<Columns> = None;
-        let mut method = Normalization::zscore_paper();
+        let mut method: Option<Normalization> = None;
         for (idx, line) in lines {
             let line_no = idx + 1;
             let parts: Vec<&str> = line.split_whitespace().collect();
@@ -982,10 +1011,6 @@ impl FittedNormalizer {
                 }
                 Some("minmax") => {
                     let f = floats(4)?;
-                    method = Normalization::MinMax {
-                        new_min: f[2],
-                        new_max: f[3],
-                    };
                     ColumnParams::MinMax {
                         min: f[0],
                         max: f[1],
@@ -993,11 +1018,9 @@ impl FittedNormalizer {
                         new_max: f[3],
                     }
                 }
-                Some("decimal") => {
-                    let f = floats(1)?;
-                    method = Normalization::DecimalScaling;
-                    ColumnParams::DecimalScaling { factor: f[0] }
-                }
+                Some("decimal") => ColumnParams::DecimalScaling {
+                    factor: floats(1)?[0],
+                },
                 other => {
                     return Err(Error::Parse {
                         line: line_no,
@@ -1005,47 +1028,43 @@ impl FittedNormalizer {
                     })
                 }
             };
+            // The tag leaves a min–max target range to the first line, and
+            // an untagged header the whole method.
+            let method = method.get_or_insert_with(|| match (named, p) {
+                (
+                    None | Some(Normalization::MinMax { .. }),
+                    ColumnParams::MinMax {
+                        new_min, new_max, ..
+                    },
+                ) => Normalization::MinMax { new_min, new_max },
+                (Some(named), _) => named,
+                (None, ColumnParams::ZScore { .. }) => Normalization::zscore_paper(),
+                (None, ColumnParams::DecimalScaling { .. }) => Normalization::DecimalScaling,
+            });
             let columns = columns.get_or_insert_with(|| Columns::of_kind(&p, cols.min(1024)));
-            if !columns.push(p) {
+            if !columns.push(p, method) {
                 return Err(Error::Parse {
                     line: line_no,
                     message: format!(
-                        "parameter kind {:?} differs from the first column's: \
-                         a normalizer holds one parameter kind",
+                        "{:?} line is not a column of {method:?}: a normalizer holds \
+                         one parameter kind, its method's",
                         parts[0]
                     ),
                 });
             }
         }
-        let found = columns.as_ref().map_or(0, Columns::len);
-        let columns = match columns {
-            Some(columns) if found == cols => columns,
-            _ => {
-                return Err(Error::Parse {
-                    line: 1,
-                    message: format!("header declares {cols} columns, found {found}"),
-                })
+        match (columns, method) {
+            (Some(columns), Some(method)) if columns.len() == cols => {
+                Ok(FittedNormalizer { method, columns })
             }
-        };
-        // An explicit header tag overrides the params-derived guess — this
-        // is what distinguishes sample/population/robust z-score fits,
-        // whose per-column parameters all look alike.
-        let method = match method_tag {
-            // minmax/decimal params fully determine the method already.
-            None | Some("minmax") | Some("decimal") => method,
-            Some("zscore-sample") => Normalization::zscore_paper(),
-            Some("zscore-population") => Normalization::ZScore {
-                mode: VarianceMode::Population,
-            },
-            Some("robust") => Normalization::RobustZScore,
-            Some(other) => {
-                return Err(Error::Parse {
-                    line: 1,
-                    message: format!("unknown method tag {other:?}"),
-                })
-            }
-        };
-        Ok(FittedNormalizer { method, columns })
+            (columns, _) => Err(Error::Parse {
+                line: 1,
+                message: format!(
+                    "header declares {cols} columns, found {}",
+                    columns.as_ref().map_or(0, Columns::len)
+                ),
+            }),
+        }
     }
 }
 
@@ -1819,17 +1838,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn with_method_overrides_advisory_tag() {
-        let m = Matrix::from_columns(&[&[3.0, 7.0, -2.0]]).unwrap();
-        let (fitted, t) = Normalization::RobustZScore.fit_transform(&m).unwrap();
-        let restored = FittedNormalizer::from_text(&fitted.to_text())
-            .unwrap()
-            .with_method(Normalization::RobustZScore);
-        assert_eq!(restored.method(), Normalization::RobustZScore);
-        assert!(restored.transform(&m).unwrap().approx_eq(&t, 0.0));
-    }
-
     /// ±0, ±∞, 1e±300, subnormals and NaN.
     const SPECIALS: [f64; 11] = [
         0.0,
@@ -1977,34 +1985,79 @@ mod tests {
 
     #[test]
     fn binary_decoder_refuses_mixed_parameter_kinds() {
-        // Column 0 z-score, column 1 decimal scaling: refused at column 1's
-        // tag (method u8 + cols u64 + tag u8 + two f64s = offset 26).
-        let mut w = ByteWriter::new();
-        Normalization::zscore_paper().encode_into(&mut w);
-        w.put_usize(2);
-        w.put_u8(1);
-        w.put_f64s(&[0.5, 2.0]);
-        w.put_u8(2);
-        w.put_f64(10.0);
-        match FittedNormalizer::decode_from(&mut ByteReader::new(w.as_bytes())) {
-            Err(DecodeError::Malformed {
-                offset: 26,
-                message,
-            }) => {
-                assert!(message.contains("one parameter kind"), "{message}")
+        // One tagged column entry.
+        let column = |tag: u8, values: &[f64]| {
+            ByteWriter::encode_with(|w| {
+                w.put_u8(tag);
+                w.put_f64s(values);
+            })
+        };
+        let zscore = column(1, &[0.5, 2.0]);
+        let decimal = column(2, &[10.0]);
+        let unit = column(0, &[-1.0, 3.0, 0.0, 1.0]);
+        let wide = column(0, &[-1.0, 3.0, 0.0, 2.0]);
+        // A method tag and two columns, refused at a column's tag: column 0
+        // sits after the method (u8, plus two f64s for min–max) and the
+        // count (u64).
+        for (method, columns, at) in [
+            // Column 1 decimal scaling after a z-score column 0.
+            (Normalization::zscore_paper(), [&zscore, &decimal], 9 + 17),
+            // Z-score columns under a min–max tag.
+            (Normalization::min_max_unit(), [&zscore, &zscore], 25),
+            // Decimal-scaling columns under a robust z-score tag.
+            (Normalization::RobustZScore, [&decimal, &decimal], 9),
+            // Column 1 onto [0, 2] under a [0, 1] tag.
+            (Normalization::min_max_unit(), [&unit, &wide], 25 + 33),
+        ] {
+            let mut w = ByteWriter::new();
+            method.encode_into(&mut w);
+            w.put_usize(2);
+            for c in columns {
+                w.put_bytes(c);
             }
-            other => panic!("expected a refusal at offset 26, got {other:?}"),
+            match FittedNormalizer::decode_from(&mut ByteReader::new(w.as_bytes())) {
+                Err(DecodeError::Malformed { offset, message }) if offset == at => {
+                    assert!(message.contains("one parameter kind"), "{message}")
+                }
+                other => panic!("{method:?}: expected a refusal at offset {at}, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn text_decoder_refuses_mixed_parameter_kinds() {
-        let text = "rbt-normalizer v1 cols=3\nminmax 0 1 0 1\nminmax 2 4 0 1\nzscore 0.5 2\n";
-        match FittedNormalizer::from_text(text) {
-            Err(Error::Parse { line: 4, message }) => {
-                assert!(message.contains("one parameter kind"), "{message}")
+        for (text, at) in [
+            (
+                "rbt-normalizer v1 cols=3\nminmax 0 1 0 1\nminmax 2 4 0 1\nzscore 0.5 2\n",
+                4,
+            ),
+            // Z-score lines under a min–max tag: this read back as sample
+            // z-score.
+            (
+                "rbt-normalizer v1 cols=2 method=minmax\nzscore 0 1\nzscore 2 3\n",
+                2,
+            ),
+            // Min–max lines under a z-score tag.
+            (
+                "rbt-normalizer v1 cols=1 method=zscore-sample\nminmax 0 1 0 1\n",
+                2,
+            ),
+            // A second min–max target range, with and without the tag.
+            (
+                "rbt-normalizer v1 cols=2 method=minmax\nminmax 0 1 0 1\nminmax 0 1 0 2\n",
+                3,
+            ),
+            (
+                "rbt-normalizer v1 cols=2\nminmax 0 1 -1 1\nminmax 0 1 0 1\n",
+                3,
+            ),
+        ] {
+            match FittedNormalizer::from_text(text) {
+                Err(Error::Parse { line, message }) if line == at => {
+                    assert!(message.contains("one parameter kind"), "{message}")
+                }
+                other => panic!("{text:?}: expected a parse error at line {at}, got {other:?}"),
             }
-            other => panic!("expected a parse error at line 4, got {other:?}"),
         }
     }
 

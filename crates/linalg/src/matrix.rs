@@ -4,6 +4,13 @@
 //! columns (attributes). Storage is a single contiguous `Vec<f64>` in
 //! row-major order, which keeps row access (the hot path for distance
 //! computations) cache-friendly.
+//!
+//! Attribute pairs are rotated or reflected by one primitive, the row
+//! sweep [`apply_steps_in_rows`] of 2×2 [`PairStep`]s. Key fits (one step
+//! at a time), key application, release sessions and federated owners
+//! all run it, so they agree bit for bit by construction; the per-column
+//! `Rotation2::apply_columns` and `Reflection2::apply_columns` remain as
+//! the tests' references.
 
 use crate::{Error, Result};
 use std::fmt;
@@ -473,41 +480,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Applies the plane rotation `[c s; -s c]` (the paper's Eq. 1 with
-    /// `c = cos θ`, `s = sin θ`) to columns `i` and `j` in place, in a
-    /// single sweep over the rows:
-    /// `(x, y) ← (x·c + y·s, −x·s + y·c)`.
-    ///
-    /// This is the allocation-free form of extract-rotate-write-back
-    /// (`column_into` → [`Rotation2::apply_columns`] → `set_column`): the
-    /// arithmetic per element is identical expression-for-expression, so
-    /// the two paths produce bit-identical matrices, but this one touches
-    /// each row once instead of five strided passes and two buffers.
-    ///
-    /// [`Rotation2::apply_columns`]: crate::Rotation2::apply_columns
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::IndexOutOfBounds`] if either column index is out of
-    /// range and [`Error::InvalidArgument`] if `i == j`.
-    pub fn rotate_column_pair(&mut self, i: usize, j: usize, c: f64, s: f64) -> Result<()> {
-        if i == j {
-            return Err(Error::InvalidArgument(
-                "plane rotation requires two distinct columns".into(),
-            ));
-        }
-        for &k in &[i, j] {
-            if k >= self.cols {
-                return Err(Error::IndexOutOfBounds {
-                    index: k,
-                    bound: self.cols,
-                });
-            }
-        }
-        rotate_pair_in_rows(&mut self.data, self.cols, i, j, c, s);
-        Ok(())
-    }
-
     /// Applies the plane rotation `[c s; -s c]` to **rows** `i` and `j` in
     /// place: `(rowᵢ, rowⱼ) ← (c·rowᵢ + s·rowⱼ, −s·rowᵢ + c·rowⱼ)`.
     ///
@@ -746,31 +718,6 @@ impl Matrix {
     }
 }
 
-/// Applies the plane rotation `[c s; -s c]` to columns `i` and `j` of a
-/// row-major slice of complete rows: for every row,
-/// `(rowᵢ, rowⱼ) ← (c·rowᵢ + s·rowⱼ, −s·rowᵢ + c·rowⱼ)`.
-///
-/// This is the exact update of [`Matrix::rotate_column_pair`] (which
-/// delegates here), factored out so callers that process a matrix in
-/// independent row chunks — the release-session batch transformer chunks
-/// through the shared [`crate::pool`] — share one arithmetic expression and
-/// stay bit-identical to the whole-matrix path by construction.
-///
-/// Rows whose tail does not fill a complete `n_cols` stride are ignored;
-/// callers are expected to pass `rows.len() % n_cols == 0` (debug-asserted).
-///
-/// # Panics
-///
-/// Debug-asserts `i`/`j` in range and distinct; release builds index out of
-/// bounds (and panic) for invalid column indices, so validate upstream.
-pub fn rotate_pair_in_rows(rows: &mut [f64], n_cols: usize, i: usize, j: usize, c: f64, s: f64) {
-    debug_assert!(n_cols > 0 && rows.len().is_multiple_of(n_cols));
-    debug_assert!(i < n_cols && j < n_cols && i != j);
-    for row in rows.chunks_exact_mut(n_cols) {
-        rotate_in_row(row, i, j, c, s);
-    }
-}
-
 /// One step of a row sweep: the 2×2 map
 /// `(xᵢ, xⱼ) ← (xᵢ·a + xⱼ·b, xᵢ·c + xⱼ·d)` on columns `i` and `j` of a row,
 /// with `m = [a, b, c, d]`.
@@ -779,9 +726,11 @@ pub fn rotate_pair_in_rows(rows: &mut [f64], n_cols: usize, i: usize, j: usize, 
 /// with [`Rotation2::step`](crate::Rotation2::step) and
 /// [`Reflection2::step`](crate::rotation::Reflection2::step)): a rotation
 /// is `[c, s, −s, c]` and a reflection `[c₂, s₂, s₂, −c₂]`. On every
-/// non-NaN input the step reproduces [`rotate_pair_in_rows`] and
-/// `Reflection2::apply_columns` bit for bit, because IEEE negation is exact
-/// and `p − q` equals `p + (−q)`.
+/// non-NaN input the step reproduces
+/// [`Rotation2::apply_columns`](crate::Rotation2::apply_columns) and
+/// [`Reflection2::apply_columns`](crate::rotation::Reflection2::apply_columns)
+/// on the extracted columns bit for bit, because IEEE negation is exact and
+/// `p − q` equals `p + (−q)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairStep {
     /// First column of the pair.
@@ -802,10 +751,12 @@ pub struct PairStep {
 /// matter how many steps the key holds. Every `(row, step)` update touches
 /// only that row's elements `i` and `j`, and the per-row step order is
 /// unchanged, so any row split gives the same bits — the property suite
-/// pins the sweep against looping [`rotate_pair_in_rows`] over the steps.
-/// This is the transform hot path of the release session, of
+/// pins the sweep against applying each step to extracted columns with
+/// `Rotation2::apply_columns` or `Reflection2::apply_columns`. This is the
+/// transform hot path of the release session, of
 /// `TransformationKey::{apply, invert}` and of
-/// `IsometryKey::{apply, invert}`.
+/// `IsometryKey::{apply, invert}`, and, one step at a time, the rotation of
+/// every key fit and of a federated owner's block.
 ///
 /// Rows whose tail does not fill a complete `n_cols` stride are ignored;
 /// callers are expected to pass `rows.len() % n_cols == 0` (debug-asserted).
@@ -847,16 +798,6 @@ fn step_in_row(row: &mut [f64], st: &PairStep) {
     let y = row[st.j];
     row[st.i] = x * a + y * b;
     row[st.j] = x * c + y * d;
-}
-
-/// The single-row plane-rotation update of [`rotate_pair_in_rows`]:
-/// `(rowᵢ, rowⱼ) ← (c·rowᵢ + s·rowⱼ, −s·rowᵢ + c·rowⱼ)`.
-#[inline(always)]
-fn rotate_in_row(row: &mut [f64], i: usize, j: usize, c: f64, s: f64) {
-    let x = row[i];
-    let y = row[j];
-    row[i] = x * c + y * s;
-    row[j] = -x * s + y * c;
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -1169,58 +1110,32 @@ mod tests {
     }
 
     #[test]
-    fn fused_steps_sweep_bitwise_equals_sequential_rotations() {
+    fn fused_steps_sweep_bitwise_equals_extract_rotate_writeback() {
         // Row counts around the 4-row block (remainder tail), multiple
         // steps re-using columns so later steps see earlier steps' output.
-        let steps = [
-            (0usize, 2usize, 0.8f64, -0.6f64),
-            (1, 3, 0.28, 0.96),
-            (2, 1, -0.6, 0.8),
-        ];
+        use crate::Rotation2;
+        let steps = [(0usize, 2usize, 323.13f64), (1, 3, 73.74), (2, 1, 126.87)];
         for rows in [0usize, 1, 3, 4, 5, 8, 11] {
             let data: Vec<f64> = (0..rows * 4).map(|t| ((t as f64) * 0.83).sin()).collect();
             let mut fused = data.clone();
             let sweep: Vec<PairStep> = steps
                 .iter()
-                .map(|&(i, j, c, s)| PairStep {
-                    i,
-                    j,
-                    m: [c, s, -s, c],
-                })
+                .map(|&(i, j, theta)| Rotation2::from_degrees(theta).step(i, j))
                 .collect();
             apply_steps_in_rows(&mut fused, 4, &sweep);
-            let mut reference = data;
-            for &(i, j, c, s) in &steps {
-                rotate_pair_in_rows(&mut reference, 4, i, j, c, s);
+            let mut reference = Matrix::from_vec(rows, 4, data).unwrap();
+            for &(i, j, theta) in &steps {
+                let (mut xs, mut ys) = (reference.column(i), reference.column(j));
+                Rotation2::from_degrees(theta)
+                    .apply_columns(&mut xs, &mut ys)
+                    .unwrap();
+                reference.set_column(i, &xs).unwrap();
+                reference.set_column(j, &ys).unwrap();
             }
             let fused_bits: Vec<u64> = fused.iter().map(|x| x.to_bits()).collect();
-            let ref_bits: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
+            let ref_bits: Vec<u64> = reference.as_slice().iter().map(|x| x.to_bits()).collect();
             assert_eq!(fused_bits, ref_bits, "rows {rows}");
         }
-    }
-
-    #[test]
-    fn rotate_column_pair_matches_extract_rotate_writeback() {
-        use crate::Rotation2;
-        let rot = Rotation2::from_degrees(312.47);
-        let (s, c) = rot.radians().sin_cos();
-        let mut fused =
-            Matrix::from_vec(5, 4, (0..20).map(|t| t as f64 * 0.3 - 2.0).collect()).unwrap();
-        let mut reference = fused.clone();
-        fused.rotate_column_pair(1, 3, c, s).unwrap();
-        let mut xs = reference.column(1);
-        let mut ys = reference.column(3);
-        rot.apply_columns(&mut xs, &mut ys).unwrap();
-        reference.set_column(1, &xs).unwrap();
-        reference.set_column(3, &ys).unwrap();
-        assert_eq!(fused, reference); // bit-for-bit
-    }
-
-    #[test]
-    fn rotate_column_pair_validates() {
-        let mut m = sample();
-        assert!(m.rotate_column_pair(0, 0, 1.0, 0.0).is_err());
-        assert!(m.rotate_column_pair(0, 9, 1.0, 0.0).is_err());
     }
 
     #[test]

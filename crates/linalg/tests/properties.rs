@@ -9,7 +9,7 @@ use rbt_linalg::dissimilarity::DissimilarityMatrix;
 use rbt_linalg::distance::Metric;
 use rbt_linalg::eigen::symmetric_eigen;
 use rbt_linalg::kernels;
-use rbt_linalg::matrix::{apply_steps_in_rows, rotate_pair_in_rows, PairStep};
+use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::rotation::{givens, is_orthogonal, Reflection2};
 use rbt_linalg::solve::{invert, solve};
 use rbt_linalg::stats::{covariance, mean, variance, variance_of_difference};
@@ -242,19 +242,21 @@ proptest! {
     }
 
     #[test]
-    fn fused_column_rotation_equals_extract_writeback(
+    fn one_step_sweep_equals_extract_writeback(
         m in small_matrix(30, 6),
         theta in -360.0..360.0f64,
         pick in 0usize..30,
     ) {
+        // A key fit rotates one pair at a time through the sweep: a
+        // one-step sweep must match rotating the extracted columns.
         prop_assume!(m.cols() >= 2);
         let i = pick % m.cols();
         let j = (i + 1 + pick / m.cols()) % m.cols();
         prop_assume!(i != j);
         let rot = Rotation2::from_degrees(theta);
-        let (s, c) = rot.radians().sin_cos();
         let mut fused = m.clone();
-        fused.rotate_column_pair(i, j, c, s).unwrap();
+        let n_cols = fused.cols();
+        apply_steps_in_rows(fused.as_mut_slice(), n_cols, &[rot.step(i, j)]);
         let mut reference = m.clone();
         let mut xs = reference.column(i);
         let mut ys = reference.column(j);
@@ -284,10 +286,10 @@ proptest! {
         ),
     ) {
         // One fused pass applying every 2×2 step per row must match
-        // applying the steps one whole-matrix sweep at a time, bit for bit:
-        // rotations through `rotate_pair_in_rows`, reflections through
-        // `Reflection2::apply_columns` on extracted columns. The steps are
-        // row-local and the per-row step order is preserved.
+        // applying the steps one at a time to extracted columns, bit for
+        // bit: rotations through `Rotation2::apply_columns`, reflections
+        // through `Reflection2::apply_columns`. The steps are row-local
+        // and the per-row step order is preserved.
         let n_cols = m.cols();
         let steps: Vec<(usize, usize, f64, bool)> = raw_steps
             .iter()
@@ -308,15 +310,14 @@ proptest! {
         apply_steps_in_rows(&mut fused, n_cols, &sweep);
         let mut seq = m.clone();
         for &(i, j, angle, reflect) in &steps {
+            let (mut xs, mut ys) = (seq.column(i), seq.column(j));
             if reflect {
-                let (mut xs, mut ys) = (seq.column(i), seq.column(j));
                 Reflection2::from_degrees(angle).apply_columns(&mut xs, &mut ys).unwrap();
-                seq.set_column(i, &xs).unwrap();
-                seq.set_column(j, &ys).unwrap();
             } else {
-                let (s, c) = angle.to_radians().sin_cos();
-                rotate_pair_in_rows(seq.as_mut_slice(), n_cols, i, j, c, s);
+                Rotation2::from_degrees(angle).apply_columns(&mut xs, &mut ys).unwrap();
             }
+            seq.set_column(i, &xs).unwrap();
+            seq.set_column(j, &ys).unwrap();
         }
         for (a, b) in fused.iter().zip(seq.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());

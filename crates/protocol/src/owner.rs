@@ -11,6 +11,11 @@
 //! every rotation the owner applied — otherwise releasing would ship
 //! under-rotated (weakly protected, pooled-divergent) data, so the owner
 //! errors out instead.
+//!
+//! Each announced rotation is applied exactly as the pooled fit applies
+//! it: one `Rotation2::step` through the release sweep
+//! ([`apply_steps_in_rows`]). The owner's rows therefore get the pooled
+//! release's bits by construction.
 
 use crate::config::{FederationConfig, KeyPolicy};
 use crate::messages::{Message, Outbound, Party};
@@ -20,6 +25,7 @@ use rand::SeedableRng;
 use rbt_core::{PairMoments, RbtTransformer, RotationStep, TransformationKey};
 use rbt_data::{FittedNormalizer, PartialFit};
 use rbt_linalg::codec::{ByteReader, ByteWriter};
+use rbt_linalg::matrix::apply_steps_in_rows;
 use rbt_linalg::{Matrix, Rotation2};
 
 /// Phase of the owner's state machine.
@@ -345,13 +351,17 @@ impl Owner {
                     ));
                     return Err(e);
                 }
-                let (ci, cj) = (*i as usize, *j as usize);
-                // The same fused sweep the pooled transformer uses — same
-                // expression, same bits.
-                let (s, c) = Rotation2::from_degrees(*theta_degrees).radians().sin_cos();
-                local
-                    .rotate_column_pair(ci, cj, c, s)
-                    .map_err(|e| ProtocolError::ShapeMismatch(e.to_string()))?;
+                let (ci, cj, n_cols) = (*i as usize, *j as usize, local.cols());
+                if ci >= n_cols || cj >= n_cols || ci == cj {
+                    return Err(ProtocolError::ShapeMismatch(format!(
+                        "rotation of pair ({ci}, {cj}) over {n_cols} attributes: a pair \
+                         is two distinct attributes"
+                    )));
+                }
+                // The pooled fit's primitive: the same 2×2 step through the
+                // same sweep, so the same bits.
+                let step = Rotation2::from_degrees(*theta_degrees).step(ci, cj);
+                apply_steps_in_rows(local.as_mut_slice(), n_cols, &[step]);
                 steps.push(RotationStep {
                     i: ci,
                     j: cj,

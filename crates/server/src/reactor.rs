@@ -51,7 +51,9 @@ use std::time::{Duration, Instant};
 use polling::{Event, Interest, Poller};
 
 use crate::server::{process_request, refuse, DrainReport, Shared, WRITE_TIMEOUT};
-use crate::wire::{FrameAssembler, FrameView, Opcode, Request, Response, WireError, WireResult};
+use crate::wire::{
+    FrameAssembler, FrameView, Opcode, Request, Response, WireError, WireResult, FREE_FRAME_MAX,
+};
 use crate::CODE_UNAVAILABLE;
 
 const LISTENER_KEY: usize = 0;
@@ -64,9 +66,6 @@ const FREE_FRAMES: usize = 8;
 /// The smallest buffer worth keeping: smaller frames cost little to
 /// allocate.
 const FREE_FRAME_MIN: usize = 64 * 1024;
-/// The largest buffer kept: rarer, larger frames go back to the
-/// allocator instead of pinning their memory.
-const FREE_FRAME_MAX: usize = 4 * 1024 * 1024;
 
 /// A request decoded on the event loop, waiting for a worker.
 struct Inbound {

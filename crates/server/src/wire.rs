@@ -73,6 +73,12 @@ pub const MAX_BODY_LEN: u32 = 64 * 1024 * 1024;
 /// several small frames, or the head of a large one.
 const MIN_READ: usize = 64 * 1024;
 
+/// The largest frame buffer a connection keeps once its frame is done
+/// (4 MiB): a drained `FrameAssembler` gives back a larger one, and the
+/// daemon's free list of flushed response frames keeps none larger. Rarer,
+/// larger frames go back to the allocator instead of pinning their memory.
+pub(crate) const FREE_FRAME_MAX: usize = 4 * 1024 * 1024;
+
 /// Frame opcodes. Responses reuse the opcode of the request they answer;
 /// failures use [`Opcode::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -556,7 +562,9 @@ pub fn read_frame<R: Read>(stream: &mut R) -> WireResult<Option<Frame>> {
 /// the header, then CRC over the whole frame, then version, then opcode.
 /// A buffer that has held one frame holds the next of the same size
 /// without growing: consumed bytes are dropped before a read needs their
-/// room.
+/// room. Once nothing is pending, a buffer larger than 4 MiB goes back to
+/// the allocator, so one large frame does not pin its memory for as long
+/// as the connection lives.
 ///
 /// Error recoverability mirrors the blocking path. A header-level error
 /// (bad magic, oversized length) or a checksum mismatch leaves the byte
@@ -669,7 +677,9 @@ impl FrameAssembler {
     }
 
     /// Yields the next complete frame as a view into the buffer, `None`
-    /// if more bytes are needed.
+    /// if more bytes are needed. The call that finds nothing pending gives
+    /// a buffer larger than `FREE_FRAME_MAX` back, so draining the
+    /// assembler until `None` leaves at most that much.
     ///
     /// # Errors
     ///
@@ -679,6 +689,9 @@ impl FrameAssembler {
     /// assembler remains usable; after any other error the stream is
     /// desynchronized and the connection should be closed.
     pub(crate) fn next_view(&mut self) -> Option<WireResult<FrameView<'_>>> {
+        if self.start == self.buf.len() && self.buf.capacity() > FREE_FRAME_MAX {
+            *self = FrameAssembler::new();
+        }
         let pending = &self.buf[self.start..];
         if pending.len() < HEADER_LEN {
             return None;
@@ -1439,6 +1452,38 @@ mod tests {
         asm.push(&bad);
         assert!(asm.frame_ready());
         assert!(!asm.partial_frame());
+    }
+
+    #[test]
+    fn drained_assembler_gives_back_a_large_buffer() {
+        // A 6 MiB `Transform` read the daemon's way, then drained until
+        // nothing is pending: the buffer that held it goes back.
+        let big = encode_frame(
+            &Request::Transform {
+                tenant: "t".to_string(),
+                batch: sample_dataset(256 * 1024, false),
+            }
+            .to_frame()
+            .with_request_id(5),
+        );
+        assert!(big.len() > 6 * 1024 * 1024);
+        let mut asm = FrameAssembler::new();
+        let mut src = &big[..];
+        while !asm.frame_ready() {
+            asm.read_from(&mut src).unwrap();
+        }
+        assert!(asm.buf.capacity() >= big.len());
+        assert!(matches!(asm.next_view(), Some(Ok(v)) if v.request_id == 5));
+        assert!(asm.next_view().is_none());
+        assert!(
+            asm.buf.capacity() <= FREE_FRAME_MAX,
+            "{} bytes kept",
+            asm.buf.capacity()
+        );
+        // The next small frame still decodes.
+        asm.push(&encode_frame(&Request::Ping.to_frame().with_request_id(6)));
+        assert!(matches!(asm.next_frame(), Some(Ok(f)) if f.request_id == 6));
+        assert!(!asm.mid_frame());
     }
 
     #[test]

@@ -117,13 +117,6 @@ proptest! {
         prop_assert!(dissimilarity_drift(&z, &out.transformed) < 1e-8);
         let back = out.key.invert(&out.transformed).unwrap();
         prop_assert!(back.approx_eq(&z, 1e-9));
-        // v2 key text round trip.
-        let parsed: rbt::core::reflection::IsometryKey =
-            out.key.to_string().parse().unwrap();
-        prop_assert!(parsed
-            .apply(&z)
-            .unwrap()
-            .approx_eq(&out.transformed, 1e-10));
     }
 
     #[test]

@@ -539,11 +539,12 @@ fn session_keys_embedding_a_mixed_normalizer_are_refused() {
     use rbt::core::codec::{self, CodecError, RecordKind};
     use rbt::linalg::codec::DecodeError;
 
-    // A fitted RBT key file whose normalizer's second column is rewritten
-    // from z-score to a well-formed decimal-scaling entry, then resealed: a
-    // checksummed file no producer writes. The session decoder, the
-    // fitted-state decoder and the daemon's key loader all refuse it as a
-    // corrupt key (code 4).
+    // A fitted RBT key file whose normalizer record is rewritten into one
+    // no producer writes, then resealed with a valid checksum: its second
+    // column turned into a well-formed decimal-scaling entry, or its
+    // method tag turned from sample z-score into decimal scaling over the
+    // z-score columns. The session decoder, the fitted-state decoder and
+    // the daemon's key loader all refuse it as a corrupt key (code 4).
     let data = sample();
     let fitted = Release::of(&data)
         .with_method(Method::Rbt)
@@ -551,7 +552,7 @@ fn session_keys_embedding_a_mixed_normalizer_are_refused() {
         .unwrap();
     let session = fitted.session().expect("rbt exposes its session");
     let bytes = fitted.to_bytes().unwrap();
-    let mut payload = codec::open_envelope(&bytes, RecordKind::Session)
+    let payload = codec::open_envelope(&bytes, RecordKind::Session)
         .unwrap()
         .to_vec();
     let normalizer = codec::encode_normalizer(session.normalizer());
@@ -560,48 +561,66 @@ fn session_keys_embedding_a_mixed_normalizer_are_refused() {
         .windows(record.len())
         .position(|w| w == record)
         .expect("the session embeds its normalizer record");
-    // Method tag, column count, column 0's tag and two f64s, then column
-    // 1's tag.
-    let tag = start + 1 + 8 + 1 + 16;
-    assert_eq!(payload[tag], 1, "column 1 is z-score");
+    assert_eq!(payload[start], 1, "the method is sample z-score");
+    // Method tag and column count, then column 0's tag; column 1's tag
+    // follows column 0's two f64s.
+    let column0 = start + 1 + 8;
+    let column1 = column0 + 1 + 16;
+    assert_eq!(payload[column1], 1, "column 1 is z-score");
+    let mut mixed_columns = payload.clone();
     let decimal = std::iter::once(2).chain(100.0f64.to_le_bytes());
-    payload.splice(tag..tag + 1 + 16, decimal);
-    let mixed = codec::seal_envelope(RecordKind::Session, &payload);
+    mixed_columns.splice(column1..column1 + 1 + 16, decimal);
+    let mut mistagged = payload.clone();
+    mistagged[start] = 3;
 
-    match ReleaseSession::from_bytes(&mixed) {
-        Err(rbt::core::Error::Codec(CodecError::Byte(DecodeError::Malformed {
-            offset, ..
-        }))) => {
-            assert_eq!(offset, tag)
+    for (edited, at) in [(mixed_columns, column1), (mistagged, column0)] {
+        let mixed = codec::seal_envelope(RecordKind::Session, &edited);
+        match ReleaseSession::from_bytes(&mixed) {
+            Err(rbt::core::Error::Codec(CodecError::Byte(DecodeError::Malformed {
+                offset,
+                ..
+            }))) => {
+                assert_eq!(offset, at)
+            }
+            other => panic!("expected a refusal at offset {at}, got {other:?}"),
         }
-        other => panic!("expected a refusal at offset {tag}, got {other:?}"),
+        let refused = decode_fitted(&mixed).map(|_| ()).unwrap_err();
+        assert!(matches!(refused, RbtError::Codec(_)), "{refused:?}");
+        assert_eq!(refused.exit_code(), 4);
+        let registry = rbt::server::SessionRegistry::new(1);
+        let refused = registry.load_key("t", mixed).map(|_| ()).unwrap_err();
+        assert_eq!(refused.code(), 4);
     }
-    let refused = decode_fitted(&mixed).map(|_| ()).unwrap_err();
-    assert!(matches!(refused, RbtError::Codec(_)), "{refused:?}");
-    assert_eq!(refused.exit_code(), 4);
-    let registry = rbt::server::SessionRegistry::new(1);
-    let refused = registry.load_key("t", mixed).map(|_| ()).unwrap_err();
-    assert_eq!(refused.code(), 4);
 
-    // The text key file: one `param` line of another kind, checksum
-    // recomputed, refused at the normalizer section.
+    // The text key file: one `param` line of another kind, or a min–max
+    // method tag over the z-score lines; checksum recomputed, refused at
+    // the normalizer section.
     let text = session.to_text().unwrap();
-    let body: Vec<&str> = text
+    let body: Vec<String> = text
         .lines()
         .filter(|l| !l.starts_with("checksum"))
+        .map(str::to_string)
         .collect();
     let param = body
         .iter()
         .position(|l| l.starts_with("param "))
         .expect("a param line");
-    let mut edited: Vec<String> = body.iter().map(|l| l.to_string()).collect();
-    edited[param + 1] = "param decimal 1.00000000000000000e2".into();
-    let sum = rbt::linalg::codec::crc32(edited.join("\n").as_bytes());
-    let mixed_text = format!("{}\nchecksum {sum:08x}\n", edited.join("\n"));
-    match ReleaseSession::from_text(&mixed_text) {
-        Err(rbt::core::Error::Codec(CodecError::Text { message, .. })) => {
-            assert!(message.contains("one parameter kind"), "{message}")
+    let tag = body
+        .iter()
+        .position(|l| l == "normalizer method=zscore-sample")
+        .expect("a normalizer line");
+    let mut mixed_lines = body.clone();
+    mixed_lines[param + 1] = "param decimal 1.00000000000000000e2".into();
+    let mut mistagged = body;
+    mistagged[tag] = "normalizer method=minmax".into();
+    for edited in [mixed_lines, mistagged] {
+        let sum = rbt::linalg::codec::crc32(edited.join("\n").as_bytes());
+        let mixed_text = format!("{}\nchecksum {sum:08x}\n", edited.join("\n"));
+        match ReleaseSession::from_text(&mixed_text) {
+            Err(rbt::core::Error::Codec(CodecError::Text { message, .. })) => {
+                assert!(message.contains("one parameter kind"), "{message}")
+            }
+            other => panic!("expected a text refusal, got {other:?}"),
         }
-        other => panic!("expected a text refusal, got {other:?}"),
     }
 }
