@@ -24,11 +24,13 @@
 //! A fitted normalizer holds **one parameter kind** in all its columns
 //! (min–max, z-score or decimal scaling; the five methods map onto these
 //! three), kept as one slice per constant. Every fit produces one kind,
-//! and both decoders refuse a record that mixes kinds. That is what lets
-//! the row kernels ([`FittedNormalizer::transform_rows_in_place`] and its
-//! drift-checking and inverse siblings) run in SIMD lanes across a row's
-//! columns: each lane zips the row with its column's constants, with no
-//! per-element branch on the kind. Each kind keeps its per-element
+//! and both decoders refuse a column of another kind than the method's
+//! (or, for min–max, onto another target range), so
+//! [`FittedNormalizer::method`] always describes the columns. One kind is
+//! what lets the row kernels ([`FittedNormalizer::transform_rows_in_place`]
+//! and its drift-checking and inverse siblings) run in SIMD lanes across a
+//! row's columns: each lane zips the row with its column's constants, with
+//! no per-element branch on the kind. Each kind keeps its per-element
 //! expression exactly, so the kernels are bit-identical to it.
 
 use crate::{Error, Result};

@@ -5,12 +5,12 @@
 //! row-major order, which keeps row access (the hot path for distance
 //! computations) cache-friendly.
 //!
-//! Attribute pairs are rotated or reflected by one primitive, the row
-//! sweep [`apply_steps_in_rows`] of 2×2 [`PairStep`]s. Key fits (one step
-//! at a time), key application, release sessions and federated owners
-//! all run it, so they agree bit for bit by construction; the per-column
-//! `Rotation2::apply_columns` and `Reflection2::apply_columns` remain as
-//! the tests' references.
+//! RBT and hybrid isometry rotate or reflect attribute pairs with one
+//! primitive, the row sweep [`apply_steps_in_rows`] of 2×2 [`PairStep`]s:
+//! key fits (one step at a time), key application, release sessions and
+//! federated owners all run it, so they agree bit for bit by construction.
+//! The per-column `Rotation2::apply_columns` and
+//! `Reflection2::apply_columns` are the tests' references for it.
 
 use crate::{Error, Result};
 use std::fmt;
