@@ -370,7 +370,7 @@ impl PrivacyTransform for HybridIsometryMethod {
     }
 }
 
-/// A fitted hybrid-isometry state: the v2 isometry key plus the fitted
+/// A fitted hybrid-isometry state: the isometry key plus the fitted
 /// normalizer.
 #[derive(Debug, Clone)]
 pub struct FittedHybridIsometry {
