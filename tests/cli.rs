@@ -1,11 +1,28 @@
 //! Integration tests for the `rbt-cli` binary: the full
 //! release → audit → recover workflow through the actual executable.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rbt-cli"))
+}
+
+/// Runs `cmd` and asserts it exits 0, showing its stderr otherwise.
+fn run_ok(cmd: &mut Command) -> Output {
+    let out = cmd.output().unwrap();
+    assert!(
+        out.status.success(),
+        "{cmd:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+/// `(length, CRC-32)` of a file's bytes.
+fn file_pin(path: &Path) -> (usize, u32) {
+    let bytes = std::fs::read(path).unwrap();
+    (bytes.len(), rbt::linalg::codec::crc32(&bytes))
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -139,6 +156,101 @@ fn release_is_seed_deterministic() {
         outputs.push(std::fs::read_to_string(&released).unwrap());
     }
     assert_eq!(outputs[0], outputs[1]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Pins the bytes of the one-shot Figure-1 workflow: `keygen --released`
+/// then `invert`, at seed 4242, for every normalization with IDs kept and
+/// suppressed. Decimal scaling runs at rho 0.05, since 0.3 is infeasible
+/// on this sample.
+#[test]
+fn one_shot_cli_outputs_keep_their_bytes() {
+    let dir = temp_dir("one-shot-pins");
+    let input = dir.join("data.csv");
+    std::fs::write(&input, SAMPLE).unwrap();
+    let mut actual = Vec::new();
+    for (normalization, rho) in [
+        ("zscore", "0.3"),
+        ("minmax", "0.3"),
+        ("robust", "0.3"),
+        ("decimal", "0.05"),
+    ] {
+        for keep_ids in [false, true] {
+            let ids: &[&str] = if keep_ids { &["--keep-ids"] } else { &[] };
+            let case = dir.join(format!("{normalization}-{keep_ids}"));
+            let key = case.with_extension("rbt");
+            let released = case.with_extension("released.csv");
+            let recovered = case.with_extension("recovered.csv");
+            run_ok(
+                cli()
+                    .args(["keygen", "--input"])
+                    .arg(&input)
+                    .arg("--key")
+                    .arg(&key)
+                    .arg("--released")
+                    .arg(&released)
+                    .args(["--seed", "4242", "--rho", rho])
+                    .args(["--normalization", normalization])
+                    .args(ids),
+            );
+            run_ok(
+                cli()
+                    .args(["invert", "--key"])
+                    .arg(&key)
+                    .arg("--input")
+                    .arg(&released)
+                    .arg("--output")
+                    .arg(&recovered),
+            );
+            actual.push((file_pin(&released), file_pin(&recovered)));
+
+            // The bare-key workflow writes the same bytes.
+            let (bare_released, bare_recovered) = (
+                case.with_extension("release.csv"),
+                case.with_extension("recover.csv"),
+            );
+            let (bare_key, params) = (case.with_extension("key"), case.with_extension("params"));
+            run_ok(
+                cli()
+                    .args(["release", "--input"])
+                    .arg(&input)
+                    .arg("--output")
+                    .arg(&bare_released)
+                    .arg("--key")
+                    .arg(&bare_key)
+                    .arg("--params")
+                    .arg(&params)
+                    .args(["--seed", "4242", "--rho", rho])
+                    .args(["--normalization", normalization])
+                    .args(ids),
+            );
+            run_ok(
+                cli()
+                    .args(["recover", "--input"])
+                    .arg(&bare_released)
+                    .arg("--key")
+                    .arg(&bare_key)
+                    .arg("--params")
+                    .arg(&params)
+                    .arg("--output")
+                    .arg(&bare_recovered),
+            );
+            assert_eq!(file_pin(&bare_released), file_pin(&released));
+            assert_eq!(file_pin(&bare_recovered), file_pin(&recovered));
+        }
+    }
+    // (released, recovered) per normalization, IDs suppressed then kept.
+    let golden = [
+        ((320, 0xA17AD14F), (67, 0x3D4128CC)),
+        ((348, 0x721FEA73), (95, 0x5FAD0CBD)),
+        ((324, 0x7DF3B680), (82, 0x073253B9)),
+        ((352, 0xA66946AC), (110, 0x734FCF7B)),
+        ((319, 0xC53F6BAC), (83, 0x14D1F92F)),
+        ((347, 0xA95DC35E), (111, 0x58324770)),
+        ((318, 0xDB30A54B), (158, 0x99439D2D)),
+        ((346, 0x1C7C84FE), (186, 0x840C1F71)),
+    ];
+    assert_eq!(actual, golden);
     std::fs::remove_dir_all(&dir).ok();
 }
 
