@@ -164,9 +164,6 @@ impl From<rbt_core::Error> for RbtError {
                 RbtError::InvalidConfig(msg)
             }
             rbt_core::Error::Codec(e) => RbtError::Codec(e),
-            rbt_core::Error::KeyParse { line, message } => {
-                RbtError::Codec(CodecError::Text { line, message })
-            }
             rbt_core::Error::Linalg(e) => RbtError::Linalg(e),
             rbt_core::Error::Data(e) => RbtError::from(e),
             other => RbtError::Core(other),

@@ -3,16 +3,20 @@
 //!
 //! A one-shot release (Figure 1) can keep the [`TransformationKey`] and
 //! fitted normalizer in memory, but a production owner releasing *new*
-//! records under the *same* secrets must persist them between runs. This
-//! module defines the binary envelope every persisted record travels in:
+//! records under the *same* secrets must persist them between runs. A
+//! fitted release persists as one record: an RBT release as its
+//! [`ReleaseSession`](crate::session::ReleaseSession) (key, normalizer,
+//! optional config and drift bounds, ID-suppression flag), any other
+//! method as its fitted state. This module defines the binary envelope
+//! both travel in:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"RBTS"
 //! 4       2     format version (little-endian u16, currently 1)
-//! 6       1     record kind (key / normalizer / config / session)
+//! 6       1     record kind (4 session, 5 method)
 //! 7       8     payload length (little-endian u64)
-//! 15      n     payload (record-specific, see below)
+//! 15      n     payload (record-specific)
 //! 15+n    4     CRC-32 over bytes [0, 15+n)
 //! ```
 //!
@@ -26,9 +30,7 @@
 //! [`crate::session::ReleaseSession::to_text`].
 
 use crate::key::{RotationStep, TransformationKey};
-use crate::method::RbtConfig;
 use crate::{Error, Result};
-use rbt_data::FittedNormalizer;
 use rbt_linalg::codec::{crc32, ByteReader, ByteWriter, DecodeError};
 use std::fmt;
 
@@ -42,12 +44,6 @@ pub const FORMAT_VERSION: u16 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RecordKind {
-    /// A [`TransformationKey`] on its own.
-    Key,
-    /// A [`FittedNormalizer`] on its own.
-    Normalizer,
-    /// An [`RbtConfig`] (pairing + threshold metadata) on its own.
-    Config,
     /// A full release session: key, normalizer, optional config and drift
     /// bounds, ID-suppression flag.
     Session,
@@ -61,9 +57,6 @@ pub enum RecordKind {
 impl RecordKind {
     fn to_u8(self) -> u8 {
         match self {
-            RecordKind::Key => 1,
-            RecordKind::Normalizer => 2,
-            RecordKind::Config => 3,
             RecordKind::Session => 4,
             RecordKind::Method => 5,
         }
@@ -101,11 +94,6 @@ pub enum CodecError {
     },
     /// A low-level byte-stream failure (truncation, bad tag, …).
     Byte(DecodeError),
-    /// A structurally valid envelope carried semantically invalid contents.
-    Invalid {
-        /// What was wrong.
-        message: String,
-    },
     /// A failure in the line-oriented text form.
     Text {
         /// 1-based index into the non-empty lines of the input.
@@ -138,7 +126,6 @@ impl fmt::Display for CodecError {
                 "checksum mismatch: file says {stored:08x}, contents hash to {computed:08x}"
             ),
             CodecError::Byte(e) => write!(f, "byte stream error: {e}"),
-            CodecError::Invalid { message } => write!(f, "invalid record: {message}"),
             CodecError::Text { line, message } => {
                 write!(f, "text parse error at line {line}: {message}")
             }
@@ -277,8 +264,8 @@ pub(crate) fn read_key_record(r: &mut ByteReader<'_>) -> Result<TransformationKe
 ///
 /// This is the public codec hook for the release-API layer: any fitted
 /// privacy-transform method can serialize its state as a payload and ride
-/// the same envelope (and corruption guarantees) as the built-in
-/// key/normalizer/session records.
+/// the same envelope (and corruption guarantees) as the release session
+/// record.
 pub fn seal_envelope(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
     seal(kind, payload)
 }
@@ -295,146 +282,64 @@ pub fn open_envelope(bytes: &[u8], expected: RecordKind) -> Result<&[u8]> {
     open(bytes, expected)
 }
 
-/// Encodes a [`TransformationKey`] into a sealed binary envelope.
-pub fn encode_key(key: &TransformationKey) -> Vec<u8> {
-    let record = ByteWriter::encode_with(|w| write_key_record(w, key));
-    seal(RecordKind::Key, &record)
-}
-
-/// Decodes the envelope written by [`encode_key`].
-///
-/// # Errors
-///
-/// [`Error::Codec`] for framing/corruption problems,
-/// [`Error::KeyMismatch`] for a structurally valid but inconsistent key.
-pub fn decode_key(bytes: &[u8]) -> Result<TransformationKey> {
-    ByteReader::decode_all(open(bytes, RecordKind::Key)?, read_key_record)
-}
-
-/// Encodes a [`FittedNormalizer`] into a sealed binary envelope.
-pub fn encode_normalizer(normalizer: &FittedNormalizer) -> Vec<u8> {
-    let record = ByteWriter::encode_with(|w| normalizer.encode_into(w));
-    seal(RecordKind::Normalizer, &record)
-}
-
-/// Decodes the envelope written by [`encode_normalizer`].
-///
-/// # Errors
-///
-/// Returns [`Error::Codec`] for framing/corruption problems or unknown
-/// parameter tags.
-pub fn decode_normalizer(bytes: &[u8]) -> Result<FittedNormalizer> {
-    let payload = open(bytes, RecordKind::Normalizer)?;
-    Ok(ByteReader::decode_all(
-        payload,
-        FittedNormalizer::decode_from,
-    )?)
-}
-
-/// Encodes an [`RbtConfig`] into a sealed binary envelope.
-pub fn encode_config(config: &RbtConfig) -> Vec<u8> {
-    let record = ByteWriter::encode_with(|w| config.encode_into(w));
-    seal(RecordKind::Config, &record)
-}
-
-/// Decodes the envelope written by [`encode_config`].
-///
-/// # Errors
-///
-/// [`Error::Codec`] for framing/corruption problems and for an
-/// out-of-range threshold.
-pub fn decode_config(bytes: &[u8]) -> Result<RbtConfig> {
-    let payload = open(bytes, RecordKind::Config)?;
-    Ok(ByteReader::decode_all(payload, RbtConfig::decode_from)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paper;
-    use crate::{PairingStrategy, PairwiseSecurityThreshold, ThresholdPolicy};
+    use crate::session::ReleaseSession;
 
-    fn paper_key() -> TransformationKey {
-        paper::run_example().unwrap().key
-    }
-
-    #[test]
-    fn key_envelope_round_trips_bit_identically() {
-        let key = paper_key();
-        let bytes = encode_key(&key);
-        assert_eq!(&bytes[..4], b"RBTS");
-        let back = decode_key(&bytes).unwrap();
-        assert_eq!(back.n_attributes(), key.n_attributes());
-        for (a, b) in back.steps().iter().zip(key.steps()) {
-            assert_eq!(a.theta_degrees.to_bits(), b.theta_degrees.to_bits());
-            assert_eq!(a.achieved_var1.to_bits(), b.achieved_var1.to_bits());
-            assert_eq!(a.achieved_var2.to_bits(), b.achieved_var2.to_bits());
-            assert_eq!((a.i, a.j), (b.i, b.j));
-        }
-    }
-
-    #[test]
-    fn normalizer_envelope_round_trips() {
+    fn paper_session() -> ReleaseSession {
         let example = paper::run_example().unwrap();
-        let bytes = encode_normalizer(&example.normalizer);
-        let back = decode_normalizer(&bytes).unwrap();
-        assert_eq!(back, example.normalizer);
-    }
-
-    #[test]
-    fn config_envelope_round_trips() {
-        let config = RbtConfig::uniform(PairwiseSecurityThreshold::uniform(0.3).unwrap())
-            .with_pairing(PairingStrategy::Explicit(vec![(0, 2), (1, 0)]))
-            .with_thresholds(ThresholdPolicy::PerPair(vec![paper::pst1(), paper::pst2()]))
-            .with_solver_grid(1234);
-        let bytes = encode_config(&config);
-        let back = decode_config(&bytes).unwrap();
-        assert_eq!(back, config);
+        ReleaseSession::new(example.key, example.normalizer).unwrap()
     }
 
     #[test]
     fn bad_magic_and_version_rejected() {
-        let key = paper_key();
-        let mut bytes = encode_key(&key);
+        let session = paper_session();
+        let mut bytes = session.to_bytes();
         bytes[0] = b'X';
         assert!(matches!(
-            decode_key(&bytes),
+            ReleaseSession::from_bytes(&bytes),
             Err(Error::Codec(CodecError::BadMagic { .. }))
         ));
-        let mut bytes = encode_key(&key);
+        let mut bytes = session.to_bytes();
         bytes[4] = 0xFF; // version low byte
         assert!(matches!(
-            decode_key(&bytes),
+            ReleaseSession::from_bytes(&bytes),
             Err(Error::Codec(CodecError::ChecksumMismatch { .. }))
         ));
         // An intact envelope of a *future* version is UnsupportedVersion:
         // rebuild the checksum after bumping the version field.
-        let mut bytes = encode_key(&key);
+        let mut bytes = session.to_bytes();
         bytes[4] = 2;
         let body_end = bytes.len() - 4;
         let fixed = crc32(&bytes[..body_end]);
         bytes[body_end..].copy_from_slice(&fixed.to_le_bytes());
         assert!(matches!(
-            decode_key(&bytes),
+            ReleaseSession::from_bytes(&bytes),
             Err(Error::Codec(CodecError::UnsupportedVersion { found: 2 }))
         ));
     }
 
     #[test]
     fn wrong_kind_rejected() {
-        let example = paper::run_example().unwrap();
-        let bytes = encode_normalizer(&example.normalizer);
+        let bytes = paper_session().to_bytes();
+        let payload = open(&bytes, RecordKind::Session).unwrap();
+        let method = seal(RecordKind::Method, payload);
         assert!(matches!(
-            decode_key(&bytes),
-            Err(Error::Codec(CodecError::WrongKind { .. }))
+            ReleaseSession::from_bytes(&method),
+            Err(Error::Codec(CodecError::WrongKind {
+                expected: RecordKind::Session,
+                found: 5
+            }))
         ));
     }
 
     #[test]
     fn every_truncation_is_a_typed_error() {
-        let bytes = encode_key(&paper_key());
+        let bytes = paper_session().to_bytes();
         for cut in 0..bytes.len() {
-            match decode_key(&bytes[..cut]) {
+            match ReleaseSession::from_bytes(&bytes[..cut]) {
                 Err(Error::Codec(_)) => {}
                 other => panic!("cut {cut}: expected codec error, got {other:?}"),
             }
@@ -443,18 +348,22 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_rejected() {
-        let bytes = encode_key(&paper_key());
+        let bytes = paper_session().to_bytes();
         for idx in 0..bytes.len() {
             let mut corrupted = bytes.clone();
             corrupted[idx] ^= 0x01;
-            assert!(decode_key(&corrupted).is_err(), "flip at byte {idx}");
+            assert!(
+                ReleaseSession::from_bytes(&corrupted).is_err(),
+                "flip at byte {idx}"
+            );
         }
     }
 
     #[test]
     fn tampered_step_indices_still_validated() {
-        // Build a payload whose step references column 9 of a 3-column key,
-        // with a *correct* checksum: decode must fail in key validation.
+        // A session whose key step references column 9 of a 3-column key,
+        // sealed with a *correct* checksum: decode must fail in key
+        // validation.
         let mut w = ByteWriter::new();
         w.put_usize(3);
         w.put_usize(1);
@@ -463,7 +372,14 @@ mod tests {
         w.put_f64(45.0);
         w.put_f64(0.0);
         w.put_f64(0.0);
-        let bytes = seal(RecordKind::Key, w.as_bytes());
-        assert!(matches!(decode_key(&bytes), Err(Error::KeyMismatch(_))));
+        paper_session().normalizer().encode_into(&mut w);
+        w.put_bool(false);
+        w.put_bool(false);
+        w.put_bool(true);
+        let bytes = seal(RecordKind::Session, w.as_bytes());
+        assert!(matches!(
+            ReleaseSession::from_bytes(&bytes),
+            Err(Error::KeyMismatch(_))
+        ));
     }
 }

@@ -5,15 +5,15 @@
 //! each pair from a continuous interval. A [`TransformationKey`] records
 //! exactly those choices, so the owner can (a) audit what was released,
 //! (b) re-apply the identical transformation to new rows, and (c) invert
-//! the release. Keys serialize to a small line-oriented text format
-//! (`Display`/`FromStr`) to stay within the approved dependency set.
+//! the release. A key persists only inside its release session's key file
+//! ([`crate::session::ReleaseSession::to_text`] /
+//! [`to_bytes`](crate::session::ReleaseSession::to_bytes)), next to the
+//! normalizer it rotates the output of.
 
 use crate::method::KeyStep;
 use crate::{Error, Result};
 use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::{Matrix, Rotation2};
-use std::fmt;
-use std::str::FromStr;
 
 /// One recorded rotation step.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,101 +185,6 @@ impl TransformationKey {
     }
 }
 
-impl fmt::Display for TransformationKey {
-    /// Line-oriented text format:
-    ///
-    /// ```text
-    /// rbt-key v1 n=3
-    /// rotate 0 2 312.47 0.318 0.9805
-    /// rotate 1 0 147.29 2.9714 6.9274
-    /// ```
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "rbt-key v1 n={}", self.n_attributes)?;
-        for s in &self.steps {
-            writeln!(
-                f,
-                "rotate {} {} {:.17e} {:.17e} {:.17e}",
-                s.i, s.j, s.theta_degrees, s.achieved_var1, s.achieved_var2
-            )?;
-        }
-        Ok(())
-    }
-}
-
-impl FromStr for TransformationKey {
-    type Err = Error;
-
-    fn from_str(s: &str) -> Result<Self> {
-        let mut lines = s.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or(Error::KeyParse {
-            line: 1,
-            message: "empty key".into(),
-        })?;
-        let header = header.trim();
-        let n_attributes = header
-            .strip_prefix("rbt-key v1 n=")
-            .and_then(|rest| rest.parse::<usize>().ok())
-            .ok_or(Error::KeyParse {
-                line: 1,
-                message: format!("bad header {header:?}"),
-            })?;
-        let mut steps = Vec::new();
-        for (idx, line) in lines {
-            let line_no = idx + 1;
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("rotate") => {}
-                other => {
-                    return Err(Error::KeyParse {
-                        line: line_no,
-                        message: format!("expected 'rotate', found {other:?}"),
-                    })
-                }
-            }
-            let mut field = |name: &str| -> Result<&str> {
-                parts.next().ok_or(Error::KeyParse {
-                    line: line_no,
-                    message: format!("missing field {name}"),
-                })
-            };
-            let i = field("i")?.parse::<usize>().map_err(|e| Error::KeyParse {
-                line: line_no,
-                message: format!("bad i: {e}"),
-            })?;
-            let j = field("j")?.parse::<usize>().map_err(|e| Error::KeyParse {
-                line: line_no,
-                message: format!("bad j: {e}"),
-            })?;
-            let float = |name: &str, raw: &str| -> Result<f64> {
-                raw.parse::<f64>().map_err(|e| Error::KeyParse {
-                    line: line_no,
-                    message: format!("bad {name}: {e}"),
-                })
-            };
-            let theta_raw = field("theta")?;
-            let v1_raw = field("var1")?;
-            let v2_raw = field("var2")?;
-            let theta_degrees = float("theta", theta_raw)?;
-            let achieved_var1 = float("var1", v1_raw)?;
-            let achieved_var2 = float("var2", v2_raw)?;
-            if parts.next().is_some() {
-                return Err(Error::KeyParse {
-                    line: line_no,
-                    message: "trailing fields".into(),
-                });
-            }
-            steps.push(RotationStep {
-                i,
-                j,
-                theta_degrees,
-                achieved_var1,
-                achieved_var2,
-            });
-        }
-        TransformationKey::new(steps, n_attributes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,50 +276,6 @@ mod tests {
         assert!(rbt_linalg::rotation::is_orthogonal(&r, 1e-12));
         let via_matrix = data.matmul(&r.transpose()).unwrap();
         assert!(stepwise.approx_eq(&via_matrix, 1e-10));
-    }
-
-    #[test]
-    fn display_parse_round_trip() {
-        let key = paper_key();
-        let text = key.to_string();
-        assert!(text.starts_with("rbt-key v1 n=3\n"));
-        let parsed: TransformationKey = text.parse().unwrap();
-        assert_eq!(parsed.n_attributes(), 3);
-        assert_eq!(parsed.steps().len(), 2);
-        for (a, b) in parsed.steps().iter().zip(key.steps()) {
-            assert_eq!(a.i, b.i);
-            assert_eq!(a.j, b.j);
-            assert!((a.theta_degrees - b.theta_degrees).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn parse_rejects_malformed_keys() {
-        assert!(matches!(
-            "".parse::<TransformationKey>(),
-            Err(Error::KeyParse { .. })
-        ));
-        assert!(matches!(
-            "not-a-key".parse::<TransformationKey>(),
-            Err(Error::KeyParse { line: 1, .. })
-        ));
-        assert!(matches!(
-            "rbt-key v1 n=3\nrotate 0 1".parse::<TransformationKey>(),
-            Err(Error::KeyParse { line: 2, .. })
-        ));
-        assert!(matches!(
-            "rbt-key v1 n=3\nrotate 0 1 x 0 0".parse::<TransformationKey>(),
-            Err(Error::KeyParse { line: 2, .. })
-        ));
-        assert!(matches!(
-            "rbt-key v1 n=3\nrotate 0 1 1.0 0 0 extra".parse::<TransformationKey>(),
-            Err(Error::KeyParse { line: 2, .. })
-        ));
-        // Header/step disagreement surfaces as KeyMismatch from `new`.
-        assert!(matches!(
-            "rbt-key v1 n=2\nrotate 0 5 1.0 0 0".parse::<TransformationKey>(),
-            Err(Error::KeyMismatch(_))
-        ));
     }
 
     #[test]

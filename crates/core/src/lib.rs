@@ -27,14 +27,13 @@
 //! * [`pairing`] — attribute-pair selection strategies (§4.3 Step 1),
 //! * [`method`] — the RBT algorithm itself (§4.3 Step 2) producing a
 //!   transformed matrix plus a [`key::TransformationKey`],
-//! * [`key`] — the owner-side secret (pairs, angles); serializable,
-//!   invertible,
+//! * [`key`] — the owner-side secret (pairs, angles); invertible,
 //! * [`pipeline`] — normalize-then-distort (Figure 1) over `rbt-data`
 //!   datasets,
 //! * [`session`] — streaming release sessions: persisted secrets applied
 //!   to arriving out-of-sample batches, with drift accounting,
-//! * [`codec`] — the versioned, checksummed key-file codec (binary
-//!   envelope; the text form lives on [`session::ReleaseSession`]),
+//! * [`codec`] — the versioned, checksummed key-file envelope (the session
+//!   record's text form lives on [`session::ReleaseSession`]),
 //! * [`isometry`] — Theorem 2 checks: dissimilarity-matrix preservation,
 //! * [`paper`] — the constants of the paper's running example (§5.1) and a
 //!   function reproducing Tables 2–6 from Table 1.
@@ -92,13 +91,6 @@ pub enum Error {
     InvalidPairing(String),
     /// A key was applied to data with an incompatible shape.
     KeyMismatch(String),
-    /// A serialized key could not be parsed.
-    KeyParse {
-        /// 1-based line number of the offending entry.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
     /// A persisted key file could not be decoded (bad magic, unsupported
     /// version, checksum mismatch, truncation, malformed record, …).
     Codec(codec::CodecError),
@@ -124,9 +116,6 @@ impl fmt::Display for Error {
             ),
             Error::InvalidPairing(msg) => write!(f, "invalid pairing: {msg}"),
             Error::KeyMismatch(msg) => write!(f, "key mismatch: {msg}"),
-            Error::KeyParse { line, message } => {
-                write!(f, "key parse error at line {line}: {message}")
-            }
             Error::Codec(e) => write!(f, "codec error: {e}"),
         }
     }

@@ -48,7 +48,7 @@ use crate::key::TransformationKey;
 use crate::method::RbtConfig;
 use crate::pipeline::PipelineOutput;
 use crate::{Error, Result};
-use rbt_data::{Dataset, FittedNormalizer, Normalization};
+use rbt_data::{Dataset, FittedNormalizer};
 use rbt_linalg::codec::{crc32, ByteReader, ByteWriter};
 use rbt_linalg::matrix::apply_steps_in_rows;
 use rbt_linalg::pool::{self, Pool};
@@ -567,12 +567,7 @@ impl ReleaseSession {
     /// finite `f64` exactly; the final line is the CRC-32 (hex) of all
     /// preceding non-empty lines joined with `\n`, so hand edits are
     /// detected just like bit flips in the binary form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Codec`] if the normalizer's method has no stable
-    /// text tag (cannot occur for the methods this workspace ships).
-    pub fn to_text(&self) -> Result<String> {
+    pub fn to_text(&self) -> String {
         let mut body = String::from("rbt-session v1\n");
         let _ = writeln!(
             body,
@@ -590,7 +585,7 @@ impl ReleaseSession {
         let _ = writeln!(
             body,
             "normalizer method={}",
-            method_tag(self.normalizer.method())?
+            self.normalizer.method().text_tag()
         );
         for line in self.normalizer.to_text().lines().skip(1) {
             let _ = writeln!(body, "param {line}");
@@ -641,7 +636,7 @@ impl ReleaseSession {
         let _ = writeln!(body, "suppress-ids {}", self.suppress_ids);
         let checksum = crc32(text_checksum_content(&body).as_bytes());
         let _ = writeln!(body, "checksum {checksum:08x}");
-        Ok(body)
+        body
     }
 
     /// Parses the form produced by [`to_text`](Self::to_text), verifying
@@ -875,17 +870,6 @@ fn text_checksum_content(body: &str) -> String {
         .join("\n")
 }
 
-/// Maps a normalization method to its stable text tag (shared with the
-/// normalizer's own text format via [`Normalization::text_tag`]).
-fn method_tag(method: Normalization) -> Result<&'static str> {
-    method.text_tag().ok_or_else(|| {
-        CodecError::Invalid {
-            message: format!("normalization method {method:?} has no text tag"),
-        }
-        .into()
-    })
-}
-
 /// Line cursor over the verified (pre-checksum) text lines.
 struct Cursor<'a> {
     lines: &'a [&'a str],
@@ -969,7 +953,7 @@ mod tests {
     use crate::pipeline::Pipeline;
     use crate::security::PairwiseSecurityThreshold;
     use rand::SeedableRng;
-    use rbt_data::datasets;
+    use rbt_data::{datasets, Normalization};
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
@@ -1188,7 +1172,7 @@ mod tests {
     #[test]
     fn new_rejects_mismatched_secrets() {
         let (_, out) = fitted_session();
-        let other = rbt_data::Normalization::zscore_paper()
+        let other = Normalization::zscore_paper()
             .fit(&Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 5.0]]).unwrap())
             .unwrap();
         assert!(matches!(
@@ -1231,7 +1215,7 @@ mod tests {
                 PairwiseSecurityThreshold::uniform(0.25).unwrap(),
             ))
             .with_id_suppression(false);
-        let text = session.to_text().unwrap();
+        let text = session.to_text();
         assert!(text.starts_with("rbt-session v1\n"));
         let back = ReleaseSession::from_text(&text).unwrap();
         assert_sessions_equal(&back, &session);
@@ -1270,7 +1254,7 @@ mod tests {
             .run(&raw, &mut rng(13))
             .unwrap();
             let session = ReleaseSession::from_pipeline_output(&out).unwrap();
-            let text = session.to_text().unwrap();
+            let text = session.to_text();
             let back = ReleaseSession::from_text(&text).unwrap();
             assert_eq!(
                 back.normalizer().method(),
@@ -1284,7 +1268,7 @@ mod tests {
     #[test]
     fn text_tampering_is_detected() {
         let (session, _) = fitted_session();
-        let text = session.to_text().unwrap();
+        let text = session.to_text();
         // Flip one digit of the first rotation angle.
         let tampered = text.replacen("rotate 0", "rotate 1", 1);
         assert!(matches!(
@@ -1323,7 +1307,7 @@ mod tests {
     #[test]
     fn whitespace_edits_do_not_break_the_checksum() {
         let (session, _) = fitted_session();
-        let text = session.to_text().unwrap();
+        let text = session.to_text();
         let padded: String = text.lines().flat_map(|l| ["  ", l, "  \n", "\n"]).collect();
         let back = ReleaseSession::from_text(&padded).unwrap();
         assert_eq!(back.key(), session.key());

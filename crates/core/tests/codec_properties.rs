@@ -1,49 +1,50 @@
-//! Property tests for the key-file codec: round trips are bit-identical
-//! for random keys, normalizers, and configs; corrupted bytes (truncation,
-//! bad magic, any flipped byte — checksum included) are rejected with
-//! typed errors, never panics.
+//! Property tests for the key-file codec: a release session (random key,
+//! a normalizer of every method, optional config and drift bounds) round
+//! trips bit-identically through both key-file formats; corrupted bytes
+//! (truncation, bad magic, any flipped byte — checksum included) are
+//! rejected with typed errors, never panics.
 
 use proptest::prelude::*;
-use rbt_core::codec::{self, CodecError};
+use rbt_core::codec::CodecError;
 use rbt_core::{
-    Error, PairingStrategy, PairwiseSecurityThreshold, RbtConfig, ReleaseSession, RotationStep,
-    ThresholdPolicy, TransformationKey,
+    DriftBounds, Error, PairingStrategy, PairwiseSecurityThreshold, RbtConfig, ReleaseSession,
+    RotationStep, ThresholdPolicy, TransformationKey,
 };
 use rbt_data::{FittedNormalizer, Normalization};
 use rbt_linalg::{Matrix, VarianceMode};
 
-fn key_strategy() -> impl Strategy<Value = TransformationKey> {
-    (2usize..8).prop_flat_map(|n| {
-        prop::collection::vec(
-            (
-                0usize..n,
-                1usize..n,
-                -720.0..720.0f64,
-                0.0..10.0f64,
-                0.0..10.0f64,
-            ),
-            1..6,
-        )
-        .prop_map(move |raw| {
-            let steps = raw
-                .into_iter()
-                .map(
-                    |(a, off, theta_degrees, achieved_var1, achieved_var2)| RotationStep {
-                        i: a,
-                        j: (a + off) % n,
-                        theta_degrees,
-                        achieved_var1,
-                        achieved_var2,
-                    },
-                )
-                .collect();
-            TransformationKey::new(steps, n).expect("constructed steps are in range and distinct")
-        })
+fn key_strategy(n: usize) -> impl Strategy<Value = TransformationKey> {
+    prop::collection::vec(
+        (
+            0usize..n,
+            1usize..n,
+            -720.0..720.0f64,
+            0.0..10.0f64,
+            0.0..10.0f64,
+        ),
+        1..6,
+    )
+    .prop_map(move |raw| {
+        let steps = raw
+            .into_iter()
+            .map(
+                |(a, off, theta_degrees, achieved_var1, achieved_var2)| RotationStep {
+                    i: a,
+                    j: (a + off) % n,
+                    theta_degrees,
+                    achieved_var1,
+                    achieved_var2,
+                },
+            )
+            .collect();
+        TransformationKey::new(steps, n).expect("constructed steps are in range and distinct")
     })
 }
 
-fn normalizer_strategy() -> impl Strategy<Value = FittedNormalizer> {
-    (2usize..12, 1usize..6, 0usize..6).prop_flat_map(|(rows, cols, which)| {
+/// A normalizer of any method fitted on random rows of width `cols`, with
+/// the normalized fitting rows.
+fn normalizer_strategy(cols: usize) -> impl Strategy<Value = (FittedNormalizer, Matrix)> {
+    (2usize..12, 0usize..6).prop_flat_map(move |(rows, which)| {
         prop::collection::vec(-1e6..1e6f64, rows * cols).prop_map(move |data| {
             let m = Matrix::from_vec(rows, cols, data).unwrap();
             let method = match which {
@@ -59,7 +60,7 @@ fn normalizer_strategy() -> impl Strategy<Value = FittedNormalizer> {
                 4 => Normalization::DecimalScaling,
                 _ => Normalization::RobustZScore,
             };
-            method.fit(&m).expect("non-empty matrix fits")
+            method.fit_transform(&m).expect("non-empty matrix fits")
         })
     })
 }
@@ -122,102 +123,106 @@ fn assert_keys_bit_identical(a: &TransformationKey, b: &TransformationKey) {
     }
 }
 
+/// A release session over 2–7 attributes: a random key, a normalizer of
+/// any method fitted for its width, and, each at random, a config, drift
+/// bounds from the normalized fitting rows, and ID suppression.
+fn session_strategy() -> impl Strategy<Value = ReleaseSession> {
+    (2usize..8)
+        .prop_flat_map(|n| {
+            (
+                key_strategy(n),
+                normalizer_strategy(n),
+                (any::<bool>(), config_strategy()),
+                any::<bool>(),
+                any::<bool>(),
+            )
+        })
+        .prop_map(
+            |(key, (normalizer, normalized), (with_config, config), drift, suppress)| {
+                let mut session = ReleaseSession::new(key, normalizer)
+                    .unwrap()
+                    .with_id_suppression(suppress);
+                if with_config {
+                    session = session.with_config(config);
+                }
+                if drift {
+                    let bounds = DriftBounds::from_normalized(&normalized).unwrap();
+                    session = session.with_drift_bounds(bounds).unwrap();
+                }
+                session
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn key_binary_round_trip_is_bit_identical(key in key_strategy()) {
-        let bytes = codec::encode_key(&key);
-        let back = codec::decode_key(&bytes).unwrap();
-        assert_keys_bit_identical(&back, &key);
-        // Canonical encoding: re-encoding reproduces the same bytes.
-        prop_assert_eq!(codec::encode_key(&back), bytes);
+    fn session_round_trips_through_both_formats(session in session_strategy()) {
+        let bytes = session.to_bytes();
+        let text = session.to_text();
+        let from_bytes = ReleaseSession::from_bytes(&bytes).unwrap();
+        let from_text = ReleaseSession::from_text(&text).unwrap();
+        for back in [&from_bytes, &from_text] {
+            assert_keys_bit_identical(back.key(), session.key());
+            prop_assert_eq!(back.normalizer(), session.normalizer());
+            prop_assert_eq!(back.normalizer().method(), session.normalizer().method());
+            prop_assert_eq!(back.config(), session.config());
+            prop_assert_eq!(back.drift_bounds(), session.drift_bounds());
+            prop_assert_eq!(back.suppresses_ids(), session.suppresses_ids());
+            // Canonical encodings: re-encoding reproduces the same bytes.
+            prop_assert_eq!(&back.to_bytes(), &bytes);
+            prop_assert_eq!(&back.to_text(), &text);
+        }
     }
 
     #[test]
-    fn normalizer_binary_round_trip_is_bit_identical(normalizer in normalizer_strategy()) {
-        let bytes = codec::encode_normalizer(&normalizer);
-        let back = codec::decode_normalizer(&bytes).unwrap();
-        prop_assert_eq!(&back, &normalizer);
-        prop_assert_eq!(back.method(), normalizer.method());
-        prop_assert_eq!(codec::encode_normalizer(&back), bytes);
-    }
-
-    #[test]
-    fn config_binary_round_trip_is_exact(config in config_strategy()) {
-        let bytes = codec::encode_config(&config);
-        let back = codec::decode_config(&bytes).unwrap();
-        prop_assert_eq!(&back, &config);
-        prop_assert_eq!(codec::encode_config(&back), bytes);
-    }
-
-    #[test]
-    fn truncated_key_bytes_are_typed_errors(key in key_strategy(), frac in 0.0..1.0f64) {
-        let bytes = codec::encode_key(&key);
+    fn truncated_session_bytes_are_typed_errors(session in session_strategy(), frac in 0.0..1.0f64) {
+        let bytes = session.to_bytes();
         let cut = ((bytes.len() as f64) * frac) as usize;
-        match codec::decode_key(&bytes[..cut.min(bytes.len() - 1)]) {
+        match ReleaseSession::from_bytes(&bytes[..cut.min(bytes.len() - 1)]) {
             Err(Error::Codec(_)) => {}
             other => prop_assert!(false, "expected codec error, got {:?}", other.map(|_| ())),
         }
     }
 
     #[test]
-    fn flipped_key_byte_is_rejected(key in key_strategy(), pos in 0.0..1.0f64, bit in 0u8..8) {
-        let mut bytes = codec::encode_key(&key);
+    fn flipped_session_byte_is_rejected(
+        session in session_strategy(),
+        pos in 0.0..1.0f64,
+        bit in 0u8..8,
+    ) {
+        let mut bytes = session.to_bytes();
         let idx = ((bytes.len() as f64) * pos) as usize % bytes.len();
         bytes[idx] ^= 1 << bit;
-        prop_assert!(codec::decode_key(&bytes).is_err(), "flip at {}", idx);
+        prop_assert!(ReleaseSession::from_bytes(&bytes).is_err(), "flip at {}", idx);
     }
 
     #[test]
-    fn bad_magic_is_rejected(key in key_strategy(), byte in any::<u8>()) {
-        let mut bytes = codec::encode_key(&key);
+    fn bad_magic_is_rejected(session in session_strategy(), byte in any::<u8>()) {
+        let mut bytes = session.to_bytes();
         if byte != bytes[0] {
             bytes[0] = byte;
             prop_assert!(matches!(
-                codec::decode_key(&bytes),
+                ReleaseSession::from_bytes(&bytes),
                 Err(Error::Codec(CodecError::BadMagic { .. }))
             ));
         }
     }
 
     #[test]
-    fn flipped_checksum_byte_is_rejected(key in key_strategy(), which in 0usize..4, bit in 0u8..8) {
-        let mut bytes = codec::encode_key(&key);
+    fn flipped_checksum_byte_is_rejected(
+        session in session_strategy(),
+        which in 0usize..4,
+        bit in 0u8..8,
+    ) {
+        let mut bytes = session.to_bytes();
         let idx = bytes.len() - 4 + which;
         bytes[idx] ^= 1 << bit;
         prop_assert!(matches!(
-            codec::decode_key(&bytes),
+            ReleaseSession::from_bytes(&bytes),
             Err(Error::Codec(CodecError::ChecksumMismatch { .. }))
         ));
-    }
-
-    #[test]
-    fn session_round_trips_through_both_formats(
-        key in key_strategy(),
-        rows in 2usize..10,
-        suppress in any::<bool>(),
-    ) {
-        // A normalizer fitted for the key's width, plus drift bounds.
-        let n = key.n_attributes();
-        let m = Matrix::from_vec(rows, n, (0..rows * n).map(|k| k as f64).collect()).unwrap();
-        let (normalizer, normalized) = Normalization::zscore_paper().fit_transform(&m).unwrap();
-        let session = ReleaseSession::new(key, normalizer)
-            .unwrap()
-            .with_drift_bounds(rbt_core::DriftBounds::from_normalized(&normalized).unwrap())
-            .unwrap()
-            .with_id_suppression(suppress);
-
-        let from_bytes = ReleaseSession::from_bytes(&session.to_bytes()).unwrap();
-        let from_text = ReleaseSession::from_text(&session.to_text().unwrap()).unwrap();
-        for back in [&from_bytes, &from_text] {
-            assert_keys_bit_identical(back.key(), session.key());
-            prop_assert_eq!(back.normalizer(), session.normalizer());
-            prop_assert_eq!(back.drift_bounds(), session.drift_bounds());
-            prop_assert_eq!(back.suppresses_ids(), session.suppresses_ids());
-        }
-        // Text round trip of the *text itself* is canonical too.
-        prop_assert_eq!(from_text.to_text().unwrap(), session.to_text().unwrap());
     }
 }
 
@@ -275,11 +280,7 @@ fn shared_encodings_keep_their_bytes() {
                     .with_thresholds(policy.clone())
                     .with_variance_mode(mode)
                     .with_solver_grid(3600);
-                // The record inside the envelope: a sealed envelope's CRC
-                // over its own trailer is the same constant for any input.
-                let sealed = codec::encode_config(&config);
-                let record = codec::open_envelope(&sealed, codec::RecordKind::Config);
-                actual.push(pin(record.unwrap()));
+                actual.push(record(&|w| config.encode_into(w)));
             }
         }
     }

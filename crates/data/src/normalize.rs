@@ -90,12 +90,12 @@ impl Normalization {
 
     /// The stable text tag identifying this method in persisted key files
     /// (`minmax`, `zscore-sample`, `zscore-population`, `decimal`,
-    /// `robust`), or `None` for a method without one.
+    /// `robust`).
     ///
     /// Min–max target ranges are not part of the tag: the fitted per-column
     /// parameters already carry them.
-    pub fn text_tag(&self) -> Option<&'static str> {
-        Some(match self {
+    pub fn text_tag(&self) -> &'static str {
+        match self {
             Normalization::MinMax { .. } => "minmax",
             Normalization::ZScore {
                 mode: VarianceMode::Sample,
@@ -105,9 +105,7 @@ impl Normalization {
             } => "zscore-population",
             Normalization::DecimalScaling => "decimal",
             Normalization::RobustZScore => "robust",
-            #[allow(unreachable_patterns)] // future #[non_exhaustive] variants
-            _ => return None,
-        })
+        }
     }
 
     /// Appends the method's binary tag: `0` min–max (followed by the
@@ -325,7 +323,7 @@ fn from_text_tag(tag: &str) -> Option<Normalization> {
         Normalization::RobustZScore,
     ]
     .into_iter()
-    .find(|m| m.text_tag() == Some(tag))
+    .find(|m| m.text_tag() == tag)
 }
 
 /// One column's fitted parameters: the unit of both codecs, and the
@@ -877,7 +875,8 @@ impl FittedNormalizer {
     }
 
     /// Serializes the fitted parameters to a stable line-oriented text
-    /// format (the owner-side companion of the transformation key):
+    /// format, the normalizer section of a release session's text key file
+    /// (which carries the header's `method=` tag and every line after it):
     ///
     /// ```text
     /// rbt-normalizer v1 cols=3 method=zscore-sample
@@ -888,15 +887,14 @@ impl FittedNormalizer {
     /// The `method=` field carries the advisory [`method`](Self::method)
     /// tag that z-score-shaped parameters alone cannot distinguish (sample
     /// vs population vs robust fits), so the text form round-trips it just
-    /// like the binary codec. Headers written before this field existed
-    /// parse fine — see [`from_text`](Self::from_text).
+    /// like the binary codec.
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = format!("rbt-normalizer v1 cols={}", self.n_cols());
-        if let Some(tag) = self.method.text_tag() {
-            let _ = write!(out, " method={tag}");
-        }
-        out.push('\n');
+        let mut out = format!(
+            "rbt-normalizer v1 cols={} method={}\n",
+            self.n_cols(),
+            self.method.text_tag()
+        );
         for p in self.params() {
             match p {
                 ColumnParams::MinMax {
@@ -923,21 +921,16 @@ impl FittedNormalizer {
 
     /// Parses the format produced by [`to_text`](Self::to_text).
     ///
-    /// Headers carrying a `method=` field restore the advisory
+    /// The header's `method=` field restores the advisory
     /// [`method`](Self::method) tag exactly; a min–max method takes its
-    /// target range from the first parameter line. Headers written before
-    /// that field existed (plain `rbt-normalizer v1 cols=N`) still parse;
-    /// the first line then names the method, z-score-shaped parameters
-    /// reading as [`Normalization::zscore_paper`] (transform/inverse
-    /// behaviour is fully determined by the per-column parameters either
-    /// way).
+    /// target range from the first parameter line.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Parse`] for malformed input, including an unknown
-    /// `method=` tag (at line 1), and, at that line, a parameter line of
-    /// another kind than the method's or a min–max line onto another
-    /// target range than the first line's.
+    /// Returns [`Error::Parse`] for malformed input, including a header
+    /// without a `method=` field or with an unknown tag (at line 1), and,
+    /// at that line, a parameter line of another kind than the method's or
+    /// a min–max line onto another target range than the first line's.
     pub fn from_text(text: &str) -> Result<Self> {
         let mut lines = text
             .lines()
@@ -960,16 +953,14 @@ impl FittedNormalizer {
             .next()
             .and_then(|f| f.parse::<usize>().ok())
             .ok_or_else(bad_header)?;
-        let named = match fields.next() {
-            None => None,
-            Some(f) => {
-                let tag = f.strip_prefix("method=").ok_or_else(bad_header)?;
-                Some(from_text_tag(tag).ok_or_else(|| Error::Parse {
-                    line: 1,
-                    message: format!("unknown method tag {tag:?}"),
-                })?)
-            }
-        };
+        let tag = fields
+            .next()
+            .and_then(|f| f.strip_prefix("method="))
+            .ok_or_else(bad_header)?;
+        let named = from_text_tag(tag).ok_or_else(|| Error::Parse {
+            line: 1,
+            message: format!("unknown method tag {tag:?}"),
+        })?;
         if fields.next().is_some() {
             return Err(bad_header());
         }
@@ -1030,18 +1021,15 @@ impl FittedNormalizer {
                     })
                 }
             };
-            // The tag leaves a min–max target range to the first line, and
-            // an untagged header the whole method.
-            let method = method.get_or_insert_with(|| match (named, p) {
+            // The tag leaves a min–max target range to the first line.
+            let method = method.get_or_insert(match (named, p) {
                 (
-                    None | Some(Normalization::MinMax { .. }),
+                    Normalization::MinMax { .. },
                     ColumnParams::MinMax {
                         new_min, new_max, ..
                     },
                 ) => Normalization::MinMax { new_min, new_max },
-                (Some(named), _) => named,
-                (None, ColumnParams::ZScore { .. }) => Normalization::zscore_paper(),
-                (None, ColumnParams::DecimalScaling { .. }) => Normalization::DecimalScaling,
+                (named, _) => named,
             });
             let columns = columns.get_or_insert_with(|| Columns::of_kind(&p, cols.min(1024)));
             if !columns.push(p, method) {
@@ -1616,14 +1604,12 @@ mod tests {
     }
 
     #[test]
-    fn from_text_accepts_pre_method_tag_headers() {
-        // Files written before the method= field existed (and the session
-        // format's reconstructed headers) must keep parsing.
-        let legacy = "rbt-normalizer v1 cols=2\nzscore 1.0 2.0\nzscore 0.5 1.5\n";
-        let parsed = FittedNormalizer::from_text(legacy).unwrap();
-        assert_eq!(parsed.n_cols(), 2);
-        assert_eq!(parsed.method(), Normalization::zscore_paper());
-        // Unknown tags and malformed trailing fields are rejected.
+    fn from_text_refuses_headers_without_a_known_method_tag() {
+        // Untagged headers, unknown tags and malformed trailing fields.
+        assert!(FittedNormalizer::from_text(
+            "rbt-normalizer v1 cols=2\nzscore 1.0 2.0\nzscore 0.5 1.5\n"
+        )
+        .is_err());
         assert!(FittedNormalizer::from_text(
             "rbt-normalizer v1 cols=1 method=wavelet\nzscore 1.0 2.0\n"
         )
@@ -1728,10 +1714,14 @@ mod tests {
     fn normalizer_text_rejects_malformed() {
         assert!(FittedNormalizer::from_text("").is_err());
         assert!(FittedNormalizer::from_text("wrong header").is_err());
-        assert!(FittedNormalizer::from_text("rbt-normalizer v1 cols=1\nwiggle 1 2").is_err());
-        assert!(FittedNormalizer::from_text("rbt-normalizer v1 cols=1\nzscore 1").is_err());
-        assert!(FittedNormalizer::from_text("rbt-normalizer v1 cols=2\nzscore 1 2").is_err());
-        assert!(FittedNormalizer::from_text("rbt-normalizer v1 cols=1\nzscore x 2").is_err());
+        for text in [
+            "rbt-normalizer v1 cols=1 method=zscore-sample\nwiggle 1 2",
+            "rbt-normalizer v1 cols=1 method=zscore-sample\nzscore 1",
+            "rbt-normalizer v1 cols=2 method=zscore-sample\nzscore 1 2",
+            "rbt-normalizer v1 cols=1 method=zscore-sample\nzscore x 2",
+        ] {
+            assert!(FittedNormalizer::from_text(text).is_err(), "{text:?}");
+        }
     }
 
     #[test]
@@ -1740,7 +1730,7 @@ mod tests {
         // parameter lines are counted: both headers get the typed count
         // mismatch, not an allocation abort or a capacity-overflow panic.
         for cols in [4_000_000_000usize, usize::MAX] {
-            let text = format!("rbt-normalizer v1 cols={cols}\nzscore 0 1\n");
+            let text = format!("rbt-normalizer v1 cols={cols} method=zscore-sample\nzscore 0 1\n");
             match FittedNormalizer::from_text(&text) {
                 Err(Error::Parse { line: 1, message }) => {
                     assert_eq!(message, format!("header declares {cols} columns, found 1"))
@@ -1752,7 +1742,7 @@ mod tests {
         // or without parameter lines.
         for text in [
             "rbt-normalizer v1 cols=0 method=zscore-sample\n",
-            "rbt-normalizer v1 cols=0\nzscore 0 1\n",
+            "rbt-normalizer v1 cols=0 method=zscore-sample\nzscore 0 1\n",
         ] {
             assert!(matches!(
                 FittedNormalizer::from_text(text),
@@ -2030,7 +2020,7 @@ mod tests {
     fn text_decoder_refuses_mixed_parameter_kinds() {
         for (text, at) in [
             (
-                "rbt-normalizer v1 cols=3\nminmax 0 1 0 1\nminmax 2 4 0 1\nzscore 0.5 2\n",
+                "rbt-normalizer v1 cols=3 method=minmax\nminmax 0 1 0 1\nminmax 2 4 0 1\nzscore 0.5 2\n",
                 4,
             ),
             // Z-score lines under a min–max tag: this read back as sample
@@ -2044,13 +2034,13 @@ mod tests {
                 "rbt-normalizer v1 cols=1 method=zscore-sample\nminmax 0 1 0 1\n",
                 2,
             ),
-            // A second min–max target range, with and without the tag.
+            // A second min–max target range, after the tag's or another.
             (
                 "rbt-normalizer v1 cols=2 method=minmax\nminmax 0 1 0 1\nminmax 0 1 0 2\n",
                 3,
             ),
             (
-                "rbt-normalizer v1 cols=2\nminmax 0 1 -1 1\nminmax 0 1 0 1\n",
+                "rbt-normalizer v1 cols=2 method=minmax\nminmax 0 1 -1 1\nminmax 0 1 0 1\n",
                 3,
             ),
         ] {

@@ -72,6 +72,7 @@ pub struct Owner {
     session: u64,
     raw: Matrix,
     state: State,
+    normalizer: Option<FittedNormalizer>,
     key: Option<TransformationKey>,
 }
 
@@ -94,6 +95,7 @@ impl Owner {
             session,
             raw,
             state: State::AwaitAnnounce,
+            normalizer: None,
             key: None,
         })
     }
@@ -111,6 +113,11 @@ impl Owner {
     /// Whether the owner has released its block.
     pub fn is_released(&self) -> bool {
         matches!(self.state, State::Released)
+    }
+
+    /// The shared normalizer, once the coordinator has announced it.
+    pub fn normalizer(&self) -> Option<&FittedNormalizer> {
+        self.normalizer.as_ref()
     }
 
     /// The owner's transformation key, once fitted (shared or private).
@@ -231,6 +238,7 @@ impl Owner {
                     )));
                 }
                 let local = fitted.transform(&self.raw).map_err(ProtocolError::Data)?;
+                self.normalizer = Some(fitted);
                 self.state = State::Fitting {
                     cfg,
                     local,

@@ -89,6 +89,7 @@ fn federated_release_bitwise_matches_pooled_baseline() {
     for owners in [2u16, 3] {
         let cfg = shared_config(0x5e55_1000 + u64::from(owners), 5, owners, 4242);
         let (baseline_matrix, baseline_labels, baseline_inertia) = pooled_baseline(&pooled, &cfg);
+        let baseline_normalizer = cfg.normalization.fit(&pooled).unwrap();
 
         let parts = partition(&pooled, owners as usize);
         let run = InProcessFederation::new(cfg, parts).unwrap().run().unwrap();
@@ -105,10 +106,11 @@ fn federated_release_bitwise_matches_pooled_baseline() {
             "{owners}-owner inertia bits"
         );
         assert!(run.coordinator.is_finished());
-        // Every owner independently reconstructed the same shared key.
-        let coord_key = run.coordinator.key().unwrap().to_string();
+        // Every owner independently reconstructed the same shared key, and
+        // holds the pooled fit's normalizer.
         for owner in &run.owners {
-            assert_eq!(owner.key().unwrap().to_string(), coord_key);
+            assert_eq!(owner.key(), run.coordinator.key());
+            assert_eq!(owner.normalizer(), Some(&baseline_normalizer));
         }
     }
 }
@@ -174,10 +176,14 @@ fn pin_holds_across_configs_and_owner_counts() {
             .with_pairing(pairing)
             .with_variance_mode(mode);
         let (baseline_matrix, baseline_labels, _) = pooled_baseline(&pooled, &cfg);
+        let baseline_normalizer = cfg.normalization.fit(&pooled).unwrap();
         let parts = partition(&pooled, owners as usize);
         let run = InProcessFederation::new(cfg, parts).unwrap().run().unwrap();
         assert_bitwise_eq(&run.result.matrix, &baseline_matrix, &format!("case {idx}"));
         assert_eq!(run.result.labels, baseline_labels, "case {idx}");
+        for owner in &run.owners {
+            assert_eq!(owner.normalizer(), Some(&baseline_normalizer), "case {idx}");
+        }
     }
 }
 
@@ -213,11 +219,7 @@ fn per_owner_policy_yields_distinct_keys() {
         .unwrap();
     assert!(run.coordinator.is_finished());
     assert!(run.coordinator.key().is_none());
-    let keys: Vec<String> = run
-        .owners
-        .iter()
-        .map(|o| o.key().unwrap().to_string())
-        .collect();
+    let keys: Vec<_> = run.owners.iter().map(|o| o.key().unwrap()).collect();
     assert_ne!(keys[0], keys[1]);
     assert_ne!(keys[1], keys[2]);
     let (baseline_matrix, _, _) = pooled_baseline(&pooled, &cfg);

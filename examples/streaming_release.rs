@@ -40,8 +40,7 @@ fn main() {
     let session = ReleaseSession::from_pipeline_output(&fit).expect("secrets are consistent");
 
     let key_file = std::env::temp_dir().join("rbt-streaming-example.session");
-    std::fs::write(&key_file, session.to_text().expect("encodable session"))
-        .expect("key file written");
+    std::fs::write(&key_file, session.to_text()).expect("key file written");
     println!(
         "day 0: released {} historical rows; session persisted to {}",
         fit.released.n_rows(),

@@ -3,38 +3,37 @@
 //!
 //! ```text
 //! rbt-cli methods
-//! rbt-cli release --input data.csv --output released.csv \
-//!         --key key.txt --params norm.txt [--rho 0.3] [--seed N]
+//! rbt-cli keygen --input data.csv --key session.rbt [--released r.csv]
+//!         [--method rbt] [--rho 0.3] [--seed N]
 //!         [--normalization zscore|minmax|decimal|robust] [--keep-ids]
-//! rbt-cli recover --input released.csv --key key.txt --params norm.txt \
-//!         --output recovered.csv
-//! rbt-cli keygen --input data.csv --key session.rbt [--method rbt]
 //! rbt-cli transform/invert --key session.rbt --input b.csv --output o.csv
-//! rbt-cli inspect-key --key key.txt
+//! rbt-cli inspect-key --key session.rbt
 //! rbt-cli audit --original data.csv --released released.csv
 //! rbt-cli serve --keys <dir> [--addr host:port] [--capacity N] [--window W]
 //!         [--max-conns N] [--read-timeout ms] [--drain-timeout ms]
 //! rbt-cli federate coordinate --addr host:port --session N --owners N --cols C
 //! rbt-cli federate join --addr host:port --session N --owner I --input b.csv
+//!         [--key session.rbt]
 //! rbt-cli federate receive --addr host:port --session N [--output labels.csv]
 //! ```
 //!
-//! `release` normalizes, rotates, and writes three artifacts: the shareable
-//! CSV, the secret rotation key, and the secret normalization parameters.
-//! `recover` is the owner-side inverse. `audit` verifies the isometry and
-//! reports per-attribute security levels. `keygen` fits any registered
-//! method (`rbt-cli methods` lists them) and persists the fitted state;
-//! `transform`/`invert` apply/undo it batch by batch.
+//! `keygen` fits any registered method (`rbt-cli methods` lists them) and
+//! persists the fitted state as the owner's one secret key file; with
+//! `--released` it also writes the shareable CSV, which makes `keygen
+//! --released` then `invert` the one-shot Figure-1 workflow.
+//! `transform`/`invert` apply/undo the key file batch by batch. `audit`
+//! verifies the isometry and reports per-attribute security levels.
 //!
-//! Failures exit with a distinct code per family (see
-//! [`RbtError::exit_code`]): 2 usage/config, 3 input data, 4 corrupt key
-//! files, 5 shape mismatches, 6 infeasible thresholds, 7 method
+//! Every command names the flags it reads: an unknown flag, or one given
+//! twice, is a usage error. Failures exit with a distinct code per family
+//! (see [`RbtError::exit_code`]): 2 usage/config, 3 input data, 4 corrupt
+//! key files, 5 shape mismatches, 6 infeasible thresholds, 7 method
 //! capability.
 
 use rand::SeedableRng;
 use rbt::api::{decode_fitted, FittedTransform, Method, RbtError};
-use rbt::core::{Pipeline, RbtConfig, TransformationKey};
-use rbt::data::{csv, FittedNormalizer, Normalization};
+use rbt::core::{RbtConfig, ReleaseSession};
+use rbt::data::{csv, Normalization};
 use rbt::linalg::codec::ByteWriter;
 use rbt::prelude::Release;
 use rbt::protocol::{FederationConfig, KeyPolicy, Message, Owner, Party, ProtocolError};
@@ -114,8 +113,6 @@ fn main() -> ExitCode {
     };
     let result = match command.as_str() {
         "methods" => cmd_methods(rest),
-        "release" => cmd_release(rest),
-        "recover" => cmd_recover(rest),
         "keygen" => cmd_keygen(rest),
         "transform" => cmd_transform(rest),
         "invert" => cmd_invert(rest),
@@ -146,13 +143,8 @@ rbt-cli — privacy-preserving data release via Rotation-Based Transformation
 USAGE — the method registry:
   rbt-cli methods                 list every registered release method
 
-One-shot RBT release (Figure 1):
-  rbt-cli release --input <csv> --output <csv> --key <file> --params <file>
-          [--rho <f64, default 0.3>] [--seed <u64, default random>]
-          [--normalization zscore|minmax|decimal|robust] [--keep-ids]
-  rbt-cli recover --input <csv> --key <file> --params <file> --output <csv>
-
-Fitted release sessions (any method; persisted secrets, batch after batch):
+Fitted releases (any method; one secret key file, batch after batch;
+keygen --released then invert is the one-shot Figure-1 workflow):
   rbt-cli keygen --input <csv> --key <file> [--method <name, default rbt>]
           [--released <csv>] [--rho <f64, default 0.3>]
           [--seed <u64, default random>]
@@ -180,7 +172,7 @@ Federated release (N owners, one joint clustering; ARCHITECTURE.md
           [--normalization zscore|minmax|decimal|robust] [--k <clusters, default 3>]
           [--max-iters <default 128>] [--key-policy shared|per-owner]
   rbt-cli federate join --addr <host:port> --session <u64> --owner <idx>
-          --input <csv> [--key <file to save the reconstructed key>]
+          --input <csv> [--key <file to save the owner's session key file>]
           [--wait-ms <poll budget, default 60000>]
   rbt-cli federate receive --addr <host:port> --session <u64>
           [--output <labels csv>] [--wait-ms <poll budget, default 60000>]
@@ -188,21 +180,31 @@ Federated release (N owners, one joint clustering; ARCHITECTURE.md
 Exit codes: 0 ok · 2 usage/config · 3 input data · 4 corrupt key file ·
 5 shape mismatch · 6 infeasible threshold · 7 method capability · 1 other";
 
-/// Minimal `--flag value` / `--switch` parser.
-fn parse_flags(args: &[String], switches: &[&str]) -> CliResult<HashMap<String, String>> {
+/// Minimal `--flag value` / `--switch` parser over the value flags and
+/// switches one command reads. Any other flag, and any flag given twice,
+/// is a usage error: a mistyped option must not fall back to its default.
+fn parse_flags(
+    args: &[String],
+    values: &[&str],
+    switches: &[&str],
+) -> CliResult<HashMap<String, String>> {
     let mut out = HashMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let Some(name) = arg.strip_prefix("--") else {
             return Err(CliError::usage(format!("unexpected argument {arg:?}")));
         };
-        if switches.contains(&name) {
-            out.insert(name.to_string(), "true".to_string());
+        let value = if switches.contains(&name) {
+            "true".to_string()
+        } else if values.contains(&name) {
+            it.next()
+                .ok_or_else(|| CliError::usage(format!("--{name} requires a value")))?
+                .clone()
         } else {
-            let value = it
-                .next()
-                .ok_or_else(|| CliError::usage(format!("--{name} requires a value")))?;
-            out.insert(name.to_string(), value.clone());
+            return Err(CliError::usage(format!("unknown flag --{name}")));
+        };
+        if out.insert(name.to_string(), value).is_some() {
+            return Err(CliError::usage(format!("flag --{name} given twice")));
         }
     }
     Ok(out)
@@ -218,11 +220,6 @@ fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> CliResult<&'a
 fn write_file(path: &Path, contents: &str) -> CliResult<()> {
     std::fs::write(path, contents)
         .map_err(|e| CliError::io(format!("writing {}: {e}", path.display())))
-}
-
-fn read_file(path: &Path) -> CliResult<String> {
-    std::fs::read_to_string(path)
-        .map_err(|e| CliError::io(format!("reading {}: {e}", path.display())))
 }
 
 fn parse_rho(flags: &HashMap<String, String>) -> CliResult<f64> {
@@ -267,7 +264,7 @@ fn write_csv(ds: &rbt::Dataset, path: &Path) -> CliResult<()> {
 }
 
 fn cmd_methods(args: &[String]) -> CliResult<()> {
-    parse_flags(args, &[])?;
+    parse_flags(args, &[], &[])?;
     println!("registered release methods:");
     for m in Method::ALL {
         let t = m.default_transform();
@@ -279,84 +276,18 @@ fn cmd_methods(args: &[String]) -> CliResult<()> {
     Ok(())
 }
 
-fn cmd_release(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &["keep-ids"])?;
-    let input = PathBuf::from(required(&flags, "input")?);
-    let output = PathBuf::from(required(&flags, "output")?);
-    let key_path = PathBuf::from(required(&flags, "key")?);
-    let params_path = PathBuf::from(required(&flags, "params")?);
-    let rho = parse_rho(&flags)?;
-    let seed = parse_seed(&flags)?;
-    let normalization = parse_normalization(&flags)?;
-
-    let data = read_csv(&input)?;
-    let pst = PairwiseSecurityThreshold::uniform(rho)
-        .map_err(|e| CliError::usage(format!("bad --rho: {e}")))?;
-    let pipeline = Pipeline::new(RbtConfig::uniform(pst))
-        .with_normalization(normalization)
-        .with_id_suppression(!flags.contains_key("keep-ids"));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let out = pipeline.run(&data, &mut rng)?;
-
-    write_csv(&out.released, &output)?;
-    write_file(&key_path, &out.key.to_string())?;
-    write_file(&params_path, &out.normalizer.to_text())?;
-
-    println!(
-        "released {} rows x {} attributes -> {}",
-        out.released.n_rows(),
-        out.released.n_cols(),
-        output.display()
-    );
-    for step in out.key.steps() {
-        println!(
-            "  rotated pair ({}, {}) by {:.4}° (Var {:.4} / {:.4})",
-            step.i, step.j, step.theta_degrees, step.achieved_var1, step.achieved_var2
-        );
-    }
-    println!("secret key     -> {}", key_path.display());
-    println!("secret params  -> {}", params_path.display());
-    println!("seed (keep private): {seed}");
-    Ok(())
-}
-
-fn cmd_recover(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &[])?;
-    let input = PathBuf::from(required(&flags, "input")?);
-    let key_path = PathBuf::from(required(&flags, "key")?);
-    let params_path = PathBuf::from(required(&flags, "params")?);
-    let output = PathBuf::from(required(&flags, "output")?);
-
-    let released = read_csv(&input)?;
-    let key = read_file(&key_path)?
-        .parse::<TransformationKey>()
-        .map_err(CliError::from)?;
-    // A params file that fails to parse is a corrupt secret artifact —
-    // the same failure family as a corrupt key file (exit 4), not bad
-    // input data (which is what its rbt_data parse error would map to).
-    let normalizer =
-        FittedNormalizer::from_text(&read_file(&params_path)?).map_err(|e| CliError {
-            code: 4,
-            message: format!("params file {}: {e}", params_path.display()),
-        })?;
-
-    let normalized = key.invert(released.matrix())?;
-    let raw = normalizer.inverse_transform(&normalized)?;
-
-    let mut recovered = released.clone();
-    recovered.replace_matrix(raw)?;
-    write_csv(&recovered, &output)?;
-    println!(
-        "recovered {} rows x {} attributes -> {}",
-        recovered.n_rows(),
-        recovered.n_cols(),
-        output.display()
-    );
-    Ok(())
-}
-
 fn cmd_keygen(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &["keep-ids"])?;
+    let values = [
+        "input",
+        "key",
+        "method",
+        "released",
+        "rho",
+        "seed",
+        "normalization",
+        "format",
+    ];
+    let flags = parse_flags(args, &values, &["keep-ids"])?;
     let input = PathBuf::from(required(&flags, "input")?);
     let key_path = PathBuf::from(required(&flags, "key")?);
     let method = Method::from_name(flags.get("method").map_or("rbt", String::as_str))?;
@@ -385,7 +316,7 @@ fn cmd_keygen(args: &[String]) -> CliResult<()> {
     // RBT sessions default to the checksummed text form; every other
     // state has only the binary container.
     let (key_bytes, format) = match (format, fitted.session()) {
-        (None | Some("text"), Some(session)) => (session.to_text()?.into_bytes(), "text"),
+        (None | Some("text"), Some(session)) => (session.to_text().into_bytes(), "text"),
         (Some("text"), None) => {
             return Err(CliError::usage(format!(
                 "method {:?} has no text key-file form; use --format binary or omit --format",
@@ -425,8 +356,11 @@ fn load_fitted(key_path: &Path) -> CliResult<Box<dyn FittedTransform>> {
     Ok(decode_fitted(&bytes)?)
 }
 
+/// The flags `transform` and `invert` read.
+const BATCH_FLAGS: [&str; 3] = ["key", "input", "output"];
+
 fn cmd_transform(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, &BATCH_FLAGS, &[])?;
     let key_path = PathBuf::from(required(&flags, "key")?);
     let input = PathBuf::from(required(&flags, "input")?);
     let output = PathBuf::from(required(&flags, "output")?);
@@ -456,7 +390,7 @@ fn cmd_transform(args: &[String]) -> CliResult<()> {
 }
 
 fn cmd_invert(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, &BATCH_FLAGS, &[])?;
     let key_path = PathBuf::from(required(&flags, "key")?);
     let input = PathBuf::from(required(&flags, "input")?);
     let output = PathBuf::from(required(&flags, "output")?);
@@ -475,55 +409,32 @@ fn cmd_invert(args: &[String]) -> CliResult<()> {
 }
 
 fn cmd_inspect_key(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &[])?;
-    let key_path = PathBuf::from(required(&flags, "key")?);
-    let bytes = std::fs::read(&key_path)
-        .map_err(|e| CliError::io(format!("reading {}: {e}", key_path.display())))?;
-    // Session key files (binary or text) carry more than the key. Only
-    // files that do not *look like* sessions fall through to the legacy
-    // bare-key text parser — a corrupted session file must surface its
-    // decode error (e.g. a checksum mismatch), not a misleading legacy
-    // parse failure.
-    let looks_like_session = bytes.starts_with(&rbt::core::codec::MAGIC)
-        || std::str::from_utf8(&bytes).is_ok_and(|t| t.trim_start().starts_with("rbt-session"));
-    let key: TransformationKey = if looks_like_session {
-        let fitted = decode_fitted(&bytes)?;
-        let Some(session) = fitted.session() else {
-            // A fitted non-RBT method: report its descriptor and stop.
-            println!(
-                "fitted {} state for {} attributes: {}",
-                fitted.method_name(),
-                fitted.n_attributes(),
-                fitted.properties()
-            );
-            return Ok(());
-        };
+    let flags = parse_flags(args, &["key"], &[])?;
+    let fitted = load_fitted(&PathBuf::from(required(&flags, "key")?))?;
+    let Some(session) = fitted.session() else {
+        // A fitted non-RBT method: report its descriptor and stop.
         println!(
-            "session key file: normalizer for {} columns, drift bounds {}, \
-             config {}, id suppression {}",
-            session.normalizer().n_cols(),
-            if session.drift_bounds().is_some() {
-                "attached"
-            } else {
-                "absent"
-            },
-            if session.config().is_some() {
-                "attached"
-            } else {
-                "absent"
-            },
-            if session.suppresses_ids() {
-                "on"
-            } else {
-                "off"
-            }
+            "fitted {} state for {} attributes: {}",
+            fitted.method_name(),
+            fitted.n_attributes(),
+            fitted.properties()
         );
-        session.key().clone()
-    } else {
-        String::from_utf8_lossy(&bytes)
-            .parse::<TransformationKey>()
-            .map_err(CliError::from)?
+        return Ok(());
     };
+    let attached = |present: bool| if present { "attached" } else { "absent" };
+    println!(
+        "session key file: normalizer for {} columns, drift bounds {}, \
+         config {}, id suppression {}",
+        session.normalizer().n_cols(),
+        attached(session.drift_bounds().is_some()),
+        attached(session.config().is_some()),
+        if session.suppresses_ids() {
+            "on"
+        } else {
+            "off"
+        }
+    );
+    let key = session.key();
     println!(
         "key for {} attributes, {} rotation steps:",
         key.n_attributes(),
@@ -544,7 +455,7 @@ fn cmd_inspect_key(args: &[String]) -> CliResult<()> {
 }
 
 fn cmd_audit(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, &["original", "released"], &[])?;
     let original_path = PathBuf::from(required(&flags, "original")?);
     let released_path = PathBuf::from(required(&flags, "released")?);
     let original = read_csv(&original_path)?;
@@ -604,7 +515,16 @@ fn parse_flag_ms(
 }
 
 fn cmd_serve(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &[])?;
+    let values = [
+        "keys",
+        "addr",
+        "capacity",
+        "window",
+        "max-conns",
+        "read-timeout",
+        "drain-timeout",
+    ];
+    let flags = parse_flags(args, &values, &[])?;
     let keys_dir = PathBuf::from(required(&flags, "keys")?);
     let addr = flags
         .get("addr")
@@ -716,7 +636,19 @@ fn cmd_federate(args: &[String]) -> CliResult<()> {
 }
 
 fn cmd_federate_coordinate(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &[])?;
+    let values = [
+        "addr",
+        "session",
+        "owners",
+        "cols",
+        "rho",
+        "seed",
+        "normalization",
+        "k",
+        "max-iters",
+        "key-policy",
+    ];
+    let flags = parse_flags(args, &values, &[])?;
     let addr = required(&flags, "addr")?.to_string();
     let session = required_u64(&flags, "session")?;
     let owners = required_u64(&flags, "owners")? as u16;
@@ -764,7 +696,8 @@ fn cmd_federate_coordinate(args: &[String]) -> CliResult<()> {
 }
 
 fn cmd_federate_join(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &[])?;
+    let values = ["addr", "session", "owner", "input", "wait-ms", "key"];
+    let flags = parse_flags(args, &values, &[])?;
     let addr = required(&flags, "addr")?.to_string();
     let session = required_u64(&flags, "session")?;
     let owner_id = required_u64(&flags, "owner")? as u16;
@@ -808,24 +741,27 @@ fn cmd_federate_join(args: &[String]) -> CliResult<()> {
     }
 
     println!("owner {owner_id} released {rows} rows into session {session}");
-    if let Some(key) = owner.key() {
-        if let Some(path) = key_path {
-            write_file(&path, &key.to_string())?;
-            println!("reconstructed transformation key -> {}", path.display());
-        } else {
-            println!("reconstructed the session transformation key (pass --key to save it)");
-        }
-    } else if let Some(path) = key_path {
+    let Some(path) = key_path else {
+        println!("reconstructed this owner's key (pass --key to save its session key file)");
+        return Ok(());
+    };
+    let (Some(key), Some(normalizer)) = (owner.key(), owner.normalizer()) else {
         return Err(CliError::usage(format!(
-            "--key {} requested but this key policy keeps no shareable key",
+            "--key {} requested but this owner holds no key",
             path.display()
         )));
-    }
+    };
+    // The owner's key and the shared normalizer, in keygen's text form. No
+    // owner sees the pooled normalized rows, so there are no drift bounds;
+    // a session needs no config to transform or invert.
+    let session_key = ReleaseSession::new(key.clone(), normalizer.clone())?;
+    write_file(&path, &session_key.to_text())?;
+    println!("session key file -> {}", path.display());
     Ok(())
 }
 
 fn cmd_federate_receive(args: &[String]) -> CliResult<()> {
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, &["addr", "session", "wait-ms", "output"], &[])?;
     let addr = required(&flags, "addr")?.to_string();
     let session = required_u64(&flags, "session")?;
     let wait = parse_flag_ms(&flags, "wait-ms", 60_000)?;

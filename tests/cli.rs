@@ -1,5 +1,5 @@
 //! Integration tests for the `rbt-cli` binary: the full
-//! release → audit → recover workflow through the actual executable.
+//! keygen → audit → invert workflow through the actual executable.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -39,57 +39,46 @@ const SAMPLE: &str = "id,age,weight,heart_rate\n\
 2863,44,90,68\n";
 
 #[test]
-fn release_audit_recover_workflow() {
+fn keygen_audit_invert_workflow() {
     let dir = temp_dir("workflow");
     let input = dir.join("data.csv");
     std::fs::write(&input, SAMPLE).unwrap();
     let released = dir.join("released.csv");
-    let key = dir.join("key.txt");
-    let params = dir.join("norm.txt");
+    let key = dir.join("session.rbt");
     let recovered = dir.join("recovered.csv");
 
-    let out = cli()
-        .args(["release", "--input"])
-        .arg(&input)
-        .arg("--output")
-        .arg(&released)
-        .args(["--key"])
-        .arg(&key)
-        .args(["--params"])
-        .arg(&params)
-        .args(["--rho", "0.3", "--seed", "42"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    let out = run_ok(
+        cli()
+            .args(["keygen", "--input"])
+            .arg(&input)
+            .arg("--key")
+            .arg(&key)
+            .arg("--released")
+            .arg(&released)
+            .args(["--rho", "0.3", "--seed", "42"]),
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("released 5 rows x 3 attributes"));
+    assert!(stdout.contains("initial release: 5 rows"), "{stdout}");
+    assert!(stdout.contains("session key for 3 attributes"), "{stdout}");
 
     // Released CSV has no id column and different values.
     let released_text = std::fs::read_to_string(&released).unwrap();
     assert!(released_text.starts_with("age,weight,heart_rate\n"));
     assert!(!released_text.contains("1237"));
 
-    // Key and params files parse.
+    // The one key file holds key and normalizer.
     assert!(std::fs::read_to_string(&key)
         .unwrap()
-        .starts_with("rbt-key v1 n=3"));
-    assert!(std::fs::read_to_string(&params)
-        .unwrap()
-        .starts_with("rbt-normalizer v1 cols=3"));
+        .starts_with("rbt-session v1\n"));
 
     // Audit reports isometry.
-    let audit = cli()
-        .args(["audit", "--original"])
-        .arg(&input)
-        .args(["--released"])
-        .arg(&released)
-        .output()
-        .unwrap();
-    assert!(audit.status.success());
+    let audit = run_ok(
+        cli()
+            .args(["audit", "--original"])
+            .arg(&input)
+            .arg("--released")
+            .arg(&released),
+    );
     let audit_text = String::from_utf8_lossy(&audit.stdout);
     assert!(
         audit_text.contains("isometric (tolerance 1e-6): true"),
@@ -97,65 +86,34 @@ fn release_audit_recover_workflow() {
     );
 
     // Inspect-key lists the two rotations.
-    let inspect = cli()
-        .args(["inspect-key", "--key"])
-        .arg(&key)
-        .output()
-        .unwrap();
-    assert!(inspect.status.success());
+    let inspect = run_ok(cli().args(["inspect-key", "--key"]).arg(&key));
     let inspect_text = String::from_utf8_lossy(&inspect.stdout);
     assert!(inspect_text.contains("2 rotation steps"));
     assert!(inspect_text.contains("composite rotation is orthogonal: true"));
 
-    // Recover round-trips to the original integers.
-    let rec = cli()
-        .args(["recover", "--input"])
-        .arg(&released)
-        .args(["--key"])
-        .arg(&key)
-        .args(["--params"])
-        .arg(&params)
-        .args(["--output"])
-        .arg(&recovered)
-        .output()
-        .unwrap();
-    assert!(
-        rec.status.success(),
-        "{}",
-        String::from_utf8_lossy(&rec.stderr)
+    // Invert round-trips to the original integers.
+    run_ok(
+        cli()
+            .args(["invert", "--key"])
+            .arg(&key)
+            .arg("--input")
+            .arg(&released)
+            .arg("--output")
+            .arg(&recovered),
     );
     let recovered_text = std::fs::read_to_string(&recovered).unwrap();
     for line in ["75,80,63", "44,90,68"] {
         assert!(recovered_text.contains(line), "{recovered_text}");
     }
 
-    std::fs::remove_dir_all(&dir).ok();
-}
+    // inspect-key reads key files only: any other file is a corrupt key.
+    let out = cli()
+        .args(["inspect-key", "--key"])
+        .arg(&input)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(4));
 
-#[test]
-fn release_is_seed_deterministic() {
-    let dir = temp_dir("determinism");
-    let input = dir.join("data.csv");
-    std::fs::write(&input, SAMPLE).unwrap();
-    let mut outputs = Vec::new();
-    for run in 0..2 {
-        let released = dir.join(format!("released{run}.csv"));
-        let status = cli()
-            .args(["release", "--input"])
-            .arg(&input)
-            .args(["--output"])
-            .arg(&released)
-            .args(["--key"])
-            .arg(dir.join(format!("key{run}.txt")))
-            .args(["--params"])
-            .arg(dir.join(format!("norm{run}.txt")))
-            .args(["--seed", "7"])
-            .status()
-            .unwrap();
-        assert!(status.success());
-        outputs.push(std::fs::read_to_string(&released).unwrap());
-    }
-    assert_eq!(outputs[0], outputs[1]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -203,40 +161,6 @@ fn one_shot_cli_outputs_keep_their_bytes() {
                     .arg(&recovered),
             );
             actual.push((file_pin(&released), file_pin(&recovered)));
-
-            // The bare-key workflow writes the same bytes.
-            let (bare_released, bare_recovered) = (
-                case.with_extension("release.csv"),
-                case.with_extension("recover.csv"),
-            );
-            let (bare_key, params) = (case.with_extension("key"), case.with_extension("params"));
-            run_ok(
-                cli()
-                    .args(["release", "--input"])
-                    .arg(&input)
-                    .arg("--output")
-                    .arg(&bare_released)
-                    .arg("--key")
-                    .arg(&bare_key)
-                    .arg("--params")
-                    .arg(&params)
-                    .args(["--seed", "4242", "--rho", rho])
-                    .args(["--normalization", normalization])
-                    .args(ids),
-            );
-            run_ok(
-                cli()
-                    .args(["recover", "--input"])
-                    .arg(&bare_released)
-                    .arg("--key")
-                    .arg(&bare_key)
-                    .arg("--params")
-                    .arg(&params)
-                    .arg("--output")
-                    .arg(&bare_recovered),
-            );
-            assert_eq!(file_pin(&bare_released), file_pin(&released));
-            assert_eq!(file_pin(&bare_recovered), file_pin(&recovered));
         }
     }
     // (released, recovered) per normalization, IDs suppressed then kept.
@@ -376,7 +300,7 @@ fn keygen_writes_the_library_key_bytes() {
         (
             "rbt",
             [&rbt_flags[..], &["--format", "text"]].concat(),
-            session.to_text().unwrap().into_bytes(),
+            session.to_text().into_bytes(),
         ),
         (
             "rbt",
@@ -709,14 +633,10 @@ fn exit_codes_distinguish_failure_families() {
     let bad_csv = dir.join("bad.csv");
     std::fs::write(&bad_csv, "age,weight\n1.0,2.0\n3.0,banana\n").unwrap();
     let out = cli()
-        .args(["release", "--input"])
+        .args(["keygen", "--input"])
         .arg(&bad_csv)
-        .args(["--output"])
-        .arg(dir.join("x.csv"))
         .args(["--key"])
-        .arg(dir.join("k.txt"))
-        .args(["--params"])
-        .arg(dir.join("p.txt"))
+        .arg(dir.join("k.rbt"))
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(3));
@@ -735,14 +655,10 @@ fn exit_codes_distinguish_failure_families() {
 
     // Infeasible threshold → 6, reporting what was achievable.
     let out = cli()
-        .args(["release", "--input"])
+        .args(["keygen", "--input"])
         .arg(&input)
-        .args(["--output"])
-        .arg(dir.join("x.csv"))
         .args(["--key"])
-        .arg(dir.join("k.txt"))
-        .args(["--params"])
-        .arg(dir.join("p.txt"))
+        .arg(dir.join("k.rbt"))
         .args(["--rho", "1e6", "--seed", "1"])
         .output()
         .unwrap();
@@ -773,38 +689,6 @@ fn exit_codes_distinguish_failure_families() {
     assert_eq!(out.status.code(), Some(4));
     std::fs::write(&key, text).unwrap();
 
-    // Corrupt params file on recover → 4 (secret artifact, not input data).
-    let p_key = dir.join("pk.txt");
-    let p_params = dir.join("pp.txt");
-    let p_rel = dir.join("prel.csv");
-    let out = cli()
-        .args(["release", "--input"])
-        .arg(&input)
-        .args(["--output"])
-        .arg(&p_rel)
-        .args(["--key"])
-        .arg(&p_key)
-        .args(["--params"])
-        .arg(&p_params)
-        .args(["--seed", "2"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    std::fs::write(&p_params, "rbt-normalizer v1 cols=3\ngarbage\n").unwrap();
-    let out = cli()
-        .args(["recover", "--input"])
-        .arg(&p_rel)
-        .args(["--key"])
-        .arg(&p_key)
-        .args(["--params"])
-        .arg(&p_params)
-        .args(["--output"])
-        .arg(dir.join("x.csv"))
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(4));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("params file"));
-
     let narrow = dir.join("narrow.csv");
     std::fs::write(&narrow, "age,weight\n1.0,2.0\n").unwrap();
     let out = cli()
@@ -830,49 +714,35 @@ fn bad_invocations_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 
     // Missing required flag.
-    let out = cli()
-        .args(["release", "--input", "x.csv"])
-        .output()
-        .unwrap();
+    let out = cli().args(["keygen", "--input", "x.csv"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing required flag"));
 
     // Nonexistent input file.
+    let dir = temp_dir("bad-invocations");
+    let key = dir.join("k.rbt");
     let out = cli()
-        .args([
-            "release",
-            "--input",
-            "/nonexistent/data.csv",
-            "--output",
-            "/tmp/x.csv",
-            "--key",
-            "/tmp/k.txt",
-            "--params",
-            "/tmp/p.txt",
-        ])
+        .args(["keygen", "--input", "/nonexistent/data.csv", "--key"])
+        .arg(&key)
         .output()
         .unwrap();
     assert!(!out.status.success());
 
     // Bad rho.
+    let input = dir.join("data.csv");
+    std::fs::write(&input, SAMPLE).unwrap();
     let out = cli()
-        .args([
-            "release",
-            "--input",
-            "/tmp/whatever.csv",
-            "--output",
-            "/tmp/x.csv",
-            "--key",
-            "/tmp/k.txt",
-            "--params",
-            "/tmp/p.txt",
-            "--rho",
-            "banana",
-        ])
+        .args(["keygen", "--input"])
+        .arg(&input)
+        .arg("--key")
+        .arg(&key)
+        .args(["--rho", "banana"])
         .output()
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad --rho"));
+    assert!(!key.exists());
+    std::fs::remove_dir_all(&dir).ok();
 
     // Help succeeds.
     let out = cli().arg("--help").output().unwrap();
@@ -960,4 +830,234 @@ fn serve_quarantines_a_corrupt_key_and_keeps_serving_the_rest() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(3));
+}
+
+#[test]
+fn unknown_and_repeated_flags_are_usage_errors() {
+    let dir = temp_dir("unknown-flags");
+    let input = dir.join("data.csv");
+    std::fs::write(&input, SAMPLE).unwrap();
+    let key = dir.join("session.rbt");
+    let refused = |cmd: &mut Command, flag: &str| {
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd:?}: {stderr}");
+        assert!(stderr.contains(flag), "{cmd:?} must name {flag}: {stderr}");
+    };
+
+    // A mistyped threshold must not release under the default one.
+    let keygen = || {
+        let mut cmd = cli();
+        cmd.args(["keygen", "--input"])
+            .arg(&input)
+            .arg("--key")
+            .arg(&key)
+            .args(["--seed", "42"]);
+        cmd
+    };
+    refused(
+        keygen().args(["--rhoo", "0.9", "--normalisation", "minmax"]),
+        "--rhoo",
+    );
+    assert!(!key.exists(), "a refused keygen writes no key file");
+    refused(keygen().args(["--rho", "0.3", "--rho", "0.9"]), "--rho");
+    refused(keygen().args(["--keep-ids", "--keep-ids"]), "--keep-ids");
+    assert!(!key.exists(), "a refused keygen writes no key file");
+
+    // Every command checks its own flags, before it touches any file.
+    refused(
+        cli().args([
+            "transform",
+            "--key",
+            "k",
+            "--input",
+            "i",
+            "--output",
+            "o",
+            "--keep-ids",
+        ]),
+        "--keep-ids",
+    );
+    refused(
+        cli().args(["inspect-key", "--key", "k", "--rho", "0.3"]),
+        "--rho",
+    );
+    refused(
+        cli().args([
+            "serve",
+            "--keys",
+            "/nonexistent/keys",
+            "--adr",
+            "127.0.0.1:0",
+        ]),
+        "--adr",
+    );
+    refused(
+        cli().args([
+            "federate",
+            "receive",
+            "--addr",
+            "a",
+            "--session",
+            "1",
+            "--session",
+            "2",
+        ]),
+        "--session",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Kills the daemon when the test ends, whether it passes or not.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Starts `serve --keys <keys> --addr 127.0.0.1:0` and reads the bound
+/// address from its banner.
+fn serve(keys: &Path) -> (Daemon, String) {
+    use std::io::BufRead;
+    let mut daemon = Daemon(
+        cli()
+            .args(["serve", "--keys"])
+            .arg(keys)
+            .args(["--addr", "127.0.0.1:0"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let mut banner = String::new();
+    std::io::BufReader::new(daemon.0.stdout.as_mut().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let addr = banner
+        .split(" on ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .unwrap_or_else(|| panic!("unexpected serve banner: {banner:?}"))
+        .to_string();
+    (daemon, addr)
+}
+
+/// The README's two-owner federation through the CLI: both owners save
+/// the shared session key, which releases the pooled rows as `keygen`
+/// does at the same seed and inverts each owner's block.
+#[test]
+fn federate_join_saves_a_session_key_file() {
+    use rand::SeedableRng;
+    let dir = temp_dir("federate");
+    let keys = dir.join("keys");
+    std::fs::create_dir_all(&keys).unwrap();
+    // 60 rows × 4 attributes, split 25 / 35 between the two owners.
+    let sample = rbt::data::synth::GaussianMixture::well_separated(3, 4, 10.0, 1.2)
+        .unwrap()
+        .sample(60, &mut rand::rngs::StdRng::seed_from_u64(7))
+        .matrix;
+    let pooled_text = rbt::data::csv::to_csv(&rbt::Dataset::from_matrix(sample));
+    let pooled = dir.join("pooled.csv");
+    std::fs::write(&pooled, &pooled_text).unwrap();
+    let blocks = [1..26, 26..61];
+    let block_csv = |text: &str, o: usize, name: &str| {
+        let lines: Vec<&str> = text.lines().collect();
+        let path = dir.join(format!("{name}{o}.csv"));
+        let rows = lines[blocks[o].clone()].join("\n");
+        std::fs::write(&path, format!("{}\n{rows}\n", lines[0])).unwrap();
+        path
+    };
+    let parts = [0, 1].map(|o| block_csv(&pooled_text, o, "part"));
+    let saved = [0, 1].map(|o| dir.join(format!("owner{o}.rbt")));
+
+    let (_daemon, addr) = serve(&keys);
+    let session = ["--addr", addr.as_str(), "--session", "42"];
+    run_ok(cli().args(["federate", "coordinate"]).args(session).args([
+        "--owners", "2", "--cols", "4", "--rho", "0.3", "--seed", "7",
+    ]));
+    let joins = [0, 1].map(|o| {
+        cli()
+            .args(["federate", "join"])
+            .args(session)
+            .args(["--owner", &o.to_string(), "--input"])
+            .arg(&parts[o])
+            .arg("--key")
+            .arg(&saved[o])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap()
+    });
+    for join in joins {
+        let out = join.wait_with_output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let labels = dir.join("labels.csv");
+    run_ok(
+        cli()
+            .args(["federate", "receive"])
+            .args(session)
+            .arg("--output")
+            .arg(&labels),
+    );
+    // A header, then one line per pooled row.
+    assert_eq!(
+        std::fs::read_to_string(&labels).unwrap().lines().count(),
+        61
+    );
+
+    // Under the shared policy both owners saved the same key file...
+    assert!(std::fs::read(&saved[0]).unwrap() == std::fs::read(&saved[1]).unwrap());
+    // ...which releases the pooled rows as one owner holding them all would.
+    let released = dir.join("released.csv");
+    run_ok(
+        cli()
+            .args(["transform", "--key"])
+            .arg(&saved[0])
+            .arg("--input")
+            .arg(&pooled)
+            .arg("--output")
+            .arg(&released),
+    );
+    let pooled_release = dir.join("pooled-release.csv");
+    run_ok(
+        cli()
+            .args(["keygen", "--input"])
+            .arg(&pooled)
+            .arg("--key")
+            .arg(dir.join("pooled.rbt"))
+            .arg("--released")
+            .arg(&pooled_release)
+            .args(["--seed", "7", "--rho", "0.3"]),
+    );
+    assert!(
+        std::fs::read(&released).unwrap() == std::fs::read(&pooled_release).unwrap(),
+        "the saved key releases other bytes than keygen on the pooled rows"
+    );
+    // Each owner's key inverts its own block of the joint release.
+    let released_text = std::fs::read_to_string(&released).unwrap();
+    for o in [0, 1] {
+        let recovered = dir.join(format!("recovered{o}.csv"));
+        run_ok(
+            cli()
+                .args(["invert", "--key"])
+                .arg(&saved[o])
+                .arg("--input")
+                .arg(block_csv(&released_text, o, "block"))
+                .arg("--output")
+                .arg(&recovered),
+        );
+        let back = rbt::data::csv::read_file(&recovered).unwrap();
+        let part = rbt::data::csv::read_file(&parts[o]).unwrap();
+        let err = back.matrix().max_abs_diff(part.matrix()).unwrap();
+        assert!(err < 1e-9, "owner {o}'s block recovered off by {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

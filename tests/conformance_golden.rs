@@ -57,7 +57,7 @@ fn read_or_regen(name: &str, expected: &[u8]) -> Vec<u8> {
 
 #[test]
 fn text_fixture_is_byte_stable() {
-    let expected = paper_session().to_text().unwrap();
+    let expected = paper_session().to_text();
     let committed = read_or_regen(TEXT_FIXTURE, expected.as_bytes());
     assert_eq!(
         String::from_utf8(committed).unwrap(),

@@ -5,7 +5,7 @@
 use rand::SeedableRng;
 use rbt::cluster::metrics::same_partition;
 use rbt::cluster::{KMeans, KMeansInit};
-use rbt::core::{PairingStrategy, Pipeline, PipelineOutput, RbtConfig, TransformationKey};
+use rbt::core::{PairingStrategy, Pipeline, PipelineOutput, RbtConfig, ReleaseSession};
 use rbt::data::synth::GaussianMixture;
 use rbt::data::{csv, Dataset, Normalization};
 use rbt::PairwiseSecurityThreshold;
@@ -56,12 +56,14 @@ fn miner_clusters_release_identically_to_owner() {
 #[test]
 fn key_serialization_survives_the_full_loop() {
     let (data, output) = release(150, 5, 3);
-    // Owner stores the key as text …
-    let stored = output.key.to_string();
+    // Owner stores key and normalizer as a session key file …
+    let stored = ReleaseSession::from_pipeline_output(&output)
+        .unwrap()
+        .to_text();
     // … and later parses it back to decode the release.
-    let key: TransformationKey = stored.parse().unwrap();
-    let normalized = key.invert(output.released.matrix()).unwrap();
-    let raw = output.normalizer.inverse_transform(&normalized).unwrap();
+    let session = ReleaseSession::from_text(&stored).unwrap();
+    let normalized = session.key().invert(output.released.matrix()).unwrap();
+    let raw = session.normalizer().inverse_transform(&normalized).unwrap();
     assert!(raw.approx_eq(data.matrix(), 1e-8));
 }
 

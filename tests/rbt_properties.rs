@@ -6,7 +6,9 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rbt::core::isometry::dissimilarity_drift;
-use rbt::core::{PairingStrategy, PairwiseSecurityThreshold, RbtConfig, RbtTransformer};
+use rbt::core::{
+    PairingStrategy, PairwiseSecurityThreshold, RbtConfig, RbtTransformer, ReleaseSession,
+};
 use rbt::data::Normalization;
 use rbt::linalg::Matrix;
 
@@ -81,10 +83,14 @@ proptest! {
         ))
         .transform(&z, &mut rng);
         let Ok(out) = out else { return Ok(()); };
-        let parsed: rbt::core::TransformationKey = out.key.to_string().parse().unwrap();
+        // The key persists inside its session's text key file.
+        let normalizer = Normalization::zscore_paper().fit(&m).unwrap();
+        let session = ReleaseSession::new(out.key.clone(), normalizer).unwrap();
+        let parsed = ReleaseSession::from_text(&session.to_text()).unwrap();
+        prop_assert_eq!(parsed.key(), &out.key);
         // The parsed key decodes the release identically.
         let a = out.key.invert(&out.transformed).unwrap();
-        let b = parsed.invert(&out.transformed).unwrap();
+        let b = parsed.key().invert(&out.transformed).unwrap();
         prop_assert!(a.approx_eq(&b, 1e-12));
     }
 

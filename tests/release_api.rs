@@ -289,7 +289,7 @@ fn decode_fitted_reads_legacy_session_files() {
     .unwrap();
     let session = ReleaseSession::from_pipeline_output(&out).unwrap();
 
-    for bytes in [session.to_bytes(), session.to_text().unwrap().into_bytes()] {
+    for bytes in [session.to_bytes(), session.to_text().into_bytes()] {
         let fitted = decode_fitted(&bytes).unwrap();
         assert_eq!(fitted.method_name(), "rbt");
         let batch = fitted.transform_batch(&data).unwrap().released;
@@ -537,7 +537,7 @@ fn rbt_fits_keep_their_bits() {
 #[test]
 fn session_keys_embedding_a_mixed_normalizer_are_refused() {
     use rbt::core::codec::{self, CodecError, RecordKind};
-    use rbt::linalg::codec::DecodeError;
+    use rbt::linalg::codec::{ByteWriter, DecodeError};
 
     // A fitted RBT key file whose normalizer record is rewritten into one
     // no producer writes, then resealed with a valid checksum: its second
@@ -555,8 +555,7 @@ fn session_keys_embedding_a_mixed_normalizer_are_refused() {
     let payload = codec::open_envelope(&bytes, RecordKind::Session)
         .unwrap()
         .to_vec();
-    let normalizer = codec::encode_normalizer(session.normalizer());
-    let record = codec::open_envelope(&normalizer, RecordKind::Normalizer).unwrap();
+    let record = ByteWriter::encode_with(|w| session.normalizer().encode_into(w));
     let start = payload
         .windows(record.len())
         .position(|w| w == record)
@@ -595,7 +594,7 @@ fn session_keys_embedding_a_mixed_normalizer_are_refused() {
     // The text key file: one `param` line of another kind, or a min–max
     // method tag over the z-score lines; checksum recomputed, refused at
     // the normalizer section.
-    let text = session.to_text().unwrap();
+    let text = session.to_text();
     let body: Vec<String> = text
         .lines()
         .filter(|l| !l.starts_with("checksum"))
