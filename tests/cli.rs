@@ -106,13 +106,24 @@ fn keygen_audit_invert_workflow() {
         assert!(recovered_text.contains(line), "{recovered_text}");
     }
 
-    // inspect-key reads key files only: any other file is a corrupt key.
-    let out = cli()
-        .args(["inspect-key", "--key"])
-        .arg(&input)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(4));
+    // inspect-key reads key files only: the key's rotate lines without
+    // their session, or any other file, are a corrupt key file.
+    let rotations: String = std::fs::read_to_string(&key)
+        .unwrap()
+        .lines()
+        .filter(|l| l.starts_with("rotate "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let bare = dir.join("rotations.txt");
+    std::fs::write(&bare, rotations).unwrap();
+    for path in [&bare, &input] {
+        let out = cli()
+            .args(["inspect-key", "--key"])
+            .arg(path)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(4), "{path:?}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
