@@ -605,3 +605,103 @@ fn every_method_serves_what_the_library_releases() {
     }
     server.shutdown();
 }
+
+/// Served ≡ library for batches pipelined over one connection, at the two
+/// frame sizes the daemon's reader tells apart. An 8192×16 batch with IDs
+/// is a frame of more than 64 KiB, so its last read ends exactly at the
+/// frame's end; a 37-row batch is a frame small enough to share one read
+/// with the frame after it. RBT is fitted with ID suppression on and off,
+/// and hybrid isometry is served too. Every `Transform` and `Invert`
+/// answer must carry the column names, IDs, cell bits and drift count of
+/// the key's own `transform_batch`/`invert_batch`.
+#[test]
+fn pipelined_large_and_small_batches_match_the_library() {
+    let fit_data = dataset(4, 256, 16, 90.0);
+    let with_ids = |ds: Dataset, first: u64| {
+        let n = ds.n_rows() as u64;
+        ds.with_ids((first..first + n).collect()).unwrap()
+    };
+    // Every third row is shifted far outside the fitted range, so RBT's
+    // drift count is not zero.
+    let shifted = |ds: Dataset| {
+        let cols = ds.n_cols();
+        let mut ds = ds;
+        for (i, v) in ds.matrix_mut().as_mut_slice().iter_mut().enumerate() {
+            if (i / cols).is_multiple_of(3) {
+                *v += 400.0;
+            }
+        }
+        ds
+    };
+    let large = with_ids(shifted(dataset(5, 8192, 16, 90.0)), 10_000);
+    let small = with_ids(shifted(dataset(6, 37, 16, 90.0)), 90_000);
+
+    let server = spawn_server(4);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let fits = [
+        (Method::Rbt, true),
+        (Method::Rbt, false),
+        (Method::HybridIsometry, true),
+    ];
+    for (method, suppress) in fits {
+        let what = format!("{} (suppress ids: {suppress})", method.name());
+        let fitted = Release::of(&fit_data)
+            .with_method(method)
+            .with_id_suppression(suppress)
+            .fit(&mut rng(77))
+            .unwrap();
+        let key = fitted.to_bytes().unwrap();
+        let tenant = format!("{}-{suppress}", method.name());
+        client.load_key(&tenant, key.clone()).unwrap();
+        let library = decode_fitted(&key).unwrap();
+
+        // Each batch and its library release go out as a Transform and an
+        // Invert; the raw batch is inverted too, so an Invert that carries
+        // IDs is served whatever the suppression.
+        let mut requests = Vec::new();
+        let mut expected = Vec::new();
+        for batch in [&large, &small] {
+            let release = library.transform_batch(batch).unwrap();
+            requests.push(wire::Request::Transform {
+                tenant: tenant.clone(),
+                batch: batch.clone(),
+            });
+            let recovered = library.invert_batch(&release.released).unwrap();
+            requests.push(wire::Request::Invert {
+                tenant: tenant.clone(),
+                batch: release.released.clone(),
+            });
+            let raw_inverse = library.invert_batch(batch).unwrap();
+            requests.push(wire::Request::Invert {
+                tenant: tenant.clone(),
+                batch: batch.clone(),
+            });
+            expected.push((release.released, Some(release.out_of_range_rows as u64)));
+            expected.push((recovered, None));
+            expected.push((raw_inverse, None));
+        }
+        for request in &requests {
+            client.send(request).unwrap();
+        }
+        for (i, (library_answer, library_drift)) in expected.iter().enumerate() {
+            let what = format!("{what}, answer {i}");
+            let (served, drift) = match client.receive().unwrap() {
+                wire::Response::Transformed {
+                    released,
+                    out_of_range_rows,
+                } => (released, Some(out_of_range_rows)),
+                wire::Response::Inverted { recovered } => (recovered, None),
+                other => panic!("{what}: expected a batch, got {other:?}"),
+            };
+            assert_eq!(served.columns(), library_answer.columns(), "{what}: names");
+            assert_eq!(served.ids(), library_answer.ids(), "{what}: ids");
+            assert_bitwise(&served, library_answer, &what);
+            assert_eq!(drift, *library_drift, "{what}: drift");
+        }
+        if method == Method::Rbt {
+            assert!(expected[0].1 > Some(0), "{what}: the shifted rows drift");
+            assert_eq!(expected[0].0.ids().is_some(), !suppress, "{what}: ids");
+        }
+    }
+    server.shutdown();
+}
