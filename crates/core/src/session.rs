@@ -18,8 +18,10 @@
 //!   [`transform_batch_in_place`](ReleaseSession::transform_batch_in_place) /
 //!   [`invert_batch_in_place`](ReleaseSession::invert_batch_in_place),
 //!   which turn the caller's own batch into its release without a copy,
-//! * batches are processed in fixed-size row chunks: the normalizer's
-//!   fused row kernel
+//! * batches are processed in fixed-size row chunks, each through the
+//!   public row kernels [`forward_rows`](ReleaseSession::forward_rows) /
+//!   [`inverse_rows`](ReleaseSession::inverse_rows) that callers holding
+//!   rows outside a [`Matrix`] run too: the normalizer's fused row kernel
 //!   ([`FittedNormalizer::transform_rows_in_place_with_drift`]) normalizes
 //!   and drift-checks each row in SIMD lanes across its columns, then all
 //!   rotation steps are applied to the chunk in one fused sweep
@@ -50,7 +52,7 @@ use crate::pipeline::PipelineOutput;
 use crate::{Error, Result};
 use rbt_data::{Dataset, FittedNormalizer};
 use rbt_linalg::codec::{crc32, ByteReader, ByteWriter};
-use rbt_linalg::matrix::apply_steps_in_rows;
+use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::pool::{self, Pool};
 use rbt_linalg::stats::VarianceMode;
 use rbt_linalg::Matrix;
@@ -177,6 +179,10 @@ pub struct ReleaseSession {
     config: Option<RbtConfig>,
     drift: Option<DriftBounds>,
     suppress_ids: bool,
+    /// The key's forward and inverse sweeps, drawn once in
+    /// [`ReleaseSession::new`] rather than per row slice.
+    forward: Vec<PairStep>,
+    inverse: Vec<PairStep>,
     /// Pool threads per copying batch, resolved once in
     /// [`ReleaseSession::new`] rather than per batch:
     /// [`pool::default_threads`] reads the environment and the host's CPU
@@ -200,6 +206,8 @@ impl ReleaseSession {
             )));
         }
         Ok(ReleaseSession {
+            forward: key.forward_sweep(),
+            inverse: key.inverse_sweep(),
             key,
             normalizer,
             config: None,
@@ -402,54 +410,80 @@ impl ReleaseSession {
         Ok(())
     }
 
+    /// The forward release of whole rows in place, on the calling thread:
+    /// the normalizer's fused kernel (normalize and drift-check each row
+    /// in lanes across its columns), then the key's rotations in one fused
+    /// sweep. `rows` holds whole rows of the session's width, row-major;
+    /// IDs are the caller's concern. Returns how many of the rows drifted
+    /// out of the fitted range (0 without [`DriftBounds`]).
+    ///
+    /// Every batch entry point runs this on its row chunks, and rows are
+    /// independent, so releasing a batch as any split into row slices
+    /// yields the bits [`transform_batch`](Self::transform_batch) does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::KeyMismatch`] when `rows` is not whole rows of the
+    /// session's width; `rows` is then left untouched.
+    pub fn forward_rows(&self, rows: &mut [f64]) -> Result<usize> {
+        self.check_rows(rows)?;
+        let drifted = match &self.drift {
+            Some(b) => self
+                .normalizer
+                .transform_rows_in_place_with_drift(rows, b.mins(), b.maxs()),
+            None => self.normalizer.transform_rows_in_place(rows).map(|()| 0),
+        }
+        .map_err(Error::Data)?;
+        apply_steps_in_rows(rows, self.normalizer.n_cols(), &self.forward);
+        Ok(drifted)
+    }
+
+    /// The inverse of [`forward_rows`](Self::forward_rows), in place on
+    /// whole rows: the inverse sweep, then the normalizer's inverse
+    /// kernel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::KeyMismatch`] when `rows` is not whole rows of the
+    /// session's width; `rows` is then left untouched.
+    pub fn inverse_rows(&self, rows: &mut [f64]) -> Result<()> {
+        self.check_rows(rows)?;
+        apply_steps_in_rows(rows, self.normalizer.n_cols(), &self.inverse);
+        self.normalizer
+            .invert_rows_in_place(rows)
+            .map_err(Error::Data)
+    }
+
     /// Forward transform of `out` in place over at most `threads` pool
-    /// threads: per chunk, the normalizer's fused kernel (normalize and
-    /// drift-check each row in lanes across its columns), then the fused
-    /// rotation sweep. Assumes the column count was checked. Returns the
-    /// out-of-range row count.
+    /// threads, [`forward_rows`](Self::forward_rows) per chunk. Assumes
+    /// the column count was checked. Returns the out-of-range row count.
     fn forward_in_place(&self, out: &mut Matrix, threads: usize) -> usize {
-        let n_cols = out.cols();
         if out.rows() == 0 {
             return 0;
         }
-        // The key's own (cos, sin) per step — the same values the one-shot
-        // paths use, applied as one fused per-row sweep.
-        let steps = self.key.forward_sweep();
-        let bounds = Self::element_bounds(out.rows(), n_cols);
+        let bounds = Self::element_bounds(out.rows(), out.cols());
         let out_of_range = AtomicUsize::new(0);
-        let normalizer = &self.normalizer;
-        let drift = self.drift.as_ref();
         Pool::new(threads).for_each_chunk_mut(out.as_mut_slice(), &bounds, |_, _, chunk| {
-            let drifted = match drift {
-                Some(b) => normalizer.transform_rows_in_place_with_drift(chunk, b.mins(), b.maxs()),
-                None => normalizer.transform_rows_in_place(chunk).map(|()| 0),
-            }
-            .expect("chunk boundaries are whole rows of the checked width");
+            let drifted = self
+                .forward_rows(chunk)
+                .expect("chunk boundaries are whole rows of the checked width");
             if drifted > 0 {
                 out_of_range.fetch_add(drifted, Ordering::Relaxed);
             }
-            apply_steps_in_rows(chunk, n_cols, &steps);
         });
         out_of_range.load(Ordering::Relaxed)
     }
 
     /// Inverse transform of `out` in place over at most `threads` pool
-    /// threads: per chunk, the fused inverse sweep, then the normalizer's
-    /// inverse kernel. Assumes the column count was checked.
+    /// threads, [`inverse_rows`](Self::inverse_rows) per chunk. Assumes
+    /// the column count was checked.
     fn inverse_in_place(&self, out: &mut Matrix, threads: usize) {
-        let n_cols = out.cols();
         if out.rows() == 0 {
             return;
         }
-        // Inverse rotations in reverse order — the same (cos, sin) the
-        // whole-matrix `TransformationKey::invert` uses.
-        let steps = self.key.inverse_sweep();
-        let bounds = Self::element_bounds(out.rows(), n_cols);
-        let normalizer = &self.normalizer;
+        let bounds = Self::element_bounds(out.rows(), out.cols());
         Pool::new(threads).for_each_chunk_mut(out.as_mut_slice(), &bounds, |_, _, chunk| {
-            apply_steps_in_rows(chunk, n_cols, &steps);
-            normalizer
-                .invert_rows_in_place(chunk)
+            self.inverse_rows(chunk)
                 .expect("chunk boundaries are whole rows of the checked width");
         });
     }
@@ -462,6 +496,17 @@ impl ReleaseSession {
             .into_iter()
             .map(|r| r * n_cols)
             .collect()
+    }
+
+    fn check_rows(&self, rows: &[f64]) -> Result<()> {
+        let n = self.key.n_attributes();
+        if n == 0 || !rows.len().is_multiple_of(n) {
+            return Err(Error::KeyMismatch(format!(
+                "{} values are not whole rows of the session's {n} attributes",
+                rows.len()
+            )));
+        }
+        Ok(())
     }
 
     fn check_cols(&self, m: &Matrix) -> Result<()> {
@@ -1041,6 +1086,47 @@ mod tests {
         assert!(session.transform_batch_in_place(&mut wrong).is_err());
         assert!(session.invert_batch_in_place(&mut wrong).is_err());
         assert_eq!(wrong, before);
+    }
+
+    #[test]
+    fn row_kernels_match_the_batch_paths_on_any_row_split() {
+        let (session, _) = fitted_session();
+        let raw = datasets::arrhythmia_sample();
+        // Half the rows shifted out of the fitted range, so drift counts.
+        let mut shifted = raw.clone();
+        for (i, v) in shifted.matrix_mut().as_mut_slice().iter_mut().enumerate() {
+            if (i / 3).is_multiple_of(2) {
+                *v += 500.0;
+            }
+        }
+        let batch = session.transform_batch(&shifted).unwrap();
+        assert!(batch.out_of_range_rows > 0);
+        let recovered = session.invert_batch(&batch.released).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for rows_per_slice in [1, 2, 3, 7] {
+            let mut values = shifted.matrix().as_slice().to_vec();
+            let drifted: usize = values
+                .chunks_mut(3 * rows_per_slice)
+                .map(|rows| session.forward_rows(rows).unwrap())
+                .sum();
+            assert_eq!(drifted, batch.out_of_range_rows);
+            assert_eq!(bits(&values), bits(batch.released.matrix().as_slice()));
+            for rows in values.chunks_mut(3 * rows_per_slice) {
+                session.inverse_rows(rows).unwrap();
+            }
+            assert_eq!(bits(&values), bits(recovered.matrix().as_slice()));
+        }
+        // A slice of partial rows is refused untouched.
+        let mut partial = vec![1.0, 2.0, 3.0, 4.0];
+        assert!(matches!(
+            session.forward_rows(&mut partial),
+            Err(Error::KeyMismatch(_))
+        ));
+        assert!(matches!(
+            session.inverse_rows(&mut partial),
+            Err(Error::KeyMismatch(_))
+        ));
+        assert_eq!(partial, [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

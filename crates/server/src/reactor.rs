@@ -50,9 +50,10 @@ use std::time::{Duration, Instant};
 
 use polling::{Event, Interest, Poller};
 
-use crate::server::{process_request, refuse, DrainReport, Shared, WRITE_TIMEOUT};
+use crate::server::{answer_request, refuse, serve_batch, DrainReport, Shared, WRITE_TIMEOUT};
 use crate::wire::{
-    FrameAssembler, FrameView, Opcode, Request, Response, WireError, WireResult, FREE_FRAME_MAX,
+    AnswerFrame, FrameAssembler, NextFrame, Opcode, OwnedFrame, Request, Response, WireError,
+    WireResult, FREE_FRAME_MAX,
 };
 use crate::CODE_UNAVAILABLE;
 
@@ -67,88 +68,104 @@ const FREE_FRAMES: usize = 8;
 /// allocate.
 const FREE_FRAME_MIN: usize = 64 * 1024;
 
-/// A request decoded on the event loop, waiting for a worker.
+/// A request extracted on the event loop, waiting for a worker.
 struct Inbound {
     /// When the frame was extracted, for the queue-wait deadline.
     arrival: Instant,
-    request_id: u64,
-    /// The request, or why its well-framed body did not decode (answered
-    /// with a typed error; the connection stays open).
-    request: WireResult<Request>,
+    request: InboundRequest,
+}
+
+enum InboundRequest {
+    /// A checked `Transform` or `Invert` frame, still encoded: a worker
+    /// releases its rows inside it and rewrites it into the answer.
+    Batch(OwnedFrame),
+    /// Any other request, decoded on the event loop, or why its
+    /// well-framed body did not decode (answered with a typed error; the
+    /// connection stays open).
+    Decoded {
+        request_id: u64,
+        request: WireResult<Request>,
+    },
 }
 
 impl Inbound {
-    /// Decodes a frame's request: a batch's rows are copied once, out of
-    /// the read buffer into the batch matrix. Any `GoingAway` frame is a
-    /// goodbye, whatever its body holds.
-    fn decode(view: FrameView<'_>) -> Inbound {
-        let request = match view.opcode {
-            Opcode::GoingAway => Ok(Request::Goodbye),
-            _ => Request::from_view(view),
+    /// Takes an extracted frame: a batch frame as it is, anything else
+    /// decoded. Any `GoingAway` frame is a goodbye, whatever its body
+    /// holds.
+    fn new(next: NextFrame<'_>) -> Inbound {
+        let request = match next {
+            NextFrame::Batch(frame) => InboundRequest::Batch(frame),
+            NextFrame::View(view) => InboundRequest::Decoded {
+                request_id: view.request_id,
+                request: match view.opcode {
+                    Opcode::GoingAway => Ok(Request::Goodbye),
+                    _ => Request::from_view(view),
+                },
+            },
         };
         Inbound {
             arrival: Instant::now(),
-            request_id: view.request_id,
             request,
         }
     }
+
+    fn is_goodbye(&self) -> bool {
+        matches!(
+            self.request,
+            InboundRequest::Decoded {
+                request: Ok(Request::Goodbye),
+                ..
+            }
+        )
+    }
 }
 
-/// A decoded request on its way to the worker pool.
+/// A request on its way to the worker pool.
 struct Job {
     conn_id: u64,
     inbound: Inbound,
 }
 
-/// An encoded response frame on its way back to the event loop.
+/// An answer frame on its way back to the event loop.
 struct Completion {
     conn_id: u64,
-    frame: Vec<u8>,
+    frame: AnswerFrame,
 }
 
-/// Response frame buffers flushed by the event loop, on their way back to
-/// the workers: at most [`FREE_FRAMES`] of them, each of
-/// [`FREE_FRAME_MIN`] to [`FREE_FRAME_MAX`] bytes.
+/// Frame buffers the event loop has flushed, on their way back to the
+/// frame assemblers: at most [`FREE_FRAMES`] of them, each of
+/// [`FREE_FRAME_MIN`] to [`FREE_FRAME_MAX`] bytes. A batch frame leaves
+/// with its assembler's buffer and comes back as its answer, so a steady
+/// stream of batches allocates no frame.
 #[derive(Default)]
 struct FrameBuffers {
-    free: StdMutex<Vec<Vec<u8>>>,
+    free: Vec<Vec<u8>>,
 }
 
 impl FrameBuffers {
-    /// Encodes `response` echoing `request_id`; the responses that carry a
-    /// batch reuse a free buffer when there is one.
-    fn encode(&self, response: &Response, request_id: u64) -> Vec<u8> {
-        let mut frame = match response {
-            Response::Transformed { .. } | Response::Inverted { .. } => self
-                .free
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop()
-                .unwrap_or_default(),
-            _ => Vec::new(),
-        };
-        response.encode_into(request_id, &mut frame);
-        frame
+    /// A free buffer, or an empty one.
+    fn take(&mut self) -> Vec<u8> {
+        self.free.pop().unwrap_or_default()
     }
 
-    /// Takes a flushed frame back, keeping it within the bounds.
-    fn recycle(&self, frame: Vec<u8>) {
-        if (FREE_FRAME_MIN..=FREE_FRAME_MAX).contains(&frame.capacity()) {
-            let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-            if free.len() < FREE_FRAMES {
-                free.push(frame);
-            }
+    /// Takes a flushed frame's buffer back, keeping it within the bounds.
+    fn recycle(&mut self, frame: AnswerFrame) {
+        let buf = frame.into_buffer();
+        if (FREE_FRAME_MIN..=FREE_FRAME_MAX).contains(&buf.capacity())
+            && self.free.len() < FREE_FRAMES
+        {
+            self.free.push(buf);
         }
     }
 }
 
-/// One worker: deadline check → request engine → encode. Exits when the
-/// job channel closes (the event loop exited).
+/// One worker: a batch frame is served in place; any other request goes
+/// deadline check → request engine → encode. Exits when the job channel
+/// closes (the event loop exited).
 fn run_worker(
     shared: Arc<Shared>,
     jobs: Arc<StdMutex<mpsc::Receiver<Job>>>,
     completions: Arc<StdMutex<Vec<Completion>>>,
-    buffers: Arc<FrameBuffers>,
     waker: Arc<UnixStream>,
 ) {
     loop {
@@ -159,31 +176,18 @@ fn run_worker(
         let Ok(Job { conn_id, inbound }) = job else {
             return;
         };
-        let runtime = shared.registry.runtime();
-        let response = match inbound.request {
-            // A valid frame with an undecodable body: framing is intact,
-            // so answer and keep the connection.
-            Err(e) => Response::Error {
-                code: 4,
-                message: format!("bad request body: {e}"),
-            },
-            Ok(request) => {
-                let waited = inbound.arrival.elapsed();
-                let budget = shared.config.deadline_for(request.opcode());
-                if waited > budget {
-                    // Shed rather than serve stale: the client has either
-                    // timed out already or would rather retry elsewhere.
-                    runtime.deadlines_shed.fetch_add(1, Ordering::Relaxed);
-                    Response::Deadline {
-                        waited_ms: waited.as_millis().min(u128::from(u64::MAX)) as u64,
-                        budget_ms: budget.as_millis().min(u128::from(u64::MAX)) as u64,
-                    }
-                } else {
-                    process_request(&shared, request)
-                }
+        let frame = match inbound.request {
+            InboundRequest::Batch(frame) => serve_batch(&shared, frame, inbound.arrival),
+            InboundRequest::Decoded {
+                request_id,
+                request,
+            } => {
+                let mut frame = Vec::new();
+                answer_request(&shared, request, inbound.arrival)
+                    .encode_into(request_id, &mut frame);
+                AnswerFrame::whole(frame)
             }
         };
-        let frame = buffers.encode(&response, inbound.request_id);
         completions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -203,9 +207,9 @@ struct Conn {
     /// One request is in the worker pool; nothing else may be popped
     /// until its completion returns, preserving response order.
     in_worker: bool,
-    /// Whole response frames in answer order; the front one is written
+    /// Whole answer frames in answer order; the front one is written
     /// from `out_at` on.
-    outq: VecDeque<Vec<u8>>,
+    outq: VecDeque<AnswerFrame>,
     out_at: usize,
     last_byte_at: Instant,
     /// No more bytes will be read (EOF, fatal parse error, idle reap,
@@ -271,7 +275,7 @@ impl Conn {
     fn queue_response(&mut self, response: &Response) {
         let mut frame = Vec::new();
         response.encode_into(0, &mut frame);
-        self.outq.push_back(frame);
+        self.outq.push_back(AnswerFrame::whole(frame));
     }
 
     fn flushed(&self) -> bool {
@@ -297,7 +301,7 @@ struct Reactor {
     next_conn_id: u64,
     jobs_tx: mpsc::Sender<Job>,
     completions: Arc<StdMutex<Vec<Completion>>>,
-    buffers: Arc<FrameBuffers>,
+    buffers: FrameBuffers,
     stop: Arc<AtomicBool>,
     drain_started: Option<Instant>,
     forced: u64,
@@ -491,7 +495,7 @@ impl Reactor {
                 }
                 Ok(_) => {
                     conn.last_byte_at = Instant::now();
-                    Reactor::extract_frames(conn, window);
+                    Reactor::extract_frames(conn, window, &mut self.buffers);
                     if conn.read_closed {
                         break;
                     }
@@ -508,13 +512,14 @@ impl Reactor {
         }
     }
 
-    /// Decodes complete frames from the assembler into the inbox,
-    /// honouring the window bound and the error-recoverability contract.
-    fn extract_frames(conn: &mut Conn, window: usize) {
+    /// Extracts complete frames from the assembler into the inbox,
+    /// honouring the window bound and the error-recoverability contract. A
+    /// batch frame that takes the assembler's buffer leaves it a free one.
+    fn extract_frames(conn: &mut Conn, window: usize, buffers: &mut FrameBuffers) {
         while conn.inbox.len() < window && !conn.parse_dead {
-            let item = match conn.asm.next_view() {
+            let item = match conn.asm.next_request(|| buffers.take()) {
                 None => break,
-                Some(view) => view.map(Inbound::decode),
+                Some(next) => next.map(Inbound::new),
             };
             match item {
                 Ok(inbound) => conn.inbox.push_back(Ok(inbound)),
@@ -554,14 +559,15 @@ impl Reactor {
             return;
         };
         while let Some(frame) = conn.outq.front() {
-            match conn.stream.write(&frame[conn.out_at..]) {
+            let bytes = frame.as_bytes();
+            match conn.stream.write(&bytes[conn.out_at..]) {
                 Ok(0) => {
                     conn.write_broken = true;
                     break;
                 }
                 Ok(n) => {
                     conn.out_at += n;
-                    if conn.out_at == frame.len() {
+                    if conn.out_at == bytes.len() {
                         conn.out_at = 0;
                         if let Some(done) = conn.outq.pop_front() {
                             self.buffers.recycle(done);
@@ -589,14 +595,14 @@ impl Reactor {
             return;
         };
 
-        Reactor::extract_frames(conn, window);
+        Reactor::extract_frames(conn, window, &mut self.buffers);
         while !conn.in_worker {
             let Some(item) = conn.inbox.pop_front() else {
                 break;
             };
             match item {
                 Ok(inbound) => {
-                    if matches!(inbound.request, Ok(Request::Goodbye)) {
+                    if inbound.is_goodbye() {
                         // A clean departure: no response owed, no error
                         // frame, nothing after it served.
                         conn.count_disconnect(runtime);
@@ -746,7 +752,7 @@ impl Reactor {
             let _ = conn.stream.set_write_timeout(Some(WRITE_TIMEOUT));
             let pending_ok = conn.outq.iter().enumerate().all(|(i, frame)| {
                 let from = if i == 0 { conn.out_at } else { 0 };
-                conn.stream.write_all(&frame[from..]).is_ok()
+                conn.stream.write_all(&frame.as_bytes()[from..]).is_ok()
             });
             let mut farewell = Vec::new();
             Response::GoingAway {
@@ -852,7 +858,6 @@ pub(crate) fn spawn(
     let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
     let jobs_rx = Arc::new(StdMutex::new(jobs_rx));
     let completions: Arc<StdMutex<Vec<Completion>>> = Arc::new(StdMutex::new(Vec::new()));
-    let buffers = Arc::new(FrameBuffers::default());
     let waker_tx = Arc::new(waker_tx);
 
     let pool_size = rbt_linalg::pool::default_threads();
@@ -861,10 +866,9 @@ pub(crate) fn spawn(
         let shared = Arc::clone(&shared);
         let jobs_rx = Arc::clone(&jobs_rx);
         let completions = Arc::clone(&completions);
-        let buffers = Arc::clone(&buffers);
         let waker = Arc::clone(&waker_tx);
         workers.push(thread::spawn(move || {
-            run_worker(shared, jobs_rx, completions, buffers, waker)
+            run_worker(shared, jobs_rx, completions, waker)
         }));
     }
 
@@ -877,7 +881,7 @@ pub(crate) fn spawn(
         next_conn_id: 0,
         jobs_tx,
         completions,
-        buffers,
+        buffers: FrameBuffers::default(),
         stop: Arc::clone(&stop),
         drain_started: None,
         forced: 0,

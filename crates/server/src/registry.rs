@@ -194,7 +194,7 @@ impl SessionRegistry {
 
     /// Checks out the tenant's live session, re-decoding from the retained
     /// key bytes after an eviction.
-    fn checkout(&self, tenant: &str) -> ServerResult<Arc<dyn FittedTransform>> {
+    pub(crate) fn checkout(&self, tenant: &str) -> ServerResult<Arc<dyn FittedTransform>> {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -215,7 +215,7 @@ impl SessionRegistry {
     }
 
     /// Adds one answered request, timed from `start`, to its tenant.
-    fn note(&self, tenant: &str, rows: u64, drift_rows: u64, start: Instant) {
+    pub(crate) fn note(&self, tenant: &str, rows: u64, drift_rows: u64, start: Instant) {
         let elapsed_us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         let mut inner = self.inner.lock();
         if let Some(entry) = inner.tenants.get_mut(tenant) {

@@ -43,17 +43,18 @@ use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use rbt_api::{FittedTransform, RbtError};
 use rbt_linalg::codec::ByteReader;
 use rbt_protocol::{FederationConfig, FederationHub, Message as FedMessage, ProtocolError};
 
 use crate::keystore::KeyStore;
 use crate::reactor::{self, ReactorHandle};
 use crate::registry::{ServerError, SessionRegistry};
-use crate::wire::{Opcode, Request, Response};
+use crate::wire::{AnswerFrame, BatchRequest, Opcode, OwnedFrame, Request, Response, WireResult};
 
 /// Socket write timeout for responses and refusal frames.
 pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -182,6 +183,98 @@ pub(crate) fn fed_error(e: &ProtocolError) -> Response {
     Response::Error {
         code: e.code(),
         message: format!("federation: {e}"),
+    }
+}
+
+/// A `Deadline` answer when a request of `opcode` that arrived at
+/// `arrival` has waited past its budget: shed rather than serve stale,
+/// since the client has either timed out already or would rather retry
+/// elsewhere.
+fn shed(shared: &Shared, opcode: Opcode, arrival: Instant) -> Option<Response> {
+    let waited = arrival.elapsed();
+    let budget = shared.config.deadline_for(opcode);
+    if waited <= budget {
+        return None;
+    }
+    let runtime = shared.registry.runtime();
+    runtime.deadlines_shed.fetch_add(1, Ordering::Relaxed);
+    Some(Response::Deadline {
+        waited_ms: waited.as_millis().min(u128::from(u64::MAX)) as u64,
+        budget_ms: budget.as_millis().min(u128::from(u64::MAX)) as u64,
+    })
+}
+
+/// Answers a request decoded from a frame that arrived at `arrival`: a
+/// valid frame with an undecodable body is refused with a typed error
+/// (framing is intact, so the connection stays), a request past its
+/// deadline is shed, and anything else is served.
+pub(crate) fn answer_request(
+    shared: &Shared,
+    request: WireResult<Request>,
+    arrival: Instant,
+) -> Response {
+    match request {
+        Err(e) => Response::Error {
+            code: 4,
+            message: format!("bad request body: {e}"),
+        },
+        Ok(request) => shed(shared, request.opcode(), arrival)
+            .unwrap_or_else(|| process_request(shared, request)),
+    }
+}
+
+/// Answers an owned `Transform` or `Invert` frame that arrived at
+/// `arrival`, in the frame's own buffer. A batch for an RBT session of its
+/// width is released inside the frame through the session's row kernels,
+/// and the frame is rewritten into the answer: the rows are never copied
+/// into a matrix or out of one. Anything else — a body that does not
+/// parse, an unknown tenant, another method, another width — is decoded
+/// from the frame and answered as [`answer_request`] answers it.
+pub(crate) fn serve_batch(shared: &Shared, frame: OwnedFrame, arrival: Instant) -> AnswerFrame {
+    let mut batch = match BatchRequest::parse(frame) {
+        Ok(batch) => batch,
+        Err(frame) => {
+            let response = answer_request(shared, Request::from_view(frame.view()), arrival);
+            return frame.answer(&response);
+        }
+    };
+    if let Some(stale) = shed(shared, batch.opcode(), arrival) {
+        return batch.into_frame().answer(&stale);
+    }
+    let registry = &shared.registry;
+    let live = registry.checkout(batch.tenant()).ok();
+    let session = live
+        .as_deref()
+        .and_then(<dyn FittedTransform>::session)
+        .filter(|session| session.key().n_attributes() == batch.n_cols());
+    let Some(session) = session else {
+        let frame = batch.into_frame();
+        let response = match Request::from_view(frame.view()) {
+            Ok(request) => process_request(shared, request),
+            Err(e) => answer_request(shared, Err(e), arrival),
+        };
+        return frame.answer(&response);
+    };
+    let start = Instant::now();
+    let forward = batch.opcode() == Opcode::Transform;
+    let released = if forward {
+        batch.release_rows(|rows| session.forward_rows(rows))
+    } else {
+        batch.release_rows(|rows| session.inverse_rows(rows).map(|()| 0))
+    };
+    let drift_rows = match released {
+        Ok(drift_rows) => drift_rows as u64,
+        Err(e) => {
+            let error = ServerError::Rbt(RbtError::from(e));
+            return batch.into_frame().answer(&error_response(&error));
+        }
+    };
+    if forward {
+        registry.note(batch.tenant(), batch.n_rows() as u64, drift_rows, start);
+        batch.into_transformed(session.suppresses_ids(), drift_rows)
+    } else {
+        registry.note(batch.tenant(), 0, 0, start);
+        batch.into_inverted()
     }
 }
 

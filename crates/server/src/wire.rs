@@ -73,6 +73,16 @@ pub const MAX_BODY_LEN: u32 = 64 * 1024 * 1024;
 /// several small frames, or the head of a large one.
 const MIN_READ: usize = 64 * 1024;
 
+/// Bytes a `Transform` answer's drift count adds to the frame of its
+/// request, whose tenant field (at least 4 bytes) the answer drops. The
+/// daemon reads every frame into a buffer with this much room past it, so
+/// a batch request is rewritten into its answer without reallocating.
+const DRIFT_LEN: usize = 8;
+
+/// `f64` values a served batch is released through at a time: 32 KiB, an
+/// L1 data cache's worth of whole rows.
+const SCRATCH_VALUES: usize = 4096;
+
 /// The largest frame buffer a connection keeps once its frame is done
 /// (4 MiB): a drained `FrameAssembler` gives back a larger one, and the
 /// daemon's free list of flushed response frames keeps none larger. Rarer,
@@ -361,11 +371,8 @@ fn encode_with(
         *buf = Vec::with_capacity(frame_len);
     }
     let mut w = ByteWriter::from_vec(std::mem::take(buf));
-    w.put_bytes(&MAGIC);
-    w.put_u16(WIRE_VERSION);
-    w.put_u8(opcode as u8);
-    w.put_u32(0); // the body length, patched below
-    w.put_u64(request_id);
+    // The body length is patched below.
+    w.put_bytes(&frame_head(opcode, 0, request_id));
     put_body(&mut w);
     let mut bytes = w.into_bytes();
     let declared = (bytes.len() - HEADER_LEN) as u32;
@@ -373,6 +380,18 @@ fn encode_with(
     let crc = crc32(&bytes);
     bytes.extend_from_slice(&crc.to_le_bytes());
     *buf = bytes;
+}
+
+/// The first bytes of every frame: magic, version, opcode, body length
+/// and request id.
+fn frame_head(opcode: Opcode, body_len: u32, request_id: u64) -> [u8; HEADER_LEN + REQUEST_ID_LEN] {
+    let mut head = [0u8; HEADER_LEN + REQUEST_ID_LEN];
+    head[..4].copy_from_slice(&MAGIC);
+    head[4..6].copy_from_slice(&WIRE_VERSION.to_le_bytes());
+    head[6] = opcode as u8;
+    head[7..HEADER_LEN].copy_from_slice(&body_len.to_le_bytes());
+    head[HEADER_LEN..].copy_from_slice(&request_id.to_le_bytes());
+    head
 }
 
 /// Encodes a frame into a self-contained byte buffer (header + request-id
@@ -634,7 +653,7 @@ impl FrameAssembler {
             parse_header(pending).map_or(0, |h| h.frame_len().saturating_sub(pending.len()))
         };
         let room = if rest > 0 { rest } else { MIN_READ };
-        self.reserve(room);
+        self.reserve(room + DRIFT_LEN);
         let before = self.buf.len();
         let read = src.take(room as u64).read_to_end(&mut self.buf);
         match (read, self.buf.len() - before) {
@@ -732,6 +751,282 @@ impl FrameAssembler {
     pub fn next_frame(&mut self) -> Option<WireResult<Frame>> {
         self.next_view().map(|view| view.map(Frame::from_view))
     }
+
+    /// [`next_view`](Self::next_view) for the daemon, with the same
+    /// validation and errors, except that a checked `Transform` or
+    /// `Invert` frame comes out owned, so a worker can release its rows
+    /// inside it. A frame that ends the pending bytes — as every frame
+    /// larger than one 64 KiB read does, because the read of its rest
+    /// stops at its end — takes the whole buffer, and the assembler goes
+    /// on in `fresh()`. A frame that shared a read with the next one is
+    /// copied out.
+    pub(crate) fn next_request(
+        &mut self,
+        fresh: impl FnOnce() -> Vec<u8>,
+    ) -> Option<WireResult<NextFrame<'_>>> {
+        let pending = self.pending();
+        let batch = pending.len() >= HEADER_LEN
+            && matches!(parse_header(pending), Ok(h) if is_batch_opcode(h.opcode_byte));
+        if !batch {
+            return self.next_view().map(|view| view.map(NextFrame::View));
+        }
+        let (opcode, request_id, len) = match self.next_view()? {
+            Ok(view) => (
+                view.opcode,
+                view.request_id,
+                HEADER_LEN + REQUEST_ID_LEN + view.body.len() + TRAILER_LEN,
+            ),
+            Err(e) => return Some(Err(e)),
+        };
+        let end = self.start;
+        let (bytes, start) = if end == self.buf.len() {
+            let mut next = fresh();
+            next.clear();
+            self.start = 0;
+            (std::mem::replace(&mut self.buf, next), end - len)
+        } else {
+            let mut copy = Vec::with_capacity(len + DRIFT_LEN);
+            copy.extend_from_slice(&self.buf[end - len..end]);
+            (copy, 0)
+        };
+        Some(Ok(NextFrame::Batch(OwnedFrame {
+            bytes,
+            start,
+            opcode,
+            request_id,
+        })))
+    }
+}
+
+/// Whether an opcode byte is `Transform` or `Invert`, the requests that
+/// carry a batch.
+fn is_batch_opcode(byte: u8) -> bool {
+    matches!(
+        Opcode::from_u8(byte),
+        Some(Opcode::Transform | Opcode::Invert)
+    )
+}
+
+/// What [`FrameAssembler::next_request`] yields.
+pub(crate) enum NextFrame<'a> {
+    /// A checked `Transform` or `Invert` frame, owned.
+    Batch(OwnedFrame),
+    /// Any other checked frame, borrowed from the assembler.
+    View(FrameView<'a>),
+}
+
+/// One whole checked frame the daemon owns: `bytes[start..]`, with room
+/// to grow by [`DRIFT_LEN`] bytes when it was read off a socket.
+#[derive(Debug)]
+pub(crate) struct OwnedFrame {
+    bytes: Vec<u8>,
+    start: usize,
+    opcode: Opcode,
+    request_id: u64,
+}
+
+impl OwnedFrame {
+    /// The frame as a borrowed view.
+    pub(crate) fn view(&self) -> FrameView<'_> {
+        FrameView {
+            opcode: self.opcode,
+            request_id: self.request_id,
+            body: &self.bytes
+                [self.start + HEADER_LEN + REQUEST_ID_LEN..self.bytes.len() - TRAILER_LEN],
+        }
+    }
+
+    /// Encodes `response`, echoing the frame's request id, into the
+    /// frame's own buffer in place of the frame.
+    pub(crate) fn answer(self, response: &Response) -> AnswerFrame {
+        let mut buf = self.bytes;
+        response.encode_into(self.request_id, &mut buf);
+        AnswerFrame::whole(buf)
+    }
+}
+
+/// An encoded answer frame, `buf[bytes]`, in a buffer that may hold the
+/// rest of the request it was rewritten from around it.
+#[derive(Debug)]
+pub(crate) struct AnswerFrame {
+    buf: Vec<u8>,
+    bytes: Range<usize>,
+}
+
+impl AnswerFrame {
+    /// A buffer that holds exactly one encoded frame.
+    pub(crate) fn whole(buf: Vec<u8>) -> AnswerFrame {
+        AnswerFrame {
+            bytes: 0..buf.len(),
+            buf,
+        }
+    }
+
+    /// The frame's bytes.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.bytes.clone()]
+    }
+
+    /// The buffer the frame lives in, for reuse.
+    pub(crate) fn into_buffer(self) -> Vec<u8> {
+        self.buf
+    }
+}
+
+/// A `Transform` or `Invert` request the daemon owns as its checked frame,
+/// whose body parsed as [`Request::from_view`] parses it. Its rows are
+/// released inside the frame, which is then rewritten in place into the
+/// answer's frame.
+#[derive(Debug)]
+pub(crate) struct BatchRequest {
+    frame: OwnedFrame,
+    tenant: String,
+    /// Offset of the dataset in the frame's buffer.
+    dataset: usize,
+    layout: DatasetLayout,
+}
+
+/// Parses a batch request's body: the tenant, then a dataset, then
+/// nothing.
+fn parse_batch_body(body: &[u8]) -> WireResult<(String, DatasetLayout)> {
+    let mut r = ByteReader::new(body);
+    let tenant = r.take_str()?.to_string();
+    let (layout, _) = read_dataset(&mut r)?;
+    r.expect_end()?;
+    Ok((tenant, layout))
+}
+
+impl BatchRequest {
+    /// Parses an owned `Transform` or `Invert` frame. Any other frame, or
+    /// one whose body does not parse, comes back as it was.
+    pub(crate) fn parse(frame: OwnedFrame) -> Result<BatchRequest, OwnedFrame> {
+        if !is_batch_opcode(frame.opcode as u8) {
+            return Err(frame);
+        }
+        let Ok((tenant, layout)) = parse_batch_body(frame.view().body) else {
+            return Err(frame);
+        };
+        let dataset = frame.start + HEADER_LEN + REQUEST_ID_LEN + 4 + tenant.len();
+        Ok(BatchRequest {
+            frame,
+            tenant,
+            dataset,
+            layout,
+        })
+    }
+
+    /// The frame opcode, `Transform` or `Invert`.
+    pub(crate) fn opcode(&self) -> Opcode {
+        self.frame.opcode
+    }
+
+    /// The tenant the batch is for.
+    pub(crate) fn tenant(&self) -> &str {
+        &self.tenant
+    }
+
+    /// The batch's row count.
+    pub(crate) fn n_rows(&self) -> usize {
+        self.layout.rows
+    }
+
+    /// The batch's column count.
+    pub(crate) fn n_cols(&self) -> usize {
+        self.layout.cols
+    }
+
+    /// The frame, unparsed.
+    pub(crate) fn into_frame(self) -> OwnedFrame {
+        self.frame
+    }
+
+    /// Runs `kernel` over the batch's cells in place, at most 32 KiB of
+    /// whole rows at a time: each slice of the frame's little-endian cells
+    /// is converted into an `f64` scratch, passed to `kernel`, and written
+    /// back. Returns the sum of what `kernel` returned, or its first
+    /// error, which leaves the cells partly rewritten.
+    pub(crate) fn release_rows<E>(
+        &mut self,
+        mut kernel: impl FnMut(&mut [f64]) -> Result<usize, E>,
+    ) -> Result<usize, E> {
+        let cols = self.layout.cols;
+        if cols == 0 || self.layout.rows == 0 {
+            return Ok(0);
+        }
+        let mut stack = [0.0; SCRATCH_VALUES];
+        let mut heap = Vec::new();
+        let scratch: &mut [f64] = if cols <= SCRATCH_VALUES {
+            &mut stack
+        } else {
+            heap.resize(cols, 0.0);
+            &mut heap
+        };
+        let rows_per_slice = (SCRATCH_VALUES / cols).max(1);
+        let cells_at = self.dataset + self.layout.cells_at;
+        let cells_end = self.frame.bytes.len() - TRAILER_LEN;
+        let mut total = 0;
+        for slice in self.frame.bytes[cells_at..cells_end].chunks_mut(8 * cols * rows_per_slice) {
+            let values = &mut scratch[..slice.len() / 8];
+            for (v, w) in values.iter_mut().zip(slice.as_chunks::<8>().0) {
+                *v = f64::from_le_bytes(*w);
+            }
+            total += kernel(values)?;
+            for (v, w) in values.iter().zip(slice.as_chunks_mut::<8>().0) {
+                *w = v.to_le_bytes();
+            }
+        }
+        Ok(total)
+    }
+
+    /// Rewrites the frame in place into the frame
+    /// `Response::Transformed { released, out_of_range_rows }` encodes,
+    /// `released` being the batch as it now stands, its IDs dropped when
+    /// `drop_ids`.
+    pub(crate) fn into_transformed(self, drop_ids: bool, out_of_range_rows: u64) -> AnswerFrame {
+        self.into_answer(Opcode::Transform, drop_ids, Some(out_of_range_rows))
+    }
+
+    /// Rewrites the frame in place into the frame
+    /// `Response::Inverted { recovered }` encodes, `recovered` being the
+    /// batch as it now stands.
+    pub(crate) fn into_inverted(self) -> AnswerFrame {
+        self.into_answer(Opcode::Invert, false, None)
+    }
+
+    /// The in-place rewrite: the dataset stays where it is, except that
+    /// its counts, names and ID flag move up against the cells when the
+    /// IDs are dropped; the drift count takes the request's CRC's place;
+    /// the header and request id move up to meet the dataset, over the
+    /// tenant field; and the answer's CRC follows.
+    fn into_answer(self, opcode: Opcode, drop_ids: bool, drift: Option<u64>) -> AnswerFrame {
+        let BatchRequest {
+            frame,
+            mut dataset,
+            layout,
+            ..
+        } = self;
+        let mut buf = frame.bytes;
+        if drop_ids && layout.has_ids {
+            let flag = dataset + layout.has_ids_at;
+            let shift = layout.cells_at - layout.has_ids_at - 1;
+            buf[flag] = 0;
+            buf.copy_within(dataset..=flag, dataset + shift);
+            dataset += shift;
+        }
+        buf.truncate(buf.len() - TRAILER_LEN);
+        if let Some(drift) = drift {
+            buf.extend_from_slice(&drift.to_le_bytes());
+        }
+        let start = dataset - HEADER_LEN - REQUEST_ID_LEN;
+        let body_len = (buf.len() - start - HEADER_LEN) as u32;
+        buf[start..dataset].copy_from_slice(&frame_head(opcode, body_len, frame.request_id));
+        let crc = crc32(&buf[start..]);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        AnswerFrame {
+            bytes: start..buf.len(),
+            buf,
+        }
+    }
 }
 
 /// Writes one encoded frame to a stream and flushes it — the owned-frame
@@ -776,6 +1071,62 @@ fn encoded_dataset_len(ds: &Dataset) -> usize {
     8 + 8 + names + 1 + ids + 8 * ds.n_rows() * ds.n_cols()
 }
 
+/// Where the parts of one dataset [`encode_dataset`] wrote lie, as offsets
+/// from its first byte: the row and column counts at 0 and 8, then the
+/// column names, the ID flag at `has_ids_at`, the IDs when the flag is
+/// set, and the row-major cells from `cells_at` to the end.
+#[derive(Debug, Clone, Copy)]
+struct DatasetLayout {
+    rows: usize,
+    cols: usize,
+    has_ids: bool,
+    has_ids_at: usize,
+    cells_at: usize,
+}
+
+/// Reads the dataset at `r`'s position, checking everything
+/// [`decode_dataset`] checks but copying nothing: returns its layout and
+/// its bytes.
+fn read_dataset<'a>(r: &mut ByteReader<'a>) -> WireResult<(DatasetLayout, &'a [u8])> {
+    let mut whole = r.clone();
+    let start = r.position();
+    let rows = r.take_usize()?;
+    let cols = r.take_usize()?;
+    // Rows without columns carry no bytes, so no count check would bound
+    // them; a 0×0 dataset stays valid.
+    if cols == 0 && rows > 0 {
+        return Err(malformed(
+            start,
+            format!("dataset declares {rows} rows but no columns"),
+        ));
+    }
+    r.check_count(cols, 4)?;
+    for _ in 0..cols {
+        r.take_str()?;
+    }
+    let has_ids_at = r.position() - start;
+    let has_ids = r.take_bool()?;
+    if has_ids {
+        r.check_count(rows, 8)?;
+        r.take_bytes(8 * rows)?;
+    }
+    let cells = rows
+        .checked_mul(cols)
+        .ok_or_else(|| malformed(start, format!("dataset shape {rows}x{cols} overflows")))?;
+    r.check_count(cells, 8)?;
+    let cells_at = r.position() - start;
+    r.take_bytes(8 * cells)?;
+    let bytes = whole.take_bytes(r.position() - start)?;
+    let layout = DatasetLayout {
+        rows,
+        cols,
+        has_ids,
+        has_ids_at,
+        cells_at,
+    };
+    Ok((layout, bytes))
+}
+
 /// Reads a dataset written by [`encode_dataset`].
 ///
 /// # Errors
@@ -784,49 +1135,27 @@ fn encoded_dataset_len(ds: &Dataset) -> usize {
 /// shape.
 pub fn decode_dataset(r: &mut ByteReader<'_>) -> WireResult<Dataset> {
     let shape_offset = r.position();
-    let rows = r.take_usize()?;
-    let cols = r.take_usize()?;
-    // Rows without columns carry no bytes, so no count check would bound
-    // them; a 0×0 dataset stays valid.
-    if cols == 0 && rows > 0 {
-        return Err(malformed(
-            shape_offset,
-            format!("dataset declares {rows} rows but no columns"),
-        ));
-    }
-    r.check_count(cols, 4)?;
-    let mut columns = Vec::with_capacity(cols);
-    for _ in 0..cols {
-        columns.push(r.take_str()?.to_string());
-    }
-    let has_ids = r.take_bool()?;
-    let ids = if has_ids {
-        r.check_count(rows, 8)?;
-        let mut ids = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            ids.push(r.take_u64()?);
-        }
-        Some(ids)
-    } else {
-        None
-    };
-    let cells = rows.checked_mul(cols).ok_or_else(|| {
-        malformed(
-            shape_offset,
-            format!("dataset shape {rows}x{cols} overflows"),
-        )
-    })?;
-    r.check_count(cells, 8)?;
-    let data = r.take_f64s(cells)?;
-    let matrix =
-        Matrix::from_vec(rows, cols, data).map_err(|e| malformed(shape_offset, e.to_string()))?;
+    let (layout, bytes) = read_dataset(r)?;
+    // `read_dataset` checked every count, name and flag below.
+    let mut names = ByteReader::new(&bytes[16..layout.has_ids_at]);
+    let columns = (0..layout.cols)
+        .map(|_| names.take_str().map(str::to_string))
+        .collect::<Result<Vec<_>, _>>()?;
+    let words = |range: Range<usize>| bytes[range].as_chunks::<8>().0.iter();
+    let data = words(layout.cells_at..bytes.len())
+        .map(|w| f64::from_le_bytes(*w))
+        .collect();
+    let matrix = Matrix::from_vec(layout.rows, layout.cols, data)
+        .map_err(|e| malformed(shape_offset, e.to_string()))?;
     let ds = Dataset::new(matrix, columns).map_err(|e| malformed(shape_offset, e.to_string()))?;
-    match ids {
-        Some(ids) => ds
-            .with_ids(ids)
-            .map_err(|e| malformed(shape_offset, e.to_string())),
-        None => Ok(ds),
+    if !layout.has_ids {
+        return Ok(ds);
     }
+    let ids = words(layout.has_ids_at + 1..layout.cells_at)
+        .map(|w| u64::from_le_bytes(*w))
+        .collect();
+    ds.with_ids(ids)
+        .map_err(|e| malformed(shape_offset, e.to_string()))
 }
 
 /// A client request, one per frame.
@@ -1584,6 +1913,207 @@ mod tests {
             let trailer = u32::from_le_bytes(bytes[len - TRAILER_LEN..].try_into().unwrap());
             assert_eq!(trailer, crc, "{:?} frame CRC", frame.opcode);
         }
+    }
+
+    /// The frames the daemon's reader extracts from `bytes`, read off a
+    /// socket that delivers everything at once.
+    fn read_requests(bytes: &[u8]) -> Vec<OwnedFrame> {
+        let mut asm = FrameAssembler::new();
+        let mut src = bytes;
+        let mut frames = Vec::new();
+        while asm.read_from(&mut src).unwrap() > 0 {
+            while let Some(next) = asm.next_request(Vec::new) {
+                match next.unwrap() {
+                    NextFrame::Batch(frame) => frames.push(frame),
+                    NextFrame::View(view) => panic!("{:?} is not a batch frame", view.opcode),
+                }
+            }
+        }
+        assert!(!asm.mid_frame());
+        frames
+    }
+
+    /// A batch request frame of `batch` for a non-ASCII tenant.
+    fn batch_frame(opcode: Opcode, batch: &Dataset) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_batch_request(&mut bytes, opcode, 77, "tenant-ü", batch);
+        bytes
+    }
+
+    /// A batch whose every cell was mapped by [`scale`], its IDs dropped
+    /// when `drop_ids`.
+    fn scaled(batch: &Dataset, drop_ids: bool) -> Dataset {
+        let mut out = batch.clone();
+        out.matrix_mut().as_mut_slice().iter_mut().for_each(scale);
+        if drop_ids {
+            out.take_ids();
+        }
+        out
+    }
+
+    fn scale(v: &mut f64) {
+        *v = *v * -0.75 + 1.0;
+    }
+
+    #[test]
+    fn batch_answers_rewritten_in_place_are_the_encoded_answers() {
+        // Empty, one slice, several 32 KiB slices, and rows wider than one.
+        let wide = Dataset::from_matrix(
+            Matrix::from_vec(2, 5000, (0..10_000).map(|i| i as f64 / 7.0).collect()).unwrap(),
+        );
+        let batches = [
+            sample_dataset(0, false),
+            sample_dataset(0, true),
+            sample_dataset(1, true),
+            sample_dataset(5, false),
+            sample_dataset(2000, true),
+            wide.clone(),
+            wide.with_ids(vec![4, 2]).unwrap(),
+        ];
+        for batch in &batches {
+            for opcode in [Opcode::Transform, Opcode::Invert] {
+                for drop_ids in [false, true] {
+                    let what = format!(
+                        "{opcode:?} of {}x{} (ids: {}, drop: {drop_ids})",
+                        batch.n_rows(),
+                        batch.n_cols(),
+                        batch.ids().is_some()
+                    );
+                    let [frame] = read_requests(&batch_frame(opcode, batch))
+                        .try_into()
+                        .unwrap();
+                    let capacity = frame.bytes.capacity();
+                    let mut request = BatchRequest::parse(frame).unwrap();
+                    assert_eq!(request.tenant(), "tenant-ü");
+                    let cols = batch.n_cols();
+                    let visited = request
+                        .release_rows(|rows| {
+                            assert_eq!(rows.len() % cols, 0, "{what}: whole rows");
+                            rows.iter_mut().for_each(scale);
+                            Ok::<_, ()>(rows.len() / cols)
+                        })
+                        .unwrap();
+                    assert_eq!(visited, batch.n_rows(), "{what}: every row once");
+                    let (answer, response) = if opcode == Opcode::Transform {
+                        let response = Response::Transformed {
+                            released: scaled(batch, drop_ids),
+                            out_of_range_rows: 3,
+                        };
+                        (request.into_transformed(drop_ids, 3), response)
+                    } else {
+                        let recovered = scaled(batch, false);
+                        (request.into_inverted(), Response::Inverted { recovered })
+                    };
+                    let mut expected = Vec::new();
+                    response.encode_into(77, &mut expected);
+                    assert_eq!(answer.as_bytes(), &expected[..], "{what}");
+                    assert_eq!(answer.buf.capacity(), capacity, "{what}: reallocated");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_frame_takes_the_buffer_it_ends_and_is_copied_otherwise() {
+        let small = batch_frame(Opcode::Transform, &sample_dataset(3, true));
+        let large = batch_frame(Opcode::Invert, &sample_dataset(4000, false));
+        assert!(large.len() > MIN_READ);
+        // A socket that delivers both small frames at once, then the large
+        // one, then a small one: the first small frame shares its read with
+        // the second, which ends that read; the large frame's last read
+        // ends at its end.
+        let mut asm = FrameAssembler::new();
+        let mut fresh_buffers = 0;
+        let mut owned = Vec::new();
+        for chunk in [
+            [&small[..], &small[..]].concat(),
+            large.clone(),
+            small.clone(),
+        ] {
+            let mut src = &chunk[..];
+            while asm.read_from(&mut src).unwrap() > 0 {
+                while let Some(Ok(NextFrame::Batch(frame))) = asm.next_request(|| {
+                    fresh_buffers += 1;
+                    vec![1, 2, 3]
+                }) {
+                    owned.push(frame);
+                }
+            }
+        }
+        let starts: Vec<_> = owned.iter().map(|f| f.start).collect();
+        assert_eq!(fresh_buffers, 3, "starts {starts:?}");
+        assert_eq!(starts, [0, small.len(), 0, 0]);
+        for (frame, bytes) in owned.iter().zip([&small, &small, &large, &small]) {
+            assert_eq!(&frame.bytes[frame.start..], &bytes[..]);
+            assert!(frame.bytes.capacity() - frame.bytes.len() >= DRIFT_LEN);
+        }
+        assert!(!asm.mid_frame());
+
+        // Anything but `Transform` and `Invert` is a view, and errors are
+        // the view path's: a version-skewed batch frame is consumed.
+        let mut skewed = small.clone();
+        skewed[4..6].copy_from_slice(&9u16.to_le_bytes());
+        let crc_at = skewed.len() - TRAILER_LEN;
+        let crc = crc32(&skewed[..crc_at]);
+        skewed[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        let mut asm = FrameAssembler::new();
+        asm.push(&encode_frame(&Request::Ping.to_frame().with_request_id(5)));
+        asm.push(&skewed);
+        asm.push(&small);
+        assert!(matches!(
+            asm.next_request(Vec::new),
+            Some(Ok(NextFrame::View(view))) if view.request_id == 5
+        ));
+        assert!(matches!(
+            asm.next_request(Vec::new),
+            Some(Err(WireError::UnsupportedVersion { found: 9 }))
+        ));
+        assert!(matches!(
+            asm.next_request(Vec::new),
+            Some(Ok(NextFrame::Batch(_)))
+        ));
+        assert!(asm.next_request(Vec::new).is_none());
+    }
+
+    #[test]
+    fn batch_parse_refuses_exactly_what_decoding_refuses() {
+        let valid = {
+            let mut w = ByteWriter::new();
+            w.put_str("t");
+            encode_dataset(&mut w, &sample_dataset(3, true));
+            w.into_bytes()
+        };
+        let mut bodies: Vec<Vec<u8>> = (0..valid.len()).map(|len| valid[..len].to_vec()).collect();
+        bodies.push([&valid[..], &[0]].concat());
+        for at in 0..valid.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                let mut body = valid.clone();
+                body[at] ^= flip;
+                bodies.push(body);
+            }
+        }
+        let mut refused = 0;
+        for body in bodies {
+            let frame = Frame::new(Opcode::Transform, body.clone()).with_request_id(1);
+            let [owned] = read_requests(&encode_frame(&frame)).try_into().unwrap();
+            let decoded = Request::from_view(owned.view());
+            match BatchRequest::parse(owned) {
+                Ok(request) => {
+                    let Ok(Request::Transform { tenant, batch }) = decoded else {
+                        panic!("parsed what decoding refuses: {body:?}");
+                    };
+                    assert_eq!(request.tenant(), tenant);
+                    assert_eq!(request.n_rows(), batch.n_rows());
+                    assert_eq!(request.n_cols(), batch.n_cols());
+                }
+                Err(owned) => {
+                    assert!(decoded.is_err(), "refused what decodes: {body:?}");
+                    assert_eq!(owned.view().body, &body[..], "handed back as it was");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(refused > valid.len());
     }
 
     /// A non-blocking socket that delivers at most `chunk` bytes per

@@ -43,7 +43,7 @@ use rbt::server::{
 use rbt::{PairwiseSecurityThreshold, VarianceMode};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -71,6 +71,29 @@ impl CliError {
             message: message.into(),
         }
     }
+
+    /// A report that could not be written to stdout. A reader that went
+    /// away (a closed pipe, as `| head` leaves) is no failure of the
+    /// command: it stops quietly with status 0 (code 0 here, see `main`).
+    /// Any other write failure is exit 1.
+    fn stdout(e: std::io::Error) -> Self {
+        CliError {
+            code: if e.kind() == std::io::ErrorKind::BrokenPipe {
+                0
+            } else {
+                1
+            },
+            message: format!("writing to stdout: {e}"),
+        }
+    }
+}
+
+/// `writeln!` to a command's report stream, returning
+/// [`CliError::stdout`] from the command when the write fails.
+macro_rules! report {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(CliError::stdout)?
+    };
 }
 
 impl From<RbtError> for CliError {
@@ -111,25 +134,28 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
+    // Every report goes through one locked stdout whose write errors
+    // reach the command, instead of `println!`, which panics on them.
+    let mut out = std::io::stdout().lock();
     let result = match command.as_str() {
-        "methods" => cmd_methods(rest),
-        "keygen" => cmd_keygen(rest),
-        "transform" => cmd_transform(rest),
-        "invert" => cmd_invert(rest),
-        "inspect-key" => cmd_inspect_key(rest),
-        "audit" => cmd_audit(rest),
-        "serve" => cmd_serve(rest),
-        "federate" => cmd_federate(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "methods" => cmd_methods(rest, &mut out),
+        "keygen" => cmd_keygen(rest, &mut out),
+        "transform" => cmd_transform(rest, &mut out),
+        "invert" => cmd_invert(rest, &mut out),
+        "inspect-key" => cmd_inspect_key(rest, &mut out),
+        "audit" => cmd_audit(rest, &mut out),
+        "serve" => cmd_serve(rest, &mut out),
+        "federate" => cmd_federate(rest, &mut out),
+        "help" | "--help" | "-h" => writeln!(out, "{USAGE}").map_err(CliError::stdout),
         other => Err(CliError::usage(format!(
             "unknown command {other:?}\n{USAGE}"
         ))),
-    };
+    }
+    .and_then(|()| out.flush().map_err(CliError::stdout));
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // Stdout's reader went away: stop quietly.
+        Err(e) if e.code == 0 => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {}", e.message);
             ExitCode::from(e.code)
@@ -178,7 +204,9 @@ Federated release (N owners, one joint clustering; ARCHITECTURE.md
           [--output <labels csv>] [--wait-ms <poll budget, default 60000>]
 
 Exit codes: 0 ok · 2 usage/config · 3 input data · 4 corrupt key file ·
-5 shape mismatch · 6 infeasible threshold · 7 method capability · 1 other";
+5 shape mismatch · 6 infeasible threshold · 7 method capability · 1 other.
+A closed stdout (a reader that went away, as with `| head`) stops a
+command quietly with status 0.";
 
 /// Minimal `--flag value` / `--switch` parser over the value flags and
 /// switches one command reads. Any other flag, and any flag given twice,
@@ -263,20 +291,20 @@ fn write_csv(ds: &rbt::Dataset, path: &Path) -> CliResult<()> {
     Ok(csv::write_file(ds, path)?)
 }
 
-fn cmd_methods(args: &[String]) -> CliResult<()> {
+fn cmd_methods(args: &[String], out: &mut dyn Write) -> CliResult<()> {
     parse_flags(args, &[], &[])?;
-    println!("registered release methods:");
+    report!(out, "registered release methods:");
     for m in Method::ALL {
         let t = m.default_transform();
         let p = t.properties();
-        println!("  {:<16} {}", m.name(), m.description());
-        println!("  {:<16}   {p}", "");
+        report!(out, "  {:<16} {}", m.name(), m.description());
+        report!(out, "  {:<16}   {p}", "");
     }
-    println!("\nselect one with `rbt-cli keygen --method <name>`");
+    report!(out, "\nselect one with `rbt-cli keygen --method <name>`");
     Ok(())
 }
 
-fn cmd_keygen(args: &[String]) -> CliResult<()> {
+fn cmd_keygen(args: &[String], out: &mut dyn Write) -> CliResult<()> {
     let values = [
         "input",
         "key",
@@ -329,24 +357,27 @@ fn cmd_keygen(args: &[String]) -> CliResult<()> {
         .map_err(|e| CliError::io(format!("writing {}: {e}", key_path.display())))?;
     if let Some(released_path) = flags.get("released").map(PathBuf::from) {
         write_csv(&fitted.released, &released_path)?;
-        println!(
+        report!(
+            out,
             "initial release: {} rows -> {}",
             fitted.released.n_rows(),
             released_path.display()
         );
     }
-    println!(
+    report!(
+        out,
         "session key for {} attributes ({}: {}; {format} key file) -> {}",
         fitted.n_attributes(),
         fitted.method_name(),
         fitted.properties(),
         key_path.display()
     );
-    println!(
+    report!(
+        out,
         "fitted on {} records; keep the key file private",
         data.n_rows()
     );
-    println!("seed (keep private): {seed}");
+    report!(out, "seed (keep private): {seed}");
     Ok(())
 }
 
@@ -359,7 +390,7 @@ fn load_fitted(key_path: &Path) -> CliResult<Box<dyn FittedTransform>> {
 /// The flags `transform` and `invert` read.
 const BATCH_FLAGS: [&str; 3] = ["key", "input", "output"];
 
-fn cmd_transform(args: &[String]) -> CliResult<()> {
+fn cmd_transform(args: &[String], out: &mut dyn Write) -> CliResult<()> {
     let flags = parse_flags(args, &BATCH_FLAGS, &[])?;
     let key_path = PathBuf::from(required(&flags, "key")?);
     let input = PathBuf::from(required(&flags, "input")?);
@@ -369,7 +400,8 @@ fn cmd_transform(args: &[String]) -> CliResult<()> {
     let data = read_csv(&input)?;
     let batch = fitted.transform_batch(&data)?;
     write_csv(&batch.released, &output)?;
-    println!(
+    report!(
+        out,
         "transformed {} rows x {} attributes ({}) -> {}",
         batch.released.n_rows(),
         batch.released.n_cols(),
@@ -377,19 +409,20 @@ fn cmd_transform(args: &[String]) -> CliResult<()> {
         output.display()
     );
     if batch.out_of_range_rows > 0 {
-        println!(
+        report!(
+            out,
             "warning: {} of {} records fall outside the fitted normalization \
              range — consider re-fitting the session",
             batch.out_of_range_rows,
             data.n_rows()
         );
     } else {
-        println!("drift: 0 records outside the fitted range");
+        report!(out, "drift: 0 records outside the fitted range");
     }
     Ok(())
 }
 
-fn cmd_invert(args: &[String]) -> CliResult<()> {
+fn cmd_invert(args: &[String], out: &mut dyn Write) -> CliResult<()> {
     let flags = parse_flags(args, &BATCH_FLAGS, &[])?;
     let key_path = PathBuf::from(required(&flags, "key")?);
     let input = PathBuf::from(required(&flags, "input")?);
@@ -399,7 +432,8 @@ fn cmd_invert(args: &[String]) -> CliResult<()> {
     let data = read_csv(&input)?;
     let recovered = fitted.invert_batch(&data)?;
     write_csv(&recovered, &output)?;
-    println!(
+    report!(
+        out,
         "recovered {} rows x {} attributes -> {}",
         recovered.n_rows(),
         recovered.n_cols(),
@@ -408,12 +442,13 @@ fn cmd_invert(args: &[String]) -> CliResult<()> {
     Ok(())
 }
 
-fn cmd_inspect_key(args: &[String]) -> CliResult<()> {
+fn cmd_inspect_key(args: &[String], out: &mut dyn Write) -> CliResult<()> {
     let flags = parse_flags(args, &["key"], &[])?;
     let fitted = load_fitted(&PathBuf::from(required(&flags, "key")?))?;
     let Some(session) = fitted.session() else {
         // A fitted non-RBT method: report its descriptor and stop.
-        println!(
+        report!(
+            out,
             "fitted {} state for {} attributes: {}",
             fitted.method_name(),
             fitted.n_attributes(),
@@ -422,7 +457,8 @@ fn cmd_inspect_key(args: &[String]) -> CliResult<()> {
         return Ok(());
     };
     let attached = |present: bool| if present { "attached" } else { "absent" };
-    println!(
+    report!(
+        out,
         "session key file: normalizer for {} columns, drift bounds {}, \
          config {}, id suppression {}",
         session.normalizer().n_cols(),
@@ -435,26 +471,33 @@ fn cmd_inspect_key(args: &[String]) -> CliResult<()> {
         }
     );
     let key = session.key();
-    println!(
+    report!(
+        out,
         "key for {} attributes, {} rotation steps:",
         key.n_attributes(),
         key.steps().len()
     );
     for (t, step) in key.steps().iter().enumerate() {
-        println!(
+        report!(
+            out,
             "  step {t}: pair ({}, {}), θ = {:.6}°, achieved Var = ({:.4}, {:.4})",
-            step.i, step.j, step.theta_degrees, step.achieved_var1, step.achieved_var2
+            step.i,
+            step.j,
+            step.theta_degrees,
+            step.achieved_var1,
+            step.achieved_var2
         );
     }
     let composite = key.composite_matrix()?;
-    println!(
+    report!(
+        out,
         "composite rotation is orthogonal: {}",
         rbt::linalg::rotation::is_orthogonal(&composite, 1e-9)
     );
     Ok(())
 }
 
-fn cmd_audit(args: &[String]) -> CliResult<()> {
+fn cmd_audit(args: &[String], out: &mut dyn Write) -> CliResult<()> {
     let flags = parse_flags(args, &["original", "released"], &[])?;
     let original_path = PathBuf::from(required(&flags, "original")?);
     let released_path = PathBuf::from(required(&flags, "released")?);
@@ -472,17 +515,20 @@ fn cmd_audit(args: &[String]) -> CliResult<()> {
     // The release should be an isometric image of the *normalized* original.
     let (_, normalized) = Normalization::zscore_paper().fit_transform(original.matrix())?;
     let drift = rbt::core::isometry::dissimilarity_drift(&normalized, released.matrix());
-    println!("distance drift vs z-scored original: {drift:.3e}");
-    println!("isometric (tolerance 1e-6): {}", drift < 1e-6);
+    report!(out, "distance drift vs z-scored original: {drift:.3e}");
+    report!(out, "isometric (tolerance 1e-6): {}", drift < 1e-6);
 
-    println!("per-attribute security level Sec = Var(X - X') / Var(X):");
+    report!(
+        out,
+        "per-attribute security level Sec = Var(X - X') / Var(X):"
+    );
     for j in 0..original.n_cols().min(released.n_cols()) {
         let sec = rbt::core::security::security_level(
             &normalized.column(j),
             &released.matrix().column(j),
             VarianceMode::Sample,
         )?;
-        println!("  {:<16} {sec:.4}", original.columns()[j]);
+        report!(out, "  {:<16} {sec:.4}", original.columns()[j]);
     }
     Ok(())
 }
@@ -514,7 +560,7 @@ fn parse_flag_ms(
     }
 }
 
-fn cmd_serve(args: &[String]) -> CliResult<()> {
+fn cmd_serve(args: &[String], out: &mut dyn Write) -> CliResult<()> {
     let values = [
         "keys",
         "addr",
@@ -553,9 +599,11 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
     );
     let replay = store.replay_report();
     if replay.completed + replay.discarded > 0 {
-        println!(
+        report!(
+            out,
             "key store journal replay: {} interrupted writes completed, {} discarded",
-            replay.completed, replay.discarded
+            replay.completed,
+            replay.discarded
         );
     }
     let registry = Arc::new(SessionRegistry::new(capacity));
@@ -574,7 +622,8 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
     };
     let server = Server::spawn_with(addr, registry, config)
         .map_err(|e| CliError::io(format!("binding {addr}: {e}")))?;
-    println!(
+    report!(
+        out,
         "serving {} tenants on {} ({} quarantined; capacity {capacity} live sessions, \
          window {window} in-flight per connection, max {max_conns} connections)",
         report.loaded,
@@ -583,7 +632,7 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
     );
     // serve is often driven through a pipe (tests, supervisors); make the
     // banner visible before blocking in the accept loop.
-    let _ = std::io::stdout().flush();
+    out.flush().map_err(CliError::stdout)?;
     server.wait();
     Ok(())
 }
@@ -619,23 +668,32 @@ fn required_u64(flags: &HashMap<String, String>, name: &str) -> CliResult<u64> {
         .map_err(|e| CliError::usage(format!("bad --{name}: {e}")))
 }
 
-fn cmd_federate(args: &[String]) -> CliResult<()> {
+/// A required `u16` flag: a value out of range is a usage error naming the
+/// flag and the value, not a silent wrap.
+fn required_u16(flags: &HashMap<String, String>, name: &str) -> CliResult<u16> {
+    let value = required(flags, name)?;
+    value
+        .parse()
+        .map_err(|e| CliError::usage(format!("bad --{name} {value:?}: {e}")))
+}
+
+fn cmd_federate(args: &[String], out: &mut dyn Write) -> CliResult<()> {
     let Some((verb, rest)) = args.split_first() else {
         return Err(CliError::usage(
             "federate requires a sub-command: coordinate | join | receive",
         ));
     };
     match verb.as_str() {
-        "coordinate" => cmd_federate_coordinate(rest),
-        "join" => cmd_federate_join(rest),
-        "receive" => cmd_federate_receive(rest),
+        "coordinate" => cmd_federate_coordinate(rest, out),
+        "join" => cmd_federate_join(rest, out),
+        "receive" => cmd_federate_receive(rest, out),
         other => Err(CliError::usage(format!(
             "unknown federate sub-command {other:?} (coordinate | join | receive)"
         ))),
     }
 }
 
-fn cmd_federate_coordinate(args: &[String]) -> CliResult<()> {
+fn cmd_federate_coordinate(args: &[String], out: &mut dyn Write) -> CliResult<()> {
     let values = [
         "addr",
         "session",
@@ -651,7 +709,7 @@ fn cmd_federate_coordinate(args: &[String]) -> CliResult<()> {
     let flags = parse_flags(args, &values, &[])?;
     let addr = required(&flags, "addr")?.to_string();
     let session = required_u64(&flags, "session")?;
-    let owners = required_u64(&flags, "owners")? as u16;
+    let owners = required_u16(&flags, "owners")?;
     let n_cols = required_u64(&flags, "cols")? as usize;
     let rho = parse_rho(&flags)?;
     let seed = parse_seed(&flags)?;
@@ -683,24 +741,29 @@ fn cmd_federate_coordinate(args: &[String]) -> CliResult<()> {
     client
         .fed_open(ByteWriter::encode_with(|w| cfg.encode_into(w)))
         .map_err(from_client_err)?;
-    println!(
+    report!(
+        out,
         "federated session {session} open on {addr}: {owners} owners x {n_cols} attributes, \
          rho {rho}, seed {seed}"
     );
-    println!(
+    report!(
+        out,
         "each owner now runs: rbt-cli federate join --addr {addr} --session {session} \
          --owner <0..{owners}> --input <csv>"
     );
-    println!("then: rbt-cli federate receive --addr {addr} --session {session}");
+    report!(
+        out,
+        "then: rbt-cli federate receive --addr {addr} --session {session}"
+    );
     Ok(())
 }
 
-fn cmd_federate_join(args: &[String]) -> CliResult<()> {
+fn cmd_federate_join(args: &[String], out: &mut dyn Write) -> CliResult<()> {
     let values = ["addr", "session", "owner", "input", "wait-ms", "key"];
     let flags = parse_flags(args, &values, &[])?;
     let addr = required(&flags, "addr")?.to_string();
     let session = required_u64(&flags, "session")?;
-    let owner_id = required_u64(&flags, "owner")? as u16;
+    let owner_id = required_u16(&flags, "owner")?;
     let input = PathBuf::from(required(&flags, "input")?);
     let wait = parse_flag_ms(&flags, "wait-ms", 60_000)?;
     let key_path = flags.get("key").map(PathBuf::from);
@@ -740,9 +803,15 @@ fn cmd_federate_join(args: &[String]) -> CliResult<()> {
         }
     }
 
-    println!("owner {owner_id} released {rows} rows into session {session}");
+    report!(
+        out,
+        "owner {owner_id} released {rows} rows into session {session}"
+    );
     let Some(path) = key_path else {
-        println!("reconstructed this owner's key (pass --key to save its session key file)");
+        report!(
+            out,
+            "reconstructed this owner's key (pass --key to save its session key file)"
+        );
         return Ok(());
     };
     let (Some(key), Some(normalizer)) = (owner.key(), owner.normalizer()) else {
@@ -756,11 +825,11 @@ fn cmd_federate_join(args: &[String]) -> CliResult<()> {
     // a session needs no config to transform or invert.
     let session_key = ReleaseSession::new(key.clone(), normalizer.clone())?;
     write_file(&path, &session_key.to_text())?;
-    println!("session key file -> {}", path.display());
+    report!(out, "session key file -> {}", path.display());
     Ok(())
 }
 
-fn cmd_federate_receive(args: &[String]) -> CliResult<()> {
+fn cmd_federate_receive(args: &[String], out: &mut dyn Write) -> CliResult<()> {
     let flags = parse_flags(args, &["addr", "session", "wait-ms", "output"], &[])?;
     let addr = required(&flags, "addr")?.to_string();
     let session = required_u64(&flags, "session")?;
@@ -800,16 +869,22 @@ fn cmd_federate_receive(args: &[String]) -> CliResult<()> {
     for &l in &summary.labels {
         sizes[l as usize] += 1;
     }
-    println!(
+    report!(
+        out,
         "joint clustering of session {session}: {} rows x {} attributes, {} clusters",
-        summary.rows, summary.cols, k
+        summary.rows,
+        summary.cols,
+        k
     );
-    println!(
+    report!(
+        out,
         "  inertia {:.6}, {} iterations, converged: {}",
-        summary.inertia, summary.iterations, summary.converged
+        summary.inertia,
+        summary.iterations,
+        summary.converged
     );
     for (c, size) in sizes.iter().enumerate() {
-        println!("  cluster {c}: {size} rows");
+        report!(out, "  cluster {c}: {size} rows");
     }
     if let Some(path) = output {
         let mut csv_text = String::from("row,cluster\n");
@@ -817,7 +892,7 @@ fn cmd_federate_receive(args: &[String]) -> CliResult<()> {
             let _ = writeln!(csv_text, "{i},{l}");
         }
         write_file(&path, &csv_text)?;
-        println!("labels -> {}", path.display());
+        report!(out, "labels -> {}", path.display());
     }
     Ok(())
 }

@@ -1072,3 +1072,77 @@ fn federate_join_saves_a_session_key_file() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--owners` and `--owner` are `u16`s: a value past 65,535 is a usage
+/// error naming the flag and the value, not a wrap to a small owner count
+/// or index. The address is a closed localhost port, so a value that got
+/// through would fail later, at the connect, with exit 4.
+#[test]
+fn owner_flags_out_of_range_are_usage_errors() {
+    let closed = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.local_addr().unwrap()
+    };
+    let addr = closed.to_string();
+    let dir = temp_dir("owner-range");
+    let input = dir.join("part.csv");
+    std::fs::write(&input, SAMPLE).unwrap();
+
+    let out = cli()
+        .args(["federate", "coordinate", "--addr", &addr, "--session", "1"])
+        .args(["--owners", "65538", "--cols", "3"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--owners") && stderr.contains("65538"),
+        "{stderr}"
+    );
+
+    let out = cli()
+        .args(["federate", "join", "--addr", &addr, "--session", "1"])
+        .args(["--owner", "65536", "--input"])
+        .arg(&input)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--owner") && stderr.contains("65536"),
+        "{stderr}"
+    );
+
+    // The largest value still parses, and fails only at the connect.
+    let out = cli()
+        .args(["federate", "join", "--addr", &addr, "--session", "1"])
+        .args(["--owner", "65535", "--input"])
+        .arg(&input)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(4));
+}
+
+/// A command whose stdout reader went away stops quietly with status 0
+/// instead of panicking: the pipe's read end is closed before the command
+/// starts, so its first report fails with a broken pipe.
+#[test]
+fn a_closed_stdout_stops_a_command_quietly() {
+    let dir = temp_dir("closed-stdout");
+    let input = dir.join("data.csv");
+    std::fs::write(&input, SAMPLE).unwrap();
+    let mut methods = cli();
+    methods.arg("methods");
+    // The audit compares the sample with itself.
+    let mut audit = cli();
+    audit.arg("audit").arg("--original").arg(&input);
+    audit.arg("--released").arg(&input);
+    for mut cmd in [methods, audit] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = cmd.stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{cmd:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd:?}: {stderr}");
+    }
+}

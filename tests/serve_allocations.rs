@@ -1,17 +1,20 @@
 //! The allocation budget of a served round trip.
 //!
-//! A served `Transform` copies its rows once into the daemon (read buffer
-//! → batch matrix), releases them in place, and copies them once out
-//! (matrix → a recycled response frame); the client encodes into the one
+//! A served `Transform` is released inside its own request frame: the
+//! daemon's event loop hands the buffer it read the frame into to a
+//! worker, which runs the session's row kernels over the frame's cells and
+//! rewrites the same buffer into the answer; once written, that buffer
+//! goes back to the frame assemblers. The client encodes into the one
 //! buffer it keeps and decodes straight out of the frame it read. So an
 //! 8192×16 round trip (1 MiB of rows each way), client and daemon
-//! together, allocates three row-sized blocks: the client's frame buffer,
-//! the client's decoded release, and the daemon's decoded batch. That
-//! holds for pipelined `send`/`receive` and for `Client::transform`, which
-//! encodes straight from the caller's borrowed batch. This file is its own
-//! test binary holding one test, so the counting allocator below sees only
-//! the round trips under test (and whatever the in-process daemon's
-//! threads allocate meanwhile, which counts too).
+//! together, allocates two row-sized blocks, both the client's: the frame
+//! it reads the answer into and the release it decodes from it. The
+//! daemon allocates none. That holds for pipelined `send`/`receive` and
+//! for `Client::transform`, which encodes straight from the caller's
+//! borrowed batch. This file is its own test binary holding one test, so
+//! the counting allocator below sees only the round trips under test (and
+//! whatever the in-process daemon's threads allocate meanwhile, which
+//! counts too).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,9 +104,9 @@ fn dataset(seed: u64, rows: usize, cols: usize) -> Dataset {
 fn measure(phase: &str, round_trip: &mut dyn FnMut()) {
     const WARM_UP: u64 = 16;
     const MEASURED: u64 = 32;
-    // Three row-sized blocks of 1 MiB each, plus a little bookkeeping.
-    const BYTES_PER_ROUND_TRIP: u64 = 3_355_443; // 3.2 MiB
-    const LARGE_PER_ROUND_TRIP: u64 = 3;
+    // Two row-sized blocks of 1 MiB each, plus a little bookkeeping.
+    const BYTES_PER_ROUND_TRIP: u64 = 2_306_867; // 2.2 MiB
+    const LARGE_PER_ROUND_TRIP: u64 = 2;
 
     for _ in 0..WARM_UP {
         round_trip();
@@ -131,7 +134,7 @@ fn measure(phase: &str, round_trip: &mut dyn FnMut()) {
 }
 
 #[test]
-fn a_served_round_trip_copies_its_rows_once_each_way() {
+fn a_served_round_trip_allocates_rows_only_in_the_client() {
     let fitted = Release::of(&dataset(1, 256, 16))
         .with_method(Method::Rbt)
         .fit(&mut rand::rngs::StdRng::seed_from_u64(2024))
