@@ -34,7 +34,8 @@
 //!   entry points fan the chunks out over the shared [`rbt_linalg::pool`]
 //!   for library callers; the in-place ones run them on the calling
 //!   thread, for callers that already spread batches over threads (the
-//!   daemon's worker pool),
+//!   daemon's worker pool, which runs the row kernels itself on batches
+//!   it keeps in their wire frames),
 //! * it reports **drift** per batch: records whose normalized values fall
 //!   outside the per-column min–max range observed on the fitting data,
 //!   the first sign that the fitted normalization no longer represents

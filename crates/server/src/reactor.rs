@@ -5,16 +5,17 @@
 //! * the **event loop** (one thread) owns the non-blocking listener and
 //!   every connection socket, multiplexed through the vendored `poll(2)`
 //!   shim (`shims/polling`). It reads each socket straight into the
-//!   connection's [`FrameAssembler`], decodes each complete frame from its
-//!   borrowed view into a request (a batch's one copy in), runs a
-//!   per-connection state machine, and writes queued response frames —
-//!   never doing transform compute itself;
+//!   connection's [`FrameAssembler`], hands each checked `Transform` or
+//!   `Invert` frame on as it lies (with the assembler's buffer when the
+//!   frame ends it), decodes any other request from its borrowed view,
+//!   runs a per-connection state machine, and writes queued answer frames
+//!   — never doing transform compute itself;
 //! * the **worker pool** ([`rbt_linalg::pool::default_threads`] threads,
-//!   which honours `RBT_THREADS`) checks the queue-wait deadline, runs the
-//!   request engine in [`crate::server`] — a batch is released in place,
-//!   on the worker's own thread — and encodes the response into a
-//!   recycled frame buffer (the one copy out). Completions come back to
-//!   the event loop over a self-pipe waker.
+//!   which honours `RBT_THREADS`) checks the queue-wait deadline and runs
+//!   the request engine in [`crate::server`]: a batch is released inside
+//!   its own frame on the worker's thread, and the frame is rewritten into
+//!   the answer; any other answer is encoded into a fresh frame.
+//!   Completions come back to the event loop over a self-pipe waker.
 //!
 //! The load-bearing rules:
 //!
@@ -33,9 +34,9 @@
 //!   after one read-tick without new bytes, everything already buffered
 //!   is answered, a `GoingAway` farewell is written, and stragglers are
 //!   force-severed at `drain_deadline`;
-//! * each connection queues whole response frames; a flushed one goes
-//!   back to the workers through a free list that keeps at most 8
-//!   buffers of 64 KiB to 4 MiB each, so a steady stream of batch answers
+//! * each connection queues whole answer frames; a flushed one's buffer
+//!   goes back to the frame assemblers through a free list that keeps at
+//!   most 8 buffers of 64 KiB to 4 MiB each, so a steady stream of batches
 //!   allocates no frame.
 
 use std::collections::{HashMap, HashSet, VecDeque};

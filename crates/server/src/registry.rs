@@ -21,11 +21,13 @@
 //! whatever the method: its batches report their own drift (RBT's
 //! out-of-range rows, 0 for the methods that keep no fitted range).
 //!
-//! The daemon serves in place: the request's own decoded batch becomes
-//! the release ([`FittedTransform::transform_batch_in_place`]), on the
-//! worker's thread. [`SessionRegistry::transform`] and
-//! [`SessionRegistry::invert`] are the same calls on a copy of a borrowed
-//! batch.
+//! The daemon releases an RBT batch inside its own request frame, through
+//! the checked-out session's row kernels (the registry's `checkout` and
+//! `note` keep the books); any other method's
+//! batch is decoded and released in place
+//! ([`FittedTransform::transform_batch_in_place`]), on the worker's
+//! thread. [`SessionRegistry::transform`] and [`SessionRegistry::invert`]
+//! are the in-place calls on a copy of a borrowed batch.
 //!
 //! Locking: the registry mutex (a non-poisoning `parking_lot` lock, so a
 //! panicking worker thread cannot wedge every other tenant) is held

@@ -30,13 +30,15 @@
 //! **One encoder, one validator.** Every frame is written by one encoder:
 //! `Request::encode_into` and `Response::encode_into` write header,
 //! request id, body and CRC-32 trailer in one pass into a caller's buffer
-//! (the daemon recycles its response buffers, the client keeps one per
-//! connection). Every frame is checked by one in-place validator — CRC,
-//! then version, then opcode — that [`FrameAssembler`], [`read_frame`] and
-//! [`decode_frame`] share. The daemon reads a socket straight into its
-//! [`FrameAssembler`] and decodes each request from a borrowed view of
-//! the assembler's buffer, so a served batch's rows are copied once in
-//! (read buffer → batch matrix) and once out (matrix → response frame).
+//! (the client keeps one per connection). Every frame is checked by one
+//! in-place validator — CRC, then version, then opcode — that
+//! [`FrameAssembler`], [`read_frame`] and [`decode_frame`] share. The
+//! daemon reads a socket straight into its [`FrameAssembler`] and decodes
+//! most requests from a borrowed view of the assembler's buffer. A
+//! `Transform` or `Invert` frame it takes whole instead: its rows are
+//! released inside the frame, and `BatchRequest` rewrites the frame in
+//! place into the bytes `Response::encode_into` writes for the answer, so
+//! the daemon never copies a served batch's rows.
 //! [`read_frame`] keeps the bytes it read as the frame, so the client
 //! copies a response's rows only when it decodes them. The owned
 //! [`Frame`] and its helpers — [`Frame::new`], `to_frame`, `from_frame`,
@@ -575,7 +577,8 @@ pub fn read_frame<R: Read>(stream: &mut R) -> WireResult<Option<Frame>> {
 /// arbitrary chunks whenever the socket is readable. The daemon reads them
 /// straight into the assembler's own buffer, with room for the rest of
 /// the frame in progress, and takes complete, validated frames as views
-/// into that buffer; [`FrameAssembler::push`] and
+/// into that buffer, or a batch frame with the buffer itself;
+/// [`FrameAssembler::push`] and
 /// [`FrameAssembler::next_frame`] are the copying equivalents. Either way
 /// the validation is exactly [`read_frame`]'s: magic and length bound from
 /// the header, then CRC over the whole frame, then version, then opcode.
