@@ -903,7 +903,7 @@ impl BatchRequest {
     /// Parses an owned `Transform` or `Invert` frame. Any other frame, or
     /// one whose body does not parse, comes back as it was.
     pub(crate) fn parse(frame: OwnedFrame) -> Result<BatchRequest, OwnedFrame> {
-        if !is_batch_opcode(frame.opcode as u8) {
+        if !matches!(frame.opcode, Opcode::Transform | Opcode::Invert) {
             return Err(frame);
         }
         let Ok((tenant, layout)) = parse_batch_body(frame.view().body) else {
