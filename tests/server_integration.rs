@@ -705,3 +705,127 @@ fn pipelined_large_and_small_batches_match_the_library() {
     }
     server.shutdown();
 }
+
+/// Batches, pings and federation bookkeeping pipelined over one
+/// connection: an 8192×16 `Transform`, a `FedOpen`, a `FedMsg` that
+/// delivers no message, a `Ping`, a `FedResult`, an `Invert`, another
+/// `Ping` and a `FedClose` are written before any answer is read. The
+/// answers must come back in request order, echo their requests' ids, and
+/// equal what the library releases and what a local `FederationHub`
+/// answers for the same session.
+#[test]
+fn pipelined_batches_pings_and_federation_bookkeeping_answer_in_order() {
+    use rbt::linalg::codec::ByteWriter;
+    use rbt::protocol::{FederationConfig, FederationHub, KeyPolicy, Message};
+
+    let fitted = Release::of(&dataset(9, 256, 16, 90.0))
+        .with_method(Method::Rbt)
+        .fit(&mut rng(79))
+        .unwrap();
+    let key = fitted.to_bytes().unwrap();
+    let library = decode_fitted(&key).unwrap();
+    let batch = dataset(10, 8192, 16, 90.0);
+    let release = library.transform_batch(&batch).unwrap();
+    let recovered = library.invert_batch(&release.released).unwrap();
+
+    const SESSION: u64 = 41;
+    let config = FederationConfig {
+        session: SESSION,
+        n_cols: 4,
+        owners: 2,
+        normalization: rbt::data::Normalization::zscore_paper(),
+        rbt: RbtConfig::uniform(PairwiseSecurityThreshold::new(0.2, 0.2).unwrap()),
+        key_policy: KeyPolicy::Shared,
+        seed: 5,
+        kmeans_k: 3,
+        kmeans_max_iters: 128,
+    };
+    let mut config_bytes = ByteWriter::new();
+    config.encode_into(&mut config_bytes);
+    let mut hub = FederationHub::new(16);
+    hub.open(config).unwrap();
+    let announce: Vec<Vec<u8>> = hub
+        .exchange(SESSION, 0, Vec::new())
+        .unwrap()
+        .iter()
+        .map(Message::encode)
+        .collect();
+    assert!(!announce.is_empty(), "an opened session announces itself");
+
+    let server = spawn_server(4);
+    let addr = server.local_addr();
+    Client::connect(addr).unwrap().load_key("t", key).unwrap();
+    let requests = [
+        wire::Request::Transform {
+            tenant: "t".to_string(),
+            batch,
+        },
+        wire::Request::FedOpen {
+            config: config_bytes.into_bytes(),
+        },
+        wire::Request::FedMsg {
+            session: SESSION,
+            owner: 0,
+            messages: Vec::new(),
+        },
+        wire::Request::Ping,
+        wire::Request::FedResult { session: SESSION },
+        wire::Request::Invert {
+            tenant: "t".to_string(),
+            batch: release.released.clone(),
+        },
+        wire::Request::Ping,
+        wire::Request::FedClose { session: SESSION },
+    ];
+    const FIRST_ID: u64 = 500;
+    let mut burst = Vec::new();
+    for (id, request) in (FIRST_ID..).zip(&requests) {
+        burst.extend(wire::encode_frame(&request.to_frame().with_request_id(id)));
+    }
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&burst).unwrap();
+
+    for (id, request) in (FIRST_ID..).zip(&requests) {
+        let what = format!("answer to {:?} (id {id})", request.opcode());
+        let frame = wire::read_frame(&mut stream).unwrap().unwrap();
+        assert_eq!(frame.request_id, id, "{what}: echoed id");
+        let response = wire::Response::from_frame(&frame).unwrap();
+        match (request, response) {
+            (
+                wire::Request::Transform { .. },
+                wire::Response::Transformed {
+                    released,
+                    out_of_range_rows,
+                },
+            ) => {
+                assert_bitwise(&released, &release.released, &what);
+                assert_eq!(released.columns(), release.released.columns(), "{what}");
+                assert_eq!(
+                    out_of_range_rows, release.out_of_range_rows as u64,
+                    "{what}"
+                );
+            }
+            (wire::Request::Invert { .. }, wire::Response::Inverted { recovered: served }) => {
+                assert_bitwise(&served, &recovered, &what);
+                assert_eq!(served.columns(), recovered.columns(), "{what}");
+            }
+            (request, response) => {
+                let expected = match request {
+                    wire::Request::FedOpen { .. } => wire::Response::FedOpened { session: SESSION },
+                    wire::Request::FedMsg { .. } => wire::Response::FedMsgs {
+                        messages: announce.clone(),
+                    },
+                    wire::Request::Ping => wire::Response::Pong,
+                    wire::Request::FedResult { .. } => wire::Response::FedSummary { summary: None },
+                    wire::Request::FedClose { .. } => wire::Response::FedClosed { existed: true },
+                    other => panic!("{what}: unexpected request {other:?}"),
+                };
+                assert_eq!(response, expected, "{what}");
+            }
+        }
+    }
+    server.shutdown();
+}
