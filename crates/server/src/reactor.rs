@@ -8,21 +8,38 @@
 //!   connection's [`FrameAssembler`], hands each checked `Transform` or
 //!   `Invert` frame on as it lies (with the assembler's buffer when the
 //!   frame ends it), decodes any other request from its borrowed view,
-//!   runs a per-connection state machine, and writes queued answer frames
-//!   — never doing transform compute itself;
+//!   runs a per-connection state machine, and writes queued answer frames.
+//!   It answers itself, into a fresh frame, what costs no more than the
+//!   bytes it moves (`server::answer_on_loop`): a `Ping`, the typed error
+//!   for a body that did not decode, a request shed past its deadline, and
+//!   the hub's bookkeeping — `FedOpen`, `FedResult`, `FedClose` and a
+//!   `FedMsg` that delivers no message — when the hub's lock is free. It
+//!   never runs a row kernel, a key decode, a party's state machine, disk
+//!   I/O or the registry lock, and never waits on a lock;
 //! * the **worker pool** ([`rbt_linalg::pool::default_threads`] threads,
 //!   which honours `RBT_THREADS`) checks the queue-wait deadline and runs
-//!   the request engine in [`crate::server`]: a batch is released inside
-//!   its own frame on the worker's thread, and the frame is rewritten into
-//!   the answer; any other answer is encoded into a fresh frame.
-//!   Completions come back to the event loop over a self-pipe waker.
+//!   the request engine in [`crate::server`] for everything else: a batch
+//!   is released inside its own frame on the worker's thread, and the
+//!   frame is rewritten into the answer; any other answer (`LoadKey`,
+//!   `ReloadKeys`, `Stats`, `EvictTenant`, a `FedMsg` that delivers
+//!   messages, bookkeeping that found the hub held) is encoded into a
+//!   fresh frame. Completions come back to the event loop over a
+//!   self-pipe waker.
 //!
 //! The load-bearing rules:
 //!
-//! * at most one request per connection is ever in a worker, so responses
-//!   are written in arrival order (pipelining stays FIFO);
-//! * a connection whose inbox reaches [`crate::ServerConfig::window`]
-//!   stops being read — backpressure lands in the kernel's TCP buffers;
+//! * at most one request per connection is ever in a worker, and the loop
+//!   answers a request only while none of its connection's is in one, so
+//!   responses are written in arrival order (pipelining stays FIFO);
+//! * a connection is read only while its extracted requests, the one in a
+//!   worker and its answers not yet written number fewer than
+//!   [`crate::ServerConfig::window`] — backpressure lands in the kernel's
+//!   TCP buffers, also for a peer that reads none of its answers, and the
+//!   silence timers stay parked while the window holds it;
+//! * a connection is pumped pass after pass — extract, answer or
+//!   dispatch, flush — until a pass writes no answer out: each answer
+//!   written frees a slot of the window, and frames already read but held
+//!   back by it get no further socket event;
 //! * version-skewed frames are consumed whole (CRC before version) and
 //!   answered with a typed error without closing the connection; every
 //!   other parse failure answers once and closes after the flush;
@@ -37,7 +54,8 @@
 //! * each connection queues whole answer frames; a flushed one's buffer
 //!   goes back to the frame assemblers through a free list that keeps at
 //!   most 8 buffers of 64 KiB to 4 MiB each, so a steady stream of batches
-//!   allocates no frame.
+//!   allocates no frame, and a turn of the loop allocates nothing of its
+//!   own.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -51,7 +69,9 @@ use std::time::{Duration, Instant};
 
 use polling::{Event, Interest, Poller};
 
-use crate::server::{answer_request, refuse, serve_batch, DrainReport, Shared, WRITE_TIMEOUT};
+use crate::server::{
+    answer_on_loop, answer_request, refuse, serve_batch, DrainReport, Shared, WRITE_TIMEOUT,
+};
 use crate::wire::{
     AnswerFrame, FrameAssembler, NextFrame, Opcode, OwnedFrame, Request, Response, WireError,
     WireResult, FREE_FRAME_MAX,
@@ -202,8 +222,9 @@ fn run_worker(
 struct Conn {
     stream: TcpStream,
     asm: FrameAssembler,
-    /// Decoded requests (or recoverable/fatal parse errors) waiting for
-    /// the worker. Bounded by the in-flight window.
+    /// Extracted requests (or recoverable/fatal parse errors) waiting to
+    /// be answered. With the request in a worker and the queued answers,
+    /// bounded by the in-flight window.
     inbox: VecDeque<Result<Inbound, WireError>>,
     /// One request is in the worker pool; nothing else may be popped
     /// until its completion returns, preserving response order.
@@ -271,12 +292,18 @@ impl Conn {
         }
     }
 
-    /// Queues an answer the event loop makes itself (framing errors):
-    /// small frames, encoded into a fresh buffer.
-    fn queue_response(&mut self, response: &Response) {
+    /// Queues an answer the event loop makes itself (framing errors,
+    /// pings, the hub's bookkeeping), encoded into a fresh buffer.
+    fn queue_response(&mut self, request_id: u64, response: &Response) {
         let mut frame = Vec::new();
-        response.encode_into(0, &mut frame);
+        response.encode_into(request_id, &mut frame);
         self.outq.push_back(AnswerFrame::whole(frame));
+    }
+
+    /// What the connection holds against its in-flight window: extracted
+    /// requests, the one in a worker, and answers not yet written.
+    fn pending(&self) -> usize {
+        self.inbox.len() + usize::from(self.in_worker) + self.outq.len()
     }
 
     fn flushed(&self) -> bool {
@@ -302,6 +329,11 @@ struct Reactor {
     next_conn_id: u64,
     jobs_tx: mpsc::Sender<Job>,
     completions: Arc<StdMutex<Vec<Completion>>>,
+    /// Completions taken from the workers this turn, swapped with their
+    /// list so neither side reallocates it.
+    completed: Vec<Completion>,
+    /// Connections to pump this turn, kept so a turn allocates nothing.
+    touched: HashSet<u64>,
     buffers: FrameBuffers,
     stop: Arc<AtomicBool>,
     drain_started: Option<Instant>,
@@ -356,7 +388,7 @@ impl Reactor {
                 return self.forced;
             }
 
-            let mut touched: HashSet<u64> = HashSet::new();
+            self.touched.clear();
             for &ev in &events {
                 match ev.key {
                     LISTENER_KEY => self.accept_ready(),
@@ -369,27 +401,30 @@ impl Reactor {
                         if ev.readable {
                             self.read_conn(conn_id);
                         }
-                        touched.insert(conn_id);
+                        self.touched.insert(conn_id);
                     }
                 }
             }
 
-            for c in self.take_completions() {
+            self.take_completions();
+            for c in self.completed.drain(..) {
                 if let Some(conn) = self.conns.get_mut(&c.conn_id) {
                     conn.in_worker = false;
                     conn.outq.push_back(c.frame);
-                    touched.insert(c.conn_id);
+                    self.touched.insert(c.conn_id);
                 }
             }
 
             if last_scan.elapsed() >= tick {
                 last_scan = Instant::now();
-                touched.extend(self.scan_timers(draining, tick));
+                self.scan_timers(draining, tick);
             }
 
-            for conn_id in touched {
+            let touched = std::mem::take(&mut self.touched);
+            for &conn_id in &touched {
                 self.pump_conn(conn_id);
             }
+            self.touched = touched;
         }
     }
 
@@ -463,12 +498,16 @@ impl Reactor {
         }
     }
 
-    fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut *self.completions.lock().unwrap_or_else(|e| e.into_inner()))
+    /// Moves the workers' completions into `completed` (left empty by
+    /// the last turn) by swapping the two lists' buffers.
+    fn take_completions(&mut self) {
+        let mut shared = self.completions.lock().unwrap_or_else(|e| e.into_inner());
+        std::mem::swap(&mut *shared, &mut self.completed);
     }
 
     /// Reads a readable socket straight into the assembler and extracts
-    /// complete frames into the inbox, stopping at the in-flight window.
+    /// complete frames into the inbox, stopping at the in-flight window
+    /// ([`Conn::pending`]).
     fn read_conn(&mut self, conn_id: u64) {
         let window = self.shared.config.window.max(1);
         let runtime = self.shared.registry.runtime();
@@ -479,9 +518,10 @@ impl Reactor {
             return;
         }
         loop {
-            if conn.inbox.len() >= window {
+            if conn.pending() >= window {
                 // Window full: stop pulling bytes. Whatever the client
-                // keeps pipelining backs up in the kernel's TCP buffers.
+                // keeps pipelining backs up in the kernel's TCP buffers,
+                // also while it reads none of its answers.
                 break;
             }
             match conn.asm.read_from(&mut conn.stream) {
@@ -517,7 +557,7 @@ impl Reactor {
     /// honouring the window bound and the error-recoverability contract. A
     /// batch frame that takes the assembler's buffer leaves it a free one.
     fn extract_frames(conn: &mut Conn, window: usize, buffers: &mut FrameBuffers) {
-        while conn.inbox.len() < window && !conn.parse_dead {
+        while conn.pending() < window && !conn.parse_dead {
             let item = match conn.asm.next_request(|| buffers.take()) {
                 None => break,
                 Some(next) => next.map(Inbound::new),
@@ -539,7 +579,7 @@ impl Reactor {
         }
         if conn.read_closed
             && !conn.parse_dead
-            && conn.inbox.len() < window
+            && conn.pending() < window
             && conn.asm.partial_frame()
         {
             // EOF (or a hard read error) left an incomplete trailing
@@ -554,11 +594,13 @@ impl Reactor {
     }
 
     /// Writes queued frames as far as the socket accepts, handing each
-    /// fully written one back to the workers' free list.
-    fn flush_conn(&mut self, conn_id: u64) {
+    /// fully written one back to the frame assemblers' free list. Returns
+    /// how many frames were written whole.
+    fn flush_conn(&mut self, conn_id: u64) -> usize {
         let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return;
+            return 0;
         };
+        let mut written = 0;
         while let Some(frame) = conn.outq.front() {
             let bytes = frame.as_bytes();
             match conn.stream.write(&bytes[conn.out_at..]) {
@@ -570,6 +612,7 @@ impl Reactor {
                     conn.out_at += n;
                     if conn.out_at == bytes.len() {
                         conn.out_at = 0;
+                        written += 1;
                         if let Some(done) = conn.outq.pop_front() {
                             self.buffers.recycle(done);
                         }
@@ -584,26 +627,31 @@ impl Reactor {
                 }
             }
         }
+        written
     }
 
-    /// Advances one connection's state machine: extract buffered frames,
-    /// pop the inbox (at most one request in the worker at a time), flush,
-    /// update poller interest, and retire when done.
+    /// Advances one connection's state machine, pass after pass until a
+    /// pass writes no answer out: extract buffered frames, answer on the
+    /// loop what [`answer_on_loop`] answers and hand the rest to the
+    /// workers (only while none of the connection's requests is in one, so
+    /// answers keep arrival order), then flush. Each answer written frees a
+    /// slot of the window, and frames read but held back by the window get
+    /// no further socket event, so the next pass extracts them. Then update
+    /// the poller interest, or retire the connection when it is done.
     fn pump_conn(&mut self, conn_id: u64) {
         let window = self.shared.config.window.max(1);
-        let runtime = self.shared.registry.runtime();
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return;
-        };
-
-        Reactor::extract_frames(conn, window, &mut self.buffers);
-        while !conn.in_worker {
-            let Some(item) = conn.inbox.pop_front() else {
-                break;
+        loop {
+            let runtime = self.shared.registry.runtime();
+            let Some(conn) = self.conns.get_mut(&conn_id) else {
+                return;
             };
-            match item {
-                Ok(inbound) => {
-                    if inbound.is_goodbye() {
+            Reactor::extract_frames(conn, window, &mut self.buffers);
+            while !conn.in_worker {
+                let Some(item) = conn.inbox.pop_front() else {
+                    break;
+                };
+                let inbound = match item {
+                    Ok(inbound) if inbound.is_goodbye() => {
                         // A clean departure: no response owed, no error
                         // frame, nothing after it served.
                         conn.count_disconnect(runtime);
@@ -613,40 +661,69 @@ impl Reactor {
                         conn.begin_close();
                         break;
                     }
-                    conn.in_worker = true;
-                    if self.jobs_tx.send(Job { conn_id, inbound }).is_err() {
-                        // Workers are gone; the loop is exiting anyway.
-                        conn.in_worker = false;
+                    Ok(Inbound {
+                        arrival,
+                        request:
+                            InboundRequest::Decoded {
+                                request_id,
+                                request,
+                            },
+                    }) => match answer_on_loop(&self.shared, request, arrival) {
+                        Ok(response) => {
+                            conn.queue_response(request_id, &response);
+                            continue;
+                        }
+                        Err(request) => Inbound {
+                            arrival,
+                            request: InboundRequest::Decoded {
+                                request_id,
+                                request: Ok(request),
+                            },
+                        },
+                    },
+                    Ok(batch) => batch,
+                    Err(e) => {
+                        runtime.malformed.fetch_add(1, Ordering::Relaxed);
+                        if matches!(e, WireError::UnsupportedVersion { .. }) {
+                            // Consumed whole (CRC before version): answer
+                            // the typed rejection and keep serving.
+                            conn.queue_response(
+                                0,
+                                &Response::Error {
+                                    code: 4,
+                                    message: e.to_string(),
+                                },
+                            );
+                            continue;
+                        }
+                        // Malformed frame, mid-frame EOF, or stall: answer
+                        // once (best-effort) and close after the flush.
+                        conn.queue_response(
+                            0,
+                            &Response::Error {
+                                code: 4,
+                                message: format!("malformed frame: {e}"),
+                            },
+                        );
+                        conn.inbox.clear();
+                        conn.parse_dead = true;
                         conn.begin_close();
                         break;
                     }
-                }
-                Err(e) => {
-                    runtime.malformed.fetch_add(1, Ordering::Relaxed);
-                    if matches!(e, WireError::UnsupportedVersion { .. }) {
-                        // Consumed whole (CRC before version): answer the
-                        // typed rejection and keep serving.
-                        conn.queue_response(&Response::Error {
-                            code: 4,
-                            message: e.to_string(),
-                        });
-                        continue;
-                    }
-                    // Malformed frame, mid-frame EOF, or stall: answer
-                    // once (best-effort) and close after the flush.
-                    conn.queue_response(&Response::Error {
-                        code: 4,
-                        message: format!("malformed frame: {e}"),
-                    });
-                    conn.inbox.clear();
-                    conn.parse_dead = true;
+                };
+                conn.in_worker = true;
+                if self.jobs_tx.send(Job { conn_id, inbound }).is_err() {
+                    // Workers are gone; the loop is exiting anyway.
+                    conn.in_worker = false;
                     conn.begin_close();
                     break;
                 }
             }
+            if self.flush_conn(conn_id) == 0 {
+                break;
+            }
         }
 
-        self.flush_conn(conn_id);
         let Some(conn) = self.conns.get_mut(&conn_id) else {
             return;
         };
@@ -657,7 +734,7 @@ impl Reactor {
             return;
         }
         let desired = Interest {
-            readable: !conn.read_closed && conn.inbox.len() < window,
+            readable: !conn.read_closed && conn.pending() < window,
             writable: !conn.flushed(),
         };
         if desired != conn.interest {
@@ -669,13 +746,14 @@ impl Reactor {
     }
 
     /// Periodic per-connection timers: idle reap, mid-frame stall, drain
-    /// quiescence, and the closing-flush bound. Returns ids to pump.
-    fn scan_timers(&mut self, draining: bool, tick: Duration) -> Vec<u64> {
+    /// quiescence, and the closing-flush bound. Adds the connections to
+    /// pump to `touched`.
+    fn scan_timers(&mut self, draining: bool, tick: Duration) {
         let config = &self.shared.config;
         let window = config.window.max(1);
         let runtime = self.shared.registry.runtime();
         let now = Instant::now();
-        let mut touched = Vec::new();
+        let touched = &mut self.touched;
         for (&conn_id, conn) in self.conns.iter_mut() {
             if conn.closing {
                 // A closing connection whose peer will not take the final
@@ -683,22 +761,23 @@ impl Reactor {
                 if let Some(since) = conn.closing_since {
                     if !conn.flushed() && now.duration_since(since) >= WRITE_TIMEOUT {
                         conn.write_broken = true;
-                        touched.push(conn_id);
+                        touched.insert(conn_id);
                     }
                 }
                 if conn.in_worker || (conn.inbox.is_empty() && !conn.asm.frame_ready()) {
                     continue;
                 }
-                touched.push(conn_id);
+                touched.insert(conn_id);
                 continue;
             }
             if conn.read_closed {
                 continue;
             }
-            if conn.inbox.len() >= window || conn.asm.frame_ready() {
+            if conn.pending() >= window || conn.asm.frame_ready() {
                 // Reading is paused by the in-flight window, not by the
-                // peer: complete frames are waiting their turn, so the
-                // peer is neither idle nor stalled. Keep the silence
+                // peer: complete frames or unread answers are waiting
+                // their turn, so the peer is neither idle nor stalled,
+                // even with a partial frame buffered. Keep the silence
                 // clock parked so the timers restart from the moment
                 // backpressure lifts, not from a byte we refused to read.
                 conn.last_byte_at = now;
@@ -719,7 +798,7 @@ impl Reactor {
                     }));
                     conn.parse_dead = true;
                     conn.begin_close();
-                    touched.push(conn_id);
+                    touched.insert(conn_id);
                 }
             } else if draining {
                 // One tick with no new bytes: the final sweep is done —
@@ -727,15 +806,14 @@ impl Reactor {
                 // the inbox. Serve it, then say goodbye.
                 if silent >= tick {
                     conn.begin_close();
-                    touched.push(conn_id);
+                    touched.insert(conn_id);
                 }
             } else if silent >= config.idle_timeout {
                 runtime.idle_reaped.fetch_add(1, Ordering::Relaxed);
                 conn.begin_close();
-                touched.push(conn_id);
+                touched.insert(conn_id);
             }
         }
-        touched
     }
 
     /// Removes a connection: on a drain, flush and send the `GoingAway`
@@ -882,6 +960,8 @@ pub(crate) fn spawn(
         next_conn_id: 0,
         jobs_tx,
         completions,
+        completed: Vec::new(),
+        touched: HashSet::new(),
         buffers: FrameBuffers::default(),
         stop: Arc::clone(&stop),
         drain_started: None,

@@ -1,7 +1,9 @@
 //! The TCP server: the [`Server`] front door, its configuration, and the
-//! request engine the event loop in [`crate::reactor`] runs on its worker
-//! pool — plus the fault-tolerance layer: deadlines, an idle reaper, a
-//! connection cap, and graceful drain.
+//! request engine — what the event loop in [`crate::reactor`] answers
+//! itself (`answer_on_loop`: pings, the federation hub's bookkeeping,
+//! undecodable bodies and stale requests) and what it runs on its worker
+//! pool (everything else) — plus the fault-tolerance layer: deadlines, an
+//! idle reaper, a connection cap, and graceful drain.
 //!
 //! Fault containment is the design center, mirroring the codec's
 //! reject-don't-crash contract at the connection level:
@@ -34,10 +36,14 @@
 //! [`DrainReport`] accounts for every connection ever admitted — the
 //! chaos battery asserts `spawned == joined` to prove none leaks.
 //!
-//! Backpressure: a connection whose in-flight window is full stops being
-//! read, so a client that pipelines more requests than the window
-//! eventually blocks in the kernel's TCP buffers — memory on the server
-//! stays bounded per connection.
+//! Backpressure: a connection is read only while its extracted requests,
+//! the one in a worker and its answers not yet written number fewer than
+//! [`ServerConfig::window`]. A client that pipelines past the window, or
+//! reads none of its answers, blocks in the kernel's TCP buffers, and the
+//! daemon holds at most `window` request or answer frames for it plus the
+//! one its frame assembler is reading into (flushed frame buffers go to a
+//! free list of at most 8, shared by every connection) — memory on the
+//! server stays bounded per connection.
 
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -54,7 +60,9 @@ use rbt_protocol::{FederationConfig, FederationHub, Message as FedMessage, Proto
 use crate::keystore::KeyStore;
 use crate::reactor::{self, ReactorHandle};
 use crate::registry::{ServerError, SessionRegistry};
-use crate::wire::{AnswerFrame, BatchRequest, Opcode, OwnedFrame, Request, Response, WireResult};
+use crate::wire::{
+    AnswerFrame, BatchRequest, Opcode, OwnedFrame, Request, Response, WireError, WireResult,
+};
 
 /// Socket write timeout for responses and refusal frames.
 pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -80,8 +88,11 @@ pub struct ConnAccounting {
 /// production-shaped; tests shrink them to make timeouts observable.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Per-connection in-flight window (decoded requests buffered ahead
-    /// of the worker pool).
+    /// Per-connection in-flight window: a connection is read only while
+    /// its extracted requests, the one in a worker and its answers not yet
+    /// written number fewer than this, so a peer — even one that reads
+    /// none of its answers — holds at most `window` frames on the daemon's
+    /// heap.
     pub window: usize,
     /// Event-loop poll timeout: the granularity of the idle reaper, the
     /// stall detector, and drain quiescence.
@@ -163,6 +174,19 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Fresh state for a server about to start: no connection admitted
+    /// and an empty hub.
+    fn new(registry: Arc<SessionRegistry>, config: ServerConfig) -> Shared {
+        Shared {
+            registry,
+            config,
+            draining: AtomicBool::new(false),
+            spawned: AtomicU64::new(0),
+            finished: AtomicU64::new(0),
+            hub: Mutex::new(FederationHub::new(MAX_FED_SESSIONS)),
+        }
+    }
+
     /// Marks one connection fully retired.
     pub(crate) fn retire_conn(&self) {
         self.finished.fetch_add(1, Ordering::SeqCst);
@@ -204,6 +228,15 @@ fn shed(shared: &Shared, opcode: Opcode, arrival: Instant) -> Option<Response> {
     })
 }
 
+/// The typed answer to a well-framed body that did not decode: framing is
+/// intact, so the connection stays open.
+fn bad_body(e: &WireError) -> Response {
+    Response::Error {
+        code: 4,
+        message: format!("bad request body: {e}"),
+    }
+}
+
 /// Answers a request decoded from a frame that arrived at `arrival`: a
 /// valid frame with an undecodable body is refused with a typed error
 /// (framing is intact, so the connection stays), a request past its
@@ -214,12 +247,47 @@ pub(crate) fn answer_request(
     arrival: Instant,
 ) -> Response {
     match request {
-        Err(e) => Response::Error {
-            code: 4,
-            message: format!("bad request body: {e}"),
-        },
+        Err(e) => bad_body(&e),
         Ok(request) => shed(shared, request.opcode(), arrival)
             .unwrap_or_else(|| process_request(shared, request)),
+    }
+}
+
+/// Answers, on the event loop, a request decoded from a frame that
+/// arrived at `arrival` when its work is proportional to the bytes it
+/// moves: an undecodable body and a request past its deadline as
+/// [`answer_request`] answers them, a `Ping`, and the hub's bookkeeping —
+/// `FedOpen`, `FedResult`, `FedClose` and a `FedMsg` that delivers no
+/// message — while no worker holds the hub. Anything else comes back
+/// unchanged for the worker pool: a batch, `LoadKey`, `ReloadKeys`,
+/// `Stats` and `EvictTenant` (the registry lock, held across a key decode
+/// on an LRU miss), a `FedMsg` that delivers messages (a party's state
+/// machine, which may run the receiver's clustering), and bookkeeping
+/// that finds the hub held. The loop never waits on a lock.
+pub(crate) fn answer_on_loop(
+    shared: &Shared,
+    request: WireResult<Request>,
+    arrival: Instant,
+) -> Result<Response, Request> {
+    let request = match request {
+        Ok(request) => request,
+        Err(e) => return Ok(bad_body(&e)),
+    };
+    if let Some(stale) = shed(shared, request.opcode(), arrival) {
+        return Ok(stale);
+    }
+    let bookkeeping = match &request {
+        Request::Ping => return Ok(Response::Pong),
+        Request::FedMsg { messages, .. } => messages.is_empty(),
+        Request::FedOpen { .. } | Request::FedResult { .. } | Request::FedClose { .. } => true,
+        _ => false,
+    };
+    if !bookkeeping {
+        return Err(request);
+    }
+    match shared.hub.try_lock() {
+        Some(mut hub) => Ok(serve_federation(&mut hub, request)),
+        None => Err(request),
     }
 }
 
@@ -329,11 +397,27 @@ pub(crate) fn process_request(shared: &Shared, request: Request) -> Response {
                 message: "this server was not started with a key store".to_string(),
             },
         },
+        request @ (Request::FedOpen { .. }
+        | Request::FedMsg { .. }
+        | Request::FedResult { .. }
+        | Request::FedClose { .. }) => serve_federation(&mut shared.hub.lock(), request),
+        // Goodbye is intercepted by the event loop before this point.
+        Request::Goodbye => Response::GoingAway {
+            message: "goodbye".to_string(),
+        },
+    }
+}
+
+/// Serves one `Fed*` request against the hub. The callers pass no other
+/// request: [`process_request`] under the hub's lock, [`answer_on_loop`]
+/// only when it got the lock without waiting.
+fn serve_federation(hub: &mut FederationHub, request: Request) -> Response {
+    match request {
         Request::FedOpen { config } => {
             match ByteReader::decode_all(&config, FederationConfig::decode_from) {
                 Ok(cfg) => {
                     let session = cfg.session;
-                    match shared.hub.lock().open(cfg) {
+                    match hub.open(cfg) {
                         Ok(()) => Response::FedOpened { session },
                         Err(e) => fed_error(&e),
                     }
@@ -356,14 +440,14 @@ pub(crate) fn process_request(shared: &Shared, request: Request) -> Response {
                     Err(e) => return fed_error(&ProtocolError::Decode(e)),
                 }
             }
-            match shared.hub.lock().exchange(session, owner, decoded) {
+            match hub.exchange(session, owner, decoded) {
                 Ok(outbound) => Response::FedMsgs {
                     messages: outbound.iter().map(FedMessage::encode).collect(),
                 },
                 Err(e) => fed_error(&e),
             }
         }
-        Request::FedResult { session } => match shared.hub.lock().result(session) {
+        Request::FedResult { session } => match hub.result(session) {
             Ok(Some(summary)) => Response::FedSummary {
                 summary: Some(
                     FedMessage::JointDataset {
@@ -377,12 +461,9 @@ pub(crate) fn process_request(shared: &Shared, request: Request) -> Response {
             Err(e) => fed_error(&e),
         },
         Request::FedClose { session } => Response::FedClosed {
-            existed: shared.hub.lock().close(session),
+            existed: hub.close(session),
         },
-        // Goodbye is intercepted by the event loop before this point.
-        Request::Goodbye => Response::GoingAway {
-            message: "goodbye".to_string(),
-        },
+        other => unreachable!("{:?} is not a federation request", other.opcode()),
     }
 }
 
@@ -439,15 +520,7 @@ impl Server {
         registry: Arc<SessionRegistry>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let hub = Mutex::new(FederationHub::new(MAX_FED_SESSIONS));
-        let shared = Arc::new(Shared {
-            registry,
-            config,
-            draining: AtomicBool::new(false),
-            spawned: AtomicU64::new(0),
-            finished: AtomicU64::new(0),
-            hub,
-        });
+        let shared = Arc::new(Shared::new(registry, config));
         let (addr, reactor) = reactor::spawn(addr, Arc::clone(&shared))?;
         Ok(Server {
             addr,
@@ -502,5 +575,169 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.reactor.abort();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rbt_core::{PairwiseSecurityThreshold, RbtConfig};
+    use rbt_data::{Dataset, Normalization};
+    use rbt_linalg::codec::ByteWriter;
+    use rbt_linalg::Matrix;
+    use rbt_protocol::KeyPolicy;
+
+    fn shared() -> Shared {
+        Shared::new(Arc::new(SessionRegistry::new(4)), ServerConfig::default())
+    }
+
+    fn config_bytes(session: u64) -> Vec<u8> {
+        let config = FederationConfig {
+            session,
+            n_cols: 4,
+            owners: 2,
+            normalization: Normalization::zscore_paper(),
+            rbt: RbtConfig::uniform(PairwiseSecurityThreshold::new(0.2, 0.2).unwrap()),
+            key_policy: KeyPolicy::Shared,
+            seed: 5,
+            kmeans_k: 3,
+            kmeans_max_iters: 128,
+        };
+        let mut w = ByteWriter::new();
+        config.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// `Ping`, and the hub's bookkeeping over one session's life, with the
+    /// typed failures of each: what the event loop may answer.
+    fn bookkeeping() -> Vec<Request> {
+        let fed_msg = |session, owner| Request::FedMsg {
+            session,
+            owner,
+            messages: Vec::new(),
+        };
+        vec![
+            Request::Ping,
+            Request::FedOpen {
+                config: config_bytes(7),
+            },
+            Request::FedOpen {
+                config: config_bytes(7),
+            },
+            Request::FedOpen {
+                config: vec![1, 2, 3],
+            },
+            fed_msg(7, 0),
+            fed_msg(7, 0),
+            fed_msg(7, 1),
+            fed_msg(7, 9),
+            fed_msg(8, 0),
+            Request::FedResult { session: 7 },
+            Request::FedResult { session: 8 },
+            Request::FedClose { session: 7 },
+            Request::FedClose { session: 7 },
+            fed_msg(7, 0),
+        ]
+    }
+
+    /// What only a worker may serve.
+    fn worker_requests() -> Vec<Request> {
+        let batch = Dataset::new(
+            Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap(),
+            vec!["a".to_string(), "b".to_string()],
+        )
+        .unwrap();
+        vec![
+            Request::Transform {
+                tenant: "t".to_string(),
+                batch: batch.clone(),
+            },
+            Request::Invert {
+                tenant: "t".to_string(),
+                batch,
+            },
+            Request::LoadKey {
+                tenant: "t".to_string(),
+                key_bytes: vec![1, 2, 3],
+            },
+            Request::Stats,
+            Request::EvictTenant {
+                tenant: "t".to_string(),
+            },
+            Request::ReloadKeys,
+            Request::FedMsg {
+                session: 7,
+                owner: 0,
+                messages: vec![vec![0; 16]],
+            },
+        ]
+    }
+
+    fn encoded(response: &Response) -> Vec<u8> {
+        let mut frame = Vec::new();
+        response.encode_into(42, &mut frame);
+        frame
+    }
+
+    #[test]
+    fn bookkeeping_answered_on_the_loop_equals_the_workers_answer() {
+        let (on_loop, on_worker) = (shared(), shared());
+        for request in bookkeeping() {
+            let what = format!("{request:?}");
+            let answer = answer_on_loop(&on_loop, Ok(request.clone()), Instant::now())
+                .unwrap_or_else(|_| panic!("{what}: given back with the hub free"));
+            let served = process_request(&on_worker, request);
+            assert_eq!(encoded(&answer), encoded(&served), "{what}");
+        }
+        let undecodable = WireError::Byte(rbt_linalg::codec::DecodeError::Malformed {
+            offset: 3,
+            message: "a short tenant".to_string(),
+        });
+        let answer = answer_on_loop(&on_loop, Err(undecodable.clone()), Instant::now()).unwrap();
+        let served = answer_request(&on_worker, Err(undecodable), Instant::now());
+        assert_eq!(encoded(&answer), encoded(&served), "an undecodable body");
+    }
+
+    #[test]
+    fn bookkeeping_goes_to_the_workers_while_one_holds_the_hub() {
+        let shared = shared();
+        let _held = shared.hub.lock();
+        for request in bookkeeping() {
+            let answer = answer_on_loop(&shared, Ok(request.clone()), Instant::now());
+            match request {
+                Request::Ping => assert_eq!(answer, Ok(Response::Pong)),
+                request => assert_eq!(answer, Err(request)),
+            }
+        }
+    }
+
+    #[test]
+    fn the_loop_gives_back_what_only_a_worker_serves() {
+        let shared = shared();
+        for hub_held in [false, true] {
+            let _held = hub_held.then(|| shared.hub.lock());
+            for request in worker_requests() {
+                let answer = answer_on_loop(&shared, Ok(request.clone()), Instant::now());
+                assert_eq!(answer, Err(request), "hub held: {hub_held}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_loop_sheds_a_request_past_its_deadline() {
+        let shared = shared();
+        let arrival = Instant::now()
+            .checked_sub(shared.config.data_deadline + Duration::from_secs(1))
+            .unwrap();
+        let _held = shared.hub.lock();
+        for request in worker_requests().into_iter().chain(bookkeeping()) {
+            let what = format!("{request:?}");
+            match answer_on_loop(&shared, Ok(request), arrival) {
+                Ok(Response::Deadline { budget_ms, .. }) => {
+                    assert!(budget_ms <= shared.config.data_deadline.as_millis() as u64)
+                }
+                other => panic!("{what}: expected a Deadline answer, got {other:?}"),
+            }
+        }
     }
 }

@@ -2,7 +2,8 @@
 //! crate (the build environment has no registry access).
 //!
 //! Only the API this workspace uses is provided: [`Mutex`] with a `const`
-//! constructor and a poison-free [`Mutex::lock`]. It is a thin wrapper over
+//! constructor, a poison-free [`Mutex::lock`] and a poison-free
+//! [`Mutex::try_lock`]. It is a thin wrapper over
 //! [`std::sync::Mutex`] that ignores std's poisoning: like real
 //! `parking_lot`, a panic while the lock is held leaves it usable and later
 //! callers simply see the value as the panicking holder left it.
@@ -10,7 +11,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::sync::{Mutex as StdMutex, MutexGuard};
+use std::sync::{Mutex as StdMutex, MutexGuard, TryLockError};
 
 /// A mutual-exclusion primitive with `parking_lot`'s panic-free `lock()`
 /// signature, backed by [`std::sync::Mutex`].
@@ -32,6 +33,19 @@ impl<T> Mutex<T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Acquires the mutex if no one holds it, without blocking: `None`
+    /// while another guard is alive.
+    ///
+    /// Poison-free like [`lock`](Mutex::lock): after a holder panicked,
+    /// the value is returned as that holder left it.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Consumes the mutex and returns the protected value.
     pub fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(|e| e.into_inner())
@@ -49,5 +63,26 @@ mod tests {
         assert_eq!(*GLOBAL.lock(), 7);
         *GLOBAL.lock() += 1;
         assert_eq!(*GLOBAL.lock(), 8);
+    }
+
+    #[test]
+    fn try_lock_fails_only_while_held() {
+        let mutex = Mutex::new(1);
+        {
+            let _held = mutex.lock();
+            assert!(mutex.try_lock().is_none(), "held: no second guard");
+        }
+        *mutex.try_lock().expect("free: a guard") += 1;
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = mutex.lock();
+                panic!("holder panics");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked);
+        let guard = mutex.try_lock().expect("a panicked holder poisons nothing");
+        assert_eq!(*guard, 2);
     }
 }
