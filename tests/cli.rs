@@ -25,8 +25,11 @@ fn file_pin(path: &Path) -> (usize, u32) {
     (bytes.len(), rbt::linalg::codec::crc32(&bytes))
 }
 
+/// A fresh directory for one test: process ids recur, so whatever an
+/// earlier run with the same id left there is removed first.
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rbt-cli-test-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
