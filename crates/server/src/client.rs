@@ -409,6 +409,15 @@ impl Client {
     /// [`call`](Client::call), used by the bench load generator and the
     /// backpressure tests. Pipelined sends bypass the retry loop.
     ///
+    /// The server stops reading a connection while its unanswered
+    /// requests and unread answers fill its in-flight window
+    /// ([`ServerConfig::window`](crate::ServerConfig::window)). A client
+    /// with more than `window` requests outstanding must therefore read
+    /// its answers concurrently (for instance on a `try_clone` of
+    /// [`stream_mut`](Client::stream_mut)); one thread that keeps sending
+    /// without calling [`receive`](Client::receive) blocks once the
+    /// kernel's buffers fill, until the write timeout fails the send.
+    ///
     /// # Errors
     ///
     /// [`ClientError::Wire`] on stream failure.

@@ -34,8 +34,10 @@
 //! * a connection is read only while its extracted requests, the one in a
 //!   worker and its answers not yet written number fewer than
 //!   [`crate::ServerConfig::window`] — backpressure lands in the kernel's
-//!   TCP buffers, also for a peer that reads none of its answers, and the
-//!   silence timers stay parked while the window holds it;
+//!   TCP buffers, also for a peer that reads none of its answers. The
+//!   silence timers stay parked while requests the daemon has not answered
+//!   fill the window; while unread answers hold it, a partial frame is no
+//!   stall, but a peer that takes no answer is idle like any other;
 //! * a connection is pumped pass after pass — extract, answer or
 //!   dispatch, flush — until a pass writes no answer out: each answer
 //!   written frees a slot of the window, and frames already read but held
@@ -44,18 +46,18 @@
 //!   answered with a typed error without closing the connection; every
 //!   other parse failure answers once and closes after the flush;
 //! * idle connections are reaped after `idle_timeout` counted from the
-//!   last byte received; a peer silent *mid-frame* is cut after
-//!   `stall_budget`;
+//!   last byte received or whole answer written; a peer silent
+//!   *mid-frame* is cut after `stall_budget`;
 //! * on drain, connections already in the kernel's accept queue are
 //!   admitted before the listener closes; each connection then quiesces
-//!   after one read-tick without new bytes, everything already buffered
-//!   is answered, a `GoingAway` farewell is written, and stragglers are
-//!   force-severed at `drain_deadline`;
+//!   after one read-tick without new bytes or answers taken and with room
+//!   in its window, everything already buffered is answered, a
+//!   `GoingAway` farewell is written, and stragglers are force-severed at
+//!   `drain_deadline`;
 //! * each connection queues whole answer frames; a flushed one's buffer
 //!   goes back to the frame assemblers through a free list that keeps at
 //!   most 8 buffers of 64 KiB to 4 MiB each, so a steady stream of batches
-//!   allocates no frame, and a turn of the loop allocates nothing of its
-//!   own.
+//!   allocates no frame.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -233,7 +235,9 @@ struct Conn {
     /// from `out_at` on.
     outq: VecDeque<AnswerFrame>,
     out_at: usize,
-    last_byte_at: Instant,
+    /// When the peer last sent a byte or took a whole answer: the silence
+    /// timers count from here.
+    last_progress_at: Instant,
     /// No more bytes will be read (EOF, fatal parse error, idle reap,
     /// stall cut, or drain quiescence).
     read_closed: bool,
@@ -271,7 +275,7 @@ impl Conn {
             in_worker: false,
             outq: VecDeque::new(),
             out_at: 0,
-            last_byte_at: Instant::now(),
+            last_progress_at: Instant::now(),
             read_closed: false,
             parse_dead: false,
             closing: false,
@@ -329,11 +333,6 @@ struct Reactor {
     next_conn_id: u64,
     jobs_tx: mpsc::Sender<Job>,
     completions: Arc<StdMutex<Vec<Completion>>>,
-    /// Completions taken from the workers this turn, swapped with their
-    /// list so neither side reallocates it.
-    completed: Vec<Completion>,
-    /// Connections to pump this turn, kept so a turn allocates nothing.
-    touched: HashSet<u64>,
     buffers: FrameBuffers,
     stop: Arc<AtomicBool>,
     drain_started: Option<Instant>,
@@ -388,7 +387,7 @@ impl Reactor {
                 return self.forced;
             }
 
-            self.touched.clear();
+            let mut touched: HashSet<u64> = HashSet::new();
             for &ev in &events {
                 match ev.key {
                     LISTENER_KEY => self.accept_ready(),
@@ -401,30 +400,27 @@ impl Reactor {
                         if ev.readable {
                             self.read_conn(conn_id);
                         }
-                        self.touched.insert(conn_id);
+                        touched.insert(conn_id);
                     }
                 }
             }
 
-            self.take_completions();
-            for c in self.completed.drain(..) {
+            for c in self.take_completions() {
                 if let Some(conn) = self.conns.get_mut(&c.conn_id) {
                     conn.in_worker = false;
                     conn.outq.push_back(c.frame);
-                    self.touched.insert(c.conn_id);
+                    touched.insert(c.conn_id);
                 }
             }
 
             if last_scan.elapsed() >= tick {
                 last_scan = Instant::now();
-                self.scan_timers(draining, tick);
+                touched.extend(self.scan_timers(draining, tick));
             }
 
-            let touched = std::mem::take(&mut self.touched);
-            for &conn_id in &touched {
+            for conn_id in touched {
                 self.pump_conn(conn_id);
             }
-            self.touched = touched;
         }
     }
 
@@ -498,11 +494,8 @@ impl Reactor {
         }
     }
 
-    /// Moves the workers' completions into `completed` (left empty by
-    /// the last turn) by swapping the two lists' buffers.
-    fn take_completions(&mut self) {
-        let mut shared = self.completions.lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::swap(&mut *shared, &mut self.completed);
+    fn take_completions(&mut self) -> Vec<Completion> {
+        std::mem::take(&mut *self.completions.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Reads a readable socket straight into the assembler and extracts
@@ -535,7 +528,7 @@ impl Reactor {
                     break;
                 }
                 Ok(_) => {
-                    conn.last_byte_at = Instant::now();
+                    conn.last_progress_at = Instant::now();
                     Reactor::extract_frames(conn, window, &mut self.buffers);
                     if conn.read_closed {
                         break;
@@ -594,8 +587,9 @@ impl Reactor {
     }
 
     /// Writes queued frames as far as the socket accepts, handing each
-    /// fully written one back to the frame assemblers' free list. Returns
-    /// how many frames were written whole.
+    /// fully written one back to the frame assemblers' free list; a whole
+    /// answer taken restarts the silence clock. Returns how many frames
+    /// were written whole.
     fn flush_conn(&mut self, conn_id: u64) -> usize {
         let Some(conn) = self.conns.get_mut(&conn_id) else {
             return 0;
@@ -612,6 +606,7 @@ impl Reactor {
                     conn.out_at += n;
                     if conn.out_at == bytes.len() {
                         conn.out_at = 0;
+                        conn.last_progress_at = Instant::now();
                         written += 1;
                         if let Some(done) = conn.outq.pop_front() {
                             self.buffers.recycle(done);
@@ -746,14 +741,13 @@ impl Reactor {
     }
 
     /// Periodic per-connection timers: idle reap, mid-frame stall, drain
-    /// quiescence, and the closing-flush bound. Adds the connections to
-    /// pump to `touched`.
-    fn scan_timers(&mut self, draining: bool, tick: Duration) {
+    /// quiescence, and the closing-flush bound. Returns ids to pump.
+    fn scan_timers(&mut self, draining: bool, tick: Duration) -> Vec<u64> {
         let config = &self.shared.config;
         let window = config.window.max(1);
         let runtime = self.shared.registry.runtime();
         let now = Instant::now();
-        let touched = &mut self.touched;
+        let mut touched = Vec::new();
         for (&conn_id, conn) in self.conns.iter_mut() {
             if conn.closing {
                 // A closing connection whose peer will not take the final
@@ -761,30 +755,36 @@ impl Reactor {
                 if let Some(since) = conn.closing_since {
                     if !conn.flushed() && now.duration_since(since) >= WRITE_TIMEOUT {
                         conn.write_broken = true;
-                        touched.insert(conn_id);
+                        touched.push(conn_id);
                     }
                 }
                 if conn.in_worker || (conn.inbox.is_empty() && !conn.asm.frame_ready()) {
                     continue;
                 }
-                touched.insert(conn_id);
+                touched.push(conn_id);
                 continue;
             }
             if conn.read_closed {
                 continue;
             }
-            if conn.pending() >= window || conn.asm.frame_ready() {
-                // Reading is paused by the in-flight window, not by the
-                // peer: complete frames or unread answers are waiting
-                // their turn, so the peer is neither idle nor stalled,
-                // even with a partial frame buffered. Keep the silence
-                // clock parked so the timers restart from the moment
-                // backpressure lifts, not from a byte we refused to read.
-                conn.last_byte_at = now;
+            if conn.inbox.len() + usize::from(conn.in_worker) >= window {
+                // Reading is paused by requests the daemon has not answered
+                // yet, not by the peer, so the peer is neither idle nor
+                // stalled, even with a partial frame buffered. Keep the
+                // silence clock parked so the timers restart from the
+                // moment the work is done, not from a byte we refused to
+                // read.
+                conn.last_progress_at = now;
                 continue;
             }
-            let silent = now.duration_since(conn.last_byte_at);
-            if conn.asm.partial_frame() {
+            // Answers the peer has not taken fill the rest of the window:
+            // whatever else it sent waits unread in the kernel's buffers,
+            // so a partial frame is no stall and a drain keeps waiting for
+            // it (up to `drain_deadline`), but a peer that takes no answer
+            // and sends no byte for `idle_timeout` is idle.
+            let unread_answers = conn.pending() >= window;
+            let silent = now.duration_since(conn.last_progress_at);
+            if conn.asm.partial_frame() && !unread_answers {
                 if silent >= config.stall_budget {
                     // A wedged or malicious sender mid-frame: cut it with
                     // a typed error.
@@ -798,22 +798,23 @@ impl Reactor {
                     }));
                     conn.parse_dead = true;
                     conn.begin_close();
-                    touched.insert(conn_id);
+                    touched.push(conn_id);
                 }
             } else if draining {
-                // One tick with no new bytes: the final sweep is done —
-                // everything the client sent before the drain began is in
-                // the inbox. Serve it, then say goodbye.
-                if silent >= tick {
+                // One tick with no new bytes and no answer taken: the final
+                // sweep is done — everything the client sent before the
+                // drain began is in the inbox. Serve it, then say goodbye.
+                if silent >= tick && !unread_answers {
                     conn.begin_close();
-                    touched.insert(conn_id);
+                    touched.push(conn_id);
                 }
             } else if silent >= config.idle_timeout {
                 runtime.idle_reaped.fetch_add(1, Ordering::Relaxed);
                 conn.begin_close();
-                touched.insert(conn_id);
+                touched.push(conn_id);
             }
         }
+        touched
     }
 
     /// Removes a connection: on a drain, flush and send the `GoingAway`
@@ -960,8 +961,6 @@ pub(crate) fn spawn(
         next_conn_id: 0,
         jobs_tx,
         completions,
-        completed: Vec::new(),
-        touched: HashSet::new(),
         buffers: FrameBuffers::default(),
         stop: Arc::clone(&stop),
         drain_started: None,
@@ -977,4 +976,122 @@ pub(crate) fn spawn(
             workers,
         },
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::SessionRegistry;
+    use crate::ServerConfig;
+
+    const TICK: Duration = Duration::from_millis(10);
+
+    /// A reactor over `config` with no listener and no workers, holding
+    /// connection 0 to the loopback peer it also returns. The connection's
+    /// assembler holds the first bytes of a frame.
+    fn reactor_with_partial_frame(config: ServerConfig) -> (Reactor, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let (waker_rx, _) = UnixStream::pair().unwrap();
+        let registry = Arc::new(SessionRegistry::new(1));
+        let mut reactor = Reactor {
+            shared: Arc::new(Shared::new(registry, config)),
+            poller: Poller::new().unwrap(),
+            listener: None,
+            waker_rx,
+            conns: HashMap::new(),
+            next_conn_id: 1,
+            jobs_tx: mpsc::channel().0,
+            completions: Arc::default(),
+            buffers: FrameBuffers::default(),
+            stop: Arc::default(),
+            drain_started: None,
+            forced: 0,
+        };
+        let mut conn = Conn::new(stream);
+        conn.asm.read_from(&mut &crate::wire::MAGIC[..2]).unwrap();
+        assert!(conn.asm.partial_frame());
+        reactor.conns.insert(0, conn);
+        (reactor, peer)
+    }
+
+    fn conn(reactor: &mut Reactor) -> &mut Conn {
+        reactor.conns.get_mut(&0).unwrap()
+    }
+
+    fn ago(elapsed: Duration) -> Instant {
+        Instant::now().checked_sub(elapsed).unwrap()
+    }
+
+    fn counts(reactor: &Reactor) -> (u64, u64) {
+        let runtime = reactor.shared.registry.runtime();
+        (
+            runtime.idle_reaped.load(Ordering::SeqCst),
+            runtime.stalled.load(Ordering::SeqCst),
+        )
+    }
+
+    /// Answers the peer has not taken fill the window: the partial frame
+    /// behind them is no stall and a drain waits, but a peer that takes
+    /// no answer for `idle_timeout` is reaped, and a whole answer taken
+    /// restarts the clock.
+    #[test]
+    fn unread_answers_are_no_stall_but_do_not_keep_an_idle_peer() {
+        let (mut reactor, _peer) = reactor_with_partial_frame(ServerConfig {
+            window: 2,
+            stall_budget: Duration::from_millis(10),
+            idle_timeout: Duration::from_secs(5),
+            ..ServerConfig::default()
+        });
+        let fill = |conn: &mut Conn, silent: Duration| {
+            while conn.pending() < 2 {
+                conn.outq.push_back(AnswerFrame::whole(vec![0; 16]));
+            }
+            conn.last_progress_at = ago(silent);
+        };
+
+        fill(conn(&mut reactor), Duration::from_secs(1));
+        assert!(reactor.scan_timers(false, TICK).is_empty());
+        assert!(reactor.scan_timers(true, TICK).is_empty());
+        assert!(!conn(&mut reactor).closing);
+        assert_eq!(counts(&reactor), (0, 0));
+
+        assert_eq!(reactor.flush_conn(0), 2);
+        assert!(conn(&mut reactor).last_progress_at > ago(Duration::from_millis(500)));
+
+        fill(conn(&mut reactor), Duration::from_secs(6));
+        assert_eq!(reactor.scan_timers(false, TICK), vec![0]);
+        assert!(conn(&mut reactor).closing);
+        assert_eq!(counts(&reactor), (1, 0));
+    }
+
+    /// Requests the daemon has not answered fill the window: the peer is
+    /// neither idle nor stalled, however long the work takes, and the
+    /// silence clock restarts when it is done.
+    #[test]
+    fn unanswered_requests_park_the_silence_clock() {
+        let (mut reactor, _peer) = reactor_with_partial_frame(ServerConfig {
+            window: 2,
+            stall_budget: Duration::from_millis(10),
+            idle_timeout: Duration::from_millis(10),
+            ..ServerConfig::default()
+        });
+        let busy = conn(&mut reactor);
+        busy.in_worker = true;
+        busy.inbox.push_back(Ok(Inbound {
+            arrival: Instant::now(),
+            request: InboundRequest::Decoded {
+                request_id: 1,
+                request: Ok(Request::Ping),
+            },
+        }));
+        busy.last_progress_at = ago(Duration::from_secs(1));
+
+        assert!(reactor.scan_timers(false, TICK).is_empty());
+        assert!(reactor.scan_timers(true, TICK).is_empty());
+        assert!(!conn(&mut reactor).closing);
+        assert!(conn(&mut reactor).last_progress_at > ago(Duration::from_millis(500)));
+        assert_eq!(counts(&reactor), (0, 0));
+    }
 }

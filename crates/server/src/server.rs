@@ -17,10 +17,11 @@
 //!   connection open;
 //! * a **disconnect** mid-frame or mid-response just retires the
 //!   connection; the registry (a non-poisoning lock) is untouched;
-//! * an **idle connection** is reaped after
-//!   [`ServerConfig::idle_timeout`]; a peer that goes silent *mid-frame*
-//!   is cut after [`ServerConfig::stall_budget`] — no connection is ever
-//!   held open forever;
+//! * an **idle connection** — one that sends no byte and takes no whole
+//!   answer, also while its unread answers fill the window — is reaped
+//!   after [`ServerConfig::idle_timeout`]; a peer that goes silent
+//!   *mid-frame* is cut after [`ServerConfig::stall_budget`] — no
+//!   connection is ever held open forever;
 //! * a request that waits in the window past its per-opcode deadline is
 //!   **shed** with a typed `Deadline` frame instead of being served stale;
 //! * past [`ServerConfig::max_conns`] active connections, new arrivals are
@@ -30,8 +31,8 @@
 //! Graceful drain ([`Server::shutdown`]): the event loop admits every
 //! connection already waiting in the kernel's accept queue, then closes
 //! the listener. Each connection is read until one tick passes with no
-//! new bytes, everything in its window is answered, a final `GoingAway`
-//! frame is sent, and the socket closes. Connections that outlive
+//! new bytes and no answer taken, everything in its window is answered, a
+//! final `GoingAway` frame is sent, and the socket closes. Connections that outlive
 //! [`ServerConfig::drain_deadline`] are force-severed. The returned
 //! [`DrainReport`] accounts for every connection ever admitted — the
 //! chaos battery asserts `spawned == joined` to prove none leaks.
@@ -43,7 +44,8 @@
 //! daemon holds at most `window` request or answer frames for it plus the
 //! one its frame assembler is reading into (flushed frame buffers go to a
 //! free list of at most 8, shared by every connection) — memory on the
-//! server stays bounded per connection.
+//! server stays bounded per connection. A client with more than `window`
+//! requests outstanding must therefore read its answers while it sends.
 
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -97,7 +99,8 @@ pub struct ServerConfig {
     /// Event-loop poll timeout: the granularity of the idle reaper, the
     /// stall detector, and drain quiescence.
     pub read_tick: Duration,
-    /// Reap a connection after this long with no new frame.
+    /// Reap a connection after this long without a byte received or a
+    /// whole answer taken.
     pub idle_timeout: Duration,
     /// Cut a peer that has been silent *mid-frame* for this long.
     pub stall_budget: Duration,
@@ -176,7 +179,7 @@ pub(crate) struct Shared {
 impl Shared {
     /// Fresh state for a server about to start: no connection admitted
     /// and an empty hub.
-    fn new(registry: Arc<SessionRegistry>, config: ServerConfig) -> Shared {
+    pub(crate) fn new(registry: Arc<SessionRegistry>, config: ServerConfig) -> Shared {
         Shared {
             registry,
             config,

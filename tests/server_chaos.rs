@@ -20,10 +20,10 @@
 //! Everything runs under both threading modes: CI executes the suite once
 //! with default threads and once with `RBT_THREADS=1`.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Barrier, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 use rbt::core::{Pipeline, PipelineOutput, RbtConfig, ReleaseSession};
@@ -31,7 +31,7 @@ use rbt::server::{
     wire, Client, ClientError, FaultPlan, KeyStore, RetryPolicy, Server, ServerConfig,
     SessionRegistry,
 };
-use rbt::{Dataset, Matrix, PairwiseSecurityThreshold};
+use rbt::{Dataset, Matrix, Method, PairwiseSecurityThreshold, Release};
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
@@ -582,6 +582,102 @@ fn pipelining_past_the_window_is_backpressure_not_a_stall() {
     );
     let report = server.shutdown();
     assert_eq!(report.spawned, report.joined);
+}
+
+/// A peer that pipelines past the window and reads none of its answers
+/// holds the window with them, not with work the daemon owes it: once it
+/// has taken no answer and sent no byte for `idle_timeout` it is reaped
+/// while it still holds the socket open — it cannot keep a connection
+/// slot and `window` 1 MiB frames for as long as it likes. Everything it
+/// reads afterwards is its own answers, bit for bit, until the daemon,
+/// having flushed them, closes the connection, and the drain then has
+/// nothing left to wait for.
+#[test]
+fn a_peer_that_reads_no_answers_is_reaped_as_idle() {
+    const WINDOW: usize = 8;
+    // More than the window and the kernel's buffers hold between them.
+    const REQUESTS: usize = 4 * WINDOW;
+    let fitted = Release::of(&dataset(161, 256, 16, 90.0))
+        .with_method(Method::Rbt)
+        .fit(&mut rng(162))
+        .unwrap();
+    let registry = Arc::new(SessionRegistry::new(4));
+    registry.load_key("t", fitted.to_bytes().unwrap()).unwrap();
+    let drain_deadline = Duration::from_secs(20);
+    let config = ServerConfig {
+        window: WINDOW,
+        read_tick: Duration::from_millis(10),
+        idle_timeout: Duration::from_millis(200),
+        stall_budget: Duration::from_millis(50),
+        drain_deadline,
+        ..ServerConfig::default()
+    };
+    let server = Server::spawn_with("127.0.0.1:0", registry, config).unwrap();
+    let addr = server.local_addr();
+
+    let batch = dataset(163, 8192, 16, 90.0);
+    let expected = fitted.transform_batch(&batch).unwrap().released;
+    let frame = wire::encode_frame(
+        &wire::Request::Transform {
+            tenant: "t".to_string(),
+            batch,
+        }
+        .to_frame(),
+    );
+    let mut reader = TcpStream::connect(addr).unwrap();
+    reader
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = reader.try_clone().unwrap();
+    // The writer blocks once the daemon stops reading; its last write
+    // fails when the daemon closes the connection.
+    let writing = std::thread::spawn(move || {
+        for _ in 0..REQUESTS {
+            if writer.write_all(&frame).is_err() {
+                return;
+            }
+        }
+    });
+
+    let give_up = Instant::now() + Duration::from_secs(10);
+    loop {
+        let runtime = Client::connect(addr).unwrap().stats().unwrap().runtime;
+        if runtime.idle_reaped >= 1 {
+            assert_eq!(runtime.stalled, 0, "{runtime:?}");
+            break;
+        }
+        assert!(
+            Instant::now() < give_up,
+            "a peer holding unread answers was never reaped: {runtime:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    loop {
+        match wire::read_frame(&mut reader) {
+            Ok(Some(frame)) => match wire::Response::from_frame(&frame).unwrap() {
+                wire::Response::Transformed { released, .. } => {
+                    assert_bitwise(&released, &expected, "answer after the reap")
+                }
+                other => panic!("expected Transformed, got {other:?}"),
+            },
+            Ok(None) => break,
+            // The daemon's close resets the stream when requests it never
+            // read are still in its buffers.
+            Err(wire::WireError::Io {
+                kind: ErrorKind::ConnectionReset | ErrorKind::UnexpectedEof,
+                ..
+            }) => break,
+            Err(e) => panic!("expected the daemon to close the connection, got {e}"),
+        }
+    }
+    writing.join().unwrap();
+
+    let started = Instant::now();
+    let report = server.shutdown();
+    assert!(started.elapsed() < drain_deadline, "{report:?}");
+    assert_eq!(report.forced, 0, "{report:?}");
+    assert_eq!(report.spawned, report.joined, "{report:?}");
 }
 
 /// A client that pipelines past the window and then half-closes still
