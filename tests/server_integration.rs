@@ -829,3 +829,216 @@ fn pipelined_batches_pings_and_federation_bookkeeping_answer_in_order() {
     }
     server.shutdown();
 }
+
+/// Reads one whole frame off `stream` as the bytes that travelled: the
+/// header, the body its length declares, and the CRC trailer.
+fn read_frame_bytes(stream: &mut TcpStream) -> Vec<u8> {
+    use std::io::Read;
+    let mut bytes = vec![0u8; wire::HEADER_LEN];
+    stream.read_exact(&mut bytes).unwrap();
+    let body_len = u32::from_le_bytes(bytes[7..wire::HEADER_LEN].try_into().unwrap()) as usize;
+    bytes.resize(wire::HEADER_LEN + body_len + wire::TRAILER_LEN, 0);
+    stream.read_exact(&mut bytes[wire::HEADER_LEN..]).unwrap();
+    bytes
+}
+
+/// Every other request kind pipelined over one raw connection: a small
+/// `Transform`, `LoadKey`s of good keys and of a corrupt one,
+/// `EvictTenant`, `ReloadKeys` without a key store, a `FedMsg` delivering
+/// a message to an unknown session and a `FedMsg` poll of one, well-framed
+/// bodies that do not decode, `Stats`, and a goodbye. Each answer must come
+/// back in request order, echo its request's id and carry exactly the
+/// bytes of the answer the library, a local registry and a local hub give
+/// for the same requests; `Stats` is checked by its tenant list, since
+/// its latency fields are timings. The goodbye gets no answer: the
+/// connection ends.
+#[test]
+fn pipelined_requests_of_every_kind_answer_with_the_library_bytes() {
+    use rbt::protocol::{FederationHub, Message};
+
+    let fitted = Release::of(&dataset(11, 64, 8, 90.0))
+        .with_method(Method::Rbt)
+        .fit(&mut rng(81))
+        .unwrap();
+    let key = fitted.to_bytes().unwrap();
+    let library = decode_fitted(&key).unwrap();
+    let batch = dataset(12, 100, 8, 90.0);
+    let release = library.transform_batch(&batch).unwrap();
+    let mut corrupt = key.clone();
+    let middle = corrupt.len() / 2;
+    corrupt[middle] ^= 0x5A;
+
+    const UNKNOWN_SESSION: u64 = 404;
+    let delivery = Message::Join {
+        session: UNKNOWN_SESSION,
+        owner: 0,
+        rows: 10,
+    };
+    let fed_msg = |messages: Vec<Vec<u8>>| wire::Request::FedMsg {
+        session: UNKNOWN_SESSION,
+        owner: 0,
+        messages,
+    };
+    let raw = |opcode, body: Vec<u8>| wire::Frame::new(opcode, body);
+    let requests = [
+        wire::Request::LoadKey {
+            tenant: "t".to_string(),
+            key_bytes: key.clone(),
+        }
+        .to_frame(),
+        wire::Request::Transform {
+            tenant: "t".to_string(),
+            batch: batch.clone(),
+        }
+        .to_frame(),
+        wire::Request::LoadKey {
+            tenant: "u".to_string(),
+            key_bytes: key.clone(),
+        }
+        .to_frame(),
+        wire::Request::LoadKey {
+            tenant: "corrupt".to_string(),
+            key_bytes: corrupt,
+        }
+        .to_frame(),
+        wire::Request::EvictTenant {
+            tenant: "u".to_string(),
+        }
+        .to_frame(),
+        wire::Request::ReloadKeys.to_frame(),
+        fed_msg(vec![delivery.encode()]).to_frame(),
+        fed_msg(Vec::new()).to_frame(),
+        raw(wire::Opcode::Ping, vec![1, 2, 3]),
+        raw(wire::Opcode::LoadKey, vec![0xFF; 3]),
+        raw(wire::Opcode::FedMsg, vec![0; 5]),
+        // A poll's length with a message count, and a poll with a byte
+        // after it.
+        raw(
+            wire::Opcode::FedMsg,
+            [&[0u8; 10][..], &[1, 0, 0, 0]].concat(),
+        ),
+        raw(wire::Opcode::FedMsg, vec![0; 15]),
+        raw(wire::Opcode::Transform, vec![0xAB; 7]),
+        wire::Request::Stats.to_frame(),
+        wire::Request::Goodbye.to_frame(),
+    ];
+    assert!(wire::encode_frame(&requests[1]).len() < 64 * 1024);
+
+    // The answers of the library, a local registry and a local hub.
+    let registry = SessionRegistry::new(4);
+    let mut hub = FederationHub::new(16);
+    let registry_error = |e: rbt::server::ServerError| wire::Response::Error {
+        code: e.code(),
+        message: e.to_string(),
+    };
+    let fed_error = |e: rbt::protocol::ProtocolError| wire::Response::Error {
+        code: e.code(),
+        message: format!("federation: {e}"),
+    };
+    let mut expected = Vec::new();
+    for frame in &requests[..requests.len() - 2] {
+        let response = match wire::Request::from_frame(frame) {
+            Err(e) => wire::Response::Error {
+                code: 4,
+                message: format!("bad request body: {e}"),
+            },
+            Ok(wire::Request::LoadKey { tenant, key_bytes }) => {
+                match registry.load_key(&tenant, key_bytes) {
+                    Ok((method, n_attributes)) => wire::Response::Loaded {
+                        method,
+                        n_attributes: n_attributes as u64,
+                    },
+                    Err(e) => registry_error(e),
+                }
+            }
+            Ok(wire::Request::Transform { .. }) => wire::Response::Transformed {
+                released: release.released.clone(),
+                out_of_range_rows: release.out_of_range_rows as u64,
+            },
+            Ok(wire::Request::EvictTenant { tenant }) => wire::Response::Evicted {
+                existed: registry.evict(&tenant),
+            },
+            Ok(wire::Request::ReloadKeys) => wire::Response::Error {
+                code: 7,
+                message: "this server was not started with a key store".to_string(),
+            },
+            Ok(wire::Request::FedMsg {
+                session,
+                owner,
+                messages,
+            }) => {
+                let inbound = messages
+                    .iter()
+                    .map(|bytes| Message::decode(bytes).unwrap())
+                    .collect();
+                match hub.exchange(session, owner, inbound) {
+                    Ok(outbound) => wire::Response::FedMsgs {
+                        messages: outbound.iter().map(Message::encode).collect(),
+                    },
+                    Err(e) => fed_error(e),
+                }
+            }
+            Ok(other) => panic!("no expected answer for {other:?}"),
+        };
+        expected.push(response);
+    }
+    // Both good keys load, the corrupt one and everything after the
+    // eviction is refused.
+    let kinds: Vec<_> = expected.iter().map(wire::Response::opcode).collect();
+    let mut refused = vec![wire::Opcode::Error; 9];
+    refused.splice(
+        0..0,
+        [
+            wire::Opcode::LoadKey,
+            wire::Opcode::Transform,
+            wire::Opcode::LoadKey,
+            wire::Opcode::Error,
+            wire::Opcode::EvictTenant,
+        ],
+    );
+    assert_eq!(kinds, refused);
+    assert_eq!(expected[4], wire::Response::Evicted { existed: true });
+    let tenants: Vec<String> = registry
+        .stats()
+        .tenants
+        .into_iter()
+        .map(|t| t.tenant)
+        .collect();
+    assert_eq!(tenants, ["t"]);
+
+    let server = spawn_server(4);
+    const FIRST_ID: u64 = 900;
+    let mut burst = Vec::new();
+    for (id, frame) in (FIRST_ID..).zip(&requests) {
+        burst.extend(wire::encode_frame(&frame.clone().with_request_id(id)));
+    }
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&burst).unwrap();
+
+    for ((id, frame), response) in (FIRST_ID..).zip(&requests).zip(&expected) {
+        let what = format!("answer to {:?} (id {id})", frame.opcode);
+        let served = read_frame_bytes(&mut stream);
+        let want = wire::encode_frame(&response.to_frame().with_request_id(id));
+        assert_eq!(served, want, "{what}: {response:?}");
+    }
+    let stats_id = FIRST_ID + requests.len() as u64 - 2;
+    let stats = wire::decode_frame(&read_frame_bytes(&mut stream)).unwrap();
+    assert_eq!(stats.opcode, wire::Opcode::Stats);
+    assert_eq!(stats.request_id, stats_id);
+    match wire::Response::from_frame(&stats).unwrap() {
+        wire::Response::Stats(stats) => {
+            let served: Vec<String> = stats.tenants.into_iter().map(|t| t.tenant).collect();
+            assert_eq!(served, tenants, "the Stats tenant list");
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    assert_eq!(
+        wire::read_frame(&mut stream).unwrap(),
+        None,
+        "a goodbye is not answered: the connection ends"
+    );
+    server.shutdown();
+}
