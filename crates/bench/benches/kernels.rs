@@ -108,8 +108,7 @@ impl Entry {
 }
 
 /// One point of the end-to-end streaming scaling record: sustained
-/// rows/sec through fit → transform (→ invert) at row count `m`, on the
-/// session's own pool threads (`host_threads`).
+/// rows/sec through fit → transform (→ invert) at row count `m`.
 struct StreamEntry {
     m: usize,
     cols: usize,
@@ -367,7 +366,7 @@ fn scalar_denormalize(rows: &mut [f64], columns: &[ScalarColumn]) {
     }
 }
 
-/// Rows per chunk of the release session's in-place passes.
+/// Rows per chunk of the replicated pre-row-kernel release passes.
 const SESSION_CHUNK_ROWS: usize = 4096;
 
 /// `ReleaseSession`'s in-place forward as it was before the row kernels,
@@ -1156,8 +1155,8 @@ fn main() {
         let _ = writeln!(json, "    {{");
         let _ = writeln!(
             json,
-            "      \"params\": {{\"m\": {}, \"cols\": {}, \"batch_rows\": {}, \"threads\": {}}},",
-            e.m, e.cols, e.batch_rows, threads
+            "      \"params\": {{\"m\": {}, \"cols\": {}, \"batch_rows\": {}}},",
+            e.m, e.cols, e.batch_rows
         );
         let _ = writeln!(json, "      \"fit_seconds\": {:.6},", e.fit_seconds);
         let _ = writeln!(

@@ -18,24 +18,23 @@
 //!   [`transform_batch_in_place`](ReleaseSession::transform_batch_in_place) /
 //!   [`invert_batch_in_place`](ReleaseSession::invert_batch_in_place),
 //!   which turn the caller's own batch into its release without a copy,
-//! * batches are processed in fixed-size row chunks, each through the
-//!   public row kernels [`forward_rows`](ReleaseSession::forward_rows) /
-//!   [`inverse_rows`](ReleaseSession::inverse_rows) that callers holding
-//!   rows outside a [`Matrix`] run too: the normalizer's fused row kernel
+//! * every batch entry point runs the public row kernels
+//!   [`forward_rows`](ReleaseSession::forward_rows) /
+//!   [`inverse_rows`](ReleaseSession::inverse_rows) over the whole batch
+//!   on the calling thread — the kernels callers holding rows outside a
+//!   [`Matrix`] run too (the daemon's workers run them on batches they
+//!   keep in their wire frames): the normalizer's fused row kernel
 //!   ([`FittedNormalizer::transform_rows_in_place_with_drift`]) normalizes
 //!   and drift-checks each row in SIMD lanes across its columns, then all
-//!   rotation steps are applied to the chunk in one fused sweep
+//!   rotation steps are applied to the rows in one fused sweep
 //!   ([`apply_steps_in_rows`]); the inverse runs the inverse sweep, then
 //!   the normalizer's inverse kernel. Normalization and every rotation
 //!   step are row-local and keep their per-row order, so any batch split
-//!   and thread count produces output **bit-identical** to running the
-//!   one-shot [`crate::Pipeline`] on the concatenated data (pinned by the
-//!   conformance battery). The copying
-//!   entry points fan the chunks out over the shared [`rbt_linalg::pool`]
-//!   for library callers; the in-place ones run them on the calling
-//!   thread, for callers that already spread batches over threads (the
-//!   daemon's worker pool, which runs the row kernels itself on batches
-//!   it keeps in their wire frames),
+//!   produces output **bit-identical** to running the one-shot
+//!   [`crate::Pipeline`] on the concatenated data (pinned by the
+//!   conformance battery). A release costs about a memcpy, so a fork per
+//!   batch would cost more than it saves; callers that want parallelism
+//!   spread batches over their own threads,
 //! * it reports **drift** per batch: records whose normalized values fall
 //!   outside the per-column min–max range observed on the fitting data,
 //!   the first sign that the fitted normalization no longer represents
@@ -54,14 +53,9 @@ use crate::{Error, Result};
 use rbt_data::{Dataset, FittedNormalizer};
 use rbt_linalg::codec::{crc32, ByteReader, ByteWriter};
 use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
-use rbt_linalg::pool::{self, Pool};
 use rbt_linalg::stats::VarianceMode;
 use rbt_linalg::Matrix;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Maximum number of rows per processing chunk.
-const CHUNK_ROWS: usize = 4096;
 
 /// Per-column `[min, max]` of the *normalized* fitting data — the
 /// reference against which arriving batches are drift-checked.
@@ -184,11 +178,6 @@ pub struct ReleaseSession {
     /// [`ReleaseSession::new`] rather than per row slice.
     forward: Vec<PairStep>,
     inverse: Vec<PairStep>,
-    /// Pool threads per copying batch, resolved once in
-    /// [`ReleaseSession::new`] rather than per batch:
-    /// [`pool::default_threads`] reads the environment and the host's CPU
-    /// quota on every call.
-    threads: usize,
 }
 
 impl ReleaseSession {
@@ -214,7 +203,6 @@ impl ReleaseSession {
             config: None,
             drift: None,
             suppress_ids: true,
-            threads: pool::default_threads(),
         })
     }
 
@@ -289,9 +277,8 @@ impl ReleaseSession {
 
     /// Transforms a batch of out-of-sample records: normalize with the
     /// *fitted* parameters, apply the key's rotations, optionally strip
-    /// IDs. Rows are processed in chunks of at most 4096 rows across the
-    /// pool; output is bit-identical to the one-shot pipeline for every
-    /// batch split and thread count.
+    /// IDs. Output is bit-identical to the one-shot pipeline for every
+    /// batch split.
     ///
     /// # Errors
     ///
@@ -351,7 +338,7 @@ impl ReleaseSession {
     pub fn transform_batch_into(&self, batch: &Dataset, out: &mut Matrix) -> Result<usize> {
         self.check_cols(batch.matrix())?;
         out.copy_from(batch.matrix());
-        Ok(self.forward_in_place(out, self.threads))
+        self.forward_rows(out.as_mut_slice())
     }
 
     /// Zero-copy variant of [`invert_batch`](Self::invert_batch): writes
@@ -366,8 +353,7 @@ impl ReleaseSession {
     pub fn invert_batch_into(&self, released: &Dataset, out: &mut Matrix) -> Result<()> {
         self.check_cols(released.matrix())?;
         out.copy_from(released.matrix());
-        self.inverse_in_place(out, self.threads);
-        Ok(())
+        self.inverse_rows(out.as_mut_slice())
     }
 
     /// In-place variant of [`transform_batch`](Self::transform_batch):
@@ -375,13 +361,6 @@ impl ReleaseSession {
     /// when the session suppresses them; column names stay. Returns the
     /// out-of-range row count. Values are bit-identical to
     /// `transform_batch(batch).released`.
-    ///
-    /// Runs on the calling thread, chunk after chunk: it serves callers
-    /// that already spread batches over their own threads (the daemon's
-    /// worker pool), where a fork per batch would only oversubscribe the
-    /// cores. [`transform_batch`](Self::transform_batch) and
-    /// [`transform_batch_into`](Self::transform_batch_into) keep the
-    /// fork–join.
     ///
     /// # Errors
     ///
@@ -392,14 +371,12 @@ impl ReleaseSession {
         if self.suppress_ids {
             batch.take_ids();
         }
-        Ok(self.forward_in_place(batch.matrix_mut(), 1))
+        self.forward_rows(batch.matrix_mut().as_mut_slice())
     }
 
     /// In-place variant of [`invert_batch`](Self::invert_batch): undoes
     /// the release of `released`'s own matrix, keeping its names and IDs.
-    /// Values are bit-identical to `invert_batch(released)`. Runs on the
-    /// calling thread, as
-    /// [`transform_batch_in_place`](Self::transform_batch_in_place) does.
+    /// Values are bit-identical to `invert_batch(released)`.
     ///
     /// # Errors
     ///
@@ -407,8 +384,7 @@ impl ReleaseSession {
     /// disagrees with the session; `released` is then left untouched.
     pub fn invert_batch_in_place(&self, released: &mut Dataset) -> Result<()> {
         self.check_cols(released.matrix())?;
-        self.inverse_in_place(released.matrix_mut(), 1);
-        Ok(())
+        self.inverse_rows(released.matrix_mut().as_mut_slice())
     }
 
     /// The forward release of whole rows in place, on the calling thread:
@@ -418,8 +394,8 @@ impl ReleaseSession {
     /// IDs are the caller's concern. Returns how many of the rows drifted
     /// out of the fitted range (0 without [`DriftBounds`]).
     ///
-    /// Every batch entry point runs this on its row chunks, and rows are
-    /// independent, so releasing a batch as any split into row slices
+    /// Every batch entry point runs this over the whole batch, and rows
+    /// are independent, so releasing a batch as any split into row slices
     /// yields the bits [`transform_batch`](Self::transform_batch) does.
     ///
     /// # Errors
@@ -455,50 +431,6 @@ impl ReleaseSession {
             .map_err(Error::Data)
     }
 
-    /// Forward transform of `out` in place over at most `threads` pool
-    /// threads, [`forward_rows`](Self::forward_rows) per chunk. Assumes
-    /// the column count was checked. Returns the out-of-range row count.
-    fn forward_in_place(&self, out: &mut Matrix, threads: usize) -> usize {
-        if out.rows() == 0 {
-            return 0;
-        }
-        let bounds = Self::element_bounds(out.rows(), out.cols());
-        let out_of_range = AtomicUsize::new(0);
-        Pool::new(threads).for_each_chunk_mut(out.as_mut_slice(), &bounds, |_, _, chunk| {
-            let drifted = self
-                .forward_rows(chunk)
-                .expect("chunk boundaries are whole rows of the checked width");
-            if drifted > 0 {
-                out_of_range.fetch_add(drifted, Ordering::Relaxed);
-            }
-        });
-        out_of_range.load(Ordering::Relaxed)
-    }
-
-    /// Inverse transform of `out` in place over at most `threads` pool
-    /// threads, [`inverse_rows`](Self::inverse_rows) per chunk. Assumes
-    /// the column count was checked.
-    fn inverse_in_place(&self, out: &mut Matrix, threads: usize) {
-        if out.rows() == 0 {
-            return;
-        }
-        let bounds = Self::element_bounds(out.rows(), out.cols());
-        Pool::new(threads).for_each_chunk_mut(out.as_mut_slice(), &bounds, |_, _, chunk| {
-            self.inverse_rows(chunk)
-                .expect("chunk boundaries are whole rows of the checked width");
-        });
-    }
-
-    /// Row-aligned element boundaries with at most [`CHUNK_ROWS`] rows per
-    /// chunk.
-    fn element_bounds(n_rows: usize, n_cols: usize) -> Vec<usize> {
-        let n_chunks = n_rows.div_ceil(CHUNK_ROWS);
-        pool::even_chunks(n_rows, n_chunks)
-            .into_iter()
-            .map(|r| r * n_cols)
-            .collect()
-    }
-
     fn check_rows(&self, rows: &[f64]) -> Result<()> {
         let n = self.key.n_attributes();
         if n == 0 || !rows.len().is_multiple_of(n) {
@@ -525,8 +457,8 @@ impl ReleaseSession {
     // Persistence
     // ------------------------------------------------------------------
 
-    /// Serializes the session (secrets + metadata, not the thread count)
-    /// into the sealed binary envelope of [`crate::codec`].
+    /// Serializes the session (secrets + metadata) into the sealed binary
+    /// envelope of [`crate::codec`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         codec::write_key_record(&mut w, &self.key);
@@ -1001,6 +933,9 @@ mod tests {
     use rand::SeedableRng;
     use rbt_data::{datasets, Normalization};
 
+    /// The row block the large batches below are sized by.
+    const CHUNK_ROWS: usize = 4096;
+
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
     }
@@ -1132,8 +1067,7 @@ mod tests {
 
     #[test]
     fn batches_crossing_chunk_boundaries_match_small_batches_bitwise() {
-        // Three chunks (4096 + 4096 + 3 rows): the pool's grouped path
-        // under default threads, the inline path under `RBT_THREADS=1`.
+        // Two 4096-row blocks and 3 more rows, with outliers in each.
         let (session, _) = fitted_session();
         let raw = datasets::arrhythmia_sample();
         let rows = 2 * CHUNK_ROWS + 3;
@@ -1164,7 +1098,7 @@ mod tests {
         };
         let whole = run(&big, rows, true);
         assert_eq!(whole.0, (0..rows).filter(|&r| outlier(r)).count());
-        // The in-place path runs the same chunks on the calling thread.
+        // The in-place path releases the same bits.
         let mut in_place = Dataset::from_matrix(big.clone());
         let drifted = session.transform_batch_in_place(&mut in_place).unwrap();
         assert_eq!(drifted, whole.0);

@@ -1,7 +1,8 @@
-//! A small scoped fork–join pool shared by the library's parallel hot
-//! paths. The daemon's served batches are the exception: its worker pool
-//! already spreads requests over the cores, so a served release session
-//! runs its chunks on the worker's own thread instead of forking here.
+//! A small scoped fork–join pool shared by the library's O(m²) and
+//! iterative hot paths: the dissimilarity build, k-means assignment and
+//! DBSCAN region queries. Release sessions do not fork: a release costs
+//! about a memcpy, so every batch runs on its caller's thread, and the
+//! daemon's worker pool spreads requests over the cores.
 //!
 //! The workspace's parallelism needs are uniform: split a contiguous output
 //! buffer (condensed distances, label arrays, neighbour lists) into disjoint

@@ -257,19 +257,7 @@ impl Client {
                     message: "address resolved to nothing".to_string(),
                 })
             })?;
-        let mut client = Client {
-            addr: AddrSource::Fixed(resolved),
-            stream: None,
-            jitter: JITTER_SEED | 1,
-            policy,
-            next_request_id: 1,
-            consecutive_failures: 0,
-            breaker_opened_at: None,
-            metrics: ClientMetrics::default(),
-            frame: Vec::new(),
-        };
-        client.reconnect()?;
-        Ok(client)
+        Client::connect_to(AddrSource::Fixed(resolved), policy)
     }
 
     /// Connects through an address provider that is re-queried on every
@@ -283,8 +271,13 @@ impl Client {
         provider: impl FnMut() -> SocketAddr + Send + 'static,
         policy: RetryPolicy,
     ) -> ClientResult<Client> {
+        Client::connect_to(AddrSource::Provider(Box::new(provider)), policy)
+    }
+
+    /// A fresh client for `addr` under `policy`, connected once.
+    fn connect_to(addr: AddrSource, policy: RetryPolicy) -> ClientResult<Client> {
         let mut client = Client {
-            addr: AddrSource::Provider(Box::new(provider)),
+            addr,
             stream: None,
             jitter: JITTER_SEED | 1,
             policy,

@@ -5,26 +5,25 @@
 //! * the **event loop** (one thread) owns the non-blocking listener and
 //!   every connection socket, multiplexed through the vendored `poll(2)`
 //!   shim (`shims/polling`). It reads each socket straight into the
-//!   connection's [`FrameAssembler`], hands each checked `Transform` or
-//!   `Invert` frame on as it lies (with the assembler's buffer when the
-//!   frame ends it), decodes any other request from its borrowed view,
-//!   runs a per-connection state machine, and writes queued answer frames.
-//!   It answers itself, into a fresh frame, what costs no more than the
-//!   bytes it moves (`server::answer_on_loop`): a `Ping`, the typed error
-//!   for a body that did not decode, a request shed past its deadline, and
-//!   the hub's bookkeeping — `FedOpen`, `FedResult`, `FedClose` and a
-//!   `FedMsg` that delivers no message — when the hub's lock is free. It
-//!   never runs a row kernel, a key decode, a party's state machine, disk
-//!   I/O or the registry lock, and never waits on a lock;
+//!   connection's [`FrameAssembler`], takes every checked request out of
+//!   it as an owned [`Frame`] (with the assembler's buffer when the frame
+//!   is a read or more and ends it, copied otherwise), runs a
+//!   per-connection state machine, and writes queued answer frames. It
+//!   answers itself, inside the request's frame, what costs no more than
+//!   the bytes it moves (`server::answer_on_loop`): a `Ping` and the hub's
+//!   bookkeeping — `FedOpen`, `FedResult`, `FedClose` and a `FedMsg` poll —
+//!   when the hub's lock is free, and the typed error or the shed answer
+//!   when one of those does not decode or is past its deadline. It never
+//!   decodes anything else, never runs a row kernel, a key decode, a
+//!   party's state machine, disk I/O or the registry lock, and never waits
+//!   on a lock;
 //! * the **worker pool** ([`rbt_linalg::pool::default_threads`] threads,
-//!   which honours `RBT_THREADS`) checks the queue-wait deadline and runs
-//!   the request engine in [`crate::server`] for everything else: a batch
-//!   is released inside its own frame on the worker's thread, and the
-//!   frame is rewritten into the answer; any other answer (`LoadKey`,
-//!   `ReloadKeys`, `Stats`, `EvictTenant`, a `FedMsg` that delivers
-//!   messages, bookkeeping that found the hub held) is encoded into a
-//!   fresh frame. Completions come back to the event loop over a
-//!   self-pipe waker.
+//!   which honours `RBT_THREADS`) runs the request engine in
+//!   [`crate::server`] (`server::serve`) for every other frame: a batch is
+//!   released inside its own frame on the worker's thread, and the frame
+//!   is rewritten into the answer; anything else is decoded, shed past its
+//!   deadline, served, and answered inside its frame's buffer.
+//!   Completions come back to the event loop over a self-pipe waker.
 //!
 //! The load-bearing rules:
 //!
@@ -54,10 +53,12 @@
 //!   in its window, everything already buffered is answered, a
 //!   `GoingAway` farewell is written, and stragglers are force-severed at
 //!   `drain_deadline`;
-//! * each connection queues whole answer frames; a flushed one's buffer
+//! * a request is one [`Frame`] from socket read to socket write: each
+//!   connection queues whole answer frames, and a flushed one's buffer
 //!   goes back to the frame assemblers through a free list that keeps at
-//!   most 8 buffers of 64 KiB to 4 MiB each, so a steady stream of batches
-//!   allocates no frame.
+//!   most 8 buffers of 64 KiB to 4 MiB each, and only in place of buffers
+//!   the assemblers handed on with their frames, so a steady stream of
+//!   batches allocates no frame.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -71,13 +72,8 @@ use std::time::{Duration, Instant};
 
 use polling::{Event, Interest, Poller};
 
-use crate::server::{
-    answer_on_loop, answer_request, refuse, serve_batch, DrainReport, Shared, WRITE_TIMEOUT,
-};
-use crate::wire::{
-    AnswerFrame, FrameAssembler, NextFrame, Opcode, OwnedFrame, Request, Response, WireError,
-    WireResult, FREE_FRAME_MAX,
-};
+use crate::server::{answer_on_loop, refuse, serve, DrainReport, Shared, WRITE_TIMEOUT};
+use crate::wire::{Frame, FrameAssembler, Opcode, Response, WireError, FREE_FRAME_MAX, MIN_READ};
 use crate::CODE_UNAVAILABLE;
 
 const LISTENER_KEY: usize = 0;
@@ -87,60 +83,12 @@ const CONN_KEY_BASE: u64 = 2;
 
 /// Flushed frame buffers the free list keeps, at most.
 const FREE_FRAMES: usize = 8;
-/// The smallest buffer worth keeping: smaller frames cost little to
-/// allocate.
-const FREE_FRAME_MIN: usize = 64 * 1024;
 
-/// A request extracted on the event loop, waiting for a worker.
+/// A request extracted on the event loop, as the frame it was read into.
 struct Inbound {
     /// When the frame was extracted, for the queue-wait deadline.
     arrival: Instant,
-    request: InboundRequest,
-}
-
-enum InboundRequest {
-    /// A checked `Transform` or `Invert` frame, still encoded: a worker
-    /// releases its rows inside it and rewrites it into the answer.
-    Batch(OwnedFrame),
-    /// Any other request, decoded on the event loop, or why its
-    /// well-framed body did not decode (answered with a typed error; the
-    /// connection stays open).
-    Decoded {
-        request_id: u64,
-        request: WireResult<Request>,
-    },
-}
-
-impl Inbound {
-    /// Takes an extracted frame: a batch frame as it is, anything else
-    /// decoded. Any `GoingAway` frame is a goodbye, whatever its body
-    /// holds.
-    fn new(next: NextFrame<'_>) -> Inbound {
-        let request = match next {
-            NextFrame::Batch(frame) => InboundRequest::Batch(frame),
-            NextFrame::View(view) => InboundRequest::Decoded {
-                request_id: view.request_id,
-                request: match view.opcode {
-                    Opcode::GoingAway => Ok(Request::Goodbye),
-                    _ => Request::from_view(view),
-                },
-            },
-        };
-        Inbound {
-            arrival: Instant::now(),
-            request,
-        }
-    }
-
-    fn is_goodbye(&self) -> bool {
-        matches!(
-            self.request,
-            InboundRequest::Decoded {
-                request: Ok(Request::Goodbye),
-                ..
-            }
-        )
-    }
+    frame: Frame,
 }
 
 /// A request on its way to the worker pool.
@@ -152,39 +100,49 @@ struct Job {
 /// An answer frame on its way back to the event loop.
 struct Completion {
     conn_id: u64,
-    frame: AnswerFrame,
+    frame: Frame,
 }
 
 /// Frame buffers the event loop has flushed, on their way back to the
 /// frame assemblers: at most [`FREE_FRAMES`] of them, each of
-/// [`FREE_FRAME_MIN`] to [`FREE_FRAME_MAX`] bytes. A batch frame leaves
-/// with its assembler's buffer and comes back as its answer, so a steady
-/// stream of batches allocates no frame.
+/// [`MIN_READ`] to [`FREE_FRAME_MAX`] bytes. A frame of a read or more
+/// leaves with its assembler's buffer and comes back as its answer, so a
+/// steady stream of batches allocates no frame. A buffer is kept only in
+/// place of one an assembler handed on: an answer that outgrew a small
+/// request's buffer would otherwise settle in the free list, and the
+/// assemblers would grow it to their frames' size.
 #[derive(Default)]
 struct FrameBuffers {
     free: Vec<Vec<u8>>,
+    /// Buffers the assemblers have handed on with their frames and not
+    /// had back.
+    lent: usize,
 }
 
 impl FrameBuffers {
-    /// A free buffer, or an empty one.
+    /// A buffer for an assembler whose own left with a frame: a free
+    /// one, or an empty one.
     fn take(&mut self) -> Vec<u8> {
+        self.lent += 1;
         self.free.pop().unwrap_or_default()
     }
 
-    /// Takes a flushed frame's buffer back, keeping it within the bounds.
-    fn recycle(&mut self, frame: AnswerFrame) {
+    /// Takes a flushed frame's buffer back in place of a lent one,
+    /// keeping it within the bounds.
+    fn recycle(&mut self, frame: Frame) {
         let buf = frame.into_buffer();
-        if (FREE_FRAME_MIN..=FREE_FRAME_MAX).contains(&buf.capacity())
-            && self.free.len() < FREE_FRAMES
-        {
+        if buf.capacity() < MIN_READ || self.lent == 0 {
+            return;
+        }
+        self.lent -= 1;
+        if buf.capacity() <= FREE_FRAME_MAX && self.free.len() < FREE_FRAMES {
             self.free.push(buf);
         }
     }
 }
 
-/// One worker: a batch frame is served in place; any other request goes
-/// deadline check → request engine → encode. Exits when the job channel
-/// closes (the event loop exited).
+/// One worker: each frame is answered inside its own buffer by
+/// [`serve`]. Exits when the job channel closes (the event loop exited).
 fn run_worker(
     shared: Arc<Shared>,
     jobs: Arc<StdMutex<mpsc::Receiver<Job>>>,
@@ -199,18 +157,7 @@ fn run_worker(
         let Ok(Job { conn_id, inbound }) = job else {
             return;
         };
-        let frame = match inbound.request {
-            InboundRequest::Batch(frame) => serve_batch(&shared, frame, inbound.arrival),
-            InboundRequest::Decoded {
-                request_id,
-                request,
-            } => {
-                let mut frame = Vec::new();
-                answer_request(&shared, request, inbound.arrival)
-                    .encode_into(request_id, &mut frame);
-                AnswerFrame::whole(frame)
-            }
-        };
+        let frame = serve(&shared, inbound.frame, inbound.arrival);
         completions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -233,7 +180,7 @@ struct Conn {
     in_worker: bool,
     /// Whole answer frames in answer order; the front one is written
     /// from `out_at` on.
-    outq: VecDeque<AnswerFrame>,
+    outq: VecDeque<Frame>,
     out_at: usize,
     /// When the peer last sent a byte or took a whole answer: the silence
     /// timers count from here.
@@ -296,12 +243,10 @@ impl Conn {
         }
     }
 
-    /// Queues an answer the event loop makes itself (framing errors,
-    /// pings, the hub's bookkeeping), encoded into a fresh buffer.
-    fn queue_response(&mut self, request_id: u64, response: &Response) {
-        let mut frame = Vec::new();
-        response.encode_into(request_id, &mut frame);
-        self.outq.push_back(AnswerFrame::whole(frame));
+    /// Queues the answer to a framing error, which has no request frame
+    /// to answer into, encoded into a fresh buffer.
+    fn queue_response(&mut self, response: &Response) {
+        self.outq.push_back(response.to_frame());
     }
 
     /// What the connection holds against its in-flight window: extracted
@@ -548,12 +493,15 @@ impl Reactor {
 
     /// Extracts complete frames from the assembler into the inbox,
     /// honouring the window bound and the error-recoverability contract. A
-    /// batch frame that takes the assembler's buffer leaves it a free one.
+    /// frame that takes the assembler's buffer leaves it a free one.
     fn extract_frames(conn: &mut Conn, window: usize, buffers: &mut FrameBuffers) {
         while conn.pending() < window && !conn.parse_dead {
             let item = match conn.asm.next_request(|| buffers.take()) {
                 None => break,
-                Some(next) => next.map(Inbound::new),
+                Some(next) => next.map(|frame| Inbound {
+                    arrival: Instant::now(),
+                    frame,
+                }),
             };
             match item {
                 Ok(inbound) => conn.inbox.push_back(Ok(inbound)),
@@ -646,7 +594,9 @@ impl Reactor {
                     break;
                 };
                 let inbound = match item {
-                    Ok(inbound) if inbound.is_goodbye() => {
+                    // Any `GoingAway` frame is a goodbye, whatever its body
+                    // holds.
+                    Ok(inbound) if inbound.frame.opcode == Opcode::GoingAway => {
                         // A clean departure: no response owed, no error
                         // frame, nothing after it served.
                         conn.count_disconnect(runtime);
@@ -656,50 +606,32 @@ impl Reactor {
                         conn.begin_close();
                         break;
                     }
-                    Ok(Inbound {
-                        arrival,
-                        request:
-                            InboundRequest::Decoded {
-                                request_id,
-                                request,
-                            },
-                    }) => match answer_on_loop(&self.shared, request, arrival) {
-                        Ok(response) => {
-                            conn.queue_response(request_id, &response);
-                            continue;
+                    Ok(Inbound { arrival, frame }) => {
+                        match answer_on_loop(&self.shared, frame, arrival) {
+                            Ok(answer) => {
+                                conn.outq.push_back(answer);
+                                continue;
+                            }
+                            Err(frame) => Inbound { arrival, frame },
                         }
-                        Err(request) => Inbound {
-                            arrival,
-                            request: InboundRequest::Decoded {
-                                request_id,
-                                request: Ok(request),
-                            },
-                        },
-                    },
-                    Ok(batch) => batch,
+                    }
                     Err(e) => {
                         runtime.malformed.fetch_add(1, Ordering::Relaxed);
                         if matches!(e, WireError::UnsupportedVersion { .. }) {
                             // Consumed whole (CRC before version): answer
                             // the typed rejection and keep serving.
-                            conn.queue_response(
-                                0,
-                                &Response::Error {
-                                    code: 4,
-                                    message: e.to_string(),
-                                },
-                            );
+                            conn.queue_response(&Response::Error {
+                                code: 4,
+                                message: e.to_string(),
+                            });
                             continue;
                         }
                         // Malformed frame, mid-frame EOF, or stall: answer
                         // once (best-effort) and close after the flush.
-                        conn.queue_response(
-                            0,
-                            &Response::Error {
-                                code: 4,
-                                message: format!("malformed frame: {e}"),
-                            },
-                        );
+                        conn.queue_response(&Response::Error {
+                            code: 4,
+                            message: format!("malformed frame: {e}"),
+                        });
                         conn.inbox.clear();
                         conn.parse_dead = true;
                         conn.begin_close();
@@ -1032,6 +964,32 @@ mod tests {
         )
     }
 
+    /// A `Ping` answered inside its own frame, whose body of `body_len`
+    /// bytes sized the buffer.
+    fn answer_in(body_len: usize) -> Frame {
+        Frame::new(Opcode::Ping, vec![0; body_len]).answer(&Response::Pong)
+    }
+
+    #[test]
+    fn flushed_buffers_are_kept_only_in_place_of_lent_ones() {
+        let mut buffers = FrameBuffers::default();
+        // Nothing lent: a buffer in range is freed.
+        buffers.recycle(answer_in(MIN_READ));
+        assert!(buffers.free.is_empty());
+        // Two buffers lent with their frames: a small one settles nothing,
+        // two in range come back, and a third is freed.
+        assert!(buffers.take().is_empty() && buffers.take().is_empty());
+        buffers.recycle(answer_in(0));
+        for _ in 0..3 {
+            buffers.recycle(answer_in(MIN_READ));
+        }
+        assert_eq!((buffers.free.len(), buffers.lent), (2, 0));
+        assert!(buffers.take().capacity() >= MIN_READ);
+        // One too large to keep settles its debt all the same.
+        buffers.recycle(answer_in(FREE_FRAME_MAX));
+        assert_eq!((buffers.free.len(), buffers.lent), (1, 0));
+    }
+
     /// Answers the peer has not taken fill the window: the partial frame
     /// behind them is no stall and a drain waits, but a peer that takes
     /// no answer for `idle_timeout` is reaped, and a whole answer taken
@@ -1046,7 +1004,7 @@ mod tests {
         });
         let fill = |conn: &mut Conn, silent: Duration| {
             while conn.pending() < 2 {
-                conn.outq.push_back(AnswerFrame::whole(vec![0; 16]));
+                conn.outq.push_back(Response::Pong.to_frame());
             }
             conn.last_progress_at = ago(silent);
         };
@@ -1081,10 +1039,7 @@ mod tests {
         busy.in_worker = true;
         busy.inbox.push_back(Ok(Inbound {
             arrival: Instant::now(),
-            request: InboundRequest::Decoded {
-                request_id: 1,
-                request: Ok(Request::Ping),
-            },
+            frame: crate::wire::Request::Ping.to_frame().with_request_id(1),
         }));
         busy.last_progress_at = ago(Duration::from_secs(1));
 

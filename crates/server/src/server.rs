@@ -1,9 +1,9 @@
 //! The TCP server: the [`Server`] front door, its configuration, and the
-//! request engine — what the event loop in [`crate::reactor`] answers
-//! itself (`answer_on_loop`: pings, the federation hub's bookkeeping,
-//! undecodable bodies and stale requests) and what it runs on its worker
-//! pool (everything else) — plus the fault-tolerance layer: deadlines, an
-//! idle reaper, a connection cap, and graceful drain.
+//! request engine, which answers every request inside the frame it was
+//! read into — on the event loop in [`crate::reactor`] for pings and the
+//! federation hub's bookkeeping (`answer_on_loop`), on its worker pool for
+//! everything else (`serve`) — plus the fault-tolerance layer: deadlines,
+//! an idle reaper, a connection cap, and graceful drain.
 //!
 //! Fault containment is the design center, mirroring the codec's
 //! reject-don't-crash contract at the connection level:
@@ -62,9 +62,7 @@ use rbt_protocol::{FederationConfig, FederationHub, Message as FedMessage, Proto
 use crate::keystore::KeyStore;
 use crate::reactor::{self, ReactorHandle};
 use crate::registry::{ServerError, SessionRegistry};
-use crate::wire::{
-    AnswerFrame, BatchRequest, Opcode, OwnedFrame, Request, Response, WireError, WireResult,
-};
+use crate::wire::{BatchRequest, Frame, Opcode, Request, Response, WireError};
 
 /// Socket write timeout for responses and refusal frames.
 pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -111,10 +109,10 @@ pub struct ServerConfig {
     /// with a typed `Error` (code 8) frame.
     pub max_conns: usize,
     /// Queue-wait budget for data-plane requests (`LoadKey`, `Transform`,
-    /// `Invert`, `ReloadKeys`).
+    /// `Invert`, `ReloadKeys`, `FedOpen`, `FedMsg`).
     pub data_deadline: Duration,
     /// Queue-wait budget for control-plane requests (`Ping`, `Stats`,
-    /// `EvictTenant`).
+    /// `EvictTenant`, `FedResult`, `FedClose`).
     pub control_deadline: Duration,
     /// Key store backing the `ReloadKeys` opcode; without one the opcode
     /// answers with a capability error.
@@ -240,75 +238,71 @@ fn bad_body(e: &WireError) -> Response {
     }
 }
 
-/// Answers a request decoded from a frame that arrived at `arrival`: a
-/// valid frame with an undecodable body is refused with a typed error
-/// (framing is intact, so the connection stays), a request past its
-/// deadline is shed, and anything else is served.
-pub(crate) fn answer_request(
-    shared: &Shared,
-    request: WireResult<Request>,
-    arrival: Instant,
-) -> Response {
-    match request {
-        Err(e) => bad_body(&e),
-        Ok(request) => shed(shared, request.opcode(), arrival)
-            .unwrap_or_else(|| process_request(shared, request)),
-    }
-}
-
-/// Answers, on the event loop, a request decoded from a frame that
+/// Answers, on the event loop and inside the frame, a request that
 /// arrived at `arrival` when its work is proportional to the bytes it
-/// moves: an undecodable body and a request past its deadline as
-/// [`answer_request`] answers them, a `Ping`, and the hub's bookkeeping —
-/// `FedOpen`, `FedResult`, `FedClose` and a `FedMsg` that delivers no
-/// message — while no worker holds the hub. Anything else comes back
-/// unchanged for the worker pool: a batch, `LoadKey`, `ReloadKeys`,
+/// moves: a `Ping`, and the hub's bookkeeping — `FedOpen`, `FedResult`,
+/// `FedClose` and a `FedMsg` poll — while no worker holds the hub. Those
+/// are decoded here; a body that does not decode and a request past its
+/// deadline are answered as [`serve`] answers them. Any other frame comes
+/// back undecoded for the worker pool: a batch, `LoadKey`, `ReloadKeys`,
 /// `Stats` and `EvictTenant` (the registry lock, held across a key decode
 /// on an LRU miss), a `FedMsg` that delivers messages (a party's state
 /// machine, which may run the receiver's clustering), and bookkeeping
 /// that finds the hub held. The loop never waits on a lock.
 pub(crate) fn answer_on_loop(
     shared: &Shared,
-    request: WireResult<Request>,
+    frame: Frame,
     arrival: Instant,
-) -> Result<Response, Request> {
-    let request = match request {
-        Ok(request) => request,
-        Err(e) => return Ok(bad_body(&e)),
-    };
-    if let Some(stale) = shed(shared, request.opcode(), arrival) {
-        return Ok(stale);
-    }
-    let bookkeeping = match &request {
-        Request::Ping => return Ok(Response::Pong),
-        Request::FedMsg { messages, .. } => messages.is_empty(),
-        Request::FedOpen { .. } | Request::FedResult { .. } | Request::FedClose { .. } => true,
+) -> Result<Frame, Frame> {
+    let on_loop = match frame.opcode {
+        Opcode::Ping | Opcode::FedOpen | Opcode::FedResult | Opcode::FedClose => true,
+        Opcode::FedMsg => Request::is_fed_poll(frame.view()),
         _ => false,
     };
-    if !bookkeeping {
-        return Err(request);
+    if !on_loop {
+        return Err(frame);
     }
-    match shared.hub.try_lock() {
-        Some(mut hub) => Ok(serve_federation(&mut hub, request)),
-        None => Err(request),
+    let request = match Request::from_view(frame.view()) {
+        Ok(request) => request,
+        Err(e) => return Ok(frame.answer(&bad_body(&e))),
+    };
+    let response = match shed(shared, request.opcode(), arrival) {
+        Some(stale) => stale,
+        None if matches!(request, Request::Ping) => Response::Pong,
+        None => match shared.hub.try_lock() {
+            Some(mut hub) => serve_federation(&mut hub, request),
+            None => return Err(frame),
+        },
+    };
+    Ok(frame.answer(&response))
+}
+
+/// Answers, on a worker and inside the frame, a request that arrived at
+/// `arrival`. A `Transform` or `Invert` for an RBT session of its width is
+/// released inside the frame through the session's row kernels, and the
+/// frame is rewritten into the answer: the rows are never copied into a
+/// matrix or out of one. Anything else is decoded from the frame: a body
+/// that does not decode is refused with a typed error (framing is intact,
+/// so the connection stays), a request past its deadline is shed, and the
+/// rest is served by [`process_request`].
+pub(crate) fn serve(shared: &Shared, frame: Frame, arrival: Instant) -> Frame {
+    match BatchRequest::parse(frame) {
+        Ok(batch) => serve_batch(shared, batch, arrival),
+        Err(frame) => {
+            let response = match Request::from_view(frame.view()) {
+                Ok(request) => shed(shared, request.opcode(), arrival)
+                    .unwrap_or_else(|| process_request(shared, request)),
+                Err(e) => bad_body(&e),
+            };
+            frame.answer(&response)
+        }
     }
 }
 
-/// Answers an owned `Transform` or `Invert` frame that arrived at
-/// `arrival`, in the frame's own buffer. A batch for an RBT session of its
-/// width is released inside the frame through the session's row kernels,
-/// and the frame is rewritten into the answer: the rows are never copied
-/// into a matrix or out of one. Anything else — a body that does not
-/// parse, an unknown tenant, another method, another width — is decoded
-/// from the frame and answered as [`answer_request`] answers it.
-pub(crate) fn serve_batch(shared: &Shared, frame: OwnedFrame, arrival: Instant) -> AnswerFrame {
-    let mut batch = match BatchRequest::parse(frame) {
-        Ok(batch) => batch,
-        Err(frame) => {
-            let response = answer_request(shared, Request::from_view(frame.view()), arrival);
-            return frame.answer(&response);
-        }
-    };
+/// [`serve`] for a parsed batch: shed if stale, released inside its frame
+/// when the tenant's session is RBT of the batch's width, and otherwise
+/// decoded and served by [`process_request`].
+fn serve_batch(shared: &Shared, mut batch: BatchRequest, arrival: Instant) -> Frame {
     if let Some(stale) = shed(shared, batch.opcode(), arrival) {
         return batch.into_frame().answer(&stale);
     }
@@ -322,7 +316,7 @@ pub(crate) fn serve_batch(shared: &Shared, frame: OwnedFrame, arrival: Instant) 
         let frame = batch.into_frame();
         let response = match Request::from_view(frame.view()) {
             Ok(request) => process_request(shared, request),
-            Err(e) => answer_request(shared, Err(e), arrival),
+            Err(e) => bad_body(&e),
         };
         return frame.answer(&response);
     };
@@ -676,10 +670,28 @@ mod tests {
         ]
     }
 
+    fn frame(request: &Request) -> Frame {
+        request.to_frame().with_request_id(42)
+    }
+
     fn encoded(response: &Response) -> Vec<u8> {
         let mut frame = Vec::new();
         response.encode_into(42, &mut frame);
         frame
+    }
+
+    /// Well-framed bodies that do not decode, under each opcode the loop
+    /// decodes.
+    fn undecodable() -> Vec<Frame> {
+        [
+            (Opcode::Ping, vec![1]),
+            (Opcode::FedOpen, vec![1, 2]),
+            (Opcode::FedResult, vec![0; 7]),
+            (Opcode::FedClose, vec![0; 9]),
+        ]
+        .into_iter()
+        .map(|(opcode, body)| Frame::new(opcode, body).with_request_id(42))
+        .collect()
     }
 
     #[test]
@@ -687,18 +699,31 @@ mod tests {
         let (on_loop, on_worker) = (shared(), shared());
         for request in bookkeeping() {
             let what = format!("{request:?}");
-            let answer = answer_on_loop(&on_loop, Ok(request.clone()), Instant::now())
+            let answer = answer_on_loop(&on_loop, frame(&request), Instant::now())
                 .unwrap_or_else(|_| panic!("{what}: given back with the hub free"));
             let served = process_request(&on_worker, request);
-            assert_eq!(encoded(&answer), encoded(&served), "{what}");
+            assert_eq!(answer.as_bytes(), encoded(&served), "{what}");
         }
-        let undecodable = WireError::Byte(rbt_linalg::codec::DecodeError::Malformed {
-            offset: 3,
-            message: "a short tenant".to_string(),
-        });
-        let answer = answer_on_loop(&on_loop, Err(undecodable.clone()), Instant::now()).unwrap();
-        let served = answer_request(&on_worker, Err(undecodable), Instant::now());
-        assert_eq!(encoded(&answer), encoded(&served), "an undecodable body");
+        for frame in undecodable() {
+            let what = format!("{frame:?}");
+            let answer = answer_on_loop(&on_loop, frame.clone(), Instant::now())
+                .unwrap_or_else(|_| panic!("{what}: given back"));
+            let e = Request::from_frame(&frame).unwrap_err();
+            assert_eq!(answer.as_bytes(), encoded(&bad_body(&e)), "{what}");
+        }
+    }
+
+    #[test]
+    fn the_loop_answers_a_frame_as_a_worker_would() {
+        let (on_loop, on_worker) = (shared(), shared());
+        let requests = bookkeeping();
+        for frame in requests.iter().map(frame).chain(undecodable()) {
+            let what = format!("{frame:?}");
+            let answer = answer_on_loop(&on_loop, frame.clone(), Instant::now())
+                .unwrap_or_else(|_| panic!("{what}: given back with the hub free"));
+            let served = serve(&on_worker, frame, Instant::now());
+            assert_eq!(answer.as_bytes(), served.as_bytes(), "{what}");
+        }
     }
 
     #[test]
@@ -706,10 +731,12 @@ mod tests {
         let shared = shared();
         let _held = shared.hub.lock();
         for request in bookkeeping() {
-            let answer = answer_on_loop(&shared, Ok(request.clone()), Instant::now());
-            match request {
-                Request::Ping => assert_eq!(answer, Ok(Response::Pong)),
-                request => assert_eq!(answer, Err(request)),
+            match answer_on_loop(&shared, frame(&request), Instant::now()) {
+                Ok(answer) if request == Request::Ping => {
+                    assert_eq!(answer.as_bytes(), encoded(&Response::Pong))
+                }
+                Err(back) => assert_eq!(back, frame(&request), "{request:?}"),
+                Ok(answer) => panic!("{request:?} answered on the loop: {answer:?}"),
             }
         }
     }
@@ -720,14 +747,16 @@ mod tests {
         for hub_held in [false, true] {
             let _held = hub_held.then(|| shared.hub.lock());
             for request in worker_requests() {
-                let answer = answer_on_loop(&shared, Ok(request.clone()), Instant::now());
-                assert_eq!(answer, Err(request), "hub held: {hub_held}");
+                let answer = answer_on_loop(&shared, frame(&request), Instant::now());
+                assert_eq!(answer, Err(frame(&request)), "hub held: {hub_held}");
             }
         }
     }
 
+    /// The loop sheds a stale request it would answer; a stale request
+    /// for a worker goes to the worker, which sheds it.
     #[test]
-    fn the_loop_sheds_a_request_past_its_deadline() {
+    fn a_request_past_its_deadline_is_shed() {
         let shared = shared();
         let arrival = Instant::now()
             .checked_sub(shared.config.data_deadline + Duration::from_secs(1))
@@ -735,12 +764,20 @@ mod tests {
         let _held = shared.hub.lock();
         for request in worker_requests().into_iter().chain(bookkeeping()) {
             let what = format!("{request:?}");
-            match answer_on_loop(&shared, Ok(request), arrival) {
+            let answer = match answer_on_loop(&shared, frame(&request), arrival) {
+                Ok(answer) => {
+                    assert!(!worker_requests().contains(&request), "{what} on the loop");
+                    answer
+                }
+                Err(frame) => serve(&shared, frame, arrival),
+            };
+            match Response::from_frame(&answer) {
                 Ok(Response::Deadline { budget_ms, .. }) => {
                     assert!(budget_ms <= shared.config.data_deadline.as_millis() as u64)
                 }
                 other => panic!("{what}: expected a Deadline answer, got {other:?}"),
             }
+            assert_eq!(answer.request_id, 42, "{what}");
         }
     }
 }

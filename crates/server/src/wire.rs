@@ -27,24 +27,23 @@
 //! version is reported as [`WireError::UnsupportedVersion`] rather than as
 //! corruption, while any flipped byte anywhere in the frame trips the CRC.
 //!
-//! **One encoder, one validator.** Every frame is written by one encoder:
-//! `Request::encode_into` and `Response::encode_into` write header,
-//! request id, body and CRC-32 trailer in one pass into a caller's buffer
-//! (the client keeps one per connection). Every frame is checked by one
-//! in-place validator — CRC, then version, then opcode — that
-//! [`FrameAssembler`], [`read_frame`] and [`decode_frame`] share. The
-//! daemon reads a socket straight into its [`FrameAssembler`] and decodes
-//! most requests from a borrowed view of the assembler's buffer. A
-//! `Transform` or `Invert` frame it takes whole instead: its rows are
-//! released inside the frame, and `BatchRequest` rewrites the frame in
-//! place into the bytes `Response::encode_into` writes for the answer, so
-//! the daemon never copies a served batch's rows.
-//! [`read_frame`] keeps the bytes it read as the frame, so the client
-//! copies a response's rows only when it decodes them. The owned
-//! [`Frame`] and its helpers — [`Frame::new`], `to_frame`, `from_frame`,
-//! [`encode_frame`], [`decode_frame`], [`write_frame`] and
-//! [`FrameAssembler::push`]/[`next_frame`](FrameAssembler::next_frame) —
-//! are thin wrappers over the two for tests and tools.
+//! **One encoder, one validator, one frame.** Every frame is written by
+//! one encoder: `Request::encode_into` and `Response::encode_into` write
+//! header, request id, body and CRC-32 trailer in one pass into a
+//! caller's buffer (the client keeps one per connection). Every frame is
+//! checked by one in-place validator — CRC, then version, then opcode —
+//! that [`FrameAssembler`], [`read_frame`] and [`decode_frame`] share.
+//! A [`Frame`] is one whole encoded frame at the tail of its buffer, the
+//! bytes as they travel. The daemon reads a socket straight into its
+//! [`FrameAssembler`] and takes every checked request out of it as a
+//! `Frame`, answers it inside that frame's own buffer, and writes the
+//! answer from there. A `Transform` or `Invert` is released inside its
+//! frame: `BatchRequest` rewrites the frame in place into the bytes
+//! `Response::encode_into` writes for the answer, so the daemon never
+//! copies a served batch's rows. [`read_frame`] keeps the bytes it read as
+//! the frame, so the client copies a response's rows only when it decodes
+//! them. [`Frame::new`], `to_frame`, [`encode_frame`] and [`write_frame`]
+//! build and write whole frames for tests and tools.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -71,9 +70,13 @@ pub const REQUEST_ID_LEN: usize = 8;
 /// field cannot drive the server out of memory.
 pub const MAX_BODY_LEN: u32 = 64 * 1024 * 1024;
 
-/// What `FrameAssembler::read_from` reads when no frame is in progress:
-/// several small frames, or the head of a large one.
-const MIN_READ: usize = 64 * 1024;
+/// One read (64 KiB): what `FrameAssembler::read_from` reads when no
+/// frame is in progress — several small frames, or the head of a large
+/// one. A frame at least this long leaves the assembler with its buffer,
+/// and the daemon keeps flushed buffers no shorter than this; a shorter
+/// frame is copied into a buffer of its own size, which costs little to
+/// allocate.
+pub(crate) const MIN_READ: usize = 64 * 1024;
 
 /// Bytes a `Transform` answer's drift count adds to the frame of its
 /// request, whose tenant field (at least 4 bytes) the answer drops. The
@@ -257,82 +260,116 @@ fn malformed(offset: usize, message: impl Into<String>) -> WireError {
 }
 
 /// A validated frame borrowed from the buffer it was read into: opcode,
-/// request id, and body. [`Request::from_view`] decodes it without
-/// copying the body first.
+/// request id, and the whole frame's bytes. [`Request::from_view`] decodes
+/// it without copying the body first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FrameView<'a> {
     /// The frame opcode.
     pub(crate) opcode: Opcode,
     /// The request id (0 for unsolicited frames).
     pub(crate) request_id: u64,
-    /// The opcode-specific body (request-id prefix already stripped).
-    pub(crate) body: &'a [u8],
+    /// The whole encoded frame: header, request id, body and CRC trailer.
+    pub(crate) bytes: &'a [u8],
 }
 
-/// An owned frame: opcode, request id, and body bytes. The body is
+impl<'a> FrameView<'a> {
+    /// The opcode-specific body (request-id prefix already stripped).
+    pub(crate) fn body(&self) -> &'a [u8] {
+        &self.bytes[HEADER_LEN + REQUEST_ID_LEN..self.bytes.len() - TRAILER_LEN]
+    }
+}
+
+/// One whole encoded frame — header, request id, body and CRC-32 trailer —
+/// at the tail of the buffer it was read or encoded into. The body is
 /// interpreted by [`Request::from_frame`] / [`Response::from_frame`]; the
 /// request id is echoed by the server so clients can match a response to
-/// its request across reconnects. Two frames are equal when their opcode,
-/// request id and body are.
+/// its request across reconnects. The daemon answers a request inside its
+/// frame's own buffer. Two frames are equal when their opcode, request id
+/// and body are.
 #[derive(Clone)]
 pub struct Frame {
-    /// The frame opcode.
+    /// The frame opcode, as its header declares it.
     pub opcode: Opcode,
-    /// The request id (0 for unsolicited frames: farewells, refusals, and
-    /// framing errors).
+    /// The request id the frame carries (0 for unsolicited frames:
+    /// farewells, refusals, and framing errors); set it with
+    /// [`Frame::with_request_id`].
     pub request_id: u64,
-    /// Where the body lives: a bare body ([`Frame::new`]) or a whole
-    /// encoded frame kept as it was read or written ([`read_frame`],
-    /// `to_frame`), so the body is never copied out of it.
+    /// `bytes[start..]` is the frame; the bytes before `start` are what a
+    /// buffer rewritten in place left over, and the capacity past its end
+    /// is room for the frame's answer to grow into.
     bytes: Vec<u8>,
-    body: Range<usize>,
+    start: usize,
 }
 
 impl Frame {
-    /// A frame with the given opcode and body, request id 0.
+    /// Encodes a frame with the given opcode and body, request id 0.
     pub fn new(opcode: Opcode, body: Vec<u8>) -> Frame {
-        Frame {
-            opcode,
-            request_id: 0,
-            body: 0..body.len(),
-            bytes: body,
-        }
+        let mut bytes = Vec::new();
+        encode_with(&mut bytes, opcode, 0, body.len(), |w| w.put_bytes(&body));
+        Frame::from_encoded(bytes, 0, opcode, 0)
     }
 
-    /// Takes ownership of one whole, validated encoded frame.
-    fn from_encoded(bytes: Vec<u8>, opcode: Opcode, request_id: u64) -> Frame {
-        let body = HEADER_LEN + REQUEST_ID_LEN..bytes.len() - TRAILER_LEN;
+    /// Takes ownership of one whole, validated encoded frame,
+    /// `bytes[start..]`.
+    fn from_encoded(bytes: Vec<u8>, start: usize, opcode: Opcode, request_id: u64) -> Frame {
         Frame {
             opcode,
             request_id,
             bytes,
-            body,
+            start,
         }
     }
 
-    /// An owned copy of a borrowed frame.
+    /// An owned copy of a borrowed frame, with room past it for the
+    /// daemon to rewrite a batch into its answer.
     fn from_view(view: FrameView<'_>) -> Frame {
-        Frame::new(view.opcode, view.body.to_vec()).with_request_id(view.request_id)
+        let mut bytes = Vec::with_capacity(view.bytes.len() + DRIFT_LEN);
+        bytes.extend_from_slice(view.bytes);
+        Frame::from_encoded(bytes, 0, view.opcode, view.request_id)
     }
 
-    /// The same frame carrying `id` as its request id.
+    /// The same frame carrying `id` as its request id, with the CRC
+    /// trailer that covers it.
     pub fn with_request_id(mut self, id: u64) -> Frame {
+        let at = self.start + HEADER_LEN;
+        self.bytes[at..at + REQUEST_ID_LEN].copy_from_slice(&id.to_le_bytes());
+        let crc_at = self.bytes.len() - TRAILER_LEN;
+        let crc = crc32(&self.bytes[self.start..crc_at]);
+        self.bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
         self.request_id = id;
         self
     }
 
     /// The opcode-specific body (request-id prefix already stripped).
     pub fn body(&self) -> &[u8] {
-        &self.bytes[self.body.clone()]
+        self.view().body()
     }
 
     /// The frame as a borrowed view.
-    fn view(&self) -> FrameView<'_> {
+    pub(crate) fn view(&self) -> FrameView<'_> {
         FrameView {
             opcode: self.opcode,
             request_id: self.request_id,
-            body: self.body(),
+            bytes: self.as_bytes(),
         }
+    }
+
+    /// The whole encoded frame.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes[self.start..]
+    }
+
+    /// Encodes `response`, echoing the frame's request id, into the
+    /// frame's own buffer in place of the frame.
+    pub(crate) fn answer(self, response: &Response) -> Frame {
+        let mut bytes = self.bytes;
+        response.encode_into(self.request_id, &mut bytes);
+        Frame::from_encoded(bytes, 0, response.opcode(), self.request_id)
+    }
+
+    /// The buffer the frame lives in, for reuse.
+    pub(crate) fn into_buffer(self) -> Vec<u8> {
+        self.bytes
     }
 }
 
@@ -396,15 +433,10 @@ fn frame_head(opcode: Opcode, body_len: u32, request_id: u64) -> [u8; HEADER_LEN
     head
 }
 
-/// Encodes a frame into a self-contained byte buffer (header + request-id
-/// prefix + body + CRC-32 trailer), always at [`WIRE_VERSION`].
+/// A copy of a frame's encoded bytes (header + request-id prefix + body +
+/// CRC-32 trailer), always at [`WIRE_VERSION`].
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let body = frame.body();
-    encode_with(&mut buf, frame.opcode, frame.request_id, body.len(), |w| {
-        w.put_bytes(body)
-    });
-    buf
+    frame.as_bytes().to_vec()
 }
 
 /// Header fields once magic and the length bound have been validated.
@@ -480,13 +512,12 @@ fn check_frame<'a>(frame: &'a [u8], header: &RawHeader) -> WireResult<FrameView<
             ),
         ));
     }
-    let body_start = HEADER_LEN + REQUEST_ID_LEN;
     let mut id_bytes = [0u8; REQUEST_ID_LEN];
-    id_bytes.copy_from_slice(&frame[HEADER_LEN..body_start]);
+    id_bytes.copy_from_slice(&frame[HEADER_LEN..HEADER_LEN + REQUEST_ID_LEN]);
     Ok(FrameView {
         opcode,
         request_id: u64::from_le_bytes(id_bytes),
-        body: &frame[body_start..crc_end],
+        bytes: frame,
     })
 }
 
@@ -567,7 +598,7 @@ pub fn read_frame<R: Read>(stream: &mut R) -> WireResult<Option<Frame>> {
     }
     let view = check_frame(&bytes, &parsed)?;
     let (opcode, request_id) = (view.opcode, view.request_id);
-    Ok(Some(Frame::from_encoded(bytes, opcode, request_id)))
+    Ok(Some(Frame::from_encoded(bytes, 0, opcode, request_id)))
 }
 
 /// Incremental frame decoder for non-blocking sockets.
@@ -576,10 +607,11 @@ pub fn read_frame<R: Read>(stream: &mut R) -> WireResult<Option<Frame>> {
 /// completes; a readiness-polled connection instead receives bytes in
 /// arbitrary chunks whenever the socket is readable. The daemon reads them
 /// straight into the assembler's own buffer, with room for the rest of
-/// the frame in progress, and takes complete, validated frames as views
-/// into that buffer, or a batch frame with the buffer itself;
-/// [`FrameAssembler::push`] and
-/// [`FrameAssembler::next_frame`] are the copying equivalents. Either way
+/// the frame in progress, and takes each complete, validated frame out
+/// owned: a frame of one read or more with the buffer itself, any other
+/// frame copied into a buffer of its own size; [`FrameAssembler::push`]
+/// and [`FrameAssembler::next_frame`] are the copying feeder and reader
+/// for callers that already hold the bytes. Either way
 /// the validation is exactly [`read_frame`]'s: magic and length bound from
 /// the header, then CRC over the whole frame, then version, then opcode.
 /// A buffer that has held one frame holds the next of the same size
@@ -741,8 +773,8 @@ impl FrameAssembler {
         Some(result)
     }
 
-    /// Yields the next complete frame as an owned copy, `None` if more
-    /// bytes are needed.
+    /// Yields a copy of the next complete frame, `None` if more bytes are
+    /// needed.
     ///
     /// # Errors
     ///
@@ -755,124 +787,37 @@ impl FrameAssembler {
         self.next_view().map(|view| view.map(Frame::from_view))
     }
 
-    /// [`next_view`](Self::next_view) for the daemon, with the same
-    /// validation and errors, except that a checked `Transform` or
-    /// `Invert` frame comes out owned, so a worker can release its rows
-    /// inside it. A frame that ends the pending bytes — as every frame
-    /// larger than one 64 KiB read does, because the read of its rest
-    /// stops at its end — takes the whole buffer, and the assembler goes
-    /// on in `fresh()`. A frame that shared a read with the next one is
-    /// copied out.
+    /// [`next_frame`](Self::next_frame) for the daemon, with the same
+    /// validation and errors, but copying only small frames. A frame of at
+    /// least one 64 KiB read that ends the pending bytes — as every frame
+    /// of that size does, because the read of its rest stops at its end —
+    /// takes the whole buffer, and the assembler goes on in `fresh()`. Any
+    /// other frame is copied into a buffer of its own size, so a small
+    /// request never pins a read's buffer. Either way the frame's buffer
+    /// has room past it for a batch's answer.
     pub(crate) fn next_request(
         &mut self,
         fresh: impl FnOnce() -> Vec<u8>,
-    ) -> Option<WireResult<NextFrame<'_>>> {
-        let pending = self.pending();
-        let batch = pending.len() >= HEADER_LEN
-            && matches!(parse_header(pending), Ok(h) if is_batch_opcode(h.opcode_byte));
-        if !batch {
-            return self.next_view().map(|view| view.map(NextFrame::View));
-        }
+    ) -> Option<WireResult<Frame>> {
         let (opcode, request_id, len) = match self.next_view()? {
-            Ok(view) => (
-                view.opcode,
-                view.request_id,
-                HEADER_LEN + REQUEST_ID_LEN + view.body.len() + TRAILER_LEN,
-            ),
+            Ok(view) => (view.opcode, view.request_id, view.bytes.len()),
             Err(e) => return Some(Err(e)),
         };
         let end = self.start;
-        let (bytes, start) = if end == self.buf.len() {
+        let frame = if len >= MIN_READ && end == self.buf.len() {
             let mut next = fresh();
             next.clear();
             self.start = 0;
-            (std::mem::replace(&mut self.buf, next), end - len)
+            let bytes = std::mem::replace(&mut self.buf, next);
+            Frame::from_encoded(bytes, end - len, opcode, request_id)
         } else {
-            let mut copy = Vec::with_capacity(len + DRIFT_LEN);
-            copy.extend_from_slice(&self.buf[end - len..end]);
-            (copy, 0)
+            Frame::from_view(FrameView {
+                opcode,
+                request_id,
+                bytes: &self.buf[end - len..end],
+            })
         };
-        Some(Ok(NextFrame::Batch(OwnedFrame {
-            bytes,
-            start,
-            opcode,
-            request_id,
-        })))
-    }
-}
-
-/// Whether an opcode byte is `Transform` or `Invert`, the requests that
-/// carry a batch.
-fn is_batch_opcode(byte: u8) -> bool {
-    matches!(
-        Opcode::from_u8(byte),
-        Some(Opcode::Transform | Opcode::Invert)
-    )
-}
-
-/// What [`FrameAssembler::next_request`] yields.
-pub(crate) enum NextFrame<'a> {
-    /// A checked `Transform` or `Invert` frame, owned.
-    Batch(OwnedFrame),
-    /// Any other checked frame, borrowed from the assembler.
-    View(FrameView<'a>),
-}
-
-/// One whole checked frame the daemon owns: `bytes[start..]`, with room
-/// to grow by [`DRIFT_LEN`] bytes when it was read off a socket.
-#[derive(Debug)]
-pub(crate) struct OwnedFrame {
-    bytes: Vec<u8>,
-    start: usize,
-    opcode: Opcode,
-    request_id: u64,
-}
-
-impl OwnedFrame {
-    /// The frame as a borrowed view.
-    pub(crate) fn view(&self) -> FrameView<'_> {
-        FrameView {
-            opcode: self.opcode,
-            request_id: self.request_id,
-            body: &self.bytes
-                [self.start + HEADER_LEN + REQUEST_ID_LEN..self.bytes.len() - TRAILER_LEN],
-        }
-    }
-
-    /// Encodes `response`, echoing the frame's request id, into the
-    /// frame's own buffer in place of the frame.
-    pub(crate) fn answer(self, response: &Response) -> AnswerFrame {
-        let mut buf = self.bytes;
-        response.encode_into(self.request_id, &mut buf);
-        AnswerFrame::whole(buf)
-    }
-}
-
-/// An encoded answer frame, `buf[bytes]`, in a buffer that may hold the
-/// rest of the request it was rewritten from around it.
-#[derive(Debug)]
-pub(crate) struct AnswerFrame {
-    buf: Vec<u8>,
-    bytes: Range<usize>,
-}
-
-impl AnswerFrame {
-    /// A buffer that holds exactly one encoded frame.
-    pub(crate) fn whole(buf: Vec<u8>) -> AnswerFrame {
-        AnswerFrame {
-            bytes: 0..buf.len(),
-            buf,
-        }
-    }
-
-    /// The frame's bytes.
-    pub(crate) fn as_bytes(&self) -> &[u8] {
-        &self.buf[self.bytes.clone()]
-    }
-
-    /// The buffer the frame lives in, for reuse.
-    pub(crate) fn into_buffer(self) -> Vec<u8> {
-        self.buf
+        Some(Ok(frame))
     }
 }
 
@@ -882,7 +827,7 @@ impl AnswerFrame {
 /// answer's frame.
 #[derive(Debug)]
 pub(crate) struct BatchRequest {
-    frame: OwnedFrame,
+    frame: Frame,
     tenant: String,
     /// Offset of the dataset in the frame's buffer.
     dataset: usize,
@@ -902,11 +847,11 @@ fn parse_batch_body(body: &[u8]) -> WireResult<(String, DatasetLayout)> {
 impl BatchRequest {
     /// Parses an owned `Transform` or `Invert` frame. Any other frame, or
     /// one whose body does not parse, comes back as it was.
-    pub(crate) fn parse(frame: OwnedFrame) -> Result<BatchRequest, OwnedFrame> {
+    pub(crate) fn parse(frame: Frame) -> Result<BatchRequest, Frame> {
         if !matches!(frame.opcode, Opcode::Transform | Opcode::Invert) {
             return Err(frame);
         }
-        let Ok((tenant, layout)) = parse_batch_body(frame.view().body) else {
+        let Ok((tenant, layout)) = parse_batch_body(frame.body()) else {
             return Err(frame);
         };
         let dataset = frame.start + HEADER_LEN + REQUEST_ID_LEN + 4 + tenant.len();
@@ -939,7 +884,7 @@ impl BatchRequest {
     }
 
     /// The frame, unparsed.
-    pub(crate) fn into_frame(self) -> OwnedFrame {
+    pub(crate) fn into_frame(self) -> Frame {
         self.frame
     }
 
@@ -985,14 +930,14 @@ impl BatchRequest {
     /// `Response::Transformed { released, out_of_range_rows }` encodes,
     /// `released` being the batch as it now stands, its IDs dropped when
     /// `drop_ids`.
-    pub(crate) fn into_transformed(self, drop_ids: bool, out_of_range_rows: u64) -> AnswerFrame {
+    pub(crate) fn into_transformed(self, drop_ids: bool, out_of_range_rows: u64) -> Frame {
         self.into_answer(Opcode::Transform, drop_ids, Some(out_of_range_rows))
     }
 
     /// Rewrites the frame in place into the frame
     /// `Response::Inverted { recovered }` encodes, `recovered` being the
     /// batch as it now stands.
-    pub(crate) fn into_inverted(self) -> AnswerFrame {
+    pub(crate) fn into_inverted(self) -> Frame {
         self.into_answer(Opcode::Invert, false, None)
     }
 
@@ -1001,7 +946,7 @@ impl BatchRequest {
     /// IDs are dropped; the drift count takes the request's CRC's place;
     /// the header and request id move up to meet the dataset, over the
     /// tenant field; and the answer's CRC follows.
-    fn into_answer(self, opcode: Opcode, drop_ids: bool, drift: Option<u64>) -> AnswerFrame {
+    fn into_answer(self, opcode: Opcode, drop_ids: bool, drift: Option<u64>) -> Frame {
         let BatchRequest {
             frame,
             mut dataset,
@@ -1025,22 +970,19 @@ impl BatchRequest {
         buf[start..dataset].copy_from_slice(&frame_head(opcode, body_len, frame.request_id));
         let crc = crc32(&buf[start..]);
         buf.extend_from_slice(&crc.to_le_bytes());
-        AnswerFrame {
-            bytes: start..buf.len(),
-            buf,
-        }
+        Frame::from_encoded(buf, start, opcode, frame.request_id)
     }
 }
 
-/// Writes one encoded frame to a stream and flushes it — the owned-frame
-/// path the tests use to put hand-built frames on a socket. The daemon and
-/// the client write `encode_into` bytes instead.
+/// Writes one frame's bytes to a stream and flushes it — how the tests
+/// put hand-built frames on a socket. The client writes the bytes
+/// `encode_into` leaves in its buffer instead.
 ///
 /// # Errors
 ///
 /// Propagates stream failures as [`WireError::Io`].
 pub fn write_frame<W: Write>(stream: &mut W, frame: &Frame) -> WireResult<()> {
-    stream.write_all(&encode_frame(frame))?;
+    stream.write_all(frame.as_bytes())?;
     stream.flush()?;
     Ok(())
 }
@@ -1328,7 +1270,7 @@ impl Request {
     pub fn to_frame(&self) -> Frame {
         let mut buf = Vec::new();
         self.encode_into(0, &mut buf);
-        Frame::from_encoded(buf, self.opcode(), 0)
+        Frame::from_encoded(buf, 0, self.opcode(), 0)
     }
 
     /// Decodes a request from a frame.
@@ -1345,7 +1287,7 @@ impl Request {
     /// [`Request::from_frame`] on a borrowed frame: a batch's rows are
     /// copied once, from the frame body into the batch matrix.
     pub(crate) fn from_view(frame: FrameView<'_>) -> WireResult<Request> {
-        let mut r = ByteReader::new(frame.body);
+        let mut r = ByteReader::new(frame.body());
         let req = match frame.opcode {
             Opcode::LoadKey => Request::LoadKey {
                 tenant: r.take_str()?.to_string(),
@@ -1387,6 +1329,18 @@ impl Request {
         };
         r.expect_end()?;
         Ok(req)
+    }
+
+    /// Whether [`Request::from_view`] decodes `frame` as a `FedMsg` that
+    /// delivers no message — a mailbox poll — read off its body without
+    /// decoding it: a session, an owner and a zero message count, and
+    /// nothing after them.
+    pub(crate) fn is_fed_poll(frame: FrameView<'_>) -> bool {
+        const SESSION_AND_OWNER: usize = 8 + 2;
+        let body = frame.body();
+        frame.opcode == Opcode::FedMsg
+            && body.len() == SESSION_AND_OWNER + 4
+            && body[SESSION_AND_OWNER..] == [0; 4]
     }
 
     /// Whether a retry of this request is safe after a transport failure
@@ -1590,7 +1544,7 @@ impl Response {
     pub fn to_frame(&self) -> Frame {
         let mut buf = Vec::new();
         self.encode_into(0, &mut buf);
-        Frame::from_encoded(buf, self.opcode(), 0)
+        Frame::from_encoded(buf, 0, self.opcode(), 0)
     }
 
     /// Decodes a response from a frame.
@@ -1920,16 +1874,13 @@ mod tests {
 
     /// The frames the daemon's reader extracts from `bytes`, read off a
     /// socket that delivers everything at once.
-    fn read_requests(bytes: &[u8]) -> Vec<OwnedFrame> {
+    fn read_requests(bytes: &[u8]) -> Vec<Frame> {
         let mut asm = FrameAssembler::new();
         let mut src = bytes;
         let mut frames = Vec::new();
         while asm.read_from(&mut src).unwrap() > 0 {
             while let Some(next) = asm.next_request(Vec::new) {
-                match next.unwrap() {
-                    NextFrame::Batch(frame) => frames.push(frame),
-                    NextFrame::View(view) => panic!("{:?} is not a batch frame", view.opcode),
-                }
+                frames.push(next.unwrap());
             }
         }
         assert!(!asm.mid_frame());
@@ -2010,21 +1961,24 @@ mod tests {
                     let mut expected = Vec::new();
                     response.encode_into(77, &mut expected);
                     assert_eq!(answer.as_bytes(), &expected[..], "{what}");
-                    assert_eq!(answer.buf.capacity(), capacity, "{what}: reallocated");
+                    assert_eq!(answer.bytes.capacity(), capacity, "{what}: reallocated");
                 }
             }
         }
     }
 
     #[test]
-    fn a_batch_frame_takes_the_buffer_it_ends_and_is_copied_otherwise() {
+    fn only_a_frame_of_a_read_or_more_takes_the_buffer_it_ends() {
         let small = batch_frame(Opcode::Transform, &sample_dataset(3, true));
         let large = batch_frame(Opcode::Invert, &sample_dataset(4000, false));
+        let ping = encode_frame(&Request::Ping.to_frame().with_request_id(9));
         assert!(large.len() > MIN_READ);
         // A socket that delivers both small frames at once, then the large
-        // one, then a small one: the first small frame shares its read with
-        // the second, which ends that read; the large frame's last read
-        // ends at its end.
+        // one, then a small one, then a ping: the first small frame shares
+        // its read with the second, which ends that read, as do the last
+        // small frame and the ping; the large frame's last read ends at its
+        // end. Only the large frame takes the buffer: a smaller one is
+        // copied even when it ends its read.
         let mut asm = FrameAssembler::new();
         let mut fresh_buffers = 0;
         let mut owned = Vec::new();
@@ -2032,10 +1986,11 @@ mod tests {
             [&small[..], &small[..]].concat(),
             large.clone(),
             small.clone(),
+            ping.clone(),
         ] {
             let mut src = &chunk[..];
             while asm.read_from(&mut src).unwrap() > 0 {
-                while let Some(Ok(NextFrame::Batch(frame))) = asm.next_request(|| {
+                while let Some(Ok(frame)) = asm.next_request(|| {
                     fresh_buffers += 1;
                     vec![1, 2, 3]
                 }) {
@@ -2044,28 +1999,29 @@ mod tests {
             }
         }
         let starts: Vec<_> = owned.iter().map(|f| f.start).collect();
-        assert_eq!(fresh_buffers, 3, "starts {starts:?}");
-        assert_eq!(starts, [0, small.len(), 0, 0]);
-        for (frame, bytes) in owned.iter().zip([&small, &small, &large, &small]) {
-            assert_eq!(&frame.bytes[frame.start..], &bytes[..]);
-            assert!(frame.bytes.capacity() - frame.bytes.len() >= DRIFT_LEN);
+        assert_eq!(fresh_buffers, 1, "starts {starts:?}");
+        assert_eq!(starts, [0; 5]);
+        for (frame, bytes) in owned.iter().zip([&small, &small, &large, &small, &ping]) {
+            assert_eq!(frame.as_bytes(), &bytes[..]);
+            assert_eq!(frame.bytes.capacity() - frame.bytes.len(), DRIFT_LEN);
         }
+        assert!(owned[2].bytes.capacity() >= MIN_READ + DRIFT_LEN);
         assert!(!asm.mid_frame());
 
-        // Anything but `Transform` and `Invert` is a view, and errors are
-        // the view path's: a version-skewed batch frame is consumed.
+        // Errors are the view path's: a version-skewed batch frame is
+        // consumed.
         let mut skewed = small.clone();
         skewed[4..6].copy_from_slice(&9u16.to_le_bytes());
         let crc_at = skewed.len() - TRAILER_LEN;
         let crc = crc32(&skewed[..crc_at]);
         skewed[crc_at..].copy_from_slice(&crc.to_le_bytes());
         let mut asm = FrameAssembler::new();
-        asm.push(&encode_frame(&Request::Ping.to_frame().with_request_id(5)));
+        asm.push(&ping);
         asm.push(&skewed);
         asm.push(&small);
         assert!(matches!(
             asm.next_request(Vec::new),
-            Some(Ok(NextFrame::View(view))) if view.request_id == 5
+            Some(Ok(frame)) if frame.request_id == 9 && frame.opcode == Opcode::Ping
         ));
         assert!(matches!(
             asm.next_request(Vec::new),
@@ -2073,7 +2029,7 @@ mod tests {
         ));
         assert!(matches!(
             asm.next_request(Vec::new),
-            Some(Ok(NextFrame::Batch(_)))
+            Some(Ok(frame)) if frame.as_bytes() == &small[..]
         ));
         assert!(asm.next_request(Vec::new).is_none());
     }
@@ -2111,12 +2067,46 @@ mod tests {
                 }
                 Err(owned) => {
                     assert!(decoded.is_err(), "refused what decodes: {body:?}");
-                    assert_eq!(owned.view().body, &body[..], "handed back as it was");
+                    assert_eq!(owned.body(), &body[..], "handed back as it was");
                     refused += 1;
                 }
             }
         }
         assert!(refused > valid.len());
+    }
+
+    #[test]
+    fn a_fed_poll_is_what_decodes_as_a_fed_msg_delivering_nothing() {
+        let mut bodies = Vec::new();
+        for count in 0..=3u8 {
+            let request = Request::FedMsg {
+                session: 0x0102_0304_0506_0708,
+                owner: 3,
+                messages: (0..count).map(|i| vec![i; usize::from(i)]).collect(),
+            };
+            let frame = request.to_frame();
+            let valid = frame.body();
+            bodies.extend((0..=valid.len()).map(|len| valid[..len].to_vec()));
+            bodies.push([valid, &[0]].concat());
+        }
+        let mut polls = 0;
+        for body in bodies {
+            let frame = Frame::new(Opcode::FedMsg, body.clone());
+            let decodes_as_poll = matches!(
+                Request::from_view(frame.view()),
+                Ok(Request::FedMsg { messages, .. }) if messages.is_empty()
+            );
+            assert_eq!(
+                Request::is_fed_poll(frame.view()),
+                decodes_as_poll,
+                "{body:?}"
+            );
+            polls += usize::from(decodes_as_poll);
+        }
+        assert_eq!(polls, 1, "only the whole zero-count body is a poll");
+        // The opcode counts too.
+        let stats = Frame::new(Opcode::Stats, vec![0; 14]);
+        assert!(!Request::is_fed_poll(stats.view()));
     }
 
     /// A non-blocking socket that delivers at most `chunk` bytes per

@@ -25,13 +25,30 @@ fn file_pin(path: &Path) -> (usize, u32) {
     (bytes.len(), rbt::linalg::codec::crc32(&bytes))
 }
 
+/// A test's own directory, removed when the test ends, pass or fail.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// A fresh directory for one test: process ids recur, so whatever an
 /// earlier run with the same id left there is removed first.
-fn temp_dir(name: &str) -> PathBuf {
+fn temp_dir(name: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("rbt-cli-test-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 const SAMPLE: &str = "id,age,weight,heart_rate\n\
@@ -127,8 +144,6 @@ fn keygen_audit_invert_workflow() {
             .unwrap();
         assert_eq!(out.status.code(), Some(4), "{path:?}");
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Pins the bytes of the one-shot Figure-1 workflow: `keygen --released`
@@ -189,7 +204,6 @@ fn one_shot_cli_outputs_keep_their_bytes() {
         ((346, 0x1C7C84FE), (186, 0x840C1F71)),
     ];
     assert_eq!(actual, golden);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -269,8 +283,6 @@ fn keygen_transform_invert_round_trip() {
         .max_abs_diff(original.matrix())
         .unwrap();
     assert!(err < 1e-9, "recovered CSV off by {err}");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -349,7 +361,6 @@ fn keygen_writes_the_library_key_bytes() {
             "{method} {flags:?}: key file differs from the library's bytes"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -413,8 +424,6 @@ fn binary_and_text_key_files_are_equivalent() {
         assert!(text.contains("session key file"), "{text}");
         assert!(text.contains("drift bounds attached"), "{text}");
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -483,8 +492,6 @@ fn corrupted_session_key_files_are_refused() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown key format"));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -621,8 +628,6 @@ fn keygen_selects_methods_by_name() {
         .unwrap();
     assert_eq!(out.status.code(), Some(7), "baseline inversion is exit 7");
     assert!(String::from_utf8_lossy(&out.stderr).contains("not invertible"));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -716,8 +721,6 @@ fn exit_codes_distinguish_failure_families() {
         .unwrap();
     assert_eq!(out.status.code(), Some(5));
     assert!(String::from_utf8_lossy(&out.stderr).contains("dimension mismatch"));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -756,7 +759,6 @@ fn bad_invocations_fail_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad --rho"));
     assert!(!key.exists());
-    std::fs::remove_dir_all(&dir).ok();
 
     // Help succeeds.
     let out = cli().arg("--help").output().unwrap();
@@ -919,7 +921,6 @@ fn unknown_and_repeated_flags_are_usage_errors() {
         ]),
         "--session",
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Kills the daemon when the test ends, whether it passes or not.
@@ -1073,7 +1074,6 @@ fn federate_join_saves_a_session_key_file() {
         let err = back.matrix().max_abs_diff(part.matrix()).unwrap();
         assert!(err < 1e-9, "owner {o}'s block recovered off by {err}");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `--owners` and `--owner` are `u16`s: a value past 65,535 is a usage
