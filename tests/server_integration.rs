@@ -1042,3 +1042,179 @@ fn pipelined_requests_of_every_kind_answer_with_the_library_bytes() {
     );
     server.shutdown();
 }
+
+/// Served ≡ library for every normalizer kind and every width the served
+/// release treats differently. RBT sessions are built from explicit keys
+/// over normalizers fitted with min–max, z-score, robust z-score and
+/// decimal scaling, each with and without drift bounds, sealed with
+/// `ReleaseSession::to_bytes`; hybrid isometry is fitted through
+/// `Release` with z-score and with min–max. Batches of 2, 3 and 17
+/// columns at 0, 1, 5 and 8,192 rows, and of 4,100 columns (a row wider
+/// than any block) at 5 rows, go out with and without IDs, and their cells
+/// include NaN, ±∞, −0.0, a subnormal and values far outside the fitted
+/// range. Every `Transform` answer must carry the column names, IDs, cell
+/// bits (NaN compared as NaN) and drift count of the key's own
+/// `transform_batch`, and every `Invert` answer those of `invert_batch`.
+#[test]
+fn served_batches_match_the_library_for_every_normalizer_and_width() {
+    use rbt::core::{DriftBounds, RotationStep, TransformationKey};
+    use rbt::data::Normalization;
+
+    const SPECIALS: [f64; 8] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        5e-324,
+        1e300,
+        -1e300,
+        4.0e6,
+    ];
+    /// `rows`×`cols` cells with a special value in about one cell of
+    /// eleven and every fourth row shifted out of the fitted range.
+    fn batch(seed: u64, rows: usize, cols: usize, ids: bool) -> Dataset {
+        let mut ds = dataset(seed, rows, cols, 90.0);
+        for (k, v) in ds.matrix_mut().as_mut_slice().iter_mut().enumerate() {
+            if k % 11 == 3 {
+                *v = SPECIALS[(k / 11) % SPECIALS.len()];
+            } else if (k / cols).is_multiple_of(4) {
+                *v += 200.0;
+            }
+        }
+        if ids {
+            ds = ds
+                .with_ids((0..rows as u64).map(|i| 500 + i).collect())
+                .unwrap();
+        }
+        ds
+    }
+    /// Sequential pairs, the last column paired back with the first when
+    /// the width is odd, then one more step on a pair in reverse order.
+    fn key(cols: usize) -> TransformationKey {
+        let step = |t: usize, i: usize, j: usize| RotationStep {
+            i,
+            j,
+            theta_degrees: 17.0 + 31.0 * t as f64,
+            achieved_var1: 0.0,
+            achieved_var2: 0.0,
+        };
+        let mut pairs: Vec<(usize, usize)> = (0..cols / 2).map(|t| (2 * t, 2 * t + 1)).collect();
+        if cols % 2 == 1 {
+            pairs.push((cols - 1, 0));
+        }
+        pairs.push((cols - 1, cols / 2 - 1));
+        let steps = pairs
+            .into_iter()
+            .enumerate()
+            .map(|(t, (i, j))| step(t, i, j))
+            .collect();
+        TransformationKey::new(steps, cols).unwrap()
+    }
+    let same_cell = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+
+    let kinds = [
+        Normalization::min_max_unit(),
+        Normalization::zscore_paper(),
+        Normalization::RobustZScore,
+        Normalization::DecimalScaling,
+    ];
+    let shapes: Vec<(usize, usize)> = [2, 3, 17]
+        .into_iter()
+        .flat_map(|cols| [0, 1, 5, 8192].map(|rows| (cols, rows)))
+        .chain([(4100, 5)])
+        .collect();
+    let server = spawn_server(64);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for cols in [2, 3, 17, 4100] {
+        let fit_data = dataset(cols as u64, 12, cols, 90.0);
+        let mut tenants: Vec<(String, Vec<u8>)> = Vec::new();
+        for (k, kind) in kinds.iter().enumerate() {
+            let normalizer = kind.fit(fit_data.matrix()).unwrap();
+            for drift in [false, true] {
+                let mut session = ReleaseSession::new(key(cols), normalizer.clone())
+                    .unwrap()
+                    .with_id_suppression((k + usize::from(drift)).is_multiple_of(2));
+                if drift {
+                    let normalized = normalizer.transform(fit_data.matrix()).unwrap();
+                    let bounds = DriftBounds::from_normalized(&normalized).unwrap();
+                    session = session.with_drift_bounds(bounds).unwrap();
+                }
+                let label = format!("rbt-{}-drift-{drift}-{cols}", kind.text_tag());
+                tenants.push((label, session.to_bytes()));
+            }
+        }
+        for (normalization, suppress) in [
+            (Normalization::zscore_paper(), true),
+            (Normalization::min_max_unit(), false),
+        ] {
+            let fitted = (0..50)
+                .find_map(|attempt| {
+                    Release::of(&fit_data)
+                        .with_method(Method::HybridIsometry)
+                        .with_normalization(normalization)
+                        .with_id_suppression(suppress)
+                        .fit(&mut rng(300 + attempt))
+                        .ok()
+                })
+                .expect("a feasible hybrid key within 50 draws");
+            let label = format!("hybrid-{}-{cols}", normalization.text_tag());
+            tenants.push((label, fitted.to_bytes().unwrap()));
+        }
+
+        for (tenant, key_bytes) in tenants {
+            client.load_key(&tenant, key_bytes.clone()).unwrap();
+            let library = decode_fitted(&key_bytes).unwrap();
+            for &(_, rows) in shapes.iter().filter(|(c, _)| *c == cols) {
+                for ids in [false, true] {
+                    let batch = batch(rows as u64 + 7, rows, cols, ids);
+                    let release = library.transform_batch(&batch).unwrap();
+                    let requests = [
+                        wire::Request::Transform {
+                            tenant: tenant.clone(),
+                            batch: batch.clone(),
+                        },
+                        wire::Request::Invert {
+                            tenant: tenant.clone(),
+                            batch: release.released.clone(),
+                        },
+                        wire::Request::Invert {
+                            tenant: tenant.clone(),
+                            batch: batch.clone(),
+                        },
+                    ];
+                    let expected = [
+                        (
+                            release.released.clone(),
+                            Some(release.out_of_range_rows as u64),
+                        ),
+                        (library.invert_batch(&release.released).unwrap(), None),
+                        (library.invert_batch(&batch).unwrap(), None),
+                    ];
+                    for request in &requests {
+                        client.send(request).unwrap();
+                    }
+                    for (i, (want, want_drift)) in expected.iter().enumerate() {
+                        let what = format!("{tenant}, {rows}x{cols}, ids {ids}, answer {i}");
+                        let (served, drift) = match client.receive().unwrap() {
+                            wire::Response::Transformed {
+                                released,
+                                out_of_range_rows,
+                            } => (released, Some(out_of_range_rows)),
+                            wire::Response::Inverted { recovered } => (recovered, None),
+                            other => panic!("{what}: expected a batch, got {other:?}"),
+                        };
+                        assert_eq!(served.columns(), want.columns(), "{what}: names");
+                        assert_eq!(served.ids(), want.ids(), "{what}: ids");
+                        assert_eq!(served.matrix().shape(), want.matrix().shape(), "{what}");
+                        let cells = served.matrix().as_slice().iter();
+                        for (c, (&x, &y)) in cells.zip(want.matrix().as_slice()).enumerate() {
+                            assert!(same_cell(x, y), "{what}: cell {c} is {x:e}, not {y:e}");
+                        }
+                        assert_eq!(drift, *want_drift, "{what}: drift");
+                    }
+                }
+            }
+        }
+    }
+    server.shutdown();
+}
