@@ -24,10 +24,10 @@ use rand::{RngCore, SeedableRng};
 use rbt_core::codec::{open_envelope, seal_envelope, CodecError, RecordKind, MAGIC};
 use rbt_core::reflection::{HybridIsometry, IsometryKey, IsometryStep};
 use rbt_core::security::DEFAULT_GRID;
-use rbt_core::{Pipeline, RbtConfig, ReleaseSession, SessionBatch};
+use rbt_core::{Pipeline, RbtConfig, ReleaseSession, RowKernels, SessionBatch};
 use rbt_data::{Dataset, FittedNormalizer, Normalization};
 use rbt_linalg::codec::{ByteReader, ByteWriter};
-use rbt_linalg::matrix::apply_steps_in_rows;
+use rbt_linalg::matrix::PairStep;
 use rbt_transform::{AdditiveNoise, HybridPerturbation, NoiseKind, Perturbation, RankSwap};
 use std::any::Any;
 
@@ -293,6 +293,10 @@ impl FittedTransform for FittedRbt {
         Ok(self.session.invert_batch_in_place(released)?)
     }
 
+    fn row_kernels(&self) -> Option<RowKernels<'_>> {
+        Some(self.session.kernels())
+    }
+
     fn to_bytes(&self) -> Result<Vec<u8>> {
         Ok(self.session.to_bytes())
     }
@@ -360,12 +364,12 @@ impl PrivacyTransform for HybridIsometryMethod {
         let released = released_dataset(out.transformed, data, self.suppress_ids)?;
         Ok(FittedRelease {
             released,
-            fitted: Box::new(FittedHybridIsometry {
-                key: out.key,
+            fitted: Box::new(FittedHybridIsometry::new(
+                out.key,
                 normalizer,
-                solver_grid: self.config.solver_grid,
-                suppress_ids: self.suppress_ids,
-            }),
+                self.config.solver_grid,
+                self.suppress_ids,
+            )),
         })
     }
 }
@@ -378,9 +382,29 @@ pub struct FittedHybridIsometry {
     normalizer: FittedNormalizer,
     solver_grid: usize,
     suppress_ids: bool,
+    /// The key's forward and inverse sweeps, drawn once here rather than
+    /// per batch, as a release session draws its own.
+    forward: Vec<PairStep>,
+    inverse: Vec<PairStep>,
 }
 
 impl FittedHybridIsometry {
+    fn new(
+        key: IsometryKey,
+        normalizer: FittedNormalizer,
+        solver_grid: usize,
+        suppress_ids: bool,
+    ) -> Self {
+        FittedHybridIsometry {
+            forward: key.forward_sweep(),
+            inverse: key.inverse_sweep(),
+            key,
+            normalizer,
+            solver_grid,
+            suppress_ids,
+        }
+    }
+
     /// The fitted isometry key.
     pub fn key(&self) -> &IsometryKey {
         &self.key
@@ -389,6 +413,17 @@ impl FittedHybridIsometry {
     /// The fitted normalizer.
     pub fn normalizer(&self) -> &FittedNormalizer {
         &self.normalizer
+    }
+
+    /// The normalizer, no drift bounds, and the key's sweeps.
+    fn row_kernels_of(&self) -> RowKernels<'_> {
+        RowKernels::new(
+            &self.normalizer,
+            None,
+            &self.forward,
+            &self.inverse,
+            self.suppress_ids,
+        )
     }
 
     fn check_width(&self, batch: &Dataset) -> Result<()> {
@@ -438,29 +473,27 @@ impl FittedTransform for FittedHybridIsometry {
         Ok(recovered)
     }
 
-    /// The normalizer's forward row kernel, then the key's steps as one
-    /// fused row sweep, on the calling thread and the batch's own rows.
+    /// The row kernels over the batch's own rows, on the calling thread:
+    /// each row normalized and swept by the key's steps in one pass.
     fn transform_batch_in_place(&self, batch: &mut Dataset) -> Result<usize> {
         self.check_width(batch)?;
         if self.suppress_ids {
             batch.take_ids();
         }
-        let n_cols = batch.n_cols();
         let rows = batch.matrix_mut().as_mut_slice();
-        self.normalizer.transform_rows_in_place(rows)?;
-        apply_steps_in_rows(rows, n_cols, &self.key.forward_sweep());
-        Ok(0)
+        Ok(self.row_kernels_of().forward_rows(rows)?)
     }
 
-    /// The inverse sweep, then the normalizer's inverse row kernel; the
+    /// The inverse sweep, then the normalizer's inverse, per row; the
     /// owner-side recovery keeps whatever IDs the released batch had.
     fn invert_batch_in_place(&self, released: &mut Dataset) -> Result<()> {
         self.check_width(released)?;
-        let n_cols = released.n_cols();
         let rows = released.matrix_mut().as_mut_slice();
-        apply_steps_in_rows(rows, n_cols, &self.key.inverse_sweep());
-        self.normalizer.invert_rows_in_place(rows)?;
-        Ok(())
+        Ok(self.row_kernels_of().inverse_rows(rows)?)
+    }
+
+    fn row_kernels(&self) -> Option<RowKernels<'_>> {
+        Some(self.row_kernels_of())
     }
 
     fn to_bytes(&self) -> Result<Vec<u8>> {
@@ -543,12 +576,12 @@ fn decode_hybrid_isometry(r: &mut ByteReader<'_>) -> Result<FittedHybridIsometry
             normalizer.n_cols()
         )));
     }
-    Ok(FittedHybridIsometry {
+    Ok(FittedHybridIsometry::new(
         key,
         normalizer,
         solver_grid,
         suppress_ids,
-    })
+    ))
 }
 
 // ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ use crate::error::Result;
 use crate::methods::FittedRbt;
 use crate::release::FittedRelease;
 use rand::RngCore;
-use rbt_core::{ReleaseSession, SessionBatch};
+use rbt_core::{ReleaseSession, RowKernels, SessionBatch};
 use rbt_data::Dataset;
 use std::any::Any;
 use std::fmt;
@@ -191,6 +191,17 @@ pub trait FittedTransform: Send + Sync {
     /// [`RbtError::Codec`](crate::RbtError::Codec) when the state has no
     /// stable encoding (cannot occur for the shipped methods).
     fn to_bytes(&self) -> Result<Vec<u8>>;
+
+    /// The row kernels behind the release, when it normalizes each row and
+    /// then sweeps it with 2×2 pair steps — RBT and hybrid isometry; `None`
+    /// (the default) for the baselines. Callers holding whole rows outside
+    /// a [`Dataset`] (the daemon, on a wire frame's cells) release and
+    /// recover them through these, with the bits of
+    /// [`transform_batch`](Self::transform_batch) and
+    /// [`invert_batch`](Self::invert_batch).
+    fn row_kernels(&self) -> Option<RowKernels<'_>> {
+        None
+    }
 
     /// Upcast hook for callers that need the concrete fitted type (e.g.
     /// the RBT [`ReleaseSession`] behind `<dyn FittedTransform>::session`).

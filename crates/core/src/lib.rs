@@ -57,7 +57,7 @@ pub use method::{RbtConfig, RbtOutput, RbtTransformer, ThresholdPolicy};
 pub use pairing::PairingStrategy;
 pub use pipeline::{Pipeline, PipelineOutput};
 pub use security::{PairMoments, PairVarianceProfile, PairwiseSecurityThreshold, SecurityRange};
-pub use session::{DriftBounds, ReleaseSession, SessionBatch};
+pub use session::{DriftBounds, ReleaseSession, RowKernels, SessionBatch};
 
 use std::fmt;
 

@@ -50,9 +50,9 @@ use crate::key::TransformationKey;
 use crate::method::RbtConfig;
 use crate::pipeline::PipelineOutput;
 use crate::{Error, Result};
-use rbt_data::{Dataset, FittedNormalizer};
+use rbt_data::{Cell, Dataset, FittedNormalizer};
 use rbt_linalg::codec::{crc32, ByteReader, ByteWriter};
-use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
+use rbt_linalg::matrix::PairStep;
 use rbt_linalg::stats::VarianceMode;
 use rbt_linalg::Matrix;
 use std::fmt::Write as _;
@@ -164,6 +164,83 @@ pub struct SessionBatch {
     /// outside the fitted min–max range (0 when the session carries no
     /// [`DriftBounds`]).
     pub out_of_range_rows: usize,
+}
+
+/// The row kernels of a release that normalizes each row and then applies
+/// a sweep of 2×2 pair steps to it — an RBT session's rotations, or a
+/// hybrid isometry key's rotations and reflections — borrowed from the
+/// fitted state that holds them. Both directions run one pass over their
+/// cells, `f64`s or a wire frame's little-endian bytes ([`Cell`]), with
+/// [`FittedNormalizer::transform_and_sweep`] and
+/// [`FittedNormalizer::sweep_and_invert`].
+#[derive(Debug, Clone, Copy)]
+pub struct RowKernels<'a> {
+    normalizer: &'a FittedNormalizer,
+    drift: Option<&'a DriftBounds>,
+    forward: &'a [PairStep],
+    inverse: &'a [PairStep],
+    suppress_ids: bool,
+}
+
+impl<'a> RowKernels<'a> {
+    /// Row kernels over `normalizer` and the sweeps `forward` (applied
+    /// after normalizing) and `inverse` (applied before denormalizing),
+    /// drift-checked against `drift` when given; `suppress_ids` is the
+    /// release's §5.3 ID policy, which callers holding rows outside a
+    /// [`Dataset`] apply themselves.
+    pub fn new(
+        normalizer: &'a FittedNormalizer,
+        drift: Option<&'a DriftBounds>,
+        forward: &'a [PairStep],
+        inverse: &'a [PairStep],
+        suppress_ids: bool,
+    ) -> Self {
+        RowKernels {
+            normalizer,
+            drift,
+            forward,
+            inverse,
+            suppress_ids,
+        }
+    }
+
+    /// The width of the rows the kernels release.
+    pub fn n_cols(&self) -> usize {
+        self.normalizer.n_cols()
+    }
+
+    /// Whether a released batch drops its IDs.
+    pub fn suppresses_ids(&self) -> bool {
+        self.suppress_ids
+    }
+
+    /// Releases whole rows in place: normalizes each row (counting the
+    /// rows outside the drift bounds, when there are any), then applies
+    /// the forward sweep. Returns the drift count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Data`] when `rows` is not whole rows of the
+    /// kernels' width or a sweep does not fit it; `rows` is then left
+    /// untouched.
+    pub fn forward_rows<C: Cell>(&self, rows: &mut [C]) -> Result<usize> {
+        let bounds = self.drift.map(|b| (b.mins(), b.maxs()));
+        self.normalizer
+            .transform_and_sweep(rows, bounds, self.forward)
+            .map_err(Error::Data)
+    }
+
+    /// Recovers whole rows in place: the inverse sweep, then the
+    /// normalizer's inverse.
+    ///
+    /// # Errors
+    ///
+    /// As [`forward_rows`](Self::forward_rows).
+    pub fn inverse_rows<C: Cell>(&self, rows: &mut [C]) -> Result<()> {
+        self.normalizer
+            .sweep_and_invert(rows, self.inverse)
+            .map_err(Error::Data)
+    }
 }
 
 /// A long-lived release session: fitted secrets plus batch machinery.
@@ -387,12 +464,15 @@ impl ReleaseSession {
         self.inverse_rows(released.matrix_mut().as_mut_slice())
     }
 
-    /// The forward release of whole rows in place, on the calling thread:
-    /// the normalizer's fused kernel (normalize and drift-check each row
-    /// in lanes across its columns), then the key's rotations in one fused
-    /// sweep. `rows` holds whole rows of the session's width, row-major;
-    /// IDs are the caller's concern. Returns how many of the rows drifted
-    /// out of the fitted range (0 without [`DriftBounds`]).
+    /// The forward release of whole rows in place, on the calling thread,
+    /// one pass over their cells: each row is read once, normalized and
+    /// drift-checked in lanes across its columns, rotated by the key's
+    /// sweep while it sits in a small block on the stack, and written once
+    /// ([`RowKernels::forward_rows`]). `rows` holds whole rows of the
+    /// session's width, row-major, as `f64`s or as a wire frame's
+    /// little-endian cells ([`Cell`]); IDs are the caller's concern.
+    /// Returns how many of the rows drifted out of the fitted range (0
+    /// without [`DriftBounds`]).
     ///
     /// Every batch entry point runs this over the whole batch, and rows
     /// are independent, so releasing a batch as any split into row slices
@@ -402,41 +482,41 @@ impl ReleaseSession {
     ///
     /// Returns [`Error::KeyMismatch`] when `rows` is not whole rows of the
     /// session's width; `rows` is then left untouched.
-    pub fn forward_rows(&self, rows: &mut [f64]) -> Result<usize> {
-        self.check_rows(rows)?;
-        let drifted = match &self.drift {
-            Some(b) => self
-                .normalizer
-                .transform_rows_in_place_with_drift(rows, b.mins(), b.maxs()),
-            None => self.normalizer.transform_rows_in_place(rows).map(|()| 0),
-        }
-        .map_err(Error::Data)?;
-        apply_steps_in_rows(rows, self.normalizer.n_cols(), &self.forward);
-        Ok(drifted)
+    pub fn forward_rows<C: Cell>(&self, rows: &mut [C]) -> Result<usize> {
+        self.check_rows(rows.len())?;
+        self.kernels().forward_rows(rows)
     }
 
     /// The inverse of [`forward_rows`](Self::forward_rows), in place on
-    /// whole rows: the inverse sweep, then the normalizer's inverse
-    /// kernel.
+    /// whole rows in one pass: the inverse sweep, then the normalizer's
+    /// inverse, per row ([`RowKernels::inverse_rows`]).
     ///
     /// # Errors
     ///
     /// Returns [`Error::KeyMismatch`] when `rows` is not whole rows of the
     /// session's width; `rows` is then left untouched.
-    pub fn inverse_rows(&self, rows: &mut [f64]) -> Result<()> {
-        self.check_rows(rows)?;
-        apply_steps_in_rows(rows, self.normalizer.n_cols(), &self.inverse);
-        self.normalizer
-            .invert_rows_in_place(rows)
-            .map_err(Error::Data)
+    pub fn inverse_rows<C: Cell>(&self, rows: &mut [C]) -> Result<()> {
+        self.check_rows(rows.len())?;
+        self.kernels().inverse_rows(rows)
     }
 
-    fn check_rows(&self, rows: &[f64]) -> Result<()> {
+    /// The session's row kernels: its normalizer, drift bounds, the key's
+    /// sweeps drawn once in [`ReleaseSession::new`], and its ID policy.
+    pub fn kernels(&self) -> RowKernels<'_> {
+        RowKernels::new(
+            &self.normalizer,
+            self.drift.as_ref(),
+            &self.forward,
+            &self.inverse,
+            self.suppress_ids,
+        )
+    }
+
+    fn check_rows(&self, len: usize) -> Result<()> {
         let n = self.key.n_attributes();
-        if n == 0 || !rows.len().is_multiple_of(n) {
+        if n == 0 || !len.is_multiple_of(n) {
             return Err(Error::KeyMismatch(format!(
-                "{} values are not whole rows of the session's {n} attributes",
-                rows.len()
+                "{len} values are not whole rows of the session's {n} attributes"
             )));
         }
         Ok(())

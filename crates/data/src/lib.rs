@@ -28,7 +28,7 @@ pub mod rng;
 pub mod synth;
 
 pub use dataset::Dataset;
-pub use normalize::{FittedNormalizer, Normalization, PartialFit};
+pub use normalize::{Cell, FittedNormalizer, Normalization, PartialFit};
 
 use std::fmt;
 

@@ -37,6 +37,7 @@ use crate::{Error, Result};
 use rbt_linalg::codec::{ByteReader, ByteWriter, DecodeError, DecodeResult};
 #[cfg(test)]
 use rbt_linalg::stats;
+use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::stats::VarianceMode;
 use rbt_linalg::Matrix;
 
@@ -524,16 +525,23 @@ impl Columns {
     }
 
     /// The forward kernel: normalizes each whole row of `rows` in lanes
-    /// across its columns. With `bounds`, also returns how many rows have a
-    /// value outside its column's `[min, max]`.
+    /// across its columns, then applies `steps` to it. With `bounds`, also
+    /// returns how many rows have a normalized value outside its column's
+    /// `[min, max]`.
     #[inline(always)]
-    fn forward_rows(&self, rows: &mut [f64], bounds: Option<(&[f64], &[f64])>) -> usize {
+    fn forward_rows<C: Cell>(
+        &self,
+        rows: &mut [C],
+        bounds: Option<(&[f64], &[f64])>,
+        steps: &[PairStep],
+    ) -> usize {
         let n = self.len();
         match self {
-            Columns::MinMax(c) => in_lanes(
+            Columns::MinMax(c) => forward_in_lanes(
                 rows,
                 n,
                 bounds,
+                steps,
                 || {
                     c.min
                         .iter()
@@ -549,28 +557,34 @@ impl Columns {
                     }
                 },
             ),
-            Columns::ZScore { mean, std } => in_lanes(
+            Columns::ZScore { mean, std } => forward_in_lanes(
                 rows,
                 n,
                 bounds,
+                steps,
                 || mean.iter().zip(std),
                 |v, (&mean, &std)| if std == 0.0 { 0.0 } else { (v - mean) / std },
             ),
-            Columns::DecimalScaling { factor } => {
-                in_lanes(rows, n, bounds, || factor.iter(), |v, &factor| v / factor)
-            }
+            Columns::DecimalScaling { factor } => forward_in_lanes(
+                rows,
+                n,
+                bounds,
+                steps,
+                || factor.iter(),
+                |v, &factor| v / factor,
+            ),
         }
     }
 
-    /// The inverse kernel: denormalizes each whole row of `rows` in lanes
-    /// across its columns.
-    fn invert_rows(&self, rows: &mut [f64]) {
+    /// The inverse kernel: applies `steps` to each whole row of `rows`,
+    /// then denormalizes it in lanes across its columns.
+    fn invert_rows<C: Cell>(&self, rows: &mut [C], steps: &[PairStep]) {
         let n = self.len();
         match self {
-            Columns::MinMax(c) => in_lanes(
+            Columns::MinMax(c) => inverse_in_lanes(
                 rows,
                 n,
-                None,
+                steps,
                 || {
                     c.min
                         .iter()
@@ -586,56 +600,254 @@ impl Columns {
                     }
                 },
             ),
-            Columns::ZScore { mean, std } => in_lanes(
+            Columns::ZScore { mean, std } => inverse_in_lanes(
                 rows,
                 n,
-                None,
+                steps,
                 || mean.iter().zip(std),
                 |v, (&mean, &std)| v * std + mean,
             ),
             Columns::DecimalScaling { factor } => {
-                in_lanes(rows, n, None, || factor.iter(), |v, &factor| v * factor)
+                inverse_in_lanes(rows, n, steps, || factor.iter(), |v, &factor| v * factor)
             }
-        };
+        }
     }
 }
 
-/// The lane loop under every row kernel: each whole `n`-value row of `rows`
-/// is zipped with its columns' constants (`columns()` yields column `j`'s
-/// for lane `j`) and every value becomes `lane(value, constants)`, with no
-/// branch on anything but what `lane` selects per lane. With
-/// `bounds = (mins, maxs)`, each lane also ORs `!(x >= lo && x <= hi)` for
-/// its new value into the row's drift flag in the same pass (NaN counts as
-/// outside, as `DriftBounds::row_in_range` decides), and the count of
-/// flagged rows is returned; without, 0.
+/// One cell of a row-major batch the row kernels run over: an `f64`, or
+/// the eight little-endian bytes of one, as a wire frame carries it (take
+/// them from a byte slice with `as_chunks_mut::<8>`). Either way the
+/// kernels read each cell once and write it once.
+pub trait Cell: Copy {
+    /// The value the cell holds.
+    fn get(self) -> f64;
+    /// The cell holding `v`.
+    fn of(v: f64) -> Self;
+}
+
+impl Cell for f64 {
+    #[inline(always)]
+    fn get(self) -> f64 {
+        self
+    }
+
+    #[inline(always)]
+    fn of(v: f64) -> Self {
+        v
+    }
+}
+
+impl Cell for [u8; 8] {
+    #[inline(always)]
+    fn get(self) -> f64 {
+        f64::from_le_bytes(self)
+    }
+
+    #[inline(always)]
+    fn of(v: f64) -> Self {
+        v.to_le_bytes()
+    }
+}
+
+/// `f64` values of the stack block the row kernels stage rows in (4 KiB).
+const BLOCK_VALUES: usize = 512;
+
+/// Runs `pass` over `rows`, a block of whole `n`-value rows at a time,
+/// with an `f64` block of the same length to stage them in: as many rows
+/// as fit in a stack block of [`BLOCK_VALUES`], or one row in one heap
+/// block per call when a row is wider than that. Returns the sum of what
+/// `pass` returned.
 #[inline(always)]
-fn in_lanes<K, I: Iterator<Item = K>>(
-    rows: &mut [f64],
+fn in_blocks<C: Cell>(
+    rows: &mut [C],
+    n: usize,
+    mut pass: impl FnMut(&mut [C], &mut [f64]) -> usize,
+) -> usize {
+    let mut stack = [0.0; BLOCK_VALUES];
+    let mut heap = Vec::new();
+    let block: &mut [f64] = if n <= BLOCK_VALUES {
+        &mut stack[..BLOCK_VALUES / n * n]
+    } else {
+        heap.resize(n, 0.0);
+        &mut heap
+    };
+    rows.chunks_mut(block.len())
+        .map(|cells| pass(cells, &mut block[..cells.len()]))
+        .sum()
+}
+
+/// Pairs the adjacent-pair runs of one sweep apply in lanes at most, all
+/// runs together; the steps past them are applied one at a time.
+const RUN_PAIRS: usize = 64;
+
+/// A key's sweep as the row kernels apply it to a block of rows.
+/// Consecutive steps on adjacent pairs `(q, q+1), (q±2, q±2+1), …` — a
+/// sequential pairing's whole sweep, forward or inverse — touch disjoint
+/// pairs, so each such run is applied to a row in lanes across its pairs
+/// at once, with [`apply_steps_in_rows`]'s expressions; any other step
+/// goes through [`apply_steps_in_rows`] itself. Both keep every element's
+/// operations and their per-row order. The runs' coefficients are laid out
+/// once per call, in lane order.
+struct Sweep<'s> {
+    steps: &'s [PairStep],
+    /// `a`, `b`, `c` and `d` of the runs' pairs, run after run, each run's
+    /// in column order.
+    coefs: [[f64; RUN_PAIRS]; 4],
+}
+
+impl<'s> Sweep<'s> {
+    fn new(steps: &'s [PairStep]) -> Self {
+        let mut sweep = Sweep {
+            steps,
+            coefs: [[0.0; RUN_PAIRS]; 4],
+        };
+        let mut at = 0;
+        for (lo, run) in sweep.runs() {
+            if let Some(lo) = lo.filter(|_| at + run.len() <= RUN_PAIRS) {
+                for st in run {
+                    for (coef, m) in sweep.coefs.iter_mut().zip(st.m) {
+                        coef[at + (st.i - lo) / 2] = m;
+                    }
+                }
+                at += run.len();
+            }
+        }
+        sweep
+    }
+
+    /// The steps in order as runs: `(Some(lo), run)` for two or more
+    /// steps on adjacent pairs whose first columns step by +2 or by −2,
+    /// the lowest pair starting at column `lo`; `(None, [step])` for any
+    /// other step.
+    fn runs(&self) -> impl Iterator<Item = (Option<usize>, &'s [PairStep])> {
+        let mut rest = self.steps;
+        std::iter::from_fn(move || {
+            let adjacent = |st: &PairStep| st.j == st.i + 1;
+            let stride = match rest {
+                [] => return None,
+                [first, second, ..] if adjacent(first) && adjacent(second) => {
+                    second.i as isize - first.i as isize
+                }
+                _ => 0,
+            };
+            let mut len = 1;
+            if stride.abs() == 2 {
+                let first = rest[0].i as isize;
+                while len < rest.len()
+                    && adjacent(&rest[len])
+                    && rest[len].i as isize == first + stride * len as isize
+                {
+                    len += 1;
+                }
+            }
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            let lo = run.iter().map(|st| st.i).min().filter(|_| len > 1);
+            Some((lo, run))
+        })
+    }
+
+    /// Applies the sweep to every whole `n`-value row of `block`.
+    #[inline(always)]
+    fn apply(&self, block: &mut [f64], n: usize) {
+        let mut at = 0;
+        for (lo, run) in self.runs() {
+            let Some(lo) = lo.filter(|_| at + run.len() <= RUN_PAIRS) else {
+                apply_steps_in_rows(block, n, run);
+                continue;
+            };
+            let len = run.len();
+            let [a, b, c, d] = self.coefs.each_ref().map(|coef| &coef[at..at + len]);
+            at += len;
+            let lanes = a.iter().zip(b).zip(c.iter().zip(d));
+            for row in block.chunks_exact_mut(n) {
+                let pairs = row[lo..lo + 2 * len].as_chunks_mut::<2>().0;
+                for (pair, ((&a, &b), (&c, &d))) in pairs.iter_mut().zip(lanes.clone()) {
+                    let [x, y] = *pair;
+                    *pair = [x * a + y * b, x * c + y * d];
+                }
+            }
+        }
+    }
+}
+
+/// The forward lane loop: each whole `n`-value row of `rows` is read once
+/// and zipped with its columns' constants (`columns()` yields column
+/// `j`'s for lane `j`), every value becomes `lane(value, constants)` in a
+/// block on the stack, with no branch on anything but what `lane` selects
+/// per lane, the block's rows get `steps` in order ([`Sweep`]) while in
+/// L1, and each row is written once.
+/// With `bounds = (mins, maxs)`, each lane also ORs `!(x >= lo && x <= hi)`
+/// for its normalized value into the row's drift flag in the same pass
+/// (NaN counts as outside, as `DriftBounds::row_in_range` decides), and
+/// the count of flagged rows is returned; without, 0.
+#[inline(always)]
+fn forward_in_lanes<C: Cell, K, I: Iterator<Item = K>>(
+    rows: &mut [C],
     n: usize,
     bounds: Option<(&[f64], &[f64])>,
+    steps: &[PairStep],
     columns: impl Fn() -> I,
     lane: impl Fn(f64, K) -> f64,
 ) -> usize {
-    let rows = rows.chunks_exact_mut(n);
-    let Some((mins, maxs)) = bounds else {
-        for row in rows {
-            for (v, k) in row.iter_mut().zip(columns()) {
-                *v = lane(*v, k);
+    let sweep = Sweep::new(steps);
+    in_blocks(rows, n, |cells, block| {
+        let pairs = cells.chunks_exact(n).zip(block.chunks_exact_mut(n));
+        let mut drifted = 0;
+        match bounds {
+            None => {
+                for (src, dst) in pairs {
+                    for ((x, v), k) in dst.iter_mut().zip(src).zip(columns()) {
+                        *x = lane(v.get(), k);
+                    }
+                }
+            }
+            Some((mins, maxs)) => {
+                for (src, dst) in pairs {
+                    let mut outside = false;
+                    let lanes = dst.iter_mut().zip(src).zip(columns());
+                    for (((x, v), k), (&lo, &hi)) in lanes.zip(mins.iter().zip(maxs)) {
+                        let y = lane(v.get(), k);
+                        *x = y;
+                        outside |= !(y >= lo && y <= hi);
+                    }
+                    drifted += usize::from(outside);
+                }
             }
         }
-        return 0;
-    };
-    let mut drifted = 0;
-    for row in rows {
-        let mut outside = false;
-        for ((v, k), (&lo, &hi)) in row.iter_mut().zip(columns()).zip(mins.iter().zip(maxs)) {
-            let x = lane(*v, k);
-            *v = x;
-            outside |= !(x >= lo && x <= hi);
+        sweep.apply(block, n);
+        for (v, &x) in cells.iter_mut().zip(&*block) {
+            *v = C::of(x);
         }
-        drifted += usize::from(outside);
-    }
-    drifted
+        drifted
+    })
+}
+
+/// The inverse lane loop: each whole `n`-value row of `rows` is read once
+/// into a block on the stack, the block's rows get `steps` in order, and
+/// each value is written once as `lane(value, constants)`, zipped with
+/// its column's constants as in [`forward_in_lanes`].
+#[inline(always)]
+fn inverse_in_lanes<C: Cell, K, I: Iterator<Item = K>>(
+    rows: &mut [C],
+    n: usize,
+    steps: &[PairStep],
+    columns: impl Fn() -> I,
+    lane: impl Fn(f64, K) -> f64,
+) {
+    let sweep = Sweep::new(steps);
+    in_blocks(rows, n, |cells, block| {
+        for (x, v) in block.iter_mut().zip(&*cells) {
+            *x = v.get();
+        }
+        sweep.apply(block, n);
+        for (src, dst) in block.chunks_exact(n).zip(cells.chunks_exact_mut(n)) {
+            for ((v, &x), k) in dst.iter_mut().zip(src).zip(columns()) {
+                *v = C::of(lane(x, k));
+            }
+        }
+        0
+    });
 }
 
 /// A normalization fitted to a specific matrix's column statistics.
@@ -685,38 +897,23 @@ impl FittedNormalizer {
 
     /// Applies the fitted normalization in place to a row-major slice of
     /// complete rows (`rows.len()` must be a multiple of
-    /// [`n_cols`](Self::n_cols)).
-    ///
-    /// This is the forward row kernel under [`transform`](Self::transform):
-    /// it normalizes each row in SIMD lanes across its columns, each lane
-    /// reading its column's constants, with the per-element expression of
-    /// the normalizer's one parameter kind:
-    ///
-    /// * z-score: `std == 0 ? 0 : (v − mean) / std`,
-    /// * min–max: `max == min ? (new_min + new_max) / 2 :
-    ///   (v − min) / (max − min) · (new_max − new_min) + new_min`,
-    /// * decimal scaling: `v / factor`.
-    ///
-    /// Each row depends only on itself, so any chunking of a batch (the
-    /// release session's chunks, a federation owner's partition) produces
-    /// bit-identical output to the whole-matrix call.
+    /// [`n_cols`](Self::n_cols)): [`transform_and_sweep`](Self::transform_and_sweep)
+    /// without bounds or steps, the forward row kernel under
+    /// [`transform`](Self::transform).
     ///
     /// # Errors
     ///
     /// Returns [`Error::NotFitted`] if `rows.len()` is not a multiple of
     /// the fitted column count.
     pub fn transform_rows_in_place(&self, rows: &mut [f64]) -> Result<()> {
-        self.check_row_slice(rows)?;
-        self.columns.forward_rows(rows, None);
-        Ok(())
+        self.transform_and_sweep(rows, None, &[]).map(|_| ())
     }
 
     /// [`transform_rows_in_place`](Self::transform_rows_in_place) fused with
-    /// a drift check in the same pass: every lane ORs
-    /// `!(x >= lo && x <= hi)` for its normalized value against its
-    /// column's `mins`/`maxs` into the row's drift flag. Returns how many
-    /// rows had a value outside its column's range, NaN counting as
-    /// outside, exactly as `DriftBounds::row_in_range` decides.
+    /// a drift check in the same pass against `mins`/`maxs`, as
+    /// [`transform_and_sweep`](Self::transform_and_sweep) checks its
+    /// bounds. Returns how many rows had a value outside its column's
+    /// range.
     ///
     /// # Errors
     ///
@@ -728,42 +925,110 @@ impl FittedNormalizer {
         mins: &[f64],
         maxs: &[f64],
     ) -> Result<usize> {
-        self.check_row_slice(rows)?;
-        if mins.len() != self.n_cols() || maxs.len() != self.n_cols() {
-            return Err(Error::NotFitted(format!(
-                "drift bounds cover {} and {} columns, normalizer {}",
-                mins.len(),
-                maxs.len(),
-                self.n_cols()
-            )));
-        }
-        Ok(self.columns.forward_rows(rows, Some((mins, maxs))))
+        self.transform_and_sweep(rows, Some((mins, maxs)), &[])
     }
 
     /// Inverts the fitted normalization in place on a row-major slice of
-    /// complete rows — the inverse row kernel under
-    /// [`inverse_transform`](Self::inverse_transform), in lanes like
-    /// [`transform_rows_in_place`](Self::transform_rows_in_place):
-    /// z-score `v · std + mean`, min–max `max == min ? min :
-    /// (v − new_min) / (new_max − new_min) · (max − min) + min`, decimal
-    /// scaling `v · factor`.
+    /// complete rows: [`sweep_and_invert`](Self::sweep_and_invert) without
+    /// steps, the inverse row kernel under
+    /// [`inverse_transform`](Self::inverse_transform).
     ///
     /// # Errors
     ///
     /// Returns [`Error::NotFitted`] if `rows.len()` is not a multiple of
     /// the fitted column count.
     pub fn invert_rows_in_place(&self, rows: &mut [f64]) -> Result<()> {
-        self.check_row_slice(rows)?;
-        self.columns.invert_rows(rows);
+        self.sweep_and_invert(rows, &[])
+    }
+
+    /// The forward release of whole rows in place, one pass over their
+    /// cells: each row of `rows` (row-major, `rows.len()` a multiple of
+    /// [`n_cols`](Self::n_cols)) is read once, normalized in SIMD lanes
+    /// across its columns, each lane reading its column's constants, with
+    /// the per-element expression of the normalizer's one parameter kind:
+    ///
+    /// * z-score: `std == 0 ? 0 : (v − mean) / std`,
+    /// * min–max: `max == min ? (new_min + new_max) / 2 :
+    ///   (v − min) / (max − min) · (new_max − new_min) + new_min`,
+    /// * decimal scaling: `v / factor`;
+    ///
+    /// then `steps` (a key's sweep of 2×2 pair steps) are applied to it in
+    /// order with [`apply_steps_in_rows`]'s expressions while it sits in a
+    /// small block on the stack, and it is written once. The cells are
+    /// `f64`s or a frame's little-endian bytes ([`Cell`]); either way each
+    /// element goes through the same IEEE operations, so the bits are the
+    /// same as normalizing the whole slice and then sweeping it.
+    ///
+    /// With `bounds = Some((mins, maxs))`, every lane also ORs
+    /// `!(x >= lo && x <= hi)` for its normalized value against its
+    /// column's bounds into the row's drift flag, and the count of rows
+    /// with a value outside its column's range is returned — NaN counting
+    /// as outside, exactly as `DriftBounds::row_in_range` decides; without
+    /// bounds, 0.
+    ///
+    /// Each row depends only on itself, so any chunking of a batch (a
+    /// release session's batches, a federation owner's partition) produces
+    /// bit-identical output to the whole-slice call. A row of up to 256
+    /// values is staged on the stack; a wider one takes one heap block per
+    /// call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NotFitted`] if `rows.len()` is not a multiple of
+    /// the fitted column count, the bounds cover another column count, or
+    /// a step's columns are out of range or equal; `rows` is then left
+    /// untouched.
+    pub fn transform_and_sweep<C: Cell>(
+        &self,
+        rows: &mut [C],
+        bounds: Option<(&[f64], &[f64])>,
+        steps: &[PairStep],
+    ) -> Result<usize> {
+        self.check_kernel_args(rows.len(), steps)?;
+        if let Some((mins, maxs)) = bounds {
+            if mins.len() != self.n_cols() || maxs.len() != self.n_cols() {
+                return Err(Error::NotFitted(format!(
+                    "drift bounds cover {} and {} columns, normalizer {}",
+                    mins.len(),
+                    maxs.len(),
+                    self.n_cols()
+                )));
+            }
+        }
+        Ok(self.columns.forward_rows(rows, bounds, steps))
+    }
+
+    /// The inverse of [`transform_and_sweep`](Self::transform_and_sweep)
+    /// in place on whole rows, one pass over their cells: each row is read
+    /// once, gets `steps` in order (an inverse sweep), and is denormalized
+    /// in lanes as it is written: z-score `v · std + mean`, min–max
+    /// `max == min ? min : (v − new_min) / (new_max − new_min) · (max − min)
+    /// + min`, decimal scaling `v · factor`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NotFitted`] if `rows.len()` is not a multiple of
+    /// the fitted column count or a step's columns are out of range or
+    /// equal; `rows` is then left untouched.
+    pub fn sweep_and_invert<C: Cell>(&self, rows: &mut [C], steps: &[PairStep]) -> Result<()> {
+        self.check_kernel_args(rows.len(), steps)?;
+        self.columns.invert_rows(rows, steps);
         Ok(())
     }
 
-    fn check_row_slice(&self, rows: &[f64]) -> Result<()> {
+    /// Checks that `len` values are whole rows and every step pairs two
+    /// distinct columns of the normalizer's width.
+    fn check_kernel_args(&self, len: usize, steps: &[PairStep]) -> Result<()> {
         let n = self.n_cols();
-        if n == 0 || !rows.len().is_multiple_of(n) {
+        if n == 0 || !len.is_multiple_of(n) {
             return Err(Error::NotFitted(format!(
-                "slice of {} values is not whole rows of {n} columns",
-                rows.len(),
+                "slice of {len} values is not whole rows of {n} columns",
+            )));
+        }
+        if let Some(st) = steps.iter().find(|st| st.i >= n || st.j >= n || st.i == st.j) {
+            return Err(Error::NotFitted(format!(
+                "step on columns {} and {} does not fit {n} columns",
+                st.i, st.j
             )));
         }
         Ok(())

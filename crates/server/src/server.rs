@@ -278,13 +278,14 @@ pub(crate) fn answer_on_loop(
 }
 
 /// Answers, on a worker and inside the frame, a request that arrived at
-/// `arrival`. A `Transform` or `Invert` for an RBT session of its width is
-/// released inside the frame through the session's row kernels, and the
-/// frame is rewritten into the answer: the rows are never copied into a
-/// matrix or out of one. Anything else is decoded from the frame: a body
-/// that does not decode is refused with a typed error (framing is intact,
-/// so the connection stays), a request past its deadline is shed, and the
-/// rest is served by [`process_request`].
+/// `arrival`. A `Transform` or `Invert` for a tenant whose release has row
+/// kernels of the batch's width (RBT and hybrid isometry) is released
+/// inside the frame, one pass over its cells, and the frame is rewritten
+/// into the answer: the rows are never copied into a matrix or out of one.
+/// Anything else is decoded from the frame: a body that does not decode is
+/// refused with a typed error (framing is intact, so the connection
+/// stays), a request past its deadline is shed, and the rest is served by
+/// [`process_request`].
 pub(crate) fn serve(shared: &Shared, frame: Frame, arrival: Instant) -> Frame {
     match BatchRequest::parse(frame) {
         Ok(batch) => serve_batch(shared, batch, arrival),
@@ -300,19 +301,19 @@ pub(crate) fn serve(shared: &Shared, frame: Frame, arrival: Instant) -> Frame {
 }
 
 /// [`serve`] for a parsed batch: shed if stale, released inside its frame
-/// when the tenant's session is RBT of the batch's width, and otherwise
-/// decoded and served by [`process_request`].
+/// through the tenant's row kernels when they are of the batch's width,
+/// and otherwise decoded and served by [`process_request`].
 fn serve_batch(shared: &Shared, mut batch: BatchRequest, arrival: Instant) -> Frame {
     if let Some(stale) = shed(shared, batch.opcode(), arrival) {
         return batch.into_frame().answer(&stale);
     }
     let registry = &shared.registry;
     let live = registry.checkout(batch.tenant()).ok();
-    let session = live
+    let kernels = live
         .as_deref()
-        .and_then(<dyn FittedTransform>::session)
-        .filter(|session| session.key().n_attributes() == batch.n_cols());
-    let Some(session) = session else {
+        .and_then(FittedTransform::row_kernels)
+        .filter(|kernels| kernels.n_cols() == batch.n_cols());
+    let Some(kernels) = kernels else {
         let frame = batch.into_frame();
         let response = match Request::from_view(frame.view()) {
             Ok(request) => process_request(shared, request),
@@ -323,9 +324,9 @@ fn serve_batch(shared: &Shared, mut batch: BatchRequest, arrival: Instant) -> Fr
     let start = Instant::now();
     let forward = batch.opcode() == Opcode::Transform;
     let released = if forward {
-        batch.release_rows(|rows| session.forward_rows(rows))
+        kernels.forward_rows(batch.cells())
     } else {
-        batch.release_rows(|rows| session.inverse_rows(rows).map(|()| 0))
+        kernels.inverse_rows(batch.cells()).map(|()| 0)
     };
     let drift_rows = match released {
         Ok(drift_rows) => drift_rows as u64,
@@ -336,7 +337,7 @@ fn serve_batch(shared: &Shared, mut batch: BatchRequest, arrival: Instant) -> Fr
     };
     if forward {
         registry.note(batch.tenant(), batch.n_rows() as u64, drift_rows, start);
-        batch.into_transformed(session.suppresses_ids(), drift_rows)
+        batch.into_transformed(kernels.suppresses_ids(), drift_rows)
     } else {
         registry.note(batch.tenant(), 0, 0, start);
         batch.into_inverted()

@@ -84,10 +84,6 @@ pub(crate) const MIN_READ: usize = 64 * 1024;
 /// a batch request is rewritten into its answer without reallocating.
 const DRIFT_LEN: usize = 8;
 
-/// `f64` values a served batch is released through at a time: 32 KiB, an
-/// L1 data cache's worth of whole rows.
-const SCRATCH_VALUES: usize = 4096;
-
 /// The largest frame buffer a connection keeps once its frame is done
 /// (4 MiB): a drained `FrameAssembler` gives back a larger one, and the
 /// daemon's free list of flushed response frames keeps none larger. Rarer,
@@ -888,42 +884,13 @@ impl BatchRequest {
         self.frame
     }
 
-    /// Runs `kernel` over the batch's cells in place, at most 32 KiB of
-    /// whole rows at a time: each slice of the frame's little-endian cells
-    /// is converted into an `f64` scratch, passed to `kernel`, and written
-    /// back. Returns the sum of what `kernel` returned, or its first
-    /// error, which leaves the cells partly rewritten.
-    pub(crate) fn release_rows<E>(
-        &mut self,
-        mut kernel: impl FnMut(&mut [f64]) -> Result<usize, E>,
-    ) -> Result<usize, E> {
-        let cols = self.layout.cols;
-        if cols == 0 || self.layout.rows == 0 {
-            return Ok(0);
-        }
-        let mut stack = [0.0; SCRATCH_VALUES];
-        let mut heap = Vec::new();
-        let scratch: &mut [f64] = if cols <= SCRATCH_VALUES {
-            &mut stack
-        } else {
-            heap.resize(cols, 0.0);
-            &mut heap
-        };
-        let rows_per_slice = (SCRATCH_VALUES / cols).max(1);
+    /// The batch's cells, row-major, as the frame carries them: the
+    /// little-endian bytes of each `f64`, released and recovered in place
+    /// by the row kernels (`rbt_core::RowKernels`).
+    pub(crate) fn cells(&mut self) -> &mut [[u8; 8]] {
         let cells_at = self.dataset + self.layout.cells_at;
         let cells_end = self.frame.bytes.len() - TRAILER_LEN;
-        let mut total = 0;
-        for slice in self.frame.bytes[cells_at..cells_end].chunks_mut(8 * cols * rows_per_slice) {
-            let values = &mut scratch[..slice.len() / 8];
-            for (v, w) in values.iter_mut().zip(slice.as_chunks::<8>().0) {
-                *v = f64::from_le_bytes(*w);
-            }
-            total += kernel(values)?;
-            for (v, w) in values.iter().zip(slice.as_chunks_mut::<8>().0) {
-                *w = v.to_le_bytes();
-            }
-        }
-        Ok(total)
+        self.frame.bytes[cells_at..cells_end].as_chunks_mut().0
     }
 
     /// Rewrites the frame in place into the frame
@@ -1911,7 +1878,8 @@ mod tests {
 
     #[test]
     fn batch_answers_rewritten_in_place_are_the_encoded_answers() {
-        // Empty, one slice, several 32 KiB slices, and rows wider than one.
+        // Empty, small and large batches, and rows wider than a kernel's
+        // stack block.
         let wide = Dataset::from_matrix(
             Matrix::from_vec(2, 5000, (0..10_000).map(|i| i as f64 / 7.0).collect()).unwrap(),
         );
@@ -1940,14 +1908,14 @@ mod tests {
                     let mut request = BatchRequest::parse(frame).unwrap();
                     assert_eq!(request.tenant(), "tenant-ü");
                     let cols = batch.n_cols();
-                    let visited = request
-                        .release_rows(|rows| {
-                            assert_eq!(rows.len() % cols, 0, "{what}: whole rows");
-                            rows.iter_mut().for_each(scale);
-                            Ok::<_, ()>(rows.len() / cols)
-                        })
-                        .unwrap();
-                    assert_eq!(visited, batch.n_rows(), "{what}: every row once");
+                    let cells = request.cells();
+                    assert_eq!(cells.len() % cols, 0, "{what}: whole rows");
+                    assert_eq!(cells.len() / cols, batch.n_rows(), "{what}: every row once");
+                    for cell in cells {
+                        let mut v = f64::from_le_bytes(*cell);
+                        scale(&mut v);
+                        *cell = v.to_le_bytes();
+                    }
                     let (answer, response) = if opcode == Opcode::Transform {
                         let response = Response::Transformed {
                             released: scaled(batch, drop_ids),
