@@ -22,9 +22,11 @@
 //!   rides the sealed `RBTS` envelope of [`rbt_core::codec`]. The in-place
 //!   [`transform_batch_in_place`](FittedTransform::transform_batch_in_place)
 //!   / [`invert_batch_in_place`](FittedTransform::invert_batch_in_place)
-//!   turn the caller's batch into its release: RBT rotates the batch's own
-//!   matrix on the calling thread (how the daemon serves), the other
-//!   methods move their `transform_batch` result into it.
+//!   turn the caller's batch into its release: RBT and hybrid isometry
+//!   normalize and sweep the batch's own matrix on the calling thread, the
+//!   other methods move their `transform_batch` result into it. Those two
+//!   also expose their [`row_kernels`](FittedTransform::row_kernels), which
+//!   the daemon runs over a wire frame's cells.
 //!
 //! Both traits are dyn-compatible: the CLI, the daemon's registry, the
 //! bench harness, and the [`Release`](crate::Release) builder all hold

@@ -162,13 +162,26 @@ fn time_in_place(
     sides: &mut [&mut dyn FnMut(&mut Dataset)],
 ) -> Vec<f64> {
     let mut batch = Dataset::from_matrix(input.clone());
-    let mut run = |side: &mut dyn FnMut(&mut Dataset)| {
-        batch
-            .matrix_mut()
+    time_restored(budget_s, rounds, &mut batch, sides, |b| {
+        b.matrix_mut()
             .as_mut_slice()
-            .copy_from_slice(input.as_slice());
+            .copy_from_slice(input.as_slice())
+    })
+}
+
+/// [`time_competitors`] for passes over one state they change: before each
+/// timed call, `restore` puts `state` back outside the clock.
+fn time_restored<T>(
+    budget_s: f64,
+    rounds: usize,
+    state: &mut T,
+    sides: &mut [&mut dyn FnMut(&mut T)],
+    restore: impl Fn(&mut T),
+) -> Vec<f64> {
+    let mut run = |side: &mut dyn FnMut(&mut T)| {
+        restore(state);
         let t = Instant::now();
-        side(&mut batch);
+        side(state);
         t.elapsed().as_secs_f64()
     };
     for side in sides.iter_mut() {
@@ -399,6 +412,35 @@ fn scalar_recover(rows: &mut [f64], columns: &[ScalarColumn], steps: &[PairStep]
         apply_steps_in_rows(chunk, n_cols, steps);
         scalar_denormalize(chunk, columns);
     }
+}
+
+/// `f64` values the served path staged a frame's cells through before the
+/// fused kernel: 32 KiB.
+const SERVED_SCRATCH: usize = 4096;
+
+/// The served release as it was before the fused kernel: a frame's cells
+/// converted 32 KiB of whole rows at a time into an `f64` scratch, passed
+/// to `pass` (the session's row kernels, which then normalized in one pass
+/// and swept in a second), and written back. Returns the sum of what
+/// `pass` returned.
+fn scratch_release(
+    cells: &mut [[u8; 8]],
+    cols: usize,
+    mut pass: impl FnMut(&mut [f64]) -> usize,
+) -> usize {
+    let mut scratch = [0.0; SERVED_SCRATCH];
+    let mut total = 0;
+    for slice in cells.chunks_mut(SERVED_SCRATCH / cols * cols) {
+        let values = &mut scratch[..slice.len()];
+        for (v, c) in values.iter_mut().zip(&*slice) {
+            *v = f64::from_le_bytes(*c);
+        }
+        total += pass(values);
+        for (v, c) in values.iter().zip(slice) {
+            *c = v.to_le_bytes();
+        }
+    }
+    total
 }
 
 /// One whole-slice pass per rotation, as the release applied a key before
@@ -764,9 +806,13 @@ fn main() {
     // 7. The release kernel at the serving benchmark's tenant shape: a
     //    z-score session fitted on 256×16 with drift bounds, releasing and
     //    recovering an 8192×16 batch drawn wider than the fitting data, in
-    //    place on the calling thread (what the daemon's worker runs per
-    //    request). The scalar sides replicate the pre-kernel passes;
-    //    hybrid isometry's in-place release is timed at the same shape.
+    //    place on the calling thread. The scalar sides replicate the
+    //    pre-kernel passes; hybrid isometry's in-place release is timed at
+    //    the same shape. `release_served` is what the daemon's worker runs
+    //    per request: the same batch as a frame's little-endian cells at
+    //    an unaligned offset, released in one pass against the 32 KiB
+    //    scratch path it replaced (copy into `f64`s, normalize, sweep,
+    //    copy back).
     {
         const ROWS: usize = 8192;
         const COLS: usize = 16;
@@ -866,8 +912,87 @@ fn main() {
                 },
             ],
         );
+        // The served path: the same session over a frame's little-endian
+        // cells at an unaligned offset, fused in one pass against the
+        // scratch path it replaced.
+        const OFFSET: usize = 3;
+        let frame_of = |m: &Matrix| {
+            let mut bytes = vec![0u8; OFFSET];
+            m.as_slice()
+                .iter()
+                .for_each(|v| bytes.extend_from_slice(&v.to_le_bytes()));
+            bytes
+        };
+        fn cells(bytes: &mut [u8]) -> &mut [[u8; 8]] {
+            bytes[OFFSET..].as_chunks_mut().0
+        }
+        let normalizer = session.normalizer();
+        let scratch_forward = |rows: &mut [f64]| {
+            let drifted = normalizer
+                .transform_rows_in_place_with_drift(rows, bounds.mins(), bounds.maxs())
+                .unwrap();
+            apply_steps_in_rows(rows, COLS, &fwd);
+            drifted
+        };
+        let scratch_inverse = |rows: &mut [f64]| {
+            apply_steps_in_rows(rows, COLS, &inv);
+            normalizer.invert_rows_in_place(rows).unwrap();
+            0
+        };
+        let (input, released_frame) = (frame_of(&batch), frame_of(&released));
+        let (mut fast, mut scalar) = (input.clone(), input.clone());
+        let fast_drift = session.forward_rows(cells(&mut fast)).unwrap();
+        let scalar_drift = scratch_release(cells(&mut scalar), COLS, scratch_forward);
+        assert_eq!(
+            fast_drift, scalar_drift,
+            "served kernel changed the drift count"
+        );
+        assert_eq!(
+            fast, scalar,
+            "served release must be bit-identical to the scratch path"
+        );
+        assert_eq!(
+            fast, released_frame,
+            "served release must be the session's release"
+        );
+        let (mut fast, mut scalar) = (released_frame.clone(), released_frame.clone());
+        session.inverse_rows(cells(&mut fast)).unwrap();
+        scratch_release(cells(&mut scalar), COLS, scratch_inverse);
+        assert_eq!(
+            fast, scalar,
+            "served inverse must be bit-identical to the scratch path"
+        );
+        let mut frame = input.clone();
+        let served_forward = time_restored(
+            budget,
+            rounds,
+            &mut frame,
+            &mut [
+                &mut |f: &mut Vec<u8>| {
+                    black_box(scratch_release(cells(f), COLS, scratch_forward));
+                },
+                &mut |f: &mut Vec<u8>| {
+                    black_box(session.forward_rows(cells(f)).unwrap());
+                },
+            ],
+            |f| f.copy_from_slice(&input),
+        );
+        let served_inverse = time_restored(
+            budget,
+            rounds,
+            &mut frame,
+            &mut [
+                &mut |f: &mut Vec<u8>| {
+                    scratch_release(cells(f), COLS, scratch_inverse);
+                },
+                &mut |f: &mut Vec<u8>| session.inverse_rows(cells(f)).unwrap(),
+            ],
+            |f| f.copy_from_slice(&released_frame),
+        );
+
         let shape = format!("\"rows\": {ROWS}, \"cols\": {COLS}, \"fit_rows\": 256");
         let rbt = format!("\"method\": \"rbt\", \"drift_rows\": {drifted}");
+        let served = format!("{rbt}, \"cells\": \"frame bytes at offset {OFFSET}\"");
         for (name, method, direction, best) in [
             ("release_kernel", &rbt[..], "forward", &forward),
             ("release_kernel_inverse", &rbt[..], "inverse", &inverse),
@@ -876,6 +1001,13 @@ fn main() {
                 "\"method\": \"hybrid-isometry\"",
                 "forward",
                 &hybrid_forward,
+            ),
+            ("release_served", &served[..], "forward", &served_forward),
+            (
+                "release_served_inverse",
+                &served[..],
+                "inverse",
+                &served_inverse,
             ),
         ] {
             entries.push(Entry {

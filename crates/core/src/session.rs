@@ -22,19 +22,21 @@
 //!   [`forward_rows`](ReleaseSession::forward_rows) /
 //!   [`inverse_rows`](ReleaseSession::inverse_rows) over the whole batch
 //!   on the calling thread — the kernels callers holding rows outside a
-//!   [`Matrix`] run too (the daemon's workers run them on batches they
-//!   keep in their wire frames): the normalizer's fused row kernel
-//!   ([`FittedNormalizer::transform_rows_in_place_with_drift`]) normalizes
-//!   and drift-checks each row in SIMD lanes across its columns, then all
-//!   rotation steps are applied to the rows in one fused sweep
-//!   ([`apply_steps_in_rows`]); the inverse runs the inverse sweep, then
-//!   the normalizer's inverse kernel. Normalization and every rotation
-//!   step are row-local and keep their per-row order, so any batch split
-//!   produces output **bit-identical** to running the one-shot
-//!   [`crate::Pipeline`] on the concatenated data (pinned by the
-//!   conformance battery). A release costs about a memcpy, so a fork per
-//!   batch would cost more than it saves; callers that want parallelism
-//!   spread batches over their own threads,
+//!   [`Matrix`] run too, over `f64`s or over a wire frame's little-endian
+//!   cells (the daemon's workers run them on batches they keep in their
+//!   frames, through [`RowKernels`]). Each is one pass over the cells
+//!   ([`FittedNormalizer::transform_and_sweep`] /
+//!   [`FittedNormalizer::sweep_and_invert`]): a block of rows is read
+//!   once, normalized and drift-checked in SIMD lanes across its columns,
+//!   rotated by the key's sweep while it sits in a small block on the
+//!   stack, and written once; the inverse sweeps, then denormalizes.
+//!   Normalization and every rotation step are row-local and keep their
+//!   per-row order and their IEEE operations, so any batch split produces
+//!   output **bit-identical** to running the one-shot [`crate::Pipeline`]
+//!   on the concatenated data (pinned by the conformance battery). A
+//!   release costs about a memcpy, so a fork per batch would cost more
+//!   than it saves; callers that want parallelism spread batches over
+//!   their own threads,
 //! * it reports **drift** per batch: records whose normalized values fall
 //!   outside the per-column min–max range observed on the fitting data,
 //!   the first sign that the fitted normalization no longer represents

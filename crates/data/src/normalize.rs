@@ -27,17 +27,26 @@
 //! and both decoders refuse a column of another kind than the method's
 //! (or, for min–max, onto another target range), so
 //! [`FittedNormalizer::method`] always describes the columns. One kind is
-//! what lets the row kernels ([`FittedNormalizer::transform_rows_in_place`]
-//! and its drift-checking and inverse siblings) run in SIMD lanes across a
-//! row's columns: each lane zips the row with its column's constants, with
-//! no per-element branch on the kind. Each kind keeps its per-element
-//! expression exactly, so the kernels are bit-identical to it.
+//! what lets the row kernels ([`FittedNormalizer::transform_and_sweep`],
+//! [`FittedNormalizer::sweep_and_invert`] and the `f64` entry points over
+//! them) run in SIMD lanes across a row's columns: each lane zips the row
+//! with its column's constants, with no per-element branch on the kind.
+//! Each kind keeps its per-element expression exactly, so the kernels are
+//! bit-identical to it.
+//!
+//! The release runs through these kernels in one pass over its cells —
+//! `f64`s, or a wire frame's little-endian bytes ([`Cell`]): each block of
+//! rows is read once, normalized (and drift-checked) in lanes, swept by
+//! the key's 2×2 pair steps while it sits in a 4 KiB block on the stack,
+//! and written once; the inverse sweeps, then denormalizes. A run of steps
+//! on adjacent pairs — a sequential pairing's sweep — is applied in lanes
+//! across its pairs.
 
 use crate::{Error, Result};
 use rbt_linalg::codec::{ByteReader, ByteWriter, DecodeError, DecodeResult};
+use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 #[cfg(test)]
 use rbt_linalg::stats;
-use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::stats::VarianceMode;
 use rbt_linalg::Matrix;
 
@@ -722,27 +731,12 @@ impl<'s> Sweep<'s> {
     fn runs(&self) -> impl Iterator<Item = (Option<usize>, &'s [PairStep])> {
         let mut rest = self.steps;
         std::iter::from_fn(move || {
-            let adjacent = |st: &PairStep| st.j == st.i + 1;
-            let stride = match rest {
-                [] => return None,
-                [first, second, ..] if adjacent(first) && adjacent(second) => {
-                    second.i as isize - first.i as isize
-                }
-                _ => 0,
-            };
-            let mut len = 1;
-            if stride.abs() == 2 {
-                let first = rest[0].i as isize;
-                while len < rest.len()
-                    && adjacent(&rest[len])
-                    && rest[len].i as isize == first + stride * len as isize
-                {
-                    len += 1;
-                }
+            if rest.is_empty() {
+                return None;
             }
-            let (run, tail) = rest.split_at(len);
+            let (run, tail) = rest.split_at(adjacent_run(rest));
             rest = tail;
-            let lo = run.iter().map(|st| st.i).min().filter(|_| len > 1);
+            let lo = run.iter().map(|st| st.i).min().filter(|_| run.len() > 1);
             Some((lo, run))
         })
     }
@@ -769,6 +763,28 @@ impl<'s> Sweep<'s> {
             }
         }
     }
+}
+
+/// How many leading steps of non-empty `steps` form a run of adjacent
+/// pairs whose first columns step by +2 or by −2; 1 when the first step
+/// starts none.
+fn adjacent_run(steps: &[PairStep]) -> usize {
+    let adjacent = |st: &PairStep| st.j == st.i + 1;
+    let [first, second, ..] = steps else {
+        return steps.len();
+    };
+    let stride = second.i as isize - first.i as isize;
+    if !adjacent(first) || !adjacent(second) || stride.abs() != 2 {
+        return 1;
+    }
+    let mut len = 2;
+    while len < steps.len()
+        && adjacent(&steps[len])
+        && steps[len].i as isize == first.i as isize + stride * len as isize
+    {
+        len += 1;
+    }
+    len
 }
 
 /// The forward lane loop: each whole `n`-value row of `rows` is read once
@@ -1025,7 +1041,10 @@ impl FittedNormalizer {
                 "slice of {len} values is not whole rows of {n} columns",
             )));
         }
-        if let Some(st) = steps.iter().find(|st| st.i >= n || st.j >= n || st.i == st.j) {
+        if let Some(st) = steps
+            .iter()
+            .find(|st| st.i >= n || st.j >= n || st.i == st.j)
+        {
             return Err(Error::NotFitted(format!(
                 "step on columns {} and {} does not fit {n} columns",
                 st.i, st.j

@@ -131,14 +131,40 @@ impl FrameBuffers {
     /// keeping it within the bounds.
     fn recycle(&mut self, frame: Frame) {
         let buf = frame.into_buffer();
-        if buf.capacity() < MIN_READ || self.lent == 0 {
-            return;
-        }
-        self.lent -= 1;
-        if buf.capacity() <= FREE_FRAME_MAX && self.free.len() < FREE_FRAMES {
+        if self.repay(buf.capacity())
+            && buf.capacity() <= FREE_FRAME_MAX
+            && self.free.len() < FREE_FRAMES
+        {
             self.free.push(buf);
         }
     }
+
+    /// Drops frames that will never be written — a retired connection's
+    /// requests and answers, an answer that comes back for one, requests
+    /// left unread after a goodbye or a malformed frame — repaying their
+    /// buffers' loans as [`recycle`](Self::recycle) does, but keeping none.
+    fn discard(&mut self, frames: impl IntoIterator<Item = Frame>) {
+        for frame in frames {
+            self.repay(frame.into_buffer().capacity());
+        }
+    }
+
+    /// Settles one loan for a buffer of `capacity`, when it is of a lent
+    /// buffer's size and a loan is open; whether it did.
+    fn repay(&mut self, capacity: usize) -> bool {
+        if capacity < MIN_READ || self.lent == 0 {
+            return false;
+        }
+        self.lent -= 1;
+        true
+    }
+}
+
+/// The request frames of `inbox`, emptying it.
+fn drain_frames(
+    inbox: &mut VecDeque<Result<Inbound, WireError>>,
+) -> impl Iterator<Item = Frame> + '_ {
+    inbox.drain(..).flatten().map(|inbound| inbound.frame)
 }
 
 /// One worker: each frame is answered inside its own buffer by
@@ -351,10 +377,13 @@ impl Reactor {
             }
 
             for c in self.take_completions() {
-                if let Some(conn) = self.conns.get_mut(&c.conn_id) {
-                    conn.in_worker = false;
-                    conn.outq.push_back(c.frame);
-                    touched.insert(c.conn_id);
+                match self.conns.get_mut(&c.conn_id) {
+                    Some(conn) => {
+                        conn.in_worker = false;
+                        conn.outq.push_back(c.frame);
+                        touched.insert(c.conn_id);
+                    }
+                    None => self.buffers.discard([c.frame]),
                 }
             }
 
@@ -601,7 +630,8 @@ impl Reactor {
                         // frame, nothing after it served.
                         conn.count_disconnect(runtime);
                         conn.said_goodbye = true;
-                        conn.inbox.clear();
+                        self.buffers.discard([inbound.frame]);
+                        self.buffers.discard(drain_frames(&mut conn.inbox));
                         conn.parse_dead = true;
                         conn.begin_close();
                         break;
@@ -632,7 +662,7 @@ impl Reactor {
                             code: 4,
                             message: format!("malformed frame: {e}"),
                         });
-                        conn.inbox.clear();
+                        self.buffers.discard(drain_frames(&mut conn.inbox));
                         conn.parse_dead = true;
                         conn.begin_close();
                         break;
@@ -776,6 +806,8 @@ impl Reactor {
             }
         }
         let _ = conn.stream.shutdown(Shutdown::Both);
+        self.buffers.discard(conn.outq.drain(..));
+        self.buffers.discard(drain_frames(&mut conn.inbox));
         self.shared.retire_conn();
     }
 
@@ -988,6 +1020,17 @@ mod tests {
         // One too large to keep settles its debt all the same.
         buffers.recycle(answer_in(FREE_FRAME_MAX));
         assert_eq!((buffers.free.len(), buffers.lent), (1, 0));
+    }
+
+    #[test]
+    fn dropped_frames_repay_their_loans() {
+        let mut buffers = FrameBuffers::default();
+        assert!(buffers.take().is_empty() && buffers.take().is_empty());
+        buffers.discard([answer_in(MIN_READ), answer_in(MIN_READ)]);
+        assert_eq!((buffers.free.len(), buffers.lent), (0, 0));
+        // Nothing is owed any more: a flushed buffer in range is freed.
+        buffers.recycle(answer_in(MIN_READ));
+        assert_eq!((buffers.free.len(), buffers.lent), (0, 0));
     }
 
     /// Answers the peer has not taken fill the window: the partial frame

@@ -2,8 +2,10 @@
 //! request engine, which answers every request inside the frame it was
 //! read into — on the event loop in [`crate::reactor`] for pings and the
 //! federation hub's bookkeeping (`answer_on_loop`), on its worker pool for
-//! everything else (`serve`) — plus the fault-tolerance layer: deadlines,
-//! an idle reaper, a connection cap, and graceful drain.
+//! everything else (`serve`, which releases an RBT or hybrid-isometry
+//! batch in one pass over its frame's cells through the tenant's
+//! [`RowKernels`](rbt_core::RowKernels)) — plus the fault-tolerance layer:
+//! deadlines, an idle reaper, a connection cap, and graceful drain.
 //!
 //! Fault containment is the design center, mirroring the codec's
 //! reject-don't-crash contract at the connection level:
@@ -241,38 +243,40 @@ fn bad_body(e: &WireError) -> Response {
 /// Answers, on the event loop and inside the frame, a request that
 /// arrived at `arrival` when its work is proportional to the bytes it
 /// moves: a `Ping`, and the hub's bookkeeping — `FedOpen`, `FedResult`,
-/// `FedClose` and a `FedMsg` poll — while no worker holds the hub. Those
-/// are decoded here; a body that does not decode and a request past its
-/// deadline are answered as [`serve`] answers them. Any other frame comes
-/// back undecoded for the worker pool: a batch, `LoadKey`, `ReloadKeys`,
+/// `FedClose` and a `FedMsg` poll — while no worker holds the hub. The hub
+/// is tried first, so bookkeeping that finds it held comes back undecoded
+/// and is decoded once, on a worker; otherwise the request is decoded
+/// here, and a body that does not decode and a request past its deadline
+/// are answered as [`serve`] answers them. Any other frame comes back
+/// undecoded for the worker pool: a batch, `LoadKey`, `ReloadKeys`,
 /// `Stats` and `EvictTenant` (the registry lock, held across a key decode
-/// on an LRU miss), a `FedMsg` that delivers messages (a party's state
-/// machine, which may run the receiver's clustering), and bookkeeping
-/// that finds the hub held. The loop never waits on a lock.
+/// on an LRU miss), and a `FedMsg` that delivers messages (a party's state
+/// machine, which may run the receiver's clustering). The loop never waits
+/// on a lock.
 pub(crate) fn answer_on_loop(
     shared: &Shared,
     frame: Frame,
     arrival: Instant,
 ) -> Result<Frame, Frame> {
-    let on_loop = match frame.opcode {
-        Opcode::Ping | Opcode::FedOpen | Opcode::FedResult | Opcode::FedClose => true,
-        Opcode::FedMsg => Request::is_fed_poll(frame.view()),
-        _ => false,
+    let bookkeeping = match frame.opcode {
+        Opcode::Ping => false,
+        Opcode::FedOpen | Opcode::FedResult | Opcode::FedClose => true,
+        Opcode::FedMsg if Request::is_fed_poll(frame.view()) => true,
+        _ => return Err(frame),
     };
-    if !on_loop {
-        return Err(frame);
-    }
-    let request = match Request::from_view(frame.view()) {
-        Ok(request) => request,
-        Err(e) => return Ok(frame.answer(&bad_body(&e))),
-    };
-    let response = match shed(shared, request.opcode(), arrival) {
-        Some(stale) => stale,
-        None if matches!(request, Request::Ping) => Response::Pong,
-        None => match shared.hub.try_lock() {
-            Some(mut hub) => serve_federation(&mut hub, request),
-            None => return Err(frame),
-        },
+    let response = {
+        let hub = match bookkeeping.then(|| shared.hub.try_lock()) {
+            Some(None) => return Err(frame),
+            tried => tried.flatten(),
+        };
+        match Request::from_view(frame.view()) {
+            Err(e) => bad_body(&e),
+            Ok(request) => match (shed(shared, request.opcode(), arrival), hub) {
+                (Some(stale), _) => stale,
+                (None, Some(mut hub)) => serve_federation(&mut hub, request),
+                (None, None) => Response::Pong,
+            },
+        }
     };
     Ok(frame.answer(&response))
 }
@@ -739,6 +743,52 @@ mod tests {
                 Err(back) => assert_eq!(back, frame(&request), "{request:?}"),
                 Ok(answer) => panic!("{request:?} answered on the loop: {answer:?}"),
             }
+        }
+    }
+
+    /// With the hub held, the loop decodes no bookkeeping: each of the
+    /// four kinds comes back with its bytes, whether its body decodes or
+    /// not, and a worker then answers it as the loop would have with the
+    /// hub free. A `Ping` needs no hub and is still answered.
+    #[test]
+    fn bookkeeping_found_held_comes_back_undecoded() {
+        let (held, free) = (shared(), shared());
+        let kinds = [
+            Request::FedOpen {
+                config: config_bytes(7),
+            },
+            Request::FedMsg {
+                session: 7,
+                owner: 0,
+                messages: Vec::new(),
+            },
+            Request::FedResult { session: 7 },
+            Request::FedClose { session: 7 },
+        ];
+        let (pings, bookkeeping): (Vec<Frame>, Vec<Frame>) = kinds
+            .iter()
+            .chain([&Request::Ping])
+            .map(frame)
+            .chain(undecodable())
+            .partition(|frame| frame.opcode == Opcode::Ping);
+        let guard = held.hub.lock();
+        for frame in &bookkeeping {
+            let back = answer_on_loop(&held, frame.clone(), Instant::now());
+            assert_eq!(back.as_ref(), Err(frame), "{frame:?}");
+        }
+        for ping in pings {
+            let answer = answer_on_loop(&held, ping.clone(), Instant::now());
+            let free_answer = answer_on_loop(&free, ping.clone(), Instant::now());
+            assert_eq!(answer, free_answer, "{ping:?}");
+            assert!(answer.is_ok(), "{ping:?}");
+        }
+        drop(guard);
+        for frame in bookkeeping {
+            let what = format!("{frame:?}");
+            let served = serve(&held, frame.clone(), Instant::now());
+            let on_loop = answer_on_loop(&free, frame, Instant::now())
+                .unwrap_or_else(|_| panic!("{what}: given back with the hub free"));
+            assert_eq!(served.as_bytes(), on_loop.as_bytes(), "{what}");
         }
     }
 

@@ -38,9 +38,11 @@
 //! [`FrameAssembler`] and takes every checked request out of it as a
 //! `Frame`, answers it inside that frame's own buffer, and writes the
 //! answer from there. A `Transform` or `Invert` is released inside its
-//! frame: `BatchRequest` rewrites the frame in place into the bytes
-//! `Response::encode_into` writes for the answer, so the daemon never
-//! copies a served batch's rows. [`read_frame`] keeps the bytes it read as
+//! frame: `BatchRequest` hands the row kernels the frame's cells as
+//! little-endian `[u8; 8]`s, which they read and write once each, then
+//! rewrites the frame in place into the bytes `Response::encode_into`
+//! writes for the answer, so the daemon never copies a served batch's
+//! rows. [`read_frame`] keeps the bytes it read as
 //! the frame, so the client copies a response's rows only when it decodes
 //! them. [`Frame::new`], `to_frame`, [`encode_frame`] and [`write_frame`]
 //! build and write whole frames for tests and tools.

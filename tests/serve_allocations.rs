@@ -11,10 +11,11 @@
 //! it reads the answer into and the release it decodes from it. The
 //! daemon allocates none. That holds for pipelined `send`/`receive` and
 //! for `Client::transform`, which encodes straight from the caller's
-//! borrowed batch. This file is its own test binary holding one test, so
-//! the counting allocator below sees only the round trips under test (and
-//! whatever the in-process daemon's threads allocate meanwhile, which
-//! counts too).
+//! borrowed batch, and for hybrid isometry's batches, which the daemon
+//! releases in their frames through the same row kernels as RBT's. This
+//! file is its own test binary holding one test, so the counting allocator
+//! below sees only the round trips under test (and whatever the in-process
+//! daemon's threads allocate meanwhile, which counts too).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,6 +159,24 @@ fn a_served_round_trip_allocates_rows_only_in_the_client() {
     measure("Client::transform", &mut || {
         let (released, _) = client.transform("t", &batch).unwrap();
         assert_eq!(released.n_rows(), 8192);
+    });
+
+    // Hybrid isometry's batches are released in their frames as RBT's are.
+    let hybrid = Release::of(&dataset(1, 256, 16))
+        .with_method(Method::HybridIsometry)
+        .fit(&mut rand::rngs::StdRng::seed_from_u64(2024))
+        .unwrap();
+    client.load_key("h", hybrid.to_bytes().unwrap()).unwrap();
+    let request = Request::Transform {
+        tenant: "h".to_string(),
+        batch: batch.clone(),
+    };
+    measure("hybrid isometry, send + receive", &mut || {
+        client.send(&request).unwrap();
+        match client.receive().unwrap() {
+            Response::Transformed { released, .. } => assert_eq!(released.n_rows(), 8192),
+            other => panic!("expected Transformed, got {other:?}"),
+        }
     });
     server.shutdown();
 }
