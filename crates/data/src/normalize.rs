@@ -792,11 +792,11 @@ fn adjacent_run(steps: &[PairStep]) -> usize {
 /// `j`'s for lane `j`), every value becomes `lane(value, constants)` in a
 /// block on the stack, with no branch on anything but what `lane` selects
 /// per lane, the block's rows get `steps` in order ([`Sweep`]) while in
-/// L1, and each row is written once.
-/// With `bounds = (mins, maxs)`, each lane also ORs `!(x >= lo && x <= hi)`
-/// for its normalized value into the row's drift flag in the same pass
-/// (NaN counts as outside, as `DriftBounds::row_in_range` decides), and
-/// the count of flagged rows is returned; without, 0.
+/// L1, and each row is written once. With `bounds = (mins, maxs)`, each
+/// lane also ORs `!(x >= lo && x <= hi)` for its normalized value into the
+/// row's drift flag in the same pass (NaN counts as outside, as
+/// `DriftBounds::row_in_range` decides), and the count of flagged rows is
+/// returned; without, 0.
 #[inline(always)]
 fn forward_in_lanes<C: Cell, K, I: Iterator<Item = K>>(
     rows: &mut [C],
