@@ -550,3 +550,345 @@ fn owner_refuses_rotations_of_malformed_pairs() {
         );
     }
 }
+
+/// Drives a hub session the way a polling owner client does (perfbench's
+/// `federate` workload): every round each owner exchanges once, in owner
+/// order, delivering the replies it produced on its previous exchange;
+/// once every outbox is empty the client asks for the result. Returns the
+/// joint result, each owner's (received, sent) message counts, and the
+/// exchanges the session took.
+fn drive_hub(
+    cfg: &FederationConfig,
+    parts: Vec<Matrix>,
+) -> (rbt_protocol::JointResult, Vec<(usize, usize)>, usize) {
+    let mut hub = FederationHub::new(1);
+    hub.open(cfg.clone()).unwrap();
+    let mut owners: Vec<rbt_protocol::Owner> = parts
+        .into_iter()
+        .enumerate()
+        .map(|(i, m)| rbt_protocol::Owner::new(i as u16, cfg.session, m).unwrap())
+        .collect();
+    let mut outbox: Vec<Vec<Message>> = vec![Vec::new(); owners.len()];
+    let mut counts = vec![(0usize, 0usize); owners.len()];
+    let mut exchanges = 0usize;
+    for _ in 0..10_000 {
+        for (i, owner) in owners.iter_mut().enumerate() {
+            let inbound = std::mem::take(&mut outbox[i]);
+            counts[i].1 += inbound.len();
+            let delivered = hub.exchange(cfg.session, i as u16, inbound).unwrap();
+            exchanges += 1;
+            counts[i].0 += delivered.len();
+            for msg in delivered {
+                let msg = Message::decode(&msg.encode()).unwrap();
+                outbox[i].extend(owner.handle(&msg).unwrap().into_iter().map(|o| o.msg));
+            }
+        }
+        if outbox.iter().all(Vec::is_empty) && hub.result(cfg.session).unwrap().is_some() {
+            let joint = hub.joint_result(cfg.session).unwrap().unwrap().clone();
+            return (joint, counts, exchanges);
+        }
+    }
+    panic!("hub session {:#x} stalled", cfg.session);
+}
+
+/// The round schedule: each owner takes one message per round from the
+/// hub and answers it with at most one. Owner i receives `Announce`, P
+/// normalization folds, `SharedNormalization`, two folds and one
+/// `ApplyRotation` per shared pair, and `FitComplete` (3 + P + 3p); it
+/// sends `Join`, one ack per fold and its release (2 + P + 2p). P is 2
+/// for z-score, 1 for min-max; p is ⌈n/2⌉ under the shared key and 0
+/// under the per-owner policy. The exchanges a polling client makes per
+/// session are pinned too (376 at 4 owners × 16 columns is perfbench
+/// `federate`'s `hub.exchanges_per_session`).
+#[test]
+fn every_owner_takes_one_message_per_round() {
+    let cases = [
+        (2u16, 16usize, Normalization::zscore_paper(), 0.2, [116, 20]),
+        (4, 16, Normalization::zscore_paper(), 0.2, [376, 56]),
+        (4, 5, Normalization::min_max_unit(), 0.005, [156, 36]),
+        (3, 5, Normalization::zscore_paper(), 0.2, [108, 36]),
+    ];
+    for (idx, (owners, cols, norm, rho, exchanges)) in cases.into_iter().enumerate() {
+        let pooled = fixture(120, cols, 500 + idx as u64);
+        let passes = if norm.begin_partial_fit(cols).unwrap().needs_second_pass() {
+            2
+        } else {
+            1
+        };
+        for (policy, want_exchanges) in [KeyPolicy::Shared, KeyPolicy::PerOwner]
+            .into_iter()
+            .zip(exchanges)
+        {
+            let what = format!("{owners} owners × {cols} columns, {norm:?}, {policy:?}");
+            let mut cfg = shared_config(0x0e40 + idx as u64, cols, owners, 600 + idx as u64);
+            cfg.normalization = norm;
+            cfg.rbt = RbtConfig::uniform(PairwiseSecurityThreshold::new(rho, rho).unwrap());
+            cfg.key_policy = policy;
+            let pairs = match policy {
+                KeyPolicy::Shared => cols.div_ceil(2),
+                _ => 0,
+            };
+            let (joint, counts, taken) = drive_hub(&cfg, partition(&pooled, owners as usize));
+            for (owner, &(received, sent)) in counts.iter().enumerate() {
+                assert_eq!(
+                    (received, sent),
+                    (3 + passes + 3 * pairs, 2 + passes + 2 * pairs),
+                    "{what}: owner {owner} (received, sent)"
+                );
+            }
+            assert_eq!(taken, want_exchanges, "{what}: exchanges per session");
+            if policy == KeyPolicy::Shared {
+                let (_, labels, inertia) = pooled_baseline(&pooled, &cfg);
+                assert_eq!(joint.labels, labels, "{what}: labels");
+                assert_eq!(joint.inertia.to_bits(), inertia.to_bits(), "{what}");
+            }
+        }
+    }
+}
+
+/// The chained folds' messages, built in one place.
+fn norm_chain(session: u64, pass: u8, turn: u16, acc: Vec<u8>) -> Message {
+    Message::NormChain {
+        session,
+        pass,
+        turn,
+        acc,
+    }
+}
+
+fn norm_ack(session: u64, pass: u8, turn: u16, acc: Vec<u8>) -> Message {
+    Message::NormChainAck {
+        session,
+        pass,
+        turn,
+        acc,
+    }
+}
+
+fn pair_chain(session: u64, pair: (u16, u16, u16), pass: u8, turn: u16, acc: Vec<u8>) -> Message {
+    let (pair, i, j) = pair;
+    Message::PairChain {
+        session,
+        pair,
+        i,
+        j,
+        pass,
+        turn,
+        acc,
+    }
+}
+
+fn pair_ack(session: u64, pair: (u16, u16, u16), pass: u8, turn: u16, acc: Vec<u8>) -> Message {
+    let (pair, _, _) = pair;
+    Message::PairChainAck {
+        session,
+        pair,
+        pass,
+        turn,
+        acc,
+    }
+}
+
+/// Each refusal of a chained fold keeps its typed error: a turn, pass or
+/// pair out of order or repeated, a fold the party's state cannot take,
+/// and pair columns out of range.
+#[test]
+fn chain_turns_out_of_order_are_refused_with_their_typed_error() {
+    use rbt_core::PairMoments;
+    use rbt_linalg::codec::ByteWriter;
+
+    let cfg = shared_config(0x0c4a, 4, 2, 3);
+    let mut per_owner = cfg.clone();
+    per_owner.key_policy = KeyPolicy::PerOwner;
+    let s = cfg.session;
+    let block = fixture(30, 4, 5);
+    let norm = || {
+        let fit = cfg.normalization.begin_partial_fit(4).unwrap();
+        ByteWriter::encode_with(|w| fit.encode_into(w))
+    };
+    let moments = || ByteWriter::encode_with(|w| PairMoments::new().encode_into(w));
+    let normalizer = cfg.normalization.fit(&block).unwrap();
+    let shared = Message::SharedNormalization {
+        session: s,
+        normalizer: ByteWriter::encode_with(|w| normalizer.encode_into(w)),
+    };
+    let (pair0, pair1) = ((0, 0, 1), (1, 2, 3));
+    let rotate0 = Message::ApplyRotation {
+        session: s,
+        pair: 0,
+        i: 0,
+        j: 1,
+        theta_degrees: 147.29,
+        achieved_var1: 1.0,
+        achieved_var2: 1.0,
+    };
+    let announce = |cfg: &FederationConfig| Message::Announce {
+        config: cfg.clone(),
+    };
+    let joined = || vec![announce(&cfg)];
+    let fitting = || vec![announce(&cfg), shared.clone()];
+    let fitting_then = |more: Vec<Message>| [fitting(), more].concat();
+
+    #[derive(Debug, PartialEq)]
+    enum Refusal {
+        Unexpected,
+        Duplicate,
+        Shape,
+    }
+    use Refusal::*;
+    // Owner 1 of 2, so turn 0 is another owner's.
+    let owner_cases = [
+        (
+            "a normalization fold of another owner's turn",
+            joined(),
+            norm_chain(s, 1, 0, norm()),
+            Unexpected,
+        ),
+        (
+            "normalization pass 2 before pass 1",
+            joined(),
+            norm_chain(s, 2, 1, norm()),
+            Unexpected,
+        ),
+        (
+            "normalization pass 1 twice",
+            [joined(), vec![norm_chain(s, 1, 1, norm())]].concat(),
+            norm_chain(s, 1, 1, norm()),
+            Duplicate,
+        ),
+        (
+            "normalization pass 2 twice",
+            [
+                joined(),
+                vec![norm_chain(s, 1, 1, norm()), norm_chain(s, 2, 1, norm())],
+            ]
+            .concat(),
+            norm_chain(s, 2, 1, norm()),
+            Duplicate,
+        ),
+        (
+            "normalization pass 3",
+            [
+                joined(),
+                vec![norm_chain(s, 1, 1, norm()), norm_chain(s, 2, 1, norm())],
+            ]
+            .concat(),
+            norm_chain(s, 3, 1, norm()),
+            Unexpected,
+        ),
+        (
+            "a normalization fold after the shared normalizer",
+            fitting(),
+            norm_chain(s, 1, 1, norm()),
+            Unexpected,
+        ),
+        (
+            "a pair fold before the shared normalizer",
+            joined(),
+            pair_chain(s, pair0, 1, 1, moments()),
+            Unexpected,
+        ),
+        (
+            "a pair fold of another owner's turn",
+            fitting(),
+            pair_chain(s, pair0, 1, 0, moments()),
+            Unexpected,
+        ),
+        (
+            "pair pass 2 before pass 1",
+            fitting(),
+            pair_chain(s, pair0, 2, 1, moments()),
+            Unexpected,
+        ),
+        (
+            "a pair not reached yet",
+            fitting(),
+            pair_chain(s, pair1, 1, 1, moments()),
+            Unexpected,
+        ),
+        (
+            "pair pass 1 twice",
+            fitting_then(vec![pair_chain(s, pair0, 1, 1, moments())]),
+            pair_chain(s, pair0, 1, 1, moments()),
+            Duplicate,
+        ),
+        (
+            "a pair already rotated",
+            fitting_then(vec![
+                pair_chain(s, pair0, 1, 1, moments()),
+                pair_chain(s, pair0, 2, 1, moments()),
+                rotate0.clone(),
+            ]),
+            pair_chain(s, pair0, 1, 1, moments()),
+            Duplicate,
+        ),
+        (
+            "pair columns out of range",
+            fitting(),
+            pair_chain(s, (0, 0, 4), 1, 1, moments()),
+            Shape,
+        ),
+        (
+            "a pair fold under the per-owner policy",
+            vec![announce(&per_owner), shared.clone()],
+            pair_chain(s, pair0, 1, 1, moments()),
+            Unexpected,
+        ),
+    ];
+    for (what, setup, offending, want) in owner_cases {
+        let mut owner = rbt_protocol::Owner::new(1, s, block.clone()).unwrap();
+        for msg in &setup {
+            owner
+                .handle(msg)
+                .unwrap_or_else(|e| panic!("{what}: setup refused: {e}"));
+        }
+        let err = owner.handle(&offending).expect_err(what);
+        let got = match err {
+            ProtocolError::UnexpectedMessage { .. } => Unexpected,
+            ProtocolError::DuplicateMessage { .. } => Duplicate,
+            ProtocolError::ShapeMismatch(_) => Shape,
+            ref other => panic!("{what}: {other:?}"),
+        };
+        assert_eq!(got, want, "{what}: {err}");
+    }
+
+    let join = |owner| Message::Join {
+        session: s,
+        owner,
+        rows: 30,
+    };
+    let coordinator_cases = [
+        (
+            "an ack before every owner joined",
+            vec![join(0)],
+            norm_ack(s, 1, 0, norm()),
+        ),
+        (
+            "an ack out of turn",
+            vec![join(0), join(1)],
+            norm_ack(s, 1, 1, norm()),
+        ),
+        (
+            "an ack for the wrong pass",
+            vec![join(0), join(1)],
+            norm_ack(s, 2, 0, norm()),
+        ),
+        (
+            "a pair ack while the normalizer is in flight",
+            vec![join(0), join(1)],
+            pair_ack(s, pair0, 1, 0, moments()),
+        ),
+    ];
+    for (what, setup, offending) in coordinator_cases {
+        let mut coordinator = rbt_protocol::Coordinator::new(cfg.clone()).unwrap();
+        coordinator.start().unwrap();
+        for msg in &setup {
+            coordinator.handle(msg).unwrap();
+        }
+        let err = coordinator.handle(&offending).expect_err(what);
+        assert!(
+            matches!(err, ProtocolError::UnexpectedMessage { .. }),
+            "{what}: {err:?}"
+        );
+    }
+}
