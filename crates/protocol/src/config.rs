@@ -19,14 +19,14 @@ use rbt_linalg::codec::{ByteReader, ByteWriter, DecodeError, DecodeResult};
 
 /// Hard upper bound on the owner count a session may announce.
 ///
-/// The protocol is sequential in the owner count (the stat chains visit
+/// The protocol is sequential in the owner count (the chained folds visit
 /// owners in order), so this bounds round counts, mailbox fan-out, and the
 /// hub's per-session memory.
 pub const MAX_OWNERS: u16 = 64;
 
 /// Hard upper bound on the announced attribute count.
 ///
-/// Column indices travel as `u16` in `PairChain`/`ApplyRotation` messages,
+/// Column indices travel as `u16` in pair folds and `ApplyRotation` messages,
 /// so a wider matrix could not be addressed on the wire — and the bound
 /// keeps an unauthenticated `Announce`/`FedOpen` from driving huge
 /// per-column allocations before any data arrives.

@@ -1,9 +1,10 @@
 //! The session coordinator: drives the round schedule.
 //!
 //! The coordinator owns the announced configuration and the session RNG.
-//! It never sees a raw row — it only relays accumulator state between
-//! owners and, under [`KeyPolicy::Shared`], finishes each merged pair
-//! profile to solve the security range and draw the rotation angle.
+//! It never sees a raw row — it only relays each chained fold's
+//! accumulator from owner to owner and, under [`KeyPolicy::Shared`],
+//! finishes each merged pair profile to solve the security range and draw
+//! the rotation angle.
 //!
 //! ## Determinism
 //!
@@ -11,12 +12,12 @@
 //! [`rbt_core::Pipeline`] exactly: the pairing draw first, then one angle
 //! draw per pair, all from `StdRng::seed_from_u64(config.seed)`, each angle
 //! through [`rbt_core::security::draw_rotation`] — the function the pooled
-//! transformer calls. Combined with the bit-exact stat chains, a
+//! transformer calls. Combined with the bit-exact chained folds, a
 //! shared-key session therefore produces the **same key bits** as the
 //! pooled single-owner run.
 
 use crate::config::{FederationConfig, KeyPolicy};
-use crate::messages::{JointSummary, Message, Outbound, Party};
+use crate::messages::{Fold, JointSummary, Message, Outbound, Party};
 use crate::{ProtocolError, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,19 +32,10 @@ enum State {
     /// Constructed, [`Coordinator::start`] not yet called.
     Idle,
     /// Announce sent; collecting `Join`s.
-    AwaitJoins { joined: Vec<bool>, rows: Vec<u64> },
-    /// Normalization chain in flight; expecting `NormChainAck {pass, turn}`.
-    NormChain { pass: u8, turn: u16 },
-    /// Shared key fit in flight; expecting `PairChainAck` for
-    /// `(pair, pass, turn)`.
-    KeyFit {
-        pairs: Vec<(usize, usize)>,
-        thresholds: Vec<PairwiseSecurityThreshold>,
-        steps: Vec<RotationStep>,
-        pair: usize,
-        pass: u8,
-        turn: u16,
-    },
+    AwaitJoins { joined: Vec<bool> },
+    /// A chained fold in flight: expecting owner `turn`'s `ChainAck` of
+    /// pass `pass` of `fold`.
+    Folding { fold: Fold, pass: u8, turn: u16 },
     /// Fit complete; waiting for the receiver's `JointDataset`.
     AwaitJoint,
     /// Received the joint summary; terminal.
@@ -55,8 +47,7 @@ impl State {
         match self {
             State::Idle => "Idle",
             State::AwaitJoins { .. } => "AwaitJoins",
-            State::NormChain { .. } => "NormChain",
-            State::KeyFit { .. } => "KeyFit",
+            State::Folding { .. } => "Folding",
             State::AwaitJoint => "AwaitJoint",
             State::Finished => "Finished",
         }
@@ -69,6 +60,11 @@ pub struct Coordinator {
     cfg: FederationConfig,
     rng: StdRng,
     state: State,
+    /// The shared key fit's pairs, their thresholds, and the steps drawn so
+    /// far (empty until the pairing draw).
+    pairs: Vec<(usize, usize)>,
+    thresholds: Vec<PairwiseSecurityThreshold>,
+    steps: Vec<RotationStep>,
     key: Option<TransformationKey>,
     summary: Option<JointSummary>,
 }
@@ -87,6 +83,9 @@ impl Coordinator {
             cfg,
             rng,
             state: State::Idle,
+            pairs: Vec::new(),
+            thresholds: Vec::new(),
+            steps: Vec::new(),
             key: None,
             summary: None,
         })
@@ -131,23 +130,14 @@ impl Coordinator {
         let owners = self.cfg.owners;
         self.state = State::AwaitJoins {
             joined: vec![false; owners as usize],
-            rows: vec![0; owners as usize],
         };
-        let mut out = Vec::with_capacity(owners as usize + 1);
-        for o in 0..owners {
-            out.push(Outbound::new(
-                Party::Owner(o),
-                Message::Announce {
-                    config: self.cfg.clone(),
-                },
-            ));
-        }
-        out.push(Outbound::new(
-            Party::Receiver,
-            Message::Announce {
-                config: self.cfg.clone(),
-            },
-        ));
+        let announce = || Message::Announce {
+            config: self.cfg.clone(),
+        };
+        let mut out: Vec<Outbound> = (0..owners)
+            .map(|o| Outbound::new(Party::Owner(o), announce()))
+            .collect();
+        out.push(Outbound::new(Party::Receiver, announce()));
         Ok(out)
     }
 
@@ -173,12 +163,8 @@ impl Coordinator {
             });
         }
         match msg {
-            Message::Join {
-                owner,
-                rows: n_rows,
-                ..
-            } => {
-                let State::AwaitJoins { joined, rows } = &mut self.state else {
+            Message::Join { owner, .. } => {
+                let State::AwaitJoins { joined } = &mut self.state else {
                     return Err(self.unexpected(msg.kind()));
                 };
                 let idx = *owner as usize;
@@ -195,266 +181,29 @@ impl Coordinator {
                     });
                 }
                 joined[idx] = true;
-                rows[idx] = *n_rows;
-                if joined.iter().all(|&j| j) {
-                    // Every owner present: open the normalization chain at
-                    // owner 0, pass 1.
-                    let acc = self
-                        .cfg
-                        .normalization
-                        .begin_partial_fit(self.cfg.n_cols)
-                        .map_err(ProtocolError::Data)?;
-                    self.state = State::NormChain { pass: 1, turn: 0 };
-                    return Ok(vec![Outbound::new(
-                        Party::Owner(0),
-                        Message::NormChain {
-                            session: self.cfg.session,
-                            pass: 1,
-                            turn: 0,
-                            acc: ByteWriter::encode_with(|w| acc.encode_into(w)),
-                        },
-                    )]);
+                if !joined.iter().all(|&j| j) {
+                    return Ok(Vec::new());
                 }
-                Ok(Vec::new())
+                // Every owner present: open the normalization fold at owner
+                // 0, pass 1.
+                let fit = self.cfg.normalization.begin_partial_fit(self.cfg.n_cols)?;
+                let acc = ByteWriter::encode_with(|w| fit.encode_into(w));
+                Ok(vec![self.chain(Fold::Normalization, 1, 0, acc)])
             }
-            Message::NormChainAck {
-                pass: ack_pass,
-                turn: ack_turn,
+            Message::ChainAck {
+                fold,
+                pass,
+                turn,
                 acc,
                 ..
             } => {
-                let State::NormChain { pass, turn } = self.state else {
-                    return Err(self.unexpected(msg.kind()));
-                };
-                if *ack_pass != pass || *ack_turn != turn {
-                    return Err(self.unexpected(&format!(
-                        "NormChainAck(pass {ack_pass}, turn {ack_turn}) while expecting \
-                         (pass {pass}, turn {turn})"
-                    )));
+                if let Some(next) = self.relay(*fold, *pass, *turn, acc)? {
+                    return Ok(vec![next]);
                 }
-                if turn + 1 < self.cfg.owners {
-                    // Relay the accumulator to the next owner unchanged.
-                    self.state = State::NormChain {
-                        pass,
-                        turn: turn + 1,
-                    };
-                    return Ok(vec![Outbound::new(
-                        Party::Owner(turn + 1),
-                        Message::NormChain {
-                            session: self.cfg.session,
-                            pass,
-                            turn: turn + 1,
-                            acc: acc.clone(),
-                        },
-                    )]);
+                match *fold {
+                    Fold::Normalization => self.end_normalization_pass(*pass, acc),
+                    Fold::Pair { pair, .. } => self.end_pair_pass(pair as usize, *pass, acc),
                 }
-                // Chain pass complete: inspect the accumulator.
-                let mut fit = ByteReader::decode_all(acc, PartialFit::decode_from)?;
-                if pass == 1 && fit.needs_second_pass() {
-                    fit.begin_second_pass().map_err(ProtocolError::Data)?;
-                    self.state = State::NormChain { pass: 2, turn: 0 };
-                    return Ok(vec![Outbound::new(
-                        Party::Owner(0),
-                        Message::NormChain {
-                            session: self.cfg.session,
-                            pass: 2,
-                            turn: 0,
-                            acc: ByteWriter::encode_with(|w| fit.encode_into(w)),
-                        },
-                    )]);
-                }
-                let fitted = fit.finish().map_err(ProtocolError::Data)?;
-                let normalizer = ByteWriter::encode_with(|w| fitted.encode_into(w));
-                let mut out: Vec<Outbound> = (0..self.cfg.owners)
-                    .map(|o| {
-                        Outbound::new(
-                            Party::Owner(o),
-                            Message::SharedNormalization {
-                                session: self.cfg.session,
-                                normalizer: normalizer.clone(),
-                            },
-                        )
-                    })
-                    .collect();
-                match self.cfg.key_policy {
-                    KeyPolicy::Shared => {
-                        // Pooled-identical RNG order: the pairing draw
-                        // happens here, right after normalization.
-                        let pairs = self
-                            .cfg
-                            .rbt
-                            .pairing
-                            .pairs(self.cfg.n_cols, &mut self.rng)
-                            .map_err(ProtocolError::Method)?;
-                        let thresholds = self
-                            .cfg
-                            .rbt
-                            .thresholds_for(pairs.len())
-                            .map_err(ProtocolError::Method)?;
-                        let (i, j) = pairs[0];
-                        out.push(Outbound::new(
-                            Party::Owner(0),
-                            Message::PairChain {
-                                session: self.cfg.session,
-                                pair: 0,
-                                i: i as u16,
-                                j: j as u16,
-                                pass: 1,
-                                turn: 0,
-                                acc: ByteWriter::encode_with(|w| PairMoments::new().encode_into(w)),
-                            },
-                        ));
-                        self.state = State::KeyFit {
-                            pairs,
-                            thresholds,
-                            steps: Vec::new(),
-                            pair: 0,
-                            pass: 1,
-                            turn: 0,
-                        };
-                    }
-                    KeyPolicy::PerOwner => {
-                        // No joint fit: owners key their own partitions.
-                        for o in 0..self.cfg.owners {
-                            out.push(Outbound::new(
-                                Party::Owner(o),
-                                Message::FitComplete {
-                                    session: self.cfg.session,
-                                    pairs: 0,
-                                },
-                            ));
-                        }
-                        self.state = State::AwaitJoint;
-                    }
-                }
-                Ok(out)
-            }
-            Message::PairChainAck {
-                pair: ack_pair,
-                pass: ack_pass,
-                turn: ack_turn,
-                acc,
-                ..
-            } => {
-                let State::KeyFit {
-                    pairs,
-                    thresholds,
-                    steps,
-                    pair,
-                    pass,
-                    turn,
-                } = &mut self.state
-                else {
-                    return Err(self.unexpected(msg.kind()));
-                };
-                if *ack_pair as usize != *pair || *ack_pass != *pass || *ack_turn != *turn {
-                    let expected = (*pair, *pass, *turn);
-                    return Err(self.unexpected(&format!(
-                        "PairChainAck(pair {ack_pair}, pass {ack_pass}, turn {ack_turn}) \
-                         while expecting {expected:?}"
-                    )));
-                }
-                let session = self.cfg.session;
-                let owners = self.cfg.owners;
-                let (i, j) = pairs[*pair];
-                if *turn + 1 < owners {
-                    *turn += 1;
-                    return Ok(vec![Outbound::new(
-                        Party::Owner(*turn),
-                        Message::PairChain {
-                            session,
-                            pair: *ack_pair,
-                            i: i as u16,
-                            j: j as u16,
-                            pass: *pass,
-                            turn: *turn,
-                            acc: acc.clone(),
-                        },
-                    )]);
-                }
-                let mut moments = ByteReader::decode_all(acc, PairMoments::decode_from)?;
-                if *pass == 1 {
-                    moments.begin_second_pass().map_err(ProtocolError::Method)?;
-                    *pass = 2;
-                    *turn = 0;
-                    return Ok(vec![Outbound::new(
-                        Party::Owner(0),
-                        Message::PairChain {
-                            session,
-                            pair: *ack_pair,
-                            i: i as u16,
-                            j: j as u16,
-                            pass: 2,
-                            turn: 0,
-                            acc: ByteWriter::encode_with(|w| moments.encode_into(w)),
-                        },
-                    )]);
-                }
-                // Both passes folded through every owner: the merged profile
-                // is bit-identical to the pooled one, and the pooled
-                // transformer draws its angle through the same function.
-                let profile = moments
-                    .finish(self.cfg.rbt.variance_mode)
-                    .map_err(ProtocolError::Method)?;
-                let step = draw_rotation(
-                    (i, j),
-                    &profile,
-                    &thresholds[*pair],
-                    self.cfg.rbt.solver_grid,
-                    &mut self.rng,
-                )
-                .map_err(ProtocolError::Method)?;
-                let mut out: Vec<Outbound> = (0..owners)
-                    .map(|o| {
-                        Outbound::new(
-                            Party::Owner(o),
-                            Message::ApplyRotation {
-                                session,
-                                pair: *ack_pair,
-                                i: i as u16,
-                                j: j as u16,
-                                theta_degrees: step.theta_degrees,
-                                achieved_var1: step.achieved_var1,
-                                achieved_var2: step.achieved_var2,
-                            },
-                        )
-                    })
-                    .collect();
-                steps.push(step);
-                if *pair + 1 < pairs.len() {
-                    *pair += 1;
-                    *pass = 1;
-                    *turn = 0;
-                    let (ni, nj) = pairs[*pair];
-                    out.push(Outbound::new(
-                        Party::Owner(0),
-                        Message::PairChain {
-                            session,
-                            pair: *pair as u16,
-                            i: ni as u16,
-                            j: nj as u16,
-                            pass: 1,
-                            turn: 0,
-                            acc: ByteWriter::encode_with(|w| PairMoments::new().encode_into(w)),
-                        },
-                    ));
-                    return Ok(out);
-                }
-                let n_pairs = pairs.len() as u16;
-                let key = TransformationKey::new(std::mem::take(steps), self.cfg.n_cols)
-                    .map_err(ProtocolError::Method)?;
-                self.key = Some(key);
-                for o in 0..owners {
-                    out.push(Outbound::new(
-                        Party::Owner(o),
-                        Message::FitComplete {
-                            session,
-                            pairs: n_pairs,
-                        },
-                    ));
-                }
-                self.state = State::AwaitJoint;
-                Ok(out)
             }
             Message::JointDataset { summary, .. } => {
                 if !matches!(self.state, State::AwaitJoint) {
@@ -466,5 +215,140 @@ impl Coordinator {
             }
             other => Err(self.unexpected(other.kind())),
         }
+    }
+
+    /// Checks a `ChainAck` against the fold in flight in every field and
+    /// relays its accumulator unchanged to the next owner in announced
+    /// order; `None` once the pass has been through every owner.
+    fn relay(&mut self, fold: Fold, pass: u8, turn: u16, acc: &[u8]) -> Result<Option<Outbound>> {
+        let State::Folding {
+            fold: want,
+            pass: want_pass,
+            turn: want_turn,
+        } = self.state
+        else {
+            return Err(self.unexpected("ChainAck"));
+        };
+        if (fold, pass, turn) != (want, want_pass, want_turn) {
+            return Err(self.unexpected(&format!(
+                "ChainAck of the {fold}, pass {pass}, turn {turn} while expecting the \
+                 {want}, pass {want_pass}, turn {want_turn}"
+            )));
+        }
+        Ok((turn + 1 < self.cfg.owners).then(|| self.chain(fold, pass, turn + 1, acc.to_vec())))
+    }
+
+    /// Sends owner `turn` pass `pass` of `fold`'s accumulator, and expects
+    /// its ack next.
+    fn chain(&mut self, fold: Fold, pass: u8, turn: u16, acc: Vec<u8>) -> Outbound {
+        self.state = State::Folding { fold, pass, turn };
+        let session = self.cfg.session;
+        let msg = Message::Chain {
+            session,
+            fold,
+            pass,
+            turn,
+            acc,
+        };
+        Outbound::new(Party::Owner(turn), msg)
+    }
+
+    /// Sends owner 0 pass `pass` of pair `pair`'s moments accumulator.
+    fn chain_pair(&mut self, pair: usize, pass: u8, acc: Vec<u8>) -> Outbound {
+        let (i, j) = self.pairs[pair];
+        let fold = Fold::Pair {
+            pair: pair as u16,
+            i: i as u16,
+            j: j as u16,
+        };
+        self.chain(fold, pass, 0, acc)
+    }
+
+    /// One message per owner, in owner order.
+    fn broadcast(&self, msg: impl Fn(u64) -> Message) -> Vec<Outbound> {
+        (0..self.cfg.owners)
+            .map(|o| Outbound::new(Party::Owner(o), msg(self.cfg.session)))
+            .collect()
+    }
+
+    /// Ends the key fit after `pairs` rotations: every owner releases.
+    fn fit_complete(&mut self, pairs: u16) -> Vec<Outbound> {
+        self.state = State::AwaitJoint;
+        self.broadcast(|session| Message::FitComplete { session, pairs })
+    }
+
+    /// A normalization pass has been through every owner: run the second
+    /// pass a z-score fit needs, or send every owner the finished
+    /// normalizer and open the shared key fit (or, under per-owner keys,
+    /// end the fit).
+    fn end_normalization_pass(&mut self, pass: u8, acc: &[u8]) -> Result<Vec<Outbound>> {
+        let mut fit = ByteReader::decode_all(acc, PartialFit::decode_from)?;
+        if pass == 1 && fit.needs_second_pass() {
+            fit.begin_second_pass()?;
+            let acc = ByteWriter::encode_with(|w| fit.encode_into(w));
+            return Ok(vec![self.chain(Fold::Normalization, 2, 0, acc)]);
+        }
+        let fitted = fit.finish()?;
+        let normalizer = ByteWriter::encode_with(|w| fitted.encode_into(w));
+        let mut out = self.broadcast(|session| Message::SharedNormalization {
+            session,
+            normalizer: normalizer.clone(),
+        });
+        match self.cfg.key_policy {
+            KeyPolicy::Shared => {
+                // Pooled-identical RNG order: the pairing draw happens here,
+                // right after normalization.
+                self.pairs = self.cfg.rbt.pairing.pairs(self.cfg.n_cols, &mut self.rng)?;
+                self.thresholds = self.cfg.rbt.thresholds_for(self.pairs.len())?;
+                let acc = ByteWriter::encode_with(|w| PairMoments::new().encode_into(w));
+                out.push(self.chain_pair(0, 1, acc));
+            }
+            // No joint fit: owners key their own partitions.
+            KeyPolicy::PerOwner => out.extend(self.fit_complete(0)),
+        }
+        Ok(out)
+    }
+
+    /// A pass of pair `pair`'s moments has been through every owner: run
+    /// the second pass, or draw the pair's rotation, send it to every
+    /// owner, and open the next pair (or build the key and end the fit).
+    fn end_pair_pass(&mut self, pair: usize, pass: u8, acc: &[u8]) -> Result<Vec<Outbound>> {
+        let mut moments = ByteReader::decode_all(acc, PairMoments::decode_from)?;
+        if pass == 1 {
+            moments.begin_second_pass()?;
+            let acc = ByteWriter::encode_with(|w| moments.encode_into(w));
+            return Ok(vec![self.chain_pair(pair, 2, acc)]);
+        }
+        // Both passes folded through every owner: the merged profile is
+        // bit-identical to the pooled one, and the pooled transformer draws
+        // its angle through the same function.
+        let profile = moments.finish(self.cfg.rbt.variance_mode)?;
+        let (i, j) = self.pairs[pair];
+        let step = draw_rotation(
+            (i, j),
+            &profile,
+            &self.thresholds[pair],
+            self.cfg.rbt.solver_grid,
+            &mut self.rng,
+        )?;
+        let mut out = self.broadcast(|session| Message::ApplyRotation {
+            session,
+            pair: pair as u16,
+            i: i as u16,
+            j: j as u16,
+            theta_degrees: step.theta_degrees,
+            achieved_var1: step.achieved_var1,
+            achieved_var2: step.achieved_var2,
+        });
+        self.steps.push(step);
+        if pair + 1 < self.pairs.len() {
+            let acc = ByteWriter::encode_with(|w| PairMoments::new().encode_into(w));
+            out.push(self.chain_pair(pair + 1, 1, acc));
+        } else {
+            let steps = std::mem::take(&mut self.steps);
+            self.key = Some(TransformationKey::new(steps, self.cfg.n_cols)?);
+            out.extend(self.fit_complete(self.pairs.len() as u16));
+        }
+        Ok(out)
     }
 }

@@ -113,12 +113,12 @@ impl FederationHub {
     /// mailbox.
     ///
     /// Every inbound message must claim `owner` as its originator (the
-    /// `Join`/`OwnerRelease` owner field, the chain-ack turn field): a
+    /// `Join`/`OwnerRelease` owner field, the `ChainAck` turn field): a
     /// client knowing only the session id cannot fabricate another owner's
     /// contributions. A mismatch is rejected **without** poisoning the
     /// session, so an impersonation attempt cannot stall honest owners.
     ///
-    /// Owner messages are routed by kind: joins and chain acks to the
+    /// Owner messages are routed by kind: joins and `ChainAck`s to the
     /// coordinator, releases to the receiver. Anything else — or any party
     /// rejecting a message — poisons the session with a typed error that
     /// every subsequent exchange repeats.
@@ -210,7 +210,7 @@ impl FederationHub {
 fn claimed_owner(msg: &Message) -> Option<u16> {
     match msg {
         Message::Join { owner, .. } | Message::OwnerRelease { owner, .. } => Some(*owner),
-        Message::NormChainAck { turn, .. } | Message::PairChainAck { turn, .. } => Some(*turn),
+        Message::ChainAck { turn, .. } => Some(*turn),
         _ => None,
     }
 }
@@ -218,9 +218,7 @@ fn claimed_owner(msg: &Message) -> Option<u16> {
 /// Routes one message arriving from an owner-side client.
 fn deliver_owner_message(s: &mut HubSession, msg: Message) -> Result<()> {
     let outs = match msg {
-        msg @ (Message::Join { .. }
-        | Message::NormChainAck { .. }
-        | Message::PairChainAck { .. }) => s.coordinator.handle(&msg)?,
+        msg @ (Message::Join { .. } | Message::ChainAck { .. }) => s.coordinator.handle(&msg)?,
         msg @ Message::OwnerRelease { .. } => s.receiver.handle(msg)?,
         other => {
             return Err(ProtocolError::UnexpectedMessage {

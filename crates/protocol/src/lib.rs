@@ -9,21 +9,26 @@
 //!
 //! 1. **Announce** — the [`Coordinator`] broadcasts the federation
 //!    configuration (attributes, normalization, RBT parameters, key policy,
-//!    seed) to every [`Owner`] and the [`Receiver`].
+//!    seed) to every [`Owner`] and the [`Receiver`]; each owner `Join`s.
 //! 2. **Shared normalization** — per-owner column statistics are merged by
-//!    chaining a [`rbt_data::PartialFit`] accumulator through the owners in
-//!    announced order. Only the aggregate fold state travels, never rows;
+//!    a chained fold ([`Fold::Normalization`]): the coordinator hands a
+//!    [`rbt_data::PartialFit`] accumulator to each owner in announced order
+//!    (`Chain`), and the owner folds its rows in and hands it back
+//!    (`ChainAck`). Only the aggregate fold state travels, never rows;
 //!    because every fitter statistic is a sequential left fold, the merged
-//!    normalizer is **bit-identical** to fitting the pooled matrix.
-//! 3. **Key fit** — under [`KeyPolicy::Shared`] the pairwise variance
-//!    profiles of the (progressively rotated) federated matrix are merged
-//!    the same way ([`rbt_core::PairMoments`]), the coordinator solves each
-//!    pair's security range and broadcasts the drawn angle, and every owner
-//!    applies the same rotation locally. Under [`KeyPolicy::PerOwner`] each
-//!    owner fits a private key on its own partition.
-//! 4. **Owner release → joint dataset** — owners stream their transformed
-//!    blocks to the receiver, which assembles the union in owner order and
-//!    runs joint k-means.
+//!    normalizer (`SharedNormalization`) is **bit-identical** to fitting
+//!    the pooled matrix.
+//! 3. **Key fit** — under [`KeyPolicy::Shared`] each rotation pair's
+//!    variance profile over the (progressively rotated) federated matrix is
+//!    merged by the same chained fold ([`Fold::Pair`], a
+//!    [`rbt_core::PairMoments`]), the coordinator solves the pair's security
+//!    range and broadcasts the drawn angle (`ApplyRotation`), and every
+//!    owner applies the same rotation locally. Under
+//!    [`KeyPolicy::PerOwner`] each owner fits a private key on its own
+//!    partition once told the fit is complete (`FitComplete`).
+//! 4. **Owner release → joint dataset** — owners send their transformed
+//!    blocks to the receiver (`OwnerRelease`), which assembles the union in
+//!    owner order, runs joint k-means and reports it (`JointDataset`).
 //!
 //! Every party is a **state machine**: construction puts it in its initial
 //! state, and the only way forward is [`Owner::handle`] /
@@ -61,7 +66,7 @@ pub use config::{FederationConfig, KeyPolicy};
 pub use coordinator::Coordinator;
 pub use harness::{FaultPlan, FederationRun, InProcessFederation};
 pub use hub::FederationHub;
-pub use messages::{JointSummary, Message, Outbound, Party};
+pub use messages::{Fold, JointSummary, Message, Outbound, Party};
 pub use owner::Owner;
 pub use receiver::{JointResult, Receiver};
 

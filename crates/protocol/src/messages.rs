@@ -66,12 +66,79 @@ pub struct JointSummary {
     pub converged: bool,
 }
 
+/// The statistic a chained fold accumulates. The coordinator hands its
+/// accumulator to each owner in announced order, one pass after another;
+/// every owner folds its block in, so the result is the pooled fit's
+/// left fold, bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// The shared normalizer: a [`rbt_data::PartialFit`] folded over each
+    /// owner's raw rows (two passes for z-score, one otherwise).
+    Normalization,
+    /// One rotation pair's variances and covariance: a
+    /// [`rbt_core::PairMoments`] folded over columns `(i, j)` of each
+    /// owner's normalized, partly rotated rows (two passes). Only under
+    /// [`crate::KeyPolicy::Shared`].
+    Pair {
+        /// Pair index in pairing order.
+        pair: u16,
+        /// First attribute of the pair.
+        i: u16,
+        /// Second attribute of the pair.
+        j: u16,
+    },
+}
+
+impl fmt::Display for Fold {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Fold::Normalization => write!(f, "normalization fold"),
+            Fold::Pair { pair, i, j } => write!(f, "pair {pair} ({i}, {j}) fold"),
+        }
+    }
+}
+
+const FOLD_NORMALIZATION: u8 = 1;
+const FOLD_PAIR: u8 = 2;
+
+impl Fold {
+    fn encode_into(self, w: &mut ByteWriter) {
+        match self {
+            Fold::Normalization => w.put_u8(FOLD_NORMALIZATION),
+            Fold::Pair { pair, i, j } => {
+                w.put_u8(FOLD_PAIR);
+                w.put_u16(pair);
+                w.put_u16(i);
+                w.put_u16(j);
+            }
+        }
+    }
+
+    fn decode_from(r: &mut ByteReader<'_>) -> DecodeResult<Self> {
+        let offset = r.position();
+        Ok(match r.take_u8()? {
+            FOLD_NORMALIZATION => Fold::Normalization,
+            FOLD_PAIR => Fold::Pair {
+                pair: r.take_u16()?,
+                i: r.take_u16()?,
+                j: r.take_u16()?,
+            },
+            other => {
+                return Err(DecodeError::Malformed {
+                    offset,
+                    message: format!("unknown fold tag {other}"),
+                })
+            }
+        })
+    }
+}
+
 /// A typed protocol round message.
 ///
-/// The chain rounds (`NormChain*`, `PairChain*`) carry opaque accumulator
-/// bytes (a serialized [`rbt_data::PartialFit`] or
-/// [`rbt_core::PairMoments`]); owners decode, fold their block, and
-/// re-encode, so raw rows never travel.
+/// The chained folds (`Chain`, `ChainAck`) carry opaque accumulator bytes
+/// (a serialized [`rbt_data::PartialFit`] or [`rbt_core::PairMoments`]);
+/// owners decode, fold their block, and re-encode, so raw rows never
+/// travel.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Message {
@@ -89,27 +156,31 @@ pub enum Message {
         /// Rows in the owner's partition.
         rows: u64,
     },
-    /// Coordinator → owner `turn`: fold your block into the normalization
-    /// accumulator (`pass` ∈ {1, 2}; z-score fits need two passes).
-    NormChain {
+    /// Coordinator → owner `turn`: fold your block into pass `pass` of
+    /// `fold`'s accumulator.
+    Chain {
         /// Session id.
         session: u64,
-        /// Fold pass (1 = sums/extrema, 2 = centred moments).
+        /// The statistic being folded.
+        fold: Fold,
+        /// Fold pass (1 = sums or extrema, 2 = centred moments).
         pass: u8,
         /// Owner whose turn it is.
         turn: u16,
-        /// Serialized [`rbt_data::PartialFit`] state.
+        /// Serialized accumulator state.
         acc: Vec<u8>,
     },
     /// Owner `turn` → coordinator: the accumulator with my block folded in.
-    NormChainAck {
+    ChainAck {
         /// Session id.
         session: u64,
+        /// The statistic being folded.
+        fold: Fold,
         /// Fold pass being acknowledged.
         pass: u8,
         /// The acknowledging owner.
         turn: u16,
-        /// Serialized [`rbt_data::PartialFit`] state.
+        /// Serialized accumulator state.
         acc: Vec<u8>,
     },
     /// Coordinator → owners: the finished shared normalizer.
@@ -118,39 +189,6 @@ pub enum Message {
         session: u64,
         /// Serialized [`rbt_data::FittedNormalizer`].
         normalizer: Vec<u8>,
-    },
-    /// Coordinator → owner `turn`: fold columns `(i, j)` of your current
-    /// (normalized, partially rotated) block into the pair-moments
-    /// accumulator. Only under [`crate::KeyPolicy::Shared`].
-    PairChain {
-        /// Session id.
-        session: u64,
-        /// Pair index in pairing order.
-        pair: u16,
-        /// First attribute of the pair.
-        i: u16,
-        /// Second attribute of the pair.
-        j: u16,
-        /// Fold pass (1 = sums, 2 = centred moments).
-        pass: u8,
-        /// Owner whose turn it is.
-        turn: u16,
-        /// Serialized [`rbt_core::PairMoments`] state.
-        acc: Vec<u8>,
-    },
-    /// Owner `turn` → coordinator: the pair accumulator with my block
-    /// folded in.
-    PairChainAck {
-        /// Session id.
-        session: u64,
-        /// Pair index being acknowledged.
-        pair: u16,
-        /// Fold pass being acknowledged.
-        pass: u8,
-        /// The acknowledging owner.
-        turn: u16,
-        /// Serialized [`rbt_core::PairMoments`] state.
-        acc: Vec<u8>,
     },
     /// Coordinator → owners: rotate columns `(i, j)` by the drawn angle.
     /// The achieved perturbation variances ride along so every owner
@@ -201,15 +239,13 @@ pub enum Message {
 
 const TAG_ANNOUNCE: u8 = 1;
 const TAG_JOIN: u8 = 2;
-const TAG_NORM_CHAIN: u8 = 3;
-const TAG_NORM_CHAIN_ACK: u8 = 4;
+const TAG_CHAIN: u8 = 3;
+const TAG_CHAIN_ACK: u8 = 4;
 const TAG_SHARED_NORMALIZATION: u8 = 5;
-const TAG_PAIR_CHAIN: u8 = 6;
-const TAG_PAIR_CHAIN_ACK: u8 = 7;
-const TAG_APPLY_ROTATION: u8 = 8;
-const TAG_FIT_COMPLETE: u8 = 9;
-const TAG_OWNER_RELEASE: u8 = 10;
-const TAG_JOINT_DATASET: u8 = 11;
+const TAG_APPLY_ROTATION: u8 = 6;
+const TAG_FIT_COMPLETE: u8 = 7;
+const TAG_OWNER_RELEASE: u8 = 8;
+const TAG_JOINT_DATASET: u8 = 9;
 
 /// Upper bound accepted for matrix and label counts while decoding. Counts
 /// are also checked against the bytes present before anything is
@@ -250,11 +286,9 @@ impl Message {
         match self {
             Message::Announce { config } => config.session,
             Message::Join { session, .. }
-            | Message::NormChain { session, .. }
-            | Message::NormChainAck { session, .. }
+            | Message::Chain { session, .. }
+            | Message::ChainAck { session, .. }
             | Message::SharedNormalization { session, .. }
-            | Message::PairChain { session, .. }
-            | Message::PairChainAck { session, .. }
             | Message::ApplyRotation { session, .. }
             | Message::FitComplete { session, .. }
             | Message::OwnerRelease { session, .. }
@@ -267,11 +301,9 @@ impl Message {
         match self {
             Message::Announce { .. } => "Announce",
             Message::Join { .. } => "Join",
-            Message::NormChain { .. } => "NormChain",
-            Message::NormChainAck { .. } => "NormChainAck",
+            Message::Chain { .. } => "Chain",
+            Message::ChainAck { .. } => "ChainAck",
             Message::SharedNormalization { .. } => "SharedNormalization",
-            Message::PairChain { .. } => "PairChain",
-            Message::PairChainAck { .. } => "PairChainAck",
             Message::ApplyRotation { .. } => "ApplyRotation",
             Message::FitComplete { .. } => "FitComplete",
             Message::OwnerRelease { .. } => "OwnerRelease",
@@ -297,26 +329,24 @@ impl Message {
                 w.put_u16(*owner);
                 w.put_u64(*rows);
             }
-            Message::NormChain {
+            Message::Chain {
                 session,
+                fold,
                 pass,
                 turn,
                 acc,
-            } => {
-                w.put_u8(TAG_NORM_CHAIN);
-                w.put_u64(*session);
-                w.put_u8(*pass);
-                w.put_u16(*turn);
-                w.put_blob(acc);
             }
-            Message::NormChainAck {
+            | Message::ChainAck {
                 session,
+                fold,
                 pass,
                 turn,
                 acc,
             } => {
-                w.put_u8(TAG_NORM_CHAIN_ACK);
+                let ack = matches!(self, Message::ChainAck { .. });
+                w.put_u8(if ack { TAG_CHAIN_ACK } else { TAG_CHAIN });
                 w.put_u64(*session);
+                fold.encode_into(&mut w);
                 w.put_u8(*pass);
                 w.put_u16(*turn);
                 w.put_blob(acc);
@@ -328,38 +358,6 @@ impl Message {
                 w.put_u8(TAG_SHARED_NORMALIZATION);
                 w.put_u64(*session);
                 w.put_blob(normalizer);
-            }
-            Message::PairChain {
-                session,
-                pair,
-                i,
-                j,
-                pass,
-                turn,
-                acc,
-            } => {
-                w.put_u8(TAG_PAIR_CHAIN);
-                w.put_u64(*session);
-                w.put_u16(*pair);
-                w.put_u16(*i);
-                w.put_u16(*j);
-                w.put_u8(*pass);
-                w.put_u16(*turn);
-                w.put_blob(acc);
-            }
-            Message::PairChainAck {
-                session,
-                pair,
-                pass,
-                turn,
-                acc,
-            } => {
-                w.put_u8(TAG_PAIR_CHAIN_ACK);
-                w.put_u64(*session);
-                w.put_u16(*pair);
-                w.put_u8(*pass);
-                w.put_u16(*turn);
-                w.put_blob(acc);
             }
             Message::ApplyRotation {
                 session,
@@ -450,37 +448,32 @@ impl Message {
                 owner: r.take_u16()?,
                 rows: r.take_u64()?,
             },
-            TAG_NORM_CHAIN => Message::NormChain {
-                session: r.take_u64()?,
-                pass: r.take_u8()?,
-                turn: r.take_u16()?,
-                acc: r.take_blob()?.to_vec(),
-            },
-            TAG_NORM_CHAIN_ACK => Message::NormChainAck {
-                session: r.take_u64()?,
-                pass: r.take_u8()?,
-                turn: r.take_u16()?,
-                acc: r.take_blob()?.to_vec(),
-            },
+            TAG_CHAIN | TAG_CHAIN_ACK => {
+                let session = r.take_u64()?;
+                let fold = Fold::decode_from(&mut r)?;
+                let (pass, turn) = (r.take_u8()?, r.take_u16()?);
+                let acc = r.take_blob()?.to_vec();
+                if tag == TAG_CHAIN {
+                    Message::Chain {
+                        session,
+                        fold,
+                        pass,
+                        turn,
+                        acc,
+                    }
+                } else {
+                    Message::ChainAck {
+                        session,
+                        fold,
+                        pass,
+                        turn,
+                        acc,
+                    }
+                }
+            }
             TAG_SHARED_NORMALIZATION => Message::SharedNormalization {
                 session: r.take_u64()?,
                 normalizer: r.take_blob()?.to_vec(),
-            },
-            TAG_PAIR_CHAIN => Message::PairChain {
-                session: r.take_u64()?,
-                pair: r.take_u16()?,
-                i: r.take_u16()?,
-                j: r.take_u16()?,
-                pass: r.take_u8()?,
-                turn: r.take_u16()?,
-                acc: r.take_blob()?.to_vec(),
-            },
-            TAG_PAIR_CHAIN_ACK => Message::PairChainAck {
-                session: r.take_u64()?,
-                pair: r.take_u16()?,
-                pass: r.take_u8()?,
-                turn: r.take_u16()?,
-                acc: r.take_blob()?.to_vec(),
             },
             TAG_APPLY_ROTATION => Message::ApplyRotation {
                 session: r.take_u64()?,
@@ -569,14 +562,16 @@ mod tests {
                 owner: 1,
                 rows: 123,
             },
-            Message::NormChain {
+            Message::Chain {
                 session: 7,
+                fold: Fold::Normalization,
                 pass: 1,
                 turn: 0,
                 acc: vec![1, 2, 3],
             },
-            Message::NormChainAck {
+            Message::ChainAck {
                 session: 7,
+                fold: Fold::Normalization,
                 pass: 2,
                 turn: 1,
                 acc: vec![],
@@ -585,18 +580,24 @@ mod tests {
                 session: 7,
                 normalizer: vec![9; 40],
             },
-            Message::PairChain {
+            Message::Chain {
                 session: 7,
-                pair: 1,
-                i: 2,
-                j: 3,
+                fold: Fold::Pair {
+                    pair: 1,
+                    i: 2,
+                    j: 3,
+                },
                 pass: 1,
                 turn: 0,
                 acc: vec![4, 5],
             },
-            Message::PairChainAck {
+            Message::ChainAck {
                 session: 7,
-                pair: 1,
+                fold: Fold::Pair {
+                    pair: 1,
+                    i: 2,
+                    j: 3,
+                },
                 pass: 2,
                 turn: 1,
                 acc: vec![6],
@@ -672,6 +673,33 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(Message::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
+    }
+
+    /// Re-seals `body` (an encoded message without its CRC trailer) with a
+    /// valid CRC, so only the body's own defect can refuse it.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut bytes = body.to_vec();
+        bytes.extend_from_slice(&crc32(body).to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn an_unknown_fold_tag_is_malformed() {
+        let chain = Message::Chain {
+            session: 7,
+            fold: Fold::Normalization,
+            pass: 1,
+            turn: 0,
+            acc: vec![1, 2, 3],
+        }
+        .encode();
+        // tag (1) · session (8) · fold tag (1) · …
+        let mut body = chain[..chain.len() - 4].to_vec();
+        body[9] = 3;
+        assert!(matches!(
+            Message::decode(&sealed(&body)),
+            Err(DecodeError::Malformed { offset: 9, .. })
+        ));
     }
 
     #[test]

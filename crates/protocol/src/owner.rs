@@ -2,15 +2,17 @@
 //!
 //! An owner holds one horizontal partition (a block of rows over the
 //! shared attributes). It never sends a raw row anywhere: its outbound
-//! traffic is accumulator state (normalization and pair-moment folds) and,
-//! at the very end, its **transformed** block.
+//! traffic is accumulator state (a `ChainAck` of one of the two chained
+//! [`Fold`]s: the normalizer over its raw rows, a rotation pair's moments
+//! over two columns of its normalized block) and, at the very end, its
+//! **transformed** block.
 //!
-//! The owner is deliberately paranoid: each chain round must arrive for
-//! the exact pass/turn/pair it expects, a rotation may only apply to the
-//! pair currently being fit, and the final `FitComplete` must account for
-//! every rotation the owner applied — otherwise releasing would ship
-//! under-rotated (weakly protected, pooled-divergent) data, so the owner
-//! errors out instead.
+//! The owner is deliberately paranoid: each `Chain` must arrive for the
+//! exact turn, pair and pass it expects (one check for both folds), a
+//! rotation may only apply to the pair currently being fit, and the final
+//! `FitComplete` must account for every rotation the owner applied —
+//! otherwise releasing would ship under-rotated (weakly protected,
+//! pooled-divergent) data, so the owner errors out instead.
 //!
 //! Each announced rotation is applied exactly as the pooled fit applies
 //! it: one `Rotation2::step` through the release sweep
@@ -18,7 +20,7 @@
 //! release's bits by construction.
 
 use crate::config::{FederationConfig, KeyPolicy};
-use crate::messages::{Message, Outbound, Party};
+use crate::messages::{Fold, Message, Outbound, Party};
 use crate::{ProtocolError, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,8 +35,8 @@ use rbt_linalg::{Matrix, Rotation2};
 enum State {
     /// Waiting for the coordinator's `Announce`.
     AwaitAnnounce,
-    /// Joined; participating in the normalization chain over **raw** rows.
-    /// `folded_pass` is the highest pass already folded (0 initially).
+    /// Joined; folding the normalizer over **raw** rows. `folded_pass` is
+    /// the highest pass already folded (0 initially).
     Joined {
         cfg: FederationConfig,
         folded_pass: u8,
@@ -140,6 +142,37 @@ impl Owner {
         }
     }
 
+    /// The one order check of a chained fold: `turn` must be this owner's,
+    /// a pair fold must be for the pair after the `applied` rotations, and
+    /// `pass` must follow the `folded` one.
+    fn check_order(&self, fold: Fold, pass: u8, turn: u16, applied: u16, folded: u8) -> Result<()> {
+        if turn != self.id {
+            return Err(self.unexpected(&format!(
+                "Chain of the {fold} for owner {turn} delivered to owner {}",
+                self.id
+            )));
+        }
+        if let Fold::Pair { pair, .. } = fold {
+            if pair < applied {
+                return Err(self.duplicate(&format!("Chain of the {fold}")));
+            }
+            if pair > applied {
+                return Err(self.unexpected(&format!(
+                    "Chain of the {fold} before pair {applied} was rotated"
+                )));
+            }
+        }
+        if pass == folded {
+            return Err(self.duplicate(&format!("Chain of the {fold}, pass {pass}")));
+        }
+        if pass != folded + 1 || pass > 2 {
+            return Err(self.unexpected(&format!(
+                "Chain of the {fold}, pass {pass} after folding pass {folded}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Consumes one message, advancing the state machine.
     ///
     /// # Errors
@@ -187,43 +220,6 @@ impl Owner {
                     },
                 )])
             }
-            Message::NormChain {
-                pass, turn, acc, ..
-            } => {
-                let State::Joined { folded_pass, .. } = &mut self.state else {
-                    return Err(self.unexpected(msg.kind()));
-                };
-                let folded = *folded_pass;
-                if *turn != self.id {
-                    return Err(self.unexpected(&format!(
-                        "NormChain for owner {turn} delivered to owner {}",
-                        self.id
-                    )));
-                }
-                if *pass == folded {
-                    return Err(self.duplicate(&format!("NormChain pass {pass}")));
-                }
-                if *pass != folded + 1 || *pass > 2 {
-                    return Err(self.unexpected(&format!(
-                        "NormChain pass {pass} after folding pass {folded}"
-                    )));
-                }
-                let mut fit = ByteReader::decode_all(acc, PartialFit::decode_from)?;
-                fit.fold(&self.raw).map_err(ProtocolError::Data)?;
-                let pass = *pass;
-                if let State::Joined { folded_pass, .. } = &mut self.state {
-                    *folded_pass = pass;
-                }
-                Ok(vec![Outbound::new(
-                    Party::Coordinator,
-                    Message::NormChainAck {
-                        session: self.session,
-                        pass,
-                        turn: self.id,
-                        acc: ByteWriter::encode_with(|w| fit.encode_into(w)),
-                    },
-                )])
-            }
             Message::SharedNormalization { normalizer, .. } => {
                 let State::Joined { cfg, .. } = &self.state else {
                     return Err(self.unexpected(msg.kind()));
@@ -248,80 +244,67 @@ impl Owner {
                 };
                 Ok(Vec::new())
             }
-            Message::PairChain {
-                pair,
-                i,
-                j,
+            Message::Chain {
+                fold,
                 pass,
                 turn,
                 acc,
                 ..
             } => {
-                let State::Fitting {
-                    cfg,
-                    local,
-                    applied,
-                    folded_pass,
-                    ..
-                } = &mut self.state
-                else {
-                    return Err(self.unexpected(msg.kind()));
+                // The rows a fold reads: raw ones for the normalizer, the
+                // normalized, partly rotated block for a shared pair.
+                let (rows, applied, folded) = match (&self.state, *fold) {
+                    (State::Joined { folded_pass, .. }, Fold::Normalization) => {
+                        (&self.raw, 0, *folded_pass)
+                    }
+                    (
+                        State::Fitting {
+                            cfg,
+                            local,
+                            applied,
+                            folded_pass,
+                            ..
+                        },
+                        Fold::Pair { .. },
+                    ) if cfg.key_policy == KeyPolicy::Shared => (local, *applied, *folded_pass),
+                    _ => return Err(self.unexpected(&format!("Chain of the {fold}"))),
                 };
-                if cfg.key_policy != KeyPolicy::Shared {
-                    let e = self.unexpected("PairChain under a per-owner key policy");
-                    return Err(e);
+                self.check_order(*fold, *pass, *turn, applied, folded)?;
+                let acc = match *fold {
+                    Fold::Normalization => {
+                        let mut fit = ByteReader::decode_all(acc, PartialFit::decode_from)?;
+                        fit.fold(rows)?;
+                        ByteWriter::encode_with(|w| fit.encode_into(w))
+                    }
+                    Fold::Pair { i, j, .. } => {
+                        let (ci, cj, n_cols) = (i as usize, j as usize, rows.cols());
+                        if ci >= n_cols || cj >= n_cols {
+                            return Err(ProtocolError::ShapeMismatch(format!(
+                                "pair ({ci}, {cj}) out of range for {n_cols} attributes"
+                            )));
+                        }
+                        let mut moments = ByteReader::decode_all(acc, PairMoments::decode_from)?;
+                        let mut xs = Vec::with_capacity(rows.rows());
+                        let mut ys = Vec::with_capacity(rows.rows());
+                        rows.column_into(ci, &mut xs);
+                        rows.column_into(cj, &mut ys);
+                        moments.fold(&xs, &ys)?;
+                        ByteWriter::encode_with(|w| moments.encode_into(w))
+                    }
+                };
+                if let State::Joined { folded_pass, .. } | State::Fitting { folded_pass, .. } =
+                    &mut self.state
+                {
+                    *folded_pass = *pass;
                 }
-                if *turn != self.id {
-                    let e = self.unexpected(&format!(
-                        "PairChain for owner {turn} delivered to owner {}",
-                        self.id
-                    ));
-                    return Err(e);
-                }
-                if *pair < *applied {
-                    let e = self.duplicate(&format!("PairChain for pair {pair}"));
-                    return Err(e);
-                }
-                if *pair > *applied {
-                    let (applied, pair) = (*applied, *pair);
-                    let e = self.unexpected(&format!(
-                        "PairChain for pair {pair} before pair {applied} was rotated"
-                    ));
-                    return Err(e);
-                }
-                if *pass == *folded_pass {
-                    let e = self.duplicate(&format!("PairChain pair {pair} pass {pass}"));
-                    return Err(e);
-                }
-                if *pass != *folded_pass + 1 || *pass > 2 {
-                    let (folded, pass) = (*folded_pass, *pass);
-                    let e = self.unexpected(&format!(
-                        "PairChain pass {pass} after folding pass {folded}"
-                    ));
-                    return Err(e);
-                }
-                let (ci, cj) = (*i as usize, *j as usize);
-                if ci >= cfg.n_cols || cj >= cfg.n_cols {
-                    return Err(ProtocolError::ShapeMismatch(format!(
-                        "pair ({ci}, {cj}) out of range for {} attributes",
-                        cfg.n_cols
-                    )));
-                }
-                let mut moments = ByteReader::decode_all(acc, PairMoments::decode_from)?;
-                let mut xs = Vec::with_capacity(local.rows());
-                let mut ys = Vec::with_capacity(local.rows());
-                local.column_into(ci, &mut xs);
-                local.column_into(cj, &mut ys);
-                moments.fold(&xs, &ys).map_err(ProtocolError::Method)?;
-                *folded_pass = *pass;
                 Ok(vec![Outbound::new(
                     Party::Coordinator,
-                    Message::PairChainAck {
+                    Message::ChainAck {
                         session: self.session,
-                        pair: *pair,
+                        fold: *fold,
                         pass: *pass,
                         turn: self.id,
-                        acc: ByteWriter::encode_with(|w| moments.encode_into(w)),
+                        acc,
                     },
                 )])
             }

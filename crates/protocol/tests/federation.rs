@@ -10,7 +10,7 @@ use rbt_data::synth::GaussianMixture;
 use rbt_data::{Dataset, Normalization};
 use rbt_linalg::{Matrix, VarianceMode};
 use rbt_protocol::{
-    FaultPlan, FederationConfig, FederationHub, InProcessFederation, KeyPolicy, Message,
+    FaultPlan, FederationConfig, FederationHub, Fold, InProcessFederation, KeyPolicy, Message,
     ProtocolError,
 };
 
@@ -522,11 +522,13 @@ fn owner_refuses_rotations_of_malformed_pairs() {
             .unwrap();
         for pass in [1u8, 2] {
             owner
-                .handle(&Message::PairChain {
+                .handle(&Message::Chain {
                     session: cfg.session,
-                    pair: 0,
-                    i: 0,
-                    j: 1,
+                    fold: Fold::Pair {
+                        pair: 0,
+                        i: 0,
+                        j: 1,
+                    },
                     pass,
                     turn: 0,
                     acc: ByteWriter::encode_with(|w| PairMoments::new().encode_into(w)),
@@ -648,8 +650,9 @@ fn every_owner_takes_one_message_per_round() {
 
 /// The chained folds' messages, built in one place.
 fn norm_chain(session: u64, pass: u8, turn: u16, acc: Vec<u8>) -> Message {
-    Message::NormChain {
+    Message::Chain {
         session,
+        fold: Fold::Normalization,
         pass,
         turn,
         acc,
@@ -657,8 +660,9 @@ fn norm_chain(session: u64, pass: u8, turn: u16, acc: Vec<u8>) -> Message {
 }
 
 fn norm_ack(session: u64, pass: u8, turn: u16, acc: Vec<u8>) -> Message {
-    Message::NormChainAck {
+    Message::ChainAck {
         session,
+        fold: Fold::Normalization,
         pass,
         turn,
         acc,
@@ -667,11 +671,9 @@ fn norm_ack(session: u64, pass: u8, turn: u16, acc: Vec<u8>) -> Message {
 
 fn pair_chain(session: u64, pair: (u16, u16, u16), pass: u8, turn: u16, acc: Vec<u8>) -> Message {
     let (pair, i, j) = pair;
-    Message::PairChain {
+    Message::Chain {
         session,
-        pair,
-        i,
-        j,
+        fold: Fold::Pair { pair, i, j },
         pass,
         turn,
         acc,
@@ -679,10 +681,10 @@ fn pair_chain(session: u64, pair: (u16, u16, u16), pass: u8, turn: u16, acc: Vec
 }
 
 fn pair_ack(session: u64, pair: (u16, u16, u16), pass: u8, turn: u16, acc: Vec<u8>) -> Message {
-    let (pair, _, _) = pair;
-    Message::PairChainAck {
+    let (pair, i, j) = pair;
+    Message::ChainAck {
         session,
-        pair,
+        fold: Fold::Pair { pair, i, j },
         pass,
         turn,
         acc,
