@@ -6,7 +6,7 @@
 //! of reaching a party's state machine. (The wire layer has its own frame
 //! CRC; this one also covers in-process and store-and-forward transports.)
 
-use crate::config::FederationConfig;
+use crate::config::{FederationConfig, MAX_KMEANS_K};
 use rbt_linalg::codec::{crc32, ByteReader, ByteWriter, DecodeError, DecodeResult};
 use rbt_linalg::Matrix;
 use std::fmt;
@@ -499,10 +499,10 @@ impl Message {
                 let cols = r.take_u16()?;
                 let offset = r.position();
                 let n = r.take_usize()?;
-                if n > MAX_DECODE_ELEMS {
+                if n > MAX_DECODE_ELEMS || n as u64 != rows {
                     return Err(DecodeError::Malformed {
                         offset,
-                        message: format!("implausible label count {n}"),
+                        message: format!("implausible label count {n} for {rows} rows"),
                     });
                 }
                 // Each label is a u32: a count the remaining bytes cannot
@@ -510,7 +510,18 @@ impl Message {
                 r.check_count(n, 4)?;
                 let mut labels = Vec::with_capacity(n);
                 for _ in 0..n {
-                    labels.push(r.take_u32()?);
+                    // A receiver's labels lie below its k, and an announced
+                    // k is at most `MAX_KMEANS_K`: a reader may size a
+                    // per-cluster table from them.
+                    let offset = r.position();
+                    let label = r.take_u32()?;
+                    if label as usize >= MAX_KMEANS_K {
+                        return Err(DecodeError::Malformed {
+                            offset,
+                            message: format!("label {label} is not below {MAX_KMEANS_K}"),
+                        });
+                    }
+                    labels.push(label);
                 }
                 Message::JointDataset {
                     session,
@@ -700,6 +711,40 @@ mod tests {
             Message::decode(&sealed(&body)),
             Err(DecodeError::Malformed { offset: 9, .. })
         ));
+    }
+
+    #[test]
+    fn joint_summaries_need_one_label_below_the_largest_k_per_row() {
+        let joint = |rows: u64, labels: Vec<u32>| Message::JointDataset {
+            session: 7,
+            summary: JointSummary {
+                rows,
+                cols: 2,
+                labels,
+                inertia: 0.25,
+                iterations: 3,
+                converged: true,
+            },
+        };
+        let top = MAX_KMEANS_K as u32 - 1;
+        let valid = joint(3, vec![0, top, 1]);
+        assert_eq!(Message::decode(&valid.encode()).unwrap(), valid);
+        // tag (1) · session (8) · rows (8) · cols (2) · label count (8) at
+        // offset 19 · u32 labels from offset 27.
+        for (msg, offset) in [
+            (joint(5, vec![0, 1]), 19),
+            (joint(2, vec![0, 1, 1]), 19),
+            (joint(2, vec![0, top + 1]), 31),
+            (joint(1, vec![u32::MAX]), 27),
+        ] {
+            assert!(
+                matches!(
+                    Message::decode(&msg.encode()),
+                    Err(DecodeError::Malformed { offset: o, .. }) if o == offset
+                ),
+                "{msg:?}"
+            );
+        }
     }
 
     #[test]
