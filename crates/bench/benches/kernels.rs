@@ -359,8 +359,8 @@ fn scalar_columns(normalizer: &FittedNormalizer) -> Vec<ScalarColumn> {
         .collect()
 }
 
-/// `FittedNormalizer::transform_rows_in_place` as it was before the row
-/// kernels: per element, a `match` on its column's parameters.
+/// `FittedNormalizer::transform` as it was before the row kernels: per
+/// element, a `match` on its column's parameters.
 fn scalar_normalize(rows: &mut [f64], columns: &[ScalarColumn]) {
     for row in rows.chunks_exact_mut(columns.len()) {
         for (v, p) in row.iter_mut().zip(columns) {
@@ -369,7 +369,7 @@ fn scalar_normalize(rows: &mut [f64], columns: &[ScalarColumn]) {
     }
 }
 
-/// `FittedNormalizer::invert_rows_in_place` as it was before the row
+/// `FittedNormalizer::inverse_transform` as it was before the row
 /// kernels.
 fn scalar_denormalize(rows: &mut [f64], columns: &[ScalarColumn]) {
     for row in rows.chunks_exact_mut(columns.len()) {
@@ -929,14 +929,14 @@ fn main() {
         let normalizer = session.normalizer();
         let scratch_forward = |rows: &mut [f64]| {
             let drifted = normalizer
-                .transform_rows_in_place_with_drift(rows, bounds.mins(), bounds.maxs())
+                .transform_and_sweep(rows, Some((bounds.mins(), bounds.maxs())), &[])
                 .unwrap();
             apply_steps_in_rows(rows, COLS, &fwd);
             drifted
         };
         let scratch_inverse = |rows: &mut [f64]| {
             apply_steps_in_rows(rows, COLS, &inv);
-            normalizer.invert_rows_in_place(rows).unwrap();
+            normalizer.sweep_and_invert(rows, &[]).unwrap();
             0
         };
         let (input, released_frame) = (frame_of(&batch), frame_of(&released));

@@ -894,7 +894,7 @@ impl FittedNormalizer {
     pub fn transform(&self, m: &Matrix) -> Result<Matrix> {
         self.check_cols(m)?;
         let mut out = m.clone();
-        self.transform_rows_in_place(out.as_mut_slice())?;
+        self.transform_and_sweep(out.as_mut_slice(), None, &[])?;
         Ok(out)
     }
 
@@ -907,54 +907,8 @@ impl FittedNormalizer {
     pub fn inverse_transform(&self, m: &Matrix) -> Result<Matrix> {
         self.check_cols(m)?;
         let mut out = m.clone();
-        self.invert_rows_in_place(out.as_mut_slice())?;
+        self.sweep_and_invert(out.as_mut_slice(), &[])?;
         Ok(out)
-    }
-
-    /// Applies the fitted normalization in place to a row-major slice of
-    /// complete rows (`rows.len()` must be a multiple of
-    /// [`n_cols`](Self::n_cols)): [`transform_and_sweep`](Self::transform_and_sweep)
-    /// without bounds or steps, the forward row kernel under
-    /// [`transform`](Self::transform).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotFitted`] if `rows.len()` is not a multiple of
-    /// the fitted column count.
-    pub fn transform_rows_in_place(&self, rows: &mut [f64]) -> Result<()> {
-        self.transform_and_sweep(rows, None, &[]).map(|_| ())
-    }
-
-    /// [`transform_rows_in_place`](Self::transform_rows_in_place) fused with
-    /// a drift check in the same pass against `mins`/`maxs`, as
-    /// [`transform_and_sweep`](Self::transform_and_sweep) checks its
-    /// bounds. Returns how many rows had a value outside its column's
-    /// range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotFitted`] if `rows.len()` is not a multiple of
-    /// the fitted column count or the bounds cover another column count.
-    pub fn transform_rows_in_place_with_drift(
-        &self,
-        rows: &mut [f64],
-        mins: &[f64],
-        maxs: &[f64],
-    ) -> Result<usize> {
-        self.transform_and_sweep(rows, Some((mins, maxs)), &[])
-    }
-
-    /// Inverts the fitted normalization in place on a row-major slice of
-    /// complete rows: [`sweep_and_invert`](Self::sweep_and_invert) without
-    /// steps, the inverse row kernel under
-    /// [`inverse_transform`](Self::inverse_transform).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotFitted`] if `rows.len()` is not a multiple of
-    /// the fitted column count.
-    pub fn invert_rows_in_place(&self, rows: &mut [f64]) -> Result<()> {
-        self.sweep_and_invert(rows, &[])
     }
 
     /// The forward release of whole rows in place, one pass over their
@@ -2101,15 +2055,15 @@ mod tests {
             .fit_transform(raw.matrix())
             .unwrap();
         let mut rows = raw.matrix().as_slice().to_vec();
-        fitted.transform_rows_in_place(&mut rows).unwrap();
+        fitted.transform_and_sweep(&mut rows, None, &[]).unwrap();
         assert_eq!(rows, t.as_slice());
-        fitted.invert_rows_in_place(&mut rows).unwrap();
+        fitted.sweep_and_invert(&mut rows, &[]).unwrap();
         let back = Matrix::from_vec(raw.n_rows(), raw.n_cols(), rows).unwrap();
         assert!(back.approx_eq(raw.matrix(), 1e-9));
         // Ragged slices are rejected.
         let mut ragged = vec![0.0; 4];
         assert!(matches!(
-            fitted.transform_rows_in_place(&mut ragged),
+            fitted.transform_and_sweep(&mut ragged, None, &[]),
             Err(Error::NotFitted(_))
         ));
     }
@@ -2219,11 +2173,11 @@ mod tests {
                         .count();
 
                     let mut plain = input.clone();
-                    fitted.transform_rows_in_place(&mut plain).unwrap();
+                    fitted.transform_and_sweep(&mut plain, None, &[]).unwrap();
                     assert_same_bits(&plain, &expected, &format!("forward {what}"));
                     let mut fused = input.clone();
                     let drifted = fitted
-                        .transform_rows_in_place_with_drift(&mut fused, &mins, &maxs)
+                        .transform_and_sweep(&mut fused, Some((&mins, &maxs)), &[])
                         .unwrap();
                     assert_same_bits(&fused, &expected, &format!("fused forward {what}"));
                     assert_eq!(drifted, expected_drift, "drift {what}");
@@ -2236,7 +2190,7 @@ mod tests {
                             .flat_map(|row| row.iter().zip(&reference).map(|(&v, p)| p.invert(v)))
                             .collect();
                         let mut back = source.clone();
-                        fitted.invert_rows_in_place(&mut back).unwrap();
+                        fitted.sweep_and_invert(&mut back, &[]).unwrap();
                         assert_same_bits(&back, &want, &format!("inverse {what}"));
                     }
                 }
@@ -2252,7 +2206,7 @@ mod tests {
         let mut rows = vec![1.0, 3.0];
         for (mins, maxs) in [(&[0.0][..], &[1.0, 1.0][..]), (&[0.0, 0.0], &[1.0])] {
             assert!(matches!(
-                fitted.transform_rows_in_place_with_drift(&mut rows, mins, maxs),
+                fitted.transform_and_sweep(&mut rows, Some((mins, maxs)), &[]),
                 Err(Error::NotFitted(_))
             ));
         }
