@@ -131,13 +131,21 @@ impl Coordinator {
         self.state = State::AwaitJoins {
             joined: vec![false; owners as usize],
         };
-        let announce = || Message::Announce {
-            config: self.cfg.clone(),
-        };
-        let mut out: Vec<Outbound> = (0..owners)
-            .map(|o| Outbound::new(Party::Owner(o), announce()))
-            .collect();
-        out.push(Outbound::new(Party::Receiver, announce()));
+        let mut out = Vec::with_capacity(owners as usize + 1);
+        for o in 0..owners {
+            out.push(Outbound::new(
+                Party::Owner(o),
+                Message::Announce {
+                    config: self.cfg.clone(),
+                },
+            ));
+        }
+        out.push(Outbound::new(
+            Party::Receiver,
+            Message::Announce {
+                config: self.cfg.clone(),
+            },
+        ));
         Ok(out)
     }
 

@@ -1,6 +1,7 @@
 //! Typed round messages and their checksummed binary codec.
 //!
-//! One message kind per protocol round. Every message carries the session
+//! One message kind per protocol step; both chained folds ([`Fold`]) use
+//! the one pair `Chain`/`ChainAck`. Every message carries the session
 //! id; every encoded message ends with a CRC-32 over its body, so a
 //! corrupted delivery fails [`Message::decode`] with a typed error instead
 //! of reaching a party's state machine. (The wire layer has its own frame

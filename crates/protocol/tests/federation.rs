@@ -894,3 +894,71 @@ fn chain_turns_out_of_order_are_refused_with_their_typed_error() {
         );
     }
 }
+
+/// The coordinator compares each ack with the fold in flight in every
+/// field: an ack of the right pair over other columns, of another pair
+/// over the right columns, or of the other statistic is refused, and the
+/// matching ack still goes through.
+#[test]
+fn chain_acks_must_match_the_fold_in_flight_in_every_field() {
+    let cfg = shared_config(0x0f1d, 4, 2, 8);
+    let mut coordinator = rbt_protocol::Coordinator::new(cfg.clone()).unwrap();
+    let mut owners: Vec<rbt_protocol::Owner> = partition(&fixture(40, 4, 9), 2)
+        .into_iter()
+        .enumerate()
+        .map(|(i, m)| rbt_protocol::Owner::new(i as u16, cfg.session, m).unwrap())
+        .collect();
+    let mut queue: std::collections::VecDeque<rbt_protocol::Outbound> =
+        coordinator.start().unwrap().into();
+    // Deliver until owner 0 acks the first pair fold.
+    let ack = 'deliver: loop {
+        let out = queue.pop_front().expect("the session reaches a pair fold");
+        let rbt_protocol::Party::Owner(o) = out.to else {
+            continue; // the receiver takes no part before the release
+        };
+        for reply in owners[o as usize].handle(&out.msg).unwrap() {
+            if let Message::ChainAck {
+                fold: Fold::Pair { .. },
+                ..
+            } = reply.msg
+            {
+                break 'deliver reply.msg;
+            }
+            queue.extend(coordinator.handle(&reply.msg).unwrap());
+        }
+    };
+    let Message::ChainAck {
+        session,
+        fold: Fold::Pair { pair, i, j },
+        pass,
+        turn,
+        ref acc,
+    } = ack
+    else {
+        unreachable!("the loop breaks on a pair fold's ack");
+    };
+    let forgeries = [
+        Fold::Pair { pair, i: j, j: i },
+        Fold::Pair {
+            pair: pair + 1,
+            i,
+            j,
+        },
+        Fold::Normalization,
+    ];
+    for fold in forgeries {
+        let forged = Message::ChainAck {
+            session,
+            fold,
+            pass,
+            turn,
+            acc: acc.clone(),
+        };
+        let err = coordinator.handle(&forged).unwrap_err();
+        assert!(
+            matches!(err, ProtocolError::UnexpectedMessage { .. }),
+            "{fold}: {err:?}"
+        );
+    }
+    assert!(coordinator.handle(&ack).is_ok());
+}
