@@ -148,14 +148,12 @@ pub enum Message {
         /// The announced configuration (carries the session id).
         config: FederationConfig,
     },
-    /// Owner → coordinator: the owner is present and holds `rows` rows.
+    /// Owner → coordinator: the owner is present.
     Join {
         /// Session id.
         session: u64,
         /// The joining owner.
         owner: u16,
-        /// Rows in the owner's partition.
-        rows: u64,
     },
     /// Coordinator → owner `turn`: fold your block into pass `pass` of
     /// `fold`'s accumulator.
@@ -320,15 +318,10 @@ impl Message {
                 w.put_u8(TAG_ANNOUNCE);
                 config.encode_into(&mut w);
             }
-            Message::Join {
-                session,
-                owner,
-                rows,
-            } => {
+            Message::Join { session, owner } => {
                 w.put_u8(TAG_JOIN);
                 w.put_u64(*session);
                 w.put_u16(*owner);
-                w.put_u64(*rows);
             }
             Message::Chain {
                 session,
@@ -447,7 +440,6 @@ impl Message {
             TAG_JOIN => Message::Join {
                 session: r.take_u64()?,
                 owner: r.take_u16()?,
-                rows: r.take_u64()?,
             },
             TAG_CHAIN | TAG_CHAIN_ACK => {
                 let session = r.take_u64()?;
@@ -572,7 +564,6 @@ mod tests {
             Message::Join {
                 session: 7,
                 owner: 1,
-                rows: 123,
             },
             Message::Chain {
                 session: 7,

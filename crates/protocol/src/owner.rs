@@ -206,7 +206,6 @@ impl Owner {
                         config.n_cols
                     )));
                 }
-                let rows = self.raw.rows() as u64;
                 self.state = State::Joined {
                     cfg: config.clone(),
                     folded_pass: 0,
@@ -216,7 +215,6 @@ impl Owner {
                     Message::Join {
                         session: self.session,
                         owner: self.id,
-                        rows,
                     },
                 )])
             }

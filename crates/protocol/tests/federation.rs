@@ -413,7 +413,6 @@ fn hub_rejects_duplicates_capacity_and_poisons_failed_sessions() {
             vec![Message::Join {
                 session: 1,
                 owner: 1,
-                rows: 10,
             }],
         )
         .unwrap_err();
@@ -430,7 +429,6 @@ fn hub_rejects_duplicates_capacity_and_poisons_failed_sessions() {
     let join = Message::Join {
         session: 1,
         owner: 0,
-        rows: 10,
     };
     let err = hub.exchange(1, 0, vec![join.clone(), join]).unwrap_err();
     assert!(matches!(err, ProtocolError::DuplicateMessage { .. }));
@@ -450,7 +448,6 @@ fn hub_evicts_failed_and_idle_sessions_under_capacity_pressure() {
     let join = Message::Join {
         session: 1,
         owner: 0,
-        rows: 10,
     };
     hub.exchange(1, 0, vec![join.clone(), join]).unwrap_err();
     hub.open(shared_config(2, 4, 2, 9))
@@ -483,7 +480,6 @@ fn cross_session_messages_are_rejected() {
         .handle(&Message::Join {
             session: 11,
             owner: 0,
-            rows: 5,
         })
         .unwrap_err();
     assert!(matches!(
@@ -854,11 +850,7 @@ fn chain_turns_out_of_order_are_refused_with_their_typed_error() {
         assert_eq!(got, want, "{what}: {err}");
     }
 
-    let join = |owner| Message::Join {
-        session: s,
-        owner,
-        rows: 30,
-    };
+    let join = |owner| Message::Join { session: s, owner };
     let coordinator_cases = [
         (
             "an ack before every owner joined",

@@ -872,7 +872,6 @@ fn pipelined_requests_of_every_kind_answer_with_the_library_bytes() {
     let delivery = Message::Join {
         session: UNKNOWN_SESSION,
         owner: 0,
-        rows: 10,
     };
     let fed_msg = |messages: Vec<Vec<u8>>| wire::Request::FedMsg {
         session: UNKNOWN_SESSION,
