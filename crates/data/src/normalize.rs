@@ -938,9 +938,10 @@ impl FittedNormalizer {
     ///
     /// Each row depends only on itself, so any chunking of a batch (a
     /// release session's batches, a federation owner's partition) produces
-    /// bit-identical output to the whole-slice call. A row of up to 256
-    /// values is staged on the stack; a wider one takes one heap block per
-    /// call.
+    /// bit-identical output to the whole-slice call. Rows of up to
+    /// `BLOCK_VALUES` = 512 values are staged on the stack, as many whole
+    /// rows at a time as fit in its 4 KiB; a wider row takes one heap block
+    /// per call.
     ///
     /// # Errors
     ///
