@@ -285,14 +285,6 @@ impl FittedTransform for FittedRbt {
         Ok(self.session.invert_batch(released)?)
     }
 
-    fn transform_batch_in_place(&self, batch: &mut Dataset) -> Result<usize> {
-        Ok(self.session.transform_batch_in_place(batch)?)
-    }
-
-    fn invert_batch_in_place(&self, released: &mut Dataset) -> Result<()> {
-        Ok(self.session.invert_batch_in_place(released)?)
-    }
-
     fn row_kernels(&self) -> Option<RowKernels<'_>> {
         Some(self.session.kernels())
     }
@@ -425,17 +417,6 @@ impl FittedHybridIsometry {
             self.suppress_ids,
         )
     }
-
-    fn check_width(&self, batch: &Dataset) -> Result<()> {
-        if batch.n_cols() != self.key.n_attributes() {
-            return Err(RbtError::DimensionMismatch(format!(
-                "normalizer fitted for {} columns, input has {}",
-                self.key.n_attributes(),
-                batch.n_cols()
-            )));
-        }
-        Ok(())
-    }
 }
 
 impl FittedTransform for FittedHybridIsometry {
@@ -459,37 +440,11 @@ impl FittedTransform for FittedHybridIsometry {
     }
 
     fn transform_batch(&self, batch: &Dataset) -> Result<SessionBatch> {
-        let mut released = batch.clone();
-        self.transform_batch_in_place(&mut released)?;
-        Ok(SessionBatch {
-            released,
-            out_of_range_rows: 0,
-        })
+        Ok(self.row_kernels_of().transform_batch(batch)?)
     }
 
     fn invert_batch(&self, released: &Dataset) -> Result<Dataset> {
-        let mut recovered = released.clone();
-        self.invert_batch_in_place(&mut recovered)?;
-        Ok(recovered)
-    }
-
-    /// The row kernels over the batch's own rows, on the calling thread:
-    /// each row normalized and swept by the key's steps in one pass.
-    fn transform_batch_in_place(&self, batch: &mut Dataset) -> Result<usize> {
-        self.check_width(batch)?;
-        if self.suppress_ids {
-            batch.take_ids();
-        }
-        let rows = batch.matrix_mut().as_mut_slice();
-        Ok(self.row_kernels_of().forward_rows(rows)?)
-    }
-
-    /// The inverse sweep, then the normalizer's inverse, per row; the
-    /// owner-side recovery keeps whatever IDs the released batch had.
-    fn invert_batch_in_place(&self, released: &mut Dataset) -> Result<()> {
-        self.check_width(released)?;
-        let rows = released.matrix_mut().as_mut_slice();
-        Ok(self.row_kernels_of().inverse_rows(rows)?)
+        Ok(self.row_kernels_of().invert_batch(released)?)
     }
 
     fn row_kernels(&self) -> Option<RowKernels<'_>> {

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 use rbt_api::methods::FittedHybridIsometry;
 use rbt_api::{Method, Release};
 use rbt_bench::{workload, WorkloadSpec};
-use rbt_core::key::{RotationStep, TransformationKey};
+use rbt_core::key::{KeyStep, RotationStep, TransformationKey};
 use rbt_core::reflection::{IsometryKey, IsometryStep};
 use rbt_core::{DriftBounds, ReleaseSession};
 use rbt_data::{Dataset, FittedNormalizer, Normalization};
@@ -829,23 +829,23 @@ fn main() {
         let columns = scalar_columns(session.normalizer());
         let (fwd, inv) = (session.key().forward_sweep(), session.key().inverse_sweep());
 
-        let mut fast = Dataset::from_matrix(batch.clone());
-        let drifted = session.transform_batch_in_place(&mut fast).unwrap();
+        let mut fast = batch.clone();
+        let drifted = session.forward_rows(fast.as_mut_slice()).unwrap();
         let mut scalar = batch.clone();
         let scalar_drifted = scalar_release(scalar.as_mut_slice(), &columns, bounds, &fwd);
         assert_eq!(drifted, scalar_drifted, "kernel changed the drift count");
         assert_eq!(
-            bits(fast.matrix()),
+            bits(&fast),
             bits(&scalar),
             "kernel release must be bit-identical to the scalar path"
         );
         let released = scalar;
-        let mut recovered = Dataset::from_matrix(released.clone());
-        session.invert_batch_in_place(&mut recovered).unwrap();
+        let mut recovered = released.clone();
+        session.inverse_rows(recovered.as_mut_slice()).unwrap();
         let mut scalar = released.clone();
         scalar_recover(scalar.as_mut_slice(), &columns, &inv);
         assert_eq!(
-            bits(recovered.matrix()),
+            bits(&recovered),
             bits(&scalar),
             "kernel inverse must be bit-identical to the scalar path"
         );
@@ -860,7 +860,7 @@ fn main() {
                     black_box(scalar_release(rows, &columns, bounds, &fwd));
                 },
                 &mut |b: &mut Dataset| {
-                    black_box(session.transform_batch_in_place(b).unwrap());
+                    black_box(session.forward_rows(b.matrix_mut().as_mut_slice()).unwrap());
                 },
             ],
         );
@@ -872,7 +872,7 @@ fn main() {
                 &mut |b: &mut Dataset| {
                     scalar_recover(b.matrix_mut().as_mut_slice(), &columns, &inv)
                 },
-                &mut |b: &mut Dataset| session.invert_batch_in_place(b).unwrap(),
+                &mut |b: &mut Dataset| session.inverse_rows(b.matrix_mut().as_mut_slice()).unwrap(),
             ],
         );
 
@@ -886,10 +886,11 @@ fn main() {
             .downcast_ref::<FittedHybridIsometry>()
             .expect("a hybrid isometry fit");
         let hybrid_columns = scalar_columns(state.normalizer());
-        let mut fast = Dataset::from_matrix(batch.clone());
-        hybrid.fitted.transform_batch_in_place(&mut fast).unwrap();
+        let kernels = hybrid.fitted.row_kernels().expect("hybrid has row kernels");
+        let mut fast = batch.clone();
+        kernels.forward_rows(fast.as_mut_slice()).unwrap();
         assert_eq!(
-            bits(fast.matrix()),
+            bits(&fast),
             bits(&scalar_isometry_release(
                 &batch,
                 &hybrid_columns,
@@ -908,7 +909,7 @@ fn main() {
                     *b.matrix_mut() = released;
                 },
                 &mut |b: &mut Dataset| {
-                    black_box(hybrid.fitted.transform_batch_in_place(b).unwrap());
+                    black_box(kernels.forward_rows(b.matrix_mut().as_mut_slice()).unwrap());
                 },
             ],
         );

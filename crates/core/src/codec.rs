@@ -254,8 +254,8 @@ pub(crate) fn read_key_record(r: &mut ByteReader<'_>) -> Result<TransformationKe
             achieved_var2: r.take_f64()?,
         });
     }
-    // `new` re-validates index ranges, so a tampered-but-checksummed
-    // payload still cannot produce an inconsistent key.
+    // `new` re-validates index ranges and angles, so a tampered-but-
+    // checksummed payload still cannot produce an inconsistent key.
     TransformationKey::new(steps, n_attributes)
 }
 

@@ -2,18 +2,44 @@
 //!
 //! §5.2 frames RBT's computational security around what an attacker would
 //! have to guess: the attribute pairs, their order, and the angle drawn for
-//! each pair from a continuous interval. A [`TransformationKey`] records
-//! exactly those choices, so the owner can (a) audit what was released,
-//! (b) re-apply the identical transformation to new rows, and (c) invert
-//! the release. A key persists only inside its release session's key file
+//! each pair from a continuous interval. A [`Key`] records exactly those
+//! choices, so the owner can (a) audit what was released, (b) re-apply the
+//! identical transformation to new rows, and (c) invert the release.
+//!
+//! Theorem 2 holds for any 2×2 isometry of a pair, so one key type serves
+//! every step kind ([`KeyStep`]): an RBT [`TransformationKey`] of
+//! [`RotationStep`]s and the hybrid extension's
+//! [`IsometryKey`](crate::reflection::IsometryKey) of rotations and
+//! reflections share the validation, the sweeps and `apply`/`invert`. An
+//! RBT key persists only inside its release session's key file
 //! ([`crate::session::ReleaseSession::to_text`] /
 //! [`to_bytes`](crate::session::ReleaseSession::to_bytes)), next to the
-//! normalizer it rotates the output of.
+//! normalizer it rotates the output of; an isometry key inside its fitted
+//! release's `Method` record.
 
-use crate::method::KeyStep;
 use crate::{Error, Result};
 use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
 use rbt_linalg::{Matrix, Rotation2};
+use std::fmt::Debug;
+
+pub(crate) mod sealed {
+    /// Keeps [`KeyStep`](super::KeyStep) to the step kinds of this crate.
+    pub trait Sealed {}
+}
+
+/// One step of a [`Key`]: a 2×2 isometry of an attribute pair. Sealed —
+/// implemented by [`RotationStep`] and
+/// [`IsometryStep`](crate::reflection::IsometryStep).
+pub trait KeyStep: sealed::Sealed + Debug + Clone + PartialEq {
+    /// The attribute pair this step acts on.
+    fn pair(&self) -> (usize, usize);
+
+    /// The step as a 2×2 sweep step on its pair.
+    fn forward(&self) -> PairStep;
+
+    /// The 2×2 sweep step that undoes the step.
+    fn inverse(&self) -> PairStep;
+}
 
 /// One recorded rotation step.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,49 +57,73 @@ pub struct RotationStep {
     pub achieved_var2: f64,
 }
 
+impl sealed::Sealed for RotationStep {}
+
 impl KeyStep for RotationStep {
+    fn pair(&self) -> (usize, usize) {
+        (self.i, self.j)
+    }
+
     /// The rotation `[cos θ, sin θ, −sin θ, cos θ]` on the step's pair.
     fn forward(&self) -> PairStep {
         Rotation2::from_degrees(self.theta_degrees).step(self.i, self.j)
     }
+
+    /// The rotation by −θ.
+    fn inverse(&self) -> PairStep {
+        Rotation2::from_degrees(self.theta_degrees)
+            .inverse()
+            .step(self.i, self.j)
+    }
 }
 
-/// The ordered list of rotations applied by one RBT run.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TransformationKey {
-    steps: Vec<RotationStep>,
+/// The ordered list of pair steps applied by one key fit, over a fixed
+/// number of attributes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Key<S: KeyStep> {
+    steps: Vec<S>,
     n_attributes: usize,
 }
 
-impl TransformationKey {
+/// The ordered list of rotations applied by one RBT run.
+pub type TransformationKey = Key<RotationStep>;
+
+impl<S: KeyStep> Key<S> {
     /// Creates a key from explicit steps.
     ///
     /// # Errors
     ///
     /// Returns [`Error::KeyMismatch`] if a step references an attribute
-    /// `>= n_attributes` or pairs an attribute with itself.
-    pub fn new(steps: Vec<RotationStep>, n_attributes: usize) -> Result<Self> {
+    /// `>= n_attributes`, pairs an attribute with itself, or has an angle
+    /// that is NaN or infinite (the one way its 2×2 coefficients can be
+    /// non-finite).
+    pub fn new(steps: Vec<S>, n_attributes: usize) -> Result<Self> {
         for (t, s) in steps.iter().enumerate() {
-            if s.i >= n_attributes || s.j >= n_attributes {
+            let (i, j) = s.pair();
+            if i >= n_attributes || j >= n_attributes {
                 return Err(Error::KeyMismatch(format!(
                     "step {t} references attribute out of range (n = {n_attributes})"
                 )));
             }
-            if s.i == s.j {
+            if i == j {
                 return Err(Error::KeyMismatch(format!(
-                    "step {t} pairs {} with itself",
-                    s.i
+                    "step {t} pairs {i} with itself"
+                )));
+            }
+            if !s.forward().m.iter().all(|c| c.is_finite()) {
+                return Err(Error::KeyMismatch(format!(
+                    "step {t} has a non-finite angle"
                 )));
             }
         }
-        Ok(TransformationKey {
+        Ok(Key {
             steps,
             n_attributes,
         })
     }
 
     /// The recorded steps, in application order.
-    pub fn steps(&self) -> &[RotationStep] {
+    pub fn steps(&self) -> &[S] {
         &self.steps
     }
 
@@ -82,29 +132,21 @@ impl TransformationKey {
         self.n_attributes
     }
 
-    /// Every step's rotation `[cos θ, sin θ, −sin θ, cos θ]`, in
-    /// application order — the form the fused row sweep
-    /// ([`apply_steps_in_rows`]) consumes. The release session precomputes
-    /// this once per batch instead of re-deriving angles per step.
+    /// Every step as a 2×2 sweep step (a rotation `[c, s, −s, c]`, a
+    /// reflection `[c₂, s₂, s₂, −c₂]`), in application order — the form the
+    /// fused row sweep ([`apply_steps_in_rows`]) consumes. A release draws
+    /// it once rather than re-deriving angles per batch.
     pub fn forward_sweep(&self) -> Vec<PairStep> {
         self.steps.iter().map(KeyStep::forward).collect()
     }
 
-    /// The *inverse* rotations in reverse order — the sweep that undoes
+    /// The inverse steps in reverse order — the sweep that undoes
     /// [`apply`](Self::apply).
     pub fn inverse_sweep(&self) -> Vec<PairStep> {
-        self.steps
-            .iter()
-            .rev()
-            .map(|st| {
-                Rotation2::from_degrees(st.theta_degrees)
-                    .inverse()
-                    .step(st.i, st.j)
-            })
-            .collect()
+        self.steps.iter().rev().map(KeyStep::inverse).collect()
     }
 
-    /// Applies the key's rotations, in order, to a matrix with the same
+    /// Applies the key's steps, in order, to a matrix with the same
     /// attribute layout (e.g. fresh rows arriving after the initial
     /// release). The matrix must already be normalized with the same
     /// parameters as the original fit.
@@ -114,39 +156,44 @@ impl TransformationKey {
     /// matrix, not `p`. Each `(row, step)` update is row-local and keeps
     /// its per-row order, so the result is bit-identical to the key fit,
     /// which applies the same steps one sweep at a time — and to rotating
-    /// extracted columns with [`Rotation2::apply_columns`].
+    /// or reflecting extracted columns one step at a time.
     ///
     /// # Errors
     ///
     /// Returns [`Error::KeyMismatch`] if the column count differs.
     pub fn apply(&self, normalized: &Matrix) -> Result<Matrix> {
-        self.check(normalized)?;
-        let mut out = normalized.clone();
-        let steps = self.forward_sweep();
-        if !steps.is_empty() {
-            let n_cols = out.cols();
-            apply_steps_in_rows(out.as_mut_slice(), n_cols, &steps);
-        }
-        Ok(out)
+        self.swept(normalized, &self.forward_sweep())
     }
 
-    /// Undoes the transformation (owner-side): applies the inverse rotations
-    /// in reverse order, as one fused sweep like [`apply`](Self::apply).
+    /// Undoes the key (owner-side): applies the inverse steps in reverse
+    /// order, as one fused sweep like [`apply`](Self::apply).
     ///
     /// # Errors
     ///
     /// Returns [`Error::KeyMismatch`] if the column count differs.
     pub fn invert(&self, transformed: &Matrix) -> Result<Matrix> {
-        self.check(transformed)?;
-        let mut out = transformed.clone();
-        let steps = self.inverse_sweep();
+        self.swept(transformed, &self.inverse_sweep())
+    }
+
+    /// A copy of `m` with `steps` run over every row (nothing to run
+    /// without steps, which also covers a matrix without columns).
+    fn swept(&self, m: &Matrix, steps: &[PairStep]) -> Result<Matrix> {
+        if m.cols() != self.n_attributes {
+            return Err(Error::KeyMismatch(format!(
+                "key fitted for {} attributes, matrix has {}",
+                self.n_attributes,
+                m.cols()
+            )));
+        }
+        let mut out = m.clone();
         if !steps.is_empty() {
-            let n_cols = out.cols();
-            apply_steps_in_rows(out.as_mut_slice(), n_cols, &steps);
+            apply_steps_in_rows(out.as_mut_slice(), m.cols(), steps);
         }
         Ok(out)
     }
+}
 
+impl TransformationKey {
     /// The composite `n × n` orthogonal matrix the key is equivalent to
     /// (the product of its Givens rotations, in application order). Row
     /// vectors transform as `x' = x · Rᵀ`.
@@ -171,17 +218,6 @@ impl TransformationKey {
                 .map_err(|e| Error::KeyMismatch(e.to_string()))?;
         }
         Ok(acc)
-    }
-
-    fn check(&self, m: &Matrix) -> Result<()> {
-        if m.cols() != self.n_attributes {
-            return Err(Error::KeyMismatch(format!(
-                "key fitted for {} attributes, matrix has {}",
-                self.n_attributes,
-                m.cols()
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -237,6 +273,49 @@ mod tests {
             3,
         );
         assert!(matches!(self_pair, Err(Error::KeyMismatch(_))));
+    }
+
+    #[test]
+    fn new_refuses_non_finite_angles() {
+        use crate::reflection::{IsometryKey, IsometryStep};
+        for angle in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rotation = TransformationKey::new(
+                vec![RotationStep {
+                    i: 0,
+                    j: 2,
+                    theta_degrees: angle,
+                    achieved_var1: 0.0,
+                    achieved_var2: 0.0,
+                }],
+                3,
+            );
+            assert!(matches!(rotation, Err(Error::KeyMismatch(m)) if m.contains("non-finite")));
+            for step in [
+                IsometryStep::Rotate {
+                    i: 0,
+                    j: 1,
+                    theta_degrees: angle,
+                },
+                IsometryStep::Reflect {
+                    i: 0,
+                    j: 1,
+                    phi_degrees: angle,
+                },
+            ] {
+                let isometry = IsometryKey::new(vec![step], 3);
+                assert!(matches!(isometry, Err(Error::KeyMismatch(m)) if m.contains("non-finite")));
+            }
+        }
+        // The largest finite angles are keys like any other.
+        assert!(IsometryKey::new(
+            vec![IsometryStep::Reflect {
+                i: 0,
+                j: 1,
+                phi_degrees: f64::MAX,
+            }],
+            3
+        )
+        .is_ok());
     }
 
     #[test]

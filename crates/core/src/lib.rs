@@ -27,7 +27,9 @@
 //! * [`pairing`] — attribute-pair selection strategies (§4.3 Step 1),
 //! * [`method`] — the RBT algorithm itself (§4.3 Step 2) producing a
 //!   transformed matrix plus a [`key::TransformationKey`],
-//! * [`key`] — the owner-side secret (pairs, angles); invertible,
+//! * [`key`] — the owner-side secret (pairs, angles); invertible, one
+//!   [`Key`] type for RBT's rotations and the hybrid extension's
+//!   rotations and reflections ([`reflection`]),
 //! * [`pipeline`] — normalize-then-distort (Figure 1) over `rbt-data`
 //!   datasets,
 //! * [`session`] — streaming release sessions: persisted secrets applied
@@ -52,8 +54,8 @@ pub mod reflection;
 pub mod security;
 pub mod session;
 
-pub use key::{RotationStep, TransformationKey};
-pub use method::{RbtConfig, RbtOutput, RbtTransformer, ThresholdPolicy};
+pub use key::{Key, KeyStep, RotationStep, TransformationKey};
+pub use method::{KeyFit, RbtConfig, RbtOutput, RbtTransformer, ThresholdPolicy};
 pub use pairing::PairingStrategy;
 pub use pipeline::{Pipeline, PipelineOutput};
 pub use security::{PairMoments, PairVarianceProfile, PairwiseSecurityThreshold, SecurityRange};

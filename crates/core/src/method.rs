@@ -7,7 +7,7 @@
 //!    (step 2a–2b), solves the **security range** (step 2c),
 //! 3. draws θ uniformly at random from that range,
 //! 4. rotates the two columns in place (step 2d), and
-//! 5. records the step in a [`TransformationKey`].
+//! 5. records the step in a [`TransformationKey`](crate::key::TransformationKey).
 //!
 //! Every key fit runs this one pair loop: [`RbtTransformer::transform`],
 //! the fixed-angle replay [`RbtTransformer::transform_with_angles`] and the
@@ -22,7 +22,7 @@
 //!
 //! [`HybridIsometry::transform`]: crate::reflection::HybridIsometry::transform
 
-use crate::key::{RotationStep, TransformationKey};
+use crate::key::{Key, KeyStep, RotationStep};
 use crate::pairing::PairingStrategy;
 use crate::security::{
     draw_rotation, PairVarianceProfile, PairwiseSecurityThreshold, DEFAULT_GRID,
@@ -30,7 +30,7 @@ use crate::security::{
 use crate::{Error, Result};
 use rand::Rng;
 use rbt_linalg::codec::{ByteReader, ByteWriter, DecodeError, DecodeResult};
-use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
+use rbt_linalg::matrix::apply_steps_in_rows;
 use rbt_linalg::stats::VarianceMode;
 use rbt_linalg::Matrix;
 
@@ -240,14 +240,19 @@ impl RbtConfig {
     }
 }
 
-/// Output of an RBT run: the released matrix plus the owner's secret key.
+/// Output of a key fit: the released matrix plus the owner's secret key.
 #[derive(Debug, Clone)]
-pub struct RbtOutput {
+pub struct KeyFit<S: KeyStep> {
     /// The transformed (released) data matrix `D'`.
     pub transformed: Matrix,
-    /// The secret transformation key (pairs, angles, achieved variances).
-    pub key: TransformationKey,
+    /// The secret key (pairs and angles; an RBT key also records the
+    /// achieved variances).
+    pub key: Key<S>,
 }
+
+/// Output of an RBT run: the release and its
+/// [`TransformationKey`](crate::key::TransformationKey).
+pub type RbtOutput = KeyFit<RotationStep>;
 
 /// The RBT transformer.
 ///
@@ -306,12 +311,8 @@ impl RbtTransformer {
         rng: &mut R,
     ) -> Result<RbtOutput> {
         let grid = self.config.solver_grid;
-        let (transformed, steps) = fit_pairs(&self.config, normalized, rng, |p, rng| {
+        fit_pairs(&self.config, normalized, rng, |p, rng| {
             draw_rotation((p.i, p.j), &p.profile, p.pst, grid, rng)
-        })?;
-        Ok(RbtOutput {
-            transformed,
-            key: TransformationKey::new(steps, normalized.cols())?,
         })
     }
 
@@ -331,7 +332,7 @@ impl RbtTransformer {
         angles: &[f64],
         rng: &mut R,
     ) -> Result<RbtOutput> {
-        let (transformed, steps) = fit_pairs(&self.config, normalized, rng, |p, _| {
+        fit_pairs(&self.config, normalized, rng, |p, _| {
             if angles.len() != p.n_pairs {
                 return Err(Error::InvalidParameter(format!(
                     "{} angles for {} pairs",
@@ -358,18 +359,8 @@ impl RbtTransformer {
                 achieved_var1: var1,
                 achieved_var2: var2,
             })
-        })?;
-        Ok(RbtOutput {
-            transformed,
-            key: TransformationKey::new(steps, normalized.cols())?,
         })
     }
-}
-
-/// A key step as the pair loop records it.
-pub(crate) trait KeyStep {
-    /// The step as a 2×2 sweep step.
-    fn forward(&self) -> PairStep;
 }
 
 /// One attribute pair, as the pair loop hands it to a draw.
@@ -395,7 +386,7 @@ pub(crate) struct Pair<'a> {
 /// order, it profiles the two current columns, asks `draw` for the step,
 /// applies the step to every row with the release sweep
 /// ([`apply_steps_in_rows`]) and records it. Returns the transformed copy
-/// of `normalized` and the steps.
+/// of `normalized` and the key of the steps.
 ///
 /// # Errors
 ///
@@ -408,7 +399,7 @@ pub(crate) fn fit_pairs<R, S>(
     normalized: &Matrix,
     rng: &mut R,
     mut draw: impl FnMut(Pair<'_>, &mut R) -> Result<S>,
-) -> Result<(Matrix, Vec<S>)>
+) -> Result<KeyFit<S>>
 where
     R: Rng + ?Sized,
     S: KeyStep,
@@ -442,7 +433,10 @@ where
         apply_steps_in_rows(out.as_mut_slice(), n, &[step.forward()]);
         steps.push(step);
     }
-    Ok((out, steps))
+    Ok(KeyFit {
+        key: Key::new(steps, n)?,
+        transformed: out,
+    })
 }
 
 #[cfg(test)]

@@ -21,17 +21,19 @@
 //! verbatim, and an attacker enumerating the key must now also guess one
 //! bit per pair (and cannot assume the composite map has determinant +1).
 //! Only that draw is its own: the fit is RBT's pair loop, which applies
-//! each step with the release sweep. The [`IsometryKey`] it produces is
-//! persisted only inside a fitted release's sealed `Method` record.
+//! each step with the release sweep, and the [`IsometryKey`] it produces is
+//! RBT's [`Key`] over [`IsometryStep`]s. It is persisted only inside a
+//! fitted release's sealed `Method` record.
 
-use crate::method::{fit_pairs, KeyStep, RbtConfig};
+use crate::key::{Key, KeyStep};
+use crate::method::{fit_pairs, KeyFit, RbtConfig};
 use crate::security::{
     max_achievable, scan_arcs, security_range, PairVarianceProfile, PairwiseSecurityThreshold,
     SecurityRange,
 };
 use crate::{Error, Result};
 use rand::Rng;
-use rbt_linalg::matrix::{apply_steps_in_rows, PairStep};
+use rbt_linalg::matrix::PairStep;
 use rbt_linalg::rotation::Reflection2;
 use rbt_linalg::{Matrix, Rotation2};
 
@@ -104,29 +106,15 @@ pub enum IsometryStep {
     },
 }
 
-impl IsometryStep {
-    /// The attribute pair this step acts on.
-    pub fn pair(&self) -> (usize, usize) {
+impl crate::key::sealed::Sealed for IsometryStep {}
+
+impl KeyStep for IsometryStep {
+    fn pair(&self) -> (usize, usize) {
         match *self {
             IsometryStep::Rotate { i, j, .. } | IsometryStep::Reflect { i, j, .. } => (i, j),
         }
     }
 
-    /// The 2×2 sweep step that undoes the step.
-    fn inverse(&self) -> PairStep {
-        match *self {
-            IsometryStep::Rotate {
-                i,
-                j,
-                theta_degrees,
-            } => Rotation2::from_degrees(theta_degrees).inverse().step(i, j),
-            // Reflections are involutions: applying again inverts.
-            IsometryStep::Reflect { .. } => self.forward(),
-        }
-    }
-}
-
-impl KeyStep for IsometryStep {
     /// A rotation `[c, s, −s, c]` or a reflection `[c₂, s₂, s₂, −c₂]` on
     /// the step's pair.
     fn forward(&self) -> PairStep {
@@ -141,114 +129,28 @@ impl KeyStep for IsometryStep {
             }
         }
     }
+
+    /// The rotation by −θ, or the reflection itself: reflections are
+    /// involutions.
+    fn inverse(&self) -> PairStep {
+        match *self {
+            IsometryStep::Rotate {
+                i,
+                j,
+                theta_degrees,
+            } => Rotation2::from_degrees(theta_degrees).inverse().step(i, j),
+            IsometryStep::Reflect { .. } => self.forward(),
+        }
+    }
 }
 
 /// Ordered list of hybrid isometry steps: the key of a hybrid release. It
 /// is persisted only inside the sealed `Method` record of a fitted
 /// release.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct IsometryKey {
-    steps: Vec<IsometryStep>,
-    n_attributes: usize,
-}
+pub type IsometryKey = Key<IsometryStep>;
 
-impl IsometryKey {
-    /// Creates a key from explicit steps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::KeyMismatch`] for out-of-range or self-paired
-    /// attribute indices.
-    pub fn new(steps: Vec<IsometryStep>, n_attributes: usize) -> Result<Self> {
-        for (t, s) in steps.iter().enumerate() {
-            let (i, j) = s.pair();
-            if i >= n_attributes || j >= n_attributes {
-                return Err(Error::KeyMismatch(format!(
-                    "step {t} references attribute out of range (n = {n_attributes})"
-                )));
-            }
-            if i == j {
-                return Err(Error::KeyMismatch(format!(
-                    "step {t} pairs {i} with itself"
-                )));
-            }
-        }
-        Ok(IsometryKey {
-            steps,
-            n_attributes,
-        })
-    }
-
-    /// The steps, in application order.
-    pub fn steps(&self) -> &[IsometryStep] {
-        &self.steps
-    }
-
-    /// Number of attributes this key applies to.
-    pub fn n_attributes(&self) -> usize {
-        self.n_attributes
-    }
-
-    /// Every step as a 2×2 sweep step (a rotation `[c, s, −s, c]`, a
-    /// reflection `[c₂, s₂, s₂, −c₂]`), in application order — the form the
-    /// fused row sweep ([`apply_steps_in_rows`]) consumes.
-    pub fn forward_sweep(&self) -> Vec<PairStep> {
-        self.steps.iter().map(IsometryStep::forward).collect()
-    }
-
-    /// The inverse steps in reverse order — the sweep that undoes
-    /// [`apply`](Self::apply).
-    pub fn inverse_sweep(&self) -> Vec<PairStep> {
-        self.steps.iter().rev().map(IsometryStep::inverse).collect()
-    }
-
-    /// Applies the key to a normalized matrix: a clone, then one fused row
-    /// sweep of every step ([`apply_steps_in_rows`]), bit-identical to
-    /// rotating or reflecting extracted columns one step at a time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::KeyMismatch`] on a column-count mismatch.
-    pub fn apply(&self, normalized: &Matrix) -> Result<Matrix> {
-        self.check(normalized)?;
-        let mut out = normalized.clone();
-        sweep(&mut out, &self.forward_sweep());
-        Ok(out)
-    }
-
-    /// Inverts the key (reverse order, inverse steps), as one fused sweep
-    /// like [`apply`](Self::apply).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::KeyMismatch`] on a column-count mismatch.
-    pub fn invert(&self, transformed: &Matrix) -> Result<Matrix> {
-        self.check(transformed)?;
-        let mut out = transformed.clone();
-        sweep(&mut out, &self.inverse_sweep());
-        Ok(out)
-    }
-
-    fn check(&self, m: &Matrix) -> Result<()> {
-        if m.cols() != self.n_attributes {
-            return Err(Error::KeyMismatch(format!(
-                "key fitted for {} attributes, matrix has {}",
-                self.n_attributes,
-                m.cols()
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Runs `steps` over every row of `m` (nothing to do without steps, which
-/// also covers a matrix without columns).
-fn sweep(m: &mut Matrix, steps: &[PairStep]) {
-    if !steps.is_empty() {
-        let n_cols = m.cols();
-        apply_steps_in_rows(m.as_mut_slice(), n_cols, steps);
-    }
-}
+/// Output of a hybrid run: the released matrix and its [`IsometryKey`].
+pub type HybridOutput = KeyFit<IsometryStep>;
 
 /// The hybrid transformer: per pair, flips a fair coin between a rotation
 /// and a reflection, then draws the angle from the corresponding security
@@ -256,15 +158,6 @@ fn sweep(m: &mut Matrix, steps: &[PairStep]) {
 #[derive(Debug, Clone)]
 pub struct HybridIsometry {
     config: RbtConfig,
-}
-
-/// Output of a hybrid run.
-#[derive(Debug, Clone)]
-pub struct HybridOutput {
-    /// The released matrix.
-    pub transformed: Matrix,
-    /// The key.
-    pub key: IsometryKey,
 }
 
 impl HybridIsometry {
@@ -291,7 +184,7 @@ impl HybridIsometry {
         rng: &mut R,
     ) -> Result<HybridOutput> {
         let grid = self.config.solver_grid;
-        let (transformed, steps) = fit_pairs(&self.config, normalized, rng, |p, rng| {
+        fit_pairs(&self.config, normalized, rng, |p, rng| {
             let (i, j) = (p.i, p.j);
             let prefer_reflection: bool = rng.random();
             let rotation_range = security_range(&p.profile, p.pst, grid)?;
@@ -318,10 +211,6 @@ impl HybridIsometry {
                     max_var2,
                 })
             }
-        })?;
-        Ok(HybridOutput {
-            transformed,
-            key: IsometryKey::new(steps, normalized.cols())?,
         })
     }
 }

@@ -14,17 +14,17 @@
 //!   [`transform_batch_into`](ReleaseSession::transform_batch_into) /
 //!   [`invert_batch_into`](ReleaseSession::invert_batch_into) variants
 //!   that fill a caller-reusable output matrix so a steady-state stream
-//!   allocates nothing per batch, and the in-place
-//!   [`transform_batch_in_place`](ReleaseSession::transform_batch_in_place) /
-//!   [`invert_batch_in_place`](ReleaseSession::invert_batch_in_place),
-//!   which turn the caller's own batch into its release without a copy,
-//! * every batch entry point runs the public row kernels
-//!   [`forward_rows`](ReleaseSession::forward_rows) /
-//!   [`inverse_rows`](ReleaseSession::inverse_rows) over the whole batch
-//!   on the calling thread — the kernels callers holding rows outside a
-//!   [`Matrix`] run too, over `f64`s or over a wire frame's little-endian
-//!   cells (the daemon's workers run them on batches they keep in their
-//!   frames, through [`RowKernels`]). Each is one pass over the cells
+//!   allocates nothing per batch,
+//! * its [`RowKernels`] hold the one batch contract, shared with hybrid
+//!   isometry's fitted state: a [`Dataset`] batch has its width checked,
+//!   the §5.3 ID policy applied and its matrix copied once, then the row
+//!   kernels [`forward_rows`](RowKernels::forward_rows) /
+//!   [`inverse_rows`](RowKernels::inverse_rows) run over the whole copy
+//!   on the calling thread. Callers holding rows outside a [`Matrix`] run
+//!   those kernels themselves, in place, over `f64`s or over a wire
+//!   frame's little-endian cells (the daemon's workers do, on batches
+//!   they keep in their frames; so does
+//!   [`ReleaseSession::forward_rows`]). Each is one pass over the cells
 //!   ([`FittedNormalizer::transform_and_sweep`] /
 //!   [`FittedNormalizer::sweep_and_invert`]): a block of rows is read
 //!   once, normalized and drift-checked in SIMD lanes across its columns,
@@ -243,6 +243,76 @@ impl<'a> RowKernels<'a> {
             .sweep_and_invert(rows, self.inverse)
             .map_err(Error::Data)
     }
+
+    /// Releases a batch: checks its width, copies its matrix once and runs
+    /// [`forward_rows`](Self::forward_rows) over the copy. The release
+    /// keeps the batch's column names, and its IDs only when the §5.3 ID
+    /// policy keeps them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::KeyMismatch`] when the batch's column count
+    /// disagrees with the kernels' width.
+    pub fn transform_batch(&self, batch: &Dataset) -> Result<SessionBatch> {
+        let mut matrix = Matrix::zeros(0, 0);
+        let out_of_range_rows = self.transform_batch_into(batch, &mut matrix)?;
+        let ids = if self.suppress_ids { None } else { batch.ids() };
+        Ok(SessionBatch {
+            released: dataset(matrix, batch, ids)?,
+            out_of_range_rows,
+        })
+    }
+
+    /// Recovers a released batch: checks its width, copies its matrix once
+    /// and runs [`inverse_rows`](Self::inverse_rows) over the copy,
+    /// keeping the batch's column names and whatever IDs it has.
+    ///
+    /// # Errors
+    ///
+    /// As [`transform_batch`](Self::transform_batch).
+    pub fn invert_batch(&self, released: &Dataset) -> Result<Dataset> {
+        let mut matrix = Matrix::zeros(0, 0);
+        self.invert_batch_into(released, &mut matrix)?;
+        dataset(matrix, released, released.ids())
+    }
+
+    /// [`transform_batch`](Self::transform_batch)'s matrix, written into
+    /// `out` (its buffer reused when large enough); returns the drift
+    /// count.
+    fn transform_batch_into(&self, batch: &Dataset, out: &mut Matrix) -> Result<usize> {
+        self.check_width(batch)?;
+        out.copy_from(batch.matrix());
+        self.forward_rows(out.as_mut_slice())
+    }
+
+    /// [`invert_batch`](Self::invert_batch)'s matrix, written into `out`.
+    fn invert_batch_into(&self, released: &Dataset, out: &mut Matrix) -> Result<()> {
+        self.check_width(released)?;
+        out.copy_from(released.matrix());
+        self.inverse_rows(out.as_mut_slice())
+    }
+
+    fn check_width(&self, batch: &Dataset) -> Result<()> {
+        if batch.n_cols() != self.n_cols() {
+            return Err(Error::KeyMismatch(format!(
+                "session fitted for {} attributes, batch has {}",
+                self.n_cols(),
+                batch.n_cols()
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// `matrix` under `source`'s column names, with `ids` when given. Built
+/// around the new matrix directly: cloning `source` only to replace its
+/// matrix would copy the batch a second time.
+fn dataset(matrix: Matrix, source: &Dataset, ids: Option<&[u64]>) -> Result<Dataset> {
+    let released = Dataset::new(matrix, source.columns().to_vec())?;
+    match ids {
+        Some(ids) => Ok(released.with_ids(ids.to_vec())?),
+        None => Ok(released),
+    }
 }
 
 /// A long-lived release session: fitted secrets plus batch machinery.
@@ -356,29 +426,15 @@ impl ReleaseSession {
 
     /// Transforms a batch of out-of-sample records: normalize with the
     /// *fitted* parameters, apply the key's rotations, optionally strip
-    /// IDs. Output is bit-identical to the one-shot pipeline for every
-    /// batch split.
+    /// IDs ([`RowKernels::transform_batch`]). Output is bit-identical to
+    /// the one-shot pipeline for every batch split.
     ///
     /// # Errors
     ///
     /// Returns [`Error::KeyMismatch`] when the batch's column count
     /// disagrees with the session.
     pub fn transform_batch(&self, batch: &Dataset) -> Result<SessionBatch> {
-        let mut matrix = Matrix::zeros(0, 0);
-        let out_of_range_rows = self.transform_batch_into(batch, &mut matrix)?;
-        // Build the released dataset around the transformed matrix directly
-        // — cloning the input dataset just to replace its matrix would copy
-        // the batch a second time on the streaming hot path.
-        let mut released = Dataset::new(matrix, batch.columns().to_vec()).map_err(Error::Data)?;
-        if !self.suppress_ids {
-            if let Some(ids) = batch.ids() {
-                released = released.with_ids(ids.to_vec()).map_err(Error::Data)?;
-            }
-        }
-        Ok(SessionBatch {
-            released,
-            out_of_range_rows,
-        })
+        self.kernels().transform_batch(batch)
     }
 
     /// Owner-side inverse of [`transform_batch`](Self::transform_batch):
@@ -390,14 +446,7 @@ impl ReleaseSession {
     /// Returns [`Error::KeyMismatch`] when the batch's column count
     /// disagrees with the session.
     pub fn invert_batch(&self, released: &Dataset) -> Result<Dataset> {
-        let mut matrix = Matrix::zeros(0, 0);
-        self.invert_batch_into(released, &mut matrix)?;
-        let mut recovered =
-            Dataset::new(matrix, released.columns().to_vec()).map_err(Error::Data)?;
-        if let Some(ids) = released.ids() {
-            recovered = recovered.with_ids(ids.to_vec()).map_err(Error::Data)?;
-        }
-        Ok(recovered)
+        self.kernels().invert_batch(released)
     }
 
     /// Zero-copy variant of [`transform_batch`](Self::transform_batch):
@@ -415,9 +464,7 @@ impl ReleaseSession {
     /// Returns [`Error::KeyMismatch`] when the batch's column count
     /// disagrees with the session.
     pub fn transform_batch_into(&self, batch: &Dataset, out: &mut Matrix) -> Result<usize> {
-        self.check_cols(batch.matrix())?;
-        out.copy_from(batch.matrix());
-        self.forward_rows(out.as_mut_slice())
+        self.kernels().transform_batch_into(batch, out)
     }
 
     /// Zero-copy variant of [`invert_batch`](Self::invert_batch): writes
@@ -430,40 +477,7 @@ impl ReleaseSession {
     /// Returns [`Error::KeyMismatch`] when the batch's column count
     /// disagrees with the session.
     pub fn invert_batch_into(&self, released: &Dataset, out: &mut Matrix) -> Result<()> {
-        self.check_cols(released.matrix())?;
-        out.copy_from(released.matrix());
-        self.inverse_rows(out.as_mut_slice())
-    }
-
-    /// In-place variant of [`transform_batch`](Self::transform_batch):
-    /// `batch`'s own matrix becomes the release and its IDs are dropped
-    /// when the session suppresses them; column names stay. Returns the
-    /// out-of-range row count. Values are bit-identical to
-    /// `transform_batch(batch).released`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::KeyMismatch`] when the batch's column count
-    /// disagrees with the session; `batch` is then left untouched.
-    pub fn transform_batch_in_place(&self, batch: &mut Dataset) -> Result<usize> {
-        self.check_cols(batch.matrix())?;
-        if self.suppress_ids {
-            batch.take_ids();
-        }
-        self.forward_rows(batch.matrix_mut().as_mut_slice())
-    }
-
-    /// In-place variant of [`invert_batch`](Self::invert_batch): undoes
-    /// the release of `released`'s own matrix, keeping its names and IDs.
-    /// Values are bit-identical to `invert_batch(released)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::KeyMismatch`] when the batch's column count
-    /// disagrees with the session; `released` is then left untouched.
-    pub fn invert_batch_in_place(&self, released: &mut Dataset) -> Result<()> {
-        self.check_cols(released.matrix())?;
-        self.inverse_rows(released.matrix_mut().as_mut_slice())
+        self.kernels().invert_batch_into(released, out)
     }
 
     /// The forward release of whole rows in place, on the calling thread,
@@ -519,17 +533,6 @@ impl ReleaseSession {
         if n == 0 || !len.is_multiple_of(n) {
             return Err(Error::KeyMismatch(format!(
                 "{len} values are not whole rows of the session's {n} attributes"
-            )));
-        }
-        Ok(())
-    }
-
-    fn check_cols(&self, m: &Matrix) -> Result<()> {
-        if m.cols() != self.key.n_attributes() {
-            return Err(Error::KeyMismatch(format!(
-                "session fitted for {} attributes, batch has {}",
-                self.key.n_attributes(),
-                m.cols()
             )));
         }
         Ok(())
@@ -1077,33 +1080,27 @@ mod tests {
     }
 
     #[test]
-    fn in_place_variants_match_allocating_paths_bitwise() {
+    fn batches_keep_their_names_and_follow_the_id_policy() {
         let (session, _) = fitted_session();
         let raw = datasets::arrhythmia_sample();
+        let n_rows = raw.n_rows() as u64;
+        let raw = raw.with_ids((0..n_rows).collect()).unwrap();
         for suppress in [true, false] {
             let session = session.clone().with_id_suppression(suppress);
             let batch = session.transform_batch(&raw).unwrap();
-            let mut in_place = raw.clone();
-            let oor = session.transform_batch_in_place(&mut in_place).unwrap();
-            assert_eq!(oor, batch.out_of_range_rows);
-            assert_eq!(in_place.columns(), batch.released.columns());
-            assert_eq!(in_place.ids(), batch.released.ids());
-            assert!(in_place.matrix().approx_eq(batch.released.matrix(), 0.0));
+            assert_eq!(batch.released.columns(), raw.columns());
+            assert_eq!(batch.released.ids(), raw.ids().filter(|_| !suppress));
+            let mut rows = raw.matrix().clone();
+            let drifted = session.forward_rows(rows.as_mut_slice()).unwrap();
+            assert_eq!(drifted, batch.out_of_range_rows);
+            assert!(rows.approx_eq(batch.released.matrix(), 0.0));
 
+            // Recovery keeps whatever IDs the released batch carries.
             let recovered = session.invert_batch(&batch.released).unwrap();
-            let mut back = batch.released.clone();
-            session.invert_batch_in_place(&mut back).unwrap();
-            assert_eq!(back.ids(), recovered.ids());
-            assert!(back.matrix().approx_eq(recovered.matrix(), 0.0));
+            assert_eq!(recovered.ids(), batch.released.ids());
+            session.inverse_rows(rows.as_mut_slice()).unwrap();
+            assert!(rows.approx_eq(recovered.matrix(), 0.0));
         }
-        // A shape mismatch leaves the batch untouched.
-        let mut wrong = Dataset::from_matrix(Matrix::zeros(2, 5))
-            .with_ids(vec![1, 2])
-            .unwrap();
-        let before = wrong.clone();
-        assert!(session.transform_batch_in_place(&mut wrong).is_err());
-        assert!(session.invert_batch_in_place(&mut wrong).is_err());
-        assert_eq!(wrong, before);
     }
 
     #[test]
@@ -1180,12 +1177,11 @@ mod tests {
         };
         let whole = run(&big, rows, true);
         assert_eq!(whole.0, (0..rows).filter(|&r| outlier(r)).count());
-        // The in-place path releases the same bits.
-        let mut in_place = Dataset::from_matrix(big.clone());
-        let drifted = session.transform_batch_in_place(&mut in_place).unwrap();
+        // The row kernels release the same bits in place.
+        let mut in_place = big.clone();
+        let drifted = session.forward_rows(in_place.as_mut_slice()).unwrap();
         assert_eq!(drifted, whole.0);
         assert!(in_place
-            .matrix()
             .as_slice()
             .iter()
             .map(|v| v.to_bits())

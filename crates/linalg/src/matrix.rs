@@ -753,10 +753,10 @@ pub struct PairStep {
 /// unchanged, so any row split gives the same bits — the property suite
 /// pins the sweep against applying each step to extracted columns with
 /// `Rotation2::apply_columns` or `Reflection2::apply_columns`. This is the
-/// transform hot path of the release session, of
-/// `TransformationKey::{apply, invert}` and of
-/// `IsometryKey::{apply, invert}`, and, one step at a time, the rotation of
-/// every key fit and of a federated owner's block.
+/// transform hot path of the release session, of `rbt_core`'s
+/// `Key::{apply, invert}` (RBT and hybrid isometry keys alike), and, one
+/// step at a time, the rotation of every key fit and of a federated
+/// owner's block.
 ///
 /// Rows whose tail does not fill a complete `n_cols` stride are ignored;
 /// callers are expected to pass `rows.len() % n_cols == 0` (debug-asserted).

@@ -21,13 +21,15 @@
 //! whatever the method: its batches report their own drift (RBT's
 //! out-of-range rows, 0 for the methods that keep no fitted range).
 //!
-//! The daemon releases an RBT batch inside its own request frame, through
-//! the checked-out session's row kernels (the registry's `checkout` and
-//! `note` keep the books); any other method's
-//! batch is decoded and released in place
-//! ([`FittedTransform::transform_batch_in_place`]), on the worker's
-//! thread. [`SessionRegistry::transform`] and [`SessionRegistry::invert`]
-//! are the in-place calls on a copy of a borrowed batch.
+//! The daemon releases an RBT or hybrid-isometry batch inside its own
+//! request frame, through the checked-out session's row kernels (the
+//! registry's `checkout` and `note` keep the books). Any other batch — a
+//! baseline's, or one whose width the kernels do not fit — is decoded and
+//! served by [`SessionRegistry::transform`] / [`SessionRegistry::invert`]:
+//! checkout, the fitted state's one batch call
+//! ([`FittedTransform::transform_batch`] /
+//! [`FittedTransform::invert_batch`], one copy of the batch), then the
+//! books, on the worker's thread.
 //!
 //! Locking: the registry mutex (a non-poisoning `parking_lot` lock, so a
 //! panicking worker thread cannot wedge every other tenant) is held
@@ -236,24 +238,12 @@ impl SessionRegistry {
     /// [`ServerError::UnknownTenant`] for unregistered tenants, otherwise
     /// whatever the release machinery reports (shape mismatch, …).
     pub fn transform(&self, tenant: &str, batch: &Dataset) -> ServerResult<(Dataset, u64)> {
-        let mut released = batch.clone();
-        let drift_rows = self.transform_in_place(tenant, &mut released)?;
-        Ok((released, drift_rows))
-    }
-
-    /// [`SessionRegistry::transform`] in place: `batch` becomes the
-    /// release, and is left untouched on error.
-    pub(crate) fn transform_in_place(
-        &self,
-        tenant: &str,
-        batch: &mut Dataset,
-    ) -> ServerResult<u64> {
         let live = self.checkout(tenant)?;
         let start = Instant::now();
-        let rows = batch.n_rows() as u64;
-        let drift_rows = live.transform_batch_in_place(batch)? as u64;
-        self.note(tenant, rows, drift_rows, start);
-        Ok(drift_rows)
+        let out = live.transform_batch(batch)?;
+        let drift_rows = out.out_of_range_rows as u64;
+        self.note(tenant, batch.n_rows() as u64, drift_rows, start);
+        Ok((out.released, drift_rows))
     }
 
     /// Inverts a previously released batch under `tenant`'s session
@@ -265,19 +255,11 @@ impl SessionRegistry {
     /// [`RbtError::NotInvertible`] (as [`ServerError::Rbt`]) for methods
     /// that destroy information by design.
     pub fn invert(&self, tenant: &str, batch: &Dataset) -> ServerResult<Dataset> {
-        let mut recovered = batch.clone();
-        self.invert_in_place(tenant, &mut recovered)?;
-        Ok(recovered)
-    }
-
-    /// [`SessionRegistry::invert`] in place: `batch` becomes the recovered
-    /// batch, and is left untouched on error.
-    pub(crate) fn invert_in_place(&self, tenant: &str, batch: &mut Dataset) -> ServerResult<()> {
         let live = self.checkout(tenant)?;
         let start = Instant::now();
-        live.invert_batch_in_place(batch)?;
+        let recovered = live.invert_batch(batch)?;
         self.note(tenant, 0, 0, start);
-        Ok(())
+        Ok(recovered)
     }
 
     /// Drops a tenant entirely: key bytes, live session, and counters.

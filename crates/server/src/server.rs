@@ -359,22 +359,17 @@ pub(crate) fn process_request(shared: &Shared, request: Request) -> Response {
             },
             Err(e) => error_response(&e),
         },
-        // The request's own batch becomes the answer: released in place.
-        Request::Transform { tenant, mut batch } => {
-            match registry.transform_in_place(&tenant, &mut batch) {
-                Ok(out_of_range_rows) => Response::Transformed {
-                    released: batch,
-                    out_of_range_rows,
-                },
-                Err(e) => error_response(&e),
-            }
-        }
-        Request::Invert { tenant, mut batch } => {
-            match registry.invert_in_place(&tenant, &mut batch) {
-                Ok(()) => Response::Inverted { recovered: batch },
-                Err(e) => error_response(&e),
-            }
-        }
+        Request::Transform { tenant, batch } => match registry.transform(&tenant, &batch) {
+            Ok((released, out_of_range_rows)) => Response::Transformed {
+                released,
+                out_of_range_rows,
+            },
+            Err(e) => error_response(&e),
+        },
+        Request::Invert { tenant, batch } => match registry.invert(&tenant, &batch) {
+            Ok(recovered) => Response::Inverted { recovered },
+            Err(e) => error_response(&e),
+        },
         Request::Stats => Response::Stats(registry.stats()),
         Request::EvictTenant { tenant } => Response::Evicted {
             existed: registry.evict(&tenant),

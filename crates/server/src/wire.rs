@@ -1866,11 +1866,12 @@ mod tests {
     /// A batch whose every cell was mapped by [`scale`], its IDs dropped
     /// when `drop_ids`.
     fn scaled(batch: &Dataset, drop_ids: bool) -> Dataset {
-        let mut out = batch.clone();
+        let mut out = if drop_ids {
+            batch.anonymized()
+        } else {
+            batch.clone()
+        };
         out.matrix_mut().as_mut_slice().iter_mut().for_each(scale);
-        if drop_ids {
-            out.take_ids();
-        }
         out
     }
 

@@ -395,7 +395,8 @@ fn hybrid_isometry_releases_keep_their_bits() {
     // A 17-column fit (column 1 constant) at a fixed seed, then a batch of
     // every fitting row plus rows carrying ±0, ±∞, 1e±300, subnormals and
     // NaN. Pinned: the fit-time release, the batch's release through the
-    // copying and the in-place entry points (equal), and its inverse.
+    // copying entry point and the row kernels in place (equal), and its
+    // inverse.
     const ROWS: usize = 48;
     const COLS: usize = 17;
     let fit = Matrix::from_vec(
@@ -442,22 +443,16 @@ fn hybrid_isometry_releases_keep_their_bits() {
     let n_rows = rows.len() / COLS;
     let batch = Dataset::from_matrix(Matrix::from_vec(n_rows, COLS, rows).unwrap());
     let released = fitted.transform_batch(&batch).unwrap().released;
-    let mut in_place = batch.clone();
-    fitted
-        .fitted
-        .transform_batch_in_place(&mut in_place)
-        .unwrap();
-    assert_eq!(bits_pin(in_place.matrix()), bits_pin(released.matrix()));
+    let kernels = fitted.fitted.row_kernels().unwrap();
+    let mut in_place = batch.matrix().clone();
+    kernels.forward_rows(in_place.as_mut_slice()).unwrap();
+    assert_eq!(bits_pin(&in_place), bits_pin(released.matrix()));
     let inverse = fitted.invert_batch(&released).unwrap();
-    let mut inverse_in_place = released.clone();
-    fitted
-        .fitted
-        .invert_batch_in_place(&mut inverse_in_place)
+    let mut inverse_in_place = released.matrix().clone();
+    kernels
+        .inverse_rows(inverse_in_place.as_mut_slice())
         .unwrap();
-    assert_eq!(
-        bits_pin(inverse_in_place.matrix()),
-        bits_pin(inverse.matrix())
-    );
+    assert_eq!(bits_pin(&inverse_in_place), bits_pin(inverse.matrix()));
     assert_eq!(
         [
             bits_pin(fitted.released.matrix()),
