@@ -490,9 +490,10 @@ impl ReleaseSession {
     /// Returns how many of the rows drifted out of the fitted range (0
     /// without [`DriftBounds`]).
     ///
-    /// Every batch entry point runs this over the whole batch, and rows
-    /// are independent, so releasing a batch as any split into row slices
-    /// yields the bits [`transform_batch`](Self::transform_batch) does.
+    /// Every batch entry point runs the same kernel over the whole batch,
+    /// and rows are independent, so releasing a batch as any split into
+    /// row slices yields the bits [`transform_batch`](Self::transform_batch)
+    /// does.
     ///
     /// # Errors
     ///
